@@ -7,14 +7,22 @@
 //   - lzo      — an LZO-class byte-aligned LZSS codec
 //   - lzo-rle  — lzo plus a run-length fast path (zero-run heavy pages)
 //   - deflate  — stdlib compress/flate at the kernel's default effort
-//   - zstd     — "zstd-class": flate at maximum effort over a preconditioned
-//     stream (stands in for zstd's better entropy stage; see DESIGN.md)
+//   - zstd     — "zstd-class": a from-scratch hash-chain LZ77 stage (64 KB
+//     window, depth-32 search) with canonical-Huffman coding of the literal
+//     and sequence streams (zstdsim.go, huffman.go; not the RFC 8878
+//     bitstream — see DESIGN.md)
 //   - 842      — an 842-style word-oriented codec (8-byte phrases with
 //     back-reference dictionaries)
 //
 // Every codec is deterministic and round-trips arbitrary input. Compression
 // may expand incompressible input; the tier layer rejects pages whose
 // compressed size exceeds the page size, mirroring zswap's behaviour.
+//
+// The registered codecs are stateless values, safe to share between any
+// number of goroutines. The working state that makes a page cheap to
+// compress — zstd's match tables and Huffman workspace, flate's writer and
+// reader — belongs to the caller, in a Scratch (scratch.go), and never
+// changes a byte of output.
 package compress
 
 import (

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -242,20 +243,22 @@ func TestRatioEmpty(t *testing.T) {
 	}
 }
 
-func TestDeflateConcurrentSafety(t *testing.T) {
-	// The Deflate codec reuses a flate.Writer under a mutex; hammer it from
-	// multiple goroutines to catch races (run with -race).
-	c := NewZstd()
+func TestConcurrentStatelessCodecs(t *testing.T) {
+	// The registered codecs are process-wide singletons and hold no
+	// state: hammer the two that used to (deflate kept one flate.Writer
+	// under a mutex) from several goroutines (run with -race).
 	g := corpus.NewGenerator(corpus.Dickens, 5)
+	codecs := []Codec{MustLookup("deflate"), MustLookup("zstd")}
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func(w int) {
+			c := codecs[w%len(codecs)]
 			for i := 0; i < 20; i++ {
 				src := g.Page(uint64(w*100+i), 4096)
 				comp := c.Compress(nil, src)
 				got, err := c.Decompress(nil, comp)
 				if err != nil || !bytes.Equal(got, src) {
-					done <- err
+					done <- fmt.Errorf("%s: round trip of page %d: %v", c.Name(), w*100+i, err)
 					return
 				}
 			}

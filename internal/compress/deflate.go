@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"compress/flate"
 	"io"
-	"sync"
 )
 
 // Deflate wraps the stdlib flate compressor at the default effort level,
 // standing in for the kernel's deflate crypto-API compressor. It is the
 // highest-ratio / highest-latency codec class in the paper's Table 1.
+//
+// The codec itself holds no state: a flate.Writer is ~0.8 MB of hash tables
+// and a flate reader ~40 KB, both reusable through Reset, and they live in
+// the caller's Scratch. The stateless Compress/Decompress build a
+// throwaway one per call — correct, lock-free and slow; anything that
+// handles pages in volume owns a Scratch.
 type Deflate struct {
 	name  string
 	level int
-
-	mu sync.Mutex
-	w  *flate.Writer
 }
 
 // NewDeflate returns the deflate codec (flate level 6, zlib's default).
@@ -24,37 +26,92 @@ func NewDeflate() *Deflate { return &Deflate{name: "deflate", level: 6} }
 // Name implements Codec.
 func (d *Deflate) Name() string { return d.name }
 
+// flateState is a flate writer and reader with their I/O adapters, each
+// created on first use and Reset per block.
+type flateState struct {
+	w   *flate.Writer
+	out sliceWriter
+	r   io.ReadCloser // also a flate.Resetter
+	in  bytes.Reader
+}
+
+// sliceWriter appends to a byte slice, so the writer emits straight into
+// the caller's dst.
+type sliceWriter struct{ b []byte }
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
 // Compress implements Codec.
 func (d *Deflate) Compress(dst, src []byte) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var buf bytes.Buffer
-	if d.w == nil {
-		w, err := flate.NewWriter(&buf, d.level)
+	var st flateState
+	return st.compress(d.level, dst, src)
+}
+
+func (d *Deflate) compressScratch(s *Scratch, dst, src []byte) []byte {
+	return s.flateState().compress(d.level, dst, src)
+}
+
+func (s *Scratch) flateState() *flateState {
+	if s.flate == nil {
+		s.flate = new(flateState)
+	}
+	return s.flate
+}
+
+func (st *flateState) compress(level int, dst, src []byte) []byte {
+	st.out.b = dst
+	if st.w == nil {
+		w, err := flate.NewWriter(&st.out, level)
 		if err != nil {
 			// Level is a compile-time constant in range; this cannot happen.
 			panic(err)
 		}
-		d.w = w
+		st.w = w
 	} else {
-		d.w.Reset(&buf)
+		st.w.Reset(&st.out)
 	}
-	if _, err := d.w.Write(src); err != nil {
-		panic(err) // bytes.Buffer writes cannot fail
+	if _, err := st.w.Write(src); err != nil {
+		panic(err) // sliceWriter writes cannot fail
 	}
-	if err := d.w.Close(); err != nil {
+	if err := st.w.Close(); err != nil {
 		panic(err)
 	}
-	return append(dst, buf.Bytes()...)
+	dst, st.out.b = st.out.b, nil
+	return dst
 }
 
 // Decompress implements Codec.
 func (d *Deflate) Decompress(dst, src []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
+	var st flateState
+	return st.decompress(dst, src)
+}
+
+func (d *Deflate) decompressScratch(s *Scratch, dst, src []byte) ([]byte, error) {
+	return s.flateState().decompress(dst, src)
+}
+
+func (st *flateState) decompress(dst, src []byte) ([]byte, error) {
+	st.in.Reset(src)
+	if st.r == nil {
+		st.r = flate.NewReader(&st.in)
+	} else if err := st.r.(flate.Resetter).Reset(&st.in, nil); err != nil {
 		return dst, ErrCorrupt
 	}
-	return append(dst, out...), nil
+	out := dst
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := st.r.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return dst, ErrCorrupt
+		}
+	}
 }

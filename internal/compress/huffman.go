@@ -57,96 +57,110 @@ func (r *bitReader) readBits(n uint) (uint32, bool) {
 	return v, true
 }
 
-// huffLengths computes length-limited canonical code lengths for the
-// symbol frequencies (package-merge-free heuristic: build a Huffman tree,
-// then fold over-long codes down to huffMaxBits).
-func huffLengths(freq *[256]int64) [256]uint8 {
-	type node struct {
-		weight      int64
-		sym         int // >= 0 for leaves
-		left, right int // indexes into nodes, -1 for leaves
-	}
-	var nodes []node
-	var heap []int // indexes, maintained as a simple binary heap by weight
+// huffNode is one Huffman tree node; sym < 0 marks an internal node.
+type huffNode struct {
+	weight      int64
+	sym         int16
+	left, right int16 // indexes into huffBuilder.nodes
+}
 
-	push := func(i int) {
-		heap = append(heap, i)
-		c := len(heap) - 1
-		for c > 0 {
-			p := (c - 1) / 2
-			if nodes[heap[p]].weight <= nodes[heap[c]].weight {
-				break
-			}
-			heap[p], heap[c] = heap[c], heap[p]
-			c = p
-		}
+// huffBuilder is the tree-construction workspace: at most 256 leaves, so
+// 511 nodes, a 256-entry heap and a depth-first stack of at most 257
+// pending nodes. Every build overwrites what it reads, so a builder reused
+// across blocks (zstdEncoder) and a fresh one on the caller's stack
+// (huffEncode) produce identical lengths.
+type huffBuilder struct {
+	nodes   [511]huffNode
+	heap    [256]int16 // node indexes, a binary min-heap by weight
+	heapLen int
+	stack   [512]struct {
+		idx   int16
+		depth uint8
 	}
-	pop := func() int {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		c := 0
-		for {
-			l, r := 2*c+1, 2*c+2
-			small := c
-			if l < len(heap) && nodes[heap[l]].weight < nodes[heap[small]].weight {
-				small = l
-			}
-			if r < len(heap) && nodes[heap[r]].weight < nodes[heap[small]].weight {
-				small = r
-			}
-			if small == c {
-				break
-			}
-			heap[c], heap[small] = heap[small], heap[c]
-			c = small
-		}
-		return top
-	}
+}
 
+func (hb *huffBuilder) push(i int) {
+	c := hb.heapLen
+	hb.heap[c] = int16(i)
+	hb.heapLen++
+	for c > 0 {
+		p := (c - 1) / 2
+		if hb.nodes[hb.heap[p]].weight <= hb.nodes[hb.heap[c]].weight {
+			break
+		}
+		hb.heap[p], hb.heap[c] = hb.heap[c], hb.heap[p]
+		c = p
+	}
+}
+
+func (hb *huffBuilder) pop() int {
+	top := hb.heap[0]
+	hb.heapLen--
+	n := hb.heapLen
+	hb.heap[0] = hb.heap[n]
+	c := 0
+	for {
+		l, r := 2*c+1, 2*c+2
+		small := c
+		if l < n && hb.nodes[hb.heap[l]].weight < hb.nodes[hb.heap[small]].weight {
+			small = l
+		}
+		if r < n && hb.nodes[hb.heap[r]].weight < hb.nodes[hb.heap[small]].weight {
+			small = r
+		}
+		if small == c {
+			break
+		}
+		hb.heap[c], hb.heap[small] = hb.heap[small], hb.heap[c]
+		c = small
+	}
+	return int(top)
+}
+
+// lengths computes length-limited canonical code lengths for the symbol
+// frequencies (package-merge-free heuristic: build a Huffman tree, then
+// fold over-long codes down to huffMaxBits).
+func (hb *huffBuilder) lengths(freq *[256]int64) [256]uint8 {
+	nodes := &hb.nodes
+	hb.heapLen = 0
+	numNodes := 0
 	var lengths [256]uint8
-	numSyms := 0
 	for s, f := range freq {
 		if f > 0 {
-			nodes = append(nodes, node{weight: f, sym: s, left: -1, right: -1})
-			push(len(nodes) - 1)
-			numSyms++
+			nodes[numNodes] = huffNode{weight: f, sym: int16(s), left: -1, right: -1}
+			hb.push(numNodes)
+			numNodes++
 		}
 	}
-	switch numSyms {
+	switch numNodes {
 	case 0:
 		return lengths
 	case 1:
 		lengths[nodes[0].sym] = 1
 		return lengths
 	}
-	for len(heap) > 1 {
-		a := pop()
-		b := pop()
-		nodes = append(nodes, node{weight: nodes[a].weight + nodes[b].weight, sym: -1, left: a, right: b})
-		push(len(nodes) - 1)
+	for hb.heapLen > 1 {
+		a := hb.pop()
+		b := hb.pop()
+		nodes[numNodes] = huffNode{weight: nodes[a].weight + nodes[b].weight, sym: -1, left: int16(a), right: int16(b)}
+		hb.push(numNodes)
+		numNodes++
 	}
-	root := heap[0]
-	// Depth-first depth assignment.
-	type item struct {
-		idx   int
-		depth uint8
-	}
-	stack := []item{{root, 0}}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	// Depth-first depth assignment; a leaf sits at depth >= 1 here and at
+	// most 255 (a fully skewed 256-leaf tree).
+	stack := &hb.stack
+	stack[0].idx, stack[0].depth = hb.heap[0], 0
+	for sp := 1; sp > 0; {
+		sp--
+		it := stack[sp]
 		n := nodes[it.idx]
 		if n.sym >= 0 {
-			d := it.depth
-			if d == 0 {
-				d = 1
-			}
-			lengths[n.sym] = d
+			lengths[n.sym] = it.depth
 			continue
 		}
-		stack = append(stack, item{n.left, it.depth + 1}, item{n.right, it.depth + 1})
+		stack[sp].idx, stack[sp].depth = n.left, it.depth+1
+		stack[sp+1].idx, stack[sp+1].depth = n.right, it.depth+1
+		sp += 2
 	}
 	// Length-limit: fold codes longer than huffMaxBits using Kraft repair.
 	over := false
@@ -236,6 +250,12 @@ func reverseBits(v uint32, n uint8) uint32 {
 // Code lengths above 15 never occur. If coding would expand the data, a
 // raw block is emitted instead (flag byte 0 = raw, 1 = coded).
 func huffEncode(dst, src []byte) []byte {
+	var hb huffBuilder
+	return hb.encode(dst, src)
+}
+
+// encode is huffEncode building its tree in hb.
+func (hb *huffBuilder) encode(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return append(dst, 0, 0) // raw block, length 0
 	}
@@ -243,7 +263,7 @@ func huffEncode(dst, src []byte) []byte {
 	for _, b := range src {
 		freq[b]++
 	}
-	lengths := huffLengths(&freq)
+	lengths := hb.lengths(&freq)
 	codes := canonicalCodes(&lengths)
 
 	// Estimate coded size.
@@ -263,9 +283,16 @@ func huffEncode(dst, src []byte) []byte {
 	for i := 0; i < 256; i += 2 {
 		dst = append(dst, lengths[i]|lengths[i+1]<<4)
 	}
+	// Canonical codes are MSB-first, the bit IO LSB-first: reverse each
+	// used code once, not once per byte.
+	for s, l := range lengths {
+		if l > 0 {
+			codes[s] = reverseBits(codes[s], l)
+		}
+	}
 	w := bitWriter{out: dst}
 	for _, b := range src {
-		w.writeBits(reverseBits(codes[b], lengths[b]), uint(lengths[b]))
+		w.writeBits(codes[b], uint(lengths[b]))
 	}
 	w.flush()
 	return w.out

@@ -114,7 +114,7 @@ func TestHuffmanCorruptInputs(t *testing.T) {
 }
 
 func TestHuffmanKraftValidLengths(t *testing.T) {
-	// Property: code lengths from huffLengths always satisfy Kraft
+	// Property: code lengths from huffBuilder.lengths always satisfy Kraft
 	// (sum 2^-l <= 1) and never exceed huffMaxBits, even on adversarial
 	// frequency distributions (fibonacci-like forces deep trees).
 	var freq [256]int64
@@ -126,7 +126,8 @@ func TestHuffmanKraftValidLengths(t *testing.T) {
 			break
 		}
 	}
-	lengths := huffLengths(&freq)
+	var hb huffBuilder
+	lengths := hb.lengths(&freq)
 	kraft := 0.0
 	for s, l := range lengths {
 		if l > huffMaxBits {

@@ -11,6 +11,11 @@ package compress
 // (mmlimit rules), which this encoder honors so any conforming decoder can
 // decode its output.
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 const (
 	lz4MinMatch      = 4
 	lz4HashLog       = 13
@@ -127,8 +132,17 @@ func lz4CompressGeneric(dst, src []byte, depth int) []byte {
 	return lz4EmitLastLiterals(dst, src[anchor:])
 }
 
+// lz4MatchLen returns how many bytes match between src[a:] and src[b:],
+// a < b, stopping before src[max]: eight bytes per step while they fit,
+// the first differing byte found from the XOR's trailing zeros.
 func lz4MatchLen(src []byte, a, b, max int) int {
 	l := 0
+	for b+l+8 <= max {
+		if x := binary.LittleEndian.Uint64(src[a+l:]) ^ binary.LittleEndian.Uint64(src[b+l:]); x != 0 {
+			return l + bits.TrailingZeros64(x)>>3
+		}
+		l += 8
+	}
 	for b+l < max && src[a+l] == src[b+l] {
 		l++
 	}

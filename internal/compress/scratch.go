@@ -1,0 +1,44 @@
+package compress
+
+// Scratch is one owner's reusable codec working state: the zstd-class
+// encoder's tables and buffers, and a flate writer and reader. It models
+// the per-CPU compression contexts the kernel's zswap keeps
+// (crypto_acomp): state that makes a page cheaper to compress without
+// carrying anything from one page to the next, so output bytes are those
+// of the stateless Codec methods.
+//
+// The zero value is ready; each codec's state is created on first use.
+// A nil *Scratch is valid and falls back to the stateless methods. A
+// Scratch is not safe for concurrent use — it belongs to one goroutine at
+// a time (a push thread, a tier's fused store path under the tier lock) —
+// and is garbage once its owner is.
+type Scratch struct {
+	zstd  *zstdEncoder
+	flate *flateState
+}
+
+// scratchCompressor and scratchDecompressor are implemented by the codecs
+// that have state worth keeping; the rest are stateless already.
+type scratchCompressor interface {
+	compressScratch(s *Scratch, dst, src []byte) []byte
+}
+
+type scratchDecompressor interface {
+	decompressScratch(s *Scratch, dst, src []byte) ([]byte, error)
+}
+
+// Compress is c.Compress(dst, src) reusing s's state for c.
+func (s *Scratch) Compress(c Codec, dst, src []byte) []byte {
+	if sc, ok := c.(scratchCompressor); ok && s != nil {
+		return sc.compressScratch(s, dst, src)
+	}
+	return c.Compress(dst, src)
+}
+
+// Decompress is c.Decompress(dst, src) reusing s's state for c.
+func (s *Scratch) Decompress(c Codec, dst, src []byte) ([]byte, error) {
+	if sd, ok := c.(scratchDecompressor); ok && s != nil {
+		return sd.decompressScratch(s, dst, src)
+	}
+	return c.Decompress(dst, src)
+}

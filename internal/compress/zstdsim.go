@@ -1,5 +1,7 @@
 package compress
 
+import "math"
+
 // zstd-class codec, built from scratch: an LZ77 stage with a hash-chain
 // matcher (64 KB window, depth-32 search, like zstd's greedy levels)
 // followed by order-0 canonical-Huffman entropy coding (huffman.go) of the
@@ -37,33 +39,84 @@ func zstdHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - zstdHashLog)
 }
 
-// Compress implements Codec.
-func (*Zstd2) Compress(dst, src []byte) []byte {
-	n := len(src)
-	var literals, tokens []byte
+// zstdEncoder is the encoder's working state. Nothing in it carries
+// information from one block to the next — a reused encoder and a fresh
+// one emit identical bytes — it only saves rebuilding the state per page:
+//
+//   - table holds base-relative positions (base+pos+1), so entries left by
+//     earlier blocks read as "no candidate" (<= base) and the 64 KB table is
+//     cleared only when base would overflow, not per block;
+//   - chain, literals and tokens keep their capacity;
+//   - huff is the array-backed Huffman tree workspace.
+type zstdEncoder struct {
+	table    [1 << zstdHashLog]uint32
+	base     uint32
+	chain    []int32
+	literals []byte
+	tokens   []byte
+	huff     huffBuilder
+}
 
-	emitSeq := func(lits []byte, matchLen, offset int) {
-		tokens = appendUvarint(tokens, uint64(len(lits)))
-		if matchLen > 0 {
-			tokens = appendUvarint(tokens, uint64(matchLen-zstdMinMatch+1))
-			tokens = append(tokens, byte(offset), byte(offset>>8))
-		} else {
-			tokens = appendUvarint(tokens, 0)
-		}
-		literals = append(literals, lits...)
+// Compress implements Codec with a throwaway encoder on the caller's
+// stack; owners that compress many pages reuse one through Scratch.
+func (*Zstd2) Compress(dst, src []byte) []byte {
+	var e zstdEncoder
+	return e.compress(dst, src)
+}
+
+func (*Zstd2) compressScratch(s *Scratch, dst, src []byte) []byte {
+	if s.zstd == nil {
+		s.zstd = new(zstdEncoder)
 	}
+	return s.zstd.compress(dst, src)
+}
+
+func (e *zstdEncoder) emitSeq(lits []byte, matchLen, offset int) {
+	e.tokens = appendUvarint(e.tokens, uint64(len(lits)))
+	if matchLen > 0 {
+		e.tokens = appendUvarint(e.tokens, uint64(matchLen-zstdMinMatch+1))
+		e.tokens = append(e.tokens, byte(offset), byte(offset>>8))
+	} else {
+		e.tokens = appendUvarint(e.tokens, 0)
+	}
+	e.literals = append(e.literals, lits...)
+}
+
+func (e *zstdEncoder) compress(dst, src []byte) []byte {
+	n := len(src)
+	e.literals, e.tokens = e.literals[:0], e.tokens[:0]
 
 	if n >= zstdMinMatch+4 {
-		var table [1 << zstdHashLog]int32
-		chain := make([]int32, n)
+		if uint64(e.base)+uint64(n) >= math.MaxUint32 {
+			clear(e.table[:])
+			e.base = 0
+		}
+		base := e.base
+		e.base += uint32(n)
+		if cap(e.chain) < n {
+			e.chain = make([]int32, n)
+		}
+		// chain[p] is written before any candidate walk can reach p, so
+		// stale entries are never read.
+		chain := e.chain[:n]
+		table := &e.table
+		// rel turns a table entry into position+1 within this block, 0
+		// when the entry predates it.
+		rel := func(v uint32) int32 {
+			if v <= base {
+				return 0
+			}
+			return int32(v - base)
+		}
 		anchor := 0
 		pos := 0
 		limit := n - 4
 		for pos <= limit {
 			h := zstdHash(load32(src, pos))
-			cand := int(table[h]) - 1
-			table[h] = int32(pos + 1)
-			chain[pos] = int32(cand + 1)
+			prev := rel(table[h])
+			table[h] = base + uint32(pos) + 1
+			chain[pos] = prev
+			cand := int(prev) - 1
 
 			bestLen, bestOff := 0, 0
 			for c, tries := cand, zstdDepth; c >= 0 && tries > 0; tries-- {
@@ -83,23 +136,23 @@ func (*Zstd2) Compress(dst, src []byte) []byte {
 				pos++
 				continue
 			}
-			emitSeq(src[anchor:pos], bestLen, bestOff)
+			e.emitSeq(src[anchor:pos], bestLen, bestOff)
 			end := pos + bestLen
 			for p := pos + 1; p < end && p <= limit; p++ {
 				hh := zstdHash(load32(src, p))
-				chain[p] = table[hh]
-				table[hh] = int32(p + 1)
+				chain[p] = rel(table[hh])
+				table[hh] = base + uint32(p) + 1
 			}
 			pos = end
 			anchor = pos
 		}
-		emitSeq(src[anchor:], 0, 0)
+		e.emitSeq(src[anchor:], 0, 0)
 	} else {
-		emitSeq(src, 0, 0)
+		e.emitSeq(src, 0, 0)
 	}
 
-	dst = huffEncode(dst, literals)
-	return huffEncode(dst, tokens)
+	dst = e.huff.encode(dst, e.literals)
+	return e.huff.encode(dst, e.tokens)
 }
 
 // Decompress implements Codec.

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -304,7 +305,9 @@ func (d *Daemon) Detach(name string) (*sim.Result, error) {
 		}
 		in := d.insts[i]
 		res, stepErr = in.st.Result(), in.err
-		d.insts = append(d.insts[:i], d.insts[i+1:]...)
+		// slices.Delete zeroes the vacated tail slot, so the detached
+		// stepper (and the migration scratch it owns) is collectable.
+		d.insts = slices.Delete(d.insts, i, i+1)
 		if d.live != nil {
 			d.live.SetDaemonAttached(len(d.insts))
 		}

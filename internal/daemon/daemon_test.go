@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -301,5 +302,42 @@ func TestWallClockTicks(t *testing.T) {
 	case <-c.Ticks():
 	case <-time.After(5 * time.Second):
 		t.Fatal("wall clock never ticked after Reset")
+	}
+}
+
+// TestDaemonDetachReleasesWorkload: a detached workload's stepper — and
+// with it the migration scratch and codec state the stepper owns — must
+// be collectable while the daemon lives on. Detaching in attach order
+// used to leave the last instance in the vacated tail of the daemon's
+// slice, reachable until the daemon stopped.
+func TestDaemonDetachReleasesWorkload(t *testing.T) {
+	d, clk := newTestDaemon(t, DefaultConfig(), nil)
+	const n = 3
+	freed := make(chan string, n)
+	for i := 0; i < n; i++ {
+		cfg := testSimConfig(t)
+		name := fmt.Sprintf("kv%d", i)
+		// Only the stepper's config refers to the manager once attached.
+		runtime.SetFinalizer(cfg.Manager, func(*mem.Manager) { freed <- name })
+		if err := d.Attach(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Step()
+	if err := d.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := d.Detach(fmt.Sprintf("kv%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d detached workloads were never collected", n-i, n)
+		}
 	}
 }

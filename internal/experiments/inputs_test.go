@@ -1,0 +1,181 @@
+package experiments
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"tierscape/internal/mem"
+	"tierscape/internal/workload"
+)
+
+// tinyScale is a Figure 7 that runs in a fraction of a second: the same 56
+// jobs and the same two distinct rMat graphs, on two-region footprints.
+func tinyScale() Scale {
+	return Scale{
+		KVPages: 2 * mem.RegionPages, GraphVertices: 1 << 12, XSPages: 2 * mem.RegionPages,
+		SagePages: 2 * mem.RegionPages, OpsPerWindow: 1000, Windows: 2, SampleRate: 20, Seed: 42,
+	}
+}
+
+// TestFig7SharedInputsIdenticalTable: drawing graphs from the figure's
+// table must change nothing a run can observe. The reference is the same
+// figure with every job building its own graph (the lineup's constructors
+// with the table hidden from them), serial; the shared sweep must match
+// its table and its JSONL event stream byte for byte at every runner and
+// push-thread width.
+func TestFig7SharedInputsIdenticalTable(t *testing.T) {
+	s := tinyScale()
+	capture := func(parallel, push int, fig func() (*Table, error)) (table, stream string) {
+		var buf bytes.Buffer
+		SetEventSink(&buf)
+		defer SetEventSink(nil)
+		withParallelism(t, parallel, func() {
+			withPushThreads(t, push, func() {
+				tab, err := fig()
+				if err != nil {
+					t.Fatal(err)
+				}
+				table = tab.String()
+			})
+		})
+		return table, buf.String()
+	}
+	private := Workloads()
+	for i := range private {
+		build := private[i].New
+		private[i].graph = nil
+		private[i].New = func(s Scale) workload.Workload {
+			s.inputs = nil
+			return build(s)
+		}
+	}
+	before := rmatBuilds.Load()
+	wantTable, wantStream := capture(1, 1, func() (*Table, error) { return fig7(s, private) })
+	if n := rmatBuilds.Load() - before; n != 21 {
+		t.Fatalf("the per-job reference built %d graphs, want 21 (three graph workloads × seven jobs)", n)
+	}
+	if !strings.Contains(wantStream, `"e":"window"`) {
+		t.Fatal("reference stream carries no window snapshots")
+	}
+	for _, parallel := range []int{1, 2, 8} {
+		for _, push := range []int{1, 2, 8} {
+			table, stream := capture(parallel, push, func() (*Table, error) { return Fig7(s) })
+			if table != wantTable {
+				t.Errorf("parallel=%d push=%d: table differs from per-job builds", parallel, push)
+			}
+			if stream != wantStream {
+				t.Errorf("parallel=%d push=%d: event stream differs from per-job builds", parallel, push)
+			}
+		}
+	}
+}
+
+// TestSweepBuildsEachInputOnce: Figure 7's 21 graph jobs need two distinct
+// graphs (BFS and PageRank share one, GraphSAGE has its own) and build
+// exactly those, at any runner width.
+func TestSweepBuildsEachInputOnce(t *testing.T) {
+	for _, parallel := range []int{1, 8} {
+		withParallelism(t, parallel, func() {
+			before := rmatBuilds.Load()
+			if _, err := Fig7(tinyScale()); err != nil {
+				t.Fatal(err)
+			}
+			if n := rmatBuilds.Load() - before; n != 2 {
+				t.Errorf("parallel=%d: Fig7 built %d rMat graphs, want 2", parallel, n)
+			}
+		})
+	}
+}
+
+func heapAfterGC() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestFigureReleasesInputs: what a figure builds dies with it. After Fig7
+// returns and one GC, the heap is back where it was — no graph left in a
+// process-wide cache, no region's worth of page buffers parked in a
+// sync.Pool's victim cache (which survives exactly one GC, and is where
+// per-window drained arenas used to sit), no encoder kept by a codec
+// singleton. One GC, not two, is the point.
+func TestFigureReleasesInputs(t *testing.T) {
+	s := tinyScale()
+	run := func() {
+		if _, err := Fig7(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // one-time initialisation (lazy tables, the runtime's own pools)
+	const slack = 64 << 10
+	for i := 0; i < 20; i++ {
+		before := heapAfterGC()
+		run()
+		if grew := heapAfterGC() - before; grew > slack {
+			t.Errorf("repetition %d: heap grew by %d bytes across a figure, want <= %d", i, grew, slack)
+		}
+	}
+}
+
+// TestSharedInputBuildFailure: a graph build that panics must fail every
+// job that needs the graph, each the same way, and the set must report
+// the lowest-index one at any runner width — a bare sync.Once would give
+// the first job the panic and the rest a nil graph.
+func TestSharedInputBuildFailure(t *testing.T) {
+	s := tinyScale()
+	s.GraphVertices = 1 << 62 // vertices × degree overflows: make panics
+	jobs := []runJob{
+		{spec: workloadByName("Redis/YCSB")},
+		{spec: workloadByName("PageRank")},
+		{spec: workloadByName("BFS")},
+		{spec: workloadByName("BFS")},
+	}
+	var first string
+	for _, parallel := range []int{1, 2, 8} {
+		withParallelism(t, parallel, func() {
+			before := rmatBuilds.Load()
+			results, err := runJobs(s, jobs)
+			if err == nil || results != nil {
+				t.Fatalf("parallel=%d: err = %v, results = %v; want the build failure", parallel, err, results)
+			}
+			if n := rmatBuilds.Load() - before; n != 1 {
+				t.Errorf("parallel=%d: %d build attempts, want 1", parallel, n)
+			}
+			if !strings.Contains(err.Error(), "building workload PageRank") || !strings.Contains(err.Error(), "rMat graph") {
+				t.Errorf("parallel=%d: err = %v, want job 1's (PageRank) graph build failure", parallel, err)
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("parallel=%d: err = %q, want %q as at parallel=1", parallel, err, first)
+			}
+		})
+	}
+
+	// Every waiter on one slot reads the same outcome.
+	in := new(inputs)
+	k := graphKey{1 << 62, 8, 1}
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var g *workload.Graph
+			if g, errs[i] = in.graph(k); g != nil {
+				errs[i] = fmt.Errorf("waiter %d got a graph", i)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || err != errs[0] {
+			t.Errorf("waiter %d: err = %v, want the builder's %v", i, err, errs[0])
+		}
+	}
+}

@@ -220,12 +220,28 @@ type runJob struct {
 	scale *Scale
 }
 
-// run executes the job serially; the engine calls it from a worker. rec
-// is the engine-provided Recorder (live aggregator and/or event stream;
-// nil when observability is off); j.cfg may still override it.
+// newWorkload constructs the job's workload. WorkloadSpec.New has no
+// error to return, so a failed shared-input build (Scale.rmat) arrives as
+// a panic carrying the table's recorded error; every job that needs the
+// input fails on that same error, and RunSet reports the lowest-index one.
+func (j runJob) newWorkload(s Scale) (wl workload.Workload, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("experiments: building workload %s: %v", j.spec.Name, r)
+		}
+	}()
+	return j.spec.New(s), nil
+}
+
+// run executes the job serially; the engine calls it from a worker. s
+// carries the set's shared-input table. rec is the engine-provided
+// Recorder (live aggregator and/or event stream; nil when observability
+// is off); j.cfg may still override it.
 func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 	if j.scale != nil {
+		in := s.inputs
 		s = *j.scale
+		s.inputs = in
 	}
 	build := j.build
 	if build == nil {
@@ -238,7 +254,10 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 			am.WarmStart = true
 		}
 	}
-	wl := j.spec.New(s)
+	wl, err := j.newWorkload(s)
+	if err != nil {
+		return nil, err
+	}
 	m, err := build(wl, s.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building manager for %s: %w", j.spec.Name, err)
@@ -292,7 +311,19 @@ func runJobs(s Scale, jobs []runJob) ([]*sim.Result, error) {
 		}
 	}
 	results := make([]*sim.Result, len(jobs))
-	err := RunSet(len(jobs), func(i int) error {
+	s.inputs = new(inputs) // this figure's; unreachable once the set returns
+	// The pool's first tasks build the set's distinct shared inputs, one
+	// per worker, instead of leaving each to the first job that needs it:
+	// jobs over one graph are adjacent, so the whole pool would reach it
+	// together and park behind a single builder. A failed build stays in
+	// the table for the jobs to report.
+	builds := jobGraphs(s, jobs)
+	err := RunSet(len(builds)+len(jobs), func(i int) error {
+		if i < len(builds) {
+			_, _ = s.inputs.graph(builds[i])
+			return nil
+		}
+		i -= len(builds)
 		var rec obs.Recorder
 		if streams != nil {
 			streams[i].Annotate(fmt.Sprintf("job=%d workload=%s model=%s",

@@ -30,6 +30,10 @@ type Scale struct {
 	SampleRate int
 	// Seed fixes all randomness.
 	Seed uint64
+
+	// inputs is the running figure's table of shared immutable inputs,
+	// set by runJobs for the jobs it starts; nil everywhere else.
+	inputs *inputs
 }
 
 // DefaultScale is the bench/CLI configuration (~32-48 MB footprints; graph
@@ -63,39 +67,62 @@ func SmallScale() Scale {
 }
 
 // WorkloadSpec names a workload constructor; fresh instances are required
-// per run because workloads are stateful.
+// per run because workloads are stateful. What is not stateful — the rMat
+// graph the graph kernels traverse — New draws from the running figure's
+// input table (Scale.rmat), so a sweep builds each distinct graph once.
 type WorkloadSpec struct {
 	Name string
 	New  func(s Scale) workload.Workload
+	// graph, for a spec made by graphSpec, names the rMat graph New will
+	// ask the table for, so the runner can start building it before the
+	// first job that needs it comes up.
+	graph func(s Scale) (vertices int64, degree int)
+}
+
+// graphSpec is the WorkloadSpec of a kernel over an rMat graph: dims names
+// the graph at a scale, on builds the kernel's own state over it.
+func graphSpec(name string, dims func(Scale) (vertices int64, degree int),
+	on func(g *workload.Graph, s Scale) workload.Workload) WorkloadSpec {
+	return WorkloadSpec{
+		Name:  name,
+		graph: dims,
+		New: func(s Scale) workload.Workload {
+			vertices, degree := dims(s)
+			return on(s.rmat(vertices, degree), s)
+		},
+	}
 }
 
 // Workloads returns the paper's Table 2 set.
 func Workloads() []WorkloadSpec {
+	csr := func(s Scale) (int64, int) { return s.GraphVertices, 8 }
 	return []WorkloadSpec{
-		{"Memcached/YCSB", func(s Scale) workload.Workload {
+		{Name: "Memcached/YCSB", New: func(s Scale) workload.Workload {
 			return workload.Memcached(workload.DriverYCSB, 1024, s.KVPages, s.Seed)
 		}},
-		{"Memcached/memtier-1K", func(s Scale) workload.Workload {
+		{Name: "Memcached/memtier-1K", New: func(s Scale) workload.Workload {
 			return workload.Memcached(workload.DriverMemtier, 1024, s.KVPages, s.Seed)
 		}},
-		{"Memcached/memtier-4K", func(s Scale) workload.Workload {
+		{Name: "Memcached/memtier-4K", New: func(s Scale) workload.Workload {
 			return workload.Memcached(workload.DriverMemtier, 4096, s.KVPages, s.Seed)
 		}},
-		{"Redis/YCSB", func(s Scale) workload.Workload {
+		{Name: "Redis/YCSB", New: func(s Scale) workload.Workload {
 			return workload.Redis(s.KVPages, s.Seed)
 		}},
-		{"BFS", func(s Scale) workload.Workload {
-			return workload.NewBFS(s.GraphVertices, 8, s.Seed)
-		}},
-		{"PageRank", func(s Scale) workload.Workload {
-			return workload.NewPageRank(s.GraphVertices, 8, s.Seed)
-		}},
-		{"XSBench", func(s Scale) workload.Workload {
+		graphSpec("BFS", csr, func(g *workload.Graph, s Scale) workload.Workload {
+			return workload.NewBFSOn(g, s.Seed)
+		}),
+		graphSpec("PageRank", csr, func(g *workload.Graph, s Scale) workload.Workload {
+			return workload.NewPageRankOn(g)
+		}),
+		{Name: "XSBench", New: func(s Scale) workload.Workload {
 			return workload.NewXSBench(s.XSPages, s.Seed)
 		}},
-		{"GraphSAGE", func(s Scale) workload.Workload {
-			return workload.NewGraphSAGE(s.SagePages, s.Seed)
-		}},
+		graphSpec("GraphSAGE", func(s Scale) (int64, int) {
+			return workload.GraphSAGEVertices(s.SagePages), workload.GraphSAGEDegree
+		}, func(g *workload.Graph, s Scale) workload.Workload {
+			return workload.NewGraphSAGEOn(g, s.Seed)
+		}),
 	}
 }
 

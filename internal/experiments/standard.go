@@ -79,12 +79,14 @@ func Fig1(s Scale) (*Table, error) {
 // Fig7 reproduces Figure 7: performance slowdown and memory TCO savings
 // versus all-DRAM for HeMem*, GSwap*, TMO*, Waterfall, AM-TCO and AM-perf
 // on the standard tier mix, for every workload.
-func Fig7(s Scale) (*Table, error) {
+func Fig7(s Scale) (*Table, error) { return fig7(s, Workloads()) }
+
+// fig7 is Fig7 over an explicit workload lineup.
+func fig7(s Scale, specs []WorkloadSpec) (*Table, error) {
 	t := &Table{
 		Title:   "Figure 7: standard mix of tiers — slowdown vs TCO savings",
 		Headers: []string{"workload", "model", "slowdown_pct", "tco_savings_pct", "faults"},
 	}
-	specs := Workloads()
 	nModels := len(standardModels())
 	// One job per (workload, model) pair, plus one baseline per workload;
 	// every run is independent, so the whole matrix fans out in parallel.

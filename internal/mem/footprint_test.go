@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -179,8 +180,8 @@ func TestPreparedRegionFootprintMatchesStatic(t *testing.T) {
 
 // TestMigrationScratchReuse: a worker-owned arena must be refilled by the
 // commit's buffer release and drained by the next prepare — reuse across
-// moves instead of per-move pool round-trips — while producing results
-// identical to the pool-backed path.
+// moves — while producing results identical to MigrateRegion's
+// per-region scratch.
 func TestMigrationScratchReuse(t *testing.T) {
 	mA := footprintManager(t, 4*RegionPages, 0)
 	mB := footprintManager(t, 4*RegionPages, 0)
@@ -191,14 +192,14 @@ func TestMigrationScratchReuse(t *testing.T) {
 		want, errB := mB.MigrateRegion(r, ct1)
 		if errors.Is(errA, ErrTierFull) != errors.Is(errB, ErrTierFull) ||
 			(errA == nil) != (errB == nil) {
-			t.Fatalf("region %d: scratch err %v vs pool err %v", r, errA, errB)
+			t.Fatalf("region %d: caller scratch err %v vs per-region scratch err %v", r, errA, errB)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("region %d: scratch result %+v != pool result %+v", r, got, want)
+			t.Fatalf("region %d: caller scratch result %+v != per-region scratch result %+v", r, got, want)
 		}
 	}
 	if !reflect.DeepEqual(mA.TierPages(), mB.TierPages()) {
-		t.Fatal("scratch and pool paths diverged in residency")
+		t.Fatal("caller-scratch and per-region-scratch paths diverged in residency")
 	}
 	if sc.Buffers() == 0 {
 		t.Fatal("arena empty after commits: buffers were not returned for reuse")
@@ -217,12 +218,129 @@ func TestMigrationScratchReuse(t *testing.T) {
 	if sc.Buffers() > high+RegionPages {
 		t.Fatalf("arena grew from %d to %d buffers on identical work", high, sc.Buffers())
 	}
-	// Nil arena stays valid (global pool fallback).
+	// Nil arena stays valid (global pool, stateless codecs).
 	var nilSC *MigrationScratch
 	if _, err := mB.MigrateRegionScratch(0, DRAMTier, nilSC); err != nil {
 		t.Fatal(err)
 	}
 	if nilSC.Buffers() != 0 {
 		t.Fatal("nil arena must report 0 buffers")
+	}
+}
+
+// TestPrepareScratchAllocsPerRun: on a warmed scratch, preparing a whole
+// region's move into CT-2 (zstd-class: content regeneration, compression,
+// the PreparedRegion and its page slice) allocates nothing — buffers,
+// encoder state and the region value all come back from the scratch. This
+// is what keeps a sweep's alloc_bytes_per_op flat in its migration volume.
+func TestPrepareScratchAllocsPerRun(t *testing.T) {
+	// corpus.Generator allocates an RNG per page; the count here is the
+	// migration path's own, so the content comes from a source that does
+	// not allocate (records of a counter and zeros: compressible, every
+	// page different).
+	m, err := NewManager(Config{
+		NumPages:        2 * RegionPages,
+		Content:         recordSource{},
+		ByteTiers:       []media.Kind{media.NVMM},
+		CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct2 := TierID(3)
+	sc := &MigrationScratch{}
+	cycle := func() {
+		pr, err := m.PrepareRegionMigrationScratch(0, ct2, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.Release()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Errorf("%v allocations per prepared region on a warmed scratch, want 0", n)
+	}
+	// The same holds when the region is committed, not abandoned, and
+	// brought back (DRAM -> CT-2 -> DRAM, prepare+commit each way).
+	roundTrip := func() {
+		for _, dest := range []TierID{ct2, DRAMTier} {
+			pr, err := m.PrepareRegionMigrationScratch(1, dest, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.CommitRegionMigration(pr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roundTrip()
+	if n := testing.AllocsPerRun(3, cycle); n != 0 {
+		t.Errorf("%v allocations per prepared region after commits, want 0", n)
+	}
+}
+
+// recordSource fills pages with 16-byte records: a little-endian counter
+// seeded by the page index, a byte of its hash, zero padding.
+type recordSource struct{}
+
+func (recordSource) Fill(pageIdx uint64, buf []byte) {
+	clear(buf)
+	x := pageIdx*0x9e3779b97f4a7c15 + 1
+	for off := 0; off+16 <= len(buf); off += 16 {
+		binary.LittleEndian.PutUint64(buf[off:], x>>40)
+		buf[off+8] = byte(x >> 56)
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+}
+
+// TestPreparedRegionRecycling: a consumed region goes back to its scratch
+// and is the value the scratch's next prepare returns; until then it
+// reads as consumed. Releasing a half-committed region returns only the
+// uncommitted pages' buffers.
+func TestPreparedRegionRecycling(t *testing.T) {
+	m := footprintManager(t, 2*RegionPages, 0)
+	ct1 := TierID(2)
+	sc := &MigrationScratch{}
+	pr, err := m.PrepareRegionMigrationScratch(0, ct1, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 2 * RegionPages // source page + compressed form, per page
+	ck, err := m.CommitBatch(pr, RegionPages/2)
+	if err != nil || ck.Done {
+		t.Fatalf("half commit: %+v, %v", ck, err)
+	}
+	if got := sc.Buffers(); got != held/2 {
+		t.Fatalf("arena holds %d buffers after half the commits, want %d", got, held/2)
+	}
+	pr.Release()
+	if got := sc.Buffers(); got != held {
+		t.Fatalf("arena holds %d buffers after Release, want %d (each buffer returned once)", got, held)
+	}
+	if pr.Remaining() != 0 {
+		t.Fatal("released region still reports remaining pages")
+	}
+	if ck, err := m.CommitBatch(pr, 0); err != nil || !ck.Done {
+		t.Fatalf("commit of a consumed region: %+v, %v; want Done", ck, err)
+	}
+	pr.Release() // a second release is a no-op
+	if got := sc.Buffers(); got != held {
+		t.Fatalf("arena holds %d buffers after a second Release, want %d", got, held)
+	}
+	next, err := m.PrepareRegionMigrationScratch(1, ct1, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != pr {
+		t.Error("the scratch's next prepare did not reuse the consumed region")
+	}
+	if next.Remaining() != RegionPages {
+		t.Fatalf("recycled region has %d pages, want %d", next.Remaining(), RegionPages)
+	}
+	if _, err := m.CommitRegionMigration(next); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TierPages()[ct1]; got != RegionPages+RegionPages/2 {
+		t.Fatalf("CT-1 holds %d pages, want %d", got, RegionPages+RegionPages/2)
 	}
 }

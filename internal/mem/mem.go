@@ -215,43 +215,58 @@ type Manager struct {
 	compactDirty  []bool  // per-ct: last pass incomplete (budget-cut or never ran)
 }
 
-// pageBufPool recycles page-sized work buffers across Access and
-// MigratePage calls. Managers used to share one persistent scratch slice
-// between content(), the fault path and the migration paths, which handed
-// every caller the same backing array — a latent aliasing bug the moment
-// any caller held two results, and a data race once experiment runs fan
-// out across goroutines. Pooled per-call buffers keep each operation's
-// bytes private, both across managers and across one manager's concurrent
-// push threads, while staying allocation-free on the hot path.
+// pageBufPool lends a page-sized work buffer to the callers that own no
+// MigrationScratch: a bare Access fault or a single MigratePage takes one
+// and puts it straight back. Managers used to share one persistent scratch
+// slice between content(), the fault path and the migration paths, which
+// handed every caller the same backing array — a latent aliasing bug the
+// moment any caller held two results, and a data race once experiment runs
+// fan out across goroutines. Per-call buffers keep each operation's bytes
+// private. Nothing that handles pages in volume goes through the pool: a
+// region's worth of buffers parked here would sit in its victim cache
+// across a GC, owned by no run.
 var pageBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, PageSize)
-		return &b
-	},
+	New: func() any { return newPageBuf() },
 }
 
-func getPageBuf() *[]byte  { return pageBufPool.Get().(*[]byte) }
-func putPageBuf(b *[]byte) { pageBufPool.Put(b) }
+func newPageBuf() *[]byte {
+	b := make([]byte, 0, PageSize)
+	return &b
+}
 
-// MigrationScratch is a reusable arena of page-sized work buffers for the
-// migration paths. A push thread that owns one reuses the same buffers
-// across every move it prepares and commits, instead of round-tripping each
-// buffer through the global sync.Pool per page. A nil *MigrationScratch is
-// valid and falls back to the pool, so single-shot callers need not build
-// one. Not safe for concurrent use: each worker owns its own arena.
+// MigrationScratch is the reusable working state of one migration worker:
+// an arena of page-sized buffers, the codec state its compressions and
+// decompressions reuse (created on the first page that needs it), and one
+// recycled PreparedRegion. The owner — a sim.Stepper keeps one per push
+// thread for its whole life — hands the same scratch to every call it
+// makes, so after the first region a move allocates nothing; the scratch
+// is garbage when its owner is.
+//
+// The arena is bounded by what its owner holds at once: three buffers per
+// page of the regions it has prepared and not yet committed (one region
+// at a time for a push thread: at most 3·RegionPages buffers, ~6 MB, plus
+// whatever incompressible pages grew), three buffers in all on the fused
+// MigrateRegion path.
+//
+// A nil *MigrationScratch is valid: buffers then come from the global
+// pool and the codecs run stateless, which suits a single page. Not safe
+// for concurrent use: each worker owns its own.
 type MigrationScratch struct {
-	free []*[]byte
+	free   []*[]byte
+	codec  compress.Scratch
+	region *PreparedRegion
 }
 
-// get hands out a buffer with at least PageSize capacity, preferring the
-// arena's freelist. An empty arena refills from the global pool so buffers
-// keep circulating across applyMoves calls instead of being allocated per
-// call and discarded.
+// get hands out a buffer with at least PageSize capacity, from the
+// arena's freelist if it has one.
 func (s *MigrationScratch) get() *[]byte {
-	if s == nil || len(s.free) == 0 {
-		return getPageBuf()
+	if s == nil {
+		return pageBufPool.Get().(*[]byte)
 	}
 	n := len(s.free)
+	if n == 0 {
+		return newPageBuf()
+	}
 	b := s.free[n-1]
 	s.free = s.free[:n-1]
 	return b
@@ -261,10 +276,19 @@ func (s *MigrationScratch) get() *[]byte {
 // Buffers grown past PageSize by compression output are retained grown.
 func (s *MigrationScratch) put(b *[]byte) {
 	if s == nil {
-		putPageBuf(b)
+		pageBufPool.Put(b)
 		return
 	}
 	s.free = append(s.free, b)
+}
+
+// codecState is the scratch's codec state, nil (stateless) for a nil
+// scratch.
+func (s *MigrationScratch) codecState() *compress.Scratch {
+	if s == nil {
+		return nil
+	}
+	return &s.codec
 }
 
 // Buffers reports how many buffers the arena currently holds, for tests
@@ -274,19 +298,6 @@ func (s *MigrationScratch) Buffers() int {
 		return 0
 	}
 	return len(s.free)
-}
-
-// Drain returns every cached buffer to the global pool. Call when the
-// arena's owner (a push-thread worker) finishes its plan, so the buffers
-// stay in circulation for the next window.
-func (s *MigrationScratch) Drain() {
-	if s == nil {
-		return
-	}
-	for _, b := range s.free {
-		putPageBuf(b)
-	}
-	s.free = s.free[:0]
 }
 
 // NewManager builds a manager with all pages initially resident in DRAM.
@@ -437,6 +448,13 @@ type AccessResult struct {
 // decompressed, removed from the compressed tier, and placed in DRAM (or
 // the next byte-addressable tier with room). Writes bump the page version.
 func (m *Manager) Access(p PageID, write bool) (AccessResult, error) {
+	return m.AccessScratch(p, write, nil)
+}
+
+// AccessScratch is Access with the fault path's page buffer and decoder
+// state drawn from the caller's scratch (nil = global pool, stateless) —
+// for a driver that issues accesses in volume from one goroutine.
+func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (AccessResult, error) {
 	if p < 0 || p >= PageID(m.numPages) {
 		return AccessResult{}, ErrBadPage
 	}
@@ -449,13 +467,14 @@ func (m *Manager) Access(p PageID, write bool) (AccessResult, error) {
 	}
 	if ct, ok := m.ct(e.tier); ok {
 		// Fault path: decompress and promote.
-		buf := getPageBuf()
-		out, loadNs, err := ct.tier.Load(e.handle, (*buf)[:0])
+		buf := sc.get()
+		out, loadNs, err := ct.tier.PrepareLoad(sc.codecState(), e.handle, (*buf)[:0])
 		*buf = out[:0]
-		putPageBuf(buf)
+		sc.put(buf)
 		if err != nil {
 			return AccessResult{}, fmt.Errorf("mem: fault on page %d: %w", p, err)
 		}
+		ct.tier.CountLoad()
 		if err := ct.tier.Free(e.handle); err != nil {
 			return AccessResult{}, fmt.Errorf("mem: freeing faulted page %d: %w", p, err)
 		}
@@ -542,15 +561,24 @@ type preparedPage struct {
 	destPrep    ztier.PreparedStore
 	hasDestPrep bool
 
-	sc   *MigrationScratch // buffer source (nil = global pool)
-	bufs []*[]byte         // scratch buffers backing fastComp/destPrep
+	sc *MigrationScratch // buffer and codec-state source (nil = global pool, stateless)
+	// bufs[:nbufs] are the scratch buffers backing fastComp, the source
+	// page and destPrep: one for a fast-path candidate, two for the
+	// generic path, all three when a fast-path store is rejected at commit.
+	bufs  [3]*[]byte
+	nbufs int
+}
+
+func (pp *preparedPage) hold(b *[]byte) {
+	pp.bufs[pp.nbufs] = b
+	pp.nbufs++
 }
 
 func (pp *preparedPage) release() {
-	for _, b := range pp.bufs {
+	for _, b := range pp.bufs[:pp.nbufs] {
 		pp.sc.put(b)
 	}
-	pp.bufs = nil
+	pp.nbufs = 0
 }
 
 // preparePage builds the prepared half of moving page p to dest, drawing
@@ -582,7 +610,7 @@ func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch) (prep
 			if direct {
 				pp.fastComp = comp
 				pp.fastNs = readNs
-				pp.bufs = append(pp.bufs, buf)
+				pp.hold(buf)
 				return pp, nil
 			}
 			sc.put(buf)
@@ -604,7 +632,7 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 	var pageBytes []byte
 	if srcCT, ok := m.ct(e.tier); ok {
 		buf := pp.sc.get()
-		out, loadNs, err := srcCT.tier.PrepareLoad(e.handle, (*buf)[:0])
+		out, loadNs, err := srcCT.tier.PrepareLoad(pp.sc.codecState(), e.handle, (*buf)[:0])
 		if cap(out) > cap(*buf) {
 			*buf = out[:0]
 		}
@@ -612,21 +640,21 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 			pp.sc.put(buf)
 			return fmt.Errorf("mem: migrating page %d: %w", pp.page, err)
 		}
-		pp.bufs = append(pp.bufs, buf)
+		pp.hold(buf)
 		pp.srcLoadNs = loadNs
 		pageBytes = out
 	} else if dstIsCT {
 		buf := pp.sc.get()
 		pageBytes = m.content(pp.page, *buf)
-		pp.bufs = append(pp.bufs, buf)
+		pp.hold(buf)
 	}
 	if dstIsCT {
 		cbuf := pp.sc.get()
-		pp.destPrep = dstCT.tier.PrepareStore(pageBytes, *cbuf)
+		pp.destPrep = dstCT.tier.PrepareStore(pp.sc.codecState(), pageBytes, *cbuf)
 		if s := pp.destPrep.Scratch(); cap(s) > cap(*cbuf) {
 			*cbuf = s[:0]
 		}
-		pp.bufs = append(pp.bufs, cbuf)
+		pp.hold(cbuf)
 		pp.hasDestPrep = true
 	}
 	pp.generic = true
@@ -781,12 +809,12 @@ func (m *Manager) migratePageLocked(p PageID, dest TierID, sc *MigrationScratch)
 // The full-tier condition is reported once, as ErrTierFull, after the
 // whole region has been processed; the result is valid alongside it.
 func (m *Manager) MigrateRegion(r RegionID, dest TierID) (MigrationResult, error) {
-	return m.MigrateRegionScratch(r, dest, nil)
+	return m.MigrateRegionScratch(r, dest, new(MigrationScratch))
 }
 
-// MigrateRegionScratch is MigrateRegion drawing work buffers from the
-// caller's arena instead of the global pool — the fused path for a worker
-// that migrates many regions back to back.
+// MigrateRegionScratch is MigrateRegion with the caller's scratch in
+// place of one made for this region — the fused path for a worker that
+// migrates many regions back to back.
 func (m *Manager) MigrateRegionScratch(r RegionID, dest TierID, sc *MigrationScratch) (MigrationResult, error) {
 	var total MigrationResult
 	start := PageID(r) * RegionPages
@@ -827,10 +855,13 @@ func (m *Manager) MigrateRegionScratch(r RegionID, dest TierID, sc *MigrationScr
 // PrepareRegionMigration and landed by CommitRegionMigration.
 type PreparedRegion struct {
 	m      *Manager
+	sc     *MigrationScratch // where a consumed region is recycled to (may be nil)
 	region RegionID
 	dest   TierID
 	fp     TierSet
 	pages  []preparedPage
+	// spare is a consumed region's page slice, emptied, kept for reuse.
+	spare []preparedPage
 
 	// cursor indexes the next uncommitted page. CommitBatch advances it
 	// one chunk at a time; CommitRegionMigration runs it to the end.
@@ -994,16 +1025,35 @@ func (m *Manager) MoveFootprint(r RegionID, dest TierID) (TierSet, error) {
 	}), nil
 }
 
-// Release returns the prepared pages' pooled buffers without committing;
+// Release returns the uncommitted pages' buffers without committing them;
 // call it when a prepared region is abandoned. Committing releases them
 // automatically.
-func (pr *PreparedRegion) Release() { pr.releaseFrom(0) }
+func (pr *PreparedRegion) Release() { pr.releaseFrom(pr.cursor) }
 
+// releaseFrom consumes pr: pages i onward give their buffers back, and
+// the page slice's backing array and pr itself go to the scratch for its
+// next prepare.
 func (pr *PreparedRegion) releaseFrom(i int) {
+	if pr.pages == nil {
+		return // already consumed
+	}
 	for ; i < len(pr.pages); i++ {
 		pr.pages[i].release()
 	}
-	pr.pages = nil
+	pr.spare, pr.pages = pr.pages[:0], nil
+	if pr.sc != nil {
+		pr.sc.region = pr
+	}
+}
+
+// takeRegion returns the scratch's recycled PreparedRegion, or a new one.
+func (s *MigrationScratch) takeRegion() *PreparedRegion {
+	if s == nil || s.region == nil {
+		return new(PreparedRegion)
+	}
+	pr := s.region
+	s.region = nil
+	return pr
 }
 
 // PrepareRegionMigration runs the compute half of MigrateRegion(r, dest) —
@@ -1014,13 +1064,18 @@ func (pr *PreparedRegion) releaseFrom(i int) {
 // serial migration outcome bit-for-bit, which is how sim.Run keeps results
 // identical across push-thread counts.
 func (m *Manager) PrepareRegionMigration(r RegionID, dest TierID) (*PreparedRegion, error) {
-	return m.PrepareRegionMigrationScratch(r, dest, nil)
+	return m.PrepareRegionMigrationScratch(r, dest, new(MigrationScratch))
 }
 
-// PrepareRegionMigrationScratch is PrepareRegionMigration drawing work
-// buffers from the caller's arena. A push thread that prepares and commits
-// moves back to back hands the same arena to every prepare; the buffers a
-// commit releases are reused by the next prepare with no pool round-trip.
+// PrepareRegionMigrationScratch is PrepareRegionMigration with the
+// caller's scratch in place of one made for this region. A push thread
+// that prepares and commits moves back to back hands the same scratch to
+// every prepare: the buffers a commit releases, the codec state and the
+// PreparedRegion itself are reused by the next prepare, which then
+// allocates nothing. A prepared region drawn from a scratch must
+// therefore not be touched after the call that consumed it (the commit
+// that finished or failed it, or Release): the scratch's next prepare
+// hands the same value out again.
 func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *MigrationScratch) (*PreparedRegion, error) {
 	start := PageID(r) * RegionPages
 	end := start + RegionPages
@@ -1033,8 +1088,12 @@ func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *Mig
 	if int(dest) < 0 || int(dest) >= len(m.tiers) {
 		return nil, ErrNoSuchTier
 	}
-	pr := &PreparedRegion{m: m, region: r, dest: dest,
-		pages: make([]preparedPage, 0, end-start)}
+	pr := sc.takeRegion()
+	pages := pr.spare[:0]
+	if cap(pages) < int(end-start) {
+		pages = make([]preparedPage, 0, end-start)
+	}
+	*pr = PreparedRegion{m: m, sc: sc, region: r, dest: dest, pages: pages}
 	mu := m.regionLock(r)
 	mu.RLock()
 	defer mu.RUnlock()
@@ -1131,7 +1190,7 @@ func (m *Manager) CommitBatch(pr *PreparedRegion, maxPages int) (CommitChunk, er
 	}
 	if pr.cursor == len(pr.pages) {
 		ck.Done = true
-		pr.pages = nil
+		pr.releaseFrom(pr.cursor)
 	}
 	if full {
 		return ck, ErrTierFull
@@ -1297,13 +1356,14 @@ func (m *Manager) SampleRegionRatio(r RegionID, codecName string, samples int) (
 	}
 	var orig, comp int64
 	var buf []byte
+	var cs compress.Scratch // this probe's own: one codec state for all its samples
 	page := make([]byte, PageSize)
 	mu := m.regionLock(r)
 	mu.RLock()
 	defer mu.RUnlock()
 	for p := start; p < end; p += PageID(stride) {
 		data := m.content(p, page)
-		buf = codec.Compress(buf[:0], data)
+		buf = cs.Compress(codec, buf[:0], data)
 		orig += int64(len(data))
 		size := int64(len(buf))
 		if size > int64(len(data)) {

@@ -202,7 +202,10 @@ func dispatchOrder(fps []mem.TierSet, prev []int) []int {
 }
 
 // applyMoves applies one window's migration plan with `workers` push
-// threads and returns the per-move outcomes indexed like moves. batch,
+// threads and returns the per-move outcomes indexed like moves. scratch
+// holds one mem.MigrationScratch per push thread (at least `workers` of
+// them), owned by the caller across windows: worker w uses scratch[w] and
+// nothing else, so buffers and codec state warm up once per run. batch,
 // when positive, is the commit granularity in pages: unchained jobs
 // commit in sub-region chunks and release footprint tiers early (see the
 // package comment); zero or negative means whole-region commits, the
@@ -212,7 +215,7 @@ func dispatchOrder(fps []mem.TierSet, prev []int) []int {
 // Hard errors are reported for the lowest job index so the failure is
 // independent of goroutine interleaving. tr, when non-nil, collects the
 // window's apply observability.
-func applyMoves(m *mem.Manager, moves []policy.Move, workers, batch int, tr *applyTrace) ([]moveOutcome, error) {
+func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScratch, workers, batch int, tr *applyTrace) ([]moveOutcome, error) {
 	n := len(moves)
 	results := make([]moveOutcome, n)
 	if n == 0 {
@@ -222,14 +225,13 @@ func applyMoves(m *mem.Manager, moves []policy.Move, workers, batch int, tr *app
 		workers = n
 	}
 	if workers <= 1 {
-		// Serial fast path: fused prepare+commit per region, one scratch
-		// arena reused across the whole plan. A traced serial apply takes
+		// Serial fast path: fused prepare+commit per region on the first
+		// push thread's scratch. A traced serial apply takes
 		// the same prepare/commit split as the pool so its wall-time split
 		// is meaningful; split and fused produce byte-identical results
 		// (the push-thread determinism contract), so tracing cannot
 		// perturb the run.
-		sc := &mem.MigrationScratch{}
-		defer sc.Drain()
+		sc := &scratch[0]
 		for i, mv := range moves {
 			var mr mem.MigrationResult
 			var err error
@@ -337,8 +339,7 @@ func applyMoves(m *mem.Manager, moves []policy.Move, workers, batch int, tr *app
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			sc := &mem.MigrationScratch{}
-			defer sc.Drain()
+			sc := &scratch[shard]
 			for {
 				k := int(cursor.Add(1))
 				if k >= n {

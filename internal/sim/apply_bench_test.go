@@ -126,19 +126,21 @@ type applyFunc func(*mem.Manager, []policy.Move, int) error
 // applyMoves runs untraced (nil *applyTrace) — the production default and
 // the configuration the zero-overhead acceptance numbers are taken from.
 func BenchmarkApplyMoves(b *testing.B) {
+	// As in a Stepper, the push threads' scratch outlives the windows.
+	scratch := make([]mem.MigrationScratch, 16)
 	impls := []struct {
 		name  string
 		apply applyFunc
 	}{
 		{"sched", func(m *mem.Manager, mv []policy.Move, pt int) error {
-			_, err := applyMoves(m, mv, pt, 0, nil)
+			_, err := applyMoves(m, mv, scratch, pt, 0, nil)
 			return err
 		}},
 		// Page-granular commits: 32-page chunks with early per-tier stream
 		// release (the -commit-batch knob). Results are byte-identical to
 		// whole-region sched; only the wall-clock shape differs.
 		{"sched_b32", func(m *mem.Manager, mv []policy.Move, pt int) error {
-			_, err := applyMoves(m, mv, pt, 32, nil)
+			_, err := applyMoves(m, mv, scratch, pt, 32, nil)
 			return err
 		}},
 		{"turnstile", func(m *mem.Manager, mv []policy.Move, pt int) error {
@@ -274,7 +276,7 @@ func applyMovesTurnstile(m *mem.Manager, moves []policy.Move, workers int) ([]me
 	if workers <= 1 {
 		// Serial fast path: fused prepare+commit per region, no pool.
 		for i, mv := range moves {
-			mr, err := migrateRegion(m, mv.Region, mv.Dest)
+			mr, err := migrateRegion(m, mv.Region, mv.Dest, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -167,7 +167,7 @@ func TestConcurrentApplyMovesFallbackConflicts(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r += 3 {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
-		results, err := applyMoves(m, moves, workers, 0, nil)
+		results, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestConcurrentApplyMovesRepeatable(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r += 3 {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
-		results, err := applyMoves(m, moves, workers, 0, nil)
+		results, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestConcurrentApplyMovesCommitBatch(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r++ {
 			wave1 = append(wave1, policy.Move{Region: mem.RegionID(r), Dest: ct1})
 		}
-		if _, err := applyMoves(m, wave1, 1, 0, nil); err != nil {
+		if _, err := applyMoves(m, wave1, make([]mem.MigrationScratch, 1), 1, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Wave 2 (under test): each region appears once — unchained jobs,
@@ -268,7 +268,7 @@ func TestConcurrentApplyMovesCommitBatch(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r++ {
 			wave2 = append(wave2, policy.Move{Region: mem.RegionID(r), Dest: ct2})
 		}
-		results, err := applyMoves(m, wave2, workers, batch, tr)
+		results, err := applyMoves(m, wave2, make([]mem.MigrationScratch, workers), workers, batch, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -290,7 +290,6 @@ func BenchmarkRecorderOffCommit(b *testing.B) {
 	m := benchManager(b, 1, 0)
 	dests := [2]mem.TierID{mem.TierID(1), mem.DRAMTier} // NVMM, then back
 	sc := &mem.MigrationScratch{}
-	defer sc.Drain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -416,7 +415,7 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 			}
 			setup = append(setup, policy.Move{Region: mem.RegionID(r), Dest: dest})
 		}
-		if _, err := applyMoves(m, setup, 1, 0, nil); err != nil {
+		if _, err := applyMoves(m, setup, make([]mem.MigrationScratch, 1), 1, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Promotions into the bounded, already-over-capacity DRAM: the
@@ -426,7 +425,7 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
 		tr := newApplyTrace(1, workers)
-		if _, err := applyMoves(m, moves, workers, batch, tr); err != nil {
+		if _, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, batch, tr); err != nil {
 			t.Fatal(err)
 		}
 		return tr.shards.Merge()

@@ -209,7 +209,7 @@ func TestConcurrentApplyMovesPrepareError(t *testing.T) {
 			{Region: 1, Dest: mem.TierID(99)}, // no such tier
 			{Region: 2, Dest: mem.TierID(3)},
 		}
-		_, err := applyMoves(m, moves, workers, 0, nil)
+		_, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, 0, nil)
 		if !errors.Is(err, mem.ErrNoSuchTier) {
 			t.Fatalf("workers=%d: err = %v, want ErrNoSuchTier", workers, err)
 		}
@@ -423,11 +423,11 @@ func TestConcurrentPlanFootprintsManyTiers(t *testing.T) {
 	// End to end: a batched, parallel apply on an identically built
 	// manager must match the serial whole-region apply byte for byte —
 	// the engine silently disables batching above 64 tiers.
-	serial, err := applyMoves(build(), moves, 1, 0, nil)
+	serial, err := applyMoves(build(), moves, make([]mem.MigrationScratch, 1), 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := applyMoves(m, moves, 3, 4, nil)
+	batched, err := applyMoves(m, moves, make([]mem.MigrationScratch, 3), 3, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,13 +288,7 @@ func migrationFlows(moves []policy.Move, applied []moveOutcome) []obs.TierFlow {
 // classified before any result field is read, and a full destination
 // (mem.ErrTierFull) is not fatal — the manager completes the sweep and
 // its partial accounting (latency, moved, rejected) remains valid.
-func migrateRegion(m *mem.Manager, r mem.RegionID, dest mem.TierID) (mem.MigrationResult, error) {
-	return migrateRegionScratch(m, r, dest, nil)
-}
-
-// migrateRegionScratch is migrateRegion drawing buffers from the worker's
-// scratch arena — the serial apply path reuses one arena across the plan.
-func migrateRegionScratch(m *mem.Manager, r mem.RegionID, dest mem.TierID, sc *mem.MigrationScratch) (mem.MigrationResult, error) {
+func migrateRegion(m *mem.Manager, r mem.RegionID, dest mem.TierID, sc *mem.MigrationScratch) (mem.MigrationResult, error) {
 	mr, err := m.MigrateRegionScratch(r, dest, sc)
 	if err != nil && !errors.Is(err, mem.ErrTierFull) {
 		return mem.MigrationResult{}, err

@@ -51,6 +51,12 @@ type Stepper struct {
 	res          *Result
 	buf          []workload.Access
 	regionFaults map[mem.RegionID]int
+	// scratch is one migration scratch per push thread, kept for the
+	// stepper's whole life so page buffers and codec state are built once
+	// per run, by the thread that first needs them, and die with the run.
+	// The access loop (faults, prefetches) runs between applies on the
+	// driver's thread and borrows scratch[0].
+	scratch []mem.MigrationScratch
 
 	// Per-window observability accumulators (pressure.go): latency
 	// histograms and fault-stall time by serving tier, plus the thrash
@@ -137,6 +143,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	s.wl = cfg.Workload
 	s.recd = cfg.Recorder
 	s.regionFaults = make(map[mem.RegionID]int)
+	s.scratch = make([]mem.MigrationScratch, s.pushThreads)
 	numTiers := len(cfg.Manager.Tiers())
 	s.latTier = make([]stats.LogHist, numTiers)
 	s.tierStall = make([]float64, numTiers)
@@ -198,12 +205,13 @@ func (s *Stepper) Step() error {
 	var appNs float64
 	var prefetchNs float64
 	clear(s.regionFaults)
+	sc := &s.scratch[0]
 	for op := 0; op < cfg.OpsPerWindow; op++ {
 		s.buf = wl.NextOp(s.buf[:0])
 		opNs := wl.BaseOpNs()
 		for _, a := range s.buf {
 			s.prof.Record(a.Page)
-			ar, err := m.Access(a.Page, a.Write)
+			ar, err := m.AccessScratch(a.Page, a.Write, sc)
 			if err != nil {
 				return fmt.Errorf("sim: window %d op %d: %w", w, op, err)
 			}
@@ -215,7 +223,7 @@ func (s *Stepper) Step() error {
 				if s.regionFaults[r] == cfg.PrefetchFaultThreshold {
 					// Prefetch: the daemon decompresses the rest of the
 					// region ahead of the application's accesses.
-					mr, err := migrateRegion(m, r, mem.DRAMTier)
+					mr, err := migrateRegion(m, r, mem.DRAMTier, sc)
 					if err != nil {
 						return fmt.Errorf("sim: prefetch window %d: %w", w, err)
 					}
@@ -267,7 +275,7 @@ func (s *Stepper) Step() error {
 		// concurrently; the deterministic in-order commit (apply.go)
 		// merges per-move accounting by job index, so the sums below
 		// are identical at every thread count.
-		applied, err := applyMoves(m, plan.Moves, s.pushThreads, s.commitBatch, tr)
+		applied, err := applyMoves(m, plan.Moves, s.scratch, s.pushThreads, s.commitBatch, tr)
 		if err != nil {
 			return fmt.Errorf("sim: window %d migration: %w", w, err)
 		}

@@ -16,6 +16,10 @@ import (
 // every CSR read/write is reported as a page access, so the tiering system
 // sees the genuine locality of graph traversal (hub vertices hot, the
 // long adjacency tail cold).
+//
+// A Graph is immutable once built: any number of kernels, on any number
+// of goroutines, may traverse one (NewBFSOn, NewPageRankOn,
+// NewGraphSAGEOn), each keeping its own mutable state.
 type Graph struct {
 	n, m       int64
 	offsets    []int64 // CSR row offsets, len n+1
@@ -25,6 +29,21 @@ type Graph struct {
 	dataPage0  mem.PageID
 	totalPages int64
 }
+
+// rMat quadrant probabilities (a, b, c; d is the rest), as cumulative
+// thresholds on a uniform draw in [0, 1).
+const (
+	rmatA   = 0.57
+	rmatAB  = rmatA + 0.19
+	rmatABC = rmatAB + 0.19
+)
+
+// rmatThreshold turns a cumulative probability t in [0.5, 1) into the
+// integer k for which "rng.Float64() < t" is exactly "rng.Uint64()>>11 <
+// k". Float64 is float64(u>>11) / 2^53 with both steps exact (u>>11 has
+// 53 bits), and a float64 in [0.5, 1) is a multiple of 2^-53, so t·2^53
+// is an integer and the comparison carries over to the integers.
+func rmatThreshold(t float64) uint64 { return uint64(t * (1 << 53)) }
 
 // NewRMat generates an rMat graph with n vertices (rounded up to a power
 // of two) and avgDegree·n edges using the standard (0.57, 0.19, 0.19)
@@ -39,29 +58,26 @@ func NewRMat(n int64, avgDegree int, seed uint64) *Graph {
 	m := n * int64(avgDegree)
 	rng := stats.NewRNG(seed ^ 0x724d6174) // "rMat"
 
-	const a, b, c = 0.57, 0.19, 0.19
 	deg := make([]int32, n)
 	src := make([]int32, m)
 	dst := make([]int32, m)
-	levels := 0
+	levels := uint(0)
 	for v := int64(1); v < n; v <<= 1 {
 		levels++
 	}
+	// One draw per level picks the quadrant: a (neither bit), b (v's bit),
+	// c (u's bit) or d (both) — the number q of thresholds the draw
+	// reaches, with u taking q's high bit and v its low bit. k and the
+	// thresholds are below 2^53, so (t-1-k)>>63 is 1 exactly when k >= t
+	// and the loop body has no branches to mispredict.
+	ta, tab, tabc := rmatThreshold(rmatA)-1, rmatThreshold(rmatAB)-1, rmatThreshold(rmatABC)-1
 	for e := int64(0); e < m; e++ {
-		var u, v int64
-		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				v |= 1 << uint(l)
-			case r < a+b+c:
-				u |= 1 << uint(l)
-			default:
-				u |= 1 << uint(l)
-				v |= 1 << uint(l)
-			}
+		var u, v uint64
+		for l := uint(0); l < levels; l++ {
+			k := rng.Uint64() >> 11
+			q := (ta-k)>>63 + (tab-k)>>63 + (tabc-k)>>63
+			u |= (q >> 1) << l
+			v |= (q & 1) << l
 		}
 		src[e], dst[e] = int32(u), int32(v)
 		deg[u]++
@@ -137,7 +153,12 @@ type BFS struct {
 
 // NewBFS builds a BFS workload over a fresh rMat graph.
 func NewBFS(n int64, avgDegree int, seed uint64) *BFS {
-	g := NewRMat(n, avgDegree, seed)
+	return NewBFSOn(NewRMat(n, avgDegree, seed), seed)
+}
+
+// NewBFSOn builds a BFS workload over g, which it only reads: the visited
+// set, the frontier queue and the source RNG are its own.
+func NewBFSOn(g *Graph, seed uint64) *BFS {
 	b := &BFS{g: g, rng: stats.NewRNG(seed ^ 0xbf5)}
 	b.reset()
 	return b
@@ -212,8 +233,12 @@ type PageRank struct {
 
 // NewPageRank builds a PageRank workload over a fresh rMat graph.
 func NewPageRank(n int64, avgDegree int, seed uint64) *PageRank {
-	return &PageRank{g: NewRMat(n, avgDegree, seed)}
+	return NewPageRankOn(NewRMat(n, avgDegree, seed))
 }
+
+// NewPageRankOn builds a PageRank workload over g, which it only reads:
+// the vertex cursor and iteration count are its own.
+func NewPageRankOn(g *Graph) *PageRank { return &PageRank{g: g} }
 
 // Name implements Workload.
 func (*PageRank) Name() string { return "PageRank" }

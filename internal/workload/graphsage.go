@@ -26,20 +26,41 @@ type GraphSAGE struct {
 	batches   int64
 	fanout1   int
 	fanout2   int
+	// hop1 and hop2 are NextOp's sampled neighborhoods, kept across ops.
+	hop1, hop2 []int64
 }
 
-// NewGraphSAGE sizes the workload to roughly scalePages: features get
-// ~90% of the budget (ogbn-products: 100 floats/node).
-func NewGraphSAGE(scalePages int64, seed uint64) *GraphSAGE {
-	s := &GraphSAGE{rng: stats.NewRNG(seed ^ 0x5a6e), featBytes: 400, fanout1: 10, fanout2: 5}
-	budget := scalePages * mem.PageSize
-	n := budget * 9 / 10 / s.featBytes
+const (
+	// GraphSAGEDegree is the average degree of the graph NewGraphSAGE
+	// samples over.
+	GraphSAGEDegree = 8
+	// sageFeatBytes is one node's feature row (ogbn-products: 100 floats).
+	sageFeatBytes = 400
+)
+
+// GraphSAGEVertices is the vertex count NewGraphSAGE requests for a page
+// budget: features get ~90% of it.
+func GraphSAGEVertices(scalePages int64) int64 {
+	n := scalePages * mem.PageSize * 9 / 10 / sageFeatBytes
 	if n < 1024 {
 		n = 1024
 	}
-	s.g = NewRMat(n, 8, seed)
-	n = s.g.N() // rounded to power of two
-	s.featPage0 = mem.PageID(s.g.NumPages())
+	return n
+}
+
+// NewGraphSAGE sizes the workload to roughly scalePages, over a fresh
+// rMat graph of GraphSAGEVertices(scalePages) vertices.
+func NewGraphSAGE(scalePages int64, seed uint64) *GraphSAGE {
+	return NewGraphSAGEOn(NewRMat(GraphSAGEVertices(scalePages), GraphSAGEDegree, seed), seed)
+}
+
+// NewGraphSAGEOn builds the workload over g, which it only reads; the
+// feature and embedding matrices are sized to g's vertex count and laid
+// out after its CSR pages.
+func NewGraphSAGEOn(g *Graph, seed uint64) *GraphSAGE {
+	s := &GraphSAGE{g: g, rng: stats.NewRNG(seed ^ 0x5a6e), featBytes: sageFeatBytes, fanout1: 10, fanout2: 5}
+	n := g.N()
+	s.featPage0 = mem.PageID(g.NumPages())
 	s.featPages = pagesFor(n * s.featBytes)
 	s.embPage0 = s.featPage0 + mem.PageID(s.featPages)
 	s.embPages = pagesFor(n * 64) // 16-float embeddings
@@ -89,18 +110,18 @@ func (s *GraphSAGE) NextOp(buf []Access) []Access {
 	if deg := s.g.Degree(seed); deg > 0 {
 		buf = append(buf, Access{Page: s.g.edgePage(s.g.offsets[seed])})
 	}
-	hop1 := s.sampleNeighbors(seed, s.fanout1, nil)
-	var hop2 []int64
-	for _, v := range hop1 {
+	s.hop1 = s.sampleNeighbors(seed, s.fanout1, s.hop1[:0])
+	s.hop2 = s.hop2[:0]
+	for _, v := range s.hop1 {
 		buf = append(buf, Access{Page: s.g.offsetPage(v)})
-		hop2 = s.sampleNeighbors(v, s.fanout2, hop2)
+		s.hop2 = s.sampleNeighbors(v, s.fanout2, s.hop2)
 	}
 	// Gather features: seed + hop1 + hop2.
 	buf = append(buf, Access{Page: s.featurePage(seed)})
-	for _, v := range hop1 {
+	for _, v := range s.hop1 {
 		buf = append(buf, Access{Page: s.featurePage(v)})
 	}
-	for _, v := range hop2 {
+	for _, v := range s.hop2 {
 		buf = append(buf, Access{Page: s.featurePage(v)})
 	}
 	// Write the seed's embedding.

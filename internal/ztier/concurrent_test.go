@@ -98,7 +98,7 @@ func TestConcurrentPrepareCommitMatchesStore(t *testing.T) {
 		a, b := MustNew(1, cfg), MustNew(1, cfg)
 		for i, page := range [][]byte{g.Page(1, PageSize), same, incompressible, g.Page(2, PageSize)} {
 			ha, la, errA := a.Store(page)
-			ps := b.PrepareStore(page, nil)
+			ps := b.PrepareStore(nil, page, nil)
 			hb, lb, errB := b.CommitStore(ps)
 			if la != lb {
 				t.Fatalf("%s page %d: latency %v != %v", cfg, i, la, lb)

@@ -188,7 +188,9 @@ type Tier struct {
 	// highPoolPages tracks the largest PoolPages ever observed after a
 	// store, for Stats.HighPoolPages.
 	highPoolPages int
-	scratch       []byte
+	// scratch and codecState serve the fused Store path, under mu.
+	scratch    []byte
+	codecState compress.Scratch
 
 	faults      atomic.Int64
 	stores      atomic.Int64
@@ -300,16 +302,17 @@ type PreparedStore struct {
 func (ps PreparedStore) Scratch() []byte { return ps.comp }
 
 // PrepareStore runs the compute half of Store — the same-filled scan and
-// the compression into dst — without touching any shared tier state. It is
-// safe to call concurrently with every other tier operation; the returned
-// PreparedStore is landed later (in any caller-chosen order) with
-// CommitStore, which reproduces Store's counters, admission decisions and
-// modeled latency exactly.
-func (t *Tier) PrepareStore(data, dst []byte) PreparedStore {
+// the compression into dst — without touching any shared tier state. cs is
+// the caller's own codec state (nil compresses statelessly); with each
+// caller bringing its own, PrepareStore is safe to call concurrently with
+// every other tier operation. The returned PreparedStore is landed later
+// (in any caller-chosen order) with CommitStore, which reproduces Store's
+// counters, admission decisions and modeled latency exactly.
+func (t *Tier) PrepareStore(cs *compress.Scratch, data, dst []byte) PreparedStore {
 	if b, ok := sameFilledByte(data); ok {
 		return PreparedStore{sameFilled: true, fillByte: b}
 	}
-	comp := t.codec.Compress(dst[:0], data)
+	comp := cs.Compress(t.codec, dst[:0], data)
 	return PreparedStore{
 		comp:       comp,
 		rejected:   len(comp) >= PageSize,
@@ -351,7 +354,7 @@ func (t *Tier) commitLocked(ps PreparedStore) (Handle, float64, error) {
 func (t *Tier) Store(data []byte) (Handle, float64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ps := t.PrepareStore(data, t.scratch)
+	ps := t.PrepareStore(&t.codecState, data, t.scratch)
 	if cap(ps.comp) > cap(t.scratch) {
 		t.scratch = ps.comp[:0]
 	}
@@ -418,7 +421,7 @@ func (t *Tier) storeCompressedLocked(comp []byte) (Handle, float64, error) {
 // decompression. The latency of writing the page into its destination
 // byte-addressable tier is charged by the memory manager.
 func (t *Tier) Load(h Handle, dst []byte) ([]byte, float64, error) {
-	out, lat, err := t.PrepareLoad(h, dst)
+	out, lat, err := t.PrepareLoad(nil, h, dst)
 	if err != nil {
 		return out, lat, err
 	}
@@ -429,9 +432,10 @@ func (t *Tier) Load(h Handle, dst []byte) ([]byte, float64, error) {
 // PrepareLoad is Load without the fault counter: the read half of a
 // deterministic prepare/commit migration, where the decompression runs
 // concurrently but counters must only move at commit time (via CountLoad)
-// to match serial totals exactly. Safe to call concurrently; the pool read
+// to match serial totals exactly. cs is the caller's own codec state (nil
+// decompresses statelessly). Safe to call concurrently; the pool read
 // takes the tier's read lock.
-func (t *Tier) PrepareLoad(h Handle, dst []byte) ([]byte, float64, error) {
+func (t *Tier) PrepareLoad(cs *compress.Scratch, h Handle, dst []byte) ([]byte, float64, error) {
 	if h.sameFilled {
 		start := len(dst)
 		dst = append(dst, make([]byte, PageSize)...)
@@ -446,7 +450,7 @@ func (t *Tier) PrepareLoad(h Handle, dst []byte) ([]byte, float64, error) {
 	if err != nil {
 		return dst, 0, err
 	}
-	out, err := t.codec.Decompress(dst, comp)
+	out, err := cs.Decompress(t.codec, dst, comp)
 	if err != nil {
 		return dst, 0, fmt.Errorf("ztier %s: corrupt object: %w", t.Name(), err)
 	}

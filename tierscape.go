@@ -205,21 +205,54 @@ func MemcachedMemtier(valueSize, pages int64, seed uint64) Workload {
 // RedisYCSB returns the Redis workload.
 func RedisYCSB(pages int64, seed uint64) Workload { return workload.Redis(pages, seed) }
 
-// BFSWorkload returns Ligra-style BFS over an rMat graph.
-func BFSWorkload(vertices int64, seed uint64) Workload { return workload.NewBFS(vertices, 8, seed) }
+// Graph is an immutable rMat graph in CSR form. Building one is by far
+// the most expensive part of constructing a graph workload, and the
+// workloads only read it: a caller running several graph workloads (or
+// one under several models) builds the graph once and hands it to each
+// BFSOn / PageRankOn / GraphSAGEOn, from any number of goroutines.
+type Graph = workload.Graph
 
-// PageRankWorkload returns PageRank over an rMat graph.
-func PageRankWorkload(vertices int64, seed uint64) Workload {
-	return workload.NewPageRank(vertices, 8, seed)
+// graphDegree is the average out-degree of every graph the facade builds.
+const graphDegree = 8
+
+// RMatGraph builds the rMat graph BFSWorkload and PageRankWorkload run
+// over for the same arguments.
+func RMatGraph(vertices int64, seed uint64) *Graph {
+	return workload.NewRMat(vertices, graphDegree, seed)
 }
+
+// GraphSAGEGraph builds the rMat graph GraphSAGEWorkload samples over for
+// the same arguments (features take ~90% of the page budget).
+func GraphSAGEGraph(pages int64, seed uint64) *Graph {
+	return workload.NewRMat(workload.GraphSAGEVertices(pages), workload.GraphSAGEDegree, seed)
+}
+
+// BFSWorkload returns Ligra-style BFS over an rMat graph of its own.
+func BFSWorkload(vertices int64, seed uint64) Workload { return BFSOn(RMatGraph(vertices, seed), seed) }
+
+// BFSOn returns Ligra-style BFS over g.
+func BFSOn(g *Graph, seed uint64) Workload { return workload.NewBFSOn(g, seed) }
+
+// PageRankWorkload returns PageRank over an rMat graph of its own.
+func PageRankWorkload(vertices int64, seed uint64) Workload {
+	return PageRankOn(RMatGraph(vertices, seed))
+}
+
+// PageRankOn returns PageRank over g.
+func PageRankOn(g *Graph) Workload { return workload.NewPageRankOn(g) }
 
 // XSBenchWorkload returns the XSBench cross-section lookup kernel.
 func XSBenchWorkload(pages int64, seed uint64) Workload { return workload.NewXSBench(pages, seed) }
 
-// GraphSAGEWorkload returns the GraphSAGE minibatch sampling workload.
+// GraphSAGEWorkload returns the GraphSAGE minibatch sampling workload
+// over an rMat graph of its own.
 func GraphSAGEWorkload(pages int64, seed uint64) Workload {
-	return workload.NewGraphSAGE(pages, seed)
+	return GraphSAGEOn(GraphSAGEGraph(pages, seed), seed)
 }
+
+// GraphSAGEOn returns the GraphSAGE minibatch sampling workload over g;
+// its feature and embedding matrices are sized to g.
+func GraphSAGEOn(g *Graph, seed uint64) Workload { return workload.NewGraphSAGEOn(g, seed) }
 
 // RunConfig configures one TS-Daemon simulation.
 type RunConfig struct {

@@ -56,6 +56,19 @@ func TestFacadeConstructors(t *testing.T) {
 	if CharacterizationTier(1).String() != "ZB-L4-DR" {
 		t.Fatal("C1 wrong")
 	}
+	// The ...On constructors over a caller-built graph size the workload
+	// exactly as the self-contained ones do.
+	g, sg := RMatGraph(1024, 1), GraphSAGEGraph(RegionPages, 1)
+	for _, pair := range [][2]Workload{
+		{BFSOn(g, 1), BFSWorkload(1024, 1)},
+		{PageRankOn(g), PageRankWorkload(1024, 1)},
+		{GraphSAGEOn(sg, 1), GraphSAGEWorkload(RegionPages, 1)},
+	} {
+		if pair[0].Name() != pair[1].Name() || pair[0].NumPages() != pair[1].NumPages() {
+			t.Fatalf("%s over a shared graph has %d pages, %s over its own %d",
+				pair[0].Name(), pair[0].NumPages(), pair[1].Name(), pair[1].NumPages())
+		}
+	}
 }
 
 func TestColocateFacade(t *testing.T) {
