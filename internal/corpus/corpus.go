@@ -85,7 +85,8 @@ func (g *Generator) Profile() Profile { return g.profile }
 
 // Fill writes the contents of page pageIdx into buf (typically 4096 bytes).
 func (g *Generator) Fill(pageIdx uint64, buf []byte) {
-	rng := stats.NewRNG(g.seed ^ (pageIdx+1)*0x9e3779b97f4a7c15)
+	r := stats.MakeRNG(g.seed ^ (pageIdx+1)*0x9e3779b97f4a7c15)
+	rng := &r // stays on Fill's stack: no fill* keeps it
 	switch g.profile {
 	case Zero:
 		for i := range buf {
@@ -184,7 +185,7 @@ var dickensWords = []string{
 // sentence structure, and punctuation, approximating English prose entropy
 // (typical deflate ratio ~2.5-3x).
 func fillDickens(rng *stats.RNG, buf []byte) {
-	z := stats.NewZipf(rng, int64(len(dickensWords)), 1.0, false)
+	z := stats.MakeZipf(rng, int64(len(dickensWords)), 1.0, false)
 	pos := 0
 	wordsInSentence := 0
 	var rare [12]byte

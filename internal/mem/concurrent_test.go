@@ -26,16 +26,22 @@ func (l *lcg) next() uint64 {
 	return uint64(*l >> 17)
 }
 
-// TestConcurrentStressManager hammers one shared Manager from migrator,
-// accessor and compaction goroutines at once — the raw (unordered) push
-// thread shape. The race detector checks the locking; the final
-// conservation invariants check that atomic residency accounting never
-// loses or duplicates a page.
-func TestConcurrentStressManager(t *testing.T) {
+// TestConcurrentStressManagerPhased drives one shared Manager the way its
+// ownership contract says it is driven: rounds of an access phase — one
+// goroutine, reads, writes and faults into a half-size DRAM, no lock —
+// alternating with a migration phase of migrators, a compactor and stat
+// readers all at once, the raw (unordered) push-thread shape. A WaitGroup
+// ends each phase, which is all that orders it before the next. The race
+// detector checks the migration phase's locking and that the hand-over is
+// enough for the lock-free accesses; the conservation invariants, checked
+// after every phase, check that residency accounting never loses or
+// duplicates a page.
+func TestConcurrentStressManagerPhased(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short mode")
 	}
 	const numPages = 8 * RegionPages
+	const rounds = 5
 	m, err := NewManager(Config{
 		NumPages:          numPages,
 		Content:           corpus.NewGenerator(corpus.Dickens, 7),
@@ -49,83 +55,94 @@ func TestConcurrentStressManager(t *testing.T) {
 	numTiers := len(m.Tiers())
 	numRegions := m.NumRegions()
 
-	var wg sync.WaitGroup
-	fail := func(format string, args ...any) {
-		t.Helper()
-		t.Errorf(format, args...)
-	}
-	// Migrators: random region → random tier, full sweep semantics.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(seed lcg) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				r := RegionID(seed.next() % uint64(numRegions))
-				dest := TierID(seed.next() % uint64(numTiers))
-				if _, err := m.MigrateRegion(r, dest); err != nil && !errors.Is(err, ErrTierFull) {
-					fail("migrate region %d → tier %d: %v", r, dest, err)
-					return
-				}
-			}
-		}(lcg(100 + g))
-	}
-	// Accessors: reads and writes, including pages mid-migration.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(seed lcg) {
-			defer wg.Done()
-			for i := 0; i < 4000; i++ {
-				p := PageID(seed.next() % numPages)
-				if _, err := m.Access(p, i%4 == 0); err != nil {
-					fail("access page %d: %v", p, err)
-					return
-				}
-			}
-		}(lcg(200 + g))
-	}
-	// Compactor + stat readers: the daemon-side observers.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			m.CompactAll()
-			m.TierPages()
-			m.TierFootprintBytes()
-			m.Counters()
-			m.RegionResidency(RegionID(i % int(numRegions)))
-			for _, ti := range m.Tiers() {
-				if ti.Compressed {
-					m.MeasuredRatio(ti.ID, 0.5)
-				}
-			}
-		}
-	}()
-	wg.Wait()
-
 	// Conservation: every page accounted for exactly once, in both the
 	// per-tier residency counters and the page table itself.
-	var total int64
-	for _, n := range m.TierPages() {
-		if n < 0 {
-			t.Fatalf("negative tier residency: %v", m.TierPages())
+	conserved := func(phase string, round int) {
+		t.Helper()
+		var total int64
+		for _, n := range m.TierPages() {
+			if n < 0 {
+				t.Fatalf("round %d after %s: negative tier residency: %v", round, phase, m.TierPages())
+			}
+			total += n
 		}
-		total += n
-	}
-	if total != numPages {
-		t.Fatalf("tier residency sums to %d, want %d", total, numPages)
-	}
-	byPTE := make([]int64, numTiers)
-	for r := RegionID(0); r < RegionID(numRegions); r++ {
-		for tier, n := range m.RegionResidency(r) {
-			byPTE[tier] += n
+		if total != numPages {
+			t.Fatalf("round %d after %s: tier residency sums to %d, want %d", round, phase, total, numPages)
+		}
+		byPTE := make([]int64, numTiers)
+		for r := RegionID(0); r < RegionID(numRegions); r++ {
+			for tier, n := range m.RegionResidency(r) {
+				byPTE[tier] += n
+			}
+		}
+		if !reflect.DeepEqual(byPTE, m.TierPages()) {
+			t.Fatalf("round %d after %s: page-table residency %v != counter residency %v",
+				round, phase, byPTE, m.TierPages())
+		}
+		c := m.Counters()
+		if c.Faults < 0 || c.Migrations < 0 || c.Rejects < 0 {
+			t.Fatalf("round %d after %s: counter went negative: %+v", round, phase, c)
 		}
 	}
-	if !reflect.DeepEqual(byPTE, m.TierPages()) {
-		t.Fatalf("page-table residency %v != counter residency %v", byPTE, m.TierPages())
-	}
-	c := m.Counters()
-	if c.Faults < 0 || c.Migrations < 0 || c.Rejects < 0 {
-		t.Fatalf("counter went negative: %+v", c)
+
+	var wg sync.WaitGroup
+	accessSeed := lcg(200)
+	for round := 0; round < rounds; round++ {
+		// Migration phase: migrators (random region → random tier, full
+		// sweep semantics) beside a compactor and the daemon-side readers.
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(seed lcg) {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					r := RegionID(seed.next() % uint64(numRegions))
+					dest := TierID(seed.next() % uint64(numTiers))
+					if _, err := m.MigrateRegion(r, dest); err != nil && !errors.Is(err, ErrTierFull) {
+						t.Errorf("migrate region %d → tier %d: %v", r, dest, err)
+						return
+					}
+				}
+			}(lcg(100 + 2*round + g))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				m.CompactAll()
+				m.TierPages()
+				m.TierFootprintBytes()
+				m.Counters()
+				m.RegionResidency(RegionID(i % int(numRegions)))
+				m.TierOf(PageID(i * 97 % numPages))
+				for _, ti := range m.Tiers() {
+					if ti.Compressed {
+						m.MeasuredRatio(ti.ID, 0.5)
+					}
+				}
+			}
+		}()
+		wg.Wait()
+		conserved("migration", round)
+
+		// Access phase: the driver alone, on a goroutine of its own so the
+		// hand-over in each direction is the WaitGroup and nothing else.
+		faults := m.Counters().Faults
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1500; i++ {
+				p := PageID(accessSeed.next() % numPages)
+				if _, err := m.Access(p, i%4 == 0); err != nil {
+					t.Errorf("access page %d: %v", p, err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		conserved("access", round)
+		if round == 0 && m.Counters().Faults == faults {
+			t.Fatal("the access phase never faulted; the stress is vacuous")
+		}
 	}
 }
 
@@ -305,9 +322,9 @@ func TestConcurrentPreparedRegionEquivalence(t *testing.T) {
 		dest TierID
 	}{
 		{0, 1}, {1, 1}, {2, 3}, // demote into compressed tiers
-		{0, 2},                 // same-codec direct move
-		{1, 3}, {2, 1},         // cross-codec recompress
-		{0, 0}, {3, 3},         // promote back; fresh demotion
+		{0, 2},         // same-codec direct move
+		{1, 3}, {2, 1}, // cross-codec recompress
+		{0, 0}, {3, 3}, // promote back; fresh demotion
 	}
 	for i, st := range steps {
 		ra, errA := a.MigrateRegion(st.r, st.dest)

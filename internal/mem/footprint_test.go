@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -234,13 +233,9 @@ func TestMigrationScratchReuse(t *testing.T) {
 // encoder state and the region value all come back from the scratch. This
 // is what keeps a sweep's alloc_bytes_per_op flat in its migration volume.
 func TestPrepareScratchAllocsPerRun(t *testing.T) {
-	// corpus.Generator allocates an RNG per page; the count here is the
-	// migration path's own, so the content comes from a source that does
-	// not allocate (records of a counter and zeros: compressible, every
-	// page different).
 	m, err := NewManager(Config{
 		NumPages:        2 * RegionPages,
-		Content:         recordSource{},
+		Content:         corpus.NewGenerator(corpus.Mixed, 7),
 		ByteTiers:       []media.Kind{media.NVMM},
 		CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
 	})
@@ -276,20 +271,6 @@ func TestPrepareScratchAllocsPerRun(t *testing.T) {
 	roundTrip()
 	if n := testing.AllocsPerRun(3, cycle); n != 0 {
 		t.Errorf("%v allocations per prepared region after commits, want 0", n)
-	}
-}
-
-// recordSource fills pages with 16-byte records: a little-endian counter
-// seeded by the page index, a byte of its hash, zero padding.
-type recordSource struct{}
-
-func (recordSource) Fill(pageIdx uint64, buf []byte) {
-	clear(buf)
-	x := pageIdx*0x9e3779b97f4a7c15 + 1
-	for off := 0; off+16 <= len(buf); off += 16 {
-		binary.LittleEndian.PutUint64(buf[off:], x>>40)
-		buf[off+8] = byte(x >> 56)
-		x = x*6364136223846793005 + 1442695040888963407
 	}
 }
 

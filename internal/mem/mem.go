@@ -17,13 +17,19 @@
 // keeps multi-GB-scale simulated footprints cheap while compression ratios
 // remain grounded in real compressed bytes.
 //
-// A Manager is safe for concurrent use. Page-table state is guarded by a
-// striped per-region lock, tier pools are guarded inside ztier, and every
-// counter (including per-tier residency) is an atomic, so concurrent
-// MigrateRegion/MigratePage/Access calls from the simulator's push threads
+// A Manager alternates between two phases, and who may touch it differs.
+// In the access phase one goroutine, the driver's, issues Access calls and
+// nothing else runs: the hit path takes no lock. In the migration phase any
+// number of goroutines may call MigrateRegion/MigratePage, the prepare and
+// commit halves, the compaction passes and the readers concurrently:
+// page-table state is guarded by a striped per-region lock, tier pools are
+// guarded inside ztier, and every counter (including per-tier residency) is
+// an atomic, so concurrent migrations from the simulator's push threads
 // stay exact. Admission against capacity bounds is a reservation
 // (compare-and-swap for byte-addressable tiers, under the tier lock for
 // compressed tiers), so no tier ever exceeds its budget even transiently.
+// The caller orders the phases (starting and joining its goroutines does);
+// an Access beside a migration is a data race, not a supported mode.
 //
 // For deterministic parallelism, region migration additionally splits into
 // PrepareRegionMigration (pure compute: decompress + compress, safe to run
@@ -194,10 +200,14 @@ type Manager struct {
 
 	tiers []TierInfo // all tiers by TierID
 
-	// regionMu stripes page-table access by region: every pte read/write
-	// happens under the owning region's lock. Lock order is always
-	// region lock → tier lock (inside ztier); no path holds two region
-	// locks, so the striping cannot deadlock.
+	// regionMu stripes the page table by region for the migration phase,
+	// the only time several goroutines touch it: push threads preparing
+	// and committing moves, compaction, and the readers that may run
+	// beside them (TierOf, RegionResidency, MoveFootprint) each hold the
+	// owning region's lock around their pte reads and writes. Lock order
+	// is always region lock → tier lock (inside ztier); no path holds two
+	// region locks, so the striping cannot deadlock. The access phase
+	// takes none of this: see Access.
 	regionMu []sync.RWMutex
 
 	// counters
@@ -419,8 +429,7 @@ func (m *Manager) ct(id TierID) (*ctTier, bool) {
 // content regenerates page p's current bytes into buf, which must have
 // capacity for at least PageSize bytes, and returns the filled slice. The
 // caller owns the buffer, so two results never alias each other. Callers
-// must hold the page's region lock (the version read races with writes
-// otherwise).
+// hold the page's region lock, as for any pte read in the migration phase.
 func (m *Manager) content(p PageID, buf []byte) []byte {
 	buf = buf[:PageSize]
 	e := &m.ptes[p]
@@ -447,61 +456,72 @@ type AccessResult struct {
 // effects. Accessing a page in a compressed tier faults: the page is
 // decompressed, removed from the compressed tier, and placed in DRAM (or
 // the next byte-addressable tier with room). Writes bump the page version.
+//
+// Access takes no lock. The manager is single-owner while accesses are
+// being issued: one goroutine — the driver's — calls Access, and nothing
+// that migrates, compacts or reads the page table runs beside it. The
+// phases alternate, and whatever ends one orders it before the next (the
+// apply engine's go statements and WaitGroup, the daemon's command
+// goroutine); DESIGN.md §12 has the contract.
 func (m *Manager) Access(p PageID, write bool) (AccessResult, error) {
 	return m.AccessScratch(p, write, nil)
 }
 
 // AccessScratch is Access with the fault path's page buffer and decoder
 // state drawn from the caller's scratch (nil = global pool, stateless) —
-// for a driver that issues accesses in volume from one goroutine.
+// for a driver that issues accesses in volume. A hit on a byte-addressable
+// tier is a bounds check, a page-table read and the tier's latency
+// constant.
 func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (AccessResult, error) {
 	if p < 0 || p >= PageID(m.numPages) {
 		return AccessResult{}, ErrBadPage
 	}
-	mu := m.regionLock(p.Region())
-	mu.Lock()
-	defer mu.Unlock()
 	e := &m.ptes[p]
 	if write {
 		e.version++
 	}
-	if ct, ok := m.ct(e.tier); ok {
-		// Fault path: decompress and promote.
-		buf := sc.get()
-		out, loadNs, err := ct.tier.PrepareLoad(sc.codecState(), e.handle, (*buf)[:0])
-		*buf = out[:0]
-		sc.put(buf)
-		if err != nil {
-			return AccessResult{}, fmt.Errorf("mem: fault on page %d: %w", p, err)
-		}
-		ct.tier.CountLoad()
-		if err := ct.tier.Free(e.handle); err != nil {
-			return AccessResult{}, fmt.Errorf("mem: freeing faulted page %d: %w", p, err)
-		}
-		ct.pages.Add(-1)
-		dest := m.reserveFaultDestination()
-		destWrite := media.WriteCostNs(m.ba[dest].info.Media, PageSize)
-		served := e.tier
-		e.tier = dest
-		e.handle = ztier.Handle{}
-		m.faults.Add(1)
-		return AccessResult{
-			LatencyNs:  loadNs + destWrite,
-			Tier:       served,
-			Fault:      true,
-			PromotedTo: dest,
-		}, nil
+	if int(e.tier) < len(m.ba) {
+		return AccessResult{LatencyNs: m.ba[e.tier].info.AccessNs, Tier: e.tier}, nil
 	}
-	// Byte-addressable access.
-	b := m.ba[e.tier]
-	return AccessResult{LatencyNs: b.info.AccessNs, Tier: e.tier}, nil
+	return m.fault(p, e, sc)
+}
+
+// fault serves an access to a page held by a compressed tier: decompress,
+// free the compressed copy, and promote the page to a byte-addressable
+// tier.
+func (m *Manager) fault(p PageID, e *pte, sc *MigrationScratch) (AccessResult, error) {
+	ct := m.cts[int(e.tier)-len(m.ba)]
+	buf := sc.get()
+	out, loadNs, err := ct.tier.PrepareLoad(sc.codecState(), e.handle, (*buf)[:0])
+	*buf = out[:0]
+	sc.put(buf)
+	if err != nil {
+		return AccessResult{}, fmt.Errorf("mem: fault on page %d: %w", p, err)
+	}
+	ct.tier.CountLoad()
+	if err := ct.tier.Free(e.handle); err != nil {
+		return AccessResult{}, fmt.Errorf("mem: freeing faulted page %d: %w", p, err)
+	}
+	ct.pages.Add(-1)
+	dest := m.reserveFaultDestination()
+	destWrite := media.WriteCostNs(m.ba[dest].info.Media, PageSize)
+	served := e.tier
+	e.tier = dest
+	e.handle = ztier.Handle{}
+	m.faults.Add(1)
+	return AccessResult{
+		LatencyNs:  loadNs + destWrite,
+		Tier:       served,
+		Fault:      true,
+		PromotedTo: dest,
+	}, nil
 }
 
 // reserveFaultDestination picks and atomically reserves a page of the
 // fault destination: DRAM if it has room, else the first byte-addressable
 // tier with room, else DRAM regardless (unbounded model). The reservation
-// is the capacity increment, so concurrent faults cannot race a bounded
-// tier past its budget.
+// is the capacity increment, the same compare-and-swap migrations admit
+// against, so a bounded tier is never pushed past its budget.
 func (m *Manager) reserveFaultDestination() TierID {
 	for i, b := range m.ba {
 		if b.tryReserve() {
@@ -664,8 +684,8 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 // commitPage lands a prepared page move: every placement decision,
 // residency change and counter bump, in exactly the order the serial
 // migration path makes them. The caller must hold the page's region write
-// lock. If the page moved between prepare and commit (a concurrent fault
-// promotion under raw concurrent use), the move is re-prepared in place.
+// lock. If the page moved between prepare and commit (another migrator
+// landed a move of the same page first), the move is re-prepared in place.
 func (m *Manager) commitPage(pp preparedPage) (MigrationResult, error) {
 	var res MigrationResult
 	e := &m.ptes[pp.page]

@@ -20,41 +20,53 @@ type Sampler interface {
 type Zipf struct {
 	rng   *RNG
 	n     int64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	zeta2 float64
+	rank1 float64 // 1 + 0.5^theta: u·zetan below this draws rank 1
 
 	// shift support
 	offset      int64
 	shiftEvery  int64 // samples between hotspot rotations; 0 = static
 	shiftAmount int64 // ranks to rotate by on each shift
 	count       int64
+	nextShift   int64 // the count at which the hotspot next rotates; 0 = never
 	scramble    bool
 }
 
-// NewZipf returns a Zipfian sampler over [0, n) with exponent theta
-// (YCSB default is 0.99). If scramble is true, ranks are hashed onto the
-// key space (YCSB's "scrambled zipfian") so popular items are spread out.
-func NewZipf(rng *RNG, n int64, theta float64, scramble bool) *Zipf {
+// MakeZipf returns a Zipfian sampler over [0, n) with exponent theta
+// (YCSB default is 0.99), by value, for a sampler that lives for one call.
+// If scramble is true, ranks are hashed onto the key space (YCSB's
+// "scrambled zipfian") so popular items are spread out.
+func MakeZipf(rng *RNG, n int64, theta float64, scramble bool) Zipf {
 	if n <= 0 {
 		panic("stats: Zipf with non-positive n")
 	}
-	z := &Zipf{rng: rng, n: n, theta: theta, scramble: scramble}
+	z := Zipf{rng: rng, n: n, scramble: scramble}
 	z.zetan = zetaStatic(n, theta)
-	z.zeta2 = zetaStatic(2, theta)
 	z.alpha = 1 / (1 - theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zetaStatic(2, theta)/z.zetan)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z
+}
+
+// NewZipf is MakeZipf on the heap.
+func NewZipf(rng *RNG, n int64, theta float64, scramble bool) *Zipf {
+	z := MakeZipf(rng, n, theta, scramble)
+	return &z
 }
 
 // SetShift configures hotspot rotation: every "every" samples the popularity
 // ranking rotates by "amount" positions. This models workloads whose hot set
-// drifts over time.
+// drifts over time. Issued mid-stream, the rotation stays on the grid of
+// all draws made so far: the next one falls on the next multiple of every.
 func (z *Zipf) SetShift(every, amount int64) {
 	z.shiftEvery = every
 	z.shiftAmount = amount
+	z.nextShift = 0
+	if every > 0 {
+		z.nextShift = (z.count/every + 1) * every
+	}
 }
 
 func zetaStatic(n int64, theta float64) float64 {
@@ -78,7 +90,8 @@ func zetaStatic(n int64, theta float64) float64 {
 // Next returns the next Zipfian-sampled index.
 func (z *Zipf) Next() int64 {
 	z.count++
-	if z.shiftEvery > 0 && z.count%z.shiftEvery == 0 {
+	if z.count == z.nextShift {
+		z.nextShift += z.shiftEvery
 		z.offset = (z.offset + z.shiftAmount) % z.n
 	}
 	u := z.rng.Float64()
@@ -87,7 +100,7 @@ func (z *Zipf) Next() int64 {
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -95,7 +108,11 @@ func (z *Zipf) Next() int64 {
 			rank = z.n - 1
 		}
 	}
-	rank = (rank + z.offset) % z.n
+	// rank < n and |offset| < n, so one subtraction is the modulo.
+	rank += z.offset
+	if rank >= z.n {
+		rank -= z.n
+	}
 	if z.scramble {
 		rank = int64(fnvHash64(uint64(rank)) % uint64(z.n))
 	}

@@ -19,15 +19,24 @@ type RNG struct {
 
 const pcgMult = 6364136223846793005
 
-// NewRNG returns a generator seeded with seed. Two RNGs with the same seed
-// produce identical streams.
-func NewRNG(seed uint64) *RNG {
-	r := &RNG{inc: (seed << 1) | 1}
+// MakeRNG returns a generator seeded with seed, by value: a caller that
+// needs a generator for the length of one call (hashing a key, filling a
+// page) keeps it on its stack. Two RNGs with the same seed produce
+// identical streams.
+func MakeRNG(seed uint64) RNG {
+	r := RNG{inc: (seed << 1) | 1}
 	r.state = seed + 0x9e3779b97f4a7c15
 	r.Uint32()
 	r.state += seed
 	r.Uint32()
 	return r
+}
+
+// NewRNG is MakeRNG on the heap, for a generator that outlives its
+// creator.
+func NewRNG(seed uint64) *RNG {
+	r := MakeRNG(seed)
+	return &r
 }
 
 // Split derives a new, statistically independent generator from r.

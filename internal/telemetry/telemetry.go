@@ -45,13 +45,14 @@ func Float(v float64) *float64 { return &v }
 
 // Profiler accumulates sampled access counts per region.
 type Profiler struct {
-	cfg      Config
-	cooling  float64   // resolved from cfg.Cooling (nil = DefaultCooling)
-	window   []int64   // samples in the current window, per region
-	hotness  []float64 // cooled cumulative hotness, per region
-	accesses int64     // accesses seen in current window
-	samples  int64     // samples taken in current window
-	windows  int64     // completed windows
+	cfg         Config
+	cooling     float64   // resolved from cfg.Cooling (nil = DefaultCooling)
+	window      []int64   // samples in the current window, per region
+	hotness     []float64 // cooled cumulative hotness, per region
+	accesses    int64     // accesses seen in current window
+	untilSample int64     // accesses left before the next sample; restarts each window
+	samples     int64     // samples taken in current window
+	windows     int64     // completed windows
 
 	totalAccesses int64
 	totalSamples  int64
@@ -73,20 +74,24 @@ func NewProfiler(cfg Config) (*Profiler, error) {
 		return nil, fmt.Errorf("telemetry: Cooling must be in [0,1), got %v", cooling)
 	}
 	return &Profiler{
-		cfg:     cfg,
-		cooling: cooling,
-		window:  make([]int64, cfg.NumRegions),
-		hotness: make([]float64, cfg.NumRegions),
+		cfg:         cfg,
+		cooling:     cooling,
+		window:      make([]int64, cfg.NumRegions),
+		hotness:     make([]float64, cfg.NumRegions),
+		untilSample: int64(cfg.SampleRate),
 	}, nil
 }
 
-// Record observes one access to page p, sampling it 1-in-SampleRate.
+// Record observes one access to page p, sampling every SampleRate-th
+// access of the window.
 func (pr *Profiler) Record(p mem.PageID) {
 	pr.accesses++
 	pr.totalAccesses++
-	if pr.accesses%int64(pr.cfg.SampleRate) != 0 {
+	pr.untilSample--
+	if pr.untilSample != 0 {
 		return
 	}
+	pr.untilSample = int64(pr.cfg.SampleRate)
 	r := p.Region()
 	if int64(r) < int64(len(pr.window)) {
 		pr.window[r]++
@@ -129,6 +134,7 @@ func (pr *Profiler) EndWindow() Profile {
 		pr.window[i] = 0
 	}
 	pr.accesses = 0
+	pr.untilSample = int64(pr.cfg.SampleRate)
 	pr.samples = 0
 	return p
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tierscape/internal/mem"
@@ -184,5 +185,44 @@ func TestZipfWorkloadSkewDetected(t *testing.T) {
 	p := pr.EndWindow()
 	if !(p.Hotness[0] > 4*p.Hotness[8]) {
 		t.Fatalf("zipf skew not captured: region0=%v region8=%v", p.Hotness[0], p.Hotness[8])
+	}
+}
+
+// TestProfilerCountdownEquivalence: Record's countdown samples exactly the
+// accesses the modulo it replaced sampled — every SampleRate-th access of
+// the window, the count restarting at each window boundary — at rates that
+// sample everything, divide the window, do not divide it, and exceed it.
+func TestProfilerCountdownEquivalence(t *testing.T) {
+	const regions = 8
+	for _, rate := range []int{1, 2, 50, 5000} {
+		pr, err := NewProfiler(Config{NumRegions: regions, SampleRate: rate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(uint64(rate))
+		var totalSamples int64
+		// Window lengths on and off the sampling grid, one shorter than a
+		// single period of the largest rate, one empty.
+		for w, length := range []int{12345, 5000, 0, 4999, 10001, 7} {
+			want := make([]int64, regions)
+			for i := 1; i <= length; i++ {
+				p := mem.PageID(rng.Int63n(regions * mem.RegionPages))
+				if i%rate == 0 {
+					want[p.Region()]++
+					totalSamples++
+				}
+				pr.Record(p)
+			}
+			got := pr.EndWindow()
+			if got.WindowAccesses != int64(length) {
+				t.Fatalf("rate %d window %d: WindowAccesses = %d, want %d", rate, w, got.WindowAccesses, length)
+			}
+			if !reflect.DeepEqual(got.WindowSamples, want) {
+				t.Fatalf("rate %d window %d: samples %v, want %v", rate, w, got.WindowSamples, want)
+			}
+		}
+		if pr.TotalSamples() != totalSamples {
+			t.Fatalf("rate %d: TotalSamples = %d, want %d", rate, pr.TotalSamples(), totalSamples)
+		}
 	}
 }

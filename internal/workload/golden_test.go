@@ -1,0 +1,107 @@
+package workload
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"testing"
+)
+
+// TestKVAccessStreamGolden pins the KV-family access streams bit for bit:
+// SHA-256 over the first 2^18 accesses (page as little-endian int64, then a
+// write byte), recorded while NextOp still heap-allocated a generator per
+// key to hash its index bucket. kv_steady, daemon_multi and every
+// Memcached/Redis row of every figure replay these streams.
+func TestKVAccessStreamGolden(t *testing.T) {
+	const scale = 4096
+	ycsb := func(letter byte, seed uint64) Workload {
+		y, err := NewYCSB(letter, 50000, 1024, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	want := map[string]string{
+		"Redis/YCSB/seed=1":            "ca3af6c47ef8ea534eba71d89d8f4e7de726605e91f802a947efb3389c889862",
+		"Memcached/YCSB/seed=1":        "6b7986d74192cf21251585be0bfbf6c84a6431efd0137e350d61d35e39b2d26f",
+		"Memcached/memtier-1K/seed=1":  "78a807dddea083498966397f01bed3e3e151e21fd32ae28eee2aba9a90893d33",
+		"Memcached/memtier-4K/seed=1":  "89dbd5a522c613b556c0bc2f681685d951f7bf1d20054efa2933ed827d1cf142",
+		"YCSB-A/seed=1":                "6c3fbcea7a5ba65bacd13a2f5490b7d874fb5fdb4bca00791e9f2ab9d5628c27",
+		"YCSB-B/seed=1":                "3c389a3e7c77da8adb518ae7201af92f0c9971025ff36910d34f86cb2d5c99a2",
+		"YCSB-C/seed=1":                "20dc73963b7712ab628c707011e3232c9347f48de014ae72c194b50961209f34",
+		"YCSB-D/seed=1":                "020224de7df15bd9352c08688db867714dc479c8d910c92a765e0e9c315a414d",
+		"YCSB-E/seed=1":                "b56819ee7c4eb79cc921ef1e282dde3afc0321c2868fbebc71a2bd384765be59",
+		"YCSB-F/seed=1":                "79599d718a6830cb95a3485b6ac02ad12553630d9461f83f4ae3e6608576a0ba",
+		"Redis/YCSB/seed=42":           "b452b2999b8be901196048de2b0fab8d06696e88a1bced0b1f04a262f6e8341f",
+		"Memcached/YCSB/seed=42":       "ac0efbe3391f0c79f47b42558b17100583783f45d053430d08fe67414ed6c7cb",
+		"Memcached/memtier-1K/seed=42": "93650a2f3e7f525f52b9a94646d2dcc382fde2c2eb02c6e367bb4d1d83ae7857",
+		"Memcached/memtier-4K/seed=42": "d677362bdb5372d51bcd92de5ac79ebd810e83c6696f0898a73bbbe863ff803f",
+		"YCSB-A/seed=42":               "0e34f82086ddf63c9a126461a5d2e6f86a0b97ac243ef2b6c7ab8330af5384c9",
+		"YCSB-B/seed=42":               "fe7873be54d247f917c0d7a54455f096d83113884a450369a6cc3585d5281921",
+		"YCSB-C/seed=42":               "e42fa787f9cf05aa672539a978a18e168a8c82ae0cc194b621bbe1e25e8967ec",
+		"YCSB-D/seed=42":               "f52881044c063ce0350713ee4f75e3edc968b354dcda9b5852f478395df42710",
+		"YCSB-E/seed=42":               "86eb79e192a62e00bbdda57629c285b294bdd088305039d14a38df20063e8ffc",
+		"YCSB-F/seed=42":               "e5f2f5a26c147b2f6595f08e9e530d8033e51eed5b54c0fa02954c0ae5a900a4",
+	}
+	for _, seed := range []uint64{1, 0x2a} {
+		wls := []Workload{
+			Redis(scale, seed),
+			Memcached(DriverYCSB, 1024, scale, seed),
+			Memcached(DriverMemtier, 1024, scale, seed),
+			Memcached(DriverMemtier, 4096, scale, seed),
+		}
+		for _, l := range []byte("ABCDEF") {
+			wls = append(wls, ycsb(l, seed))
+		}
+		for _, wl := range wls {
+			name := fmt.Sprintf("%s/seed=%d", wl.Name(), seed)
+			h := sha256.New()
+			var buf []Access
+			var rec [9]byte
+			for n := 0; n < 1<<18; {
+				buf = wl.NextOp(buf[:0])
+				for _, a := range buf {
+					if n == 1<<18 {
+						break
+					}
+					binary.LittleEndian.PutUint64(rec[:], uint64(a.Page))
+					rec[8] = 0
+					if a.Write {
+						rec[8] = 1
+					}
+					h.Write(rec[:])
+					n++
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+				t.Errorf("%q: %q,", name, got)
+			}
+		}
+	}
+}
+
+// TestNextOpAllocsPerRun: drawing a KV or YCSB op into a warmed buffer
+// allocates nothing — the index-bucket hash runs on a generator on the
+// stack. One allocation per op here is one per simulated op of every
+// KV-driven run.
+func TestNextOpAllocsPerRun(t *testing.T) {
+	wls := []Workload{
+		Redis(4096, 1),
+		Memcached(DriverYCSB, 1024, 4096, 1),
+		Memcached(DriverMemtier, 4096, 4096, 1),
+	}
+	for _, l := range []byte("ABCDEF") {
+		y, err := NewYCSB(l, 50000, 1024, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wls = append(wls, y)
+	}
+	for _, wl := range wls {
+		buf := make([]Access, 0, 128) // a YCSB-E scan is at most 101 accesses
+		if n := testing.AllocsPerRun(2000, func() { buf = wl.NextOp(buf[:0]) }); n != 0 {
+			t.Errorf("%s: %v allocations per NextOp, want 0", wl.Name(), n)
+		}
+	}
+}

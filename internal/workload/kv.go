@@ -106,6 +106,13 @@ func (k *KV) Content() corpus.Profile { return corpus.Mixed }
 // BaseOpNs implements Workload: protocol parse + hash + dispatch.
 func (k *KV) BaseOpNs() float64 { return 2000 }
 
+// indexHash spreads key over the hash index: the first 64 bits of the
+// generator seeded with the key, drawn from a generator on the stack.
+func indexHash(key int64) uint64 {
+	r := stats.MakeRNG(uint64(key))
+	return r.Uint64()
+}
+
 // valuePage returns the first page of key's value.
 func (k *KV) valuePage(key int64) mem.PageID {
 	if k.pagesPerVal == 1 {
@@ -119,7 +126,7 @@ func (k *KV) NextOp(buf []Access) []Access {
 	key := k.sampler.Next()
 	write := k.rng.Float64() < k.cfg.WriteRatio
 	// Index bucket access: hash spreads keys over index pages.
-	idxPage := mem.PageID(int64(stats.NewRNG(uint64(key)).Uint64() % uint64(k.indexPages)))
+	idxPage := mem.PageID(int64(indexHash(key) % uint64(k.indexPages)))
 	buf = append(buf, Access{Page: idxPage})
 	// Value access(es).
 	vp := k.valuePage(key)

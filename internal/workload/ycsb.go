@@ -90,7 +90,7 @@ func (y *YCSB) Ops() int64 { return y.ops }
 func (y *YCSB) Live() int64 { return y.inserted }
 
 func (y *YCSB) indexPage(key int64) mem.PageID {
-	return mem.PageID(int64(stats.NewRNG(uint64(key)).Uint64() % uint64(y.indexPages)))
+	return mem.PageID(int64(indexHash(key) % uint64(y.indexPages)))
 }
 
 func (y *YCSB) valuePage(key int64) mem.PageID {
