@@ -85,9 +85,25 @@ func le32(b []byte) uint32 {
 }
 func le16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }
 
-// Compress implements Codec.
+// Compress implements Codec with throwaway dictionaries; owners that
+// compress many pages reuse a set through Scratch.
 func (*B842) Compress(dst, src []byte) []byte {
-	d := newB842Dict()
+	return newB842Dict().compress(dst, src)
+}
+
+func (*B842) compressScratch(s *Scratch, dst, src []byte) []byte {
+	if s.b842 == nil {
+		s.b842 = newB842Dict()
+	}
+	return s.b842.compress(dst, src)
+}
+
+// compress encodes one block. The dictionaries start empty for every
+// block — a reused set keeps its buckets, not its entries.
+func (d *b842Dict) compress(dst, src []byte) []byte {
+	clear(d.h8)
+	clear(d.h4)
+	clear(d.h2)
 	pos := 0
 	n := len(src)
 	for pos+8 <= n {

@@ -20,9 +20,10 @@
 //
 // The registered codecs are stateless values, safe to share between any
 // number of goroutines. The working state that makes a page cheap to
-// compress — zstd's match tables and Huffman workspace, flate's writer and
-// reader — belongs to the caller, in a Scratch (scratch.go), and never
-// changes a byte of output.
+// compress — lz4's and zstd's match tables, lz4hc's chain, the 842
+// dictionaries, the Huffman workspace, flate's writer and reader — belongs
+// to the caller, in a Scratch (scratch.go), and never changes a byte of
+// output.
 package compress
 
 import (

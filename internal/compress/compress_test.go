@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,46 @@ func TestDecompressCorruptInput(t *testing.T) {
 				}()
 				_, _ = c.Decompress(nil, mut)
 			}()
+		}
+	}
+
+	// Overlapping copies: `period` literals, then a match `period` back
+	// that reaches into its own output (lz4's shortest match is 4; lzo's
+	// inline lengths end at 9 and its extension chain starts at 10). On
+	// either side of the periods where a block copy's doubling changes
+	// step, the decoders must reproduce the byte-at-a-time result; the same
+	// block pointing one byte further back than there is output must be
+	// refused.
+	lz4, lzo := MustLookup("lz4"), MustLookup("lzo")
+	for _, period := range []int{1, 2, 3, 7, 8, 9} {
+		for _, length := range []int{4, 9, 10, 19, 20, 300, 1000} {
+			lits := []byte("abcdefghi")[:period]
+			want := append([]byte(nil), lits...)
+			for i := 0; i < length; i++ {
+				want = append(want, want[len(want)-period])
+			}
+			blocks := map[Codec]func(offset int) []byte{
+				lz4: func(offset int) []byte {
+					return lz4EmitLastLiterals(lz4EmitSequence(nil, lits, offset, length), nil)
+				},
+				lzo: func(offset int) []byte {
+					var e lzoEncoder
+					for _, b := range lits {
+						e.literal(b)
+					}
+					e.match(offset, length)
+					return e.dst
+				},
+			}
+			for c, block := range blocks {
+				got, err := c.Decompress(nil, block(period))
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s: period %d, match length %d: %d bytes, err %v; want %d bytes", c.Name(), period, length, len(got), err, len(want))
+				}
+				if _, err := c.Decompress(nil, block(period+1)); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: period %d, match length %d: offset past the start of the output: err %v, want ErrCorrupt", c.Name(), period, length, err)
+				}
+			}
 		}
 	}
 }

@@ -28,51 +28,46 @@ const (
 	lzoHashLog  = 12
 )
 
-// lzoEncoder assembles control-byte groups.
+// lzoEncoder writes control-byte groups straight into dst: a group's
+// control byte is appended, zero, ahead of its first item and patched in
+// place as matches join the group.
 type lzoEncoder struct {
 	dst    []byte
-	ctrl   byte
-	nitems int
-	items  []byte
+	ctrl   int // index in dst of the open group's control byte
+	nitems int // items in the open group, 0..7 (0: no group is open)
 }
 
-func (e *lzoEncoder) flush() {
+// item opens a group if none is open and accounts for one more item in it.
+func (e *lzoEncoder) item(match bool) {
 	if e.nitems == 0 {
-		return
+		e.ctrl = len(e.dst)
+		e.dst = append(e.dst, 0)
 	}
-	e.dst = append(e.dst, e.ctrl)
-	e.dst = append(e.dst, e.items...)
-	e.ctrl = 0
-	e.nitems = 0
-	e.items = e.items[:0]
+	if match {
+		e.dst[e.ctrl] |= 1 << uint(e.nitems)
+	}
+	e.nitems = (e.nitems + 1) & 7
 }
 
 func (e *lzoEncoder) literal(b byte) {
-	e.items = append(e.items, b)
-	e.nitems++
-	if e.nitems == 8 {
-		e.flush()
-	}
+	e.item(false)
+	e.dst = append(e.dst, b)
 }
 
 func (e *lzoEncoder) match(offset, length int) {
+	e.item(true)
 	off := offset - 1
-	e.ctrl |= 1 << uint(e.nitems)
 	if length <= 9 {
-		e.items = append(e.items, byte((off>>8)<<3)|byte(length-lzoMinMatch), byte(off))
-	} else {
-		e.items = append(e.items, byte((off>>8)<<3)|7, byte(off))
-		rem := length - 10
-		for rem >= 255 {
-			e.items = append(e.items, 255)
-			rem -= 255
-		}
-		e.items = append(e.items, byte(rem))
+		e.dst = append(e.dst, byte((off>>8)<<3)|byte(length-lzoMinMatch), byte(off))
+		return
 	}
-	e.nitems++
-	if e.nitems == 8 {
-		e.flush()
+	e.dst = append(e.dst, byte((off>>8)<<3)|7, byte(off))
+	rem := length - 10
+	for rem >= 255 {
+		e.dst = append(e.dst, 255)
+		rem -= 255
 	}
+	e.dst = append(e.dst, byte(rem))
 }
 
 // LZO is the lzo-class codec.
@@ -100,7 +95,7 @@ func lzoHash(v uint32) uint32 {
 func (c *LZO) Compress(dst, src []byte) []byte {
 	n := len(src)
 	var table [1 << lzoHashLog]int32
-	e := &lzoEncoder{dst: dst}
+	e := lzoEncoder{dst: dst}
 
 	pos := 0
 	for pos < n {
@@ -140,13 +135,13 @@ func (c *LZO) Compress(dst, src []byte) []byte {
 		e.literal(src[pos])
 		pos++
 	}
-	e.flush()
 	return e.dst
 }
 
 // Decompress implements Codec.
 func (c *LZO) Decompress(dst, src []byte) ([]byte, error) {
 	base := len(dst)
+	maxLen := base + lzMaxExpansion(len(src))
 	i := 0
 	n := len(src)
 	for i < n {
@@ -183,13 +178,10 @@ func (c *LZO) Decompress(dst, src []byte) ([]byte, error) {
 					}
 				}
 			}
-			if offset > len(dst)-base {
+			if offset > len(dst)-base || len(dst)+length > maxLen {
 				return dst, ErrCorrupt
 			}
-			m := len(dst) - offset
-			for j := 0; j < length; j++ {
-				dst = append(dst, dst[m+j])
-			}
+			dst = appendMatch(dst, offset, length)
 		}
 	}
 	return dst, nil

@@ -145,11 +145,11 @@ func TestZstdEncoderBaseWrap(t *testing.T) {
 }
 
 // TestScratchAllocsPerRun: a warmed encoder compresses a page without
-// allocating — the property the sweep's alloc_bytes_per_op rests on.
+// allocating, for every codec — the property alloc_bytes_per_op rests on.
+// The destination is warmed with it, as a push thread's arena is.
 func TestScratchAllocsPerRun(t *testing.T) {
-	pages := goldenPages()[:64*4] // zero, nci, binary, dickens
-	for _, name := range []string{"zstd", "deflate"} {
-		c := MustLookup(name)
+	pages := goldenPages()
+	for _, c := range allCodecs(t) {
 		var s Scratch
 		var dst []byte
 		pass := func() {
@@ -159,7 +159,7 @@ func TestScratchAllocsPerRun(t *testing.T) {
 		}
 		pass()
 		if n := testing.AllocsPerRun(5, pass); n != 0 {
-			t.Errorf("%s: %v allocations per %d pages on a warmed Scratch, want 0", name, n, len(pages))
+			t.Errorf("%s: %v allocations per %d pages on a warmed Scratch, want 0", c.Name(), n, len(pages))
 		}
 	}
 }

@@ -181,41 +181,47 @@ var dickensWords = []string{
 	"come", "went", "old", "us", "through", "looked", "himself", "face",
 }
 
+// dickensZipf is the word sampler's constants, computed once; every page
+// draws from its own copy, bound to the page's generator.
+var dickensZipf = stats.MakeZipf(nil, int64(len(dickensWords)), 1.0, false)
+
 // fillDickens emits word sequences with Zipf-distributed word choice,
 // sentence structure, and punctuation, approximating English prose entropy
 // (typical deflate ratio ~2.5-3x).
+//
+// Known fidelity bug, pinned rather than fixed: θ = 1.0 is the YCSB
+// formula's singularity (alpha = 1/(1−θ) = +Inf, eta = 0), so every draw
+// past rank 1 lands on the last word and the vocabulary collapses to
+// "the", "of" and "face" plus the rare words ("Face the face face zlltea
+// face face."). Fixing it moves every Dickens, Mixed and Regional byte and
+// with them every ratio and TCO number, so it waits for ROADMAP item 3's
+// re-baseline; TestFillGolden holds today's bytes until then.
 func fillDickens(rng *stats.RNG, buf []byte) {
-	z := stats.MakeZipf(rng, int64(len(dickensWords)), 1.0, false)
+	z := dickensZipf.WithRNG(rng)
 	pos := 0
 	wordsInSentence := 0
-	var rare [12]byte
 	for pos < len(buf) {
-		var w string
+		// Words go straight into buf (what does not fit is dropped); all
+		// are lowercase ASCII.
+		start := pos
 		if rng.Float64() < 0.30 {
 			// Rare words: English text has a long vocabulary tail; without it
 			// the data deflates far better than real prose.
 			n := 4 + rng.Intn(8)
 			for i := 0; i < n; i++ {
-				rare[i] = byte('a' + rng.Intn(26))
+				c := byte('a' + rng.Intn(26))
+				if pos < len(buf) {
+					buf[pos] = c
+					pos++
+				}
 			}
-			w = string(rare[:n])
 		} else {
-			w = dickensWords[z.Next()]
+			pos += copy(buf[pos:], dickensWords[z.Next()])
 		}
-		if wordsInSentence == 0 && len(w) > 0 {
+		if wordsInSentence == 0 {
 			// Capitalize sentence starts.
-			c := w[0]
-			if c >= 'a' && c <= 'z' {
-				c = c - 'a' + 'A'
-			}
-			if pos < len(buf) {
-				buf[pos] = c
-				pos++
-			}
-			w = w[1:]
+			buf[start] -= 'a' - 'A'
 		}
-		n := copy(buf[pos:], w)
-		pos += n
 		wordsInSentence++
 		if pos >= len(buf) {
 			break

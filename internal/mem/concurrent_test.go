@@ -30,7 +30,10 @@ func (l *lcg) next() uint64 {
 // ownership contract says it is driven: rounds of an access phase — one
 // goroutine, reads, writes and faults into a half-size DRAM, no lock —
 // alternating with a migration phase of migrators, a compactor and stat
-// readers all at once, the raw (unordered) push-thread shape. A WaitGroup
+// readers all at once, the raw (unordered) push-thread shape. Every third
+// region is incompressible, and one migrator takes the split path, so the
+// rejection bits are set by commits (write lock) beside prepares reading
+// them (read lock) and cleared by the access phase's writes. A WaitGroup
 // ends each phase, which is all that orders it before the next. The race
 // detector checks the migration phase's locking and that the hand-over is
 // enough for the lock-free accesses; the conservation invariants, checked
@@ -44,7 +47,7 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 	const rounds = 5
 	m, err := NewManager(Config{
 		NumPages:          numPages,
-		Content:           corpus.NewGenerator(corpus.Dickens, 7),
+		Content:           corpus.NewGenerator(corpus.Regional, 7),
 		DRAMCapacityPages: numPages / 2, // force fault-spill and fallback paths
 		ByteTiers:         []media.Kind{media.NVMM},
 		CompressedTiers:   []ztier.Config{ztier.CT1(), ztier.CT2()},
@@ -92,17 +95,26 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 		// sweep semantics) beside a compactor and the daemon-side readers.
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
-			go func(seed lcg) {
+			go func(seed lcg, split bool) {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
 					r := RegionID(seed.next() % uint64(numRegions))
 					dest := TierID(seed.next() % uint64(numTiers))
-					if _, err := m.MigrateRegion(r, dest); err != nil && !errors.Is(err, ErrTierFull) {
+					var err error
+					if split {
+						var pr *PreparedRegion
+						if pr, err = m.PrepareRegionMigration(r, dest); err == nil {
+							_, err = m.CommitRegionMigration(pr)
+						}
+					} else {
+						_, err = m.MigrateRegion(r, dest)
+					}
+					if err != nil && !errors.Is(err, ErrTierFull) {
 						t.Errorf("migrate region %d → tier %d: %v", r, dest, err)
 						return
 					}
 				}
-			}(lcg(100 + 2*round + g))
+			}(lcg(100+2*round+g), g == 1)
 		}
 		wg.Add(1)
 		go func() {
@@ -143,6 +155,9 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 		if round == 0 && m.Counters().Faults == faults {
 			t.Fatal("the access phase never faulted; the stress is vacuous")
 		}
+	}
+	if m.Counters().Rejects == 0 {
+		t.Fatal("no page was ever rejected as incompressible; the rejection bits went unexercised")
 	}
 }
 

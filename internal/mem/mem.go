@@ -134,13 +134,26 @@ type ctTier struct {
 	info  TierInfo
 	tier  *ztier.Tier
 	pages atomic.Int64
+	// rejectBit is the tier's codec's bit in pte.rejected; tiers sharing a
+	// codec share it. Zero for a codec past the eighth, which then goes
+	// unremembered.
+	rejectBit uint8
 }
 
 // pte is a page-table entry.
 type pte struct {
 	tier    TierID
 	version uint32
-	handle  ztier.Handle // valid when the tier is compressed
+	// rejected remembers, one bit per codec (ctTier.rejectBit), that this
+	// version of the page was rejected as incompressible: whether a codec
+	// shrinks given bytes never changes, so the next demotion towards that
+	// codec need not regenerate and compress the page to be rejected
+	// again. Set by commitPage under the region write lock, read by
+	// prepareGeneric under the read lock, cleared with every version bump
+	// by the access phase's single owner. It sits in the padding version
+	// leaves before handle: a pte stays 40 bytes.
+	rejected uint8
+	handle   ztier.Handle // valid when the tier is compressed
 }
 
 // Config configures a Manager.
@@ -357,7 +370,7 @@ func NewManager(cfg Config) (*Manager, error) {
 			AccessNs:  zt.TypicalAccessNs(),
 			CostPerGB: cost(tc.Media, zt.CostPerGB()),
 		}
-		m.cts = append(m.cts, &ctTier{info: info, tier: zt})
+		m.cts = append(m.cts, &ctTier{info: info, tier: zt, rejectBit: m.codecRejectBit(tc.Codec)})
 		m.tiers = append(m.tiers, info)
 	}
 	m.migratedIn = make([]atomic.Int64, len(m.tiers))
@@ -374,6 +387,20 @@ func NewManager(cfg Config) (*Manager, error) {
 	// All pages start in DRAM.
 	m.ba[0].pages.Store(cfg.NumPages)
 	return m, nil
+}
+
+// codecRejectBit returns the pte.rejected bit of a codec about to get a
+// tier: the bit of an earlier tier with the same codec, else the next free
+// one, else none.
+func (m *Manager) codecRejectBit(codec string) uint8 {
+	var used uint8
+	for _, ct := range m.cts {
+		if ct.info.Codec == codec {
+			return ct.rejectBit
+		}
+		used |= ct.rejectBit
+	}
+	return (used + 1) &^ used // bits are handed out lowest first; 0 once all eight are taken
 }
 
 // regionLock returns the lock stripe owning region r.
@@ -479,6 +506,7 @@ func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (Acc
 	e := &m.ptes[p]
 	if write {
 		e.version++
+		e.rejected = 0 // new bytes: no codec has seen them
 	}
 	if int(e.tier) < len(m.ba) {
 		return AccessResult{LatencyNs: m.ba[e.tier].info.AccessNs, Tier: e.tier}, nil
@@ -576,10 +604,9 @@ type preparedPage struct {
 	// Generic-path materials. They are prepared eagerly when there is no
 	// fast-path candidate, and lazily at commit time when there is one
 	// but the direct store gets rejected (rare: bounded destination).
-	generic     bool
-	srcLoadNs   float64
-	destPrep    ztier.PreparedStore
-	hasDestPrep bool
+	generic   bool
+	srcLoadNs float64
+	destPrep  ztier.PreparedStore
 
 	sc *MigrationScratch // buffer and codec-state source (nil = global pool, stateless)
 	// bufs[:nbufs] are the scratch buffers backing fastComp, the source
@@ -664,6 +691,13 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 		pp.srcLoadNs = loadNs
 		pageBytes = out
 	} else if dstIsCT {
+		if e.rejected&dstCT.rejectBit != 0 {
+			// A remembered rejection: the store PrepareStore would build
+			// from the regenerated page, without either.
+			pp.destPrep = dstCT.tier.RejectedStore()
+			pp.generic = true
+			return nil
+		}
 		buf := pp.sc.get()
 		pageBytes = m.content(pp.page, *buf)
 		pp.hold(buf)
@@ -675,7 +709,6 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 			*cbuf = s[:0]
 		}
 		pp.hold(cbuf)
-		pp.hasDestPrep = true
 	}
 	pp.generic = true
 	return nil
@@ -763,6 +796,12 @@ func (m *Manager) commitPage(pp preparedPage) (MigrationResult, error) {
 			e.tier = fb
 			if !errors.Is(err, ztier.ErrTierFull) {
 				m.rejects.Add(1)
+			}
+			if errors.Is(err, ztier.ErrIncompressible) {
+				// True of these bytes under this codec until the next
+				// write. A full tier says nothing about the page and is
+				// not remembered.
+				e.rejected |= dstCT.rejectBit
 			}
 			res.Rejected = 1
 			return res, nil

@@ -50,6 +50,14 @@ func MakeZipf(rng *RNG, n int64, theta float64, scramble bool) Zipf {
 	return z
 }
 
+// WithRNG returns a copy of z that draws from rng. A caller that needs a
+// fresh sampler per call (a page fill) keeps one template and rebinds it,
+// instead of paying MakeZipf's zeta(n, theta) — a sum of n Pows — each time.
+func (z Zipf) WithRNG(rng *RNG) Zipf {
+	z.rng = rng
+	return z
+}
+
 // NewZipf is MakeZipf on the heap.
 func NewZipf(rng *RNG, n int64, theta float64, scramble bool) *Zipf {
 	z := MakeZipf(rng, n, theta, scramble)

@@ -17,7 +17,12 @@ type RNG struct {
 	inc   uint64
 }
 
-const pcgMult = 6364136223846793005
+const (
+	pcgMult = 6364136223846793005
+	// pcgMult2 is pcgMult² mod 2^64: the multiplier of two steps taken
+	// as one.
+	pcgMult2 = pcgMult * pcgMult & (1<<64 - 1)
+)
 
 // MakeRNG returns a generator seeded with seed, by value: a caller that
 // needs a generator for the length of one call (hashing a key, filling a
@@ -42,21 +47,32 @@ func NewRNG(seed uint64) *RNG {
 // Split derives a new, statistically independent generator from r.
 // The derived stream is deterministic given r's current state.
 func (r *RNG) Split() *RNG {
-	return NewRNG(uint64(r.Uint32())<<32 | uint64(r.Uint32()))
+	return NewRNG(r.Uint64())
+}
+
+// pcgOutput is PCG-XSH-RR's output function of a state.
+func pcgOutput(state uint64) uint32 {
+	xorshifted := uint32(((state >> 18) ^ state) >> 27)
+	rot := uint32(state >> 59)
+	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
 }
 
 // Uint32 returns the next 32 uniformly distributed bits.
 func (r *RNG) Uint32() uint32 {
 	old := r.state
 	r.state = old*pcgMult + r.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	return pcgOutput(old)
 }
 
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits: two Uint32 draws,
+// the first in the high half. It advances the state two steps at once —
+// (s·M + inc)·M + inc = s·M² + inc·(M+1) — so neither the next draw nor the
+// second output waits on the first step's multiply.
 func (r *RNG) Uint64() uint64 {
-	return uint64(r.Uint32())<<32 | uint64(r.Uint32())
+	s0 := r.state
+	s1 := s0*pcgMult + r.inc
+	r.state = s0*pcgMult2 + r.inc*(pcgMult+1)
+	return uint64(pcgOutput(s0))<<32 | uint64(pcgOutput(s1))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

@@ -298,8 +298,18 @@ type PreparedStore struct {
 
 // Scratch exposes the (possibly reallocated) compression buffer backing
 // the prepared object, so callers recycling pooled buffers can keep the
-// grown one. Nil for same-filled pages, which compress nothing.
+// grown one. Nil for same-filled pages and remembered rejections, which
+// compress nothing.
 func (ps PreparedStore) Scratch() []byte { return ps.comp }
+
+// RejectedStore is the PreparedStore that PrepareStore builds for a page
+// this tier's codec cannot shrink, for a caller that already knows the
+// page to be one (the codec's verdict on given bytes never changes): the
+// same classification and the same modeled cost of the attempt, without
+// the bytes. CommitStore counts and charges it like any other rejection.
+func (t *Tier) RejectedStore() PreparedStore {
+	return PreparedStore{rejected: true, compressNs: CompressNs(t.cfg.Codec, PageSize)}
+}
 
 // PrepareStore runs the compute half of Store — the same-filled scan and
 // the compression into dst — without touching any shared tier state. cs is
