@@ -5,11 +5,17 @@ package compress
 // code lengths (128 bytes) with a trivial zero-run shortcut; codes are
 // limited to 15 bits via the standard length-limiting fold.
 
-import "sort"
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+	"sort"
+)
 
 const huffMaxBits = 15
 
-// bitWriter packs LSB-first bits.
+// bitWriter packs LSB-first bits, at most 32 a call, and hands them to
+// out four bytes at a time.
 type bitWriter struct {
 	out  []byte
 	acc  uint64
@@ -19,18 +25,18 @@ type bitWriter struct {
 func (w *bitWriter) writeBits(v uint32, n uint) {
 	w.acc |= uint64(v) << w.nacc
 	w.nacc += n
-	for w.nacc >= 8 {
-		w.out = append(w.out, byte(w.acc))
-		w.acc >>= 8
-		w.nacc -= 8
+	if w.nacc >= 32 {
+		w.out = binary.LittleEndian.AppendUint32(w.out, uint32(w.acc))
+		w.acc >>= 32
+		w.nacc -= 32
 	}
 }
 
+// flush writes out the buffered bits, the last byte zero-padded.
 func (w *bitWriter) flush() {
-	if w.nacc > 0 {
+	for ; w.nacc > 0; w.nacc -= min(w.nacc, 8) {
 		w.out = append(w.out, byte(w.acc))
-		w.acc = 0
-		w.nacc = 0
+		w.acc >>= 8
 	}
 }
 
@@ -219,13 +225,12 @@ func canonicalCodes(lengths *[256]uint8) [256]uint32 {
 		code = (code + uint32(count[bits-1])) << 1
 		next[bits] = code
 	}
-	// Canonical order: by (length, symbol).
-	for bits := uint8(1); bits <= huffMaxBits; bits++ {
-		for s := 0; s < 256; s++ {
-			if lengths[s] == bits {
-				codes[s] = next[bits]
-				next[bits]++
-			}
+	// Canonical order is (length, symbol): one pass in symbol order hands
+	// each length's codes out ascending.
+	for s, l := range lengths {
+		if l > 0 {
+			codes[s] = next[l]
+			next[l]++
 		}
 	}
 	return codes
@@ -298,99 +303,216 @@ func (hb *huffBuilder) encode(dst, src []byte) []byte {
 	return w.out
 }
 
+// huffTableBits is the widest primary decode table: 2^11 two-byte entries
+// (4 KB, half an L1) resolve every code of up to 11 bits in one lookup.
+// A symbol with a longer code has probability under 2^-11, so the walk
+// below runs for a handful of symbols a page.
+const huffTableBits = 11
+
+// huffRange is one code length's slice of the canonical code space.
+type huffRange struct {
+	first uint32 // first canonical code of this length
+	count uint32
+	base  int // index of its first symbol in huffDecoder.syms
+}
+
+// huffDecoder is the decoder's per-block state: the canonical code ranges
+// and symbol order the bit walk reads, and the primary table built from
+// them. Every block rebuilds all of it, so a decoder reused across blocks
+// (Scratch) and a fresh one on the caller's stack decode identically.
+type huffDecoder struct {
+	ranges [huffMaxBits + 1]huffRange
+	syms   [256]uint8 // symbols in canonical (length, symbol) order
+	// table maps the next tableBits input bits (LSB-first, as the reader
+	// holds them) to length<<8 | symbol; 0 marks a prefix no code of at
+	// most tableBits bits owns — a longer code, or a hole in an
+	// incomplete code set — which the walk resolves.
+	table     [1 << huffTableBits]uint16
+	tableBits uint
+}
+
+// refill tops the accumulator up to at least 56 bits, or to the end of
+// the input. The eight-byte load may leave bits of the next, uncounted
+// byte above nacc; they are that byte's true bits, and whichever load
+// counts it later ORs the same bits over them.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.in) {
+		r.acc |= binary.LittleEndian.Uint64(r.in[r.pos:]) << r.nacc
+		whole := (63 - r.nacc) >> 3
+		r.pos += int(whole)
+		r.nacc += whole * 8
+		return
+	}
+	for r.nacc <= 56 && r.pos < len(r.in) {
+		r.acc |= uint64(r.in[r.pos]) << r.nacc
+		r.pos++
+		r.nacc += 8
+	}
+}
+
 // huffDecode decodes one huffEncode block from src, appending the
 // original bytes to dst and returning the remaining input.
 func huffDecode(dst, src []byte) ([]byte, []byte, error) {
+	var d huffDecoder
+	return d.decode(dst, src)
+}
+
+// header parses a block's header and returns what follows it. For a raw
+// block (coded false) that is the n payload bytes, then the rest of the
+// input; for a coded block it is the bitstream of n symbols, whose code
+// ranges and table header has loaded.
+func (d *huffDecoder) header(src []byte) (n uint64, body []byte, coded bool, err error) {
 	if len(src) == 0 {
-		return dst, src, ErrCorrupt
+		return 0, src, false, ErrCorrupt
 	}
 	kind := src[0]
 	src = src[1:]
 	n, used := readUvarint(src)
 	if used <= 0 {
-		return dst, src, ErrCorrupt
+		return 0, src, false, ErrCorrupt
 	}
 	src = src[used:]
 	if kind == 0 {
 		if uint64(len(src)) < n {
-			return dst, src, ErrCorrupt
+			return 0, src, false, ErrCorrupt
 		}
-		return append(dst, src[:n]...), src[n:], nil
+		return n, src, false, nil
 	}
 	if kind != 1 || len(src) < 128 {
-		return dst, src, ErrCorrupt
+		return 0, src, false, ErrCorrupt
 	}
 	if n > 1<<24 {
-		return dst, src, ErrCorrupt // absurd block; reject
+		return 0, src, false, ErrCorrupt // absurd block; reject
 	}
 	var lengths [256]uint8
 	for i := 0; i < 128; i++ {
 		lengths[2*i] = src[i] & 0xf
 		lengths[2*i+1] = src[i] >> 4
 	}
-	src = src[128:]
+	d.load(&lengths)
+	return n, src[128:], true, nil
+}
 
-	// Build a decode table: map (reversed code, length) via a simple
-	// length-indexed lookup per bit prefix. For 4 KB blocks a bit-by-bit
-	// walk with per-length code ranges is fast enough and simple.
-	type rng struct {
-		first uint32 // first canonical code of this length
-		count uint32
-		base  int // index into symsByOrder
+// load derives the canonical ranges and symbol order from the code
+// lengths, and the primary table from those. The table is built only for
+// a code set that is not over-subscribed (Kraft sum <= 1): then the codes
+// are prefix-free and each table slot has at most one owner. A corrupt,
+// over-subscribed header leaves tableBits 0 and the whole block to the
+// walk, whose shortest-match-wins rule is the format's meaning there.
+func (d *huffDecoder) load(lengths *[256]uint8) {
+	var count [huffMaxBits + 1]uint32
+	for _, l := range lengths {
+		count[l]++
 	}
-	var ranges [huffMaxBits + 1]rng
-	var symsByOrder []int
-	{
-		var count [huffMaxBits + 1]uint32
-		for _, l := range lengths {
-			if l > 0 {
-				count[l]++
+	count[0] = 0
+	var next [huffMaxBits + 1]int
+	code, base, maxBits := uint32(0), 0, 0
+	kraft := uint32(0)
+	for nb := 1; nb <= huffMaxBits; nb++ {
+		code = (code + count[nb-1]) << 1
+		d.ranges[nb] = huffRange{first: code, count: count[nb], base: base}
+		next[nb] = base
+		base += int(count[nb])
+		kraft += count[nb] << (huffMaxBits - nb)
+		if count[nb] > 0 {
+			maxBits = nb
+		}
+	}
+	for s, l := range lengths {
+		if l > 0 {
+			d.syms[next[l]] = uint8(s)
+			next[l]++
+		}
+	}
+
+	d.tableBits = 0
+	if kraft > 1<<huffMaxBits || maxBits == 0 {
+		return
+	}
+	d.tableBits = uint(min(maxBits, huffTableBits))
+	// Restricted to codes of at most k bits the table has period 2^k, so
+	// it is grown by doubling: copy what the shorter codes own, then give
+	// each k-bit code its one new slot. The reader is LSB-first and codes
+	// are MSB-first: a code's slot is its bit reversal. Slots no code
+	// owns stay 0 through every copy.
+	table := d.table[:1<<d.tableBits]
+	table[0] = 0
+	for nb, size := 1, 1; nb <= int(d.tableBits); nb, size = nb+1, size*2 {
+		copy(table[size:2*size], table[:size])
+		rg := d.ranges[nb]
+		for i := uint32(0); i < rg.count; i++ {
+			slot := bits.Reverse16(uint16(rg.first+i)) >> (16 - nb)
+			table[slot] = uint16(nb)<<8 | uint16(d.syms[rg.base+int(i)])
+		}
+	}
+}
+
+// walk decodes one symbol a bit at a time against the per-length code
+// ranges: the reference decoder, and the path for codes longer than the
+// table, for the last bits of the input, and for anything corrupt. It
+// reports false when the input ends or no code matches within
+// huffMaxBits.
+func (d *huffDecoder) walk(r *bitReader) (byte, bool) {
+	code := uint32(0)
+	for nb := 1; nb <= huffMaxBits; nb++ {
+		b, ok := r.readBits(1)
+		if !ok {
+			return 0, false
+		}
+		code = code<<1 | b
+		rg := &d.ranges[nb]
+		if rg.count > 0 && code >= rg.first && code < rg.first+rg.count {
+			return d.syms[rg.base+int(code-rg.first)], true
+		}
+	}
+	return 0, false
+}
+
+// decode is huffDecode keeping its tables in d.
+func (d *huffDecoder) decode(dst, src []byte) ([]byte, []byte, error) {
+	n, body, coded, err := d.header(src)
+	if err != nil {
+		return dst, body, err
+	}
+	if !coded {
+		return append(dst, body[:n]...), body[n:], nil
+	}
+	// Every symbol takes at least one bit, so a header cannot ask for
+	// more room than its body could fill.
+	dst = slices.Grow(dst, int(min(n, 8*uint64(len(body)))))
+	r := bitReader{in: body}
+	if tb := d.tableBits; tb != 0 {
+		table := d.table[:1<<tb]
+		for n > 0 {
+			r.refill()
+			if r.nacc < tb {
+				break // the input's last few bits: the walk finishes
 			}
-		}
-		code := uint32(0)
-		base := 0
-		for bits := 1; bits <= huffMaxBits; bits++ {
-			code = (code + count[bits-1]) << 1
-			ranges[bits] = rng{first: code, count: count[bits], base: base}
-			base += int(count[bits])
-		}
-		symsByOrder = make([]int, 0, base)
-		for bits := uint8(1); bits <= huffMaxBits; bits++ {
-			for s := 0; s < 256; s++ {
-				if lengths[s] == bits {
-					symsByOrder = append(symsByOrder, s)
+			for ; n > 0 && r.nacc >= tb; n-- {
+				e := table[r.acc&uint64(len(table)-1)]
+				if e == 0 {
+					sym, ok := d.walk(&r)
+					if !ok {
+						return dst, body, ErrCorrupt
+					}
+					dst = append(dst, sym)
+					continue
 				}
+				dst = append(dst, byte(e))
+				r.acc >>= e >> 8
+				r.nacc -= uint(e >> 8)
 			}
 		}
 	}
-
-	r := bitReader{in: src}
-	out := uint64(0)
-	for out < n {
-		code := uint32(0)
-		var bits uint8
-		found := false
-		for bits = 1; bits <= huffMaxBits; bits++ {
-			b, ok := r.readBits(1)
-			if !ok {
-				return dst, src, ErrCorrupt
-			}
-			code = code<<1 | b
-			rg := ranges[bits]
-			if rg.count > 0 && code >= rg.first && code < rg.first+rg.count {
-				dst = append(dst, byte(symsByOrder[rg.base+int(code-rg.first)]))
-				found = true
-				break
-			}
+	for ; n > 0; n-- {
+		sym, ok := d.walk(&r)
+		if !ok {
+			return dst, body, ErrCorrupt
 		}
-		if !found {
-			return dst, src, ErrCorrupt
-		}
-		out++
+		dst = append(dst, sym)
 	}
 	// Consumed bytes: r.pos minus whole bytes still buffered in acc.
-	rem := src[r.pos-int(r.nacc/8):]
-	return dst, rem, nil
+	return dst, body[r.pos-int(r.nacc/8):], nil
 }
 
 func appendUvarint(dst []byte, v uint64) []byte {

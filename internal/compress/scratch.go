@@ -1,8 +1,9 @@
 package compress
 
 // Scratch is one owner's reusable codec working state: the lz4 and
-// zstd-class encoders' tables and buffers, lz4hc's chain, the 842
-// dictionaries, and a flate writer and reader. It models
+// zstd-class encoders' tables and buffers, the zstd-class decoder's
+// streams and Huffman tables, lz4hc's chain, the 842 dictionaries, and a
+// flate writer and reader. It models
 // the per-CPU compression contexts the kernel's zswap keeps
 // (crypto_acomp): state that makes a page cheaper to compress without
 // carrying anything from one page to the next, so output bytes are those
@@ -14,11 +15,12 @@ package compress
 // a time (a push thread, a tier's fused store path under the tier lock) —
 // and is garbage once its owner is.
 type Scratch struct {
-	lz4   *lz4Encoder
-	lz4hc lz4hcEncoder
-	b842  *b842Dict
-	zstd  *zstdEncoder
-	flate *flateState
+	lz4     *lz4Encoder
+	lz4hc   lz4hcEncoder
+	b842    *b842Dict
+	zstd    *zstdEncoder
+	zstdDec *zstdDecoder
+	flate   *flateState
 }
 
 // scratchCompressor and scratchDecompressor are implemented by the codecs

@@ -144,22 +144,43 @@ func TestZstdEncoderBaseWrap(t *testing.T) {
 	}
 }
 
-// TestScratchAllocsPerRun: a warmed encoder compresses a page without
-// allocating, for every codec — the property alloc_bytes_per_op rests on.
-// The destination is warmed with it, as a push thread's arena is.
+// TestScratchAllocsPerRun: a warmed Scratch compresses a page, and
+// decompresses one, without allocating, for every codec — the property
+// alloc_bytes_per_op rests on. The destination is warmed with it, as a
+// push thread's arena and the fault path's page buffer are.
 func TestScratchAllocsPerRun(t *testing.T) {
 	pages := goldenPages()
 	for _, c := range allCodecs(t) {
 		var s Scratch
 		var dst []byte
-		pass := func() {
+		comp := make([][]byte, len(pages))
+		for i, pg := range pages {
+			comp[i] = c.Compress(nil, pg)
+		}
+		compress := func() {
 			for _, pg := range pages {
 				dst = s.Compress(c, dst[:0], pg)
 			}
 		}
-		pass()
-		if n := testing.AllocsPerRun(5, pass); n != 0 {
-			t.Errorf("%s: %v allocations per %d pages on a warmed Scratch, want 0", c.Name(), n, len(pages))
+		decompress := func() {
+			for i := range comp {
+				var err error
+				if dst, err = s.Decompress(c, dst[:0], comp[i]); err != nil {
+					t.Fatalf("%s: page %d: %v", c.Name(), i, err)
+				}
+			}
+		}
+		for _, pass := range []struct {
+			name string
+			run  func()
+		}{{"compress", compress}, {"decompress", decompress}} {
+			if pass.name == "decompress" && c.Name() == "deflate" {
+				continue // compress/flate's reader allocates on every Reset
+			}
+			pass.run()
+			if n := testing.AllocsPerRun(5, pass.run); n != 0 {
+				t.Errorf("%s: %s: %v allocations per %d pages on a warmed Scratch, want 0", c.Name(), pass.name, n, len(pages))
+			}
 		}
 	}
 }

@@ -82,6 +82,33 @@ func (e *zstdEncoder) emitSeq(lits []byte, matchLen, offset int) {
 	e.literals = append(e.literals, lits...)
 }
 
+// zstdBestMatch walks pos's hash chain from cand, at most zstdDepth
+// candidates deep and zstdWindow bytes back, and returns the longest
+// match's length and offset — the nearest candidate's on a tie, 0, 0 when
+// nothing matches four bytes. cur is the four bytes at pos; chain[p] is
+// the previous position sharing p's hash, plus one.
+func zstdBestMatch(src []byte, chain []int32, cand, pos int, cur uint32) (bestLen, bestOff int) {
+	n := len(src)
+	for c, tries := cand, zstdDepth; c >= 0 && tries > 0; tries-- {
+		off := pos - c
+		if off > zstdWindow {
+			break
+		}
+		// A candidate beats bestLen only if it also matches the byte
+		// just past it; most of a deep chain does not.
+		if src[c+bestLen] == src[pos+bestLen] && load32(src, c) == cur {
+			if l := lz4MatchLen(src, c, pos, n); l > bestLen {
+				bestLen, bestOff = l, off
+				if pos+l == n {
+					break // reaches the end of the block: nothing is longer
+				}
+			}
+		}
+		c = int(chain[c]) - 1
+	}
+	return bestLen, bestOff
+}
+
 func (e *zstdEncoder) compress(dst, src []byte) []byte {
 	n := len(src)
 	e.literals, e.tokens = e.literals[:0], e.tokens[:0]
@@ -112,26 +139,12 @@ func (e *zstdEncoder) compress(dst, src []byte) []byte {
 		pos := 0
 		limit := n - 4
 		for pos <= limit {
-			h := zstdHash(load32(src, pos))
+			cur := load32(src, pos)
+			h := zstdHash(cur)
 			prev := rel(table[h])
 			table[h] = base + uint32(pos) + 1
 			chain[pos] = prev
-			cand := int(prev) - 1
-
-			bestLen, bestOff := 0, 0
-			for c, tries := cand, zstdDepth; c >= 0 && tries > 0; tries-- {
-				off := pos - c
-				if off > zstdWindow {
-					break
-				}
-				if load32(src, c) == load32(src, pos) {
-					l := lz4MatchLen(src, c, pos, n)
-					if l > bestLen {
-						bestLen, bestOff = l, off
-					}
-				}
-				c = int(chain[c]) - 1
-			}
+			bestLen, bestOff := zstdBestMatch(src, chain, int(prev)-1, pos, cur)
 			if bestLen < zstdMinMatch {
 				pos++
 				continue
@@ -155,22 +168,48 @@ func (e *zstdEncoder) compress(dst, src []byte) []byte {
 	return e.huff.encode(dst, e.tokens)
 }
 
-// Decompress implements Codec.
+// zstdDecoder is the decoder's working state: the two entropy-decoded
+// streams and the Huffman tables. Like the encoder's, it carries nothing
+// from one block to the next.
+type zstdDecoder struct {
+	literals []byte
+	tokens   []byte
+	huff     huffDecoder
+}
+
+// zstdMaxMatch bounds one sequence's match length, as huffDecode bounds a
+// block: a longer one is a corrupt length, not 16 MB of page.
+const zstdMaxMatch = 1 << 24
+
+// Decompress implements Codec with a throwaway decoder on the caller's
+// stack; owners that decompress many pages reuse one through Scratch.
 func (*Zstd2) Decompress(dst, src []byte) ([]byte, error) {
+	var d zstdDecoder
+	return d.decompress(dst, src)
+}
+
+func (*Zstd2) decompressScratch(s *Scratch, dst, src []byte) ([]byte, error) {
+	if s.zstdDec == nil {
+		s.zstdDec = new(zstdDecoder)
+	}
+	return s.zstdDec.decompress(dst, src)
+}
+
+func (d *zstdDecoder) decompress(dst, src []byte) ([]byte, error) {
 	base := len(dst)
-	var literals, tokens []byte
 	var err error
-	literals, src, err = huffDecode(nil, src)
+	d.literals, src, err = d.huff.decode(d.literals[:0], src)
 	if err != nil {
 		return dst, err
 	}
-	tokens, src, err = huffDecode(nil, src)
+	d.tokens, src, err = d.huff.decode(d.tokens[:0], src)
 	if err != nil {
 		return dst, err
 	}
 	if len(src) != 0 {
 		return dst, ErrCorrupt
 	}
+	literals, tokens := d.literals, d.tokens
 
 	litPos := 0
 	i := 0
@@ -194,6 +233,9 @@ func (*Zstd2) Decompress(dst, src []byte) ([]byte, error) {
 		if mlCode == 0 {
 			continue // literal-only (final) sequence
 		}
+		if mlCode > zstdMaxMatch {
+			return dst, ErrCorrupt
+		}
 		matchLen := int(mlCode) + zstdMinMatch - 1
 		if i+2 > len(tokens) {
 			return dst, ErrCorrupt
@@ -203,10 +245,7 @@ func (*Zstd2) Decompress(dst, src []byte) ([]byte, error) {
 		if offset == 0 || offset > len(dst)-base {
 			return dst, ErrCorrupt
 		}
-		m := len(dst) - offset
-		for j := 0; j < matchLen; j++ {
-			dst = append(dst, dst[m+j])
-		}
+		dst = appendMatch(dst, offset, matchLen)
 	}
 	if litPos != len(literals) {
 		return dst, ErrCorrupt

@@ -8,14 +8,37 @@
 // config — arrive while it runs, with no restart.
 //
 // Determinism contract: all daemon state is owned by a single loop
-// goroutine; ticks and commands are serialized onto it, and each tick
-// steps the attached workloads in attach order. A daemon stepped K ticks
-// over a recorded access stream therefore performs exactly the call
-// sequence NewStepper + K×Step — the definition of batch sim.Run — so
-// its results, window snapshots and move-event streams are byte-identical
-// to the batch run's, at any PushThreads setting (the equivalence suite
-// pins this). Wall time never enters: the Clock only decides when a
-// window happens, and the windows themselves run on modeled virtual time.
+// goroutine; ticks and commands are serialized onto it. A daemon stepped
+// K ticks over a recorded access stream performs, per workload, exactly
+// the call sequence NewStepper + K×(StepAccess, StepControl) — the
+// definition of batch sim.Run — so its results, window snapshots and
+// move-event streams are byte-identical to the batch run's, at any
+// PushThreads and any GOMAXPROCS (the equivalence suite pins this). Wall
+// time never enters: the Clock only decides when a window happens, and
+// the windows themselves run on modeled virtual time.
+//
+// What a tick overlaps: the access halves, and only those. A tick hands
+// every eligible workload's stepper to a goroutine of its own that runs
+// StepAccess (the hand-over is the go statement); the loop then walks the
+// workloads in attach order, receives workload i's access outcome on that
+// instance's one channel (the hand-back) and runs its StepControl itself.
+// Access halves share nothing — own manager (Attach rejects a shared
+// one), own workload, own profiler, no recorder — so they need no lock.
+// Control halves stay serial on the loop goroutine because that is where
+// a shared recorder is called: obs.Live and the event sinks see the same
+// calls in the same order as a serial loop, with no buffering and no
+// per-tenant recorder; because apply already fills the cores with its
+// push threads; and because the benchmark's trace reconstructs a tenant's
+// step as "the previous tenant's last recorder call → its own". There is
+// no cap on the access goroutines: a GOMAXPROCS-sized one measured slower
+// on four tenants × 2 vCPUs (3.0–3.1 M vs 3.4 M ops/s), since a capped
+// late starter delays the in-order control walk behind it.
+//
+// Fault containment: a step half that returns an error or panics
+// quarantines its workload — the error (for a panic: workload name, panic
+// value, stack) is parked on the instance, shown by Status, returned by
+// Detach with the partial result — and the other workloads keep ticking,
+// byte-identical to their solo runs.
 package daemon
 
 import (
@@ -23,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
@@ -123,6 +147,34 @@ type instance struct {
 	name string
 	st   *sim.Stepper
 	err  error
+	// accessed carries one tick's access-half outcome from the access
+	// goroutine back to the loop. Capacity 1: the send never blocks, so
+	// the goroutine always exits and the loop's receive is what waits.
+	accessed chan error
+	stepping bool // this tick started an access half (loop-owned)
+}
+
+// exhausted reports a drained streaming source (trace.Stream): it will
+// never produce another access.
+func (in *instance) exhausted() bool {
+	ex, ok := in.st.Workload().(interface{ Exhausted() bool })
+	return ok && ex.Exhausted()
+}
+
+// runAccess is the body of a tick's access goroutine.
+func (in *instance) runAccess() {
+	in.accessed <- in.guard("access", in.st.StepAccess)
+}
+
+// guard runs one half of a step and turns a panic in it into the error
+// that quarantines the workload.
+func (in *instance) guard(phase string, half func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("daemon: workload %q panicked in its %s phase: %v\n%s", in.name, phase, v, debug.Stack())
+		}
+	}()
+	return half()
 }
 
 // command is a closure shipped to the loop goroutine. Commands execute
@@ -212,22 +264,30 @@ func (d *Daemon) run() {
 	}
 }
 
-// tick runs one profile window for every attached workload, in attach
-// order. Errored instances are skipped (their error is parked for
-// Detach); exhausted streaming sources are skipped too — a drained
-// trace.Stream will never produce another access, so stepping it would
-// only record empty windows.
+// tick runs one profile window for every attached workload: all access
+// halves at once, each on its own goroutine, then the control halves on
+// this goroutine in attach order, each as soon as its workload's access
+// half is in (package comment, "What a tick overlaps"). Every goroutine
+// started here has been received from before tick returns. Errored
+// instances are skipped (their error is parked for Detach); exhausted
+// streaming sources are skipped too — a drained trace.Stream will never
+// produce another access, so stepping it would only record empty windows.
 func (d *Daemon) tick() {
 	for _, in := range d.insts {
-		if in.err != nil {
+		in.stepping = in.err == nil && !in.exhausted()
+		if in.stepping {
+			go in.runAccess()
+		}
+	}
+	for _, in := range d.insts {
+		if !in.stepping {
 			continue
 		}
-		if ex, ok := in.st.Workload().(interface{ Exhausted() bool }); ok && ex.Exhausted() {
-			continue
+		err := <-in.accessed
+		if err == nil {
+			err = in.guard("control", in.st.StepControl)
 		}
-		if err := in.st.Step(); err != nil {
-			in.err = err
-		}
+		in.err = err
 	}
 	d.ticks++
 	if d.live != nil {
@@ -265,8 +325,9 @@ func (d *Daemon) find(name string) int {
 
 // Attach adds a workload under a unique name. cfg is a full sim.Config
 // (cfg.Windows is ignored — the daemon decides how long the workload
-// runs); validation errors from sim.NewStepper are returned verbatim.
-// The new workload starts participating at the next tick.
+// runs); validation errors from sim.NewStepper are returned verbatim, and
+// a cfg.Manager that an attached workload already owns is rejected. The
+// new workload starts participating at the next tick.
 func (d *Daemon) Attach(name string, cfg sim.Config) error {
 	return d.do("attach", func() error {
 		if name == "" {
@@ -279,11 +340,18 @@ func (d *Daemon) Attach(name string, cfg sim.Config) error {
 			return fmt.Errorf("daemon: workload limit reached (%d attached, max %d)",
 				len(d.insts), d.cfg.MaxWorkloads)
 		}
+		// Access halves of one tick run at once, each assuming it owns
+		// its manager: a manager under two instances would be a data race.
+		for _, in := range d.insts {
+			if in.st.Manager() == cfg.Manager {
+				return fmt.Errorf("daemon: workload %q: its manager is already owned by attached workload %q", name, in.name)
+			}
+		}
 		st, err := sim.NewStepper(cfg)
 		if err != nil {
 			return err
 		}
-		d.insts = append(d.insts, &instance{name: name, st: st})
+		d.insts = append(d.insts, &instance{name: name, st: st, accessed: make(chan error, 1)})
 		if d.live != nil {
 			d.live.SetDaemonAttached(len(d.insts))
 		}
@@ -391,8 +459,9 @@ type WorkloadStatus struct {
 	// Exhausted reports a drained streaming source (the workload no
 	// longer ticks).
 	Exhausted bool `json:"exhausted,omitempty"`
-	// Err is the stepper's failure, if it has one (the workload no
-	// longer ticks; Detach returns this).
+	// Err is the stepper's failure — an error or a recovered panic — if
+	// it has one (the workload is quarantined: it no longer ticks; Detach
+	// returns this).
 	Err string `json:"error,omitempty"`
 }
 
@@ -412,10 +481,7 @@ func (d *Daemon) Status() (Status, error) {
 		s.Config = d.cfg
 		s.Workloads = make([]WorkloadStatus, 0, len(d.insts))
 		for _, in := range d.insts {
-			ws := WorkloadStatus{Name: in.name, Windows: in.st.Windows()}
-			if ex, ok := in.st.Workload().(interface{ Exhausted() bool }); ok {
-				ws.Exhausted = ex.Exhausted()
-			}
+			ws := WorkloadStatus{Name: in.name, Windows: in.st.Windows(), Exhausted: in.exhausted()}
 			if in.err != nil {
 				ws.Err = in.err.Error()
 			}

@@ -12,12 +12,12 @@ import (
 	"testing"
 
 	"tierscape/internal/corpus"
+	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/sim"
 	"tierscape/internal/trace"
-	"tierscape/internal/media"
 	"tierscape/internal/workload"
 	"tierscape/internal/ztier"
 )

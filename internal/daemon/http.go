@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -83,9 +84,15 @@ type commandRequest struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 }
 
+// maxCommandBody bounds a POST /command body. No command decodes more
+// than a few hundred bytes plus the embedder's attach spec; a larger body
+// is refused with 413 before it is buffered.
+const maxCommandBody = 1 << 20
+
 // NewHandler returns the daemon's runtime-command mux:
 //
 //	POST /command  {"op": ..., ...} → {"ok": true, ...} | {"error": ...}
+//	               (bodies over 1 MiB → 413)
 //	GET  /status   daemon Status as JSON
 //
 // It is mounted next to the obs introspection mux on -metrics-addr.
@@ -109,8 +116,13 @@ func NewHandler(d *Daemon, hc HandlerConfig) http.Handler {
 			return
 		}
 		var req commandRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad command body: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCommandBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, status, fmt.Errorf("bad command body: %w", err))
 			return
 		}
 		resp, err := dispatch(d, hc, req)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,6 +156,16 @@ func TestHTTPCommandErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", msg, tc.wantErr)
 			}
 		})
+	}
+
+	// A body over the 1 MiB bound is refused as too large, not parsed; one
+	// just under it is an ordinary command.
+	pad := func(n int) string { return `{"op":"barrier","name":"` + strings.Repeat("x", n) + `"}` }
+	if code, out := h.command(t, pad(2<<20)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB command body: status %d, want 413 (%v)", code, out)
+	}
+	if code, out := h.command(t, pad(1<<20-64)); code != http.StatusOK {
+		t.Fatalf("command body just under 1 MiB: status %d, want 200 (%v)", code, out)
 	}
 
 	// Wrong methods.

@@ -9,6 +9,16 @@
 // any driver that performs that same call sequence — batch loop, ticker,
 // test harness — produces byte-identical snapshots, move events and
 // aggregates, at every PushThreads setting.
+//
+// A step has two halves, split where the loop body already had a seam.
+// StepAccess is the window's OpsPerWindow operations: it touches only
+// state the stepper owns (workload, profiler, manager, accumulators) and
+// calls no recorder, so a driver with several steppers may run their
+// access halves at once, each on its own goroutine. StepControl is the
+// window boundary — profile → solve → plan → apply → compact → snapshot
+// → recorder calls — and is where a shared recorder sees the stepper, so
+// a driver runs those one at a time in a fixed order. Step is the two in
+// sequence; there is no other loop body.
 package sim
 
 import (
@@ -32,9 +42,11 @@ import (
 // so stepping can be suspended and resumed indefinitely (the resident
 // daemon ticks steppers for as long as their workloads stay attached).
 //
-// A Stepper is single-threaded: Step, Result and the accessors must not
-// be called concurrently. Config.Windows is ignored — the driver decides
-// how many windows happen.
+// A Stepper is single-threaded: the step calls, Result and the accessors
+// must not be called concurrently. The two halves of one step may run on
+// different goroutines as long as the driver orders them (StepAccess
+// returns before StepControl starts — a channel send, a WaitGroup).
+// Config.Windows is ignored — the driver decides how many windows happen.
 type Stepper struct {
 	cfg           Config
 	interference  float64
@@ -70,6 +82,39 @@ type Stepper struct {
 	totalAppNs       float64
 	lastProfOverhead float64
 	window           int
+
+	// The open window: which half comes next, and what the access half
+	// hands to the control half.
+	state      stepState
+	appNs      float64
+	prefetchNs float64
+}
+
+// stepState is where a stepper stands in its access → control cycle.
+type stepState uint8
+
+const (
+	stepReady    stepState = iota // between windows: StepAccess is next
+	stepAccessed                  // access half done: StepControl is next
+	stepFailed                    // a half returned an error or panicked
+)
+
+// begin admits one half of a step. The stepper is marked failed until the
+// half completes, so an error return — or a panic the driver recovers —
+// leaves it refusing every later call instead of double-counting a
+// half-run window. A call out of order is refused and changes nothing.
+func (s *Stepper) begin(call string, want stepState) error {
+	switch {
+	case s.state == want:
+		s.state = stepFailed
+		return nil
+	case s.state == stepFailed:
+		return fmt.Errorf("sim: %s on a stepper that failed in window %d", call, s.window)
+	case want == stepAccessed:
+		return fmt.Errorf("sim: %s without a preceding StepAccess (window %d)", call, s.window)
+	default:
+		return fmt.Errorf("sim: %s twice in a row: window %d awaits StepControl", call, s.window)
+	}
 }
 
 // NewStepper validates cfg and builds a stepper positioned before the
@@ -191,15 +236,28 @@ func (s *Stepper) Result() *Result {
 	return s.res
 }
 
-// Step runs one profile window: OpsPerWindow workload operations, then
-// the window-boundary control loop (profile → solve → plan → apply →
-// compact), appending the window's snapshot to the result and emitting
-// observability events exactly as Run does. After an error the stepper
-// must not be stepped again; the partial Result remains valid.
+// Step runs one profile window: the access half, then the control half.
+// After an error the stepper refuses further steps; the partial Result
+// remains valid.
 func (s *Stepper) Step() error {
+	if err := s.StepAccess(); err != nil {
+		return err
+	}
+	return s.StepControl()
+}
+
+// StepAccess runs the window's OpsPerWindow workload operations: NextOp →
+// telemetry → mem.Access → OpLat, plus fault-triggered prefetches. It
+// reads and writes only what the stepper owns and calls no recorder, so
+// it may run on any goroutine, beside other steppers' access halves.
+// StepControl must follow before the next StepAccess.
+func (s *Stepper) StepAccess() error {
+	if err := s.begin("StepAccess", stepReady); err != nil {
+		return err
+	}
 	w := s.window
 	cfg := &s.cfg
-	m, wl, recd := s.m, s.wl, s.recd
+	m, wl := s.m, s.wl
 	res := s.res
 
 	var appNs float64
@@ -242,6 +300,24 @@ func (s *Stepper) Step() error {
 		appNs += opNs
 	}
 	res.Ops += int64(cfg.OpsPerWindow)
+	s.appNs, s.prefetchNs = appNs, prefetchNs
+	s.state = stepAccessed
+	return nil
+}
+
+// StepControl closes the window StepAccess opened: the window-boundary
+// control loop (profile → solve → plan → apply → compact), the window's
+// snapshot appended to the result, and the observability events, exactly
+// as Run emits them. Every recorder call of the step happens here.
+func (s *Stepper) StepControl() error {
+	if err := s.begin("StepControl", stepAccessed); err != nil {
+		return err
+	}
+	w := s.window
+	cfg := &s.cfg
+	m, recd := s.m, s.recd
+	res := s.res
+	appNs, prefetchNs := s.appNs, s.prefetchNs
 
 	// The span trace clocks each control-loop phase only when a
 	// recorder is present; wall time is never read otherwise and never
@@ -372,5 +448,6 @@ func (s *Stepper) Step() error {
 		recd.RecordRuntime(rt)
 	}
 	s.window++
+	s.state = stepReady
 	return nil
 }

@@ -106,8 +106,8 @@ func (t *Writer) Events() int64 { return t.events }
 // for that; otherwise replay ends with empty ops and Replays stops
 // growing).
 type Reader struct {
-	src      io.Reader
-	r        *bufio.Reader
+	src       io.Reader
+	r         *bufio.Reader
 	numPages  int64
 	content   corpus.Profile
 	lastPage  int64
