@@ -25,6 +25,12 @@ type Zipf struct {
 	eta   float64
 	rank1 float64 // 1 + 0.5^theta: u·zetan below this draws rank 1
 
+	// powK != 0: alpha is the integer powK to within what powTol covers,
+	// and tailRank raises to it by squaring (see there). Chosen by MakeZipf
+	// from theta and n alone.
+	powK   uint
+	powTol float64
+
 	// shift support
 	offset      int64
 	shiftEvery  int64 // samples between hotspot rotations; 0 = static
@@ -38,15 +44,36 @@ type Zipf struct {
 // (YCSB default is 0.99), by value, for a sampler that lives for one call.
 // If scramble is true, ranks are hashed onto the key space (YCSB's
 // "scrambled zipfian") so popular items are spread out.
+//
+// theta must lie in [0, 1]; anything else (NaN included) panics, as a
+// non-positive n does. theta = 1 is the formula's singularity (alpha = +Inf,
+// eta = 0: every tail draw clamps to n-1) and is accepted only because
+// corpus.fillDickens' bytes depend on it until ROADMAP item 3's re-baseline.
 func MakeZipf(rng *RNG, n int64, theta float64, scramble bool) Zipf {
 	if n <= 0 {
 		panic("stats: Zipf with non-positive n")
+	}
+	if !(theta >= 0 && theta <= 1) {
+		panic("stats: Zipf with theta outside [0, 1]")
 	}
 	z := Zipf{rng: rng, n: n, scramble: scramble}
 	z.zetan = zetaStatic(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zetaStatic(2, theta)/z.zetan)
 	z.rank1 = 1 + math.Pow(0.5, theta)
+
+	// alpha = k + r. The tail's base b lies in [1-eta, 1], so dropping the
+	// factor b^r costs at most c = |r·ln(1-eta)| relative, and b^k is at
+	// least (1-eta)^k = e^(-k·l), a normal float64 while k·l < 700. Every
+	// comparison is false for a NaN or infinite operand (theta = 1; n = 2,
+	// where eta is 0/0), which leaves powK = 0.
+	k := math.Round(z.alpha)
+	l := -math.Log(1 - z.eta)
+	c := math.Abs((z.alpha - k) * l)
+	if k >= 2 && k <= 1024 && z.eta > 0 && z.eta < 1 && c < 1e-10 && k*l < 700 {
+		z.powK = uint(k)
+		z.powTol = 4 * (c + (k+8)*0x1p-52)
+	}
 	return z
 }
 
@@ -68,11 +95,17 @@ func NewZipf(rng *RNG, n int64, theta float64, scramble bool) *Zipf {
 // ranking rotates by "amount" positions. This models workloads whose hot set
 // drifts over time. Issued mid-stream, the rotation stays on the grid of
 // all draws made so far: the next one falls on the next multiple of every.
+// A rotation by amount is a rotation by amount mod n, negative amounts
+// included; every <= 0 turns rotation off.
 func (z *Zipf) SetShift(every, amount int64) {
-	z.shiftEvery = every
+	amount %= z.n
+	if amount < 0 {
+		amount += z.n // Next's single conditional subtract needs 0 <= offset < n
+	}
 	z.shiftAmount = amount
-	z.nextShift = 0
+	z.shiftEvery, z.nextShift = 0, 0
 	if every > 0 {
+		z.shiftEvery = every
 		z.nextShift = (z.count/every + 1) * every
 	}
 }
@@ -111,12 +144,11 @@ func (z *Zipf) Next() int64 {
 	case uz < z.rank1:
 		rank = 1
 	default:
-		rank = int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-		if rank >= z.n {
-			rank = z.n - 1
-		}
+		// b is computed once, so an architecture that fuses the multiply
+		// and subtract hands both of tailRank's paths the same base.
+		rank, _ = z.tailRank(z.eta*u - z.eta + 1)
 	}
-	// rank < n and |offset| < n, so one subtraction is the modulo.
+	// rank < n and 0 <= offset < n, so one subtraction is the modulo.
 	rank += z.offset
 	if rank >= z.n {
 		rank -= z.n
@@ -125,6 +157,61 @@ func (z *Zipf) Next() int64 {
 		rank = int64(fnvHash64(uint64(rank)) % uint64(z.n))
 	}
 	return rank
+}
+
+// tailRank is the YCSB tail formula's rank for base b in [1-eta, 1]:
+// min(int64(nf·math.Pow(b, alpha)), n-1) with nf = float64(n), a pure
+// function of the sampler's constants and b. fast reports that the
+// integer-power path below produced it without calling math.Pow; the rank is
+// the same number either way.
+//
+// Only the integer part of nf·Pow(b, alpha) survives, so when alpha is an
+// integer k to within rounding (powK != 0) it is enough to know b^k well:
+//
+//	y  = b^k, x = b^alpha = y·b^r            (reals; |r·ln b| <= c, MakeZipf)
+//	p̂  = b^k by square-and-multiply          = y·(1+d1), |d1| <= (k-1)·u
+//	P  = math.Pow(b, alpha)                  = x·(1+d2), |d2| <= (k+2)·u
+//	v̂  = fl(nf·p̂), T = fl(nf·P)              one rounding each, <= u
+//
+// with u = 2^-53. A product of computed powers b^i·b^j carries the factors'
+// errors plus one rounding, so any multiplication chain reaches b^k within
+// (k-1)·u; every intermediate is >= b^k >= e^-700, so none underflows.
+// Go's portable pow is that same chain over Frexp's mantissa (exponents
+// kept apart, exactly) times one Exp(r·Log b), which is within an ulp of
+// b^r — the three extra u. Together
+//
+//	|T/v̂ - 1| <= c + (2k+3)·u + O((k·u)^2) < c + (k+8)·2^-52 = powTol/4
+//
+// so |T - v̂| < powTol·v̂/4. If v̂ is farther than powTol·v̂ from both
+// f = ⌊v̂⌋ and f+1, then f < T < f+1 and int64(T) = f. The factor 4 is slack
+// for the guard's own two roundings and for a math.Pow a few ulp worse than
+// the portable one. v̂ <= nf, and v̂ = nf leaves v̂-f = 0, so a rank that
+// passes the guard is already below n: the clamp's cases all fall through.
+// FuzzZipfRankExact and TestZipfGuardFires check the equality, at random
+// and on draws placed at rank boundaries.
+func (z *Zipf) tailRank(b float64) (rank int64, fast bool) {
+	nf := float64(z.n)
+	if z.powK != 0 {
+		p, s := 1.0, b
+		for e := z.powK; ; s *= s {
+			if e&1 != 0 {
+				p *= s
+			}
+			if e >>= 1; e == 0 {
+				break
+			}
+		}
+		v := nf * p
+		f := int64(v)
+		if frac, tol := v-float64(f), z.powTol*v; frac > tol && 1-frac > tol {
+			return f, true
+		}
+	}
+	rank = int64(nf * math.Pow(b, z.alpha))
+	if rank >= z.n {
+		rank = z.n - 1
+	}
+	return rank, false
 }
 
 // N returns the universe size.

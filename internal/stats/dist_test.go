@@ -64,6 +64,39 @@ func TestZipfShiftMovesHotspot(t *testing.T) {
 	}
 }
 
+// TestZipfShiftNegativeAmount: a rotation by -7 is a rotation by n-7 (and by
+// -7-n), draw for draw, and never leaves [0, n) — it used to keep Go's
+// signed remainder as the offset and return negative ranks.
+func TestZipfShiftNegativeAmount(t *testing.T) {
+	const n = 100
+	neg := NewZipf(NewRNG(12), n, 0.99, false)
+	neg.SetShift(1, -7)
+	pos := NewZipf(NewRNG(12), n, 0.99, false)
+	pos.SetShift(1, n-7)
+	wrapped := NewZipf(NewRNG(12), n, 0.99, false)
+	wrapped.SetShift(1, -7-n)
+	for i := 0; i < 20000; i++ {
+		v := neg.Next()
+		if v < 0 || v >= n {
+			t.Fatalf("draw %d with amount -7: %d out of range", i, v)
+		}
+		if p, w := pos.Next(), wrapped.Next(); v != p || v != w {
+			t.Fatalf("draw %d: amount -7 drew %d, amount n-7 drew %d, amount -7-n drew %d", i, v, p, w)
+		}
+	}
+
+	// every <= 0 is a static ranking, whatever it was before.
+	static := NewZipf(NewRNG(13), n, 0.99, false)
+	off := NewZipf(NewRNG(13), n, 0.99, false)
+	off.SetShift(3, 11)
+	off.SetShift(-3, 11)
+	for i := 0; i < 1000; i++ {
+		if s, o := static.Next(), off.Next(); s != o {
+			t.Fatalf("draw %d: static drew %d, every=-3 drew %d", i, s, o)
+		}
+	}
+}
+
 func argmax(xs []int) int {
 	best := 0
 	for i, x := range xs {
