@@ -34,7 +34,6 @@ func main() {
 	plot := flag.Bool("plot", false, "also render scatter plots for slowdown-vs-savings exhibits (7, 10, 13)")
 	par := flag.Int("parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS); output is identical at any setting")
 	push := flag.Int("push", 0, "push threads applying migrations inside each run (0 = sim default); output is identical at any setting")
-	commitBatch := flag.Int("commit-batch", 0, "commit granularity in pages for the parallel apply engine (0 = whole-region commits); output is identical at any setting")
 	warm := flag.Bool("warm-solver", false, "solve each window's MCKP with the warm-start incremental solver; output is identical at any setting")
 	compactBudget := flag.Int("compact-budget", 0, "pool pages each run's per-window compaction may reclaim (0 = unbounded full sweep); NOTE: a bounded budget defers reclamation, so tables differ from the default")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) while exhibits run")
@@ -43,7 +42,6 @@ func main() {
 	flag.Parse()
 	experiments.SetParallelism(*par)
 	experiments.SetPushThreads(*push)
-	experiments.SetCommitBatch(*commitBatch)
 	experiments.SetWarmSolver(*warm)
 	experiments.SetCompactBudget(*compactBudget)
 

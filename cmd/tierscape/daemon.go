@@ -46,7 +46,6 @@ type specDefaults struct {
 	Seed          uint64
 	Ops           int
 	Push          int
-	CommitBatch   int
 	Prefetch      int
 	CompactBudget int
 	WarmSolver    bool
@@ -69,7 +68,6 @@ type workloadSpec struct {
 	Seed          *uint64  `json:"seed,omitempty"`
 	Ops           int      `json:"ops,omitempty"`
 	Push          int      `json:"push,omitempty"`
-	CommitBatch   int      `json:"commit_batch,omitempty"`
 	Prefetch      int      `json:"prefetch,omitempty"`
 	CompactBudget int      `json:"compact_budget,omitempty"`
 }
@@ -127,9 +125,6 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 	if spec.Push == 0 {
 		spec.Push = d.Push
 	}
-	if spec.CommitBatch == 0 {
-		spec.CommitBatch = d.CommitBatch
-	}
 	if spec.Prefetch == 0 {
 		spec.Prefetch = d.Prefetch
 	}
@@ -179,7 +174,6 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 		SampleRate:             50,
 		Seed:                   *spec.Seed,
 		PushThreads:            spec.Push,
-		CommitBatch:            spec.CommitBatch,
 		CompactBudget:          spec.CompactBudget,
 		PrefetchFaultThreshold: spec.Prefetch,
 		Recorder:               b.live,

@@ -45,7 +45,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed")
 	prefetch := flag.Int("prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
 	push := flag.Int("push", 2, "push threads applying migrations (results identical at any value)")
-	commitBatch := flag.Int("commit-batch", 0, "commit granularity in pages for the parallel apply engine (0 = whole-region commits; results identical at any value)")
 	compactBudget := flag.Int("compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
 	record := flag.String("record", "", "record the access trace to this file while running")
 	replay := flag.String("replay", "", "replay a recorded trace file as the workload")
@@ -84,7 +83,6 @@ func main() {
 				Seed:          *seed,
 				Ops:           *ops,
 				Push:          *push,
-				CommitBatch:   *commitBatch,
 				Prefetch:      *prefetch,
 				CompactBudget: *compactBudget,
 				WarmSolver:    *warmSolver,
@@ -140,7 +138,6 @@ func main() {
 		SampleRate:             50,
 		Seed:                   *seed,
 		PushThreads:            *push,
-		CommitBatch:            *commitBatch,
 		CompactBudget:          *compactBudget,
 		PrefetchFaultThreshold: *prefetch,
 	}
@@ -271,20 +268,20 @@ func main() {
 }
 
 // printTrace renders the span-style per-window trace: wall time of each
-// control-loop phase, the apply phase's prepare/commit split, and the
-// commit scheduler's contention counters. All values are wall-clock
-// measurements — they vary run to run and are not part of the
-// deterministic results.
+// control-loop phase, the apply phase's prepare/commit split, and how
+// often and how long push threads waited for their turn to commit. All
+// values are wall-clock measurements — they vary run to run and are not
+// part of the deterministic results.
 func printTrace(m *tierscape.MetricsRecorder) {
 	fmt.Println("\nper-window trace (wall-clock, nondeterministic):")
-	fmt.Println("window  profile_us  solve_us  plan_us  apply_us  compact_us  prepare_us  commit_us  sched_jobs  wakeups  blocked  stall_us")
+	fmt.Println("window  profile_us  solve_us  plan_us  apply_us  compact_us  prepare_us  commit_us  sched_jobs  blocked  stall_us")
 	for _, rt := range m.Runtimes {
 		p := rt.PhaseWallNs
-		fmt.Printf("%6d  %10.1f  %8.1f  %7.1f  %8.1f  %10.1f  %10.1f  %9.1f  %10d  %7d  %7d  %8.1f\n",
+		fmt.Printf("%6d  %10.1f  %8.1f  %7.1f  %8.1f  %10.1f  %10.1f  %9.1f  %10d  %7d  %8.1f\n",
 			rt.Window,
 			p[0]/1e3, p[1]/1e3, p[2]/1e3, p[3]/1e3, p[4]/1e3,
 			rt.PrepareWallNs/1e3, rt.CommitWallNs/1e3,
-			rt.Sched.Jobs, rt.Sched.Wakeups, rt.Sched.BlockedAwaits,
+			rt.Sched.Jobs, rt.Sched.BlockedAwaits,
 			float64(rt.Sched.StallNs)/1e3)
 	}
 }

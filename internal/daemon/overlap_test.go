@@ -13,12 +13,15 @@ import (
 	"strings"
 	"testing"
 
+	"tierscape/internal/corpus"
+	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/sim"
 	"tierscape/internal/telemetry"
 	"tierscape/internal/workload"
+	"tierscape/internal/ztier"
 )
 
 const (
@@ -215,9 +218,40 @@ func (p *panickyModel) Recommend(m *mem.Manager, prof telemetry.Profile) model.R
 	return p.Model.Recommend(m, prof)
 }
 
+// armedSource is a content source double that panics once armed: the next
+// page a push thread regenerates takes the thread down.
+type armedSource struct {
+	corpus.Source
+	armed bool
+}
+
+func (a *armedSource) Fill(pageIdx uint64, buf []byte) {
+	if a.armed {
+		panic("armedSource: boom")
+	}
+	a.Source.Fill(pageIdx, buf)
+}
+
+// armingModel arms src once its Nth Recommend has returned — after the
+// solve, which samples page contents itself, and before that window's
+// apply starts its push threads.
+type armingModel struct {
+	model.Model
+	src               *armedSource
+	failWindow, calls int
+}
+
+func (a *armingModel) Recommend(m *mem.Manager, prof telemetry.Profile) model.Recommendation {
+	rec := a.Model.Recommend(m, prof)
+	a.calls++
+	a.src.armed = a.calls-1 == a.failWindow
+	return rec
+}
+
 // TestDaemonQuarantine: a tenant that errors or panics at op N of window
-// K — in the access half, on its own goroutine, or in the control half,
-// on the loop's — is quarantined exactly like an errored one: its error
+// K — in the access half, on its own goroutine, in the control half, on
+// the loop's, or on one of the push threads its apply starts — is
+// quarantined exactly like an errored one: its error
 // names it, shows in Status, comes back from Detach with the windows that
 // did complete, and later ticks skip it; the daemon keeps serving; and its
 // neighbours, attached before and after it, finish byte-identical to
@@ -261,6 +295,21 @@ func TestDaemonQuarantine(t *testing.T) {
 		{"control-panic", func(cfg *sim.Config) {
 			cfg.Model = &panickyModel{Model: cfg.Model, failWindow: failWindow}
 		}, (failWindow + 1) * ovOpsPerWindow, []string{`workload "broken" panicked in its control phase`, "panickyModel: boom", "panickyModel).Recommend"}},
+		{"push-thread-panic", func(cfg *sim.Config) {
+			src := &armedSource{Source: corpus.NewGenerator(cfg.Workload.Content(), 99)}
+			m, err := mem.NewManager(mem.Config{
+				NumPages:        cfg.Workload.NumPages(),
+				Content:         src,
+				ByteTiers:       []media.Kind{media.NVMM},
+				CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Manager = m
+			// Waterfall demotes into the compressed tiers every window.
+			cfg.Model = &armingModel{Model: &model.Waterfall{Pct: 50}, src: src, failWindow: failWindow}
+		}, (failWindow + 1) * ovOpsPerWindow, []string{fmt.Sprintf("sim: window %d migration: sim: push thread panicked on move", failWindow), "armedSource: boom", "armedSource).Fill"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var capA, capB obs.Mem

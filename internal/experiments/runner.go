@@ -62,27 +62,6 @@ func SetPushThreads(n int) {
 // (0 = sim default).
 func PushThreads() int { return int(pushThreads.Load()) }
 
-// commitBatch is the intra-run commit granularity in pages; 0 means
-// whole-region commits (the sim default).
-var commitBatch atomic.Int64
-
-// SetCommitBatch sets the apply engine's commit granularity in pages for
-// every subsequently started run (sim.Config.CommitBatch): unchained
-// region moves commit in sub-region chunks and release finished
-// footprint tiers early. n < 1 restores whole-region commits. Tables are
-// byte-identical at every setting — the per-page commit order never
-// changes — so this, like SetPushThreads, is purely a wall-clock knob.
-func SetCommitBatch(n int) {
-	if n < 1 {
-		n = 0
-	}
-	commitBatch.Store(int64(n))
-}
-
-// CommitBatch reports the configured commit granularity in pages
-// (0 = whole-region commits).
-func CommitBatch() int { return int(commitBatch.Load()) }
-
 // compactBudget caps each run's per-window compaction pass; 0 means the
 // sim default (unbounded full sweep).
 var compactBudget atomic.Int64
@@ -273,9 +252,6 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 	}
 	if n := PushThreads(); n > 0 {
 		cfg.PushThreads = sim.Int(n)
-	}
-	if n := CommitBatch(); n > 0 {
-		cfg.CommitBatch = sim.Int(n)
 	}
 	if n := CompactBudget(); n > 0 {
 		cfg.CompactBudget = sim.Int(n)

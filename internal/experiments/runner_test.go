@@ -247,54 +247,3 @@ func TestConcurrentFallbackHeavyFig10CSV(t *testing.T) {
 		}
 	}
 }
-
-// withCommitBatch runs f with the engine-wide commit batch size pinned,
-// restoring whole-region commits afterwards.
-func withCommitBatch(t *testing.T, n int, f func()) {
-	t.Helper()
-	SetCommitBatch(n)
-	defer SetCommitBatch(0)
-	f()
-}
-
-// TestConcurrentCommitBatchIdenticalCSV extends the byte-identity
-// guarantee to the page-granular commit pipeline on the conflict-heaviest
-// shape we have: the fallback-heavy (clamped CT-1) Fig-10 sweep at
-// PushThreads 8 must emit the exact CSV of the serial whole-region run
-// for every commit batch size. Runs under -race -count=3 in CI (the
-// Concurrent suite).
-func TestConcurrentCommitBatchIdenticalCSV(t *testing.T) {
-	s := SmallScale()
-	clamped := func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-		m, err := standardManager(wl, seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.SetCompressedTierLimit(stdCT1, 24); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	var base string
-	withPushThreads(t, 1, func() {
-		tab, err := fig10With(s, clamped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base = tab.CSV()
-	})
-	for _, batch := range []int{4, 32} {
-		withPushThreads(t, 8, func() {
-			withCommitBatch(t, batch, func() {
-				tab, err := fig10With(s, clamped)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if csv := tab.CSV(); csv != base {
-					t.Fatalf("fallback-heavy Fig10 CSV differs between serial whole-region and PT8 batch=%d:\nbase:\n%s\nbatched:\n%s",
-						batch, base, csv)
-				}
-			})
-		})
-	}
-}

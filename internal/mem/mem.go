@@ -34,16 +34,16 @@
 // For deterministic parallelism, region migration additionally splits into
 // PrepareRegionMigration (pure compute: decompress + compress, safe to run
 // concurrently) and CommitRegionMigration (all state changes and placement
-// decisions). Committing prepared regions in a fixed order reproduces the
-// serial MigrateRegion outcome bit-for-bit regardless of how many
-// goroutines ran the prepare half — the contract sim.Run's push-thread
-// pool is built on.
+// decisions). Committing prepared regions one at a time in a fixed order
+// reproduces the serial MigrateRegion outcome bit-for-bit regardless of how
+// many goroutines ran the prepare half — the contract sim.Run's push-thread
+// pool, which commits in plan order, is built on. The manager itself knows
+// nothing about that order.
 package mem
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -181,27 +181,6 @@ type Config struct {
 // get one lock per region, large ones share stripes.
 const regionLockStripes = 256
 
-// TierSet is a bitmask of TierIDs — a migration's footprint over the
-// manager's order-sensitive tiers. Managers are limited to 64 tiers for
-// footprint purposes; callers with more tiers must fall back to full
-// ordering (see MoveFootprint).
-type TierSet uint64
-
-// With returns s with tier id added.
-func (s TierSet) With(id TierID) TierSet { return s | 1<<uint(id) }
-
-// Contains reports whether tier id is in the set.
-func (s TierSet) Contains(id TierID) bool { return s&(1<<uint(id)) != 0 }
-
-// Union returns the union of s and o.
-func (s TierSet) Union(o TierSet) TierSet { return s | o }
-
-// Overlaps reports whether the sets share any tier.
-func (s TierSet) Overlaps(o TierSet) bool { return s&o != 0 }
-
-// Len returns the number of tiers in the set.
-func (s TierSet) Len() int { return bits.OnesCount64(uint64(s)) }
-
 // Manager is the tiered memory manager.
 type Manager struct {
 	numPages int64
@@ -216,11 +195,11 @@ type Manager struct {
 	// regionMu stripes the page table by region for the migration phase,
 	// the only time several goroutines touch it: push threads preparing
 	// and committing moves, compaction, and the readers that may run
-	// beside them (TierOf, RegionResidency, MoveFootprint) each hold the
-	// owning region's lock around their pte reads and writes. Lock order
-	// is always region lock → tier lock (inside ztier); no path holds two
-	// region locks, so the striping cannot deadlock. The access phase
-	// takes none of this: see Access.
+	// beside them (TierOf, RegionResidency) each hold the owning region's
+	// lock around their pte reads and writes. Lock order is always region
+	// lock → tier lock (inside ztier); no path holds two region locks, so
+	// the striping cannot deadlock. The access phase takes none of this:
+	// see Access.
 	regionMu []sync.RWMutex
 
 	// counters
@@ -589,13 +568,6 @@ type preparedPage struct {
 
 	skip bool
 
-	// fp is this one page's commit footprint (pageFootprint at prepare
-	// time): the order-sensitive tiers committing just this page can read
-	// or mutate. The region's footprint is the union over its pages, and
-	// CommitBatch's per-tier remaining counts are built from these. Zero
-	// for skips.
-	fp TierSet
-
 	// Same-codec fast-path candidate (§7.1): the raw compressed object
 	// read from the source plus its modeled read latency.
 	fastComp []byte
@@ -638,7 +610,6 @@ func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch) (prep
 		pp.skip = true
 		return pp, nil
 	}
-	pp.fp = m.pageFootprint(e.tier, dest)
 	// Same-codec fast path (§7.1): between two compressed tiers using the
 	// same compression algorithm, the compressed object moves directly —
 	// no decompression, no recompression.
@@ -917,177 +888,19 @@ type PreparedRegion struct {
 	sc     *MigrationScratch // where a consumed region is recycled to (may be nil)
 	region RegionID
 	dest   TierID
-	fp     TierSet
 	pages  []preparedPage
 	// spare is a consumed region's page slice, emptied, kept for reuse.
 	spare []preparedPage
-
-	// cursor indexes the next uncommitted page. CommitBatch advances it
-	// one chunk at a time; CommitRegionMigration runs it to the end.
-	cursor int
-	// rem counts, per tier, how many uncommitted pages still carry that
-	// tier in their footprint. A tier whose count reaches zero is
-	// finished: the job can hand the tier's commit stream to its
-	// successor before the rest of the region lands (CommitChunk.Released).
-	// Indexed by TierID; ids past TierSet's 64-tier limit are not
-	// represented, matching the footprint degradation for such managers.
-	rem [64]int16
-	// total accumulates the per-page results across every commit chunk in
-	// page order, so the float latency sum is bit-identical no matter how
-	// the commit was chunked.
-	total MigrationResult
 }
 
-// Remaining returns how many prepared pages have not committed yet.
-func (pr *PreparedRegion) Remaining() int {
-	if pr.pages == nil {
-		return 0
-	}
-	return len(pr.pages) - pr.cursor
-}
+// Remaining returns how many prepared pages have not committed yet: all of
+// them until the region is consumed, none after.
+func (pr *PreparedRegion) Remaining() int { return len(pr.pages) }
 
-// Footprint returns the move's commit footprint as observed at prepare
-// time: every order-sensitive tier the commit can touch, including
-// ErrTierFull/incompressible fallback targets (see MoveFootprint).
-func (pr *PreparedRegion) Footprint() TierSet { return pr.fp }
-
-// orderedTier reports whether commits touching tier id are order-sensitive:
-// compressed tiers always are (pool layout and admission depend on the
-// store/free sequence), byte-addressable tiers only when bounded (admission
-// reads the occupancy; unbounded BA tiers see nothing but commutative
-// atomic adds, so commit order cannot change any outcome on them).
-func (m *Manager) orderedTier(id TierID) bool {
-	if _, isCT := m.ct(id); isCT {
-		return true
-	}
-	return m.ba[id].info.CapacityPages != 0
-}
-
-// OrderedTiers returns the set of order-sensitive tiers: all compressed
-// tiers plus every bounded byte-addressable tier.
-func (m *Manager) OrderedTiers() TierSet {
-	var s TierSet
-	for id := range m.tiers {
-		if m.orderedTier(TierID(id)) {
-			s = s.With(TierID(id))
-		}
-	}
-	return s
-}
-
-// FaultFallbackSet returns the order-sensitive tiers coupled by the fault-
-// destination search (reserveFaultDestination): the bounded byte-
-// addressable tiers. The search walks BA tiers in order and its outcome
-// depends only on the bounded ones' occupancy — unbounded tiers admit
-// unconditionally — so a commit that can reach it must be ordered against
-// exactly this set.
-func (m *Manager) FaultFallbackSet() TierSet {
-	var s TierSet
-	for i, b := range m.ba {
-		if b.info.CapacityPages != 0 {
-			s = s.With(TierID(i))
-		}
-	}
-	return s
-}
-
-// pageFootprint is footprintLocked restricted to a single page: the
-// order-sensitive tiers committing a move of one page from src to dest can
-// read or mutate — the source if ordered, the destination if ordered, and
-// the fault-fallback coupling set when a compressed-tier page can be
-// rejected by the destination. A skip (src == dest) touches nothing. The
-// union over a region's pages equals footprintLocked over the region,
-// which is what lets CommitBatch report a footprint tier as finished the
-// moment its last page commits.
-func (m *Manager) pageFootprint(src, dest TierID) TierSet {
-	if src == dest {
-		return 0
-	}
-	var fp TierSet
-	if m.orderedTier(src) {
-		fp = fp.With(src)
-	}
-	if m.orderedTier(dest) {
-		fp = fp.With(dest)
-	}
-	_, destCT := m.ct(dest)
-	if _, srcCT := m.ct(src); srcCT && (destCT || m.orderedTier(dest)) {
-		fp = fp.Union(m.FaultFallbackSet())
-	}
-	return fp
-}
-
-// footprintLocked computes the commit footprint of moving the pages in
-// [start, end) to dest, given each page's current tier from src(p). Caller
-// holds the region lock (read side suffices).
-func (m *Manager) footprintLocked(start, end PageID, dest TierID, src func(PageID) TierID) TierSet {
-	var fp TierSet
-	_, destCT := m.ct(dest)
-	// A compressed destination can reject any page (incompressible, or the
-	// pool at its limit); a byte-addressable one only when bounded.
-	destCanReject := destCT || m.orderedTier(dest)
-	anyMove, couple := false, false
-	for p := start; p < end; p++ {
-		s := src(p)
-		if s == dest {
-			continue // skip: no tier state is touched for this page
-		}
-		anyMove = true
-		if m.orderedTier(s) {
-			fp = fp.With(s)
-		}
-		if _, srcCT := m.ct(s); srcCT && destCanReject {
-			// A CT-resident page whose store into dest is rejected
-			// (incompressible, or the destination full) falls back through
-			// the fault-destination search.
-			couple = true
-		}
-	}
-	if anyMove && m.orderedTier(dest) {
-		fp = fp.With(dest)
-	}
-	if couple {
-		fp = fp.Union(m.FaultFallbackSet())
-	}
-	return fp
-}
-
-// MoveFootprint returns the commit footprint of migrating region r to dest
-// from the region's current residency: the set of order-sensitive tiers the
-// commit can read or mutate, including every ErrTierFull and
-// incompressible-rejection fallback target. Two prepared moves whose
-// footprints do not overlap (and that address distinct regions) may commit
-// in either order — or concurrently — with bit-identical outcomes; moves
-// with overlapping footprints must commit in plan order per shared tier.
-// Managers with more than 64 tiers cannot be represented; callers must then
-// serialize all commits (TierSet is a 64-bit mask).
-func (m *Manager) MoveFootprint(r RegionID, dest TierID) (TierSet, error) {
-	start := PageID(r) * RegionPages
-	end := start + RegionPages
-	if end > PageID(m.numPages) {
-		end = PageID(m.numPages)
-	}
-	if start < 0 || start >= PageID(m.numPages) {
-		return 0, ErrBadPage
-	}
-	if int(dest) < 0 || int(dest) >= len(m.tiers) {
-		return 0, ErrNoSuchTier
-	}
-	if len(m.tiers) > 64 {
-		return 0, errors.New("mem: MoveFootprint supports at most 64 tiers")
-	}
-	mu := m.regionLock(r)
-	mu.RLock()
-	defer mu.RUnlock()
-	return m.footprintLocked(start, end, dest, func(p PageID) TierID {
-		return m.ptes[p].tier
-	}), nil
-}
-
-// Release returns the uncommitted pages' buffers without committing them;
+// Release returns the prepared pages' buffers without committing them;
 // call it when a prepared region is abandoned. Committing releases them
 // automatically.
-func (pr *PreparedRegion) Release() { pr.releaseFrom(pr.cursor) }
+func (pr *PreparedRegion) Release() { pr.releaseFrom(0) }
 
 // releaseFrom consumes pr: pages i onward give their buffers back, and
 // the page slice's backing array and pr itself go to the scratch for its
@@ -1164,130 +977,49 @@ func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *Mig
 		}
 		pr.pages = append(pr.pages, pp)
 	}
-	// The region footprint is the union of the per-page footprints (equal
-	// to footprintLocked over the same residency), and rem counts how many
-	// pages keep each tier in play — the accounting CommitBatch drains.
-	for i := range pr.pages {
-		f := pr.pages[i].fp
-		pr.fp = pr.fp.Union(f)
-		for b := uint64(f); b != 0; b &= b - 1 {
-			pr.rem[bits.TrailingZeros64(b)]++
-		}
-	}
 	return pr, nil
 }
 
-// CommitRegionMigration lands a prepared region migration, with the same
-// accumulation and ErrTierFull contract as MigrateRegion. The prepared
-// region is consumed: its buffers are released even on error. It resumes
-// from the commit cursor, so a region partially landed by CommitBatch
-// calls finishes here with the total accumulated across all chunks.
+// CommitRegionMigration lands a prepared region migration under the
+// region write lock, with the same accumulation and ErrTierFull contract
+// as MigrateRegion. The prepared region is consumed: its buffers are
+// released even on error, and committing it again is a no-op that reports
+// nothing moved.
 func (m *Manager) CommitRegionMigration(pr *PreparedRegion) (MigrationResult, error) {
-	ck, err := m.CommitBatch(pr, 0)
-	return ck.Total, err
-}
-
-// CommitChunk reports one CommitBatch call's outcome.
-type CommitChunk struct {
-	// Total is the migration result accumulated over every page committed
-	// so far — all chunks, in page order — so after the final chunk it is
-	// bit-identical to what a single CommitRegionMigration would have
-	// returned, whatever the chunking.
-	Total MigrationResult
-	// Released is the set of footprint tiers whose last page committed
-	// within this chunk: the move has finished touching them, and a
-	// commit scheduler may hand their streams to the next job before the
-	// rest of the region lands. Only tiers in Footprint() are reported.
-	Released TierSet
-	// Done reports that every prepared page has committed and the
-	// prepared region is consumed.
-	Done bool
-}
-
-// CommitBatch lands the next maxPages prepared pages of pr under the
-// region write lock, resuming from the commit cursor (maxPages <= 0
-// commits everything remaining — CommitRegionMigration's behavior). The
-// lock is dropped between chunks, and each chunk reports the footprint
-// tiers the move has now finished touching. ErrTierFull is per chunk and
-// benign, exactly like the whole-region contract: the sweep continues and
-// the accounting stays valid; a caller reproducing CommitRegionMigration's
-// error must OR the flag across chunks. A hard error consumes the region
-// (remaining buffers released) like CommitRegionMigration's.
-//
-// Released is computed from the pages' prepare-time footprints, so it is
-// only meaningful when the region's pages have not moved since prepare —
-// true within one window's plan for a region's first move. Later moves of
-// the same region (commitPage re-prepares relocated pages) must commit
-// whole-region and release only on completion.
-func (m *Manager) CommitBatch(pr *PreparedRegion, maxPages int) (CommitChunk, error) {
-	var ck CommitChunk
+	var total MigrationResult
 	if pr == nil {
-		return ck, errors.New("mem: nil prepared region")
+		return total, errors.New("mem: nil prepared region")
 	}
 	if pr.m != m {
 		pr.Release()
-		return ck, errors.New("mem: prepared region belongs to a different manager")
+		return total, errors.New("mem: prepared region belongs to a different manager")
 	}
 	if pr.pages == nil {
-		// Already consumed (fully committed, released, or failed hard).
-		ck.Done = true
-		return ck, nil
-	}
-	to := len(pr.pages)
-	if maxPages > 0 && pr.cursor+maxPages < to {
-		to = pr.cursor + maxPages
+		return total, nil // already consumed (committed, released, or failed hard)
 	}
 	mu := m.regionLock(pr.region)
 	mu.Lock()
-	released, full, err := m.commitPagesLocked(pr, to)
-	mu.Unlock()
-	ck.Total = pr.total
-	ck.Released = released
-	if err != nil {
-		ck.Done = true // commitPagesLocked consumed the region
-		return ck, err
-	}
-	if pr.cursor == len(pr.pages) {
-		ck.Done = true
-		pr.releaseFrom(pr.cursor)
-	}
-	if full {
-		return ck, ErrTierFull
-	}
-	return ck, nil
-}
-
-// commitPagesLocked commits pr.pages[pr.cursor:to] in page order,
-// accumulating into pr.total and draining the per-tier remaining counts;
-// released collects the tiers whose count reached zero. Caller holds the
-// region write lock. full reports an ErrTierFull observed in the range; a
-// hard error releases the remaining pages, consuming pr.
-func (m *Manager) commitPagesLocked(pr *PreparedRegion, to int) (released TierSet, full bool, err error) {
-	for pr.cursor < to {
-		i := pr.cursor
-		fp := pr.pages[i].fp
-		res, cerr := m.commitPage(pr.pages[i])
-		pr.cursor++
-		pr.total.Moved += res.Moved
-		pr.total.Rejected += res.Rejected
-		pr.total.Skipped += res.Skipped
-		pr.total.LatencyNs += res.LatencyNs
-		for b := uint64(fp); b != 0; b &= b - 1 {
-			t := bits.TrailingZeros64(b)
-			pr.rem[t]--
-			if pr.rem[t] == 0 {
-				released = released.With(TierID(t))
-			}
-		}
+	defer mu.Unlock()
+	full := false
+	for i := range pr.pages {
+		res, err := m.commitPage(pr.pages[i])
+		total.Moved += res.Moved
+		total.Rejected += res.Rejected
+		total.Skipped += res.Skipped
+		total.LatencyNs += res.LatencyNs
 		switch {
-		case errors.Is(cerr, ErrTierFull):
+		case errors.Is(err, ErrTierFull):
 			full = true
-		case cerr != nil:
+		case err != nil:
 			pr.releaseFrom(i + 1)
-			return released, full, cerr
+			return total, err
 		}
 	}
-	return released, full, nil
+	pr.releaseFrom(len(pr.pages))
+	if full {
+		return total, ErrTierFull
+	}
+	return total, nil
 }
 
 // TierPages returns the number of resident pages per tier, indexed by

@@ -73,7 +73,7 @@ func goldenLive() *Live {
 		Window:        2,
 		PhaseWallNs:   [NumPhases]float64{1e6, 2e6, 5e5, 4e6, 1.5e6},
 		PrepareWallNs: 3e6, CommitWallNs: 1e6,
-		Sched: SchedulerStats{Jobs: 8, Wakeups: 8, BlockedAwaits: 2, StallNs: 250000, PartialReleases: 3, BatchCommits: 12},
+		Sched: SchedulerStats{Jobs: 8, BlockedAwaits: 2, StallNs: 250000},
 	})
 	// Daemon surface.
 	l.SetDaemonAttached(2)

@@ -67,11 +67,8 @@ func (l *Live) WritePrometheus(w io.Writer) error {
 	}
 	counter("prepare_wall_seconds_total", "Wall time in migration prepare, summed across push threads.", s.prepareNs/1e9)
 	counter("commit_wall_seconds_total", "Wall time in migration commit, summed across push threads.", s.commitNs/1e9)
-	counter("sched_wakeups_total", "Commit-scheduler eligibility signals issued.", s.wakeups)
-	counter("sched_blocked_awaits_total", "Commits whose worker blocked waiting for a predecessor.", s.blocked)
-	counter("sched_stall_seconds_total", "Wall time workers spent blocked in commit await.", float64(s.stallNs)/1e9)
-	counter("sched_partial_releases_total", "Tier streams handed to a successor before the owning job finished committing.", s.partialReleases)
-	counter("sched_batch_commits_total", "Sub-region commit chunks landed by the page-granular commit pipeline.", s.batchCommits)
+	counter("sched_blocked_awaits_total", "Moves whose push thread waited for its turn to commit.", s.blocked)
+	counter("sched_stall_seconds_total", "Wall time push threads waited for their turn to commit.", float64(s.stallNs)/1e9)
 
 	// Health surface: always emitted (the evaluator defaults to ok) so
 	// scrapers can alert on tierscape_health_state without presence

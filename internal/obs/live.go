@@ -41,10 +41,7 @@ type Live struct {
 	// Runtime counters (wall clock; only Live sees these).
 	phaseNs             [NumPhases]float64
 	prepareNs, commitNs float64
-	wakeups, blocked    int64
-	stallNs             int64
-	partialReleases     int64
-	batchCommits        int64
+	blocked, stallNs    int64
 
 	// Daemon surface: the resident controller's tick counter, attached-
 	// workload gauge and per-command outcome counters. Zero outside
@@ -215,11 +212,8 @@ func (l *Live) RecordRuntime(rt WindowRuntime) {
 	}
 	l.prepareNs += rt.PrepareWallNs
 	l.commitNs += rt.CommitWallNs
-	l.wakeups += int64(rt.Sched.Wakeups)
 	l.blocked += int64(rt.Sched.BlockedAwaits)
 	l.stallNs += rt.Sched.StallNs
-	l.partialReleases += int64(rt.Sched.PartialReleases)
-	l.batchCommits += rt.Sched.BatchCommits
 }
 
 // liveSnapshot is a consistent copy of the aggregator's state, taken
@@ -240,8 +234,7 @@ type liveSnapshot struct {
 	healthTransitions                                map[string]int64
 	phaseNs                                          [NumPhases]float64
 	prepareNs, commitNs                              float64
-	wakeups, blocked, stallNs                        int64
-	partialReleases, batchCommits                    int64
+	blocked, stallNs                                 int64
 	daemonTicks, daemonAttached                      int64
 	daemonCommands                                   []commandCount
 	last                                             WindowSnapshot
@@ -281,8 +274,7 @@ func (l *Live) snapshot() liveSnapshot {
 		},
 		phaseNs:   l.phaseNs,
 		prepareNs: l.prepareNs, commitNs: l.commitNs,
-		wakeups: l.wakeups, blocked: l.blocked, stallNs: l.stallNs,
-		partialReleases: l.partialReleases, batchCommits: l.batchCommits,
+		blocked: l.blocked, stallNs: l.stallNs,
 		daemonTicks: l.daemonTicks, daemonAttached: l.daemonAttached,
 		last: l.last, hasLast: l.hasLast,
 	}
@@ -313,40 +305,37 @@ func (l *Live) Vars() any {
 		phases[Phase(p).String()] = s.phaseNs[p]
 	}
 	v := map[string]any{
-		"windows":                s.windows,
-		"moved_pages":            s.moves,
-		"rejected_pages":         s.rejected,
-		"skipped_pages":          s.skipped,
-		"tier_full_moves":        s.tierFullMoves,
-		"compacted_pages":        s.compactedPages,
-		"compact_objects_moved":  s.compactObjectsMoved,
-		"compact_skipped_tiers":  s.compactSkippedTiers,
-		"dropped_pressure":       s.droppedPressure,
-		"dropped_capacity":       s.droppedCapacity,
-		"dropped_budget":         s.droppedBudget,
-		"app_ns":                 s.appNs,
-		"daemon_ns":              s.daemonNs,
-		"solver_ns":              s.solverNs,
-		"warm_hits":              s.warmHits,
-		"classes_reused":         s.classesReused,
-		"classes_rebuilt":        s.classesRebuilt,
-		"solver_fallbacks":       s.solverFallbacks,
-		"fault_stall_ns":         s.faultStallNs,
-		"interference_ns":        s.interferenceNs,
-		"tier_stall_ns":          s.tierStallNs,
-		"pingpong_moves":         s.pingPongMoves,
-		"migrated_bytes":         s.migratedBytes,
-		"health_degraded":        s.healthDegraded,
-		"health_transitions":     s.healthTransitions,
-		"phase_wall_ns":          phases,
-		"prepare_wall_ns":        s.prepareNs,
-		"commit_wall_ns":         s.commitNs,
-		"sched_wakeups":          s.wakeups,
-		"sched_blocked":          s.blocked,
-		"sched_stall_ns":         s.stallNs,
-		"sched_partial_releases": s.partialReleases,
-		"sched_batch_commits":    s.batchCommits,
-		"migrations":             s.flows,
+		"windows":               s.windows,
+		"moved_pages":           s.moves,
+		"rejected_pages":        s.rejected,
+		"skipped_pages":         s.skipped,
+		"tier_full_moves":       s.tierFullMoves,
+		"compacted_pages":       s.compactedPages,
+		"compact_objects_moved": s.compactObjectsMoved,
+		"compact_skipped_tiers": s.compactSkippedTiers,
+		"dropped_pressure":      s.droppedPressure,
+		"dropped_capacity":      s.droppedCapacity,
+		"dropped_budget":        s.droppedBudget,
+		"app_ns":                s.appNs,
+		"daemon_ns":             s.daemonNs,
+		"solver_ns":             s.solverNs,
+		"warm_hits":             s.warmHits,
+		"classes_reused":        s.classesReused,
+		"classes_rebuilt":       s.classesRebuilt,
+		"solver_fallbacks":      s.solverFallbacks,
+		"fault_stall_ns":        s.faultStallNs,
+		"interference_ns":       s.interferenceNs,
+		"tier_stall_ns":         s.tierStallNs,
+		"pingpong_moves":        s.pingPongMoves,
+		"migrated_bytes":        s.migratedBytes,
+		"health_degraded":       s.healthDegraded,
+		"health_transitions":    s.healthTransitions,
+		"phase_wall_ns":         phases,
+		"prepare_wall_ns":       s.prepareNs,
+		"commit_wall_ns":        s.commitNs,
+		"sched_blocked":         s.blocked,
+		"sched_stall_ns":        s.stallNs,
+		"migrations":            s.flows,
 	}
 	v["daemon_ticks"] = s.daemonTicks
 	v["daemon_attached_workloads"] = s.daemonAttached

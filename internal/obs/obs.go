@@ -13,7 +13,7 @@
 //     contract extends to them). These are what Result.Windows retains
 //     and what the JSONL/CSV sinks encode.
 //   - Runtime telemetry — WindowRuntime — carries wall-clock phase
-//     durations, scheduler stalls and wakeups. It is measured from the
+//     durations and the push threads' commit stalls. It is measured from the
 //     real clock, varies run to run, and is deliberately excluded from
 //     the deterministic stream; it feeds the live /metrics and /debug/vars
 //     introspection endpoints instead.
@@ -41,7 +41,7 @@ type Recorder interface {
 	// so the order (and content) is identical at every PushThreads.
 	RecordMove(MoveEvent)
 	// RecordRuntime receives the wall-clock telemetry of one window:
-	// phase durations and commit-scheduler stalls. Values are
+	// phase durations and the push threads' commit stalls. Values are
 	// nondeterministic by nature and never enter the deterministic
 	// stream.
 	RecordRuntime(WindowRuntime)
@@ -290,10 +290,10 @@ func (p Phase) String() string {
 }
 
 // WindowRuntime is the wall-clock telemetry of one window: the span-style
-// trace of the control loop plus commit-scheduler behaviour. Everything
-// here is measured from the real clock (or depends on goroutine
-// interleaving) and is therefore excluded from the deterministic event
-// stream; it flows to the live metrics endpoints only.
+// trace of the control loop plus the push threads' waits for their turn to
+// commit. Everything here is measured from the real clock (or depends on
+// goroutine interleaving) and is therefore excluded from the deterministic
+// event stream; it flows to the live metrics endpoints only.
 type WindowRuntime struct {
 	// Window is the 1-based window index.
 	Window int
@@ -301,49 +301,25 @@ type WindowRuntime struct {
 	// indexed by Phase.
 	PhaseWallNs [NumPhases]float64
 	// PrepareWallNs and CommitWallNs split the apply phase into its
-	// concurrent prepare half and sequenced commit half, summed across
+	// concurrent prepare half and ordered commit half, summed across
 	// workers (so they can exceed PhaseWallNs[PhaseApply] when
 	// PushThreads > 1).
 	PrepareWallNs, CommitWallNs float64
-	// Sched reports the window's commit-scheduler behaviour; zero when
-	// the window applied serially (PushThreads 1 or a short plan).
+	// Sched reports how the window's commits queued; zero when the window
+	// applied serially (PushThreads 1 or a short plan).
 	Sched SchedulerStats
 }
 
-// SchedulerStats are the conflict-aware commit scheduler's counters for
-// one window's apply.
+// SchedulerStats count, for one window's pooled apply, how its commits —
+// which land one at a time in plan order — queued behind each other.
 type SchedulerStats struct {
-	// Jobs is the number of moves the scheduler sequenced.
+	// Jobs is the number of moves the pool applied.
 	Jobs int
-	// Wakeups is the number of eligibility signals issued (one per job
-	// when the plan drains).
-	Wakeups int
-	// BlockedAwaits counts commits whose worker actually had to block
-	// waiting for a predecessor — the contention measure (an eligible
-	// fast-path await is not counted).
+	// BlockedAwaits counts moves whose push thread, its prepare done,
+	// waited for its turn to commit.
 	BlockedAwaits int
-	// StallNs is total wall time workers spent blocked in await.
+	// StallNs is the total wall time push threads spent in those waits.
 	StallNs int64
-	// PartialReleases counts per-tier stream handoffs a job performed
-	// before its commit finished — early releases from page-granular
-	// (CommitBatch) commits. Zero when commits are whole-region.
-	PartialReleases int
-	// BatchCommits counts sub-region commit chunks landed across the
-	// window's jobs; zero when commits are whole-region.
-	BatchCommits int64
-	// TierStreams describes each per-tier sequencer, indexed by TierID:
-	// how many commits it ordered and how many wakeups its stream
-	// advance signalled.
-	TierStreams []TierStreamStats
-}
-
-// TierStreamStats is one per-tier commit sequencer's counters.
-type TierStreamStats struct {
-	// Jobs is the number of commits whose footprint contained the tier.
-	Jobs int
-	// Wakeups counts jobs whose final ordering grant — the one that made
-	// them eligible — came from this tier's stream advancing.
-	Wakeups int
 }
 
 // Tee fans every event out to each of recs, in order. Nil entries are

@@ -194,7 +194,7 @@ func TestLivePrometheus(t *testing.T) {
 		Window:        2,
 		PrepareWallNs: 2e9,
 		CommitWallNs:  1e9,
-		Sched:         SchedulerStats{Jobs: 30, Wakeups: 30, BlockedAwaits: 4, StallNs: 5e8},
+		Sched:         SchedulerStats{Jobs: 30, BlockedAwaits: 4, StallNs: 5e8},
 	})
 	var buf bytes.Buffer
 	if err := l.WritePrometheus(&buf); err != nil {

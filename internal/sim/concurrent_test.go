@@ -1,14 +1,21 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"tierscape/internal/corpus"
+	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
+	"tierscape/internal/obs"
 	"tierscape/internal/policy"
 	"tierscape/internal/workload"
+	"tierscape/internal/ztier"
 )
 
 // ptRun executes one standard-mix run (the Fig-7/Fig-10 harness shape:
@@ -167,7 +174,7 @@ func TestConcurrentApplyMovesFallbackConflicts(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r += 3 {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
-		results, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, 0, nil)
+		results, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,107 +207,211 @@ func TestConcurrentApplyMovesFallbackConflicts(t *testing.T) {
 // the same plan applied at different worker counts on identically-built
 // managers yields identical per-move results in plan order.
 func TestConcurrentApplyMovesRepeatable(t *testing.T) {
-	collect := func(workers int) ([]moveOutcome, []int64) {
-		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		m := standardMix(t, wl)
-		tiers := m.Tiers()
+	for _, in := range []struct {
+		name  string
+		build func() *mem.Manager
+		plan  func(m *mem.Manager) []policy.Move
+	}{
 		// A synthetic plan: demote alternating regions into the two
 		// compressed tiers, promote a third of them back — enough traffic
 		// to cover the generic, same-codec and skip paths.
-		var moves []policy.Move
-		for r := int64(0); r < m.NumRegions(); r++ {
-			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: tiers[2+r%2].ID})
-		}
-		for r := int64(0); r < m.NumRegions(); r += 3 {
-			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
-		}
-		results, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results, m.TierPages()
+		{"standard-mix", func() *mem.Manager {
+			return standardMix(t, workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1))
+		}, func(m *mem.Manager) []policy.Move {
+			tiers := m.Tiers()
+			var moves []policy.Move
+			for r := int64(0); r < m.NumRegions(); r++ {
+				moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: tiers[2+r%2].ID})
+			}
+			for r := int64(0); r < m.NumRegions(); r += 3 {
+				moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
+			}
+			return moves
+		}},
+		// More tiers than a machine word has bits, a destination past tier
+		// 63 and a duplicate region: an ordinary manager, an ordinary plan.
+		{"65-tiers", func() *mem.Manager {
+			cts := make([]ztier.Config, 63) // 2 BA + 63 CTs
+			for i := range cts {
+				cts[i] = ztier.CT1()
+			}
+			m, err := mem.NewManager(mem.Config{
+				NumPages:        4 * mem.RegionPages,
+				Content:         corpus.NewGenerator(corpus.Dickens, 7),
+				ByteTiers:       []media.Kind{media.NVMM},
+				CompressedTiers: cts,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}, func(*mem.Manager) []policy.Move {
+			return []policy.Move{
+				{Region: 0, Dest: mem.TierID(2)},
+				{Region: 1, Dest: mem.TierID(64)},
+				{Region: 0, Dest: mem.TierID(3)},
+			}
+		}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			collect := func(workers int) ([]moveOutcome, []int64) {
+				m := in.build()
+				results, err := applyMoves(m, in.plan(m), make([]mem.MigrationScratch, workers), workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return results, m.TierPages()
+			}
+			baseRes, basePages := collect(1)
+			for _, workers := range []int{2, 4, 8} {
+				res, pages := collect(workers)
+				if !reflect.DeepEqual(res, baseRes) {
+					t.Fatalf("workers=%d: per-move results differ from serial", workers)
+				}
+				if !reflect.DeepEqual(pages, basePages) {
+					t.Fatalf("workers=%d: tier residency differs from serial: %v vs %v",
+						workers, pages, basePages)
+				}
+			}
+		})
 	}
-	baseRes, basePages := collect(1)
-	for _, workers := range []int{2, 4, 8} {
-		res, pages := collect(workers)
-		if !reflect.DeepEqual(res, baseRes) {
-			t.Fatalf("workers=%d: per-move results differ from serial", workers)
+}
+
+// TestConcurrentApplyMovesPrepareError: a move with an invalid destination
+// must surface its error deterministically while the rest of the plan
+// completes, at any worker count.
+func TestConcurrentApplyMovesPrepareError(t *testing.T) {
+	for _, workers := range []int{2, 8} {
+		wl := workload.Memcached(workload.DriverYCSB, 1024, 4*mem.RegionPages, 1)
+		m := standardMix(t, wl)
+		moves := []policy.Move{
+			{Region: 0, Dest: mem.TierID(2)},
+			{Region: 1, Dest: mem.TierID(99)}, // no such tier
+			{Region: 2, Dest: mem.TierID(3)},
 		}
-		if !reflect.DeepEqual(pages, basePages) {
-			t.Fatalf("workers=%d: tier residency differs from serial: %v vs %v",
-				workers, pages, basePages)
+		_, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, nil)
+		if !errors.Is(err, mem.ErrNoSuchTier) {
+			t.Fatalf("workers=%d: err = %v, want ErrNoSuchTier", workers, err)
 		}
 	}
 }
 
-// TestConcurrentApplyMovesCommitBatch extends the determinism contract to
-// the page-granular commit pipeline: a fallback-scarred plan (wave 1
-// leaves regions with mixed residency by clamping CT-1) applied with
-// sub-region commit batches at PushThreads 2 and 8 must match the serial
-// whole-region apply exactly — per-move results, residency and counters —
-// for every batch size. The PT-8 small-batch run doubles as the
-// scheduler-stats smoke: it must actually exercise early stream handoffs
-// (PartialReleases > 0) and land more commit chunks than jobs. Runs under
-// -race -count=3 in CI (the Concurrent suite).
-func TestConcurrentApplyMovesCommitBatch(t *testing.T) {
-	collect := func(workers, batch int, tr *applyTrace) ([]moveOutcome, []int64, mem.Counters) {
-		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		m := standardMix(t, wl)
-		ct1, ct2 := mem.TierID(2), mem.TierID(3)
-		if err := m.SetCompressedTierLimit(ct1, 32); err != nil {
-			t.Fatal(err)
+// pagedSource is a content source double: the wrapped source, except that
+// filling page panicPage panics (-1 = never) and filling any page below
+// slowBelow first sleeps.
+type pagedSource struct {
+	corpus.Source
+	panicPage int64
+	slowBelow uint64
+	sleep     time.Duration
+}
+
+func (p *pagedSource) Fill(pageIdx uint64, buf []byte) {
+	if int64(pageIdx) == p.panicPage {
+		panic("pagedSource: boom")
+	}
+	if pageIdx < p.slowBelow {
+		time.Sleep(p.sleep)
+	}
+	p.Source.Fill(pageIdx, buf)
+}
+
+// pagedManager is the standard mix over 8 regions of src's content.
+func pagedManager(t *testing.T, src *pagedSource) *mem.Manager {
+	t.Helper()
+	src.Source = corpus.NewGenerator(corpus.Dickens, 99)
+	m, err := mem.NewManager(mem.Config{
+		NumPages:        8 * mem.RegionPages,
+		Content:         src,
+		ByteTiers:       []media.Kind{media.NVMM},
+		CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// demoteAll is one move per region of m, alternating CT-1 and CT-2.
+func demoteAll(m *mem.Manager) []policy.Move {
+	var moves []policy.Move
+	for r := int64(0); r < m.NumRegions(); r++ {
+		moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.TierID(2 + r%2)})
+	}
+	return moves
+}
+
+// TestConcurrentApplyMovesPanic: a panic on a push thread — here the
+// content source, while move 3 is prepared — ends the apply with that
+// move's error instead of ending the process. The error names the move,
+// its region and destination and carries the panic value and stack; it is
+// the same at PT 1, 2 and 8 (the stacks differ: compare the first line);
+// and applyMoves returns with every worker gone, because the panicking job
+// still passed the turn on.
+func TestConcurrentApplyMovesPanic(t *testing.T) {
+	const badRegion = 3
+	var first string
+	for _, workers := range []int{1, 2, 8} {
+		m := pagedManager(t, &pagedSource{panicPage: badRegion*mem.RegionPages + 17})
+		before := runtime.NumGoroutine()
+		_, err := applyMoves(m, demoteAll(m), make([]mem.MigrationScratch, workers), workers, nil)
+		if err == nil {
+			t.Fatalf("workers=%d: applyMoves swallowed the panic", workers)
 		}
-		// Wave 1 (whole-region, serial): pile every region into the
-		// clamped CT-1 so its overflow falls back and at least one region
-		// ends up with pages split across CT-1 and DRAM.
-		var wave1 []policy.Move
-		for r := int64(0); r < m.NumRegions(); r++ {
-			wave1 = append(wave1, policy.Move{Region: mem.RegionID(r), Dest: ct1})
+		for _, sub := range []string{"push thread panicked on move 3 (region 3 to tier 3)", "pagedSource: boom", "pagedSource).Fill"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("workers=%d: error %q does not mention %q", workers, err, sub)
+			}
 		}
-		if _, err := applyMoves(m, wave1, make([]mem.MigrationScratch, 1), 1, 0, nil); err != nil {
-			t.Fatal(err)
+		line, _, _ := strings.Cut(err.Error(), "\n")
+		if first == "" {
+			first = line
+		} else if line != first {
+			t.Errorf("workers=%d: error %q, want the serial apply's %q", workers, line, first)
 		}
-		// Wave 2 (under test): each region appears once — unchained jobs,
-		// the batch path — and the mixed-residency regions finish their
-		// CT-1 pages before their DRAM tail, releasing CT-1's stream
-		// early.
-		var wave2 []policy.Move
-		for r := int64(0); r < m.NumRegions(); r++ {
-			wave2 = append(wave2, policy.Move{Region: mem.RegionID(r), Dest: ct2})
+		// Every worker has passed wg.Done; give the last ones a moment to
+		// finish exiting before counting them as left behind.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			runtime.Gosched()
 		}
-		results, err := applyMoves(m, wave2, make([]mem.MigrationScratch, workers), workers, batch, tr)
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("workers=%d: %d goroutines before the apply, %d after it returned", workers, before, after)
+		}
+		// The moves ahead of the panic landed; the region lock it held is
+		// free again.
+		if got := m.RegionResidency(0)[2]; got != mem.RegionPages {
+			t.Errorf("workers=%d: move 0 left %d pages in CT-1, want %d", workers, got, mem.RegionPages)
+		}
+		if _, err := m.MigrateRegion(badRegion, mem.DRAMTier); err != nil {
+			t.Errorf("workers=%d: region %d unusable after the panic: %v", workers, badRegion, err)
+		}
+	}
+}
+
+// TestConcurrentApplyMovesSlowRegion: region 0's pages take far longer to
+// prepare than anyone else's, so at PT 8 every other job finishes its
+// prepare first and waits for its turn behind job 0. Outcomes and the
+// traced event stream equal the serial apply's, and the waits are
+// counted: the stall accounting the ledger reads is live.
+func TestConcurrentApplyMovesSlowRegion(t *testing.T) {
+	collect := func(workers int) ([]moveOutcome, []obs.MoveEvent, obs.SchedulerStats) {
+		m := pagedManager(t, &pagedSource{panicPage: -1, slowBelow: mem.RegionPages, sleep: 20 * time.Microsecond})
+		tr := newApplyTrace(1, workers)
+		results, err := applyMoves(m, demoteAll(m), make([]mem.MigrationScratch, workers), workers, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results, m.TierPages(), m.Counters()
+		return results, tr.shards.Merge(), tr.sched
 	}
-	baseRes, basePages, baseCtr := collect(1, 0, nil)
-	for _, workers := range []int{2, 8} {
-		for _, batch := range []int{4, 32} {
-			res, pages, ctr := collect(workers, batch, nil)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Fatalf("workers=%d batch=%d: per-move results differ from serial whole-region", workers, batch)
-			}
-			if !reflect.DeepEqual(pages, basePages) {
-				t.Fatalf("workers=%d batch=%d: residency differs: %v vs %v", workers, batch, pages, basePages)
-			}
-			if ctr != baseCtr {
-				t.Fatalf("workers=%d batch=%d: counters differ: %+v vs %+v", workers, batch, ctr, baseCtr)
-			}
-		}
-	}
-	// Scheduler-stats smoke at PT 8, batch 4: the plan must genuinely
-	// exercise the page-granular pipeline, not vacuously pass DeepEqual.
-	tr := newApplyTrace(1, 8)
-	res, _, _ := collect(8, 4, tr)
+	baseRes, baseEvents, _ := collect(1)
+	res, events, sched := collect(8)
 	if !reflect.DeepEqual(res, baseRes) {
-		t.Fatal("traced batched apply diverged from serial")
+		t.Fatal("PT 8 outcomes differ from the serial apply's")
 	}
-	if tr.sched.PartialReleases == 0 {
-		t.Fatal("PartialReleases = 0: the plan produced no early stream handoff; smoke is vacuous")
+	if !reflect.DeepEqual(events, baseEvents) {
+		t.Fatal("PT 8 traced event stream differs from the serial apply's")
 	}
-	if tr.sched.BatchCommits <= int64(len(baseRes)) {
-		t.Fatalf("BatchCommits = %d over %d jobs: sub-region chunking did not happen",
-			tr.sched.BatchCommits, len(baseRes))
+	if sched.Jobs != len(baseRes) || sched.BlockedAwaits < 1 || sched.StallNs <= 0 {
+		t.Fatalf("scheduler stats %+v over %d jobs: want every job counted and at least one measured wait", sched, len(baseRes))
 	}
 }

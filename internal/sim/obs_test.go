@@ -274,9 +274,9 @@ func TestObsRuntimeTrace(t *testing.T) {
 		if rt.PrepareWallNs < 0 || rt.CommitWallNs < 0 || rt.Sched.StallNs < 0 {
 			t.Fatalf("window %d: negative apply split/stall", rt.Window)
 		}
-		if rt.Sched.Jobs > 0 && rt.Sched.Wakeups != rt.Sched.Jobs {
-			t.Fatalf("window %d: scheduler drained %d jobs with %d wakeups; want one per job",
-				rt.Window, rt.Sched.Jobs, rt.Sched.Wakeups)
+		if rt.Sched.BlockedAwaits < 0 || rt.Sched.BlockedAwaits > rt.Sched.Jobs {
+			t.Fatalf("window %d: %d blocked awaits over %d jobs; a job waits for its turn at most once",
+				rt.Window, rt.Sched.BlockedAwaits, rt.Sched.Jobs)
 		}
 	}
 }
@@ -306,10 +306,10 @@ func BenchmarkRecorderOffCommit(b *testing.B) {
 }
 
 // fallbackObsRun is obsRun on a fallback-heavy manager (CT-1 clamped to a
-// sliver) with an explicit commit batch size: demotions reject at commit
-// time, so the event stream carries Full-flagged events — the outcomes
-// whose serial/pooled recording paths historically diverged easiest.
-func fallbackObsRun(t *testing.T, threads, batch int) (*Result, *obs.Mem, []byte) {
+// sliver): demotions reject at commit time, so the event stream carries
+// rejected moves — the outcomes whose serial/pooled recording paths
+// historically diverged easiest.
+func fallbackObsRun(t *testing.T, threads int) (*Result, *obs.Mem, []byte) {
 	t.Helper()
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 	m := standardMix(t, wl)
@@ -319,7 +319,7 @@ func fallbackObsRun(t *testing.T, threads, batch int) (*Result, *obs.Mem, []byte
 	var capture obs.Mem
 	var buf bytes.Buffer
 	stream := obs.NewStream(&buf)
-	cfg := Config{
+	res, err := Run(Config{
 		Manager:      m,
 		Workload:     wl,
 		Model:        &model.Waterfall{Pct: 75},
@@ -328,11 +328,7 @@ func fallbackObsRun(t *testing.T, threads, batch int) (*Result, *obs.Mem, []byte
 		SampleRate:   Int(20),
 		PushThreads:  Int(threads),
 		Recorder:     obs.Tee(&capture, stream),
-	}
-	if batch > 0 {
-		cfg.CommitBatch = Int(batch)
-	}
-	res, err := Run(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,17 +338,15 @@ func fallbackObsRun(t *testing.T, threads, batch int) (*Result, *obs.Mem, []byte
 	return res, &capture, buf.Bytes()
 }
 
-// TestConcurrentObsStreamCommitBatch pins two things at once. First, the
-// serial and pooled traced paths finish every move through the same
-// finishMove helper, so their event streams are identical by construction
-// — exercised here with rejected (fallback) moves in the stream, the
-// events whose recording the two paths used to assemble separately.
-// Second, the page-granular commit pipeline must not perturb the stream:
-// the full JSONL byte stream and every captured move are identical at
-// PushThreads 1, 2 and 8 and at every commit batch size. Runs under -race
+// TestConcurrentObsStreamFallback: the serial and pooled traced paths
+// finish every move through the same finishMove helper, so their event
+// streams are identical by construction — exercised here with rejected
+// (fallback) moves in the stream, the events whose recording the two paths
+// used to assemble separately. The full JSONL byte stream and every
+// captured move are identical at PushThreads 1, 2 and 8. Runs under -race
 // in CI (the Concurrent suite).
-func TestConcurrentObsStreamCommitBatch(t *testing.T) {
-	baseRes, baseCap, baseStream := fallbackObsRun(t, 1, 0)
+func TestConcurrentObsStreamFallback(t *testing.T) {
+	baseRes, baseCap, baseStream := fallbackObsRun(t, 1)
 	rejected := 0
 	for _, ev := range baseCap.Moves {
 		rejected += ev.Rejected
@@ -360,21 +354,16 @@ func TestConcurrentObsStreamCommitBatch(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no rejected pages in the move stream; fallback pin is vacuous")
 	}
-	for _, threads := range []int{1, 2, 8} {
-		for _, batch := range []int{0, 4, 32} {
-			if threads == 1 && batch == 0 {
-				continue
-			}
-			res, cap, stream := fallbackObsRun(t, threads, batch)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Fatalf("PT=%d batch=%d Result differs from serial whole-region", threads, batch)
-			}
-			if !reflect.DeepEqual(cap.Moves, baseCap.Moves) {
-				t.Fatalf("PT=%d batch=%d move events differ", threads, batch)
-			}
-			if !bytes.Equal(stream, baseStream) {
-				t.Fatalf("PT=%d batch=%d JSONL stream is not byte-identical", threads, batch)
-			}
+	for _, threads := range []int{2, 8} {
+		res, cap, stream := fallbackObsRun(t, threads)
+		if !reflect.DeepEqual(res, baseRes) {
+			t.Fatalf("PT=%d Result differs from serial", threads)
+		}
+		if !reflect.DeepEqual(cap.Moves, baseCap.Moves) {
+			t.Fatalf("PT=%d move events differ", threads)
+		}
+		if !bytes.Equal(stream, baseStream) {
+			t.Fatalf("PT=%d JSONL stream is not byte-identical", threads)
 		}
 	}
 }
@@ -385,10 +374,10 @@ func TestConcurrentObsStreamCommitBatch(t *testing.T) {
 // Full-flagged events are exactly the outcomes whose recording the serial
 // and pooled paths used to assemble separately. Both paths now finish
 // through finishMove, and the merged event stream must be identical at
-// every worker count and batch size — Full flags included. Runs under
-// -race in CI (the Concurrent suite).
+// every worker count — Full flags included. Runs under -race in CI (the
+// Concurrent suite).
 func TestConcurrentApplyTraceFullEvents(t *testing.T) {
-	collect := func(workers, batch int) []obs.MoveEvent {
+	collect := func(workers int) []obs.MoveEvent {
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 		m, err := mem.NewManager(mem.Config{
 			NumPages:          wl.NumPages(),
@@ -415,7 +404,7 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 			}
 			setup = append(setup, policy.Move{Region: mem.RegionID(r), Dest: dest})
 		}
-		if _, err := applyMoves(m, setup, make([]mem.MigrationScratch, 1), 1, 0, nil); err != nil {
+		if _, err := applyMoves(m, setup, make([]mem.MigrationScratch, 1), 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Promotions into the bounded, already-over-capacity DRAM: the
@@ -425,12 +414,12 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
 		tr := newApplyTrace(1, workers)
-		if _, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, batch, tr); err != nil {
+		if _, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, tr); err != nil {
 			t.Fatal(err)
 		}
 		return tr.shards.Merge()
 	}
-	base := collect(1, 0)
+	base := collect(1)
 	fulls := 0
 	for _, ev := range base {
 		if ev.Full {
@@ -441,10 +430,8 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 		t.Fatal("plan produced no Full-flagged events; the serial/pool pin is vacuous")
 	}
 	for _, workers := range []int{2, 8} {
-		for _, batch := range []int{0, 4} {
-			if got := collect(workers, batch); !reflect.DeepEqual(got, base) {
-				t.Fatalf("workers=%d batch=%d merged event stream differs from serial", workers, batch)
-			}
+		if got := collect(workers); !reflect.DeepEqual(got, base) {
+			t.Fatalf("workers=%d merged event stream differs from serial", workers)
 		}
 	}
 }

@@ -27,9 +27,9 @@
 // configuration) and, when Config.Recorder is set, streams the window's
 // per-move events in job order plus an obs.WindowRuntime carrying the
 // wall-clock span trace of the control loop (profile → solve → plan →
-// apply → compact) and the commit scheduler's counters. With a nil
-// Recorder the loop takes none of the clock readings — the instrumented
-// paths cost a nil check and nothing else.
+// apply → compact) and the push threads' waits for their turn to commit.
+// With a nil Recorder the loop takes none of the clock readings — the
+// instrumented paths cost a nil check and nothing else.
 package sim
 
 import (
@@ -83,17 +83,6 @@ type Config struct {
 	// engine in apply.go guarantees it — so the knob trades Go wall-clock
 	// time only, never simulated outcomes.
 	PushThreads *int
-	// CommitBatch is the commit granularity in pages for the parallel
-	// apply engine: unchained jobs commit in sub-region chunks of this
-	// many pages and hand each footprint tier's stream to its successor
-	// as soon as their last page touching it commits (early release —
-	// see apply.go). nil or 0 means whole-region commits, the historical
-	// behavior; must be >= 1 when set (0 is rejected — spell the default
-	// by leaving it nil). Like PushThreads this is a wall-clock knob
-	// only: results are byte-identical for every batch size because the
-	// per-page commit order and float accumulation sequence never
-	// change. Use Int to build the pointer inline.
-	CommitBatch *int
 	// CompactBudget bounds the per-window zs_compact pass to roughly this
 	// many reclaimed pool pages across all compressed tiers (the budgeted
 	// round-robin in mem.CompactBudgeted; pools keep resume cursors so the

@@ -51,7 +51,6 @@ type Stepper struct {
 	cfg           Config
 	interference  float64
 	pushThreads   int
-	commitBatch   int
 	compactBudget int
 
 	m      *mem.Manager
@@ -151,12 +150,6 @@ func NewStepper(cfg Config) (*Stepper, error) {
 			return nil, fmt.Errorf("sim: PushThreads must be >= 1, got %d", *cfg.PushThreads)
 		}
 		s.pushThreads = *cfg.PushThreads
-	}
-	if cfg.CommitBatch != nil {
-		if *cfg.CommitBatch < 1 {
-			return nil, fmt.Errorf("sim: CommitBatch must be >= 1, got %d", *cfg.CommitBatch)
-		}
-		s.commitBatch = *cfg.CommitBatch
 	}
 	if cfg.CompactBudget != nil {
 		if *cfg.CompactBudget < 1 {
@@ -351,7 +344,7 @@ func (s *Stepper) StepControl() error {
 		// concurrently; the deterministic in-order commit (apply.go)
 		// merges per-move accounting by job index, so the sums below
 		// are identical at every thread count.
-		applied, err := applyMoves(m, plan.Moves, s.scratch, s.pushThreads, s.commitBatch, tr)
+		applied, err := applyMoves(m, plan.Moves, s.scratch, s.pushThreads, tr)
 		if err != nil {
 			return fmt.Errorf("sim: window %d migration: %w", w, err)
 		}

@@ -203,7 +203,7 @@ type Tier struct {
 	// same-filled pages) and livePoolPages its physical pool-page
 	// footprint. Every successful commit, free and compaction slice
 	// updates them under the tier lock; readers need no lock at all,
-	// so telemetry can sample a tier mid-commit-batch without stalling
+	// so telemetry can sample a tier mid-commit without stalling
 	// the migration pipeline behind the pool mutex.
 	livePages     atomic.Int64
 	livePoolPages atomic.Int64

@@ -87,8 +87,8 @@ type (
 	WindowSnapshot = obs.WindowSnapshot
 	// MoveEvent is one applied region migration.
 	MoveEvent = obs.MoveEvent
-	// WindowRuntime is one window's wall-clock span trace and commit-
-	// scheduler counters.
+	// WindowRuntime is one window's wall-clock span trace and commit-stall
+	// counters.
 	WindowRuntime = obs.WindowRuntime
 	// TierFlow is one src→dst cell of a window's migration matrix.
 	TierFlow = obs.TierFlow
@@ -280,13 +280,6 @@ type RunConfig struct {
 	// engine commits migrations in deterministic order — so the knob only
 	// changes wall-clock speed.
 	PushThreads int
-	// CommitBatch is the parallel apply engine's commit granularity in
-	// pages: unchained region moves commit in sub-region chunks of this
-	// size and release finished footprint tiers to their successors
-	// early. 0 = whole-region commits (the historical behavior). Like
-	// PushThreads this is a wall-clock knob only — results are
-	// byte-identical at every setting.
-	CommitBatch int
 	// CompactBudget bounds each window's zs_compact pass to roughly this
 	// many reclaimed pool pages across the compressed tiers; the
 	// remainder carries over to later windows via resume cursors.
@@ -340,9 +333,6 @@ func SimConfig(cfg RunConfig) (sim.Config, error) {
 	}
 	if cfg.PushThreads > 0 {
 		scfg.PushThreads = sim.Int(cfg.PushThreads)
-	}
-	if cfg.CommitBatch > 0 {
-		scfg.CommitBatch = sim.Int(cfg.CommitBatch)
 	}
 	if cfg.CompactBudget > 0 {
 		scfg.CompactBudget = sim.Int(cfg.CompactBudget)
