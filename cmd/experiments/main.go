@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,19 +29,31 @@ import (
 	"tierscape/internal/obs"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "exhibit to regenerate (1,2,7,8,9,10,11,12,13,14,table1,ablations,all)")
-	scale := flag.String("scale", "default", "experiment scale: default or small")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	plot := flag.Bool("plot", false, "also render scatter plots for slowdown-vs-savings exhibits (7, 10, 13)")
-	par := flag.Int("parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS); output is identical at any setting")
-	push := flag.Int("push", 0, "push threads applying migrations inside each run (0 = sim default); output is identical at any setting")
-	warm := flag.Bool("warm-solver", false, "solve each window's MCKP with the warm-start incremental solver; output is identical at any setting")
-	compactBudget := flag.Int("compact-budget", 0, "pool pages each run's per-window compaction may reclaim (0 = unbounded full sweep); NOTE: a bounded budget defers reclamation, so tables differ from the default")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) while exhibits run")
-	metricsHold := flag.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the exhibits finish (for scraping a completed batch)")
-	events := flag.String("events", "", "append every run's deterministic JSONL event stream to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: tables go to stdout, diagnostics to stderr, and the
+// result is the exit status — 2 for a command line it cannot act on (bad
+// flag, unknown exhibit or scale), 1 for a run that failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "exhibit to regenerate (1,2,7,8,9,10,11,12,13,14,table1,ablations,all)")
+	scale := fs.String("scale", "default", "experiment scale: default or small")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	plot := fs.Bool("plot", false, "also render scatter plots for slowdown-vs-savings exhibits (7, 10, 13)")
+	par := fs.Int("parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS); output is identical at any setting")
+	push := fs.Int("push", 0, "push threads applying migrations inside each run (0 = sim default); output is identical at any setting")
+	warm := fs.Bool("warm-solver", false, "solve each window's MCKP with the warm-start incremental solver; output is identical at any setting")
+	compactBudget := fs.Int("compact-budget", 0, "pool pages each run's per-window compaction may reclaim (0 = unbounded full sweep); NOTE: a bounded budget defers reclamation, so tables differ from the default")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) while exhibits run")
+	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the exhibits finish (for scraping a completed batch)")
+	events := fs.String("events", "", "append every run's deterministic JSONL event stream to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	experiments.SetParallelism(*par)
 	experiments.SetPushThreads(*push)
 	experiments.SetWarmSolver(*warm)
@@ -49,24 +63,18 @@ func main() {
 		live := obs.NewLive()
 		addr, err := obs.Serve(*metricsAddr, live)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrics listener: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "metrics listener: %v\n", err)
+			return 1
 		}
 		experiments.SetLive(live)
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
-		if *metricsHold > 0 {
-			defer func() {
-				fmt.Fprintf(os.Stderr, "holding metrics endpoint for %v\n", *metricsHold)
-				time.Sleep(*metricsHold)
-			}()
-		}
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
 	}
 	var eventsFile *os.File
 	if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "events file: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "events file: %v\n", err)
+			return 1
 		}
 		eventsFile = f
 		experiments.SetEventSink(f)
@@ -79,10 +87,17 @@ func main() {
 	case "small":
 		s = experiments.SmallScale()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown scale %q\n", *scale)
+		return 2
 	}
 
+	print := func(t *experiments.Table) {
+		if *csv {
+			fmt.Fprint(stdout, t.CSV())
+		} else {
+			fmt.Fprintln(stdout, t.String())
+		}
+	}
 	type exhibit struct {
 		name string
 		run  func() (*experiments.Table, error)
@@ -100,7 +115,7 @@ func main() {
 		{"13", func() (*experiments.Table, error) { return experiments.Fig13(s) }},
 		{"14", func() (*experiments.Table, error) { return experiments.Fig14(s) }},
 		{"cxl", func() (*experiments.Table, error) { return experiments.CXLVariant(s) }},
-		{"ablations", func() (*experiments.Table, error) { return nil, runAblations(s, *csv) }},
+		{"ablations", func() (*experiments.Table, error) { return nil, runAblations(s, print) }},
 	}
 
 	ran := false
@@ -111,25 +126,25 @@ func main() {
 		ran = true
 		tab, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "exhibit %s: %v\n", e.name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "exhibit %s: %v\n", e.name, err)
+			return 1
 		}
 		if tab != nil {
-			print(tab, *csv)
+			print(tab)
 			if *plot {
 				switch e.name {
 				case "7", "13":
 					// slowdown col 2, savings col 3, model/config col 1
-					fmt.Println(experiments.Scatter(tab, 2, 3, 1, 72, 20))
+					fmt.Fprintln(stdout, experiments.Scatter(tab, 2, 3, 1, 72, 20))
 				case "10":
-					fmt.Println(experiments.Scatter(tab, 1, 2, 0, 72, 20))
+					fmt.Fprintln(stdout, experiments.Scatter(tab, 1, 2, 0, 72, 20))
 				}
 			}
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown exhibit %q\n", *fig)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown exhibit %q\n", *fig)
+		return 2
 	}
 	// The engine latches per-job stream errors and surfaces them as
 	// exhibit failures above; a close failure here is the last way a
@@ -137,21 +152,18 @@ func main() {
 	if eventsFile != nil {
 		experiments.SetEventSink(nil)
 		if err := eventsFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "closing events file: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "closing events file: %v\n", err)
+			return 1
 		}
 	}
-}
-
-func print(t *experiments.Table, csv bool) {
-	if csv {
-		fmt.Print(t.CSV())
-	} else {
-		fmt.Println(t.String())
+	if *metricsAddr != "" && *metricsHold > 0 {
+		fmt.Fprintf(stderr, "holding metrics endpoint for %v\n", *metricsHold)
+		time.Sleep(*metricsHold)
 	}
+	return 0
 }
 
-func runAblations(s experiments.Scale, csv bool) error {
+func runAblations(s experiments.Scale, print func(*experiments.Table)) error {
 	for _, run := range []func(experiments.Scale) (*experiments.Table, error){
 		experiments.TierCountAblation,
 		experiments.SolverAblation,
@@ -167,7 +179,7 @@ func runAblations(s experiments.Scale, csv bool) error {
 		if err != nil {
 			return err
 		}
-		print(tab, csv)
+		print(tab)
 	}
 	return nil
 }

@@ -6,39 +6,14 @@ package compress
 // limited to 15 bits via the standard length-limiting fold.
 
 import (
+	"cmp"
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 const huffMaxBits = 15
-
-// bitWriter packs LSB-first bits, at most 32 a call, and hands them to
-// out four bytes at a time.
-type bitWriter struct {
-	out  []byte
-	acc  uint64
-	nacc uint
-}
-
-func (w *bitWriter) writeBits(v uint32, n uint) {
-	w.acc |= uint64(v) << w.nacc
-	w.nacc += n
-	if w.nacc >= 32 {
-		w.out = binary.LittleEndian.AppendUint32(w.out, uint32(w.acc))
-		w.acc >>= 32
-		w.nacc -= 32
-	}
-}
-
-// flush writes out the buffered bits, the last byte zero-padded.
-func (w *bitWriter) flush() {
-	for ; w.nacc > 0; w.nacc -= min(w.nacc, 8) {
-		w.out = append(w.out, byte(w.acc))
-		w.acc >>= 8
-	}
-}
 
 // bitReader reads LSB-first bits.
 type bitReader struct {
@@ -71,55 +46,67 @@ type huffNode struct {
 }
 
 // huffBuilder is the tree-construction workspace: at most 256 leaves, so
-// 511 nodes, a 256-entry heap and a depth-first stack of at most 257
-// pending nodes. Every build overwrites what it reads, so a builder reused
-// across blocks (zstdEncoder) and a fresh one on the caller's stack
+// 511 nodes and a 256-entry heap, a depth per node and the length-limit
+// fold's symbol order. Every build overwrites what it reads, so a builder
+// reused across blocks (zstdEncoder) and a fresh one on the caller's stack
 // (huffEncode) produce identical lengths.
 type huffBuilder struct {
 	nodes   [511]huffNode
 	heap    [256]int16 // node indexes, a binary min-heap by weight
+	heapW   [256]int64 // heapW[i] is nodes[heap[i]].weight
 	heapLen int
-	stack   [512]struct {
-		idx   int16
-		depth uint8
-	}
+	depth   [511]uint8
+	syms    [256]uint8
 }
 
-func (hb *huffBuilder) push(i int) {
+// push adds node i, of weight w. The sift-up is a hole too: an ancestor
+// moves down while strictly heavier than w, which is the swap loop's
+// "stop at a parent no heavier" with the swaps' stores left out.
+func (hb *huffBuilder) push(i int, w int64) {
 	c := hb.heapLen
-	hb.heap[c] = int16(i)
 	hb.heapLen++
 	for c > 0 {
 		p := (c - 1) / 2
-		if hb.nodes[hb.heap[p]].weight <= hb.nodes[hb.heap[c]].weight {
+		if hb.heapW[p] <= w {
 			break
 		}
-		hb.heap[p], hb.heap[c] = hb.heap[c], hb.heap[p]
+		hb.heap[c], hb.heapW[c] = hb.heap[p], hb.heapW[p]
 		c = p
 	}
+	hb.heap[c], hb.heapW[c] = int16(i), w
 }
 
+// pop removes the root and sifts the last element down from it as a hole:
+// the smaller child (the right one only when strictly lighter than the
+// left) moves up while it is strictly lighter than the element in hand.
+// That is the two-compare swap rule — lighter-than-parent left child, then
+// a right child lighter than whichever of the two stands — move for move
+// (DESIGN.md §12), so the heap's tie order, which decides which of two
+// equal-weight subtrees gets the longer code, is the one the goldens pin.
 func (hb *huffBuilder) pop() int {
-	top := hb.heap[0]
+	heap, heapW := &hb.heap, &hb.heapW
+	top := heap[0]
 	hb.heapLen--
 	n := hb.heapLen
-	hb.heap[0] = hb.heap[n]
+	last, w := heap[n], heapW[n]
 	c := 0
-	for {
-		l, r := 2*c+1, 2*c+2
-		small := c
-		if l < n && hb.nodes[hb.heap[l]].weight < hb.nodes[hb.heap[small]].weight {
-			small = l
+	// Slot n still holds w, so a left child with no sibling meets w there:
+	// if w is the lighter the loop ends either way, if not the left child
+	// stands, as it would alone.
+	for child := 1; child < n; child = 2*c + 1 {
+		right := 0
+		if heapW[child+1] < heapW[child] {
+			right = 1
 		}
-		if r < n && hb.nodes[hb.heap[r]].weight < hb.nodes[hb.heap[small]].weight {
-			small = r
-		}
-		if small == c {
+		child += right
+		cw := heapW[child]
+		if cw >= w {
 			break
 		}
-		hb.heap[c], hb.heap[small] = hb.heap[small], hb.heap[c]
-		c = small
+		heap[c], heapW[c] = heap[child], cw
+		c = child
 	}
+	heap[c], heapW[c] = last, w
 	return int(top)
 }
 
@@ -134,11 +121,12 @@ func (hb *huffBuilder) lengths(freq *[256]int64) [256]uint8 {
 	for s, f := range freq {
 		if f > 0 {
 			nodes[numNodes] = huffNode{weight: f, sym: int16(s), left: -1, right: -1}
-			hb.push(numNodes)
+			hb.push(numNodes, f)
 			numNodes++
 		}
 	}
-	switch numNodes {
+	numLeaves := numNodes
+	switch numLeaves {
 	case 0:
 		return lengths
 	case 1:
@@ -148,104 +136,125 @@ func (hb *huffBuilder) lengths(freq *[256]int64) [256]uint8 {
 	for hb.heapLen > 1 {
 		a := hb.pop()
 		b := hb.pop()
-		nodes[numNodes] = huffNode{weight: nodes[a].weight + nodes[b].weight, sym: -1, left: int16(a), right: int16(b)}
-		hb.push(numNodes)
+		w := nodes[a].weight + nodes[b].weight
+		nodes[numNodes] = huffNode{weight: w, sym: -1, left: int16(a), right: int16(b)}
+		hb.push(numNodes, w)
 		numNodes++
 	}
-	// Depth-first depth assignment; a leaf sits at depth >= 1 here and at
-	// most 255 (a fully skewed 256-leaf tree).
-	stack := &hb.stack
-	stack[0].idx, stack[0].depth = hb.heap[0], 0
-	for sp := 1; sp > 0; {
-		sp--
-		it := stack[sp]
-		n := nodes[it.idx]
-		if n.sym >= 0 {
-			lengths[n.sym] = it.depth
-			continue
-		}
-		stack[sp].idx, stack[sp].depth = n.left, it.depth+1
-		stack[sp+1].idx, stack[sp+1].depth = n.right, it.depth+1
-		sp += 2
+	// A node is created after both its children, so one pass from the root
+	// (the last node) down the array meets every parent before its
+	// children. A leaf sits at depth >= 1 here and at most 255 (a fully
+	// skewed 256-leaf tree).
+	depth := &hb.depth
+	depth[numNodes-1] = 0
+	for i := numNodes - 1; i >= numLeaves; i-- {
+		d := depth[i] + 1
+		depth[nodes[i].left], depth[nodes[i].right] = d, d
 	}
-	// Length-limit: fold codes longer than huffMaxBits using Kraft repair.
 	over := false
-	for _, l := range lengths {
-		if l > huffMaxBits {
-			over = true
-			break
-		}
+	for i := 0; i < numLeaves; i++ {
+		lengths[nodes[i].sym] = depth[i]
+		over = over || depth[i] > huffMaxBits
 	}
 	if over {
-		// Clamp and then fix the Kraft sum by lengthening the shallowest
-		// longest-code symbols.
-		var syms []int
-		for s, l := range lengths {
-			if l > 0 {
-				if l > huffMaxBits {
-					lengths[s] = huffMaxBits
-				}
-				syms = append(syms, s)
-			}
-		}
-		kraft := int64(0)
-		for _, s := range syms {
-			kraft += int64(1) << (huffMaxBits - lengths[s])
-		}
-		limit := int64(1) << huffMaxBits
-		// While over-subscribed, demote symbols (increase length) starting
-		// from the least frequent.
-		sort.Slice(syms, func(a, b int) bool { return freq[syms[a]] < freq[syms[b]] })
-		for kraft > limit {
-			for _, s := range syms {
-				if lengths[s] < huffMaxBits {
-					kraft -= int64(1) << (huffMaxBits - lengths[s] - 1)
-					lengths[s]++
-					if kraft <= limit {
-						break
-					}
-				}
-			}
-		}
+		hb.fold(&lengths, freq, numLeaves)
 	}
 	return lengths
 }
 
-// canonicalCodes assigns canonical code values from lengths.
-func canonicalCodes(lengths *[256]uint8) [256]uint32 {
-	var codes [256]uint32
-	var count [huffMaxBits + 1]int
-	for _, l := range lengths {
-		count[l]++
+// fold limits lengths to huffMaxBits: clamp, then repair the Kraft sum by
+// lengthening symbols from the least frequent up, ties in symbol order so
+// the result is a function of freq alone. The leaves are nodes[:numLeaves].
+func (hb *huffBuilder) fold(lengths *[256]uint8, freq *[256]int64, numLeaves int) {
+	syms := hb.syms[:numLeaves]
+	kraft := int64(0)
+	for i := range syms {
+		s := uint8(hb.nodes[i].sym)
+		syms[i] = s
+		lengths[s] = min(lengths[s], huffMaxBits)
+		kraft += int64(1) << (huffMaxBits - lengths[s])
 	}
-	var next [huffMaxBits + 1]uint32
-	code := uint32(0)
-	count[0] = 0
-	for bits := 1; bits <= huffMaxBits; bits++ {
-		code = (code + uint32(count[bits-1])) << 1
-		next[bits] = code
-	}
-	// Canonical order is (length, symbol): one pass in symbol order hands
-	// each length's codes out ascending.
-	for s, l := range lengths {
-		if l > 0 {
-			codes[s] = next[l]
-			next[l]++
+	slices.SortFunc(syms, func(a, b uint8) int {
+		if c := cmp.Compare(freq[a], freq[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	limit := int64(1) << huffMaxBits
+	for kraft > limit {
+		for _, s := range syms {
+			if lengths[s] < huffMaxBits {
+				kraft -= int64(1) << (huffMaxBits - lengths[s] - 1)
+				lengths[s]++
+				if kraft <= limit {
+					break
+				}
+			}
 		}
 	}
-	return codes
 }
 
-// reverseBits reverses the low n bits of v (canonical codes are MSB-first;
-// the bit IO here is LSB-first).
-func reverseBits(v uint32, n uint8) uint32 {
-	var out uint32
-	for i := uint8(0); i < n; i++ {
-		out = out<<1 | (v & 1)
-		v >>= 1
+// huffFLog2Bits is the fixed point of huffFLog2: 2^-16 bit.
+const huffFLog2Bits = 16
+
+// huffFLog2Max is the longest block the entropy bound is tabulated for: a
+// page's literals or tokens. f·log2(f)·2^16 is below 2^32 up to here.
+const huffFLog2Max = 4096
+
+// huffFLog2[f] is f·log2(f) in 2^-16 bits, exact when f is a power of two
+// and otherwise rounded up with a unit to spare: math.Log2's error scaled
+// by f·2^16 < 2^32 is under 2^-18 of a unit, so the entry is above the
+// true value and below it plus 2. It is filled once, before main, and
+// lives in the data segment.
+var huffFLog2 [huffFLog2Max + 1]uint32
+
+func init() {
+	for f := 2; f <= huffFLog2Max; f++ {
+		x := float64(f) * math.Log2(float64(f)) * (1 << huffFLog2Bits)
+		huffFLog2[f] = uint32(math.Ceil(x))
+		if f&(f-1) != 0 {
+			huffFLog2[f]++
+		}
 	}
-	return out
 }
+
+// huffHeaderBytes is what a coded block spends before its bitstream beyond
+// what a raw block spends: the 128 bytes of code lengths, and the 4 the
+// estimate has always added.
+const huffHeaderBytes = 128 + 4
+
+// rawCertain reports whether the n > 0 bytes counted in freq are certain
+// to be emitted raw, without building their code: it is true only if
+// every prefix code's cost, plus the header, reaches n. A code spends at
+// least one bit a symbol, and — Kraft's inequality, which the length
+// limit's fold keeps — at least the order-0 entropy
+//
+//	n·H0 = n·log2(n) − Σ f·log2(f)
+//
+// bits in all. The bound is taken from below: the n term gives back the
+// table's rounding (an entry is less than 2 units high, so entry−3 is
+// low), the f terms keep theirs. A whole number of bits no smaller than
+// the bound is no smaller than its ceiling. False means "not proven": the
+// caller builds the code and decides as it always has.
+func rawCertain(freq *[256]int64, n int) bool {
+	if rawAtOneBit(n) {
+		return true
+	}
+	if n > huffFLog2Max {
+		return false
+	}
+	sum := int64(0)
+	for _, f := range freq {
+		sum += int64(huffFLog2[f])
+	}
+	lb := (int64(huffFLog2[n]) - 3 - sum + 1<<huffFLog2Bits - 1) >> huffFLog2Bits
+	return (lb+7)/8+huffHeaderBytes >= int64(n)
+}
+
+// rawAtOneBit is rawCertain's verdict on the length alone: at one bit a
+// symbol, the least any code spends, n bytes still do not beat the header
+// (n <= 151).
+func rawAtOneBit(n int) bool { return (n+7)/8+huffHeaderBytes >= n }
 
 // huffEncode appends a Huffman-coded block of src to dst:
 //
@@ -259,28 +268,52 @@ func huffEncode(dst, src []byte) []byte {
 	return hb.encode(dst, src)
 }
 
+// appendRawBlock appends src as a raw block.
+func appendRawBlock(dst, src []byte) []byte {
+	dst = append(dst, 0)
+	dst = appendUvarint(dst, uint64(len(src)))
+	return append(dst, src...)
+}
+
 // encode is huffEncode building its tree in hb.
 func (hb *huffBuilder) encode(dst, src []byte) []byte {
 	if len(src) == 0 {
 		return append(dst, 0, 0) // raw block, length 0
 	}
+	if rawAtOneBit(len(src)) {
+		return appendRawBlock(dst, src) // not worth counting
+	}
+	// Four tables, so a run of one byte value is not a chain of
+	// store-to-load forwards through one counter. A lane cannot wrap: the
+	// decoder refuses a coded block above 2^24 symbols, and no caller
+	// comes near.
+	var lanes [4][256]uint32
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		lanes[0][src[i]]++
+		lanes[1][src[i+1]]++
+		lanes[2][src[i+2]]++
+		lanes[3][src[i+3]]++
+	}
+	for ; i < len(src); i++ {
+		lanes[0][src[i]]++
+	}
 	var freq [256]int64
-	for _, b := range src {
-		freq[b]++
+	for s := range freq {
+		freq[s] = int64(lanes[0][s]) + int64(lanes[1][s]) + int64(lanes[2][s]) + int64(lanes[3][s])
+	}
+	if rawCertain(&freq, len(src)) {
+		return appendRawBlock(dst, src)
 	}
 	lengths := hb.lengths(&freq)
-	codes := canonicalCodes(&lengths)
 
-	// Estimate coded size.
-	bits := int64(0)
+	cost := int64(0)
 	for s, f := range freq {
-		bits += f * int64(lengths[s])
+		cost += f * int64(lengths[s])
 	}
-	coded := (bits+7)/8 + 128 + 4
-	if coded >= int64(len(src)) {
-		dst = append(dst, 0) // raw block
-		dst = appendUvarint(dst, uint64(len(src)))
-		return append(dst, src...)
+	body := (cost + 7) / 8
+	if body+huffHeaderBytes >= int64(len(src)) {
+		return appendRawBlock(dst, src)
 	}
 
 	dst = append(dst, 1) // coded block
@@ -288,19 +321,58 @@ func (hb *huffBuilder) encode(dst, src []byte) []byte {
 	for i := 0; i < 256; i += 2 {
 		dst = append(dst, lengths[i]|lengths[i+1]<<4)
 	}
-	// Canonical codes are MSB-first, the bit IO LSB-first: reverse each
-	// used code once, not once per byte.
+	// One entry a symbol, code | length<<24. Canonical order is (length,
+	// symbol): one pass in symbol order hands each length's codes out
+	// ascending. Codes are MSB-first and the bit IO LSB-first: each used
+	// code is reversed once here, not once per byte.
+	var count [huffMaxBits + 1]uint32
+	for _, l := range lengths {
+		count[l]++
+	}
+	count[0] = 0
+	var next [huffMaxBits + 1]uint32
+	for nb, code := 1, uint32(0); nb <= huffMaxBits; nb++ {
+		code = (code + count[nb-1]) << 1
+		next[nb] = code
+	}
+	var table [256]uint32
 	for s, l := range lengths {
 		if l > 0 {
-			codes[s] = reverseBits(codes[s], l)
+			table[s] = uint32(bits.Reverse16(uint16(next[l]))>>(16-l)) | uint32(l)<<24
+			next[l]++
 		}
 	}
-	w := bitWriter{out: dst}
-	for _, b := range src {
-		w.writeBits(codes[b], uint(lengths[b]))
+	// The body's size is known: write it in place. Three codes are at most
+	// 45 bits, so with under 8 carried the accumulator takes three symbols
+	// between stores; each store writes all eight bytes and keeps the whole
+	// ones, the next overwrites the rest. The last store's tail is the
+	// slack grown here and cut off below.
+	start := len(dst)
+	dst = slices.Grow(dst, int(body)+8)[:start+int(body)+8]
+	out := dst[start:]
+	var acc uint64
+	var nacc, pos uint
+	i = 0
+	for ; i+3 <= len(src); i += 3 {
+		e0, e1, e2 := table[src[i]], table[src[i+1]], table[src[i+2]]
+		acc |= uint64(e0&0xFFFFFF) << nacc
+		nacc += uint(e0 >> 24)
+		acc |= uint64(e1&0xFFFFFF) << nacc
+		nacc += uint(e1 >> 24)
+		acc |= uint64(e2&0xFFFFFF) << nacc
+		nacc += uint(e2 >> 24)
+		binary.LittleEndian.PutUint64(out[pos:], acc)
+		pos += nacc >> 3
+		acc >>= nacc &^ 7
+		nacc &= 7
 	}
-	w.flush()
-	return w.out
+	for ; i < len(src); i++ {
+		e := table[src[i]]
+		acc |= uint64(e&0xFFFFFF) << nacc
+		nacc += uint(e >> 24)
+	}
+	binary.LittleEndian.PutUint64(out[pos:], acc)
+	return dst[:start+int(body)]
 }
 
 // huffTableBits is the widest primary decode table: 2^11 two-byte entries

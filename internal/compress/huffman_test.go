@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tierscape/internal/corpus"
 	"tierscape/internal/stats"
 )
 
@@ -158,5 +159,48 @@ func TestBitIORoundTrip(t *testing.T) {
 		if !ok || got != x.v {
 			t.Fatalf("value %d: got %d ok=%v, want %d", i, got, ok, x.v)
 		}
+	}
+}
+
+// BenchmarkHuffEncode times the entropy stage alone on the streams the
+// zstd-class encoder hands it: the literals of text, binary and random
+// pages, and text pages' sequence tokens. Each case cycles through 64
+// pages' streams, so the tree build's data-dependent branches are not
+// learnt from one input repeated.
+func BenchmarkHuffEncode(b *testing.B) {
+	streams := func(prof corpus.Profile, tokens bool) (out [][]byte, total int) {
+		var e zstdEncoder
+		g := corpus.NewGenerator(prof, 42)
+		for i := uint64(0); i < 64; i++ {
+			e.compress(nil, g.Page(i, 4096))
+			s := e.literals
+			if tokens {
+				s = e.tokens
+			}
+			out = append(out, bytes.Clone(s))
+			total += len(s)
+		}
+		return out, total
+	}
+	for _, bc := range []struct {
+		name   string
+		prof   corpus.Profile
+		tokens bool
+	}{
+		{"text", corpus.Dickens, false},
+		{"binary", corpus.Binary, false},
+		{"random", corpus.Random, false},
+		{"tokens", corpus.Dickens, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srcs, total := streams(bc.prof, bc.tokens)
+			var hb huffBuilder
+			var dst []byte
+			b.SetBytes(int64(total / len(srcs)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = hb.encode(dst[:0], srcs[i%len(srcs)])
+			}
+		})
 	}
 }

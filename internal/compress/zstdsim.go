@@ -127,23 +127,22 @@ func (e *zstdEncoder) compress(dst, src []byte) []byte {
 		// stale entries are never read.
 		chain := e.chain[:n]
 		table := &e.table
-		// rel turns a table entry into position+1 within this block, 0
-		// when the entry predates it.
-		rel := func(v uint32) int32 {
-			if v <= base {
-				return 0
-			}
-			return int32(v - base)
-		}
+		// A table entry is base+position+1; at or below base it predates
+		// this block. max(v, base)-base is position+1 within the block, 0
+		// for "no candidate".
 		anchor := 0
 		pos := 0
 		limit := n - 4
 		for pos <= limit {
 			cur := load32(src, pos)
 			h := zstdHash(cur)
-			prev := rel(table[h])
+			prev := int32(max(table[h], base) - base)
 			table[h] = base + uint32(pos) + 1
 			chain[pos] = prev
+			if prev == 0 {
+				pos++ // an empty chain has no match to look for
+				continue
+			}
 			bestLen, bestOff := zstdBestMatch(src, chain, int(prev)-1, pos, cur)
 			if bestLen < zstdMinMatch {
 				pos++
@@ -153,7 +152,7 @@ func (e *zstdEncoder) compress(dst, src []byte) []byte {
 			end := pos + bestLen
 			for p := pos + 1; p < end && p <= limit; p++ {
 				hh := zstdHash(load32(src, p))
-				chain[p] = rel(table[hh])
+				chain[p] = int32(max(table[hh], base) - base)
 				table[hh] = base + uint32(p) + 1
 			}
 			pos = end

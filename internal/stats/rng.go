@@ -7,7 +7,10 @@
 // experiments and tests are exactly reproducible.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator based on the
 // PCG-XSH-RR 64/32 scheme. It is not safe for concurrent use; each goroutine
@@ -53,8 +56,7 @@ func (r *RNG) Split() *RNG {
 // pcgOutput is PCG-XSH-RR's output function of a state.
 func pcgOutput(state uint64) uint32 {
 	xorshifted := uint32(((state >> 18) ^ state) >> 27)
-	rot := uint32(state >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	return bits.RotateLeft32(xorshifted, -int(state>>59))
 }
 
 // Uint32 returns the next 32 uniformly distributed bits.
@@ -73,6 +75,19 @@ func (r *RNG) Uint64() uint64 {
 	s1 := s0*pcgMult + r.inc
 	r.state = s0*pcgMult2 + r.inc*(pcgMult+1)
 	return uint64(pcgOutput(s0))<<32 | uint64(pcgOutput(s1))
+}
+
+// Uint64Hi returns the high half of r's next Uint64 draw and the
+// generator past that draw: the state advances exactly as Uint64 advances
+// it, and the second output — the draw's low 32 bits — is never computed.
+// For a caller that can usually decide on the high half alone; when it
+// cannot, r is still the generator before the draw and r.Uint64() is the
+// same draw in full. Value in, value out: a loop that threads its
+// generator through Uint64Hi keeps the state in registers, which a call on
+// a pointer receiver, even inlined, does not.
+func (r RNG) Uint64Hi() (hi uint32, next RNG) {
+	next = RNG{state: r.state*pcgMult2 + r.inc*(pcgMult+1), inc: r.inc}
+	return pcgOutput(r.state), next
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

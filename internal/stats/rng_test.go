@@ -148,9 +148,10 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 }
 
-// TestRNGUint64TwoStep: Uint64 advances the generator two steps at once;
-// it must stay exactly two Uint32 draws, high half first, wherever it
-// falls among the other draws — every sampler, key hash and page byte
+// TestRNGUint64TwoStep: Uint64 — and Uint64Hi, which computes only its
+// high half — advances the generator two steps at once; it must stay
+// exactly two Uint32 draws, high half first, wherever it falls among the
+// other draws — every sampler, key hash and page byte
 // downstream is a function of this sequence. The reference generator makes
 // each 64-bit draw, and everything built on one, from single steps.
 func TestRNGUint64TwoStep(t *testing.T) {
@@ -158,7 +159,7 @@ func TestRNGUint64TwoStep(t *testing.T) {
 	ref64 := func() uint64 { return uint64(ref.Uint32())<<32 | uint64(ref.Uint32()) }
 	for i := 0; i < 1<<20; i++ {
 		var g, w uint64
-		switch i % 7 {
+		switch i % 8 {
 		case 0, 1, 2:
 			g, w = got.Uint64(), ref64()
 		case 3:
@@ -169,13 +170,17 @@ func TestRNGUint64TwoStep(t *testing.T) {
 		case 5:
 			g, w = math.Float64bits(got.Float64()), math.Float64bits(float64(ref64()>>11)/(1<<53))
 		case 6:
-			if i%(7*512) == 6 { // now and then, carry on from a derived stream
+			if i%(8*512) == 6 { // now and then, carry on from a derived stream
 				got, ref = got.Split(), NewRNG(ref64())
 			}
 			g, w = got.Uint64(), ref64()
+		case 7: // the high half alone, the generator past the whole draw
+			hi, next := got.Uint64Hi()
+			*got = next
+			g, w = uint64(hi), ref64()>>32
 		}
 		if g != w {
-			t.Fatalf("draw %d (kind %d): got %#x, want %#x", i, i%7, g, w)
+			t.Fatalf("draw %d (kind %d): got %#x, want %#x", i, i%8, g, w)
 		}
 	}
 	if *got != *ref {

@@ -105,3 +105,58 @@ func TestNextOpAllocsPerRun(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessStreamGolden pins the access streams of the workloads the KV
+// golden does not cover — five of Figure 7's eight — bit for bit: SHA-256
+// over the first 2^18 accesses (page as little-endian int64, a write byte)
+// with a 0xFF byte closing every op, so an access that moves from one op
+// to the next changes the hash too. Recorded before XSBench's binary
+// search lost its branches and NewRMat its second PCG output per draw.
+func TestAccessStreamGolden(t *testing.T) {
+	ycsb := func(capacity, valueSize int64) Workload {
+		y, err := NewYCSB('A', capacity, valueSize, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	cases := []struct {
+		name string
+		wl   Workload
+		want string
+	}{
+		{"XSBench/2048", NewXSBench(2048, 7), "086769a1fdbf8fc38eea032cd1c7d979f788830d6cead59099fdb25544bc1049"},
+		{"XSBench/16384", NewXSBench(16384, 42), "4ad133cb5e0e6a23e867134705a85b3ad9e7cd3d45a65e47a0dacd75857a1991"},
+		{"BFS/4096", NewBFS(1<<12, 8, 7), "545610639958ba40778066b9b7366c2a73031fe499770788f2f8aa0dadb3548b"},
+		{"BFS/65536", NewBFS(1<<16, 8, 42), "a912c189016b782f803194b61ede3c490a21e220e13a2b486b2a0131af9e52ef"},
+		{"PageRank/4096", NewPageRank(1<<12, 8, 7), "822caf6cb58b55cdaae14ede79a229989e66e51f4fad62bae46d4a4a6ceead50"},
+		{"PageRank/65536", NewPageRank(1<<16, 8, 42), "150faf65db0b409cfe9b27810fd43183905f06479991de3e1b5c79d4deb090e4"},
+		{"GraphSAGE/1024", NewGraphSAGE(1024, 7), "9ac759c1cd6c66be4c88520cb8944a374764fb4226a19e0f9323bd0a1f4c345e"},
+		{"GraphSAGE/3072", NewGraphSAGE(3072, 42), "07d26f70ce4e11988a852ca29a58a0f2c4d300c588553735ca8f6800cebda766"},
+		{"masim/512", DefaultMasim(512, 5000, 7), "15d81d692a6d66b59e222997731834ad1f63f3ab0ae3346887556506795b1763"},
+		{"masim/1024", DefaultMasim(1024, 20000, 42), "f47d8a7375135fa99d09120695ef88630e4dd12664f422ec78ad953f9d3b24f1"},
+		{"YCSB-A/20000x256", ycsb(20000, 256), "27448631a38acbb2709467ab0d5668079a700037c1e4eb4b8e2ecd7e77bbb76d"},
+		{"YCSB-A/200000x1024", ycsb(200000, 1024), "34e9238bfd2b6b25be8d5e8d8530cf4531549e2cc41f0d0557812949c13728a6"},
+	}
+	for _, c := range cases {
+		h := sha256.New()
+		var buf []Access
+		var rec [9]byte
+		for n := 0; n < 1<<18; {
+			buf = c.wl.NextOp(buf[:0])
+			for _, a := range buf {
+				binary.LittleEndian.PutUint64(rec[:], uint64(a.Page))
+				rec[8] = 0
+				if a.Write {
+					rec[8] = 1
+				}
+				h.Write(rec[:])
+				n++
+			}
+			h.Write([]byte{0xFF})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%q: %q,", c.name, got)
+		}
+	}
+}

@@ -45,6 +45,67 @@ const (
 // is an integer and the comparison carries over to the integers.
 func rmatThreshold(t float64) uint64 { return uint64(t * (1 << 53)) }
 
+// rmatCuts is the quadrant choice as compares: a draw k = Uint64()>>11
+// lands in quadrant a (0: neither bit), b (1: v's bit), c (2: u's bit) or
+// d (3: both) — the number of cumulative thresholds it reaches. t holds
+// each threshold minus one; k and t are below 2^53, so (t-k)>>63 is 1
+// exactly when k reaches the threshold, and nothing branches on the draw.
+//
+// k is the draw's high 32 bits — its first PCG output — over 21 of its low
+// ones, so the high word alone decides against a threshold T unless it
+// equals T>>21: below, k < (T>>21)<<21 <= T; above, k >= (T>>21+1)<<21 >
+// T. hi holds the three T>>21, and only on a draw whose high word is one
+// of them (3 values in 2^32) is the low half computed.
+type rmatCuts struct{ t, hi [3]uint64 }
+
+// makeRMatCuts builds the compares for three thresholds in [1, 2^53].
+func makeRMatCuts(thresholds [3]uint64) rmatCuts {
+	var c rmatCuts
+	for i, t := range thresholds {
+		c.t[i] = t - 1
+		c.hi[i] = t >> 21
+	}
+	return c
+}
+
+// edge draws one edge: a quadrant per level, one Uint64 draw each, u
+// taking the quadrant's high bit and v its low bit. The generator
+// advances two steps a draw whichever path decides it, so every later
+// draw is the one it always was.
+func (c *rmatCuts) edge(rng *stats.RNG, levels uint) (u, v uint64) {
+	r := *rng
+	h0, h1, h2 := c.hi[0], c.hi[1], c.hi[2]
+	for l := uint(0); ; l++ {
+		// The loop proper calls nothing, so the generator stays in
+		// registers; it stops at a draw the high word cannot decide.
+		for ; l < levels; l++ {
+			hi32, next := r.Uint64Hi()
+			hi := uint64(hi32)
+			if hi == h0 || hi == h1 || hi == h2 {
+				break
+			}
+			r = next
+			q := (h0-hi)>>63 + (h1-hi)>>63 + (h2-hi)>>63
+			u |= (q >> 1) << (l & 63)
+			v |= (q & 1) << (l & 63)
+		}
+		if l == levels {
+			break
+		}
+		q := c.whole(&r)
+		u |= (q >> 1) << (l & 63)
+		v |= (q & 1) << (l & 63)
+	}
+	*rng = r
+	return u, v
+}
+
+// whole draws rng's next Uint64 and returns its quadrant on all 53 bits.
+func (c *rmatCuts) whole(rng *stats.RNG) uint64 {
+	k := rng.Uint64() >> 11
+	return (c.t[0]-k)>>63 + (c.t[1]-k)>>63 + (c.t[2]-k)>>63
+}
+
 // NewRMat generates an rMat graph with n vertices (rounded up to a power
 // of two) and avgDegree·n edges using the standard (0.57, 0.19, 0.19)
 // partition probabilities, then builds the CSR layout.
@@ -56,7 +117,7 @@ func NewRMat(n int64, avgDegree int, seed uint64) *Graph {
 	}
 	n = np
 	m := n * int64(avgDegree)
-	rng := stats.NewRNG(seed ^ 0x724d6174) // "rMat"
+	rng := stats.MakeRNG(seed ^ 0x724d6174) // "rMat"
 
 	deg := make([]int32, n)
 	src := make([]int32, m)
@@ -65,20 +126,9 @@ func NewRMat(n int64, avgDegree int, seed uint64) *Graph {
 	for v := int64(1); v < n; v <<= 1 {
 		levels++
 	}
-	// One draw per level picks the quadrant: a (neither bit), b (v's bit),
-	// c (u's bit) or d (both) — the number q of thresholds the draw
-	// reaches, with u taking q's high bit and v its low bit. k and the
-	// thresholds are below 2^53, so (t-1-k)>>63 is 1 exactly when k >= t
-	// and the loop body has no branches to mispredict.
-	ta, tab, tabc := rmatThreshold(rmatA)-1, rmatThreshold(rmatAB)-1, rmatThreshold(rmatABC)-1
+	cuts := makeRMatCuts([3]uint64{rmatThreshold(rmatA), rmatThreshold(rmatAB), rmatThreshold(rmatABC)})
 	for e := int64(0); e < m; e++ {
-		var u, v uint64
-		for l := uint(0); l < levels; l++ {
-			k := rng.Uint64() >> 11
-			q := (ta-k)>>63 + (tab-k)>>63 + (tabc-k)>>63
-			u |= (q >> 1) << l
-			v |= (q & 1) << l
-		}
+		u, v := cuts.edge(&rng, levels)
 		src[e], dst[e] = int32(u), int32(v)
 		deg[u]++
 	}

@@ -81,6 +81,69 @@ func TestRMatThresholdExact(t *testing.T) {
 	}
 }
 
+// TestRMatHighHalfGuard: deciding a quadrant on the draw's high word is
+// deciding it on Uint64()>>11. Draws are forced onto a threshold's high
+// word by building the threshold around the draw — its low 21 bits at
+// zero (the high-word compare alone would call the draw short of it), at
+// the draw's own, one past them and all ones — so the answer is right only
+// if the whole draw was taken; and either way the generator must end where
+// Uint64 leaves it.
+func TestRMatHighHalfGuard(t *testing.T) {
+	base := [3]uint64{rmatThreshold(rmatA), rmatThreshold(rmatAB), rmatThreshold(rmatABC)}
+	reached := func(k uint64, th [3]uint64) (q uint64) {
+		for _, t := range th {
+			if k >= t {
+				q++
+			}
+		}
+		return q
+	}
+	rng := stats.NewRNG(5)
+	forced := 0
+	for trial := 0; trial < 20000; trial++ {
+		rng.Uint32() // an odd number of steps between trials: both parities of the stream
+		peek := *rng
+		draw := peek.Uint64()
+		k, low := draw>>11, draw>>11&(1<<21-1)
+		for which := 0; which < 3; which++ {
+			for _, l := range []uint64{0, low, low + 1, 1<<21 - 1} {
+				th := base
+				th[which] = draw>>32<<21 | l&(1<<21-1)
+				if th[which] == 0 {
+					continue // a threshold is at least 1
+				}
+				cuts := makeRMatCuts(th)
+				got := *rng
+				u, v := cuts.edge(&got, 1)
+				if q := u<<1 | v; q != reached(k, th) {
+					t.Fatalf("draw %#x against threshold %d = %#x: quadrant %d, Uint64()>>11 gives %d", draw, which, th[which], q, reached(k, th))
+				}
+				if got != peek {
+					t.Fatalf("draw %#x: the generator is not where Uint64 leaves it", draw)
+				}
+				forced++
+			}
+		}
+	}
+	// And unforced: whole edges against the figure's thresholds.
+	cuts := makeRMatCuts(base)
+	a, b := stats.NewRNG(6), stats.NewRNG(6)
+	for e := 0; e < 50000; e++ {
+		u, v := cuts.edge(a, 17)
+		for l := 0; l < 17; l++ {
+			if q, want := (u>>l&1)<<1|v>>l&1, reached(b.Uint64()>>11, base); q != want {
+				t.Fatalf("edge %d level %d: quadrant %d, want %d", e, l, q, want)
+			}
+		}
+	}
+	if *a != *b {
+		t.Fatal("after 50000 edges the generators differ")
+	}
+	if forced < 200000 {
+		t.Fatalf("%d forced draws checked", forced)
+	}
+}
+
 // collect runs n ops of wl and returns the concatenated access stream.
 func collect(wl Workload, n int) []Access {
 	var out, buf []Access
@@ -135,5 +198,13 @@ func TestGraphSAGESizing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(collect(a, 500), collect(b, 500)) {
 		t.Fatal("access streams differ")
+	}
+}
+
+// BenchmarkNewRMat builds the small-scale figure graph: 2^17 vertices,
+// 2^20 edges, 17 draws an edge.
+func BenchmarkNewRMat(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		NewRMat(1<<17, 8, uint64(i))
 	}
 }

@@ -281,3 +281,13 @@ func TestNamesDistinct(t *testing.T) {
 		t.Fatalf("only %d distinct names", len(seen))
 	}
 }
+
+// BenchmarkXSBenchNextOp draws lookups at the ledger's daemon size: 32
+// regions of grid and table, 15 binary-search levels an op.
+func BenchmarkXSBenchNextOp(b *testing.B) {
+	x := NewXSBench(32*mem.RegionPages, 1)
+	buf := make([]Access, 0, 64)
+	for i := 0; i < b.N; i++ {
+		buf = x.NextOp(buf[:0])
+	}
+}

@@ -83,9 +83,13 @@ func (x *XSBench) NextOp(buf []Access) []Access {
 			buf = append(buf, Access{Page: p})
 			lastPage = p
 		}
-		if mid < target {
+		// Which half holds the target is a coin flip at every level: two
+		// conditional moves, not a branch to mispredict.
+		below := mid < target
+		if below {
 			lo = mid + 1
-		} else {
+		}
+		if !below {
 			hi = mid
 		}
 	}
