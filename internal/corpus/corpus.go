@@ -194,7 +194,7 @@ var dickensZipf = stats.MakeZipf(nil, int64(len(dickensWords)), 1.0, false)
 // past rank 1 lands on the last word and the vocabulary collapses to
 // "the", "of" and "face" plus the rare words ("Face the face face zlltea
 // face face."). Fixing it moves every Dickens, Mixed and Regional byte and
-// with them every ratio and TCO number, so it waits for ROADMAP item 3's
+// with them every ratio and TCO number, so it waits for ROADMAP item 1's
 // re-baseline; TestFillGolden holds today's bytes until then.
 func fillDickens(rng *stats.RNG, buf []byte) {
 	z := dickensZipf.WithRNG(rng)

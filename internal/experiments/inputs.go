@@ -6,18 +6,37 @@ import (
 	"sync/atomic"
 
 	"tierscape/internal/workload"
+	"tierscape/internal/ztier"
 )
 
-// inputs is one figure's table of immutable workload inputs: the rMat
-// graphs its jobs traverse, each built once however many jobs ask. One
-// runJobs call owns one table — it reaches the jobs through Scale.inputs
-// and nothing else refers to it, so the graphs are garbage as soon as the
-// figure returns. There is deliberately no process-wide cache: a sweep's
-// inputs live exactly as long as the sweep.
+// inputs is one figure's table of what its jobs share because it is the
+// same for all of them and never changes: the rMat graphs they traverse,
+// each built once however many jobs ask, and the compressed form of the
+// pages they demote, each compressed once however many managers ask (the
+// jobs of a figure run different models over the same generated pages).
+// One runJobs call owns one table — it reaches the jobs through
+// Scale.inputs and nothing else refers to it, so graphs and memo are
+// garbage as soon as the figure returns. There is deliberately no
+// process-wide cache: a sweep's inputs live exactly as long as the sweep.
 type inputs struct {
 	mu     sync.Mutex
 	graphs map[graphKey]*graphEntry
+
+	// memo is handed to every job's manager (runJob.run); nil shares
+	// nothing.
+	memo *ztier.StoreMemo
 }
+
+// storeMemoBudget bounds a figure's memo: the compressed bytes it may hold
+// before it stops admitting. At the default scale the hungriest figure
+// (Figure 13, six tiers over five codecs) holds 84 MB and Figure 7 30 MB;
+// a sweep that runs past the budget loses hits, never a result.
+const storeMemoBudget = 128 << 20
+
+// newStoreMemo makes the memo of one figure. A variable so that tests can
+// run figures with none, with a budget that runs out mid-sweep, or with
+// verification on.
+var newStoreMemo = func() *ztier.StoreMemo { return ztier.NewStoreMemo(storeMemoBudget) }
 
 type graphKey struct {
 	vertices int64

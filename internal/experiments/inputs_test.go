@@ -10,6 +10,7 @@ import (
 
 	"tierscape/internal/mem"
 	"tierscape/internal/workload"
+	"tierscape/internal/ztier"
 )
 
 // tinyScale is a Figure 7 that runs in a fraction of a second: the same 56
@@ -21,12 +22,29 @@ func tinyScale() Scale {
 	}
 }
 
-// TestFig7SharedInputsIdenticalTable: drawing graphs from the figure's
-// table must change nothing a run can observe. The reference is the same
-// figure with every job building its own graph (the lineup's constructors
-// with the table hidden from them), serial; the shared sweep must match
-// its table and its JSONL event stream byte for byte at every runner and
-// push-thread width.
+// withStoreMemo runs f with every figure's memo made by mk (nil: none).
+func withStoreMemo(t *testing.T, mk func() *ztier.StoreMemo, f func()) {
+	t.Helper()
+	if mk == nil {
+		mk = func() *ztier.StoreMemo { return nil }
+	}
+	defer func(was func() *ztier.StoreMemo) { newStoreMemo = was }(newStoreMemo)
+	newStoreMemo = mk
+	f()
+}
+
+// oneSlab is a memo budget that buys a single slab (ztier's memoSlabSize):
+// admission stops almost as soon as a sweep starts.
+const oneSlab = 128 << 10
+
+// TestFig7SharedInputsIdenticalTable: drawing graphs and compressed pages
+// from the figure's table must change nothing a run can observe. The
+// reference is the same figure sharing nothing — every job building its
+// own graph (the lineup's constructors with the table hidden from them)
+// and compressing its own pages (no memo) — serial; the shared sweep must
+// match its table and its JSONL event stream byte for byte at every runner
+// and push-thread width, and so must one whose memo admits nothing or
+// fills up a moment into the sweep.
 func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	s := tinyScale()
 	capture := func(parallel, push int, fig func() (*Table, error)) (table, stream string) {
@@ -54,7 +72,10 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 		}
 	}
 	before := rmatBuilds.Load()
-	wantTable, wantStream := capture(1, 1, func() (*Table, error) { return fig7(s, private) })
+	var wantTable, wantStream string
+	withStoreMemo(t, nil, func() {
+		wantTable, wantStream = capture(1, 1, func() (*Table, error) { return fig7(s, private) })
+	})
 	if n := rmatBuilds.Load() - before; n != 21 {
 		t.Fatalf("the per-job reference built %d graphs, want 21 (three graph workloads × seven jobs)", n)
 	}
@@ -70,6 +91,19 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 			if stream != wantStream {
 				t.Errorf("parallel=%d push=%d: event stream differs from per-job builds", parallel, push)
 			}
+		}
+	}
+	for _, budget := range []int64{0, oneSlab} {
+		var memo *ztier.StoreMemo
+		withStoreMemo(t, func() *ztier.StoreMemo { memo = ztier.NewStoreMemo(budget); return memo }, func() {
+			table, stream := capture(2, 2, func() (*Table, error) { return Fig7(s) })
+			if table != wantTable || stream != wantStream {
+				t.Errorf("memo budget %d: table or event stream differs from the unshared figure", budget)
+			}
+		})
+		// A memo that stopped admitting part-way still answers with what it has.
+		if st := memo.Stats(); st.Bytes != budget || st.Lookups == 0 || (st.Hits > 0) != (budget > 0) || st.Hits == st.Lookups {
+			t.Errorf("memo budget %d: stats %+v", budget, st)
 		}
 	}
 }
@@ -100,26 +134,34 @@ func heapAfterGC() int64 {
 
 // TestFigureReleasesInputs: what a figure builds dies with it. After Fig7
 // returns and one GC, the heap is back where it was — no graph left in a
-// process-wide cache, no region's worth of page buffers parked in a
-// sync.Pool's victim cache (which survives exactly one GC, and is where
-// per-window drained arenas used to sit), no encoder kept by a codec
-// singleton. One GC, not two, is the point.
+// process-wide cache, no memo of compressed pages (megabytes, while the
+// figure ran) still reachable from anywhere, no region's worth of page
+// buffers parked in a sync.Pool's victim cache (which survives exactly one
+// GC, and is where per-window drained arenas used to sit), no encoder kept
+// by a codec singleton. One GC, not two, is the point.
 func TestFigureReleasesInputs(t *testing.T) {
 	s := tinyScale()
-	run := func() {
-		if _, err := Fig7(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // one-time initialisation (lazy tables, the runtime's own pools)
 	const slack = 64 << 10
-	for i := 0; i < 20; i++ {
-		before := heapAfterGC()
-		run()
-		if grew := heapAfterGC() - before; grew > slack {
-			t.Errorf("repetition %d: heap grew by %d bytes across a figure, want <= %d", i, grew, slack)
+	var memo *ztier.StoreMemo
+	withStoreMemo(t, func() *ztier.StoreMemo { memo = ztier.NewStoreMemo(storeMemoBudget); return memo }, func() {
+		run := func() {
+			if _, err := Fig7(s); err != nil {
+				t.Fatal(err)
+			}
+			if held := memo.Stats().Bytes; held < 16*slack {
+				t.Errorf("the figure's memo held %d bytes; too little for its release to show", held)
+			}
+			memo = nil // the test's own reference
 		}
-	}
+		run() // one-time initialisation (lazy tables, the runtime's own pools)
+		for i := 0; i < 20; i++ {
+			before := heapAfterGC()
+			run()
+			if grew := heapAfterGC() - before; grew > slack {
+				t.Errorf("repetition %d: heap grew by %d bytes across a figure, want <= %d", i, grew, slack)
+			}
+		}
+	})
 }
 
 // TestSharedInputBuildFailure: a graph build that panics must fail every

@@ -241,6 +241,7 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building manager for %s: %w", j.spec.Name, err)
 	}
+	m.ShareStores(s.inputs.memo)
 	cfg := sim.Config{
 		Manager:      m,
 		Workload:     wl,
@@ -273,7 +274,8 @@ func runJobs(s Scale, jobs []runJob) ([]*sim.Result, error) {
 	// *obs.Live stored in a non-nil Recorder interface would defeat the
 	// nil checks in obs.Tee and below.
 	var l obs.Recorder
-	if lp := live.Load(); lp != nil {
+	lp := live.Load()
+	if lp != nil {
 		l = lp
 	}
 	sink := currentEventSink()
@@ -287,7 +289,7 @@ func runJobs(s Scale, jobs []runJob) ([]*sim.Result, error) {
 		}
 	}
 	results := make([]*sim.Result, len(jobs))
-	s.inputs = new(inputs) // this figure's; unreachable once the set returns
+	s.inputs = &inputs{memo: newStoreMemo()} // this figure's; unreachable once the set returns
 	// The pool's first tasks build the set's distinct shared inputs, one
 	// per worker, instead of leaving each to the first job that needs it:
 	// jobs over one graph are adjacent, so the whole pool would reach it
@@ -315,6 +317,10 @@ func runJobs(s Scale, jobs []runJob) ([]*sim.Result, error) {
 		results[i] = res
 		return nil
 	})
+	if lp != nil {
+		st := s.inputs.memo.Stats()
+		lp.AddStoreMemo(st.Lookups, st.Hits, st.Bytes)
+	}
 	if err != nil {
 		return nil, err
 	}

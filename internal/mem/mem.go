@@ -187,6 +187,14 @@ type Manager struct {
 	gen      corpus.Source
 	ptes     []pte
 
+	// memo, when the manager's owner shares one (ShareStores), answers
+	// prepares whose compressed form some manager over the same generator
+	// already built; memoGen is that generator, the key's first term. Nil
+	// for a manager on its own, and for any source that is not a
+	// *corpus.Generator.
+	memo    *ztier.StoreMemo
+	memoGen corpus.Generator
+
 	ba  []*baTier // index 0 = DRAM
 	cts []*ctTier
 
@@ -382,6 +390,19 @@ func (m *Manager) codecRejectBit(codec string) uint8 {
 	return (used + 1) &^ used // bits are handed out lowest first; 0 once all eight are taken
 }
 
+// ShareStores lets the manager draw on, and add to, sm: a memo of prepared
+// stores its owner shares among managers whose pages come from the same
+// generators (a figure's jobs). Nothing a caller of the manager can observe
+// changes — a remembered store is the one the manager would have built —
+// only how often a page is regenerated and compressed. A manager whose
+// content source is not a *corpus.Generator has no key to offer and ignores
+// the call. Call it before the first migration, not beside one.
+func (m *Manager) ShareStores(sm *ztier.StoreMemo) {
+	if g, ok := m.gen.(*corpus.Generator); ok {
+		m.memo, m.memoGen = sm, *g
+	}
+}
+
 // regionLock returns the lock stripe owning region r.
 func (m *Manager) regionLock(r RegionID) *sync.RWMutex {
 	return &m.regionMu[int64(r)%int64(len(m.regionMu))]
@@ -438,11 +459,15 @@ func (m *Manager) ct(id TierID) (*ctTier, bool) {
 // hold the page's region lock, as for any pte read in the migration phase.
 func (m *Manager) content(p PageID, buf []byte) []byte {
 	buf = buf[:PageSize]
-	e := &m.ptes[p]
-	// Mix the version into the generator index so writes change content
-	// while keeping the page's compressibility profile.
-	m.gen.Fill(uint64(p)+uint64(e.version)*uint64(m.numPages), buf)
+	m.gen.Fill(m.contentIndex(p), buf)
 	return buf
+}
+
+// contentIndex is the generator index of page p's current bytes: the
+// version is mixed in so writes change content while keeping the page's
+// compressibility profile.
+func (m *Manager) contentIndex(p PageID) uint64 {
+	return uint64(p) + uint64(m.ptes[p].version)*uint64(m.numPages)
 }
 
 // AccessResult reports what one access did.
@@ -647,8 +672,13 @@ func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch) (prep
 func (m *Manager) prepareGeneric(pp *preparedPage) error {
 	e := &m.ptes[pp.page]
 	dstCT, dstIsCT := m.ct(pp.dest)
-	var pageBytes []byte
+	// The page's bytes: decompressed from a compressed source, regenerated
+	// into fill from a byte-addressable one — and then only if the
+	// destination's store has to be built from them.
+	var pageBytes, fill []byte
 	if srcCT, ok := m.ct(e.tier); ok {
+		// Decompressed even when the memo will supply the destination's
+		// store: this load is the move's check that the object is intact.
 		buf := pp.sc.get()
 		out, loadNs, err := srcCT.tier.PrepareLoad(pp.sc.codecState(), e.handle, (*buf)[:0])
 		if cap(out) > cap(*buf) {
@@ -670,12 +700,29 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 			return nil
 		}
 		buf := pp.sc.get()
-		pageBytes = m.content(pp.page, *buf)
 		pp.hold(buf)
+		fill = *buf
 	}
 	if dstIsCT {
 		cbuf := pp.sc.get()
-		pp.destPrep = dstCT.tier.PrepareStore(pp.sc.codecState(), pageBytes, *cbuf)
+		key := ztier.StoreKey{Gen: m.memoGen, Index: m.contentIndex(pp.page), Codec: dstCT.info.Codec}
+		var hit bool
+		// The copy lands in cbuf, as the compression would have: what
+		// Scratch() hands back below is the job's buffer, never the memo's.
+		pp.destPrep, hit = m.memo.Lookup(key, *cbuf) // a nil memo always misses
+		if !hit || m.memo.Verify != nil {
+			if fill != nil {
+				pageBytes = m.content(pp.page, fill)
+			}
+			if !hit {
+				pp.destPrep = dstCT.tier.PrepareStore(pp.sc.codecState(), pageBytes, *cbuf)
+				m.memo.Insert(key, pp.destPrep)
+			} else {
+				// The checking mode (tests only): build, on no shared state,
+				// the store the hit would have skipped, and report the pair.
+				m.memo.Verify(key, pp.destPrep, dstCT.tier.PrepareStore(nil, pageBytes, nil))
+			}
+		}
 		if s := pp.destPrep.Scratch(); cap(s) > cap(*cbuf) {
 			*cbuf = s[:0]
 		}

@@ -51,6 +51,12 @@ type Live struct {
 	daemonAttached int64
 	daemonCommands map[string]*commandOutcomes
 
+	// Sweep surface: the experiment engine's per-figure memo of prepared
+	// stores — lookups and hits summed over the figures finished so far,
+	// and the bytes the last of them held when it finished. Zero outside a
+	// sweep.
+	memoLookups, memoHits, memoBytes int64
+
 	// Gauges: the last window snapshot recorded (any run).
 	last    WindowSnapshot
 	hasLast bool
@@ -116,6 +122,17 @@ func (l *Live) SetDaemonAttached(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.daemonAttached = int64(n)
+}
+
+// AddStoreMemo records one finished figure's memo of prepared stores: its
+// lookups and hits are added to the running totals, bytes (what it held at
+// the end) replaces the gauge.
+func (l *Live) AddStoreMemo(lookups, hits, bytes int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.memoLookups += lookups
+	l.memoHits += hits
+	l.memoBytes = bytes
 }
 
 // AddDaemonCommand counts one completed daemon command of the given op,
@@ -236,6 +253,7 @@ type liveSnapshot struct {
 	prepareNs, commitNs                              float64
 	blocked, stallNs                                 int64
 	daemonTicks, daemonAttached                      int64
+	memoLookups, memoHits, memoBytes                 int64
 	daemonCommands                                   []commandCount
 	last                                             WindowSnapshot
 	hasLast                                          bool
@@ -276,6 +294,7 @@ func (l *Live) snapshot() liveSnapshot {
 		prepareNs: l.prepareNs, commitNs: l.commitNs,
 		blocked: l.blocked, stallNs: l.stallNs,
 		daemonTicks: l.daemonTicks, daemonAttached: l.daemonAttached,
+		memoLookups: l.memoLookups, memoHits: l.memoHits, memoBytes: l.memoBytes,
 		last: l.last, hasLast: l.hasLast,
 	}
 	for op, c := range l.daemonCommands {
@@ -336,6 +355,9 @@ func (l *Live) Vars() any {
 		"sched_blocked":         s.blocked,
 		"sched_stall_ns":        s.stallNs,
 		"migrations":            s.flows,
+		"store_memo_lookups":    s.memoLookups,
+		"store_memo_hits":       s.memoHits,
+		"store_memo_bytes":      s.memoBytes,
 	}
 	v["daemon_ticks"] = s.daemonTicks
 	v["daemon_attached_workloads"] = s.daemonAttached

@@ -48,7 +48,7 @@ type Zipf struct {
 // theta must lie in [0, 1]; anything else (NaN included) panics, as a
 // non-positive n does. theta = 1 is the formula's singularity (alpha = +Inf,
 // eta = 0: every tail draw clamps to n-1) and is accepted only because
-// corpus.fillDickens' bytes depend on it until ROADMAP item 3's re-baseline.
+// corpus.fillDickens' bytes depend on it until ROADMAP item 1's re-baseline.
 func MakeZipf(rng *RNG, n int64, theta float64, scramble bool) Zipf {
 	if n <= 0 {
 		panic("stats: Zipf with non-positive n")

@@ -307,8 +307,10 @@ func (ps PreparedStore) Scratch() []byte { return ps.comp }
 // page to be one (the codec's verdict on given bytes never changes): the
 // same classification and the same modeled cost of the attempt, without
 // the bytes. CommitStore counts and charges it like any other rejection.
-func (t *Tier) RejectedStore() PreparedStore {
-	return PreparedStore{rejected: true, compressNs: CompressNs(t.cfg.Codec, PageSize)}
+func (t *Tier) RejectedStore() PreparedStore { return rejectedStore(t.cfg.Codec) }
+
+func rejectedStore(codec string) PreparedStore {
+	return PreparedStore{rejected: true, compressNs: CompressNs(codec, PageSize)}
 }
 
 // PrepareStore runs the compute half of Store — the same-filled scan and
