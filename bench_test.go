@@ -1,7 +1,8 @@
 // Benchmark harness: one benchmark per paper table/figure (regenerating
 // the exhibit and reporting its headline numbers as custom metrics), plus
-// ablation benches for DESIGN.md §5's design choices and microbenchmarks
-// for the substrates (codecs, pool managers, MCKP solver).
+// ablation benches for DESIGN.md §5's design choices. The substrates
+// (codecs, pool managers, MCKP solver, a whole standard run) are measured
+// by bench/'s probes and kv_steady, with the host recorded.
 //
 // Figure benches run the experiment harness at test scale per iteration;
 // absolute wall time is the harness cost, while the reported custom
@@ -15,12 +16,7 @@ import (
 	"strconv"
 	"testing"
 
-	"tierscape/internal/compress"
-	"tierscape/internal/corpus"
 	"tierscape/internal/experiments"
-	"tierscape/internal/ilp"
-	"tierscape/internal/stats"
-	"tierscape/internal/zpool"
 )
 
 // cellF extracts a float cell from a table for metric reporting.
@@ -210,124 +206,6 @@ func BenchmarkAblation_WindowLength(b *testing.B) {
 		if _, err := experiments.WindowAblation(benchScale()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Substrate microbenchmarks.
-
-func benchCodecCompress(b *testing.B, name string, profile corpus.Profile) {
-	c := compress.MustLookup(name)
-	page := corpus.NewGenerator(profile, 1).Page(0, 4096)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	var out []byte
-	for i := 0; i < b.N; i++ {
-		out = c.Compress(out[:0], page)
-	}
-}
-
-func benchCodecDecompress(b *testing.B, name string, profile corpus.Profile) {
-	c := compress.MustLookup(name)
-	page := corpus.NewGenerator(profile, 1).Page(0, 4096)
-	comp := c.Compress(nil, page)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	var out []byte
-	var err error
-	for i := 0; i < b.N; i++ {
-		out, err = c.Decompress(out[:0], comp)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodec_LZ4_Compress(b *testing.B)     { benchCodecCompress(b, "lz4", corpus.Dickens) }
-func BenchmarkCodec_LZ4_Decompress(b *testing.B)   { benchCodecDecompress(b, "lz4", corpus.Dickens) }
-func BenchmarkCodec_LZ4HC_Compress(b *testing.B)   { benchCodecCompress(b, "lz4hc", corpus.Dickens) }
-func BenchmarkCodec_LZO_Compress(b *testing.B)     { benchCodecCompress(b, "lzo", corpus.Dickens) }
-func BenchmarkCodec_LZO_Decompress(b *testing.B)   { benchCodecDecompress(b, "lzo", corpus.Dickens) }
-func BenchmarkCodec_LZORLE_Compress(b *testing.B)  { benchCodecCompress(b, "lzo-rle", corpus.Zero) }
-func BenchmarkCodec_Deflate_Compress(b *testing.B) { benchCodecCompress(b, "deflate", corpus.Dickens) }
-func BenchmarkCodec_Deflate_Decompress(b *testing.B) {
-	benchCodecDecompress(b, "deflate", corpus.Dickens)
-}
-func BenchmarkCodec_Zstd_Compress(b *testing.B) { benchCodecCompress(b, "zstd", corpus.Dickens) }
-func BenchmarkCodec_842_Compress(b *testing.B)  { benchCodecCompress(b, "842", corpus.Binary) }
-
-func benchPool(b *testing.B, name string) {
-	p, err := zpool.New(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := stats.NewRNG(1)
-	sizes := make([]int, 256)
-	for i := range sizes {
-		sizes[i] = 200 + rng.Intn(3000)
-	}
-	buf := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h, err := p.Store(buf[:sizes[i%len(sizes)]])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i%2 == 1 {
-			if err := p.Free(h); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkPool_Zsmalloc(b *testing.B) { benchPool(b, "zsmalloc") }
-func BenchmarkPool_Zbud(b *testing.B)     { benchPool(b, "zbud") }
-func BenchmarkPool_Z3fold(b *testing.B)   { benchPool(b, "z3fold") }
-
-func BenchmarkMCKP_Greedy256Regions(b *testing.B) {
-	rng := stats.NewRNG(9)
-	p := ilpProblem(rng, 256, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ilp.SolveGreedy(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMCKP_Exact64Regions(b *testing.B) {
-	rng := stats.NewRNG(9)
-	p := ilpProblem(rng, 64, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ilp.SolveExact(p, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func ilpProblem(rng *stats.RNG, classes, opts int) ilp.Problem {
-	p := ilp.Problem{}
-	total := 0.0
-	for i := 0; i < classes; i++ {
-		var c []ilp.Option
-		for j := 0; j < opts; j++ {
-			c = append(c, ilp.Option{Cost: rng.Float64() * 100, Weight: rng.Float64() * 100})
-		}
-		p.Classes = append(p.Classes, c)
-		total += 100
-	}
-	p.Budget = total / 3
-	return p
-}
-
-func BenchmarkEndToEnd_StandardRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := StandardRun(MemcachedYCSB(4*RegionPages, 42), AMTCO(), 3, 3000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SavingsPct(), "savings_pct")
 	}
 }
 

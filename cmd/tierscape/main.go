@@ -15,8 +15,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -28,118 +30,162 @@ import (
 	"tierscape/internal/ztier"
 )
 
-func main() {
-	workloadName := flag.String("workload", "memcached-ycsb",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// spec declares one run: the workload, the model, the tier lineup and the
+// control-loop knobs. The flags bind to its fields, and in daemon mode an
+// attach document is decoded over a copy of the flag-filled value — an
+// absent key inherits the flag, a key that is present wins even when it is
+// zero — so a knob is declared here once. Fields tagged "-" are flag-only.
+type spec struct {
+	Workload      string  `json:"workload"`
+	Replay        string  `json:"replay"`
+	Model         string  `json:"model"`
+	Alpha         float64 `json:"alpha"`
+	Pct           float64 `json:"pct"`
+	Tiers         string  `json:"tiers"`
+	Pages         int64   `json:"pages"`
+	Seed          uint64  `json:"seed"`
+	Ops           int     `json:"ops"`
+	Push          int     `json:"push"`
+	Prefetch      int     `json:"prefetch"`
+	CompactBudget int     `json:"compact_budget"`
+	Windows       int     `json:"-"` // the daemon runs a workload until it is detached
+	WarmSolver    bool    `json:"-"`
+	WarmEps       float64 `json:"-"`
+	WarmFull      int     `json:"-"`
+}
+
+func (s *spec) bind(fs *flag.FlagSet) {
+	fs.StringVar(&s.Workload, "workload", "memcached-ycsb",
 		"workload: memcached-ycsb, memcached-memtier, redis, bfs, pagerank, xsbench, graphsage, masim, ycsb-{a..f}")
-	modelName := flag.String("model", "am",
+	fs.StringVar(&s.Replay, "replay", "", "replay a recorded trace file as the workload")
+	fs.StringVar(&s.Model, "model", "am",
 		"placement model: baseline, am, waterfall, hemem, gswap, tmo")
-	alpha := flag.Float64("alpha", 0.1, "analytical model knob in [0,1]")
-	warmSolver := flag.Bool("warm-solver", false, "enable the warm-start incremental MCKP solver (model am; placements identical to cold at -warm-eps 0)")
-	warmEps := flag.Float64("warm-eps", 0, "warm solver: relative drift tolerance for reusing a cached region class (0 = rebuild on any change)")
-	warmFull := flag.Int("warm-full", 0, "warm solver: force a full re-solve every N windows (0 = default cadence)")
-	pct := flag.Float64("pct", 25, "hotness percentile threshold for threshold models")
-	tiers := flag.String("tiers", "standard", "tier setup: standard (DRAM+NVMM+CT1+CT2), spectrum (DRAM+C1,C2,C4,C7,C12), or a JSON file (see -tiers help)")
-	windows := flag.Int("windows", 8, "profile windows to run")
-	ops := flag.Int("ops", 20000, "operations per window")
-	pages := flag.Int64("pages", 16*tierscape.RegionPages, "workload footprint in 4 KB pages")
-	seed := flag.Uint64("seed", 42, "random seed")
-	prefetch := flag.Int("prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
-	push := flag.Int("push", 2, "push threads applying migrations (results identical at any value)")
-	compactBudget := flag.Int("compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
-	record := flag.String("record", "", "record the access trace to this file while running")
-	replay := flag.String("replay", "", "replay a recorded trace file as the workload")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
-	metricsHold := flag.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the run finishes")
-	events := flag.String("events", "", "write the run's deterministic JSONL event stream to this file")
-	windowsCSV := flag.String("windows-csv", "", "write per-window snapshots as CSV rows to this file (deterministic channel)")
-	healthPressure := flag.Float64("health-max-pressure", 0.25, "healthz: degrade when the last window's PSI-style stall fraction exceeds this (0 disables)")
-	healthThrash := flag.Int("health-max-thrash", 64, "healthz: degrade when regions over the ping-pong thrash threshold exceed this (0 disables)")
-	healthStorm := flag.Float64("health-max-storm-bps", float64(8<<30), "healthz: degrade when the last window's migration traffic rate exceeds this many bytes/sec (0 disables)")
-	healthFallback := flag.Float64("health-max-fallback-rate", 0.5, "healthz: degrade when cumulative solver fallbacks per window exceed this (0 disables)")
-	showTrace := flag.Bool("trace", false, "print the per-window span trace (phase wall times, prepare/commit split, scheduler stalls)")
-	daemonMode := flag.Bool("daemon", false, "run as a resident tiering daemon: workloads attach/detach at runtime via POST /command on -metrics-addr (required); other flags become attach-spec defaults")
-	daemonConfigPath := flag.String("daemon-config", "", "daemon config JSON file ({\"tick_every\":\"1s\",\"max_workloads\":8}); re-read by the reload command")
-	tick := flag.Duration("tick", 0, "daemon tick period override: one profile window per attached workload per tick")
-	flag.Parse()
+	fs.Float64Var(&s.Alpha, "alpha", 0.1, "analytical model knob in [0,1]")
+	fs.Float64Var(&s.Pct, "pct", 25, "hotness percentile threshold for threshold models")
+	fs.StringVar(&s.Tiers, "tiers", "standard", "tier setup: standard (DRAM+NVMM+CT1+CT2), spectrum (DRAM+C1,C2,C4,C7,C12), or a JSON file (see -tiers help)")
+	fs.Int64Var(&s.Pages, "pages", 16*tierscape.RegionPages, "workload footprint in 4 KB pages")
+	fs.Uint64Var(&s.Seed, "seed", 42, "random seed")
+	fs.IntVar(&s.Ops, "ops", 20000, "operations per window")
+	fs.IntVar(&s.Push, "push", 2, "push threads applying migrations (results identical at any value)")
+	fs.IntVar(&s.Prefetch, "prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
+	fs.IntVar(&s.CompactBudget, "compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
+	fs.IntVar(&s.Windows, "windows", 8, "profile windows to run")
+	fs.BoolVar(&s.WarmSolver, "warm-solver", false, "enable the warm-start incremental MCKP solver (model am; placements identical to cold at -warm-eps 0)")
+	fs.Float64Var(&s.WarmEps, "warm-eps", 0, "warm solver: relative drift tolerance for reusing a cached region class (0 = rebuild on any change)")
+	fs.IntVar(&s.WarmFull, "warm-full", 0, "warm solver: force a full re-solve every N windows (0 = default cadence)")
+}
+
+// overlay returns s with the keys of an attach document written over it.
+// Keys the spec does not have are ignored, so a document written for
+// another version of the daemon still attaches.
+func (s spec) overlay(doc json.RawMessage) (spec, error) {
+	if len(doc) > 0 {
+		if err := json.Unmarshal(doc, &s); err != nil {
+			return s, fmt.Errorf("attach spec: %w", err)
+		}
+	}
+	return s, nil
+}
+
+// runConfig lowers the spec to the facade's run configuration over wl. The
+// caller adds its Recorder.
+func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
+	tiers, byteTiers, slowTiers, err := resolveTiers(s.Tiers)
+	if err != nil {
+		return tierscape.RunConfig{}, fmt.Errorf("tier setup %q: %v", s.Tiers, err)
+	}
+	mdl, err := s.model(slowTiers)
+	if err != nil {
+		return tierscape.RunConfig{}, err
+	}
+	return tierscape.RunConfig{
+		Workload:               wl,
+		Tiers:                  tiers,
+		ByteTiers:              byteTiers,
+		Model:                  mdl,
+		Windows:                s.Windows,
+		OpsPerWindow:           s.Ops,
+		SampleRate:             50,
+		Seed:                   s.Seed,
+		PushThreads:            s.Push,
+		CompactBudget:          s.CompactBudget,
+		PrefetchFaultThreshold: s.Prefetch,
+	}, nil
+}
+
+// run is the command: the run's tables go to stdout, diagnostics to stderr,
+// and the result is the exit status — 2 for a command line it cannot act on
+// (bad flag, unknown workload or model, unreadable trace or tier file), 1
+// for a run or a sink that failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tierscape", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var s spec
+	s.bind(fs)
+	record := fs.String("record", "", "record the access trace to this file while running")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
+	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the run finishes")
+	events := fs.String("events", "", "write the run's deterministic JSONL event stream to this file")
+	windowsCSV := fs.String("windows-csv", "", "write per-window snapshots as CSV rows to this file (deterministic channel)")
+	health := obs.DefaultHealthConfig()
+	fs.Float64Var(&health.MaxPressure, "health-max-pressure", health.MaxPressure, "healthz: degrade when the last window's PSI-style stall fraction exceeds this (0 disables)")
+	fs.IntVar(&health.MaxThrashRegions, "health-max-thrash", health.MaxThrashRegions, "healthz: degrade when regions over the ping-pong thrash threshold exceed this (0 disables)")
+	fs.Float64Var(&health.MaxStormBytesPerSec, "health-max-storm-bps", health.MaxStormBytesPerSec, "healthz: degrade when the last window's migration traffic rate exceeds this many bytes/sec (0 disables)")
+	fs.Float64Var(&health.MaxFallbackRate, "health-max-fallback-rate", health.MaxFallbackRate, "healthz: degrade when cumulative solver fallbacks per window exceed this (0 disables)")
+	showTrace := fs.Bool("trace", false, "print the per-window span trace (phase wall times, prepare/commit split, waits for the commit turn)")
+	daemonMode := fs.Bool("daemon", false, "run as a resident tiering daemon: workloads attach/detach at runtime via POST /command on -metrics-addr (required); the run flags become attach-spec defaults")
+	daemonConfigPath := fs.String("daemon-config", "", "daemon config JSON file ({\"tick_every\":\"1s\",\"max_workloads\":8}); re-read by the reload command")
+	tick := fs.Duration("tick", 0, "daemon tick period override: one profile window per attached workload per tick")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *daemonMode {
-		os.Exit(runDaemonMode(daemonOpts{
+		return runDaemonMode(daemonOpts{
 			configPath:  *daemonConfigPath,
 			tick:        *tick,
 			metricsAddr: *metricsAddr,
-			health: obs.HealthConfig{
-				MaxPressure:         *healthPressure,
-				MaxThrashRegions:    *healthThrash,
-				MaxStormBytesPerSec: *healthStorm,
-				MaxFallbackRate:     *healthFallback,
-			},
-			defaults: specDefaults{
-				Workload:      *workloadName,
-				Model:         *modelName,
-				Alpha:         *alpha,
-				Pct:           *pct,
-				Tiers:         *tiers,
-				Pages:         *pages,
-				Seed:          *seed,
-				Ops:           *ops,
-				Push:          *push,
-				Prefetch:      *prefetch,
-				CompactBudget: *compactBudget,
-				WarmSolver:    *warmSolver,
-				WarmEps:       *warmEps,
-				WarmFull:      *warmFull,
-			},
-		}))
+			health:      health,
+			defaults:    s,
+		}, stdout, stderr)
+	}
+	fail := func(status int, format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return status
 	}
 
 	var wl tierscape.Workload
 	var recorder *trace.Recorder
-	switch {
-	case *replay != "":
-		f, err := os.Open(*replay)
+	if s.Replay != "" {
+		f, err := os.Open(s.Replay)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, "%v", err)
 		}
 		defer f.Close()
-		tr, err := trace.NewReader(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if wl, err = trace.NewReader(f); err != nil {
+			return fail(2, "%v", err)
 		}
-		wl = tr
-	default:
+	} else {
 		var err error
-		wl, err = buildWorkload(*workloadName, *pages, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if wl, err = buildWorkload(s.Workload, s.Pages, s.Seed); err != nil {
+			return fail(2, "%v", err)
 		}
 		if *record != "" {
 			f, err := os.Create(*record)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return fail(2, "%v", err)
 			}
 			defer f.Close()
-			recorder, err = trace.NewRecorder(f, wl)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+			if recorder, err = trace.NewRecorder(f, wl); err != nil {
+				return fail(2, "%v", err)
 			}
 			wl = recorder
 		}
-	}
-
-	cfg := tierscape.RunConfig{
-		Workload:               wl,
-		Windows:                *windows,
-		OpsPerWindow:           *ops,
-		SampleRate:             50,
-		Seed:                   *seed,
-		PushThreads:            *push,
-		CompactBudget:          *compactBudget,
-		PrefetchFaultThreshold: *prefetch,
 	}
 
 	// Observability: each enabled sink becomes one leg of a tee. The
@@ -151,25 +197,17 @@ func main() {
 		live := tierscape.NewLiveMetrics()
 		addr, err := tierscape.ServeMetrics(*metricsAddr, live)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "metrics listener: %v\n", err)
-			os.Exit(1)
+			return fail(1, "metrics listener: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
 		recs = append(recs, live)
-		if *metricsHold > 0 {
-			defer func() {
-				fmt.Fprintf(os.Stderr, "holding metrics endpoint for %v\n", *metricsHold)
-				time.Sleep(*metricsHold)
-			}()
-		}
 	}
 	var stream *tierscape.EventStream
 	var eventsFile *os.File
 	if *events != "" {
 		f, err := os.Create(*events)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "events file: %v\n", err)
-			os.Exit(1)
+			return fail(1, "events file: %v", err)
 		}
 		eventsFile = f
 		stream = tierscape.NewEventStream(f)
@@ -180,8 +218,7 @@ func main() {
 	if *windowsCSV != "" {
 		f, err := os.Create(*windowsCSV)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "windows-csv file: %v\n", err)
-			os.Exit(1)
+			return fail(1, "windows-csv file: %v", err)
 		}
 		windowCSVFile = f
 		windowCSV = tierscape.NewWindowCSV(f)
@@ -192,49 +229,36 @@ func main() {
 		capture = &tierscape.MetricsRecorder{}
 		recs = append(recs, capture)
 	}
+	cfg, err := s.runConfig(wl)
+	if err != nil {
+		return fail(2, "%v", err)
+	}
 	cfg.Recorder = tierscape.TeeRecorders(recs...)
-	var slowTiers map[string]tierscape.TierID
-	var err error
-	cfg.Tiers, cfg.ByteTiers, slowTiers, err = resolveTiers(*tiers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tier setup %q: %v\n", *tiers, err)
-		os.Exit(2)
-	}
-	cfg.Model, err = resolveModel(modelSpec{
-		Model: *modelName, Alpha: *alpha, Pct: *pct,
-		WarmSolver: *warmSolver, WarmEps: *warmEps, WarmFull: *warmFull,
-	}, slowTiers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 
 	res, err := tierscape.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(1, "%v", err)
 	}
 	if recorder != nil {
 		if err := recorder.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "closing trace: %v\n", err)
-			os.Exit(1)
+			return fail(1, "closing trace: %v", err)
 		}
-		fmt.Printf("trace recorded to %s\n", *record)
+		fmt.Fprintf(stdout, "trace recorded to %s\n", *record)
 	}
 
-	fmt.Printf("workload: %s   model: %s   footprint: %d pages (%d regions)\n",
+	fmt.Fprintf(stdout, "workload: %s   model: %s   footprint: %d pages (%d regions)\n",
 		res.WorkloadName, res.ModelName, wl.NumPages(),
 		(wl.NumPages()+mem.RegionPages-1)/mem.RegionPages)
-	fmt.Println("window  app_ms  daemon_ms  moves  faults  tco  savings%  tier_pages")
+	fmt.Fprintln(stdout, "window  app_ms  daemon_ms  moves  faults  tco  savings%  tier_pages")
 	for _, w := range res.Windows {
-		fmt.Printf("%6d  %6.1f  %9.2f  %5d  %6d  %.4f  %7.2f  %v\n",
+		fmt.Fprintf(stdout, "%6d  %6.1f  %9.2f  %5d  %6d  %.4f  %7.2f  %v\n",
 			w.Window, w.AppNs/1e6, w.DaemonNs/1e6, w.Moves, w.Faults,
 			w.TCO, w.SavingsPctVs(res.TCOMax), w.TierPages)
 	}
-	fmt.Printf("\nops: %d   throughput: %.0f ops/s (virtual)\n", res.Ops, res.ThroughputOpsPerSec())
-	fmt.Printf("latency: avg %.1fus  p95 %.1fus  p99.9 %.1fus\n",
+	fmt.Fprintf(stdout, "\nops: %d   throughput: %.0f ops/s (virtual)\n", res.Ops, res.ThroughputOpsPerSec())
+	fmt.Fprintf(stdout, "latency: avg %.1fus  p95 %.1fus  p99.9 %.1fus\n",
 		res.OpLat.Mean()/1000, res.OpLat.Percentile(95)/1000, res.OpLat.Percentile(99.9)/1000)
-	fmt.Printf("TCO: max %.4f  avg %.4f  final %.4f   time-averaged savings %.2f%%\n",
+	fmt.Fprintf(stdout, "TCO: max %.4f  avg %.4f  final %.4f   time-averaged savings %.2f%%\n",
 		res.TCOMax, res.AvgTCO, res.FinalTCO, res.SavingsPct())
 
 	// Sinks latch their first write error; surface it (and any close
@@ -242,29 +266,30 @@ func main() {
 	// file behind.
 	if stream != nil {
 		if err := stream.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "event stream: %v\n", err)
-			os.Exit(1)
+			return fail(1, "event stream: %v", err)
 		}
 		if err := eventsFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "closing events file: %v\n", err)
-			os.Exit(1)
+			return fail(1, "closing events file: %v", err)
 		}
-		fmt.Printf("events written to %s\n", *events)
+		fmt.Fprintf(stdout, "events written to %s\n", *events)
 	}
 	if windowCSV != nil {
 		if err := windowCSV.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "windows CSV: %v\n", err)
-			os.Exit(1)
+			return fail(1, "windows CSV: %v", err)
 		}
 		if err := windowCSVFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "closing windows CSV: %v\n", err)
-			os.Exit(1)
+			return fail(1, "closing windows CSV: %v", err)
 		}
-		fmt.Printf("window snapshots written to %s\n", *windowsCSV)
+		fmt.Fprintf(stdout, "window snapshots written to %s\n", *windowsCSV)
 	}
 	if capture != nil {
-		printTrace(capture)
+		printTrace(stdout, capture)
 	}
+	if *metricsAddr != "" && *metricsHold > 0 {
+		fmt.Fprintf(stderr, "holding metrics endpoint for %v\n", *metricsHold)
+		time.Sleep(*metricsHold)
+	}
+	return 0
 }
 
 // printTrace renders the span-style per-window trace: wall time of each
@@ -272,12 +297,12 @@ func main() {
 // often and how long push threads waited for their turn to commit. All
 // values are wall-clock measurements — they vary run to run and are not
 // part of the deterministic results.
-func printTrace(m *tierscape.MetricsRecorder) {
-	fmt.Println("\nper-window trace (wall-clock, nondeterministic):")
-	fmt.Println("window  profile_us  solve_us  plan_us  apply_us  compact_us  prepare_us  commit_us  sched_jobs  blocked  stall_us")
+func printTrace(w io.Writer, m *tierscape.MetricsRecorder) {
+	fmt.Fprintln(w, "\nper-window trace (wall-clock, nondeterministic):")
+	fmt.Fprintln(w, "window  profile_us  solve_us  plan_us  apply_us  compact_us  prepare_us  commit_us  sched_jobs  blocked  stall_us")
 	for _, rt := range m.Runtimes {
 		p := rt.PhaseWallNs
-		fmt.Printf("%6d  %10.1f  %8.1f  %7.1f  %8.1f  %10.1f  %10.1f  %9.1f  %10d  %7d  %8.1f\n",
+		fmt.Fprintf(w, "%6d  %10.1f  %8.1f  %7.1f  %8.1f  %10.1f  %10.1f  %9.1f  %10d  %7d  %8.1f\n",
 			rt.Window,
 			p[0]/1e3, p[1]/1e3, p[2]/1e3, p[3]/1e3, p[4]/1e3,
 			rt.PrepareWallNs/1e3, rt.CommitWallNs/1e3,
@@ -288,7 +313,6 @@ func printTrace(m *tierscape.MetricsRecorder) {
 
 // resolveTiers maps a -tiers value (standard, spectrum, or a JSON tier
 // file) to the tier lineup plus each baseline model's slow-tier target.
-// Shared by the batch path and the daemon's attach-spec builder.
 func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, map[string]tierscape.TierID, error) {
 	switch name {
 	case "standard":
@@ -315,19 +339,9 @@ func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, m
 	}
 }
 
-// modelSpec bundles the model-selection knobs (flag values or attach-spec
-// fields) for resolveModel.
-type modelSpec struct {
-	Model      string
-	Alpha, Pct float64
-	WarmSolver bool
-	WarmEps    float64
-	WarmFull   int
-}
-
-// resolveModel builds the placement model for a spec; nil means the
-// all-DRAM baseline.
-func resolveModel(s modelSpec, slowTiers map[string]tierscape.TierID) (tierscape.Model, error) {
+// model builds the spec's placement model; nil means the all-DRAM
+// baseline.
+func (s spec) model(slowTiers map[string]tierscape.TierID) (tierscape.Model, error) {
 	switch s.Model {
 	case "baseline":
 		return nil, nil

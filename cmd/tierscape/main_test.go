@@ -1,0 +1,199 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"tierscape/internal/daemon"
+	"tierscape/internal/model"
+)
+
+// flagSpec is the spec the given command line leaves behind: what a daemon
+// started with those flags lays every attach document over.
+func flagSpec(t *testing.T, args ...string) spec {
+	t.Helper()
+	fs := flag.NewFlagSet("tierscape", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var s spec
+	s.bind(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestSpecOverlay: an attach document is laid over the flag-filled spec. A
+// key it does not carry inherits the flag; a key it carries wins, zero and
+// empty included; a key the spec does not have (a knob of another version, a
+// flag-only field) is ignored; a value of the wrong type is an error that
+// names the key.
+func TestSpecOverlay(t *testing.T) {
+	flags := flagSpec(t, "-prefetch", "5", "-ops", "3000", "-alpha", "0.3", "-tiers", "spectrum", "-seed", "7")
+	edit := func(f func(*spec)) spec { s := flags; f(&s); return s }
+	for _, tc := range []struct {
+		name, doc string
+		want      spec
+		err       string
+	}{
+		{name: "no document", doc: ``, want: flags},
+		{name: "empty document", doc: `{}`, want: flags},
+		{name: "absent keys inherit", doc: `{"model":"tmo","pages":4096}`,
+			want: edit(func(s *spec) { s.Model, s.Pages = "tmo", 4096 })},
+		{name: "explicit zero wins", doc: `{"prefetch":0,"alpha":0,"seed":0}`,
+			want: edit(func(s *spec) { s.Prefetch, s.Alpha, s.Seed = 0, 0, 0 })},
+		{name: "explicit empty string wins", doc: `{"tiers":""}`,
+			want: edit(func(s *spec) { s.Tiers = "" })},
+		{name: "unknown key", doc: `{"ops":2000,"commit_batch":32}`,
+			want: edit(func(s *spec) { s.Ops = 2000 })},
+		{name: "flag-only field", doc: `{"warm_solver":true,"WarmSolver":true,"windows":99}`, want: flags},
+		{name: "wrong type", doc: `{"ops":"many"}`, err: "spec.ops"},
+		{name: "not an object", doc: `[1,2]`, err: "attach spec"},
+	} {
+		got, err := flags.overlay(json.RawMessage(tc.doc))
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%s: overlay(%s) = %+v, %v\nwant %+v", tc.name, tc.doc, got, err, tc.want)
+		}
+	}
+	if flags.Prefetch != 5 {
+		t.Errorf("overlay wrote through to the flag defaults: %+v", flags)
+	}
+}
+
+// TestSpecOverlayAttaches follows the attach path to the sim.Config the
+// daemon receives: the knobs arrive as overlaid, and the error cases are
+// attach errors, not configs.
+func TestSpecOverlayAttaches(t *testing.T) {
+	b := &specBuilder{defaults: flagSpec(t, "-prefetch", "5", "-ops", "3000", "-pages", "2048", "-warm-solver")}
+	build := func(doc string) (ops, prefetch int, warm bool, err error) {
+		cfg, err := b.build(daemon.AttachSpec{Name: "kv", Spec: json.RawMessage(doc)})
+		if err != nil {
+			return 0, 0, false, err
+		}
+		am, _ := cfg.Model.(*model.Analytical)
+		return cfg.OpsPerWindow, cfg.PrefetchFaultThreshold, am != nil && am.WarmStart, nil
+	}
+	for _, tc := range []struct {
+		doc           string
+		ops, prefetch int
+	}{
+		{`{"commit_batch":32}`, 3000, 5},
+		{`{"ops":2000,"prefetch":0}`, 2000, 0},
+		{`{"warm_solver":false}`, 3000, 5},
+	} {
+		ops, prefetch, warm, err := build(tc.doc)
+		if err != nil || ops != tc.ops || prefetch != tc.prefetch || !warm {
+			t.Errorf("%s: ops %d prefetch %d warm %v, %v; want %d, %d and the -warm-solver flag's true",
+				tc.doc, ops, prefetch, warm, err, tc.ops, tc.prefetch)
+		}
+	}
+	for doc, want := range map[string]string{
+		`{"ops":"many"}`:        "spec.ops",
+		`{"model":"oracle"}`:    `unknown model "oracle"`,
+		`{"workload":"tetris"}`: `unknown workload "tetris"`,
+		`{"tiers":"/no/such"}`:  `tier setup "/no/such"`,
+		`{"replay":"/no/such"}`: "/no/such",
+	} {
+		if _, _, _, err := build(doc); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one mentioning %q", doc, err, want)
+		}
+	}
+}
+
+// TestRunExitStatus: a command line the program cannot act on exits 2, a
+// sink it cannot write exits 1, both say why on stderr with nothing on
+// stdout.
+func TestRunExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	badTiers := filepath.Join(dir, "tiers.json")
+	if err := os.WriteFile(badTiers, []byte(`{"compressedTiers":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	small := []string{"-windows", "1", "-ops", "100", "-pages", "1024"}
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		status int
+		stderr string
+	}{
+		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{"malformed value", []string{"-ops", "many"}, 2, "invalid value"},
+		{"unknown model", []string{"-model", "oracle"}, 2, `unknown model "oracle"`},
+		{"unknown workload", []string{"-workload", "tetris"}, 2, `unknown workload "tetris"`},
+		{"unreadable tier file", []string{"-tiers", filepath.Join(dir, "absent.json")}, 2, "tier setup"},
+		{"tier file without tiers", []string{"-tiers", badTiers}, 2, "no compressed tiers"},
+		{"unreadable trace", []string{"-replay", filepath.Join(dir, "absent.trace")}, 2, "absent.trace"},
+		{"daemon without a listener", []string{"-daemon"}, 2, "-metrics-addr"},
+		{"unwritable events file", append([]string{"-events", filepath.Join(dir, "no/such/dir/e.jsonl")}, small...), 1, "events file"},
+		{"unwritable windows CSV", append([]string{"-windows-csv", filepath.Join(dir, "no/such/dir/w.csv")}, small...), 1, "windows-csv file"},
+		{"run that cannot start", []string{"-windows", "0"}, 1, "must be positive"},
+		{"help", []string{"-h"}, 0, "Usage of tierscape"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run(tc.args, &stdout, &stderr); got != tc.status {
+			t.Errorf("%s: exit status %d, want %d", tc.name, got, tc.status)
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: stderr %q does not mention %q", tc.name, stderr.String(), tc.stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: %d bytes on stdout", tc.name, stdout.Len())
+		}
+	}
+}
+
+// TestRunSinks drives one small run with every file sink on: the summary and
+// the sinks' completion lines reach stdout, the files hold one window row or
+// event per window, and the output does not depend on -push.
+func TestRunSinks(t *testing.T) {
+	dir := t.TempDir()
+	runOnce := func(push string) (stdout, events, csv string) {
+		t.Helper()
+		ev, wcsv := filepath.Join(dir, "e"+push+".jsonl"), filepath.Join(dir, "w"+push+".csv")
+		var out, errs bytes.Buffer
+		args := []string{"-workload", "masim", "-model", "waterfall", "-windows", "3", "-ops", "4000",
+			"-pages", "3072", "-push", push, "-events", ev, "-windows-csv", wcsv}
+		if status := run(args, &out, &errs); status != 0 || errs.Len() != 0 {
+			t.Fatalf("%v: exit status %d, stderr %q", args, status, errs.String())
+		}
+		e, err := os.ReadFile(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := os.ReadFile(wcsv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), string(e), string(c)
+	}
+	stdout, events, csv := runOnce("1")
+	for _, want := range []string{"workload: masim", "\n     3  ", "time-averaged savings", "events written to", "window snapshots written to"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	if got := strings.Count(csv, "\n"); got != 4 || !strings.HasPrefix(csv, "window,app_ns,") {
+		t.Errorf("windows CSV has %d lines, want a header and 3 rows:\n%s", got, csv)
+	}
+	if got := strings.Count(events, `"e":"window"`); got != 3 {
+		t.Errorf("%d window events, want 3", got)
+	}
+	if !strings.Contains(events, `"e":"move"`) {
+		t.Error("no move event in the stream: the run migrated nothing")
+	}
+	_, events8, csv8 := runOnce("8")
+	if events8 != events || csv8 != csv {
+		t.Error("-push 8 wrote different events or window rows than -push 1")
+	}
+}

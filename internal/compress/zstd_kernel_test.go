@@ -69,7 +69,10 @@ func FuzzHuffDecodeTable(f *testing.F) {
 		noise[i] = byte(rng.Uint32())
 	}
 	deep := fibonacciBytes()
-	rng.Shuffle(len(deep), func(i, j int) { deep[i], deep[j] = deep[j], deep[i] })
+	for i := len(deep) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		deep[i], deep[j] = deep[j], deep[i]
+	}
 	deepEnc := huffEncode(nil, deep)
 	text := huffEncode(nil, corpus.NewGenerator(corpus.Dickens, 1).Page(0, 4096))
 	single := huffEncode(nil, bytes.Repeat([]byte{7}, 1000))

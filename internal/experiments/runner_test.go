@@ -201,7 +201,7 @@ func TestConcurrentPushThreadsIdenticalTables(t *testing.T) {
 // TestConcurrentFallbackHeavyFig10CSV reruns the Fig-10 sweep on a manager
 // whose CT-1 pool is clamped to a sliver, so every run's demotions hit
 // ErrTierFull and commit outcomes depend on fallback placement — the
-// conflict-heaviest shape the commit scheduler faces. The CSV must stay
+// shape in which commit order matters most. The CSV must stay
 // byte-identical across PushThreads 1, 2 and 8. Runs under -race -count=3
 // in CI (the Concurrent suite).
 func TestConcurrentFallbackHeavyFig10CSV(t *testing.T) {

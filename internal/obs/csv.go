@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // CSVWriter is a Recorder that renders window snapshots as CSV, one row
@@ -18,68 +17,95 @@ import (
 // writer serves any tier lineup but must not be shared by runs with
 // different lineups.
 type CSVWriter struct {
-	w      io.Writer
-	header bool
-	err    error
+	w    io.Writer
+	cols []csvColumn // set, and the header written, by the first snapshot
+	err  error
 }
 
 // NewCSV returns a CSVWriter emitting to w.
 func NewCSV(w io.Writer) *CSVWriter { return &CSVWriter{w: w} }
+
+// csvColumn is one column: its header name and its value, an integer or —
+// printed %g — a float.
+type csvColumn struct {
+	name string
+	i    func(*WindowSnapshot) int64
+	f    func(*WindowSnapshot) float64
+}
+
+// csvColumns are the per-window columns, in order; tierColumns' follow, one
+// group per tier.
+var csvColumns = []csvColumn{
+	{name: "window", i: func(w *WindowSnapshot) int64 { return int64(w.Window) }},
+	{name: "app_ns", f: func(w *WindowSnapshot) float64 { return w.AppNs }},
+	{name: "daemon_ns", f: func(w *WindowSnapshot) float64 { return w.DaemonNs }},
+	{name: "solver_ns", f: func(w *WindowSnapshot) float64 { return w.SolverNs }},
+	{name: "migrate_ns", f: func(w *WindowSnapshot) float64 { return w.MigrateNs }},
+	{name: "compact_ns", f: func(w *WindowSnapshot) float64 { return w.CompactNs }},
+	{name: "profile_ns", f: func(w *WindowSnapshot) float64 { return w.ProfileNs }},
+	{name: "prefetch_ns", f: func(w *WindowSnapshot) float64 { return w.PrefetchNs }},
+	{name: "tco", f: func(w *WindowSnapshot) float64 { return w.TCO }},
+	{name: "faults", i: func(w *WindowSnapshot) int64 { return w.Faults }},
+	{name: "moves", i: func(w *WindowSnapshot) int64 { return int64(w.Moves) }},
+	{name: "rejected", i: func(w *WindowSnapshot) int64 { return int64(w.Rejected) }},
+	{name: "skipped", i: func(w *WindowSnapshot) int64 { return int64(w.Skipped) }},
+	{name: "tier_full_moves", i: func(w *WindowSnapshot) int64 { return int64(w.TierFullMoves) }},
+	{name: "compacted_pages", i: func(w *WindowSnapshot) int64 { return int64(w.CompactedPages) }},
+	{name: "compact_objects_moved", i: func(w *WindowSnapshot) int64 { return int64(w.CompactObjectsMoved) }},
+	{name: "compact_skipped_tiers", i: func(w *WindowSnapshot) int64 { return int64(w.CompactSkippedTiers) }},
+	{name: "dropped_pressure", i: func(w *WindowSnapshot) int64 { return int64(w.DroppedPressure) }},
+	{name: "dropped_capacity", i: func(w *WindowSnapshot) int64 { return int64(w.DroppedCapacity) }},
+	{name: "dropped_budget", i: func(w *WindowSnapshot) int64 { return int64(w.DroppedBudget) }},
+	{name: "pressure", f: func(w *WindowSnapshot) float64 { return w.Pressure }},
+	{name: "fault_stall_ns", f: func(w *WindowSnapshot) float64 { return w.FaultStallNs }},
+	{name: "interference_ns", f: func(w *WindowSnapshot) float64 { return w.InterferenceNs }},
+	{name: "lat_p50_ns", f: func(w *WindowSnapshot) float64 { return w.Latency.P50Ns }},
+	{name: "lat_p95_ns", f: func(w *WindowSnapshot) float64 { return w.Latency.P95Ns }},
+	{name: "lat_p99_ns", f: func(w *WindowSnapshot) float64 { return w.Latency.P99Ns }},
+	{name: "lat_p999_ns", f: func(w *WindowSnapshot) float64 { return w.Latency.P999Ns }},
+	{name: "pingpong_moves", i: func(w *WindowSnapshot) int64 { return int64(w.PingPongMoves) }},
+	{name: "thrash_regions", i: func(w *WindowSnapshot) int64 { return int64(w.ThrashRegions) }},
+	{name: "thrash_score", f: func(w *WindowSnapshot) float64 { return w.ThrashScore }},
+	{name: "migrated_bytes", i: func(w *WindowSnapshot) int64 { return w.MigratedBytes }},
+	{name: "storm_bytes_per_sec", f: func(w *WindowSnapshot) float64 { return w.StormBytesPerSec }},
+}
+
+func tierColumns(t int) []csvColumn {
+	tier := "tier" + strconv.Itoa(t) + "_"
+	return []csvColumn{
+		{name: tier + "pages", i: func(w *WindowSnapshot) int64 { return w.TierPages[t] }},
+		{name: tier + "bytes", i: func(w *WindowSnapshot) int64 { return w.TierBytes[t] }},
+		{name: tier + "ratio", f: func(w *WindowSnapshot) float64 { return w.TierRatio[t] }},
+		{name: tier + "frag", f: func(w *WindowSnapshot) float64 { return w.TierFrag[t] }},
+	}
+}
 
 // RecordWindow implements Recorder.
 func (c *CSVWriter) RecordWindow(ws WindowSnapshot) {
 	if c.err != nil {
 		return
 	}
-	tiers := len(ws.TierPages)
-	if !c.header {
-		c.header = true
-		cols := []string{
-			"window", "app_ns", "daemon_ns", "solver_ns", "migrate_ns",
-			"compact_ns", "profile_ns", "prefetch_ns", "tco", "faults",
-			"moves", "rejected", "skipped", "tier_full_moves",
-			"compacted_pages", "compact_objects_moved",
-			"compact_skipped_tiers", "dropped_pressure", "dropped_capacity",
-			"dropped_budget", "pressure", "fault_stall_ns",
-			"interference_ns", "lat_p50_ns", "lat_p95_ns", "lat_p99_ns",
-			"lat_p999_ns", "pingpong_moves", "thrash_regions",
-			"thrash_score", "migrated_bytes", "storm_bytes_per_sec",
+	var b []byte
+	if c.cols == nil {
+		c.cols = slices.Clone(csvColumns)
+		for t := range ws.TierPages {
+			c.cols = append(c.cols, tierColumns(t)...)
 		}
-		for t := 0; t < tiers; t++ {
-			cols = append(cols,
-				fmt.Sprintf("tier%d_pages", t), fmt.Sprintf("tier%d_bytes", t),
-				fmt.Sprintf("tier%d_ratio", t), fmt.Sprintf("tier%d_frag", t))
+		for _, col := range c.cols {
+			b = append(append(b, col.name...), ',')
 		}
-		if _, err := io.WriteString(c.w, strings.Join(cols, ",")+"\n"); err != nil {
-			c.err = err
-			return
+		b[len(b)-1] = '\n'
+	}
+	for _, col := range c.cols {
+		if col.i != nil {
+			b = appendValue(b, col.i(&ws))
+		} else {
+			b = appendValue(b, col.f(&ws))
 		}
+		b = append(b, ',')
 	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	cols := []string{
-		strconv.Itoa(ws.Window), g(ws.AppNs), g(ws.DaemonNs), g(ws.SolverNs),
-		g(ws.MigrateNs), g(ws.CompactNs), g(ws.ProfileNs), g(ws.PrefetchNs),
-		g(ws.TCO), strconv.FormatInt(ws.Faults, 10),
-		strconv.Itoa(ws.Moves), strconv.Itoa(ws.Rejected),
-		strconv.Itoa(ws.Skipped), strconv.Itoa(ws.TierFullMoves),
-		strconv.Itoa(ws.CompactedPages), strconv.Itoa(ws.CompactObjectsMoved),
-		strconv.Itoa(ws.CompactSkippedTiers), strconv.Itoa(ws.DroppedPressure),
-		strconv.Itoa(ws.DroppedCapacity), strconv.Itoa(ws.DroppedBudget),
-		g(ws.Pressure), g(ws.FaultStallNs), g(ws.InterferenceNs),
-		g(ws.Latency.P50Ns), g(ws.Latency.P95Ns), g(ws.Latency.P99Ns),
-		g(ws.Latency.P999Ns), strconv.Itoa(ws.PingPongMoves),
-		strconv.Itoa(ws.ThrashRegions), g(ws.ThrashScore),
-		strconv.FormatInt(ws.MigratedBytes, 10), g(ws.StormBytesPerSec),
-	}
-	for t := 0; t < tiers; t++ {
-		cols = append(cols,
-			strconv.FormatInt(ws.TierPages[t], 10),
-			strconv.FormatInt(ws.TierBytes[t], 10),
-			g(ws.TierRatio[t]), g(ws.TierFrag[t]))
-	}
-	if _, err := io.WriteString(c.w, strings.Join(cols, ",")+"\n"); err != nil {
-		c.err = err
-	}
+	b[len(b)-1] = '\n'
+	_, c.err = c.w.Write(b)
 }
 
 // RecordMove implements Recorder; the CSV carries windows only.

@@ -12,8 +12,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with the cur
 
 // goldenLive builds a Live fed with fixed, fully-populated events — two
 // window snapshots (warm fields, migration flows, compaction counters),
-// one runtime trace, and the daemon surface — so the rendered exposition
-// exercises every series the hand-rolled format emits.
+// one runtime trace, and the daemon and sweep surfaces — so the rendered
+// exposition exercises every series the hand-rolled format emits.
 func goldenLive() *Live {
 	l := NewLive()
 	l.RecordWindow(WindowSnapshot{
@@ -84,6 +84,10 @@ func goldenLive() *Live {
 	l.AddDaemonCommand("attach", true)
 	l.AddDaemonCommand("detach", false)
 	l.AddDaemonCommand("set-alpha", true)
+	// Sweep surface: two finished figures — lookups and hits add up, bytes
+	// is the last one's.
+	l.AddStoreMemo(1000, 600, 262144)
+	l.AddStoreMemo(500, 320, 131072)
 	// Health surface: one degradation and one recovery so both
 	// transition counters are non-zero in the golden.
 	l.setHealth(true)

@@ -93,7 +93,8 @@ func NewHealth(l *Live, cfg HealthConfig) *Health {
 // transition it observes. Safe for concurrent use.
 func (h *Health) Eval() HealthStatus {
 	s := h.live.snapshot()
-	st := HealthStatus{Status: "ok", Windows: s.windows}
+	windows := s.vals[windowsSeries.idx].i
+	st := HealthStatus{Status: "ok", Windows: windows}
 	check := func(name string, value, threshold float64) {
 		if threshold <= 0 {
 			return // disabled
@@ -105,8 +106,8 @@ func (h *Health) Eval() HealthStatus {
 	check("thrash_regions", float64(s.last.ThrashRegions), float64(h.cfg.MaxThrashRegions))
 	check("storm_bytes_per_sec", s.last.StormBytesPerSec, h.cfg.MaxStormBytesPerSec)
 	var fallbackRate float64
-	if s.windows > 0 {
-		fallbackRate = float64(s.solverFallbacks) / float64(s.windows)
+	if windows > 0 {
+		fallbackRate = float64(s.vals[solverFallbacksSeries.idx].i) / float64(windows)
 	}
 	check("solver_fallback_rate", fallbackRate, h.cfg.MaxFallbackRate)
 

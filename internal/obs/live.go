@@ -1,7 +1,9 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -12,61 +14,44 @@ import (
 // runs while gauges reflect the most recently completed window.
 type Live struct {
 	mu sync.Mutex
+	s  liveState
+}
 
-	// Counters, accumulated across every recorded window.
-	windows, moves, rejected, skipped, tierFullMoves int64
-	compactedPages                                   int64
-	compactObjectsMoved, compactSkippedTiers         int64
-	droppedPressure, droppedCapacity, droppedBudget  int64
-	appNs, daemonNs, solverNs                        float64
+// liveState is everything Live has aggregated. snapshot copies it whole,
+// under the lock, and the exposition formats render from the copy.
+type liveState struct {
+	// vals holds the scalar series, indexed like seriesTable: counters
+	// summed over every recorded window (the runtime ones from the wall
+	// clock, which only Live sees) and the few a Live method writes.
+	vals []cell
 
-	// Warm-start solver counters.
-	warmHits, classesReused, classesRebuilt int64
-	solverFallbacks                         int64
+	// Fault-stall virtual time and the latency histogram, by serving tier.
+	tierStallNs []float64
+	latency     []tierLatency
+	// phaseNs is wall time per control-loop phase.
+	phaseNs [NumPhases]float64
 
-	// Pressure and detector counters (deterministic channel).
-	faultStallNs, interferenceNs float64
-	tierStallNs                  []float64
-	pingPongMoves, migratedBytes int64
+	// Health surface: the /healthz evaluator's current state and its
+	// transition counters, indexed like healthStates. Healthy until an
+	// evaluator reports otherwise.
+	healthDegraded bool
+	healthTo       [2]int64
 
-	// Per-tier latency histogram accumulation, indexed by serving tier.
-	latency []tierLatency
-
-	// Health surface: the /healthz evaluator's current state (true = ok)
-	// and its ok/degraded transition counters. Healthy until an evaluator
-	// reports otherwise.
-	healthDegraded    bool
-	healthTransitions map[string]int64
-
-	// Runtime counters (wall clock; only Live sees these).
-	phaseNs             [NumPhases]float64
-	prepareNs, commitNs float64
-	blocked, stallNs    int64
-
-	// Daemon surface: the resident controller's tick counter, attached-
-	// workload gauge and per-command outcome counters. Zero outside
-	// daemon mode (batch runs never call the AddDaemon*/SetDaemon*
-	// methods).
-	daemonTicks    int64
-	daemonAttached int64
-	daemonCommands map[string]*commandOutcomes
-
-	// Sweep surface: the experiment engine's per-figure memo of prepared
-	// stores — lookups and hits summed over the figures finished so far,
-	// and the bytes the last of them held when it finished. Zero outside a
-	// sweep.
-	memoLookups, memoHits, memoBytes int64
+	// commands are the daemon's per-op outcome counters, sorted by op;
+	// empty outside daemon mode.
+	commands []commandCount
+	// flows accumulates the src→dst migration matrix across windows,
+	// sorted by (From, To).
+	flows []TierFlow
 
 	// Gauges: the last window snapshot recorded (any run).
 	last    WindowSnapshot
 	hasLast bool
-
-	// flows accumulates the src→dst migration matrix across windows.
-	flows map[[2]int]*TierFlow
 }
 
-// commandOutcomes counts one daemon command op's ok/error completions.
-type commandOutcomes struct {
+// commandCount is one daemon command op's ok/error completions.
+type commandCount struct {
+	Op      string
 	OK, Err int64
 }
 
@@ -85,11 +70,7 @@ type tierLatency struct {
 
 // NewLive returns an empty aggregator.
 func NewLive() *Live {
-	return &Live{
-		flows:             make(map[[2]int]*TierFlow),
-		daemonCommands:    make(map[string]*commandOutcomes),
-		healthTransitions: make(map[string]int64),
-	}
+	return &Live{s: liveState{vals: make([]cell, len(seriesTable))}}
 }
 
 // setHealth records the /healthz evaluator's state, counting a
@@ -98,14 +79,14 @@ func NewLive() *Live {
 func (l *Live) setHealth(degraded bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if degraded == l.healthDegraded {
+	if degraded == l.s.healthDegraded {
 		return
 	}
-	l.healthDegraded = degraded
+	l.s.healthDegraded = degraded
 	if degraded {
-		l.healthTransitions["degraded"]++
+		l.s.healthTo[1]++
 	} else {
-		l.healthTransitions["ok"]++
+		l.s.healthTo[0]++
 	}
 }
 
@@ -114,14 +95,14 @@ func (l *Live) setHealth(degraded bool) {
 func (l *Live) AddDaemonTick() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.daemonTicks++
+	l.s.vals[daemonTicksSeries.idx].i++
 }
 
 // SetDaemonAttached sets the attached-workloads gauge.
 func (l *Live) SetDaemonAttached(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.daemonAttached = int64(n)
+	l.s.vals[daemonAttachedSeries.idx].i = int64(n)
 }
 
 // AddStoreMemo records one finished figure's memo of prepared stores: its
@@ -130,9 +111,9 @@ func (l *Live) SetDaemonAttached(n int) {
 func (l *Live) AddStoreMemo(lookups, hits, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.memoLookups += lookups
-	l.memoHits += hits
-	l.memoBytes = bytes
+	l.s.vals[memoLookupsSeries.idx].i += lookups
+	l.s.vals[memoHitsSeries.idx].i += hits
+	l.s.vals[memoBytesSeries.idx].i = bytes
 }
 
 // AddDaemonCommand counts one completed daemon command of the given op,
@@ -140,15 +121,17 @@ func (l *Live) AddStoreMemo(lookups, hits, bytes int64) {
 func (l *Live) AddDaemonCommand(op string, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	c := l.daemonCommands[op]
-	if c == nil {
-		c = &commandOutcomes{}
-		l.daemonCommands[op] = c
+	s := &l.s
+	i, found := slices.BinarySearchFunc(s.commands, op, func(c commandCount, op string) int {
+		return strings.Compare(c.Op, op)
+	})
+	if !found {
+		s.commands = slices.Insert(s.commands, i, commandCount{Op: op})
 	}
 	if ok {
-		c.OK++
+		s.commands[i].OK++
 	} else {
-		c.Err++
+		s.commands[i].Err++
 	}
 }
 
@@ -156,44 +139,32 @@ func (l *Live) AddDaemonCommand(op string, ok bool) {
 func (l *Live) RecordWindow(w WindowSnapshot) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.windows++
-	l.moves += int64(w.Moves)
-	l.rejected += int64(w.Rejected)
-	l.skipped += int64(w.Skipped)
-	l.tierFullMoves += int64(w.TierFullMoves)
-	l.compactedPages += int64(w.CompactedPages)
-	l.compactObjectsMoved += int64(w.CompactObjectsMoved)
-	l.compactSkippedTiers += int64(w.CompactSkippedTiers)
-	l.droppedPressure += int64(w.DroppedPressure)
-	l.droppedCapacity += int64(w.DroppedCapacity)
-	l.droppedBudget += int64(w.DroppedBudget)
-	l.appNs += w.AppNs
-	l.daemonNs += w.DaemonNs
-	l.solverNs += w.SolverNs
-	if w.WarmHit {
-		l.warmHits++
-	}
-	l.classesReused += int64(w.ClassesReused)
-	l.classesRebuilt += int64(w.ClassesRebuilt)
-	l.solverFallbacks += int64(w.SolverFallbacks)
-	l.faultStallNs += w.FaultStallNs
-	l.interferenceNs += w.InterferenceNs
-	l.pingPongMoves += int64(w.PingPongMoves)
-	l.migratedBytes += w.MigratedBytes
-	for t, ns := range w.TierStallNs {
-		for len(l.tierStallNs) <= t {
-			l.tierStallNs = append(l.tierStallNs, 0)
+	s := &l.s
+	// The accessors read the copy kept as the last window: a pointer to the
+	// parameter, handed to a func value, would move it to the heap.
+	s.last, s.hasLast = w, true
+	for i, r := range seriesTable {
+		switch {
+		case r.winInt != nil:
+			s.vals[i].i += r.winInt(&s.last)
+		case r.winFloat != nil:
+			s.vals[i].f += r.winFloat(&s.last)
 		}
-		l.tierStallNs[t] += ns
+	}
+	for t, ns := range w.TierStallNs {
+		for len(s.tierStallNs) <= t {
+			s.tierStallNs = append(s.tierStallNs, 0)
+		}
+		s.tierStallNs[t] += ns
 	}
 	for t, ls := range w.TierLatency {
 		if ls.Count == 0 {
 			continue
 		}
-		for len(l.latency) <= t {
-			l.latency = append(l.latency, tierLatency{})
+		for len(s.latency) <= t {
+			s.latency = append(s.latency, tierLatency{})
 		}
-		acc := &l.latency[t]
+		acc := &s.latency[t]
 		acc.count += ls.Count
 		acc.sumNs += ls.SumNs
 		for _, b := range ls.Buckets {
@@ -203,17 +174,15 @@ func (l *Live) RecordWindow(w WindowSnapshot) {
 		}
 	}
 	for _, f := range w.Migrations {
-		k := [2]int{f.From, f.To}
-		c, ok := l.flows[k]
-		if !ok {
-			c = &TierFlow{From: f.From, To: f.To}
-			l.flows[k] = c
+		i, found := slices.BinarySearchFunc(s.flows, f, func(c, f TierFlow) int {
+			return cmp.Or(cmp.Compare(c.From, f.From), cmp.Compare(c.To, f.To))
+		})
+		if !found {
+			s.flows = slices.Insert(s.flows, i, TierFlow{From: f.From, To: f.To})
 		}
-		c.Pages += f.Pages
-		c.Rejected += f.Rejected
+		s.flows[i].Pages += f.Pages
+		s.flows[i].Rejected += f.Rejected
 	}
-	l.last = w
-	l.hasLast = true
 }
 
 // RecordMove implements Recorder; moves are already aggregated into the
@@ -224,146 +193,64 @@ func (l *Live) RecordMove(MoveEvent) {}
 func (l *Live) RecordRuntime(rt WindowRuntime) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for p, ns := range rt.PhaseWallNs {
-		l.phaseNs[p] += ns
+	s := &l.s
+	for i, r := range seriesTable {
+		switch {
+		case r.rtInt != nil:
+			s.vals[i].i += r.rtInt(rt)
+		case r.rtFloat != nil:
+			s.vals[i].f += r.rtFloat(rt)
+		}
 	}
-	l.prepareNs += rt.PrepareWallNs
-	l.commitNs += rt.CommitWallNs
-	l.blocked += int64(rt.Sched.BlockedAwaits)
-	l.stallNs += rt.Sched.StallNs
+	for p, ns := range rt.PhaseWallNs {
+		s.phaseNs[p] += ns
+	}
 }
 
-// liveSnapshot is a consistent copy of the aggregator's state, taken
-// under the lock, from which the exposition formats render.
-type liveSnapshot struct {
-	windows, moves, rejected, skipped, tierFullMoves int64
-	compactedPages                                   int64
-	compactObjectsMoved, compactSkippedTiers         int64
-	droppedPressure, droppedCapacity, droppedBudget  int64
-	appNs, daemonNs, solverNs                        float64
-	warmHits, classesReused, classesRebuilt          int64
-	solverFallbacks                                  int64
-	faultStallNs, interferenceNs                     float64
-	tierStallNs                                      []float64
-	pingPongMoves, migratedBytes                     int64
-	latency                                          []tierLatency
-	healthDegraded                                   bool
-	healthTransitions                                map[string]int64
-	phaseNs                                          [NumPhases]float64
-	prepareNs, commitNs                              float64
-	blocked, stallNs                                 int64
-	daemonTicks, daemonAttached                      int64
-	memoLookups, memoHits, memoBytes                 int64
-	daemonCommands                                   []commandCount
-	last                                             WindowSnapshot
-	hasLast                                          bool
-	flows                                            []TierFlow
-}
-
-// commandCount is one daemon command op's outcome counters, in the
-// op-sorted order the exposition formats render.
-type commandCount struct {
-	Op      string
-	OK, Err int64
-}
-
-func (l *Live) snapshot() liveSnapshot {
+// snapshot returns a consistent copy of the aggregator's state: the struct
+// as it stands, with the slices Live writes in place cloned. (last's slices
+// are the producer's per-window ones, never written again.)
+func (l *Live) snapshot() liveState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := liveSnapshot{
-		windows: l.windows, moves: l.moves, rejected: l.rejected,
-		skipped: l.skipped, tierFullMoves: l.tierFullMoves,
-		compactedPages:      l.compactedPages,
-		compactObjectsMoved: l.compactObjectsMoved,
-		compactSkippedTiers: l.compactSkippedTiers,
-		droppedPressure:     l.droppedPressure, droppedCapacity: l.droppedCapacity,
-		droppedBudget: l.droppedBudget,
-		appNs:         l.appNs, daemonNs: l.daemonNs, solverNs: l.solverNs,
-		warmHits: l.warmHits, classesReused: l.classesReused,
-		classesRebuilt: l.classesRebuilt, solverFallbacks: l.solverFallbacks,
-		faultStallNs: l.faultStallNs, interferenceNs: l.interferenceNs,
-		tierStallNs:   append([]float64(nil), l.tierStallNs...),
-		pingPongMoves: l.pingPongMoves, migratedBytes: l.migratedBytes,
-		latency:        append([]tierLatency(nil), l.latency...),
-		healthDegraded: l.healthDegraded,
-		healthTransitions: map[string]int64{
-			"ok":       l.healthTransitions["ok"],
-			"degraded": l.healthTransitions["degraded"],
-		},
-		phaseNs:   l.phaseNs,
-		prepareNs: l.prepareNs, commitNs: l.commitNs,
-		blocked: l.blocked, stallNs: l.stallNs,
-		daemonTicks: l.daemonTicks, daemonAttached: l.daemonAttached,
-		memoLookups: l.memoLookups, memoHits: l.memoHits, memoBytes: l.memoBytes,
-		last: l.last, hasLast: l.hasLast,
-	}
-	for op, c := range l.daemonCommands {
-		s.daemonCommands = append(s.daemonCommands, commandCount{Op: op, OK: c.OK, Err: c.Err})
-	}
-	sort.Slice(s.daemonCommands, func(a, b int) bool {
-		return s.daemonCommands[a].Op < s.daemonCommands[b].Op
-	})
-	for _, f := range l.flows {
-		s.flows = append(s.flows, *f)
-	}
-	sort.Slice(s.flows, func(a, b int) bool {
-		if s.flows[a].From != s.flows[b].From {
-			return s.flows[a].From < s.flows[b].From
-		}
-		return s.flows[a].To < s.flows[b].To
-	})
+	s := l.s
+	s.vals = slices.Clone(s.vals)
+	s.tierStallNs = slices.Clone(s.tierStallNs)
+	s.latency = slices.Clone(s.latency)
+	s.commands = slices.Clone(s.commands)
+	s.flows = slices.Clone(s.flows)
 	return s
 }
 
 // Vars returns the aggregator's state as a plain map for expvar
-// exposition under the "tierscape" variable.
+// exposition under the "tierscape" variable: every scalar of seriesTable
+// under its key, as the int64 or float64 it accumulates in, plus the
+// labelled families in the shapes below.
 func (l *Live) Vars() any {
 	s := l.snapshot()
 	phases := make(map[string]float64, NumPhases)
-	for p := 0; p < NumPhases; p++ {
-		phases[Phase(p).String()] = s.phaseNs[p]
+	for p, ns := range s.phaseNs {
+		phases[Phase(p).String()] = ns
 	}
 	v := map[string]any{
-		"windows":               s.windows,
-		"moved_pages":           s.moves,
-		"rejected_pages":        s.rejected,
-		"skipped_pages":         s.skipped,
-		"tier_full_moves":       s.tierFullMoves,
-		"compacted_pages":       s.compactedPages,
-		"compact_objects_moved": s.compactObjectsMoved,
-		"compact_skipped_tiers": s.compactSkippedTiers,
-		"dropped_pressure":      s.droppedPressure,
-		"dropped_capacity":      s.droppedCapacity,
-		"dropped_budget":        s.droppedBudget,
-		"app_ns":                s.appNs,
-		"daemon_ns":             s.daemonNs,
-		"solver_ns":             s.solverNs,
-		"warm_hits":             s.warmHits,
-		"classes_reused":        s.classesReused,
-		"classes_rebuilt":       s.classesRebuilt,
-		"solver_fallbacks":      s.solverFallbacks,
-		"fault_stall_ns":        s.faultStallNs,
-		"interference_ns":       s.interferenceNs,
-		"tier_stall_ns":         s.tierStallNs,
-		"pingpong_moves":        s.pingPongMoves,
-		"migrated_bytes":        s.migratedBytes,
-		"health_degraded":       s.healthDegraded,
-		"health_transitions":    s.healthTransitions,
-		"phase_wall_ns":         phases,
-		"prepare_wall_ns":       s.prepareNs,
-		"commit_wall_ns":        s.commitNs,
-		"sched_blocked":         s.blocked,
-		"sched_stall_ns":        s.stallNs,
-		"migrations":            s.flows,
-		"store_memo_lookups":    s.memoLookups,
-		"store_memo_hits":       s.memoHits,
-		"store_memo_bytes":      s.memoBytes,
+		"tier_stall_ns":      s.tierStallNs,
+		"health_degraded":    s.healthDegraded,
+		"health_transitions": map[string]int64{healthStates[0]: s.healthTo[0], healthStates[1]: s.healthTo[1]},
+		"phase_wall_ns":      phases,
+		"migrations":         s.flows,
 	}
-	v["daemon_ticks"] = s.daemonTicks
-	v["daemon_attached_workloads"] = s.daemonAttached
-	if len(s.daemonCommands) > 0 {
-		cmds := make(map[string]map[string]int64, len(s.daemonCommands))
-		for _, c := range s.daemonCommands {
+	for i, r := range seriesTable {
+		switch {
+		case r.key == "":
+		case r.isFloat():
+			v[r.key] = s.vals[i].f
+		default:
+			v[r.key] = s.vals[i].i
+		}
+	}
+	if len(s.commands) > 0 {
+		cmds := make(map[string]map[string]int64, len(s.commands))
+		for _, c := range s.commands {
 			cmds[c.Op] = map[string]int64{"ok": c.OK, "error": c.Err}
 		}
 		v["daemon_commands"] = cmds

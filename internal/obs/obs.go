@@ -37,8 +37,8 @@ type Recorder interface {
 	RecordWindow(WindowSnapshot)
 	// RecordMove receives one applied migration move. Moves of a window
 	// arrive after its apply phase completes, in ascending job order —
-	// per-worker shard buffers are merged by job index before delivery,
-	// so the order (and content) is identical at every PushThreads.
+	// each is read off the plan and the job-indexed apply results, so the
+	// order (and content) is identical at every PushThreads.
 	RecordMove(MoveEvent)
 	// RecordRuntime receives the wall-clock telemetry of one window:
 	// phase durations and the push threads' commit stalls. Values are

@@ -30,40 +30,6 @@ func snap(window, moves int) WindowSnapshot {
 	}
 }
 
-// TestShardsMergeJobOrder: events recorded into arbitrary shards come out
-// in ascending job order — each shard is job-ascending by construction
-// (workers draw jobs from a shared atomic counter) and the merge picks
-// the smallest head.
-func TestShardsMergeJobOrder(t *testing.T) {
-	sh := NewShards(3)
-	// Worker 0 took jobs 0,3,4; worker 1 took 1,5; worker 2 took 2.
-	for _, rec := range []struct{ worker, job int }{
-		{0, 0}, {1, 1}, {2, 2}, {0, 3}, {0, 4}, {1, 5},
-	} {
-		sh.Record(rec.worker, MoveEvent{Window: 1, Job: rec.job})
-	}
-	merged := sh.Merge()
-	if len(merged) != 6 {
-		t.Fatalf("merged %d events, want 6", len(merged))
-	}
-	for i, ev := range merged {
-		if ev.Job != i {
-			t.Fatalf("position %d holds job %d; merge must be job-ascending", i, ev.Job)
-		}
-	}
-}
-
-func TestShardsEmptyAndClamped(t *testing.T) {
-	if got := NewShards(0).Merge(); len(got) != 0 {
-		t.Fatalf("empty shards merged to %d events", len(got))
-	}
-	sh := NewShards(0) // clamps to one shard
-	sh.Record(0, MoveEvent{Job: 7})
-	if got := sh.Merge(); len(got) != 1 || got[0].Job != 7 {
-		t.Fatalf("clamped shards lost the event: %+v", got)
-	}
-}
-
 // TestTee: nil recorders collapse — zero non-nil yields nil (the disabled
 // state), one yields the recorder itself, several fan out in order.
 func TestTee(t *testing.T) {

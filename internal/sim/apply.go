@@ -27,14 +27,13 @@
 //
 // Observability rides along behind a nil check: with no applyTrace the
 // engine does exactly the work above and nothing else. With one, workers
-// additionally record per-move events into per-worker shards (merged in
-// job order by the caller — see obs.Shards for why that is
-// deterministic), accumulate the wall-clock prepare/commit split, and
-// count the waits for the turn (a blocked await; its wall time is the
-// stall). None of the traced values feed back into placement, so tracing
-// can never perturb results. The serial and pooled paths finish every move
-// through the same finishMove helper, so their traced event streams are
-// identical by construction, not by parallel maintenance.
+// additionally accumulate the wall-clock prepare/commit split and count
+// the waits for the turn (a blocked await; its wall time is the stall).
+// None of the traced values feed back into placement, so tracing can never
+// perturb results. A window's move events are not collected here at all:
+// event i is a pure function of (moves[i], results[i]) — see moveEvent —
+// so the caller reads them off the job-indexed results, which are the same
+// at every worker count.
 package sim
 
 import (
@@ -63,23 +62,16 @@ type moveOutcome struct {
 // *applyTrace disables all of it; the engine's only residual cost is the
 // nil checks.
 type applyTrace struct {
-	window    int
-	shards    *obs.Shards
 	prepareNs atomic.Int64
 	commitNs  atomic.Int64
 	sched     obs.SchedulerStats
 }
 
-// newApplyTrace returns a trace for one window's apply with capacity for
-// `workers` event shards.
-func newApplyTrace(window, workers int) *applyTrace {
-	return &applyTrace{window: window, shards: obs.NewShards(workers)}
-}
-
-// event builds the deterministic move event for job i.
-func (tr *applyTrace) event(i int, mv policy.Move, out moveOutcome) obs.MoveEvent {
+// moveEvent builds the deterministic event of window's job i from the
+// planned move and its applied outcome.
+func moveEvent(window, i int, mv policy.Move, out moveOutcome) obs.MoveEvent {
 	return obs.MoveEvent{
-		Window:    tr.window,
+		Window:    window,
 		Job:       i,
 		Region:    int64(mv.Region),
 		From:      int(mv.From),
@@ -97,17 +89,13 @@ func (tr *applyTrace) event(i int, mv policy.Move, out moveOutcome) obs.MoveEven
 // partial accounting stays valid, matching the serial migrateRegion
 // helper — and lands on the outcome's Full flag; any other error is
 // returned as the job's hard failure and records nothing. Both the
-// serial and pooled paths finish every move here, so the traced event
-// streams they produce are identical by construction.
-func finishMove(tr *applyTrace, shard, i int, mv policy.Move, mr mem.MigrationResult, err error, results []moveOutcome) error {
+// serial and pooled paths finish every move here.
+func finishMove(i int, mr mem.MigrationResult, err error, results []moveOutcome) error {
 	full := errors.Is(err, mem.ErrTierFull)
 	if err != nil && !full {
 		return err
 	}
 	results[i] = moveOutcome{MigrationResult: mr, Full: full}
-	if tr != nil {
-		tr.shards.Record(shard, tr.event(i, mv, results[i]))
-	}
 	return nil
 }
 
@@ -148,16 +136,16 @@ func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScra
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(shard int) {
+		go func(sc *mem.MigrationScratch) {
 			defer wg.Done()
 			for {
 				i := int(p.cursor.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				p.errs[i] = p.runJob(shard, i, &scratch[shard])
+				p.errs[i] = p.runJob(i, sc)
 			}
-		}(w)
+		}(&scratch[w])
 	}
 	wg.Wait()
 	if tr != nil {
@@ -196,7 +184,7 @@ func applySerial(m *mem.Manager, i int, mv policy.Move, sc *mem.MigrationScratch
 			tr.commitNs.Add(int64(time.Since(t1)))
 		}
 	}
-	return finishMove(tr, 0, i, mv, mr, err, results)
+	return finishMove(i, mr, err, results)
 }
 
 // applyPool is one window's pooled apply: the plan, where its outcomes
@@ -233,7 +221,7 @@ func (p *applyPool) await(i int) {
 // runJob prepares job i, waits for its turn and commits it. Every job
 // takes and passes on the turn — after a prepare error, after a panic —
 // or its successors would wait forever.
-func (p *applyPool) runJob(shard, i int, sc *mem.MigrationScratch) (err error) {
+func (p *applyPool) runJob(i int, sc *mem.MigrationScratch) (err error) {
 	mv, tr := p.moves[i], p.tr
 	defer func() {
 		if r := recover(); r != nil {
@@ -264,5 +252,5 @@ func (p *applyPool) runJob(shard, i int, sc *mem.MigrationScratch) (err error) {
 			tr.commitNs.Add(int64(time.Since(t0)))
 		}
 	}
-	return finishMove(tr, shard, i, mv, mr, err, p.results)
+	return finishMove(i, mr, err, p.results)
 }

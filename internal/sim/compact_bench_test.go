@@ -1,9 +1,10 @@
 // Benchmark for the per-window compaction pass: the unbounded full sweep
 // against budgeted incremental compaction on a churn-heavy profile (an
 // aggressive Waterfall demoter keeps every window's pools fragmented).
-// Results are recorded in BENCH_compact.json at the repo root; the figures
-// of merit are the worst single window's modeled compaction cost (what the
-// budget caps) and the run totals. Budgeted totals may come in below the
+// The figures of merit are modeled and reported as custom metrics: the
+// worst single window's compaction cost (what the budget caps) and the run
+// totals; host time is the ledger's mem.compact_budgeted_ns and
+// sim.phase_compact_ns (bench/). Budgeted totals may come in below the
 // full sweep's: deferred donors whose remaining objects are faulted out
 // before the next pass drain for free, work the eager sweep paid to move.
 package sim

@@ -396,12 +396,13 @@ func TestConcurrentApplyMovesPanic(t *testing.T) {
 func TestConcurrentApplyMovesSlowRegion(t *testing.T) {
 	collect := func(workers int) ([]moveOutcome, []obs.MoveEvent, obs.SchedulerStats) {
 		m := pagedManager(t, &pagedSource{panicPage: -1, slowBelow: mem.RegionPages, sleep: 20 * time.Microsecond})
-		tr := newApplyTrace(1, workers)
-		results, err := applyMoves(m, demoteAll(m), make([]mem.MigrationScratch, workers), workers, tr)
+		tr := &applyTrace{}
+		moves := demoteAll(m)
+		results, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results, tr.shards.Merge(), tr.sched
+		return results, moveEvents(1, moves, results), tr.sched
 	}
 	baseRes, baseEvents, _ := collect(1)
 	res, events, sched := collect(8)

@@ -166,7 +166,7 @@ func TestConcurrentWarmObsStreamDeterminism(t *testing.T) {
 	}
 }
 
-// TestObsMoveEventOrder: the merged stream delivers each window's moves in
+// TestObsMoveEventOrder: the stream delivers each window's moves in
 // ascending job order, between window boundaries.
 func TestObsMoveEventOrder(t *testing.T) {
 	_, cap, _ := obsRun(t, &model.Waterfall{Pct: 50}, 8)
@@ -179,7 +179,7 @@ func TestObsMoveEventOrder(t *testing.T) {
 			lastWindow, lastJob = ev.Window, -1
 		}
 		if ev.Job <= lastJob {
-			t.Fatalf("window %d: job %d arrived after job %d; merge must be job-ascending",
+			t.Fatalf("window %d: job %d arrived after job %d; events must be job-ascending",
 				ev.Window, ev.Job, lastJob)
 		}
 		lastJob = ev.Job
@@ -338,13 +338,22 @@ func fallbackObsRun(t *testing.T, threads int) (*Result, *obs.Mem, []byte) {
 	return res, &capture, buf.Bytes()
 }
 
-// TestConcurrentObsStreamFallback: the serial and pooled traced paths
-// finish every move through the same finishMove helper, so their event
-// streams are identical by construction — exercised here with rejected
-// (fallback) moves in the stream, the events whose recording the two paths
-// used to assemble separately. The full JSONL byte stream and every
-// captured move are identical at PushThreads 1, 2 and 8. Runs under -race
-// in CI (the Concurrent suite).
+// moveEvents reads a window's events off its job-indexed results, the way
+// StepControl does.
+func moveEvents(window int, moves []policy.Move, applied []moveOutcome) []obs.MoveEvent {
+	evs := make([]obs.MoveEvent, len(moves))
+	for i, mv := range moves {
+		evs[i] = moveEvent(window, i, mv, applied[i])
+	}
+	return evs
+}
+
+// TestConcurrentObsStreamFallback: a window's events are read off the
+// job-indexed results, which the serial and pooled paths fill through the
+// same finishMove helper — exercised here with rejected (fallback) moves in
+// the stream. The full JSONL byte stream and every captured move are
+// identical at PushThreads 1, 2 and 8. Runs under -race in CI (the
+// Concurrent suite).
 func TestConcurrentObsStreamFallback(t *testing.T) {
 	baseRes, baseCap, baseStream := fallbackObsRun(t, 1)
 	rejected := 0
@@ -370,12 +379,10 @@ func TestConcurrentObsStreamFallback(t *testing.T) {
 
 // TestConcurrentApplyTraceFullEvents drives applyMoves directly with a
 // plan engineered so some commits return ErrTierFull outright
-// (promotions into a bounded DRAM that is already over capacity): the
-// Full-flagged events are exactly the outcomes whose recording the serial
-// and pooled paths used to assemble separately. Both paths now finish
-// through finishMove, and the merged event stream must be identical at
-// every worker count — Full flags included. Runs under -race in CI (the
-// Concurrent suite).
+// (promotions into a bounded DRAM that is already over capacity). Both
+// paths finish through finishMove, and the event stream read off their
+// results must be identical at every worker count — Full flags included.
+// Runs under -race in CI (the Concurrent suite).
 func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 	collect := func(workers int) []obs.MoveEvent {
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
@@ -413,11 +420,11 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 		for r := int64(0); r < m.NumRegions(); r++ {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
 		}
-		tr := newApplyTrace(1, workers)
-		if _, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, tr); err != nil {
+		applied, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, &applyTrace{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.shards.Merge()
+		return moveEvents(1, moves, applied)
 	}
 	base := collect(1)
 	fulls := 0
@@ -431,7 +438,7 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		if got := collect(workers); !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d merged event stream differs from serial", workers)
+			t.Fatalf("workers=%d event stream differs from serial", workers)
 		}
 	}
 }

@@ -327,6 +327,8 @@ func (s *Stepper) StepControl() error {
 	}
 	rec := WindowRecord{Window: w + 1}
 	var tr *applyTrace
+	var plan policy.Plan
+	var applied []moveOutcome
 	var interferenceNs float64
 	s.decayThrash()
 
@@ -335,17 +337,17 @@ func (s *Stepper) StepControl() error {
 		if recd != nil {
 			rt.PhaseWallNs[obs.PhaseSolve] = wallSince(&wall)
 		}
-		plan := s.filter.Apply(m, r, profile)
+		plan = s.filter.Apply(m, r, profile)
 		if recd != nil {
 			rt.PhaseWallNs[obs.PhasePlan] = wallSince(&wall)
-			tr = newApplyTrace(w+1, s.pushThreads)
+			tr = &applyTrace{}
 		}
 		// Real push threads: pushThreads goroutines apply the plan
 		// concurrently; the deterministic in-order commit (apply.go)
 		// merges per-move accounting by job index, so the sums below
 		// are identical at every thread count.
-		applied, err := applyMoves(m, plan.Moves, s.scratch, s.pushThreads, tr)
-		if err != nil {
+		var err error
+		if applied, err = applyMoves(m, plan.Moves, s.scratch, s.pushThreads, tr); err != nil {
 			return fmt.Errorf("sim: window %d migration: %w", w, err)
 		}
 		if recd != nil {
@@ -426,13 +428,13 @@ func (s *Stepper) StepControl() error {
 	s.totalAppNs += appNs
 
 	if recd != nil {
+		// Event i is read off (plan.Moves[i], applied[i]): the results are
+		// indexed by job and identical at every PushThreads, so the
+		// stream is too.
+		for i, mv := range plan.Moves {
+			recd.RecordMove(moveEvent(w+1, i, mv, applied[i]))
+		}
 		if tr != nil {
-			// Per-worker shards merge to the canonical job-ascending
-			// event order (see obs.Shards), so the stream is identical
-			// at every PushThreads.
-			for _, ev := range tr.shards.Merge() {
-				recd.RecordMove(ev)
-			}
 			rt.PrepareWallNs = float64(tr.prepareNs.Load())
 			rt.CommitWallNs = float64(tr.commitNs.Load())
 			rt.Sched = tr.sched

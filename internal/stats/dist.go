@@ -269,61 +269,3 @@ func (g *Gaussian) Next() int64 {
 
 // N returns the universe size.
 func (g *Gaussian) N() int64 { return g.n }
-
-// Uniform samples uniformly over [0, n).
-type Uniform struct {
-	rng *RNG
-	n   int64
-}
-
-// NewUniform returns a uniform sampler over [0, n).
-func NewUniform(rng *RNG, n int64) *Uniform {
-	if n <= 0 {
-		panic("stats: Uniform with non-positive n")
-	}
-	return &Uniform{rng: rng, n: n}
-}
-
-// Next returns the next uniformly sampled index.
-func (u *Uniform) Next() int64 { return u.rng.Int63n(u.n) }
-
-// N returns the universe size.
-func (u *Uniform) N() int64 { return u.n }
-
-// HotCold samples from a classic hot/cold distribution: a fraction hotFrac of
-// the universe receives a fraction hotAccess of the accesses. Useful for
-// constructing workloads with precisely known hot/warm/cold splits, as in
-// Figure 1 of the paper.
-type HotCold struct {
-	rng       *RNG
-	n         int64
-	hotN      int64
-	hotAccess float64
-}
-
-// NewHotCold returns a sampler where hotFrac of items receive hotAccess of
-// accesses (both in (0,1)).
-func NewHotCold(rng *RNG, n int64, hotFrac, hotAccess float64) *HotCold {
-	if n <= 0 {
-		panic("stats: HotCold with non-positive n")
-	}
-	hotN := int64(float64(n) * hotFrac)
-	if hotN < 1 {
-		hotN = 1
-	}
-	return &HotCold{rng: rng, n: n, hotN: hotN, hotAccess: hotAccess}
-}
-
-// Next returns the next sampled index.
-func (h *HotCold) Next() int64 {
-	if h.rng.Float64() < h.hotAccess {
-		return h.rng.Int63n(h.hotN)
-	}
-	if h.hotN >= h.n {
-		return h.rng.Int63n(h.n)
-	}
-	return h.hotN + h.rng.Int63n(h.n-h.hotN)
-}
-
-// N returns the universe size.
-func (h *HotCold) N() int64 { return h.n }

@@ -169,56 +169,11 @@ func TestGaussianDrift(t *testing.T) {
 	}
 }
 
-func TestUniformCovers(t *testing.T) {
-	u := NewUniform(NewRNG(9), 50)
-	seen := make([]bool, 50)
-	for i := 0; i < 10000; i++ {
-		seen[u.Next()] = true
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d never sampled", i)
-		}
-	}
-}
-
-func TestHotColdSplit(t *testing.T) {
-	// 10% of items get 90% of accesses.
-	h := NewHotCold(NewRNG(10), 1000, 0.1, 0.9)
-	hot := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if h.Next() < 100 {
-			hot++
-		}
-	}
-	frac := float64(hot) / n
-	if math.Abs(frac-0.9) > 0.02 {
-		t.Fatalf("hot fraction = %v, want ~0.9", frac)
-	}
-}
-
-func TestHotColdFullRange(t *testing.T) {
-	h := NewHotCold(NewRNG(11), 100, 0.2, 0.8)
-	seenCold := false
-	for i := 0; i < 10000; i++ {
-		if h.Next() >= 20 {
-			seenCold = true
-			break
-		}
-	}
-	if !seenCold {
-		t.Fatal("cold range never sampled")
-	}
-}
-
 func TestSamplersImplementInterface(t *testing.T) {
 	r := NewRNG(1)
 	for _, s := range []Sampler{
 		NewZipf(r, 10, 0.99, false),
 		NewGaussian(r, 10, 5, 1),
-		NewUniform(r, 10),
-		NewHotCold(r, 10, 0.5, 0.5),
 	} {
 		if s.N() != 10 {
 			t.Errorf("N() = %d, want 10", s.N())

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -101,25 +100,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		n := 1 + int(seed%100)
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := NewRNG(10)
 	a := r.Split()
@@ -132,19 +112,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("split streams matched %d/100 times", same)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(77)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: sum=%d", sum)
 	}
 }
 

@@ -165,81 +165,6 @@ func (s *Summary) Reset() {
 	s.sum = 0
 }
 
-// Histogram counts observations into fixed-width buckets over [lo, hi).
-// Out-of-range observations land in underflow/overflow counters.
-type Histogram struct {
-	lo, hi   float64
-	width    float64
-	buckets  []int64
-	under    int64
-	over     int64
-	total    int64
-	totalSum float64
-}
-
-// NewHistogram returns a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	h.totalSum += v
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		i := int((v - h.lo) / h.width)
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the total number of observations (including out of range).
-func (h *Histogram) Count() int64 { return h.total }
-
-// Mean returns the mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.totalSum / float64(h.total)
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Quantile returns an approximate q-quantile (q in [0,1]) by scanning
-// bucket boundaries; underflow counts as lo, overflow as hi.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.total))
-	cum := h.under
-	if cum > target {
-		return h.lo
-	}
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			return h.lo + (float64(i)+0.5)*h.width
-		}
-	}
-	return h.hi
-}
-
 // GeoMean returns the geometric mean of xs; it panics on non-positive input.
 // The paper reports the geometric mean of round times for graph workloads.
 func GeoMean(xs []float64) float64 {
@@ -276,14 +201,4 @@ func PercentileOf(vals []float64, p float64) float64 {
 		rank = 0
 	}
 	return cp[rank]
-}
-
-// PercentileOfInts is PercentileOf for integer observations (e.g. per-region
-// access counts, used for the percentile-based hotness thresholds in §8.1).
-func PercentileOfInts(vals []int64, p float64) float64 {
-	fs := make([]float64, len(vals))
-	for i, v := range vals {
-		fs[i] = float64(v)
-	}
-	return PercentileOf(fs, p)
 }

@@ -85,47 +85,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 10 {
-			t.Fatalf("bucket %d = %d, want 10", i, h.Bucket(i))
-		}
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if math.Abs(h.Mean()-49.5) > 1e-9 {
-		t.Fatalf("Mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramOutOfRange(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-1)
-	h.Add(100)
-	if h.under != 1 || h.over != 1 {
-		t.Fatalf("under=%d over=%d", h.under, h.over)
-	}
-	if h.Count() != 2 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	q := h.Quantile(0.5)
-	if q < 45 || q > 55 {
-		t.Fatalf("median quantile = %v, want ~50", q)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	got := GeoMean([]float64{1, 10, 100})
 	if math.Abs(got-10) > 1e-9 {
@@ -153,12 +112,12 @@ func TestPercentileOfDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestPercentileOfInts(t *testing.T) {
-	xs := []int64{10, 20, 30, 40}
-	if got := PercentileOfInts(xs, 25); got != 10 {
+func TestPercentileOfNearestRank(t *testing.T) {
+	xs := []float64{10, 20, 30, 40}
+	if got := PercentileOf(xs, 25); got != 10 {
 		t.Fatalf("P25 = %v, want 10", got)
 	}
-	if got := PercentileOfInts(xs, 75); got != 30 {
+	if got := PercentileOf(xs, 75); got != 30 {
 		t.Fatalf("P75 = %v, want 30", got)
 	}
 }
