@@ -7,30 +7,45 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"tierscape/internal/experiments"
 )
 
-func main() {
-	pages := flag.Int("pages", 512, "pages to store per tier per data set")
-	table1 := flag.Bool("table1", false, "also print the Table 1 option space")
-	csv := flag.Bool("csv", false, "emit CSV")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: tables go to stdout, diagnostics to stderr, and the
+// result is the exit status — 2 for a command line it cannot act on.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("characterize", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	pages := fs.Int("pages", 512, "pages to store per tier per data set")
+	table1 := fs.Bool("table1", false, "also print the Table 1 option space")
+	csv := fs.Bool("csv", false, "emit CSV")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	tab := experiments.Fig2(*pages)
 	if *csv {
-		fmt.Print(tab.CSV())
+		fmt.Fprint(stdout, tab.CSV())
 	} else {
-		fmt.Println(tab.String())
+		fmt.Fprintln(stdout, tab.String())
 	}
 	if *table1 {
 		t1 := experiments.Table1()
 		if *csv {
-			fmt.Print(t1.CSV())
+			fmt.Fprint(stdout, t1.CSV())
 		} else {
-			fmt.Println(t1.String())
+			fmt.Fprintln(stdout, t1.String())
 		}
 	}
+	return 0
 }

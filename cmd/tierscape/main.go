@@ -161,15 +161,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var wl tierscape.Workload
 	var recorder *trace.Recorder
+	var replay *trace.Reader
 	if s.Replay != "" {
 		f, err := os.Open(s.Replay)
 		if err != nil {
 			return fail(2, "%v", err)
 		}
 		defer f.Close()
-		if wl, err = trace.NewReader(f); err != nil {
+		if replay, err = trace.NewReader(f); err != nil {
 			return fail(2, "%v", err)
 		}
+		wl = replay
 	} else {
 		var err error
 		if wl, err = buildWorkload(s.Workload, s.Pages, s.Seed); err != nil {
@@ -238,6 +240,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	res, err := tierscape.Run(cfg)
 	if err != nil {
 		return fail(1, "%v", err)
+	}
+	if replay != nil && replay.Err() != nil {
+		return fail(1, "replaying %s: %v", s.Replay, replay.Err())
 	}
 	if recorder != nil {
 		if err := recorder.Close(); err != nil {

@@ -121,6 +121,11 @@ func TestRunExitStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := []string{"-windows", "1", "-ops", "100", "-pages", "1024"}
+	// One op whose single access is page -600 of 1024.
+	badTrace := filepath.Join(dir, "bad.trace")
+	if err := os.WriteFile(badTrace, []byte("TSTR\x01\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\xe0\x12"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -134,6 +139,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"unreadable tier file", []string{"-tiers", filepath.Join(dir, "absent.json")}, 2, "tier setup"},
 		{"tier file without tiers", []string{"-tiers", badTiers}, 2, "no compressed tiers"},
 		{"unreadable trace", []string{"-replay", filepath.Join(dir, "absent.trace")}, 2, "absent.trace"},
+		{"out-of-range page in a replayed trace", append([]string{"-replay", badTrace}, small...), 1, "page -600 outside [0, 1024)"},
 		{"daemon without a listener", []string{"-daemon"}, 2, "-metrics-addr"},
 		{"unwritable events file", append([]string{"-events", filepath.Join(dir, "no/such/dir/e.jsonl")}, small...), 1, "events file"},
 		{"unwritable windows CSV", append([]string{"-windows-csv", filepath.Join(dir, "no/such/dir/w.csv")}, small...), 1, "windows-csv file"},

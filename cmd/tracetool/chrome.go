@@ -137,8 +137,8 @@ func (b *chromeBuilder) window(w *obs.WindowSnapshot) {
 }
 
 // exportChrome reads the JSONL event stream at eventsPath and writes the
-// Chrome trace JSON to outPath.
-func exportChrome(eventsPath, outPath string) error {
+// Chrome trace JSON to outPath, reporting what it wrote on stdout.
+func exportChrome(stdout io.Writer, eventsPath, outPath string) error {
 	in, err := os.Open(eventsPath)
 	if err != nil {
 		return err
@@ -200,7 +200,7 @@ func exportChrome(eventsPath, outPath string) error {
 	if err := out.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d trace events for %d run(s) to %s\n", len(b.events), runs, outPath)
+	fmt.Fprintf(stdout, "wrote %d trace events for %d run(s) to %s\n", len(b.events), runs, outPath)
 	return nil
 }
 

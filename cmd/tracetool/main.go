@@ -13,10 +13,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"tierscape"
 	"tierscape/internal/mem"
@@ -24,45 +27,59 @@ import (
 	"tierscape/internal/workload"
 )
 
-func main() {
-	statPath := flag.String("stat", "", "trace file to analyze")
-	recordPath := flag.String("record", "", "trace file to write")
-	workloadName := flag.String("workload", "memcached-ycsb", "workload to record")
-	ops := flag.Int64("ops", 100000, "operations to record")
-	pages := flag.Int64("pages", 16*tierscape.RegionPages, "workload footprint in pages")
-	seed := flag.Uint64("seed", 42, "workload seed")
-	top := flag.Int("top", 10, "hottest regions to list in -stat")
-	chromePath := flag.String("chrome", "", "Chrome trace-event JSON file to write (needs -events)")
-	eventsPath := flag.String("events", "", "JSONL event stream to convert with -chrome")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the command: reports go to stdout, diagnostics to stderr, and the
+// result is the exit status — 2 for a command line it cannot act on (bad
+// flag, no mode, -chrome without -events, negative -top), 1 for a mode
+// that failed (an unreadable or malformed trace, a failed write).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracetool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	statPath := fs.String("stat", "", "trace file to analyze")
+	recordPath := fs.String("record", "", "trace file to write")
+	workloadName := fs.String("workload", "memcached-ycsb", "workload to record")
+	ops := fs.Int64("ops", 100000, "operations to record")
+	pages := fs.Int64("pages", 16*tierscape.RegionPages, "workload footprint in pages")
+	seed := fs.Uint64("seed", 42, "workload seed")
+	top := fs.Int("top", 10, "hottest regions to list in -stat")
+	chromePath := fs.String("chrome", "", "Chrome trace-event JSON file to write (needs -events)")
+	eventsPath := fs.String("events", "", "JSONL event stream to convert with -chrome")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "-top must be >= 0, got %d\n", *top)
+		return 2
+	}
+
+	var err error
 	switch {
 	case *chromePath != "":
 		if *eventsPath == "" {
-			fmt.Fprintln(os.Stderr, "-chrome needs -events FILE (a JSONL stream from tierscape -events or experiments -events)")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-chrome needs -events FILE (a JSONL stream from tierscape -events or experiments -events)")
+			return 2
 		}
-		if err := exportChrome(*eventsPath, *chromePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = exportChrome(stdout, *eventsPath, *chromePath)
 	case *statPath != "":
-		if err := stat(*statPath, *top); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = stat(stdout, *statPath, *top)
 	case *recordPath != "":
-		if err := record(*recordPath, *workloadName, *pages, *ops, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		err = record(stdout, *recordPath, *workloadName, *pages, *ops, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "need -stat FILE, -record FILE, or -chrome FILE -events FILE")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -stat FILE, -record FILE, or -chrome FILE -events FILE")
+		return 2
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }
 
-func record(path, workloadName string, pages, ops int64, seed uint64) error {
+func record(stdout io.Writer, path, workloadName string, pages, ops int64, seed uint64) error {
 	var wl tierscape.Workload
 	switch workloadName {
 	case "memcached-ycsb":
@@ -84,7 +101,7 @@ func record(path, workloadName string, pages, ops int64, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // error paths; the success path checks Close below
 	tw, err := trace.Record(f, wl, ops)
 	if err != nil {
 		return err
@@ -93,12 +110,16 @@ func record(path, workloadName string, pages, ops int64, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %s: %d ops, %d accesses, %d bytes (%.2f B/access)\n",
+	// A close that fails can mean bytes that never landed.
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "recorded %s: %d ops, %d accesses, %d bytes (%.2f B/access)\n",
 		path, tw.Ops(), tw.Events(), st.Size(), float64(st.Size())/float64(tw.Events()))
 	return nil
 }
 
-func stat(path string, top int) error {
+func stat(stdout io.Writer, path string, top int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -129,14 +150,17 @@ func stat(path string, top int) error {
 			uniquePages[a.Page] = struct{}{}
 		}
 	}
+	if err := tr.Err(); err != nil {
+		return fmt.Errorf("%s: after %d ops: %w", path, opsN, err)
+	}
 
-	fmt.Printf("trace: %s\n", path)
-	fmt.Printf("pages: %d (%d regions), content profile: %s\n",
+	fmt.Fprintf(stdout, "trace: %s\n", path)
+	fmt.Fprintf(stdout, "pages: %d (%d regions), content profile: %s\n",
 		tr.NumPages(), numRegions, tr.Content())
-	fmt.Printf("ops: %d   accesses: %d (%.2f/op)   writes: %.1f%%\n",
-		opsN, accesses, float64(accesses)/float64(max64(opsN, 1)),
-		100*float64(writes)/float64(max64(accesses, 1)))
-	fmt.Printf("unique pages touched: %d (%.1f%% of footprint)\n",
+	fmt.Fprintf(stdout, "ops: %d   accesses: %d (%.2f/op)   writes: %.1f%%\n",
+		opsN, accesses, float64(accesses)/float64(max(opsN, 1)),
+		100*float64(writes)/float64(max(accesses, 1)))
+	fmt.Fprintf(stdout, "unique pages touched: %d (%.1f%% of footprint)\n",
 		len(uniquePages), 100*float64(len(uniquePages))/float64(tr.NumPages()))
 
 	type rh struct {
@@ -151,25 +175,10 @@ func stat(path string, top int) error {
 	if top > len(ranked) {
 		top = len(ranked)
 	}
-	fmt.Printf("hottest %d regions:\n", top)
+	fmt.Fprintf(stdout, "hottest %d regions:\n", top)
 	for _, r := range ranked[:top] {
-		bar := int(64 * r.hits / max64(ranked[0].hits, 1))
-		fmt.Printf("  region %4d  %10d  %s\n", r.region, r.hits, bars(bar))
+		bar := int(64 * r.hits / max(ranked[0].hits, 1))
+		fmt.Fprintf(stdout, "  region %4d  %10d  %s\n", r.region, r.hits, strings.Repeat("#", bar))
 	}
 	return nil
-}
-
-func bars(n int) string {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -35,7 +35,6 @@ type SolveState struct {
 	fresh     []inc         // scratch: rebuilt classes' increments
 	level     []int         // scratch: per-class hull position in the walk
 	scratch   []hullPoint   // scratch for frontier construction
-	choice    []int         // previous solve's choice vector
 }
 
 // Delta reports what a Solve reused versus rebuilt.
@@ -47,16 +46,11 @@ type Delta struct {
 	Reused, Rebuilt int
 }
 
-// PrevChoice returns the previous solve's choice vector (nil before the
-// first solve). The returned slice is owned by the state; do not mutate.
-func (s *SolveState) PrevChoice() []int { return s.choice }
-
 // Reset drops all cached state; the next Solve is cold.
 func (s *SolveState) Reset() {
 	s.hulls = nil
 	s.classIncs = nil
 	s.incs = s.incs[:0]
-	s.choice = nil
 }
 
 // rebuildClass recomputes class i's hull and increment run from p.
@@ -129,7 +123,6 @@ func (s *SolveState) Solve(p Problem, dirty []bool) (Solution, Delta, error) {
 	if sol.Weight <= p.Budget {
 		sol.Feasible = true
 		sol.Optimal = true // zero extra cost is trivially optimal
-		s.choice = append(s.choice[:0], sol.Choice...)
 		return sol, delta, nil
 	}
 
@@ -157,7 +150,6 @@ func (s *SolveState) Solve(p Problem, dirty []bool) (Solution, Delta, error) {
 		sol.Choice[ic.class] = h.idx
 	}
 	sol.Feasible = sol.Weight <= p.Budget
-	s.choice = append(s.choice[:0], sol.Choice...)
 	return sol, delta, nil
 }
 

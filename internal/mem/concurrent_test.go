@@ -31,9 +31,10 @@ func (l *lcg) next() uint64 {
 // goroutine, reads, writes and faults into a half-size DRAM, no lock —
 // alternating with a migration phase of migrators, a compactor and stat
 // readers all at once, the raw (unordered) push-thread shape. Every third
-// region is incompressible, and one migrator takes the split path, so the
-// rejection bits are set by commits (write lock) beside prepares reading
-// them (read lock) and cleared by the access phase's writes. A WaitGroup
+// region is incompressible; one migrator moves whole regions and the other
+// goes page by page, so the rejection bits are set by commits (write lock)
+// beside prepares reading them (read lock) and cleared by the access
+// phase's writes. A WaitGroup
 // ends each phase, which is all that orders it before the next. The race
 // detector checks the migration phase's locking and that the hand-over is
 // enough for the lock-free accesses; the conservation invariants, checked
@@ -95,17 +96,14 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 		// sweep semantics) beside a compactor and the daemon-side readers.
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
-			go func(seed lcg, split bool) {
+			go func(seed lcg, byPages bool) {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
 					r := RegionID(seed.next() % uint64(numRegions))
 					dest := TierID(seed.next() % uint64(numTiers))
 					var err error
-					if split {
-						var pr *PreparedRegion
-						if pr, err = m.PrepareRegionMigration(r, dest); err == nil {
-							_, err = m.CommitRegionMigration(pr)
-						}
+					if byPages {
+						_, err = migrateRegionByPages(m, r, dest)
 					} else {
 						_, err = m.MigrateRegion(r, dest)
 					}
@@ -120,7 +118,7 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				m.CompactAll()
+				m.CompactBudgeted(0)
 				m.TierPages()
 				m.TierFootprintBytes()
 				m.Counters()
@@ -209,12 +207,12 @@ func TestConcurrentCapacityReservationProperty(t *testing.T) {
 		t.Fatalf("degenerate budget from %d pool pages", full.PoolPages)
 	}
 
-	// Serial ground truth.
+	// Serial ground truth, page by page.
 	serial := boundedManager(t, numPages, budget)
 	nRegions := serial.NumRegions()
 	serialRes := make([]MigrationResult, nRegions)
 	for r := int64(0); r < nRegions; r++ {
-		mr, err := serial.MigrateRegion(RegionID(r), ct)
+		mr, err := migrateRegionByPages(serial, RegionID(r), ct)
 		if err != nil && !errors.Is(err, ErrTierFull) {
 			t.Fatal(err)
 		}
@@ -311,10 +309,10 @@ func TestConcurrentCapacityReservationProperty(t *testing.T) {
 	}
 }
 
-// TestConcurrentPreparedRegionEquivalence pins prepare/commit to the fused
-// serial path across every move shape: BA→CT, CT→CT with the same codec
-// (the §7.1 direct path), CT→CT across codecs, and CT→BA — on twin
-// managers, every result, counter and tier stat must match.
+// TestConcurrentPreparedRegionEquivalence pins prepare/commit to the
+// page-granular MigratePage loop across every move shape: BA→CT, CT→CT with
+// the same codec (the §7.1 direct path), CT→CT across codecs, and CT→BA —
+// on twin managers, every result, counter and tier stat must match.
 func TestConcurrentPreparedRegionEquivalence(t *testing.T) {
 	build := func() *Manager {
 		m, err := NewManager(Config{
@@ -342,14 +340,14 @@ func TestConcurrentPreparedRegionEquivalence(t *testing.T) {
 		{0, 0}, {3, 3}, // promote back; fresh demotion
 	}
 	for i, st := range steps {
-		ra, errA := a.MigrateRegion(st.r, st.dest)
+		ra, errA := migrateRegionByPages(a, st.r, st.dest)
 		pr, err := b.PrepareRegionMigration(st.r, st.dest)
 		if err != nil {
 			t.Fatalf("step %d: prepare: %v", i, err)
 		}
 		rb, errB := b.CommitRegionMigration(pr)
 		if ra != rb {
-			t.Fatalf("step %d (region %d → tier %d): fused %+v != prepare/commit %+v",
+			t.Fatalf("step %d (region %d → tier %d): page loop %+v != prepare/commit %+v",
 				i, st.r, st.dest, ra, rb)
 		}
 		if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
@@ -369,7 +367,7 @@ func TestConcurrentPreparedRegionEquivalence(t *testing.T) {
 		sa, _ := a.CompressedTierStats(ti.ID)
 		sb, _ := b.CompressedTierStats(ti.ID)
 		if sa != sb {
-			t.Fatalf("tier %s stats diverged:\nfused:          %+v\nprepare/commit: %+v", ti.Name, sa, sb)
+			t.Fatalf("tier %s stats diverged:\npage loop:      %+v\nprepare/commit: %+v", ti.Name, sa, sb)
 		}
 	}
 }

@@ -133,7 +133,8 @@ func TestCompactAllReclaims(t *testing.T) {
 			}
 		}
 	}
-	reclaimed, ns := m.CompactAll()
+	cs := m.CompactBudgeted(0)
+	reclaimed, ns := cs.PagesReclaimed, cs.CostNs
 	if reclaimed <= 0 {
 		t.Fatal("compaction reclaimed nothing after fragmentation")
 	}

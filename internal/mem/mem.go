@@ -20,25 +20,25 @@
 // A Manager alternates between two phases, and who may touch it differs.
 // In the access phase one goroutine, the driver's, issues Access calls and
 // nothing else runs: the hit path takes no lock. In the migration phase any
-// number of goroutines may call MigrateRegion/MigratePage, the prepare and
-// commit halves, the compaction passes and the readers concurrently:
-// page-table state is guarded by a striped per-region lock, tier pools are
-// guarded inside ztier, and every counter (including per-tier residency) is
-// an atomic, so concurrent migrations from the simulator's push threads
-// stay exact. Admission against capacity bounds is a reservation
+// number of goroutines may call the prepare and commit halves (and their
+// MigrateRegion/MigratePage wrappers), the compaction passes and the
+// readers concurrently: page-table state is guarded by a striped
+// per-region lock, tier pools are guarded inside ztier, and every counter
+// (including per-tier residency) is an atomic, so concurrent migrations
+// from the simulator's push threads stay exact. Admission against capacity bounds is a reservation
 // (compare-and-swap for byte-addressable tiers, under the tier lock for
 // compressed tiers), so no tier ever exceeds its budget even transiently.
 // The caller orders the phases (starting and joining its goroutines does);
 // an Access beside a migration is a data race, not a supported mode.
 //
-// For deterministic parallelism, region migration additionally splits into
-// PrepareRegionMigration (pure compute: decompress + compress, safe to run
-// concurrently) and CommitRegionMigration (all state changes and placement
-// decisions). Committing prepared regions one at a time in a fixed order
-// reproduces the serial MigrateRegion outcome bit-for-bit regardless of how
-// many goroutines ran the prepare half — the contract sim.Run's push-thread
-// pool, which commits in plan order, is built on. The manager itself knows
-// nothing about that order.
+// A region moves one way: PrepareRegionMigration (pure compute: decompress
+// + compress, safe to run concurrently) then CommitRegionMigration (all
+// state changes and placement decisions); MigrateRegion is the two back to
+// back. Committing prepared regions one at a time in a fixed order gives
+// the same outcome bit-for-bit regardless of how many goroutines ran the
+// prepare half — the contract sim.Run's push-thread pool, which commits in
+// plan order, is built on. The manager itself knows nothing about that
+// order.
 package mem
 
 import (
@@ -225,14 +225,14 @@ type Manager struct {
 	compactDirty  []bool  // per-ct: last pass incomplete (budget-cut or never ran)
 }
 
-// pageBufPool lends a page-sized work buffer to the callers that own no
-// MigrationScratch: a bare Access fault or a single MigratePage takes one
-// and puts it straight back. Managers used to share one persistent scratch
-// slice between content(), the fault path and the migration paths, which
-// handed every caller the same backing array — a latent aliasing bug the
-// moment any caller held two results, and a data race once experiment runs
-// fan out across goroutines. Per-call buffers keep each operation's bytes
-// private. Nothing that handles pages in volume goes through the pool: a
+// pageBufPool lends a page-sized work buffer to the only callers that own
+// no MigrationScratch: a bare Access fault and MigratePage, each of which
+// takes one and puts it straight back. Managers used to share one
+// persistent scratch slice between content(), the fault path and the
+// migration paths, which handed every caller the same backing array — a
+// latent aliasing bug the moment any caller held two results, and a data
+// race once experiment runs fan out across goroutines. Per-call buffers
+// keep each operation's bytes private. Nothing that handles pages in volume goes through the pool: a
 // region's worth of buffers parked here would sit in its victim cache
 // across a GC, owned by no run.
 var pageBufPool = sync.Pool{
@@ -253,10 +253,9 @@ func newPageBuf() *[]byte {
 // is garbage when its owner is.
 //
 // The arena is bounded by what its owner holds at once: three buffers per
-// page of the regions it has prepared and not yet committed (one region
-// at a time for a push thread: at most 3·RegionPages buffers, ~6 MB, plus
-// whatever incompressible pages grew), three buffers in all on the fused
-// MigrateRegion path.
+// page of the regions it has prepared and not yet committed — one region
+// at a time for a push thread, one-worker applies included: at most
+// 3·RegionPages buffers, ~6 MB, plus whatever incompressible pages grew.
 //
 // A nil *MigrationScratch is valid: buffers then come from the global
 // pool and the codecs run stateless, which suits a single page. Not safe
@@ -733,10 +732,10 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 }
 
 // commitPage lands a prepared page move: every placement decision,
-// residency change and counter bump, in exactly the order the serial
-// migration path makes them. The caller must hold the page's region write
-// lock. If the page moved between prepare and commit (another migrator
-// landed a move of the same page first), the move is re-prepared in place.
+// residency change and counter bump. The caller must hold the page's
+// region write lock. If the page moved between prepare and commit
+// (another migrator landed a move of the same page first), the move is
+// re-prepared in place.
 func (m *Manager) commitPage(pp preparedPage) (MigrationResult, error) {
 	var res MigrationResult
 	e := &m.ptes[pp.page]
@@ -864,13 +863,7 @@ func (m *Manager) MigratePage(p PageID, dest TierID) (MigrationResult, error) {
 	mu := m.regionLock(p.Region())
 	mu.Lock()
 	defer mu.Unlock()
-	return m.migratePageLocked(p, dest, nil)
-}
-
-// migratePageLocked is the fused prepare+commit path; caller holds the
-// page's region write lock.
-func (m *Manager) migratePageLocked(p PageID, dest TierID, sc *MigrationScratch) (MigrationResult, error) {
-	pp, err := m.preparePage(p, dest, sc)
+	pp, err := m.preparePage(p, dest, nil)
 	if err != nil {
 		return MigrationResult{}, err
 	}
@@ -879,53 +872,16 @@ func (m *Manager) migratePageLocked(p PageID, dest TierID, sc *MigrationScratch)
 
 // MigrateRegion moves every page of region r to tier dest, accumulating
 // the per-page results. TS-Daemon migrates at this 2 MB granularity (§7.2).
-//
-// A destination that fills mid-region does not abort the sweep: later
-// pages may still be skipped (already resident in dest) or placed at a
-// fallback tier, and their outcomes accumulate like any other page's.
-// The full-tier condition is reported once, as ErrTierFull, after the
-// whole region has been processed; the result is valid alongside it.
+// It is PrepareRegionMigration followed by CommitRegionMigration, whose
+// contract it shares: a destination that fills mid-region does not abort
+// the sweep, and the full-tier condition is reported once, as ErrTierFull,
+// alongside a valid result.
 func (m *Manager) MigrateRegion(r RegionID, dest TierID) (MigrationResult, error) {
-	return m.MigrateRegionScratch(r, dest, new(MigrationScratch))
-}
-
-// MigrateRegionScratch is MigrateRegion with the caller's scratch in
-// place of one made for this region — the fused path for a worker that
-// migrates many regions back to back.
-func (m *Manager) MigrateRegionScratch(r RegionID, dest TierID, sc *MigrationScratch) (MigrationResult, error) {
-	var total MigrationResult
-	start := PageID(r) * RegionPages
-	end := start + RegionPages
-	if end > PageID(m.numPages) {
-		end = PageID(m.numPages)
+	pr, err := m.PrepareRegionMigration(r, dest)
+	if err != nil {
+		return MigrationResult{}, err
 	}
-	if start < 0 || start >= PageID(m.numPages) {
-		return total, ErrBadPage
-	}
-	if int(dest) < 0 || int(dest) >= len(m.tiers) {
-		return total, ErrNoSuchTier
-	}
-	mu := m.regionLock(r)
-	mu.Lock()
-	defer mu.Unlock()
-	full := false
-	for p := start; p < end; p++ {
-		res, err := m.migratePageLocked(p, dest, sc)
-		total.Moved += res.Moved
-		total.Rejected += res.Rejected
-		total.Skipped += res.Skipped
-		total.LatencyNs += res.LatencyNs
-		switch {
-		case errors.Is(err, ErrTierFull):
-			full = true
-		case err != nil:
-			return total, err
-		}
-	}
-	if full {
-		return total, ErrTierFull
-	}
-	return total, nil
+	return m.CommitRegionMigration(pr)
 }
 
 // PreparedRegion is the precomputed half of one region migration, built by
@@ -975,13 +931,13 @@ func (s *MigrationScratch) takeRegion() *PreparedRegion {
 	return pr
 }
 
-// PrepareRegionMigration runs the compute half of MigrateRegion(r, dest) —
-// every decompression and compression the sweep will need — under the
+// PrepareRegionMigration runs the compute half of moving region r to dest
+// — every decompression and compression the sweep will need — under the
 // region's read lock, touching no shared state. Any number of goroutines
 // may prepare distinct regions concurrently; committing the prepared
 // regions in a fixed order (CommitRegionMigration) then reproduces the
-// serial migration outcome bit-for-bit, which is how sim.Run keeps results
-// identical across push-thread counts.
+// same outcome bit-for-bit however many goroutines prepared, which is how
+// sim.Run keeps results identical across push-thread counts.
 func (m *Manager) PrepareRegionMigration(r RegionID, dest TierID) (*PreparedRegion, error) {
 	return m.PrepareRegionMigrationScratch(r, dest, new(MigrationScratch))
 }
@@ -1028,10 +984,14 @@ func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *Mig
 }
 
 // CommitRegionMigration lands a prepared region migration under the
-// region write lock, with the same accumulation and ErrTierFull contract
-// as MigrateRegion. The prepared region is consumed: its buffers are
-// released even on error, and committing it again is a no-op that reports
-// nothing moved.
+// region write lock, page by page, accumulating the per-page results. A
+// destination that fills mid-region does not abort the sweep: later pages
+// may still be skipped (already resident in dest) or placed at a fallback
+// tier, and their outcomes accumulate like any other page's. The full-tier
+// condition is reported once, as ErrTierFull, after the whole region has
+// been processed; the result is valid alongside it. The prepared region is
+// consumed: its buffers are released even on error, and committing it
+// again is a no-op that reports nothing moved.
 func (m *Manager) CommitRegionMigration(pr *PreparedRegion) (MigrationResult, error) {
 	var total MigrationResult
 	if pr == nil {
@@ -1215,15 +1175,6 @@ func (m *Manager) SampleRegionRatio(r RegionID, codecName string, samples int) (
 	return float64(comp) / float64(orig), nil
 }
 
-// CompactAll compacts every compressed tier's pool to completion (the
-// kernel's zs_compact pass TS-Daemon triggers between windows) and
-// returns the total pool pages reclaimed and the modeled daemon cost.
-// Equivalent to CompactBudgeted(0).
-func (m *Manager) CompactAll() (int, float64) {
-	cs := m.CompactBudgeted(0)
-	return cs.PagesReclaimed, cs.CostNs
-}
-
 // CompactStats reports what one budgeted compaction pass over the
 // manager's compressed tiers did.
 type CompactStats struct {
@@ -1240,16 +1191,17 @@ type CompactStats struct {
 	CostNs float64
 }
 
-// CompactBudgeted compacts the compressed tiers round-robin until at most
-// budgetPages pool pages have been reclaimed in total (budgetPages <= 0 =
-// unbounded, i.e. every tier compacts to completion). A cursor rotates the
-// starting tier across calls so a small budget cannot starve later tiers,
-// and tiers whose pools saw no stores or frees since their last completed
-// pass are skipped: a fully compacted pool that has not churned has
-// nothing to reclaim, so skipping is purely a scan-avoidance optimization
-// and never changes the pages reclaimed or the modeled cost. A tier whose
-// pass was cut short by the budget stays dirty and is revisited even if
-// quiet.
+// CompactBudgeted compacts the compressed tiers' pools (the kernel's
+// zs_compact pass TS-Daemon triggers between windows) round-robin until
+// at most budgetPages pool pages have been reclaimed in total
+// (budgetPages <= 0 = unbounded, i.e. every tier compacts to completion).
+// A cursor rotates the starting tier across calls so a small budget cannot
+// starve later tiers, and tiers whose pools saw no stores or frees since
+// their last completed pass are skipped: a fully compacted pool that has
+// not churned has nothing to reclaim, so skipping is purely a
+// scan-avoidance optimization and never changes the pages reclaimed or the
+// modeled cost. A tier whose pass was cut short by the budget stays dirty
+// and is revisited even if quiet.
 func (m *Manager) CompactBudgeted(budgetPages int) CompactStats {
 	m.compactMu.Lock()
 	defer m.compactMu.Unlock()

@@ -1,8 +1,8 @@
 // Prepare/commit suite: what a PreparedRegion and its MigrationScratch
 // promise a push thread — buffers, codec state and the region value come
 // back for the next move, a prepared region commits exactly once, and
-// prepare + commit is the fused MigrateRegion, ErrTierFull fallbacks
-// included.
+// prepare + commit lands what moving the region page by page lands,
+// ErrTierFull fallbacks included.
 package mem
 
 import (
@@ -39,6 +39,43 @@ func preparedManager(t *testing.T, numPages int64, ctLimit int, dramCap int64) *
 	return m
 }
 
+// migrateRegionByPages is the page-granular reference for a region move:
+// MigratePage over each of the region's pages, the results summed in page
+// order and ErrTierFull reported once, after the last page, as
+// CommitRegionMigration reports it.
+func migrateRegionByPages(m *Manager, r RegionID, dest TierID) (MigrationResult, error) {
+	var total MigrationResult
+	full := false
+	start := PageID(r) * RegionPages
+	for p := start; p < min(start+RegionPages, PageID(m.NumPages())); p++ {
+		res, err := m.MigratePage(p, dest)
+		total.Moved += res.Moved
+		total.Rejected += res.Rejected
+		total.Skipped += res.Skipped
+		total.LatencyNs += res.LatencyNs
+		switch {
+		case errors.Is(err, ErrTierFull):
+			full = true
+		case err != nil:
+			return total, err
+		}
+	}
+	if full {
+		return total, ErrTierFull
+	}
+	return total, nil
+}
+
+// migrateScratch moves region r to dest the way a push thread does:
+// prepare on the worker's own scratch, then commit.
+func migrateScratch(m *Manager, r RegionID, dest TierID, sc *MigrationScratch) (MigrationResult, error) {
+	pr, err := m.PrepareRegionMigrationScratch(r, dest, sc)
+	if err != nil {
+		return MigrationResult{}, err
+	}
+	return m.CommitRegionMigration(pr)
+}
+
 // TestMigrationScratchReuse: a worker-owned arena must be refilled by the
 // commit's buffer release and drained by the next prepare — reuse across
 // moves — while producing results identical to MigrateRegion's
@@ -49,7 +86,7 @@ func TestMigrationScratchReuse(t *testing.T) {
 	ct1 := TierID(2)
 	sc := &MigrationScratch{}
 	for r := RegionID(0); r < 4; r++ {
-		got, errA := mA.MigrateRegionScratch(r, ct1, sc)
+		got, errA := migrateScratch(mA, r, ct1, sc)
 		want, errB := mB.MigrateRegion(r, ct1)
 		if errors.Is(errA, ErrTierFull) != errors.Is(errB, ErrTierFull) ||
 			(errA == nil) != (errB == nil) {
@@ -69,10 +106,10 @@ func TestMigrationScratchReuse(t *testing.T) {
 	// same shape of work allocates nothing new.
 	high := sc.Buffers()
 	for r := RegionID(0); r < 4; r++ {
-		if _, err := mA.MigrateRegionScratch(r, DRAMTier, sc); err != nil {
+		if _, err := migrateScratch(mA, r, DRAMTier, sc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mA.MigrateRegionScratch(r, ct1, sc); err != nil && !errors.Is(err, ErrTierFull) {
+		if _, err := migrateScratch(mA, r, ct1, sc); err != nil && !errors.Is(err, ErrTierFull) {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +118,7 @@ func TestMigrationScratchReuse(t *testing.T) {
 	}
 	// Nil arena stays valid (global pool, stateless codecs).
 	var nilSC *MigrationScratch
-	if _, err := mB.MigrateRegionScratch(0, DRAMTier, nilSC); err != nil {
+	if _, err := migrateScratch(mB, 0, DRAMTier, nilSC); err != nil {
 		t.Fatal(err)
 	}
 	if nilSC.Buffers() != 0 {
@@ -184,12 +221,12 @@ func TestPreparedRegionRecycling(t *testing.T) {
 	}
 }
 
-// TestCommitRegionMigrationMatchesFused: the same multi-hop migration
+// TestCommitRegionMigrationMatchesPageLoop: the same multi-hop migration
 // sequence — including ErrTierFull fallbacks out of a clamped CT2 and a
 // bounded DRAM — lands the exact same results, residency and counters, and
 // reports ErrTierFull on the same moves, whether each region goes through
-// prepare + commit or the fused MigrateRegion.
-func TestCommitRegionMigrationMatchesFused(t *testing.T) {
+// prepare + commit or page by page through MigratePage.
+func TestCommitRegionMigrationMatchesPageLoop(t *testing.T) {
 	const numPages = 8 * RegionPages
 	ct1, ct2 := TierID(2), TierID(3)
 	type hop struct {
@@ -204,14 +241,14 @@ func TestCommitRegionMigrationMatchesFused(t *testing.T) {
 		{0, ct2}, {1, DRAMTier}, {2, ct2}, {3, ct1},
 		{4, DRAMTier}, {5, ct1}, {6, ct1}, {7, ct2},
 	}
-	run := func(fused bool) ([]MigrationResult, []bool, []int64, Counters) {
+	run := func(byPages bool) ([]MigrationResult, []bool, []int64, Counters) {
 		m := preparedManager(t, numPages, 96, 2*RegionPages)
 		results := make([]MigrationResult, len(plan))
 		fulls := make([]bool, len(plan))
 		for i, h := range plan {
 			var err error
-			if fused {
-				results[i], err = m.MigrateRegion(h.r, h.dest)
+			if byPages {
+				results[i], err = migrateRegionByPages(m, h.r, h.dest)
 			} else {
 				pr, perr := m.PrepareRegionMigration(h.r, h.dest)
 				if perr != nil {
@@ -224,7 +261,7 @@ func TestCommitRegionMigrationMatchesFused(t *testing.T) {
 				err = nil
 			}
 			if err != nil {
-				t.Fatalf("fused=%v hop %d: %v", fused, i, err)
+				t.Fatalf("byPages=%v hop %d: %v", byPages, i, err)
 			}
 		}
 		return results, fulls, m.TierPages(), m.Counters()
@@ -239,7 +276,7 @@ func TestCommitRegionMigrationMatchesFused(t *testing.T) {
 	}
 	res, fulls, pages, ctr := run(false)
 	if !reflect.DeepEqual(res, baseRes) {
-		t.Fatal("prepare + commit results differ from fused MigrateRegion")
+		t.Fatal("prepare + commit results differ from the MigratePage loop")
 	}
 	if !reflect.DeepEqual(fulls, baseFull) {
 		t.Fatalf("ErrTierFull reporting differs: %v vs %v", fulls, baseFull)

@@ -25,6 +25,11 @@
 // worker and becomes that job's hard error; the turn still advances, so no
 // successor waits forever.
 //
+// With one worker — PushThreads 1, a one-move plan, a prefetch — the pool
+// is the caller's goroutine: it claims the jobs in order and runs each one
+// inline, the turn always already its own. There is no second code path,
+// so a traced one-worker apply times exactly what an untraced one runs.
+//
 // Observability rides along behind a nil check: with no applyTrace the
 // engine does exactly the work above and nothing else. With one, workers
 // additionally accumulate the wall-clock prepare/commit split and count
@@ -86,10 +91,9 @@ func moveEvent(window, i int, mv policy.Move, out moveOutcome) obs.MoveEvent {
 
 // finishMove settles job i's outcome: a full destination
 // (mem.ErrTierFull) is benign — the manager completed the sweep and its
-// partial accounting stays valid, matching the serial migrateRegion
-// helper — and lands on the outcome's Full flag; any other error is
-// returned as the job's hard failure and records nothing. Both the
-// serial and pooled paths finish every move here.
+// partial accounting stays valid — and lands on the outcome's Full flag;
+// any other error is returned as the job's hard failure and records
+// nothing. Every move, planned or prefetched, finishes here.
 func finishMove(i int, mr mem.MigrationResult, err error, results []moveOutcome) error {
 	full := errors.Is(err, mem.ErrTierFull)
 	if err != nil && !full {
@@ -107,47 +111,37 @@ func movePanic(r any, i int, mv policy.Move) error {
 }
 
 // applyMoves applies one window's migration plan with `workers` push
-// threads and returns the per-move outcomes indexed like moves. scratch
-// holds one mem.MigrationScratch per push thread (at least `workers` of
-// them), owned by the caller across windows: worker w uses scratch[w] and
-// nothing else, so buffers and codec state warm up once per run. Hard
-// errors are reported for the lowest job index so the failure is
-// independent of goroutine interleaving. tr, when non-nil, collects the
-// window's apply observability.
+// threads and returns the per-move outcomes indexed like moves. It is the
+// only way the simulator moves a region: the plan's moves and the access
+// loop's prefetches both come through here. scratch holds one
+// mem.MigrationScratch per push thread (at least `workers` of them), owned
+// by the caller across windows: worker w uses scratch[w] and nothing else,
+// so buffers and codec state warm up once per run. Hard errors are
+// reported for the lowest job index so the failure is independent of
+// goroutine interleaving. tr, when non-nil, collects the window's apply
+// observability.
 func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScratch, workers int, tr *applyTrace) ([]moveOutcome, error) {
 	n := len(moves)
 	results := make([]moveOutcome, n)
 	if n == 0 {
 		return results, nil
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, mv := range moves {
-			if err := applySerial(m, i, mv, &scratch[0], tr, results); err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
 	p := applyPool{m: m, moves: moves, results: results, errs: make([]error, n), tr: tr}
 	p.cond.L = &p.mu
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *mem.MigrationScratch) {
-			defer wg.Done()
-			for {
-				i := int(p.cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				p.errs[i] = p.runJob(i, sc)
-			}
-		}(&scratch[w])
+	workers = min(workers, n)
+	if workers <= 1 {
+		p.work(&scratch[0])
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(sc *mem.MigrationScratch) {
+				defer wg.Done()
+				p.work(sc)
+			}(&scratch[w])
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if tr != nil {
 		tr.sched = obs.SchedulerStats{Jobs: n, BlockedAwaits: p.blocked, StallNs: p.stallNs}
 	}
@@ -157,34 +151,6 @@ func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScra
 		}
 	}
 	return results, nil
-}
-
-// applySerial is the one-push-thread path for move i: fused
-// prepare+commit on the first push thread's scratch. A traced serial apply
-// takes the same prepare/commit split as the pool so its wall-time split
-// is meaningful; split and fused produce byte-identical results (the
-// push-thread determinism contract), so tracing cannot perturb the run.
-func applySerial(m *mem.Manager, i int, mv policy.Move, sc *mem.MigrationScratch, tr *applyTrace, results []moveOutcome) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = movePanic(r, i, mv)
-		}
-	}()
-	var mr mem.MigrationResult
-	if tr == nil {
-		mr, err = m.MigrateRegionScratch(mv.Region, mv.Dest, sc)
-	} else {
-		t0 := time.Now()
-		var pr *mem.PreparedRegion
-		pr, err = m.PrepareRegionMigrationScratch(mv.Region, mv.Dest, sc)
-		t1 := time.Now()
-		tr.prepareNs.Add(int64(t1.Sub(t0)))
-		if err == nil {
-			mr, err = m.CommitRegionMigration(pr)
-			tr.commitNs.Add(int64(time.Since(t1)))
-		}
-	}
-	return finishMove(i, mr, err, results)
 }
 
 // applyPool is one window's pooled apply: the plan, where its outcomes
@@ -202,6 +168,18 @@ type applyPool struct {
 	turn    int   // the one job that may commit: the lowest not yet finished
 	blocked int   // awaits that found another job holding the turn
 	stallNs int64 // wall time those awaits waited
+}
+
+// work is one push thread: it claims jobs in plan order off the shared
+// cursor and runs each until none is left.
+func (p *applyPool) work(sc *mem.MigrationScratch) {
+	for {
+		i := int(p.cursor.Add(1)) - 1
+		if i >= len(p.moves) {
+			return
+		}
+		p.errs[i] = p.runJob(i, sc)
+	}
 }
 
 // await blocks until it is job i's turn to commit.

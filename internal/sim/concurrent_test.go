@@ -416,3 +416,37 @@ func TestConcurrentApplyMovesSlowRegion(t *testing.T) {
 		t.Fatalf("scheduler stats %+v over %d jobs: want every job counted and at least one measured wait", sched, len(baseRes))
 	}
 }
+
+// TestApplyOneWorkerTraced: with one worker — a one-move plan at PT 2, or
+// PT 1 — the apply runs the pool's own job on the caller's goroutine,
+// traced or not. The outcomes are the same either way, and the traced
+// apply measures its prepare and commit instead of leaving them zero.
+func TestApplyOneWorkerTraced(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		apply := func(tr *applyTrace) []moveOutcome {
+			m := pagedManager(t, &pagedSource{panicPage: -1})
+			moves := []policy.Move{{Region: 2, Dest: mem.TierID(3)}}
+			out, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		untraced := apply(nil)
+		tr := &applyTrace{}
+		traced := apply(tr)
+		if untraced[0].Moved != mem.RegionPages {
+			t.Fatalf("workers=%d: moved %d pages, want the whole region", workers, untraced[0].Moved)
+		}
+		if !reflect.DeepEqual(traced, untraced) {
+			t.Fatalf("workers=%d: traced outcome %+v != untraced %+v", workers, traced, untraced)
+		}
+		if tr.prepareNs.Load() <= 0 || tr.commitNs.Load() <= 0 {
+			t.Errorf("workers=%d: traced split prepare %d ns, commit %d ns; want both measured",
+				workers, tr.prepareNs.Load(), tr.commitNs.Load())
+		}
+		if tr.sched != (obs.SchedulerStats{Jobs: 1}) {
+			t.Errorf("workers=%d: scheduler stats %+v, want one job and no waits", workers, tr.sched)
+		}
+	}
+}

@@ -349,9 +349,8 @@ func moveEvents(window int, moves []policy.Move, applied []moveOutcome) []obs.Mo
 }
 
 // TestConcurrentObsStreamFallback: a window's events are read off the
-// job-indexed results, which the serial and pooled paths fill through the
-// same finishMove helper — exercised here with rejected (fallback) moves in
-// the stream. The full JSONL byte stream and every captured move are
+// job-indexed results, which every worker count fills through the same
+// runJob — exercised here with rejected (fallback) moves in the stream. The full JSONL byte stream and every captured move are
 // identical at PushThreads 1, 2 and 8. Runs under -race in CI (the
 // Concurrent suite).
 func TestConcurrentObsStreamFallback(t *testing.T) {
@@ -379,8 +378,8 @@ func TestConcurrentObsStreamFallback(t *testing.T) {
 
 // TestConcurrentApplyTraceFullEvents drives applyMoves directly with a
 // plan engineered so some commits return ErrTierFull outright
-// (promotions into a bounded DRAM that is already over capacity). Both
-// paths finish through finishMove, and the event stream read off their
+// (promotions into a bounded DRAM that is already over capacity). Every
+// job finishes through finishMove, and the event stream read off the
 // results must be identical at every worker count — Full flags included.
 // Runs under -race in CI (the Concurrent suite).
 func TestConcurrentApplyTraceFullEvents(t *testing.T) {
@@ -434,7 +433,7 @@ func TestConcurrentApplyTraceFullEvents(t *testing.T) {
 		}
 	}
 	if fulls == 0 {
-		t.Fatal("plan produced no Full-flagged events; the serial/pool pin is vacuous")
+		t.Fatal("plan produced no Full-flagged events; the worker-count pin is vacuous")
 	}
 	for _, workers := range []int{2, 8} {
 		if got := collect(workers); !reflect.DeepEqual(got, base) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"tierscape/internal/model"
@@ -81,5 +82,37 @@ func TestPushThreadsInvariant(t *testing.T) {
 	}
 	if one.DaemonNs == 0 {
 		t.Fatal("expected nonzero daemon work under Waterfall placement")
+	}
+}
+
+// TestPrefetchPushThreadsIdentical: a prefetch moves its region through
+// the apply engine like a planned move, so a run that prefetches is
+// identical at every push-thread count, PT 1 included.
+func TestPrefetchPushThreadsIdentical(t *testing.T) {
+	runWith := func(threads int) *Result {
+		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
+		res, err := Run(Config{
+			Manager:                standardMix(t, wl),
+			Workload:               wl,
+			Model:                  &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"},
+			OpsPerWindow:           5000,
+			Windows:                6,
+			SampleRate:             Int(20),
+			PushThreads:            Int(threads),
+			PrefetchFaultThreshold: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base := runWith(1)
+	if base.Prefetches == 0 {
+		t.Fatal("prefetcher never fired; the push-thread pin is vacuous")
+	}
+	for _, threads := range []int{2, 8} {
+		if got := runWith(threads); !reflect.DeepEqual(got, base) {
+			t.Fatalf("PT=%d Result differs from PT=1 under prefetch", threads)
+		}
 	}
 }

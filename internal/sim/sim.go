@@ -277,19 +277,6 @@ func migrationFlows(moves []policy.Move, applied []moveOutcome) []obs.TierFlow {
 	return flows
 }
 
-// migrateRegion applies one region migration for the daemon, with the
-// plan and prefetch paths sharing a single error policy: hard errors are
-// classified before any result field is read, and a full destination
-// (mem.ErrTierFull) is not fatal — the manager completes the sweep and
-// its partial accounting (latency, moved, rejected) remains valid.
-func migrateRegion(m *mem.Manager, r mem.RegionID, dest mem.TierID, sc *mem.MigrationScratch) (mem.MigrationResult, error) {
-	mr, err := m.MigrateRegionScratch(r, dest, sc)
-	if err != nil && !errors.Is(err, mem.ErrTierFull) {
-		return mem.MigrationResult{}, err
-	}
-	return mr, nil
-}
-
 // recommendedPages converts a recommendation into pages-per-tier,
 // accounting for the final region possibly being partial.
 func recommendedPages(m *mem.Manager, r model.Recommendation) []int64 {

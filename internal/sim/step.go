@@ -273,11 +273,13 @@ func (s *Stepper) StepAccess() error {
 				s.regionFaults[r]++
 				if s.regionFaults[r] == cfg.PrefetchFaultThreshold {
 					// Prefetch: the daemon decompresses the rest of the
-					// region ahead of the application's accesses.
-					mr, err := migrateRegion(m, r, mem.DRAMTier, sc)
+					// region ahead of the application's accesses, on the
+					// apply engine like any planned move.
+					out, err := applyMoves(m, []policy.Move{{Region: r, Dest: mem.DRAMTier}}, s.scratch, 1, nil)
 					if err != nil {
 						return fmt.Errorf("sim: prefetch window %d: %w", w, err)
 					}
+					mr := out[0]
 					prefetchNs += mr.LatencyNs
 					res.Prefetches++
 					if mr.Moved > 0 {

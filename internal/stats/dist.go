@@ -232,14 +232,11 @@ func fnvHash64(x uint64) uint64 {
 // Gaussian access pattern option used by the paper for Memcached/memtier.
 // The center can drift to model moving working sets.
 type Gaussian struct {
-	rng        *RNG
-	n          int64
-	mean       float64
-	sigma      float64
-	drift      float64 // added to mean per sample
-	count      int64
-	shiftEvery int64
-	shiftTo    func(count int64) float64 // optional mean repositioning
+	rng   *RNG
+	n     int64
+	mean  float64
+	sigma float64
+	drift float64 // added to mean per sample
 }
 
 // NewGaussian returns a Gaussian sampler over [0, n) centered at mean with
@@ -257,7 +254,6 @@ func (g *Gaussian) SetDrift(d float64) { g.drift = d }
 
 // Next returns the next Gaussian-sampled index, wrapped into [0, n).
 func (g *Gaussian) Next() int64 {
-	g.count++
 	g.mean += g.drift
 	v := g.mean + g.rng.NormFloat64()*g.sigma
 	idx := int64(math.Round(v)) % g.n

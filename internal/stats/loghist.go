@@ -87,14 +87,6 @@ func (h *LogHist) Count() int64 { return h.n }
 // SumNs returns the sum of all observations in nanoseconds.
 func (h *LogHist) SumNs() float64 { return h.sum }
 
-// BucketCount returns bucket i's count (0 for out-of-range i).
-func (h *LogHist) BucketCount(i int) int64 {
-	if i < 0 || i >= NumLogBuckets {
-		return 0
-	}
-	return h.counts[i]
-}
-
 // Quantile returns the nearest-rank q-quantile (0 < q ≤ 1) as the upper
 // bound of the bucket holding that rank — a conservative, deterministic
 // estimate quantized to the fixed boundaries. Returns 0 for an empty

@@ -41,7 +41,6 @@ type ABitScanner struct {
 	hotness  []float64
 	accesses int64
 	windows  int64
-	total    int64
 }
 
 // ABitScanNsPerPage is the modeled cost of scanning and clearing one
@@ -74,7 +73,6 @@ func NewABitScanner(numPages, numRegions int64, cooling *float64) (*ABitScanner,
 // sampling decision is involved.
 func (a *ABitScanner) Record(p mem.PageID) {
 	a.accesses++
-	a.total++
 	if int64(p) < a.numPages {
 		a.bits[p] = true
 	}
@@ -117,6 +115,3 @@ func (a *ABitScanner) OverheadNs() float64 {
 
 // Windows returns completed windows.
 func (a *ABitScanner) Windows() int64 { return a.windows }
-
-// TotalAccesses returns lifetime observed accesses.
-func (a *ABitScanner) TotalAccesses() int64 { return a.total }

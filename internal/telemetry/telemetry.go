@@ -54,8 +54,7 @@ type Profiler struct {
 	samples     int64     // samples taken in current window
 	windows     int64     // completed windows
 
-	totalAccesses int64
-	totalSamples  int64
+	totalSamples int64
 }
 
 // NewProfiler returns a profiler for cfg.
@@ -86,7 +85,6 @@ func NewProfiler(cfg Config) (*Profiler, error) {
 // access of the window.
 func (pr *Profiler) Record(p mem.PageID) {
 	pr.accesses++
-	pr.totalAccesses++
 	pr.untilSample--
 	if pr.untilSample != 0 {
 		return
@@ -142,9 +140,6 @@ func (pr *Profiler) EndWindow() Profile {
 // Windows returns the number of completed windows.
 func (pr *Profiler) Windows() int64 { return pr.windows }
 
-// TotalAccesses returns accesses observed over the profiler's lifetime.
-func (pr *Profiler) TotalAccesses() int64 { return pr.totalAccesses }
-
 // TotalSamples returns samples taken over the profiler's lifetime.
 func (pr *Profiler) TotalSamples() int64 { return pr.totalSamples }
 
@@ -166,26 +161,4 @@ func (p Profile) EstimatedAccesses(r mem.RegionID) float64 {
 // percentile-based hotness threshold of §8.1 (e.g. 25 for P25).
 func (p Profile) Threshold(pct float64) float64 {
 	return stats.PercentileOf(p.Hotness, pct)
-}
-
-// HotRegions returns the regions whose hotness strictly exceeds thr.
-func (p Profile) HotRegions(thr float64) []mem.RegionID {
-	var out []mem.RegionID
-	for i, h := range p.Hotness {
-		if h > thr {
-			out = append(out, mem.RegionID(i))
-		}
-	}
-	return out
-}
-
-// ColdRegions returns the regions whose hotness is <= thr.
-func (p Profile) ColdRegions(thr float64) []mem.RegionID {
-	var out []mem.RegionID
-	for i, h := range p.Hotness {
-		if h <= thr {
-			out = append(out, mem.RegionID(i))
-		}
-	}
-	return out
 }

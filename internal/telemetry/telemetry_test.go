@@ -121,14 +121,6 @@ func TestThresholdPercentile(t *testing.T) {
 	if thr != 10 {
 		t.Fatalf("P25 threshold = %v, want 10", thr)
 	}
-	hot := p.HotRegions(thr)
-	cold := p.ColdRegions(thr)
-	if len(hot) != 3 || len(cold) != 1 {
-		t.Fatalf("hot=%d cold=%d, want 3,1", len(hot), len(cold))
-	}
-	if cold[0] != 0 {
-		t.Fatalf("cold region = %d, want 0", cold[0])
-	}
 }
 
 func TestOverheadGrowsWithSamples(t *testing.T) {

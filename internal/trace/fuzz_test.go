@@ -8,7 +8,9 @@ import (
 )
 
 // FuzzReaderRobust feeds arbitrary bytes to the trace reader: it must
-// never panic, and any ops it produces must terminate.
+// never panic, any ops it produces must terminate, and every page it
+// yields must lie in [0, NumPages) — the profiler and the manager index
+// by it.
 func FuzzReaderRobust(f *testing.F) {
 	// Seed with a real trace and some garbage.
 	var buf bytes.Buffer
@@ -18,6 +20,8 @@ func FuzzReaderRobust(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("TSTR\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\x00garbage"))
 	f.Add([]byte{})
+	// One op whose single access has delta -600: page -600 of 1024.
+	f.Add([]byte("TSTR\x01\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\xe0\x12"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -26,6 +30,11 @@ func FuzzReaderRobust(f *testing.F) {
 		var b []workload.Access
 		for i := 0; i < 100; i++ {
 			b = tr.NextOp(b[:0])
+			for _, a := range b {
+				if a.Page < 0 || int64(a.Page) >= tr.NumPages() {
+					t.Fatalf("yielded page %d outside [0, %d)", a.Page, tr.NumPages())
+				}
+			}
 			if len(b) == 0 && tr.Replays() == 0 {
 				break // exhausted
 			}

@@ -111,8 +111,9 @@ type Reader struct {
 	numPages  int64
 	content   corpus.Profile
 	lastPage  int64
-	pending   bool // an op marker has been consumed and an op is open
-	exhausted bool // the stream hit a dead end it could not rewind out of
+	pending   bool  // an op marker has been consumed and an op is open
+	exhausted bool  // the stream hit a dead end it could not rewind out of
+	err       error // the malformed access that stopped the reader for good
 	replays   int64
 	baseOp    float64
 }
@@ -139,6 +140,9 @@ func (t *Reader) readHeader() error {
 		return fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
 	}
 	t.numPages = int64(binary.LittleEndian.Uint64(hdr[6:]))
+	if t.numPages <= 0 {
+		return fmt.Errorf("%w: %d pages", ErrBadTrace, t.numPages)
+	}
 	t.content = corpus.Profile(hdr[14])
 	t.lastPage = 0
 	t.pending = false
@@ -148,10 +152,16 @@ func (t *Reader) readHeader() error {
 
 // Exhausted reports that the trace has drained (or hit malformed bytes)
 // and could not rewind: every further NextOp yields an empty op. Rewinding
-// readers over seekable sources never exhaust; consume-once sources (pipes,
-// sockets, Stream) do, which is the signal a resident driver uses to
-// detach a finished replay.
+// readers over seekable sources never exhaust on well-formed bytes;
+// consume-once sources (pipes, sockets, Stream) do, which is the signal a
+// resident driver uses to detach a finished replay.
 func (t *Reader) Exhausted() bool { return t.exhausted }
+
+// Err reports the malformed access that stopped the reader — a page
+// outside [0, NumPages) — wrapping ErrBadTrace; nil otherwise. Such a
+// reader is Exhausted, never rewinds, and did not yield the op holding
+// the bad access.
+func (t *Reader) Err() error { return t.err }
 
 // Name implements workload.Workload.
 func (t *Reader) Name() string { return "trace-replay" }
@@ -175,12 +185,17 @@ func (t *Reader) Replays() int64 { return t.replays }
 // NextOp implements workload.Workload: it returns the accesses of the
 // next recorded op, rewinding at end of trace when possible. A trace with
 // no access events (malformed or empty) yields empty ops rather than
-// looping: at most one rewind happens per call.
+// looping: at most one rewind happens per call. Every page it yields lies
+// in [0, NumPages): an access outside counts as malformed bytes (see Err).
 func (t *Reader) NextOp(buf []workload.Access) []workload.Access {
 	return t.nextOp(buf, true)
 }
 
 func (t *Reader) nextOp(buf []workload.Access, mayRewind bool) []workload.Access {
+	if t.err != nil {
+		return buf
+	}
+	start := len(buf)
 	if !t.pending {
 		// Consume the leading op marker (or rewind at EOF).
 		v, err := binary.ReadUvarint(t.r)
@@ -219,6 +234,11 @@ func (t *Reader) nextOp(buf []workload.Access, mayRewind bool) []workload.Access
 		zz := (v >> 1) - 1
 		delta := int64(zz>>1) ^ -int64(zz&1)
 		t.lastPage += delta
+		if t.lastPage < 0 || t.lastPage >= t.numPages {
+			t.err = fmt.Errorf("%w: page %d outside [0, %d)", ErrBadTrace, t.lastPage, t.numPages)
+			t.exhausted, t.pending = true, false
+			return buf[:start]
+		}
 		buf = append(buf, workload.Access{Page: mem.PageID(t.lastPage), Write: write})
 	}
 }

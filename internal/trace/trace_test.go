@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -97,6 +98,55 @@ func TestBadHeaderRejected(t *testing.T) {
 	}
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+	for _, n := range []int64{0, -1} {
+		var buf bytes.Buffer
+		if _, err := NewWriter(&buf, n, corpus.Mixed); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewReader(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("numPages %d: err = %v, want ErrBadTrace", n, err)
+		}
+	}
+}
+
+// TestOutOfRangePageStopsReader: an access outside [0, NumPages) is
+// malformed bytes. The op holding it is not yielded, the reader reports
+// it through Err and is Exhausted, and it does not rewind past it.
+func TestOutOfRangePageStopsReader(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := NewWriter(&buf, 8, corpus.Mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []mem.PageID{3, 7, 8} { // ops {3} and {7, 8}: 8 is out of range
+		if p != 8 {
+			if err := tw.BeginOp(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Access(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b []workload.Access
+	if b = tr.NextOp(b[:0]); len(b) != 1 || b[0].Page != 3 || tr.Err() != nil {
+		t.Fatalf("first op = %+v, err %v; want page 3, no error", b, tr.Err())
+	}
+	for i := 0; i < 3; i++ {
+		if b = tr.NextOp(b[:0]); len(b) != 0 {
+			t.Fatalf("call %d after the first op yielded %+v; want nothing", i, b)
+		}
+	}
+	if !errors.Is(tr.Err(), ErrBadTrace) || !tr.Exhausted() || tr.Replays() != 0 {
+		t.Fatalf("err %v, exhausted %v, replays %d; want ErrBadTrace, true, 0", tr.Err(), tr.Exhausted(), tr.Replays())
 	}
 }
 

@@ -243,7 +243,7 @@ func TestConcurrentCompactPartialWithFaults(t *testing.T) {
 	}
 	// After the dust settles an unbounded sweep must leave a second sweep
 	// with zero work (the cursor cannot strand reclaimable zspages).
-	tier.Compact()
+	tier.CompactPartial(0)
 	if r, ns := tier.CompactPartial(0); r != (zpool.CompactResult{}) || ns != 0 {
 		t.Fatalf("sweep after quiesce+sweep still found work: %+v cost %v", r, ns)
 	}

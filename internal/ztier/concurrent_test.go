@@ -62,7 +62,7 @@ func TestConcurrentTierOps(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 100; i++ {
-					tier.Compact()
+					tier.CompactPartial(0)
 					s := tier.Stats()
 					if s.Pages < 0 || s.PoolPages < 0 {
 						t.Errorf("stats went negative: %+v", s)

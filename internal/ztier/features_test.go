@@ -154,10 +154,6 @@ func TestTierAccessors(t *testing.T) {
 	if tier.Name() != "ZS-LO-DR" {
 		t.Fatalf("Name = %q", tier.Name())
 	}
-	tier.SetMaxPoolPages(10)
-	if tier.MaxPoolPages() != 10 {
-		t.Fatalf("MaxPoolPages = %d", tier.MaxPoolPages())
-	}
 }
 
 func TestTierCompactAfterChurn(t *testing.T) {
@@ -178,13 +174,13 @@ func TestTierCompactAfterChurn(t *testing.T) {
 			}
 		}
 	}
-	reclaimed, ns := tier.Compact()
-	if reclaimed <= 0 || ns <= 0 {
-		t.Fatalf("Compact = %d pages, %v ns", reclaimed, ns)
+	r, ns := tier.CompactPartial(0)
+	if r.PagesReclaimed <= 0 || ns <= 0 {
+		t.Fatalf("CompactPartial(0) = %d pages, %v ns", r.PagesReclaimed, ns)
 	}
 	// Dense pool: nothing more to reclaim.
-	if r2, n2 := tier.Compact(); r2 != 0 || n2 != 0 {
-		t.Fatalf("second Compact = %d, %v", r2, n2)
+	if r2, n2 := tier.CompactPartial(0); r2.PagesReclaimed != 0 || n2 != 0 {
+		t.Fatalf("second CompactPartial(0) = %d, %v", r2.PagesReclaimed, n2)
 	}
 	// Surviving handles intact.
 	for i, h := range hs {

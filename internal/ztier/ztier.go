@@ -198,21 +198,14 @@ type Tier struct {
 	sameFilled  atomic.Int64
 	fullRejects atomic.Int64
 
-	// Lock-free page accounting, maintained at commit time: livePages
-	// mirrors the tier's live page-object count (pool objects plus
-	// same-filled pages) and livePoolPages its physical pool-page
-	// footprint. Every successful commit, free and compaction slice
-	// updates them under the tier lock; readers need no lock at all,
-	// so telemetry can sample a tier mid-commit without stalling
-	// the migration pipeline behind the pool mutex.
-	livePages     atomic.Int64
+	// Lock-free footprint accounting, maintained at commit time:
+	// livePoolPages mirrors the pool's physical page count. Every
+	// successful commit, free and compaction slice updates it under the
+	// tier lock; readers need no lock at all, so telemetry can sample a
+	// tier mid-commit without stalling the migration pipeline behind the
+	// pool mutex.
 	livePoolPages atomic.Int64
 }
-
-// LivePages returns the tier's live page count (stored page objects,
-// including same-filled ones) from the lock-free commit-time accounting.
-// Equals Stats().Pages at quiescence without taking the tier lock.
-func (t *Tier) LivePages() int64 { return t.livePages.Load() }
 
 // LivePoolPages returns the tier's physical footprint in pool pages as of
 // the last commit, free or compaction slice, without taking the tier
@@ -225,13 +218,6 @@ func (t *Tier) SetMaxPoolPages(n int) {
 	t.mu.Lock()
 	t.maxPoolPages = n
 	t.mu.Unlock()
-}
-
-// MaxPoolPages returns the configured footprint bound (0 = unbounded).
-func (t *Tier) MaxPoolPages() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.maxPoolPages
 }
 
 // sameFilledByte reports whether data consists of one repeated byte.
@@ -345,7 +331,6 @@ func (t *Tier) commitLocked(ps PreparedStore) (Handle, float64, error) {
 	if ps.sameFilled {
 		t.stores.Add(1)
 		t.sameFilled.Add(1)
-		t.livePages.Add(1)
 		return Handle{sameFilled: true, fillByte: ps.fillByte, size: 0}, sameFilledScanNs, nil
 	}
 	if ps.rejected {
@@ -421,7 +406,6 @@ func (t *Tier) storeCompressedLocked(comp []byte) (Handle, float64, error) {
 		t.highPoolPages = pp
 	}
 	t.livePoolPages.Store(int64(pp))
-	t.livePages.Add(1)
 	t.stores.Add(1)
 	lat := PoolStoreNs(t.cfg.Pool) + media.WriteCostNs(t.cfg.Media, len(comp))
 	return Handle{pool: h, size: len(comp)}, lat, nil
@@ -497,7 +481,6 @@ func (t *Tier) LoadCompressed(h Handle, dst []byte) ([]byte, float64, bool, erro
 func (t *Tier) Free(h Handle) error {
 	if h.sameFilled {
 		t.sameFilled.Add(-1)
-		t.livePages.Add(-1)
 		return nil
 	}
 	t.mu.Lock()
@@ -505,17 +488,8 @@ func (t *Tier) Free(h Handle) error {
 	if err := t.pool.Free(h.pool); err != nil {
 		return err
 	}
-	t.livePages.Add(-1)
 	t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
 	return nil
-}
-
-// Compact runs the pool's compactor (zsmalloc's zs_compact) to completion
-// and returns the pool pages reclaimed plus the modeled cost of the object
-// moves. Equivalent to CompactPartial(0).
-func (t *Tier) Compact() (int, float64) {
-	r, ns := t.CompactPartial(0)
-	return r.PagesReclaimed, ns
 }
 
 // compactSlicePages is how many pool pages a single lock hold may reclaim
