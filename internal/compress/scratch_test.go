@@ -147,7 +147,7 @@ func TestZstdEncoderBaseWrap(t *testing.T) {
 // TestScratchAllocsPerRun: a warmed Scratch compresses a page, and
 // decompresses one, without allocating, for every codec — the property
 // alloc_bytes_per_op rests on. The destination is warmed with it, as a
-// push thread's arena and the fault path's page buffer are.
+// push thread's codec-output and page buffers are.
 func TestScratchAllocsPerRun(t *testing.T) {
 	pages := goldenPages()
 	for _, c := range allCodecs(t) {

@@ -39,6 +39,14 @@
 // prepare half — the contract sim.Run's push-thread pool, which commits in
 // plan order, is built on. The manager itself knows nothing about that
 // order.
+//
+// A page's trip allocates only what it keeps. Each push thread brings its
+// own MigrationScratch to every move and fault: a page is decompressed or
+// regenerated into the scratch's one page buffer, a pool object is read
+// into its one object buffer, and a prepared region keeps nothing but the
+// compressed objects its commit will land, back to back in one slab. Once
+// a scratch is warm, a fault, a prepare from any source and a commit
+// allocate nothing outside the pools' own growth.
 package mem
 
 import (
@@ -225,88 +233,81 @@ type Manager struct {
 	compactDirty  []bool  // per-ct: last pass incomplete (budget-cut or never ran)
 }
 
-// pageBufPool lends a page-sized work buffer to the only callers that own
-// no MigrationScratch: a bare Access fault and MigratePage, each of which
-// takes one and puts it straight back. Managers used to share one
-// persistent scratch slice between content(), the fault path and the
-// migration paths, which handed every caller the same backing array — a
-// latent aliasing bug the moment any caller held two results, and a data
-// race once experiment runs fan out across goroutines. Per-call buffers
-// keep each operation's bytes private. Nothing that handles pages in volume goes through the pool: a
-// region's worth of buffers parked here would sit in its victim cache
-// across a GC, owned by no run.
-var pageBufPool = sync.Pool{
-	New: func() any { return newPageBuf() },
-}
-
-func newPageBuf() *[]byte {
-	b := make([]byte, 0, PageSize)
-	return &b
-}
-
 // MigrationScratch is the reusable working state of one migration worker:
-// an arena of page-sized buffers, the codec state its compressions and
-// decompressions reuse (created on the first page that needs it), and one
-// recycled PreparedRegion. The owner — a sim.Stepper keeps one per push
-// thread for its whole life — hands the same scratch to every call it
-// makes, so after the first region a move allocates nothing; the scratch
-// is garbage when its owner is.
+// one page buffer, one pool-object buffer, one codec-output buffer, the
+// codec state its compressions and decompressions reuse, and one recycled
+// PreparedRegion with its slab. The owner — a sim.Stepper keeps one per
+// push thread for its whole life — hands the same scratch to every call it
+// makes, so once the scratch is warm a fault, a prepare from any source
+// and a commit allocate nothing; the scratch is garbage when its owner is.
 //
-// The arena is bounded by what its owner holds at once: three buffers per
-// page of the regions it has prepared and not yet committed — one region
-// at a time for a push thread, one-worker applies included: at most
-// 3·RegionPages buffers, ~6 MB, plus whatever incompressible pages grew.
+// Every buffer is dead as soon as the step that filled it is done: a pool
+// object once decompressed, a page once the destination's store is built
+// from it, codec output once the store is kept in its region's slab. So
+// the scratch holds three page-sized buffers, the codec state, and a slab
+// of about one region's compressed bytes — what its owner, one prepared
+// region at a time, keeps between prepare and commit.
 //
-// A nil *MigrationScratch is valid: buffers then come from the global
-// pool and the codecs run stateless, which suits a single page. Not safe
-// for concurrent use: each worker owns its own.
+// A nil *MigrationScratch is valid: a fault then decompresses statelessly
+// into fresh buffers and a prepare makes a scratch for its region, which
+// suits a caller moving a page now and then. Not safe for concurrent use:
+// each worker owns its own.
 type MigrationScratch struct {
-	free   []*[]byte
+	page   []byte // a page decompressed or regenerated, until its store is built
+	obj    []byte // a pool object, until it is decompressed
+	out    []byte // codec output, until it is kept in a region's slab
 	codec  compress.Scratch
 	region *PreparedRegion
 }
 
-// get hands out a buffer with at least PageSize capacity, from the
-// arena's freelist if it has one.
-func (s *MigrationScratch) get() *[]byte {
-	if s == nil {
-		return pageBufPool.Get().(*[]byte)
+// warm makes the scratch's buffers on first use, each with room for a
+// page: the page and object buffers never need more, and codec output
+// that does (an incompressible page's expansion) is kept grown.
+func (s *MigrationScratch) warm() {
+	if s.page == nil {
+		s.page = make([]byte, 0, PageSize)
+		s.obj = make([]byte, 0, PageSize)
+		s.out = make([]byte, 0, PageSize)
 	}
-	n := len(s.free)
-	if n == 0 {
-		return newPageBuf()
-	}
-	b := s.free[n-1]
-	s.free = s.free[:n-1]
-	return b
 }
 
-// put returns a buffer to the arena (or the global pool for nil arenas).
-// Buffers grown past PageSize by compression output are retained grown.
-func (s *MigrationScratch) put(b *[]byte) {
+// load decompresses the page h names in tier t into the scratch's page
+// buffer, through its object buffer, and returns the page and the modeled
+// load latency. A nil scratch loads into fresh buffers, as Tier.Load does.
+func (s *MigrationScratch) load(t *ztier.Tier, h ztier.Handle) ([]byte, float64, error) {
 	if s == nil {
-		pageBufPool.Put(b)
-		return
+		return t.PrepareLoad(nil, nil, h, make([]byte, 0, PageSize))
 	}
-	s.free = append(s.free, b)
+	s.warm()
+	return t.PrepareLoad(&s.codec, s.obj, h, s.page[:0])
 }
 
-// codecState is the scratch's codec state, nil (stateless) for a nil
-// scratch.
-func (s *MigrationScratch) codecState() *compress.Scratch {
-	if s == nil {
-		return nil
+// keep lands ps's object, if it has one, at the end of slab, where it
+// waits for the commit, and returns the store that reads it there. The
+// codec-output buffer is free again, kept grown if the codec grew it.
+func (s *MigrationScratch) keep(ps ztier.PreparedStore, slab *[]byte) ztier.PreparedStore {
+	if b := ps.Scratch(); cap(b) > cap(s.out) {
+		s.out = b[:0]
 	}
-	return &s.codec
+	ps, *slab = ps.AppendTo(slabRoom(*slab))
+	return ps
 }
 
-// Buffers reports how many buffers the arena currently holds, for tests
-// asserting reuse across moves.
-func (s *MigrationScratch) Buffers() int {
-	if s == nil {
-		return 0
+// minSlab is the capacity a region's slab starts at.
+const minSlab = 16 * PageSize
+
+// slabRoom returns slab with room for one more object, which is always
+// shorter than a page, doubling it when it has less: a scratch's slab
+// reaches the largest region it keeps in a few steps, where append's
+// gentler growth for large slices would take dozens and leave each step's
+// copy behind.
+func slabRoom(slab []byte) []byte {
+	if cap(slab)-len(slab) >= PageSize {
+		return slab
 	}
-	return len(s.free)
+	grown := make([]byte, len(slab), max(2*cap(slab), minSlab))
+	copy(grown, slab)
+	return grown
 }
 
 // NewManager builds a manager with all pages initially resident in DRAM.
@@ -497,11 +498,10 @@ func (m *Manager) Access(p PageID, write bool) (AccessResult, error) {
 	return m.AccessScratch(p, write, nil)
 }
 
-// AccessScratch is Access with the fault path's page buffer and decoder
-// state drawn from the caller's scratch (nil = global pool, stateless) —
-// for a driver that issues accesses in volume. A hit on a byte-addressable
-// tier is a bounds check, a page-table read and the tier's latency
-// constant.
+// AccessScratch is Access with the fault path's buffers and decoder state
+// drawn from the caller's scratch (nil = fresh buffers, stateless) — for a
+// driver that issues accesses in volume. A hit on a byte-addressable tier
+// is a bounds check, a page-table read and the tier's latency constant.
 func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (AccessResult, error) {
 	if p < 0 || p >= PageID(m.numPages) {
 		return AccessResult{}, ErrBadPage
@@ -522,10 +522,7 @@ func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (Acc
 // tier.
 func (m *Manager) fault(p PageID, e *pte, sc *MigrationScratch) (AccessResult, error) {
 	ct := m.cts[int(e.tier)-len(m.ba)]
-	buf := sc.get()
-	out, loadNs, err := ct.tier.PrepareLoad(sc.codecState(), e.handle, (*buf)[:0])
-	*buf = out[:0]
-	sc.put(buf)
+	_, loadNs, err := sc.load(ct.tier, e.handle)
 	if err != nil {
 		return AccessResult{}, fmt.Errorf("mem: fault on page %d: %w", p, err)
 	}
@@ -584,7 +581,10 @@ type MigrationResult struct {
 // decompression and compression the move will need, plus the modeled
 // latencies, with no shared state touched and no counter moved. It is
 // produced under the region's read lock and landed by commitPage under the
-// write lock.
+// write lock. It holds only what the commit reads — the fast path's object
+// or the destination's store, their bytes in the region's slab — never
+// the page itself: the commit places a page without its bytes, whether it
+// lands, is rejected or falls back from a full tier.
 type preparedPage struct {
 	page PageID
 	dest TierID
@@ -603,131 +603,91 @@ type preparedPage struct {
 	generic   bool
 	srcLoadNs float64
 	destPrep  ztier.PreparedStore
-
-	sc *MigrationScratch // buffer and codec-state source (nil = global pool, stateless)
-	// bufs[:nbufs] are the scratch buffers backing fastComp, the source
-	// page and destPrep: one for a fast-path candidate, two for the
-	// generic path, all three when a fast-path store is rejected at commit.
-	bufs  [3]*[]byte
-	nbufs int
 }
 
-func (pp *preparedPage) hold(b *[]byte) {
-	pp.bufs[pp.nbufs] = b
-	pp.nbufs++
-}
-
-func (pp *preparedPage) release() {
-	for _, b := range pp.bufs[:pp.nbufs] {
-		pp.sc.put(b)
-	}
-	pp.nbufs = 0
-}
-
-// preparePage builds the prepared half of moving page p to dest, drawing
-// work buffers from sc (nil = global pool). The caller must hold p's region
-// lock (read side suffices). On error every buffer is already released.
-func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch) (preparedPage, error) {
+// preparePage builds the prepared half of moving page p to dest on sc,
+// keeping the bytes its commit will read at the end of slab. The caller
+// must hold p's region lock (read side suffices).
+func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch, slab *[]byte) (preparedPage, error) {
 	e := &m.ptes[p]
-	pp := preparedPage{page: p, dest: dest, src: e.tier, sc: sc}
+	pp := preparedPage{page: p, dest: dest, src: e.tier}
 	if e.tier == dest {
 		pp.skip = true
 		return pp, nil
 	}
 	// Same-codec fast path (§7.1): between two compressed tiers using the
 	// same compression algorithm, the compressed object moves directly —
-	// no decompression, no recompression.
+	// no decompression, no recompression. The pool reads it straight into
+	// the slab.
 	if srcCT, ok := m.ct(e.tier); ok {
-		if dstCT, ok2 := m.ct(dest); ok2 &&
-			srcCT.tier.Config().Codec == dstCT.tier.Config().Codec {
-			buf := sc.get()
-			comp, readNs, direct, err := srcCT.tier.LoadCompressed(e.handle, (*buf)[:0])
-			if cap(comp) > cap(*buf) {
-				*buf = comp[:0]
-			}
+		if dstCT, ok2 := m.ct(dest); ok2 && srcCT.info.Codec == dstCT.info.Codec {
+			*slab = slabRoom(*slab)
+			n := len(*slab)
+			s, readNs, direct, err := srcCT.tier.LoadCompressed(e.handle, *slab)
 			if err != nil {
-				sc.put(buf)
 				return pp, fmt.Errorf("mem: migrating page %d: %w", p, err)
 			}
 			if direct {
-				pp.fastComp = comp
+				*slab = s
+				pp.fastComp = s[n:len(s):len(s)]
 				pp.fastNs = readNs
-				pp.hold(buf)
 				return pp, nil
 			}
-			sc.put(buf)
 		}
 	}
-	if err := m.prepareGeneric(&pp); err != nil {
-		pp.release()
-		return pp, err
-	}
-	return pp, nil
+	return pp, m.prepareGeneric(&pp, sc, slab)
 }
 
 // prepareGeneric fills pp's generic-path materials: the source extraction
-// latency (and bytes) plus the prepared destination store when the
-// destination is compressed. Caller holds the region lock.
-func (m *Manager) prepareGeneric(pp *preparedPage) error {
+// latency plus, when the destination is compressed, its prepared store,
+// kept at the end of slab. The page passes through sc's page buffer and is
+// dead once the store is built. Caller holds the region lock.
+func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[]byte) error {
 	e := &m.ptes[pp.page]
 	dstCT, dstIsCT := m.ct(pp.dest)
+	pp.generic = true
 	// The page's bytes: decompressed from a compressed source, regenerated
-	// into fill from a byte-addressable one — and then only if the
-	// destination's store has to be built from them.
-	var pageBytes, fill []byte
+	// from a byte-addressable one — and then only if the destination's
+	// store has to be built from them.
+	var page []byte
 	if srcCT, ok := m.ct(e.tier); ok {
-		// Decompressed even when the memo will supply the destination's
-		// store: this load is the move's check that the object is intact.
-		buf := pp.sc.get()
-		out, loadNs, err := srcCT.tier.PrepareLoad(pp.sc.codecState(), e.handle, (*buf)[:0])
-		if cap(out) > cap(*buf) {
-			*buf = out[:0]
-		}
+		// Decompressed even when the destination needs no bytes or the memo
+		// will supply its store: this load is the move's check that the
+		// object is intact.
+		out, loadNs, err := sc.load(srcCT.tier, e.handle)
 		if err != nil {
-			pp.sc.put(buf)
 			return fmt.Errorf("mem: migrating page %d: %w", pp.page, err)
 		}
-		pp.hold(buf)
 		pp.srcLoadNs = loadNs
-		pageBytes = out
-	} else if dstIsCT {
-		if e.rejected&dstCT.rejectBit != 0 {
-			// A remembered rejection: the store PrepareStore would build
-			// from the regenerated page, without either.
-			pp.destPrep = dstCT.tier.RejectedStore()
-			pp.generic = true
-			return nil
-		}
-		buf := pp.sc.get()
-		pp.hold(buf)
-		fill = *buf
+		page = out
+	} else if dstIsCT && e.rejected&dstCT.rejectBit != 0 {
+		// A remembered rejection: the store PrepareStore would build from
+		// the regenerated page, without either.
+		pp.destPrep = dstCT.tier.RejectedStore()
+		return nil
 	}
-	if dstIsCT {
-		cbuf := pp.sc.get()
-		key := ztier.StoreKey{Gen: m.memoGen, Index: m.contentIndex(pp.page), Codec: dstCT.info.Codec}
-		var hit bool
-		// The copy lands in cbuf, as the compression would have: what
-		// Scratch() hands back below is the job's buffer, never the memo's.
-		pp.destPrep, hit = m.memo.Lookup(key, *cbuf) // a nil memo always misses
-		if !hit || m.memo.Verify != nil {
-			if fill != nil {
-				pageBytes = m.content(pp.page, fill)
-			}
-			if !hit {
-				pp.destPrep = dstCT.tier.PrepareStore(pp.sc.codecState(), pageBytes, *cbuf)
-				m.memo.Insert(key, pp.destPrep)
-			} else {
-				// The checking mode (tests only): build, on no shared state,
-				// the store the hit would have skipped, and report the pair.
-				m.memo.Verify(key, pp.destPrep, dstCT.tier.PrepareStore(nil, pageBytes, nil))
-			}
-		}
-		if s := pp.destPrep.Scratch(); cap(s) > cap(*cbuf) {
-			*cbuf = s[:0]
-		}
-		pp.hold(cbuf)
+	if !dstIsCT {
+		return nil
 	}
-	pp.generic = true
+	sc.warm()
+	key := ztier.StoreKey{Gen: m.memoGen, Index: m.contentIndex(pp.page), Codec: dstCT.info.Codec}
+	// The copy lands in the codec-output buffer, as the compression would
+	// have: what keep hands on is the job's bytes, never the memo's.
+	ps, hit := m.memo.Lookup(key, sc.out) // a nil memo always misses
+	if !hit || m.memo.Verify != nil {
+		if page == nil {
+			page = m.content(pp.page, sc.page)
+		}
+		if !hit {
+			ps = dstCT.tier.PrepareStore(&sc.codec, page, sc.out)
+			m.memo.Insert(key, ps)
+		} else {
+			// The checking mode (tests only): build, on no shared state,
+			// the store the hit would have skipped, and report the pair.
+			m.memo.Verify(key, ps, dstCT.tier.PrepareStore(nil, page, nil))
+		}
+	}
+	pp.destPrep = sc.keep(ps, slab)
 	return nil
 }
 
@@ -735,19 +695,18 @@ func (m *Manager) prepareGeneric(pp *preparedPage) error {
 // residency change and counter bump. The caller must hold the page's
 // region write lock. If the page moved between prepare and commit
 // (another migrator landed a move of the same page first), the move is
-// re-prepared in place.
-func (m *Manager) commitPage(pp preparedPage) (MigrationResult, error) {
+// re-prepared in place on sc, its bytes kept at the end of slab like the
+// lazily built store of a fast-path move the destination refused.
+func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte) (MigrationResult, error) {
 	var res MigrationResult
 	e := &m.ptes[pp.page]
 	if e.tier != pp.src {
-		pp.release()
-		np, err := m.preparePage(pp.page, pp.dest, pp.sc)
+		np, err := m.preparePage(pp.page, pp.dest, sc, slab)
 		if err != nil {
 			return res, err
 		}
 		pp = np
 	}
-	defer pp.release()
 	if pp.skip {
 		res.Skipped = 1
 		return res, nil
@@ -776,7 +735,7 @@ func (m *Manager) commitPage(pp preparedPage) (MigrationResult, error) {
 		// which handles fallback placement.
 	}
 	if !pp.generic {
-		if err := m.prepareGeneric(&pp); err != nil {
+		if err := m.prepareGeneric(&pp, sc, slab); err != nil {
 			return res, err
 		}
 	}
@@ -863,11 +822,13 @@ func (m *Manager) MigratePage(p PageID, dest TierID) (MigrationResult, error) {
 	mu := m.regionLock(p.Region())
 	mu.Lock()
 	defer mu.Unlock()
-	pp, err := m.preparePage(p, dest, nil)
+	sc := new(MigrationScratch)
+	var slab []byte
+	pp, err := m.preparePage(p, dest, sc, &slab)
 	if err != nil {
 		return MigrationResult{}, err
 	}
-	return m.commitPage(pp)
+	return m.commitPage(pp, sc, &slab)
 }
 
 // MigrateRegion moves every page of region r to tier dest, accumulating
@@ -885,13 +846,19 @@ func (m *Manager) MigrateRegion(r RegionID, dest TierID) (MigrationResult, error
 }
 
 // PreparedRegion is the precomputed half of one region migration, built by
-// PrepareRegionMigration and landed by CommitRegionMigration.
+// PrepareRegionMigration and landed by CommitRegionMigration. Its pages
+// hold no buffers of their own: every object a commit will read — a
+// fast-path object, a built store, a memo hit's copy — sits in the
+// region's one slab, back to back, and a rejected or same-filled store
+// keeps no bytes at all. A consumed region goes back to its scratch with
+// the slab and page slice emptied, not freed, for the next prepare.
 type PreparedRegion struct {
 	m      *Manager
-	sc     *MigrationScratch // where a consumed region is recycled to (may be nil)
+	sc     *MigrationScratch // where a consumed region is recycled to
 	region RegionID
 	dest   TierID
 	pages  []preparedPage
+	slab   []byte
 	// spare is a consumed region's page slice, emptied, kept for reuse.
 	spare []preparedPage
 }
@@ -900,33 +867,27 @@ type PreparedRegion struct {
 // them until the region is consumed, none after.
 func (pr *PreparedRegion) Remaining() int { return len(pr.pages) }
 
-// Release returns the prepared pages' buffers without committing them;
-// call it when a prepared region is abandoned. Committing releases them
-// automatically.
-func (pr *PreparedRegion) Release() { pr.releaseFrom(0) }
-
-// releaseFrom consumes pr: pages i onward give their buffers back, and
-// the page slice's backing array and pr itself go to the scratch for its
-// next prepare.
-func (pr *PreparedRegion) releaseFrom(i int) {
+// Release consumes the prepared region without committing it; call it
+// when a prepared region is abandoned. Committing consumes it
+// automatically. The region, its page slice and its slab go back to the
+// scratch for its next prepare. The pages are zeroed first: their objects
+// may sit in arrays the slab outgrew while the region was prepared, and
+// those die now, not when the next prepare overwrites the entries.
+func (pr *PreparedRegion) Release() {
 	if pr.pages == nil {
 		return // already consumed
 	}
-	for ; i < len(pr.pages); i++ {
-		pr.pages[i].release()
-	}
-	pr.spare, pr.pages = pr.pages[:0], nil
-	if pr.sc != nil {
-		pr.sc.region = pr
-	}
+	clear(pr.pages)
+	pr.spare, pr.pages, pr.slab = pr.pages[:0], nil, pr.slab[:0]
+	pr.sc.region = pr
 }
 
 // takeRegion returns the scratch's recycled PreparedRegion, or a new one.
 func (s *MigrationScratch) takeRegion() *PreparedRegion {
-	if s == nil || s.region == nil {
+	pr := s.region
+	if pr == nil {
 		return new(PreparedRegion)
 	}
-	pr := s.region
 	s.region = nil
 	return pr
 }
@@ -939,14 +900,14 @@ func (s *MigrationScratch) takeRegion() *PreparedRegion {
 // same outcome bit-for-bit however many goroutines prepared, which is how
 // sim.Run keeps results identical across push-thread counts.
 func (m *Manager) PrepareRegionMigration(r RegionID, dest TierID) (*PreparedRegion, error) {
-	return m.PrepareRegionMigrationScratch(r, dest, new(MigrationScratch))
+	return m.PrepareRegionMigrationScratch(r, dest, nil)
 }
 
 // PrepareRegionMigrationScratch is PrepareRegionMigration with the
-// caller's scratch in place of one made for this region. A push thread
-// that prepares and commits moves back to back hands the same scratch to
-// every prepare: the buffers a commit releases, the codec state and the
-// PreparedRegion itself are reused by the next prepare, which then
+// caller's scratch in place of one made for this region (nil makes one).
+// A push thread that prepares and commits moves back to back hands the
+// same scratch to every prepare: the buffers, the codec state and the
+// PreparedRegion with its slab are reused by the next prepare, which then
 // allocates nothing. A prepared region drawn from a scratch must
 // therefore not be touched after the call that consumed it (the commit
 // that finished or failed it, or Release): the scratch's next prepare
@@ -963,17 +924,20 @@ func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *Mig
 	if int(dest) < 0 || int(dest) >= len(m.tiers) {
 		return nil, ErrNoSuchTier
 	}
+	if sc == nil {
+		sc = new(MigrationScratch)
+	}
 	pr := sc.takeRegion()
 	pages := pr.spare[:0]
 	if cap(pages) < int(end-start) {
 		pages = make([]preparedPage, 0, end-start)
 	}
-	*pr = PreparedRegion{m: m, sc: sc, region: r, dest: dest, pages: pages}
+	*pr = PreparedRegion{m: m, sc: sc, region: r, dest: dest, pages: pages, slab: pr.slab[:0]}
 	mu := m.regionLock(r)
 	mu.RLock()
 	defer mu.RUnlock()
 	for p := start; p < end; p++ {
-		pp, err := m.preparePage(p, dest, sc)
+		pp, err := m.preparePage(p, dest, sc, &pr.slab)
 		if err != nil {
 			pr.Release()
 			return nil, err
@@ -990,8 +954,8 @@ func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *Mig
 // tier, and their outcomes accumulate like any other page's. The full-tier
 // condition is reported once, as ErrTierFull, after the whole region has
 // been processed; the result is valid alongside it. The prepared region is
-// consumed: its buffers are released even on error, and committing it
-// again is a no-op that reports nothing moved.
+// consumed even on error, and committing it again is a no-op that reports
+// nothing moved.
 func (m *Manager) CommitRegionMigration(pr *PreparedRegion) (MigrationResult, error) {
 	var total MigrationResult
 	if pr == nil {
@@ -1009,7 +973,7 @@ func (m *Manager) CommitRegionMigration(pr *PreparedRegion) (MigrationResult, er
 	defer mu.Unlock()
 	full := false
 	for i := range pr.pages {
-		res, err := m.commitPage(pr.pages[i])
+		res, err := m.commitPage(pr.pages[i], pr.sc, &pr.slab)
 		total.Moved += res.Moved
 		total.Rejected += res.Rejected
 		total.Skipped += res.Skipped
@@ -1018,11 +982,11 @@ func (m *Manager) CommitRegionMigration(pr *PreparedRegion) (MigrationResult, er
 		case errors.Is(err, ErrTierFull):
 			full = true
 		case err != nil:
-			pr.releaseFrom(i + 1)
+			pr.Release()
 			return total, err
 		}
 	}
-	pr.releaseFrom(len(pr.pages))
+	pr.Release()
 	if full {
 		return total, ErrTierFull
 	}

@@ -1,15 +1,20 @@
 // Prepare/commit suite: what a PreparedRegion and its MigrationScratch
-// promise a push thread — buffers, codec state and the region value come
-// back for the next move, a prepared region commits exactly once, and
+// promise a push thread — buffers, codec state and the region value with
+// its slab come back for the next move, so that a warm scratch's faults and
+// moves allocate nothing; a prepared region commits exactly once; and
 // prepare + commit lands what moving the region page by page lands,
 // ErrTierFull fallbacks included.
 package mem
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
+	"tierscape/internal/compress"
 	"tierscape/internal/corpus"
 	"tierscape/internal/media"
 	"tierscape/internal/ztier"
@@ -76,10 +81,10 @@ func migrateScratch(m *Manager, r RegionID, dest TierID, sc *MigrationScratch) (
 	return m.CommitRegionMigration(pr)
 }
 
-// TestMigrationScratchReuse: a worker-owned arena must be refilled by the
-// commit's buffer release and drained by the next prepare — reuse across
-// moves — while producing results identical to MigrateRegion's
-// per-region scratch.
+// TestMigrationScratchReuse: a worker-owned scratch carries its buffers
+// and its recycled region's slab from move to move — the slab stops
+// growing once it has held the largest region — while producing results
+// identical to MigrateRegion's per-region scratch.
 func TestMigrationScratchReuse(t *testing.T) {
 	mA := preparedManager(t, 4*RegionPages, 0, 0)
 	mB := preparedManager(t, 4*RegionPages, 0, 0)
@@ -99,12 +104,11 @@ func TestMigrationScratchReuse(t *testing.T) {
 	if !reflect.DeepEqual(mA.TierPages(), mB.TierPages()) {
 		t.Fatal("caller-scratch and per-region-scratch paths diverged in residency")
 	}
-	if sc.Buffers() == 0 {
-		t.Fatal("arena empty after commits: buffers were not returned for reuse")
+	if sc.region == nil || cap(sc.region.slab) == 0 {
+		t.Fatal("no recycled region with a slab on the scratch after commits")
 	}
-	// The arena's population must stabilize: a second sweep through the
-	// same shape of work allocates nothing new.
-	high := sc.Buffers()
+	// Identical work finds room in what the scratch already holds.
+	high := cap(sc.region.slab)
 	for r := RegionID(0); r < 4; r++ {
 		if _, err := migrateScratch(mA, r, DRAMTier, sc); err != nil {
 			t.Fatal(err)
@@ -113,16 +117,12 @@ func TestMigrationScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sc.Buffers() > high+RegionPages {
-		t.Fatalf("arena grew from %d to %d buffers on identical work", high, sc.Buffers())
+	if got := cap(sc.region.slab); got != high {
+		t.Fatalf("slab grew from %d to %d bytes on identical work", high, got)
 	}
-	// Nil arena stays valid (global pool, stateless codecs).
-	var nilSC *MigrationScratch
-	if _, err := migrateScratch(mB, 0, DRAMTier, nilSC); err != nil {
+	// A nil scratch stays valid: the prepare makes one for the region.
+	if _, err := migrateScratch(mB, 0, DRAMTier, nil); err != nil {
 		t.Fatal(err)
-	}
-	if nilSC.Buffers() != 0 {
-		t.Fatal("nil arena must report 0 buffers")
 	}
 }
 
@@ -173,10 +173,156 @@ func TestPrepareScratchAllocsPerRun(t *testing.T) {
 	}
 }
 
-// TestPreparedRegionRecycling: a consumed region goes back to its scratch
-// and is the value the scratch's next prepare returns; until then it
-// reads as consumed. Releasing an abandoned region returns every buffer
-// exactly once.
+// allocGuardManager is one region of Mixed content over DRAM and the
+// given compressed tiers, numbered from 1.
+func allocGuardManager(t *testing.T, tiers ...ztier.Config) *Manager {
+	t.Helper()
+	m, err := NewManager(Config{
+		NumPages:        RegionPages,
+		Content:         corpus.NewGenerator(corpus.Mixed, 7),
+		CompressedTiers: tiers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// steadyAllocs is the fewest allocations one run of f makes, over three
+// runs after f has warmed up. A page path allocates on every run or on
+// none, but the runtime now and then allocates beside it (a new thread's
+// bookkeeping); the minimum sees the first and not the second.
+func steadyAllocs(f func()) float64 {
+	f()
+	n := math.Inf(1)
+	for range 3 {
+		n = min(n, testing.AllocsPerRun(1, f))
+	}
+	return n
+}
+
+// decoderAllocs is what decompressing the objects a tier with cfg stores
+// for m's region allocates on warm codec state: nothing, but for
+// compress/flate's reader, which builds decoding tables per block that no
+// caller can hand it.
+func decoderAllocs(t *testing.T, m *Manager, cfg ztier.Config) float64 {
+	t.Helper()
+	tier, codec := ztier.MustNew(0, cfg), compress.MustLookup(cfg.Codec)
+	var objs [][]byte
+	for p := PageID(0); p < RegionPages; p++ {
+		h, _, err := tier.Store(m.content(p, make([]byte, PageSize)))
+		if err != nil {
+			continue // rejected: never faulted
+		}
+		if obj, _, direct, err := tier.LoadCompressed(h, nil); err == nil && direct {
+			objs = append(objs, obj)
+		}
+	}
+	var cs compress.Scratch
+	page := make([]byte, 0, PageSize)
+	return steadyAllocs(func() {
+		for _, obj := range objs {
+			if _, err := cs.Decompress(codec, page, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestFaultAllocsPerRun: on a warmed scratch, a fault out of any pool
+// under any fast codec allocates nothing — the pool object is read into
+// the scratch's object buffer and decompressed into its page buffer. One
+// cycle demotes a region and faults every page of it back; the pools have
+// recycled their pages by then, so the demotion allocates nothing either.
+// Deflate's count is given, not skipped: exactly what its reader allocates
+// decompressing the same objects, and nothing else.
+func TestFaultAllocsPerRun(t *testing.T) {
+	for _, codec := range []string{"lz4", "lzo", "zstd", "deflate"} {
+		for _, pool := range []string{"zbud", "zsmalloc", "z3fold"} {
+			cfg := ztier.Config{Codec: codec, Pool: pool, Media: media.DRAM}
+			t.Run(cfg.String(), func(t *testing.T) {
+				m := allocGuardManager(t, cfg)
+				sc := &MigrationScratch{}
+				faults := 0
+				cycle := func() {
+					if _, err := migrateScratch(m, 0, 1, sc); err != nil {
+						t.Fatal(err)
+					}
+					faults = 0
+					for p := PageID(0); p < RegionPages; p++ {
+						ar, err := m.AccessScratch(p, false, sc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ar.Fault {
+							faults++
+						}
+					}
+				}
+				want := 0.0
+				if codec == "deflate" {
+					want = decoderAllocs(t, m, cfg)
+					t.Logf("compress/flate's reader: %v allocations", want)
+				}
+				if n := steadyAllocs(cycle); n != want {
+					t.Errorf("%v allocations demoting a region and faulting its %d compressed pages back, want %v", n, faults, want)
+				}
+				if faults == 0 {
+					t.Fatal("no page faulted; the guard is vacuous")
+				}
+			})
+		}
+	}
+}
+
+// TestMoveAllocsPerRun: on a warmed scratch, a region's prepare + commit
+// allocates nothing whatever its source: a DRAM page regenerated, a
+// compressed one decompressed for a cross-codec move (CT-1 → CT-2) or a
+// promotion (CT-2 → DRAM), an object moved whole between two tiers of one
+// codec (C1 → C2), a store copied out of the memo. The objects live in the
+// region's slab, which the scratch keeps; the pools have recycled their
+// pages after the first round.
+func TestMoveAllocsPerRun(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		tiers []ztier.Config
+		memo  bool
+	}{
+		{"CT-1 to CT-2 to DRAM", []ztier.Config{ztier.CT1(), ztier.CT2()}, false},
+		{"C1 to C2, same codec", []ztier.Config{ztier.Characterization(1), ztier.Characterization(2)}, false},
+		{"memo hits", []ztier.Config{ztier.CT1(), ztier.CT2()}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := allocGuardManager(t, c.tiers...)
+			sm := ztier.NewStoreMemo(1 << 30)
+			if c.memo {
+				m.ShareStores(sm)
+			}
+			sc := &MigrationScratch{}
+			cycle := func() {
+				for _, dest := range []TierID{1, 2, DRAMTier} {
+					if _, err := migrateScratch(m, 0, dest, sc); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before := sm.Stats()
+			if n := steadyAllocs(cycle); n != 0 {
+				t.Errorf("%v allocations per round trip DRAM → %s → %s → DRAM, want 0", n, c.tiers[0], c.tiers[1])
+			}
+			if st := sm.Stats(); c.memo && st.Hits-before.Hits < RegionPages {
+				t.Errorf("%d memo hits over the runs; the guard does not time the memo", st.Hits-before.Hits)
+			}
+		})
+	}
+}
+
+// TestPreparedRegionRecycling: a prepared region keeps exactly the bytes
+// its commit lands — its slab is the compressed payload the destination
+// gains, same-filled and rejected pages keeping none — and, once
+// consumed, goes back to its scratch with the slab emptied but kept: the
+// scratch's next prepare returns the same value, writing into the same
+// slab. Until then the region reads as consumed.
 func TestPreparedRegionRecycling(t *testing.T) {
 	m := preparedManager(t, 2*RegionPages, 0, 0)
 	ct1 := TierID(2)
@@ -185,13 +331,19 @@ func TestPreparedRegionRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := 2 * RegionPages // source page + compressed form, per page
-	if got := sc.Buffers(); got != 0 {
-		t.Fatalf("arena holds %d buffers while the region is prepared, want 0", got)
+	if sc.region != nil {
+		t.Fatal("the scratch holds a region while its only one is prepared")
 	}
+	outgrown := firstOutgrownObject(t, pr)
 	pr.Release()
-	if got := sc.Buffers(); got != held {
-		t.Fatalf("arena holds %d buffers after Release, want %d (each buffer returned once)", got, held)
+	runtime.GC()
+	runtime.GC()
+	if outgrown.Value() != nil {
+		t.Error("a released region still reaches an array its slab outgrew")
+	}
+	if sc.region != pr || len(pr.slab) != 0 || cap(pr.slab) == 0 {
+		t.Fatalf("after Release: scratch region %p (want %p), slab len %d cap %d; want it back, empty, kept",
+			sc.region, pr, len(pr.slab), cap(pr.slab))
 	}
 	if pr.Remaining() != 0 {
 		t.Fatal("released region still reports remaining pages")
@@ -200,25 +352,55 @@ func TestPreparedRegionRecycling(t *testing.T) {
 		t.Fatalf("commit of a consumed region: %+v, %v; want zero, nil", mr, err)
 	}
 	pr.Release() // a second release is a no-op
-	if got := sc.Buffers(); got != held {
-		t.Fatalf("arena holds %d buffers after a second Release, want %d", got, held)
+	if sc.region != pr {
+		t.Fatal("a second Release lost the recycled region")
 	}
-	next, err := m.PrepareRegionMigrationScratch(1, ct1, sc)
+	slab := pr.slab[:1]
+	next, err := m.PrepareRegionMigrationScratch(0, ct1, sc) // the same bytes again
 	if err != nil {
 		t.Fatal(err)
 	}
 	if next != pr {
 		t.Error("the scratch's next prepare did not reuse the consumed region")
 	}
+	if &next.slab[0] != &slab[0] {
+		t.Error("the recycled region's prepare did not write into the kept slab")
+	}
 	if next.Remaining() != RegionPages {
 		t.Fatalf("recycled region has %d pages, want %d", next.Remaining(), RegionPages)
 	}
+	kept := int64(len(next.slab))
 	if _, err := m.CommitRegionMigration(next); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.TierPages()[ct1]; got != RegionPages {
 		t.Fatalf("CT-1 holds %d pages, want %d", got, RegionPages)
 	}
+	st, err := m.CompressedTierStats(ct1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CompressedBytes != kept {
+		t.Fatalf("the prepared region kept %d bytes; its commit landed %d", kept, st.CompressedBytes)
+	}
+}
+
+// firstOutgrownObject returns a weak pointer to the first object pr keeps,
+// which the prepare wrote at the start of the slab's first array; the
+// region's kept bytes must have outgrown that array, so only pr's pages
+// still reach it.
+func firstOutgrownObject(t *testing.T, pr *PreparedRegion) weak.Pointer[byte] {
+	t.Helper()
+	for _, pp := range pr.pages {
+		if b := pp.destPrep.Scratch(); len(b) > 0 {
+			if &b[0] == &pr.slab[0] {
+				t.Fatal("the region's kept bytes fit the slab's first array; nothing was outgrown")
+			}
+			return weak.Make(&b[0])
+		}
+	}
+	t.Fatal("the prepared region keeps no object")
+	return weak.Pointer[byte]{}
 }
 
 // TestCommitRegionMigrationMatchesPageLoop: the same multi-hop migration

@@ -75,8 +75,8 @@ func storeMemoScript(t *testing.T, m *Manager, sc *MigrationScratch) string {
 // TestStoreMemoEquivalence: a manager that fills the memo, one that finds
 // everything in it and one that has none are indistinguishable from
 // outside, at any budget; and the buffers a job recycles are its own — a
-// job that scribbles over its whole arena afterwards spoils nothing for
-// the next.
+// job that scribbles over its whole scratch, slab included, afterwards
+// spoils nothing for the next.
 func TestStoreMemoEquivalence(t *testing.T) {
 	gen := func() corpus.Source { return corpus.NewGenerator(corpus.Mixed, 5) }
 	want := storeMemoScript(t, storeMemoManager(t, gen()), new(MigrationScratch))
@@ -123,10 +123,10 @@ func TestStoreMemoEquivalence(t *testing.T) {
 			case budget == 128<<10 && round > 0 && (hits == 0 || hits == lookups):
 				t.Errorf("one-slab budget, round %d: %d of %d lookups hit, want some", round, hits, lookups)
 			}
-			for _, b := range sc.free {
-				s := (*b)[:cap(*b)]
-				for i := range s {
-					s[i] = 0xaa
+			for _, b := range [][]byte{sc.page, sc.obj, sc.out, sc.region.slab} {
+				b = b[:cap(b)]
+				for i := range b {
+					b[i] = 0xaa
 				}
 			}
 		}

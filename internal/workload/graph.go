@@ -215,7 +215,11 @@ func NewBFSOn(g *Graph, seed uint64) *BFS {
 }
 
 func (b *BFS) reset() {
-	b.visited = make([]bool, b.g.n)
+	if b.visited == nil {
+		b.visited = make([]bool, b.g.n)
+	} else {
+		clear(b.visited)
+	}
 	src := b.rng.Int63n(b.g.n)
 	b.visited[src] = true
 	b.queue = b.queue[:0]

@@ -272,8 +272,9 @@ func (t *Tier) Name() string { return t.cfg.String() }
 // PreparedStore is the side-effect-free half of a store: the compressed
 // object (or the same-filled/rejected classification) plus the modeled
 // compression cost. Build one with PrepareStore, land it with CommitStore.
-// A PreparedStore references the buffer handed to PrepareStore; the caller
-// must keep that buffer alive and unmodified until the commit.
+// A PreparedStore references the buffer handed to PrepareStore (or the
+// slab AppendTo moved its object to); the caller must keep that buffer
+// alive and unmodified until the commit.
 type PreparedStore struct {
 	comp       []byte
 	sameFilled bool
@@ -287,6 +288,22 @@ type PreparedStore struct {
 // grown one. Nil for same-filled pages and remembered rejections, which
 // compress nothing.
 func (ps PreparedStore) Scratch() []byte { return ps.comp }
+
+// AppendTo returns ps with its object copied to the end of slab, and the
+// grown slab: a caller holding many prepared stores until their commits
+// keeps their objects back to back in one buffer, not in one each. A store
+// with no object to land — same-filled, or rejected, whose bytes
+// CommitStore never reads — comes back without bytes and slab as it was.
+func (ps PreparedStore) AppendTo(slab []byte) (PreparedStore, []byte) {
+	if ps.sameFilled || ps.rejected {
+		ps.comp = nil
+		return ps, slab
+	}
+	n := len(slab)
+	slab = append(slab, ps.comp...)
+	ps.comp = slab[n:len(slab):len(slab)]
+	return ps, slab
+}
 
 // RejectedStore is the PreparedStore that PrepareStore builds for a page
 // this tier's codec cannot shrink, for a caller that already knows the
@@ -417,7 +434,7 @@ func (t *Tier) storeCompressedLocked(comp []byte) (Handle, float64, error) {
 // decompression. The latency of writing the page into its destination
 // byte-addressable tier is charged by the memory manager.
 func (t *Tier) Load(h Handle, dst []byte) ([]byte, float64, error) {
-	out, lat, err := t.PrepareLoad(nil, h, dst)
+	out, lat, err := t.PrepareLoad(nil, nil, h, dst)
 	if err != nil {
 		return out, lat, err
 	}
@@ -429,9 +446,12 @@ func (t *Tier) Load(h Handle, dst []byte) ([]byte, float64, error) {
 // deterministic prepare/commit migration, where the decompression runs
 // concurrently but counters must only move at commit time (via CountLoad)
 // to match serial totals exactly. cs is the caller's own codec state (nil
-// decompresses statelessly). Safe to call concurrently; the pool read
-// takes the tier's read lock.
-func (t *Tier) PrepareLoad(cs *compress.Scratch, h Handle, dst []byte) ([]byte, float64, error) {
+// decompresses statelessly) and obj its buffer for the pool object, which
+// is dead once decompressed: every stored object is shorter than a page,
+// so a caller that keeps one buffer with room for a page loads without
+// allocating, and nil reads the object into a fresh slice. Safe to call
+// concurrently; the pool read takes the tier's read lock.
+func (t *Tier) PrepareLoad(cs *compress.Scratch, obj []byte, h Handle, dst []byte) ([]byte, float64, error) {
 	if h.sameFilled {
 		start := len(dst)
 		dst = append(dst, make([]byte, PageSize)...)
@@ -441,7 +461,7 @@ func (t *Tier) PrepareLoad(cs *compress.Scratch, h Handle, dst []byte) ([]byte, 
 		return dst, sameFilledFillNs, nil
 	}
 	t.mu.RLock()
-	comp, err := t.pool.Load(h.pool, nil)
+	comp, err := t.pool.Load(h.pool, obj[:0])
 	t.mu.RUnlock()
 	if err != nil {
 		return dst, 0, err
