@@ -90,6 +90,26 @@ func (r RNG) Uint64Hi() (hi uint32, next RNG) {
 	return pcgOutput(r.state), next
 }
 
+// Advance moves r delta Uint32 steps ahead (a Uint64 draw is two) in
+// O(log delta): the step s ↦ s·M + inc is affine, so delta of them compose
+// to s ↦ s·M^delta + inc·(M^(delta-1) + … + 1), built by squaring the step
+// the way an exponent is. All arithmetic is mod 2^64, as the step's is,
+// so Advance(2^64 - 1) is one step back. Lets a worker start where the
+// serial stream would have been after delta steps.
+func (r *RNG) Advance(delta uint64) {
+	accMult, accPlus := uint64(1), uint64(0)
+	mult, plus := uint64(pcgMult), r.inc
+	for ; delta > 0; delta >>= 1 {
+		if delta&1 != 0 {
+			accMult *= mult
+			accPlus = accPlus*mult + plus
+		}
+		plus *= mult + 1
+		mult *= mult
+	}
+	r.state = r.state*accMult + accPlus
+}
+
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -115,6 +115,65 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestRNGAdvance: Advance(k) lands where k Uint32 steps land, jumps add
+// up, and a jump of 2^64 - 1 is one step short of the whole period — the
+// properties a generator split across workers rests on (workload.NewRMat
+// starts each worker at its chunk's first draw).
+func TestRNGAdvance(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0x724d6174, 0xdeadbeefcafe, 1<<64 - 1} {
+		start := MakeRNG(seed)
+		stepped := start
+		done := uint64(0)
+		for _, k := range []uint64{0, 1, 2, 3, 63, 64, 65, 1000, 1<<20 + 1} {
+			for ; done < k; done++ {
+				stepped.Uint32()
+			}
+			jumped := start
+			jumped.Advance(k)
+			if jumped != stepped {
+				t.Fatalf("seed %#x: Advance(%d) = %+v, %d steps give %+v", seed, k, jumped, k, stepped)
+			}
+		}
+		for _, ab := range [][2]uint64{{0, 5}, {7, 0}, {3, 1000}, {1 << 40, 1<<63 + 17}, {1<<64 - 1, 2}} {
+			twice, once := start, start
+			twice.Advance(ab[0])
+			twice.Advance(ab[1])
+			once.Advance(ab[0] + ab[1])
+			if twice != once {
+				t.Errorf("seed %#x: Advance(%d) then Advance(%d) != Advance(%d)", seed, ab[0], ab[1], ab[0]+ab[1])
+			}
+		}
+		back := start
+		back.Advance(1<<64 - 1)
+		back.Uint32()
+		if back != start {
+			t.Errorf("seed %#x: Advance(2^64-1) and one step do not return to the start", seed)
+		}
+	}
+}
+
+// FuzzRNGAdvance: from any seed, Advance(a) then k steps is Advance(a+k),
+// and a Uint64 draw after it is the stepped generator's.
+func FuzzRNGAdvance(f *testing.F) {
+	f.Add(uint64(1), uint64(0), uint16(0))
+	f.Add(uint64(42), uint64(1<<20+1), uint16(63))
+	f.Add(uint64(0x724d6174), uint64(1<<64-1), uint16(1))
+	f.Fuzz(func(t *testing.T, seed, a uint64, k uint16) {
+		stepped, jumped := MakeRNG(seed), MakeRNG(seed)
+		stepped.Advance(a)
+		for i := uint16(0); i < k; i++ {
+			stepped.Uint32()
+		}
+		jumped.Advance(a + uint64(k))
+		if stepped != jumped {
+			t.Fatalf("seed %#x: Advance(%d) + %d steps = %+v, Advance(%d) = %+v", seed, a, k, stepped, a+uint64(k), jumped)
+		}
+		if s, j := stepped.Uint64(), jumped.Uint64(); s != j {
+			t.Fatalf("seed %#x: next draw %#x, want %#x", seed, j, s)
+		}
+	})
+}
+
 // TestRNGUint64TwoStep: Uint64 — and Uint64Hi, which computes only its
 // high half — advances the generator two steps at once; it must stay
 // exactly two Uint32 draws, high half first, wherever it falls among the

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"tierscape/internal/corpus"
 	"tierscape/internal/mem"
@@ -45,59 +47,97 @@ const (
 // is an integer and the comparison carries over to the integers.
 func rmatThreshold(t float64) uint64 { return uint64(t * (1 << 53)) }
 
-// rmatCuts is the quadrant choice as compares: a draw k = Uint64()>>11
-// lands in quadrant a (0: neither bit), b (1: v's bit), c (2: u's bit) or
-// d (3: both) — the number of cumulative thresholds it reaches. t holds
-// each threshold minus one; k and t are below 2^53, so (t-k)>>63 is 1
-// exactly when k reaches the threshold, and nothing branches on the draw.
+// rmatCuts is the quadrant choice: a draw k = Uint64()>>11 lands in
+// quadrant a (0: neither bit), b (1: v's bit), c (2: u's bit) or d (3:
+// both) — the number of cumulative thresholds it reaches. Three answers,
+// each exact where it speaks, cheapest first:
 //
-// k is the draw's high 32 bits — its first PCG output — over 21 of its low
-// ones, so the high word alone decides against a threshold T unless it
-// equals T>>21: below, k < (T>>21)<<21 <= T; above, k >= (T>>21+1)<<21 >
-// T. hi holds the three T>>21, and only on a draw whose high word is one
-// of them (3 values in 2^32) is the low half computed.
-type rmatCuts struct{ t, hi [3]uint64 }
+//   - k is the draw's high 32 bits — its first PCG output — over 21 of its
+//     low ones, so the high word alone decides against a threshold T unless
+//     it equals T>>21: below, k < (T>>21)<<21 <= T; above, k >=
+//     (T>>21+1)<<21 > T. By the same argument the high word's top 12 bits
+//     decide unless they equal T>>41, so quad holds the quadrant of every
+//     12-bit prefix, and rmatUndecided for the (at most three) prefixes a
+//     T>>41 names.
+//   - Under an undecided prefix the high word is compared with hi, the
+//     three T>>21: (T>>21 - hi)>>63 is 1 exactly when hi is above.
+//   - Only on a high word equal to one of them (3 values in 2^32) is the
+//     low half computed and all 53 bits compared with t, each threshold
+//     minus one: k and t are below 2^53, so (t-k)>>63 is 1 exactly when k
+//     reaches the threshold.
+type rmatCuts struct {
+	t, hi [3]uint64
+	quad  [1 << 12]uint8
+}
 
-// makeRMatCuts builds the compares for three thresholds in [1, 2^53].
+// rmatUndecided marks a prefix of the high word that a threshold's T>>41
+// falls on: the prefix alone cannot place the draw.
+const rmatUndecided = 0xff
+
+// makeRMatCuts builds the table and compares for three thresholds in [1,
+// 2^53].
 func makeRMatCuts(thresholds [3]uint64) rmatCuts {
 	var c rmatCuts
 	for i, t := range thresholds {
 		c.t[i] = t - 1
 		c.hi[i] = t >> 21
 	}
+	for p := range c.quad {
+		for _, h := range c.hi {
+			if uint64(p) == h>>20 {
+				c.quad[p] = rmatUndecided
+				break
+			}
+			if uint64(p) > h>>20 {
+				c.quad[p]++
+			}
+		}
+	}
 	return c
 }
+
+// rmatStd is the quadrant choice at the standard partition probabilities.
+var rmatStd = makeRMatCuts([3]uint64{rmatThreshold(rmatA), rmatThreshold(rmatAB), rmatThreshold(rmatABC)})
 
 // edge draws one edge: a quadrant per level, one Uint64 draw each, u
 // taking the quadrant's high bit and v its low bit. The generator
 // advances two steps a draw whichever path decides it, so every later
-// draw is the one it always was.
+// draw is the one it always was, and an edge is exactly 2·levels steps.
 func (c *rmatCuts) edge(rng *stats.RNG, levels uint) (u, v uint64) {
 	r := *rng
-	h0, h1, h2 := c.hi[0], c.hi[1], c.hi[2]
+	var uv uint64 // level l's quadrant at bits 2l+1 (u's) and 2l (v's)
 	for l := uint(0); ; l++ {
 		// The loop proper calls nothing, so the generator stays in
-		// registers; it stops at a draw the high word cannot decide.
+		// registers; it stops at a draw the table cannot decide.
 		for ; l < levels; l++ {
 			hi32, next := r.Uint64Hi()
-			hi := uint64(hi32)
-			if hi == h0 || hi == h1 || hi == h2 {
+			q := c.quad[hi32>>20]
+			if q == rmatUndecided {
 				break
 			}
 			r = next
-			q := (h0-hi)>>63 + (h1-hi)>>63 + (h2-hi)>>63
-			u |= (q >> 1) << (l & 63)
-			v |= (q & 1) << (l & 63)
+			uv |= uint64(q) << (2 * l & 63)
 		}
 		if l == levels {
 			break
 		}
-		q := c.whole(&r)
-		u |= (q >> 1) << (l & 63)
-		v |= (q & 1) << (l & 63)
+		uv |= c.undecided(&r) << (2 * l & 63)
 	}
 	*rng = r
-	return u, v
+	return evenBits(uv >> 1), evenBits(uv)
+}
+
+// undecided draws rng's next Uint64 and returns its quadrant: on the high
+// word unless it equals a threshold's, on all 53 bits if it does.
+func (c *rmatCuts) undecided(rng *stats.RNG) uint64 {
+	hi32, next := rng.Uint64Hi()
+	hi := uint64(hi32)
+	h0, h1, h2 := c.hi[0], c.hi[1], c.hi[2]
+	if hi == h0 || hi == h1 || hi == h2 {
+		return c.whole(rng)
+	}
+	*rng = next
+	return (h0-hi)>>63 + (h1-hi)>>63 + (h2-hi)>>63
 }
 
 // whole draws rng's next Uint64 and returns its quadrant on all 53 bits.
@@ -106,10 +146,37 @@ func (c *rmatCuts) whole(rng *stats.RNG) uint64 {
 	return (c.t[0]-k)>>63 + (c.t[1]-k)>>63 + (c.t[2]-k)>>63
 }
 
+// evenBits packs x's bits 0, 2, 4, … into the low half: level l's bit of
+// the edge's v from the bit pair edge accumulates, or of u from x>>1.
+func evenBits(x uint64) uint64 {
+	x &= 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	return (x | x>>16) & 0x00000000ffffffff
+}
+
+// rmatMinChunk is the fewest edges NewRMat gives a worker: below it the
+// worker's goroutine, jump and count array cost about what its draws do.
+const rmatMinChunk = 1 << 14
+
 // NewRMat generates an rMat graph with n vertices (rounded up to a power
-// of two) and avgDegree·n edges using the standard (0.57, 0.19, 0.19)
-// partition probabilities, then builds the CSR layout.
+// of two, at most 2^31: vertex ids are int32) and avgDegree·n edges using
+// the standard (0.57, 0.19, 0.19) partition probabilities, then builds
+// the CSR layout. It panics on dimensions out of range, and on any panic
+// of its workers, always on the calling goroutine.
+//
+// It uses up to GOMAXPROCS workers, and the graph is the same at every
+// count: the edges are drawn in contiguous chunks, one per worker, each
+// starting 2·levels·e PCG steps into the serial stream (stats.RNG.Advance)
+// — where edge e has always started — and laid out by a counting sort
+// whose cursors put worker w's edges of a vertex after those of workers <
+// w, so every row keeps stream order.
 func NewRMat(n int64, avgDegree int, seed uint64) *Graph {
+	if n > 1<<31 {
+		panic(fmt.Sprintf("workload: rMat graph of %d vertices: ids are int32", n))
+	}
 	// Round n up to a power of two (rMat requirement).
 	np := int64(1)
 	for np < n {
@@ -117,34 +184,44 @@ func NewRMat(n int64, avgDegree int, seed uint64) *Graph {
 	}
 	n = np
 	m := n * int64(avgDegree)
-	rng := stats.MakeRNG(seed ^ 0x724d6174) // "rMat"
-
-	deg := make([]int32, n)
-	src := make([]int32, m)
-	dst := make([]int32, m)
+	if avgDegree < 0 || m/n != int64(avgDegree) {
+		panic(fmt.Sprintf("workload: rMat graph of %d vertices × degree %d is out of range", n, avgDegree))
+	}
 	levels := uint(0)
 	for v := int64(1); v < n; v <<= 1 {
 		levels++
 	}
-	cuts := makeRMatCuts([3]uint64{rmatThreshold(rmatA), rmatThreshold(rmatAB), rmatThreshold(rmatABC)})
-	for e := int64(0); e < m; e++ {
-		u, v := cuts.edge(&rng, levels)
-		src[e], dst[e] = int32(u), int32(v)
-		deg[u]++
+	workers := min(int64(runtime.GOMAXPROCS(0)), max(1, m/rmatMinChunk))
+	first := func(w int) int64 { // worker w's first edge
+		return int64(w)*(m/workers) + min(int64(w), m%workers)
 	}
-	g := &Graph{n: n, m: m}
-	g.offsets = make([]int64, n+1)
-	for i := int64(0); i < n; i++ {
-		g.offsets[i+1] = g.offsets[i] + int64(deg[i])
+	// Everything is allocated here, before any worker starts.
+	src := make([]int32, m)
+	dst := make([]int32, m)
+	counts := make([]int32, workers*n) // worker w's out-degrees at [w·n, (w+1)·n)
+	g := &Graph{n: n, m: m, offsets: make([]int64, n+1), edges: make([]int32, m)}
+	start := stats.MakeRNG(seed ^ 0x724d6174) // "rMat"
+
+	runWorkers(int(workers), func(w int) {
+		lo, hi := first(w), first(w+1)
+		rng := start
+		rng.Advance(2 * uint64(levels) * uint64(lo))
+		rmatDraw(&rng, levels, src[lo:hi], dst[lo:hi], counts[int64(w)*n:][:n])
+	})
+	// Each worker's count of u becomes its cursor within u's row: the
+	// edges of u that lower workers drew — all earlier in the stream —
+	// come first.
+	for u := int64(0); u < n; u++ {
+		row := int32(0)
+		for c := u; c < int64(len(counts)); c += n {
+			row, counts[c] = row+counts[c], row
+		}
+		g.offsets[u+1] = g.offsets[u] + int64(row)
 	}
-	g.edges = make([]int32, m)
-	cursor := make([]int64, n)
-	copy(cursor, g.offsets[:n])
-	for e := int64(0); e < m; e++ {
-		u := src[e]
-		g.edges[cursor[u]] = dst[e]
-		cursor[u]++
-	}
+	runWorkers(int(workers), func(w int) {
+		lo, hi := first(w), first(w+1)
+		rmatScatter(g.offsets, g.edges, src[lo:hi], dst[lo:hi], counts[int64(w)*n:][:n])
+	})
 	// Page layout.
 	offPages := pagesFor((n + 1) * 8)
 	edgePages := pagesFor(m * 4)
@@ -154,6 +231,55 @@ func NewRMat(n int64, avgDegree int, seed uint64) *Graph {
 	g.dataPage0 = mem.PageID(offPages + edgePages)
 	g.totalPages = offPages + edgePages + dataPages
 	return g
+}
+
+// rmatDraw draws len(src) consecutive edges from rng into src and dst and
+// counts each source vertex in deg.
+func rmatDraw(rng *stats.RNG, levels uint, src, dst, deg []int32) {
+	dst = dst[:len(src)]
+	for e := range src {
+		u, v := rmatStd.edge(rng, levels)
+		src[e], dst[e] = int32(u), int32(v)
+		deg[u]++
+	}
+}
+
+// rmatScatter places the edges src/dst into their rows: edge e of source
+// u at offsets[u] + cursor[u], which then moves one slot on.
+func rmatScatter(offsets []int64, edges, src, dst, cursor []int32) {
+	dst = dst[:len(src)]
+	for e, u := range src {
+		edges[offsets[u]+int64(cursor[u])] = dst[e]
+		cursor[u]++
+	}
+}
+
+// runWorkers runs f(0), …, f(workers-1) at once, f(0) on the calling
+// goroutine, and returns when every one has: one worker is a plain call. A
+// panic in any worker is recovered where it happens and the lowest
+// worker's re-raised here after the join, so a failed build panics on its
+// caller and leaves no goroutine behind.
+func runWorkers(workers int, f func(w int)) {
+	panics := make([]any, workers)
+	run := func(w int) {
+		defer func() { panics[w] = recover() }()
+		f(w)
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // N returns the vertex count.
