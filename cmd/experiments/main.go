@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plot := fs.Bool("plot", false, "also render scatter plots for slowdown-vs-savings exhibits (7, 10, 13)")
 	par := fs.Int("parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS); output is identical at any setting")
 	push := fs.Int("push", 0, "push threads applying migrations inside each run (0 = sim default); output is identical at any setting")
-	warm := fs.Bool("warm-solver", false, "solve each window's MCKP with the warm-start incremental solver; output is identical at any setting")
 	compactBudget := fs.Int("compact-budget", 0, "pool pages each run's per-window compaction may reclaim (0 = unbounded full sweep); NOTE: a bounded budget defers reclamation, so tables differ from the default")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) while exhibits run")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the exhibits finish (for scraping a completed batch)")
@@ -56,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	experiments.SetParallelism(*par)
 	experiments.SetPushThreads(*push)
-	experiments.SetWarmSolver(*warm)
 	experiments.SetCompactBudget(*compactBudget)
 
 	if *metricsAddr != "" {

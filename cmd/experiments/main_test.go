@@ -19,6 +19,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"malformed value", []string{"-parallel", "many"}, 2, "invalid value"},
 		{"unknown exhibit", []string{"-fig", "99", "-scale", "small"}, 2, `unknown exhibit "99"`},
 		{"unknown scale", []string{"-fig", "table1", "-scale", "galactic"}, 2, `unknown scale "galactic"`},
+		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
 		{"unwritable events file", []string{"-fig", "table1", "-events", t.TempDir() + "/no/such/dir/e.jsonl"}, 1, "events file"},
 		{"help", []string{"-h"}, 0, "Usage of experiments"},
 	} {

@@ -51,9 +51,6 @@ type spec struct {
 	Prefetch      int     `json:"prefetch"`
 	CompactBudget int     `json:"compact_budget"`
 	Windows       int     `json:"-"` // the daemon runs a workload until it is detached
-	WarmSolver    bool    `json:"-"`
-	WarmEps       float64 `json:"-"`
-	WarmFull      int     `json:"-"`
 }
 
 func (s *spec) bind(fs *flag.FlagSet) {
@@ -72,9 +69,6 @@ func (s *spec) bind(fs *flag.FlagSet) {
 	fs.IntVar(&s.Prefetch, "prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
 	fs.IntVar(&s.CompactBudget, "compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
 	fs.IntVar(&s.Windows, "windows", 8, "profile windows to run")
-	fs.BoolVar(&s.WarmSolver, "warm-solver", false, "enable the warm-start incremental MCKP solver (model am; placements identical to cold at -warm-eps 0)")
-	fs.Float64Var(&s.WarmEps, "warm-eps", 0, "warm solver: relative drift tolerance for reusing a cached region class (0 = rebuild on any change)")
-	fs.IntVar(&s.WarmFull, "warm-full", 0, "warm solver: force a full re-solve every N windows (0 = default cadence)")
 }
 
 // overlay returns s with the keys of an attach document written over it.
@@ -351,9 +345,6 @@ func (s spec) model(slowTiers map[string]tierscape.TierID) (tierscape.Model, err
 	case "baseline":
 		return nil, nil
 	case "am":
-		if s.WarmSolver {
-			return tierscape.AMWarm(s.Alpha, s.WarmEps, s.WarmFull), nil
-		}
 		return tierscape.AM(s.Alpha), nil
 	case "waterfall":
 		return tierscape.WaterfallModel(s.Pct), nil

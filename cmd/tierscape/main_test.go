@@ -51,7 +51,7 @@ func TestSpecOverlay(t *testing.T) {
 			want: edit(func(s *spec) { s.Tiers = "" })},
 		{name: "unknown key", doc: `{"ops":2000,"commit_batch":32}`,
 			want: edit(func(s *spec) { s.Ops = 2000 })},
-		{name: "flag-only field", doc: `{"warm_solver":true,"WarmSolver":true,"windows":99}`, want: flags},
+		{name: "flag-only field", doc: `{"windows":99,"Windows":99}`, want: flags},
 		{name: "wrong type", doc: `{"ops":"many"}`, err: "spec.ops"},
 		{name: "not an object", doc: `[1,2]`, err: "attach spec"},
 	} {
@@ -72,17 +72,17 @@ func TestSpecOverlay(t *testing.T) {
 }
 
 // TestSpecOverlayAttaches follows the attach path to the sim.Config the
-// daemon receives: the knobs arrive as overlaid, and the error cases are
-// attach errors, not configs.
+// daemon receives: the knobs arrive as overlaid, -model am builds an
+// analytical model, and the error cases are attach errors, not configs.
 func TestSpecOverlayAttaches(t *testing.T) {
-	b := &specBuilder{defaults: flagSpec(t, "-prefetch", "5", "-ops", "3000", "-pages", "2048", "-warm-solver")}
-	build := func(doc string) (ops, prefetch int, warm bool, err error) {
+	b := &specBuilder{defaults: flagSpec(t, "-prefetch", "5", "-ops", "3000", "-pages", "2048", "-model", "am")}
+	build := func(doc string) (ops, prefetch int, am bool, err error) {
 		cfg, err := b.build(daemon.AttachSpec{Name: "kv", Spec: json.RawMessage(doc)})
 		if err != nil {
 			return 0, 0, false, err
 		}
-		am, _ := cfg.Model.(*model.Analytical)
-		return cfg.OpsPerWindow, cfg.PrefetchFaultThreshold, am != nil && am.WarmStart, nil
+		_, am = cfg.Model.(*model.Analytical)
+		return cfg.OpsPerWindow, cfg.PrefetchFaultThreshold, am, nil
 	}
 	for _, tc := range []struct {
 		doc           string
@@ -90,12 +90,12 @@ func TestSpecOverlayAttaches(t *testing.T) {
 	}{
 		{`{"commit_batch":32}`, 3000, 5},
 		{`{"ops":2000,"prefetch":0}`, 2000, 0},
-		{`{"warm_solver":false}`, 3000, 5},
+		{`{"alpha":0.5}`, 3000, 5},
 	} {
-		ops, prefetch, warm, err := build(tc.doc)
-		if err != nil || ops != tc.ops || prefetch != tc.prefetch || !warm {
-			t.Errorf("%s: ops %d prefetch %d warm %v, %v; want %d, %d and the -warm-solver flag's true",
-				tc.doc, ops, prefetch, warm, err, tc.ops, tc.prefetch)
+		ops, prefetch, am, err := build(tc.doc)
+		if err != nil || ops != tc.ops || prefetch != tc.prefetch || !am {
+			t.Errorf("%s: ops %d prefetch %d analytical %v, %v; want %d, %d and the -model am flag's *model.Analytical",
+				tc.doc, ops, prefetch, am, err, tc.ops, tc.prefetch)
 		}
 	}
 	for doc, want := range map[string]string{
@@ -141,6 +141,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"unreadable trace", []string{"-replay", filepath.Join(dir, "absent.trace")}, 2, "absent.trace"},
 		{"out-of-range page in a replayed trace", append([]string{"-replay", badTrace}, small...), 1, "page -600 outside [0, 1024)"},
 		{"daemon without a listener", []string{"-daemon"}, 2, "-metrics-addr"},
+		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
 		{"unwritable events file", append([]string{"-events", filepath.Join(dir, "no/such/dir/e.jsonl")}, small...), 1, "events file"},
 		{"unwritable windows CSV", append([]string{"-windows-csv", filepath.Join(dir, "no/such/dir/w.csv")}, small...), 1, "windows-csv file"},
 		{"run that cannot start", []string{"-windows", "0"}, 1, "must be positive"},

@@ -392,7 +392,8 @@ func (d *Daemon) Detach(name string) (*sim.Result, error) {
 // support live α changes (model.Analytical does; baseline runs have no
 // model at all). Safe mid-run by construction: α only enters the solver
 // through the per-solve knapsack budget, never the cached option
-// pricing, so the warm-start state stays valid across the change.
+// pricing, so the model's cached solver state stays valid across the
+// change.
 func (d *Daemon) SetAlpha(name string, alpha float64) error {
 	return d.do("set-alpha", func() error {
 		i := d.find(name)

@@ -37,7 +37,7 @@ type deterministicOnly struct{ obs.Recorder }
 func (deterministicOnly) RecordRuntime(obs.WindowRuntime) {}
 
 // overlapTenants builds the benchmark's daemon_multi shape at test size:
-// a drifting read-mostly cache on the warm solver, a 50 %-update store on
+// a drifting read-mostly cache on AM at α 0.3, a 50 %-update store on
 // Waterfall, a scientific kernel on AM-perf and a 4 KB-value cache on the
 // TMO baseline — four different access loops, four different control
 // loops — all recording into rec.
@@ -54,7 +54,7 @@ func overlapTenants(t *testing.T, threads int, rec obs.Recorder) (names []string
 		wl   workload.Workload
 		mdl  model.Model
 	}{
-		{"memcached-ycsb", workload.Memcached(workload.DriverYCSB, 1024, pages, 11), &model.Analytical{Alpha: 0.3, WarmStart: true}},
+		{"memcached-ycsb", workload.Memcached(workload.DriverYCSB, 1024, pages, 11), &model.Analytical{Alpha: 0.3}},
 		{"ycsb-a", ycsbA, &model.Waterfall{Pct: 25}},
 		{"xsbench", workload.NewXSBench(pages, 13), &model.Analytical{Alpha: 0.7, ModelName: "AM-perf"}},
 		{"memcached-memtier-4k", workload.Memcached(workload.DriverMemtier, 4096, pages, 14), model.TMO(ct2, 25)},

@@ -83,20 +83,6 @@ func SetCompactBudget(n int) {
 // (0 = unbounded).
 func CompactBudget() int { return int(compactBudget.Load()) }
 
-// warmSolver, when set, enables the warm-start incremental solver on
-// every analytical model the engine runs. Safe because each job owns its
-// model instance (see runJob); tables stay byte-identical either way —
-// the ε=0 warm solve is placement-identical to a cold solve, so this,
-// like SetPushThreads, is purely a wall-clock knob.
-var warmSolver atomic.Bool
-
-// SetWarmSolver enables (or disables) warm-start solving for every
-// subsequently started run's analytical models.
-func SetWarmSolver(on bool) { warmSolver.Store(on) }
-
-// WarmSolver reports whether warm-start solving is enabled.
-func WarmSolver() bool { return warmSolver.Load() }
-
 // live, when set, is attached as a Recorder to every run the engine
 // starts, so the introspection endpoints aggregate across the whole
 // experiment batch.
@@ -185,9 +171,10 @@ type managerBuilder func(workload.Workload, uint64) (*mem.Manager, error)
 // pick the common defaults: standardManager as the builder, a nil model
 // (all-DRAM baseline) and the set-wide Scale.
 //
-// Each job must hold its OWN model instance — compressibility-aware
-// Analytical models cache probes, so sharing one across concurrent jobs
-// would race. Harnesses construct models per job, never per set.
+// Each job must hold its OWN model instance — an Analytical keeps its
+// option arena and solver state (and, when compressibility-aware, its
+// probe cache) across windows, so sharing one across concurrent jobs would
+// race. Harnesses construct models per job, never per set.
 type runJob struct {
 	spec  WorkloadSpec
 	mdl   model.Model
@@ -225,13 +212,6 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 	build := j.build
 	if build == nil {
 		build = standardManager
-	}
-	if WarmSolver() {
-		// Each job holds its own model instance (see the runJob contract),
-		// so flipping the knob here cannot race across workers.
-		if am, ok := j.mdl.(*model.Analytical); ok {
-			am.WarmStart = true
-		}
 	}
 	wl, err := j.newWorkload(s)
 	if err != nil {

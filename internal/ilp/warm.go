@@ -46,13 +46,6 @@ type Delta struct {
 	Reused, Rebuilt int
 }
 
-// Reset drops all cached state; the next Solve is cold.
-func (s *SolveState) Reset() {
-	s.hulls = nil
-	s.classIncs = nil
-	s.incs = s.incs[:0]
-}
-
 // rebuildClass recomputes class i's hull and increment run from p.
 func (s *SolveState) rebuildClass(p Problem, i int) {
 	s.hulls[i], s.scratch = hullInto(p.Classes[i], s.hulls[i], s.scratch)

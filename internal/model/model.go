@@ -19,6 +19,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tierscape/internal/ilp"
 	"tierscape/internal/mem"
@@ -30,9 +31,10 @@ import (
 // SolveStats describes how the analytical model's solve went — warm-start
 // reuse and infeasibility fallbacks. Threshold models leave it zero.
 type SolveStats struct {
-	// WarmHit is true when the warm-start solver repaired cached state
-	// incrementally rather than rebuilding every class (periodic full
-	// re-solves and the first window report false).
+	// WarmHit is true when the greedy solver repaired the previous
+	// window's state incrementally rather than rebuilding every class (a
+	// fresh or reshaped model's first window, and exact solves, report
+	// false).
 	WarmHit bool
 	// ClassesReused and ClassesRebuilt count per-region MCKP classes whose
 	// cached hulls were kept vs recomputed this window.
@@ -161,6 +163,12 @@ const (
 )
 
 // Analytical is §6.2's model: an MCKP per window.
+//
+// An instance is per-run state. Every Recommend prices each region into a
+// persistent option arena and hands the solver only the regions whose
+// priced row changed since the previous window, so do not share one
+// instance across concurrent simulations. A fresh instance, or one whose
+// region or tier count changed since its last window, solves cold.
 type Analytical struct {
 	// Alpha is the TCO/performance knob in [0,1] (§6.3): 1 = maximum
 	// performance (no TCO pressure), 0 = maximum TCO savings.
@@ -178,47 +186,25 @@ type Analytical struct {
 	// each tier's codec, so incompressible regions are routed to
 	// byte-addressable tiers and highly-compressible ones to dense tiers.
 	// Probes are cached; their compression cost is charged to SolverNs.
-	// The probe cache makes an aware Analytical stateful: do not share one
-	// instance across concurrent simulations (blind instances are
-	// stateless and safe to share).
 	CompressibilityAware bool
-	// ProbePages is how many pages per region a probe compresses (default 2).
-	ProbePages int
-	// WarmStart enables the warm-start incremental solver: the model keeps
-	// an ilp.SolveState plus an option arena across windows and rebuilds
-	// only the classes whose priced options drifted beyond WarmEpsilon,
-	// instead of reallocating and re-solving the full problem every window.
-	// At WarmEpsilon=0 warm runs are placement-identical (bitwise) to cold
-	// runs. Only the greedy solver supports warm start; SolverExact ignores
-	// it. Like CompressibilityAware, this makes the instance stateful: do
-	// not share one across concurrent simulations.
-	WarmStart bool
-	// WarmEpsilon is the relative drift tolerance for reusing a cached
-	// class: 0 (the default) rebuilds a class on any bitwise change to its
-	// options — exact; >0 tolerates relative drift in each option's cost
-	// and weight up to ε, trading bounded staleness for more reuse.
-	WarmEpsilon float64
-	// WarmFullEvery forces a full rebuild every k-th window as a safety net
-	// bounding ε-drift accumulation (<=0 uses DefaultWarmFullEvery).
-	WarmFullEvery int
 
 	ratioCache map[ratioKey]float64
 	warm       *warmState
 }
 
-// DefaultWarmFullEvery is the default periodic full re-solve cadence.
-const DefaultWarmFullEvery = 64
+// probePages is how many pages per region a compressibility probe
+// compresses.
+const probePages = 2
 
-// warmState is the warm-start cache: a flat option arena holding the
-// previous window's priced classes, the per-window dirty mask, and the
-// persistent solver state.
+// warmState is the state an Analytical keeps across windows: a flat option
+// arena holding the previous window's priced classes, the per-window dirty
+// mask, and the greedy solver's persistent state.
 type warmState struct {
 	arena   []ilp.Option   // flat backing, nRegions × nTiers
 	classes [][]ilp.Option // views into arena, one per region
 	dirty   []bool
-	row     []ilp.Option // scratch row for drift comparison
+	row     []ilp.Option // scratch row for the change check
 	state   ilp.SolveState
-	solves  int // windows since this state was (re)built
 }
 
 type ratioKey struct {
@@ -236,11 +222,7 @@ func (a *Analytical) regionRatio(m *mem.Manager, r mem.RegionID, codec string) (
 	if v, ok := a.ratioCache[k]; ok {
 		return v, 0
 	}
-	probes := a.ProbePages
-	if probes <= 0 {
-		probes = 2
-	}
-	ratio, err := m.SampleRegionRatio(r, codec, probes)
+	ratio, err := m.SampleRegionRatio(r, codec, probePages)
 	if err != nil {
 		ratio = tco.DefaultRatio
 	}
@@ -248,7 +230,7 @@ func (a *Analytical) regionRatio(m *mem.Manager, r mem.RegionID, codec string) (
 		ratio = 1
 	}
 	a.ratioCache[k] = ratio
-	return ratio, float64(probes) * ztier.CompressNs(codec, mem.PageSize)
+	return ratio, probePages * ztier.CompressNs(codec, mem.PageSize)
 }
 
 // RemoteRTTNs is the modeled round trip to a remote solver (Figure 14's
@@ -256,12 +238,12 @@ func (a *Analytical) regionRatio(m *mem.Manager, r mem.RegionID, codec string) (
 const RemoteRTTNs = 200_000
 
 // SetAlpha retunes the TCO/performance knob between windows — the
-// resident daemon's runtime α command. Safe with warm start: α enters the
-// solve only through the TCO budget (Eq. 10 via tco.Budget), never the
-// per-class option pricing, and the warm solver re-walks the greedy
-// frontier against the fresh budget every solve, so cached hulls stay
-// valid across α changes. Not safe concurrently with Recommend — call it
-// from the thread driving the control loop.
+// resident daemon's runtime α command. α enters the solve only through
+// the TCO budget (Eq. 10 via tco.Budget), never the per-class option
+// pricing, and the solver re-walks the greedy frontier against the fresh
+// budget every solve, so cached hulls stay valid across α changes. Not
+// safe concurrently with Recommend — call it from the thread driving the
+// control loop.
 func (a *Analytical) SetAlpha(alpha float64) error {
 	if alpha < 0 || alpha > 1 || math.IsNaN(alpha) {
 		return fmt.Errorf("model: alpha must be in [0,1], got %v", alpha)
@@ -334,35 +316,17 @@ func (a *Analytical) Recommend(m *mem.Manager, prof telemetry.Profile) Recommend
 		}
 	}
 
-	var stats SolveStats
-	var problem ilp.Problem
-	var dirty []bool
-	warmFull := false
-	useWarm := a.WarmStart && a.Solver != SolverExact && nRegions > 0
-	if useWarm {
-		dirty, warmFull = a.prepareWarm(nRegions, len(tiers), priceRow)
-		problem = ilp.Problem{Classes: a.warm.classes}
-	} else {
-		classes := make([][]ilp.Option, nRegions)
-		for r := int64(0); r < nRegions; r++ {
-			opts := make([]ilp.Option, len(tiers))
-			priceRow(r, opts)
-			classes[r] = opts
-		}
-		problem = ilp.Problem{Classes: classes}
-	}
-	problem.Budget = tco.Budget(m, ratios, a.Alpha)
+	dirty := a.price(nRegions, len(tiers), priceRow)
+	problem := ilp.Problem{Classes: a.warm.classes, Budget: tco.Budget(m, ratios, a.Alpha)}
 
+	var stats SolveStats
 	var sol ilp.Solution
 	var delta ilp.Delta
 	var err error
-	switch {
-	case a.Solver == SolverExact:
+	if a.Solver == SolverExact {
 		sol, err = ilp.SolveExact(problem, 2_000_000)
-	case useWarm:
+	} else {
 		sol, delta, err = a.warm.state.Solve(problem, dirty)
-	default:
-		sol, err = ilp.SolveGreedy(problem)
 	}
 	if err != nil {
 		// The problem is structurally valid by construction; an error here
@@ -390,27 +354,24 @@ func (a *Analytical) Recommend(m *mem.Manager, prof telemetry.Profile) Recommend
 	if a.Remote {
 		tax += RemoteRTTNs
 	}
-	if useWarm {
-		stats.WarmHit = delta.Warm && !warmFull
-		stats.ClassesReused = delta.Reused
-		stats.ClassesRebuilt = delta.Rebuilt
-		if n := delta.Reused + delta.Rebuilt; n > 0 {
-			stats.RebuildNs = solveNs * float64(delta.Rebuilt) / float64(n)
-			stats.RepairNs = solveNs - stats.RebuildNs
-		}
+	stats.WarmHit = delta.Warm
+	stats.ClassesReused = delta.Reused
+	stats.ClassesRebuilt = delta.Rebuilt
+	if n := delta.Reused + delta.Rebuilt; n > 0 {
+		stats.RebuildNs = solveNs * float64(delta.Rebuilt) / float64(n)
+		stats.RepairNs = solveNs - stats.RebuildNs
 	}
 	return Recommendation{Dest: dest, SolverNs: tax, Solve: stats}
 }
 
-// prepareWarm prices every region into the warm arena, marking dirty the
-// classes whose options drifted beyond WarmEpsilon since the previous
-// window, and returns the dirty mask plus whether this window is a forced
-// full rebuild (fresh or reshaped state, or the periodic safety net).
-// After a reshape the returned mask is nil, forcing a cold solve.
-func (a *Analytical) prepareWarm(nRegions int64, nTiers int, priceRow func(int64, []ilp.Option)) ([]bool, bool) {
+// price prices every region into the option arena and returns the dirty
+// mask: a region is dirty when its freshly priced row differs from the
+// cached one. A fresh model, or one whose region or tier count changed,
+// gets a new arena and a nil mask, which the solver takes as a cold solve.
+func (a *Analytical) price(nRegions int64, nTiers int, priceRow func(int64, []ilp.Option)) []bool {
 	w := a.warm
-	reshape := w == nil || int64(len(w.classes)) != nRegions || len(w.row) != nTiers
-	if reshape {
+	cold := w == nil || int64(len(w.classes)) != nRegions || len(w.row) != nTiers
+	if cold {
 		w = &warmState{
 			arena:   make([]ilp.Option, nRegions*int64(nTiers)),
 			classes: make([][]ilp.Option, nRegions),
@@ -422,59 +383,17 @@ func (a *Analytical) prepareWarm(nRegions int64, nTiers int, priceRow func(int64
 		}
 		a.warm = w
 	}
-	fullEvery := a.WarmFullEvery
-	if fullEvery <= 0 {
-		fullEvery = DefaultWarmFullEvery
-	}
-	full := reshape || w.solves%fullEvery == 0
-	w.solves++
 	for r := int64(0); r < nRegions; r++ {
 		priceRow(r, w.row)
-		if full || rowDrifted(w.classes[r], w.row, a.WarmEpsilon) {
+		w.dirty[r] = cold || !slices.Equal(w.classes[r], w.row)
+		if w.dirty[r] {
 			copy(w.classes[r], w.row)
-			w.dirty[r] = true
-		} else {
-			w.dirty[r] = false
 		}
 	}
-	if reshape {
-		return nil, true
+	if cold {
+		return nil
 	}
-	return w.dirty, full
-}
-
-// rowDrifted reports whether a freshly priced class moved beyond eps
-// relative to the cached one. eps<=0 demands bitwise equality for reuse —
-// the setting under which warm runs are placement-identical to cold runs.
-// With eps>0 the comparison is per-option relative drift of cost and
-// weight, which for this pricing is exactly relative drift of the
-// region's estimated accesses and of its per-tier compression ratios.
-func rowDrifted(cached, fresh []ilp.Option, eps float64) bool {
-	for j := range fresh {
-		if eps <= 0 {
-			if cached[j] != fresh[j] {
-				return true
-			}
-			continue
-		}
-		if relDiff(cached[j].Cost, fresh[j].Cost) > eps ||
-			relDiff(cached[j].Weight, fresh[j].Weight) > eps {
-			return true
-		}
-	}
-	return false
-}
-
-// relDiff is |a-b| scaled by the larger magnitude (0 when both are 0).
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	den := math.Max(math.Abs(a), math.Abs(b))
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / den
+	return w.dirty
 }
 
 // HeMem returns the HeMem* baseline: DRAM + NVMM threshold tiering.

@@ -11,8 +11,9 @@ import (
 
 // benchRecommend measures Analytical.Recommend over a slowly-drifting
 // 64-region profile (4 regions churn per window) against the paper's
-// standard tier mix — the warm solver's target workload shape.
-func benchRecommend(b *testing.B, warm bool) {
+// standard tier mix. persistent keeps one model across windows; otherwise
+// every window is solved by a fresh model, the cold solve.
+func benchRecommend(b *testing.B, persistent bool) {
 	const regions = 64
 	m, err := mem.NewManager(mem.Config{
 		NumPages:        regions * mem.RegionPages,
@@ -24,12 +25,17 @@ func benchRecommend(b *testing.B, warm bool) {
 		b.Fatal(err)
 	}
 	profs := driftProfiles(regions, 32, 4)
-	am := &Analytical{Alpha: 0.3, WarmStart: warm}
-	am.Recommend(m, profs[0]) // prime caches outside the timed loop
+	am := &Analytical{Alpha: 0.3}
+	am.Recommend(m, profs[0]) // prime the persistent state outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		am.Recommend(m, profs[1+i%(len(profs)-1)])
+		prof := profs[1+i%(len(profs)-1)]
+		if persistent {
+			am.Recommend(m, prof)
+		} else {
+			(&Analytical{Alpha: 0.3}).Recommend(m, prof)
+		}
 	}
 }
 

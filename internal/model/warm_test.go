@@ -1,6 +1,8 @@
 package model
 
 import (
+	"maps"
+	"math"
 	"reflect"
 	"testing"
 
@@ -31,94 +33,79 @@ func driftProfiles(regions, windows, churn int) []telemetry.Profile {
 	return profs
 }
 
-// TestWarmRecommendMatchesCold drives warm and cold analytical models over
-// the same drifting profile sequence and demands identical placements —
-// the ε=0 bitwise-identity contract.
+// fresh returns a copy of a with no solver state, so its next Recommend is
+// the cold solve of that window. The probe cache is copied, not shared: a
+// probe's cost is charged on a cache miss, and both models must see the
+// same misses.
+func fresh(a *Analytical) *Analytical {
+	c := *a
+	c.warm = nil
+	c.ratioCache = maps.Clone(a.ratioCache)
+	return &c
+}
+
+// reshapedDrift is a window sequence whose region count changes twice:
+// drifting windows over 24 regions, then 20, then 24 again. It returns
+// each window's manager and profile.
+func reshapedDrift(t *testing.T) ([]*mem.Manager, []telemetry.Profile) {
+	var ms []*mem.Manager
+	var profs []telemetry.Profile
+	for _, ph := range []struct{ regions, windows int }{{24, 8}, {20, 5}, {24, 4}} {
+		m := standardManager(t, int64(ph.regions))
+		for _, p := range driftProfiles(ph.regions, ph.windows, 3) {
+			ms = append(ms, m)
+			profs = append(profs, p)
+		}
+	}
+	return ms, profs
+}
+
+// TestWarmRecommendMatchesCold is the incremental solve's oracle: a model
+// that keeps its state across drifting windows, through two changes of
+// region count, must place every region and charge every solve exactly as
+// a fresh model solving each window cold — at α 0, 0.3 and 1, blind and
+// compressibility-aware, greedy and exact. The last schedule steps α 0.3 →
+// 0.7 → 0.1 between windows, the daemon's runtime α command: α enters only
+// the budget, so hulls cached under one α must stay valid under the next.
 func TestWarmRecommendMatchesCold(t *testing.T) {
-	m := standardManager(t, 24)
-	profs := driftProfiles(24, 12, 3)
-	for _, alpha := range []float64{0, 0.3, 1} {
-		cold := &Analytical{Alpha: alpha}
-		warm := &Analytical{Alpha: alpha, WarmStart: true, WarmFullEvery: 5}
-		sawHit := false
-		for w, prof := range profs {
-			rc := cold.Recommend(m, prof)
-			rw := warm.Recommend(m, prof)
-			if !reflect.DeepEqual(rc.Dest, rw.Dest) {
-				t.Fatalf("α=%v window %d: warm dest %v != cold dest %v", alpha, w, rw.Dest, rc.Dest)
-			}
-			if rc.SolverNs != rw.SolverNs {
-				t.Fatalf("α=%v window %d: warm SolverNs %v != cold %v", alpha, w, rw.SolverNs, rc.SolverNs)
-			}
-			if w == 0 {
-				if rw.Solve.WarmHit || rw.Solve.ClassesRebuilt != 24 {
-					t.Fatalf("window 0 should be a full build, got %+v", rw.Solve)
+	ms, profs := reshapedDrift(t)
+	for _, schedule := range [][]float64{{0}, {0.3}, {1}, {0.3, 0.7, 0.1}} {
+		for _, aware := range []bool{false, true} {
+			for _, solver := range []SolverKind{SolverGreedy, SolverExact} {
+				a := &Analytical{CompressibilityAware: aware, Solver: solver}
+				hits := 0
+				for w, prof := range profs {
+					if err := a.SetAlpha(schedule[w%len(schedule)]); err != nil {
+						t.Fatal(err)
+					}
+					want := fresh(a).Recommend(ms[w], prof)
+					got := a.Recommend(ms[w], prof)
+					if !reflect.DeepEqual(got.Dest, want.Dest) {
+						t.Fatalf("α %v aware=%v solver %d window %d: persistent dest %v != fresh dest %v",
+							schedule, aware, solver, w, got.Dest, want.Dest)
+					}
+					if math.Float64bits(got.SolverNs) != math.Float64bits(want.SolverNs) {
+						t.Fatalf("α %v aware=%v solver %d window %d: persistent SolverNs %v != fresh %v",
+							schedule, aware, solver, w, got.SolverNs, want.SolverNs)
+					}
+					if got.Solve.WarmHit {
+						hits++
+						if got.Solve.ClassesReused == 0 || got.Solve.RebuildNs+got.Solve.RepairNs == 0 {
+							t.Fatalf("window %d: warm hit without reuse or a solve split: %+v", w, got.Solve)
+						}
+					}
 				}
-			} else if rw.Solve.WarmHit {
-				sawHit = true
-				if rw.Solve.ClassesReused == 0 {
-					t.Fatalf("warm hit with zero reused classes: %+v", rw.Solve)
+				// Greedy: every window but the first of each region count is
+				// warm. Exact: none is.
+				want := len(profs) - 3
+				if solver == SolverExact {
+					want = 0
 				}
-				if rw.Solve.RebuildNs+rw.Solve.RepairNs != ilpSolveNsOf(rw) {
-					t.Fatalf("rebuild+repair split does not sum to solve ns: %+v", rw.Solve)
+				if hits != want {
+					t.Fatalf("α %v aware=%v solver %d: %d warm hits, want %d", schedule, aware, solver, hits, want)
 				}
 			}
 		}
-		if !sawHit {
-			t.Fatalf("α=%v: no warm hit across %d drifting windows", alpha, len(profs))
-		}
-	}
-}
-
-// ilpSolveNsOf recovers the pure solve component (SolverNs minus probe and
-// RTT taxes) for a blind, local model — which is SolverNs itself.
-func ilpSolveNsOf(r Recommendation) float64 { return r.SolverNs }
-
-// TestWarmFullResolvesCadence checks the periodic safety net: every k-th
-// window rebuilds all classes and reports WarmHit=false.
-func TestWarmFullResolveCadence(t *testing.T) {
-	const regions = 8
-	m := standardManager(t, regions)
-	prof := profileWith(make([]float64, regions)) // static: maximal reuse
-	warm := &Analytical{Alpha: 0.5, WarmStart: true, WarmFullEvery: 3}
-	for w := 0; w < 9; w++ {
-		rec := warm.Recommend(m, prof)
-		wantFull := w%3 == 0
-		if wantFull {
-			if rec.Solve.WarmHit || rec.Solve.ClassesRebuilt != regions {
-				t.Fatalf("window %d: want full rebuild, got %+v", w, rec.Solve)
-			}
-		} else {
-			if !rec.Solve.WarmHit || rec.Solve.ClassesReused != regions {
-				t.Fatalf("window %d: want full reuse, got %+v", w, rec.Solve)
-			}
-		}
-	}
-}
-
-// TestWarmEpsilonTolerantReuse checks ε>0 semantics: sub-ε hotness drift
-// reuses the cached class; beyond-ε drift rebuilds it.
-func TestWarmEpsilonTolerantReuse(t *testing.T) {
-	const regions = 8
-	m := standardManager(t, regions)
-	base := make([]float64, regions)
-	for r := range base {
-		base[r] = 100
-	}
-	warm := &Analytical{Alpha: 0.5, WarmStart: true, WarmEpsilon: 0.05, WarmFullEvery: 1 << 30}
-	warm.Recommend(m, profileWith(append([]float64(nil), base...)))
-
-	drift := append([]float64(nil), base...)
-	drift[2] *= 1.01 // 1% — inside ε
-	rec := warm.Recommend(m, profileWith(drift))
-	if !rec.Solve.WarmHit || rec.Solve.ClassesRebuilt != 0 {
-		t.Fatalf("sub-ε drift should fully reuse, got %+v", rec.Solve)
-	}
-
-	drift[2] = base[2] * 1.5 // 50% — beyond ε
-	rec = warm.Recommend(m, profileWith(drift))
-	if !rec.Solve.WarmHit || rec.Solve.ClassesRebuilt != 1 || rec.Solve.ClassesReused != regions-1 {
-		t.Fatalf("beyond-ε drift should rebuild exactly one class, got %+v", rec.Solve)
 	}
 }
 

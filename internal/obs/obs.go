@@ -122,10 +122,10 @@ type WindowSnapshot struct {
 	// DroppedPressure/DroppedCapacity/DroppedBudget echo the migration
 	// filter's per-window drop counters (§6.7).
 	DroppedPressure, DroppedCapacity, DroppedBudget int
-	// WarmHit reports that the analytical model's warm-start solver
+	// WarmHit reports that the analytical model's greedy solver
 	// repaired cached state incrementally this window instead of
-	// rebuilding every class. Deterministic: a function of profile drift
-	// and the configured ε/full-resolve cadence, never of wall time.
+	// rebuilding every class. Deterministic: a function of profile drift,
+	// never of wall time.
 	WarmHit bool `json:",omitempty"`
 	// ClassesReused and ClassesRebuilt count the per-region MCKP classes
 	// the warm-start solver kept vs recomputed this window.
@@ -133,8 +133,8 @@ type WindowSnapshot struct {
 	ClassesRebuilt int `json:",omitempty"`
 	// SolverRebuildNs and SolverRepairNs split the modeled solve time
 	// between rebuilding dirty classes and repairing the global solution.
-	// They sum to SolverNs minus the probe/RTT taxes on warm-start runs
-	// and are zero (omitted) on cold runs.
+	// They sum to SolverNs minus the probe/RTT taxes on greedy analytical
+	// runs and are zero (omitted) for every other model.
 	SolverRebuildNs float64 `json:",omitempty"`
 	SolverRepairNs  float64 `json:",omitempty"`
 	// SolverFallbacks counts solves whose primary solution was over

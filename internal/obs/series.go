@@ -93,7 +93,7 @@ var seriesTable = [...]*series{
 		}},
 	{key: "classes_reused", family: "solver_classes_reused_total", help: "MCKP classes reused from the warm-start cache.",
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.ClassesReused) }},
-	{key: "classes_rebuilt", family: "solver_classes_rebuilt_total", help: "MCKP classes rebuilt after drifting beyond epsilon.",
+	{key: "classes_rebuilt", family: "solver_classes_rebuilt_total", help: "MCKP classes rebuilt because their priced options changed.",
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.ClassesRebuilt) }},
 	solverFallbacksSeries,
 	{key: "pingpong_moves", family: "pingpong_moves_total", help: "Applied region moves that reversed the region's previous direction (thrash signal).",

@@ -15,6 +15,7 @@ import (
 	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/policy"
+	"tierscape/internal/telemetry"
 	"tierscape/internal/workload"
 	"tierscape/internal/ztier"
 )
@@ -94,10 +95,11 @@ func TestConcurrentObsStreamDeterminism(t *testing.T) {
 	}
 }
 
-// stripWarmDiagnostics returns a copy of windows with the warm-start
-// diagnostic fields zeroed. These fields intentionally differ between warm
-// and cold runs (that is what they report); everything else — placements,
-// virtual clocks, TCO, migration matrices — must be bitwise identical.
+// stripWarmDiagnostics returns a copy of windows with the incremental
+// solve's diagnostic fields zeroed. These fields differ between a
+// persistent model and a cold one (that is what they report); everything
+// else — placements, virtual clocks, TCO, migration matrices — must be
+// bitwise identical.
 func stripWarmDiagnostics(windows []WindowRecord) []WindowRecord {
 	out := append([]WindowRecord(nil), windows...)
 	for i := range out {
@@ -110,21 +112,29 @@ func stripWarmDiagnostics(windows []WindowRecord) []WindowRecord {
 	return out
 }
 
+// coldAM solves every window with a copy of a zero-state Analytical: the
+// cold solve a persistent model must match.
+type coldAM struct{ zero model.Analytical }
+
+func (c coldAM) Name() string { return c.zero.Name() }
+
+func (c coldAM) Recommend(m *mem.Manager, prof telemetry.Profile) model.Recommendation {
+	a := c.zero
+	return a.Recommend(m, prof)
+}
+
 // TestConcurrentWarmObsStreamDeterminism extends the determinism contract
-// to the warm-start solver: warm runs must be byte-identical across
-// PushThreads like cold runs, and — at ε=0 — produce the same placements,
-// virtual clocks and move streams as a cold solve, differing only in the
-// warm diagnostic fields. Runs under -race in CI (the Concurrent suite)
-// and in the solver determinism re-run (the Warm suite).
+// to the incremental solve: a persistent analytical model's runs must be
+// byte-identical across PushThreads, and must produce the same placements,
+// virtual clocks and move streams as a model that solves every window
+// cold, differing only in the warm diagnostic fields. Runs under -race in
+// CI (the Concurrent suite).
 func TestConcurrentWarmObsStreamDeterminism(t *testing.T) {
-	warmModel := func() model.Model {
-		return &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO", WarmStart: true, WarmFullEvery: 3}
-	}
-	coldModel := func() model.Model {
+	persistent := func() model.Model {
 		return &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}
 	}
 
-	baseRes, baseCap, baseStream := obsRun(t, warmModel(), 1)
+	baseRes, baseCap, baseStream := obsRun(t, persistent(), 1)
 	sawHit := false
 	for _, w := range baseRes.Windows {
 		if w.WarmHit {
@@ -138,30 +148,33 @@ func TestConcurrentWarmObsStreamDeterminism(t *testing.T) {
 		t.Fatal("no window reported a warm hit; warm determinism test is vacuous")
 	}
 
-	// Warm runs obey the push-thread byte-identity contract.
 	for _, threads := range []int{2, 8} {
-		res, cp, stream := obsRun(t, warmModel(), threads)
+		res, cp, stream := obsRun(t, persistent(), threads)
 		if !reflect.DeepEqual(res, baseRes) {
-			t.Fatalf("warm PushThreads=%d Result differs from PushThreads=1", threads)
+			t.Fatalf("PushThreads=%d Result differs from PushThreads=1", threads)
 		}
 		if !reflect.DeepEqual(cp.Moves, baseCap.Moves) {
-			t.Fatalf("warm PushThreads=%d move events differ", threads)
+			t.Fatalf("PushThreads=%d move events differ", threads)
 		}
 		if !bytes.Equal(stream, baseStream) {
-			t.Fatalf("warm PushThreads=%d JSONL stream is not byte-identical", threads)
+			t.Fatalf("PushThreads=%d JSONL stream is not byte-identical", threads)
 		}
 	}
 
-	// Warm vs cold: identical up to the warm diagnostic fields.
-	coldRes, coldCap, _ := obsRun(t, coldModel(), 1)
+	coldRes, coldCap, _ := obsRun(t, coldAM{zero: model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}}, 1)
+	for _, w := range coldRes.Windows {
+		if w.WarmHit {
+			t.Fatalf("window %d: the cold model reported a warm hit", w.Window)
+		}
+	}
 	if !reflect.DeepEqual(stripWarmDiagnostics(baseRes.Windows), stripWarmDiagnostics(coldRes.Windows)) {
-		t.Fatal("warm run windows differ from cold beyond the diagnostic fields")
+		t.Fatal("persistent model's windows differ from cold beyond the diagnostic fields")
 	}
 	if !reflect.DeepEqual(baseCap.Moves, coldCap.Moves) {
-		t.Fatal("warm run move events differ from cold")
+		t.Fatal("persistent model's move events differ from cold")
 	}
 	if baseRes.FinalTCO != coldRes.FinalTCO || baseRes.AppNs != coldRes.AppNs {
-		t.Fatalf("warm aggregates differ from cold: TCO %v vs %v, AppNs %v vs %v",
+		t.Fatalf("persistent aggregates differ from cold: TCO %v vs %v, AppNs %v vs %v",
 			baseRes.FinalTCO, coldRes.FinalTCO, baseRes.AppNs, coldRes.AppNs)
 	}
 }

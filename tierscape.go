@@ -150,7 +150,8 @@ const (
 	StdCT2  = TierID(3)
 )
 
-// Placement models.
+// Placement models. An analytical model keeps its solver state across
+// windows: use each returned model for one simulation at a time.
 
 // AMTCO returns the analytical model tuned for TCO savings (α=0.3 — the
 // paper does not publish its AM-TCO α; 0.3 reproduces its reported regime
@@ -164,15 +165,12 @@ func AMPerf() Model { return &model.Analytical{Alpha: 0.7, ModelName: "AM-perf"}
 // AM returns the analytical model at an arbitrary knob α ∈ [0,1].
 func AM(alpha float64) Model { return &model.Analytical{Alpha: alpha} }
 
-// AMWarm returns the analytical model with the warm-start incremental
-// solver enabled: per-region MCKP classes whose inputs drifted less than
-// eps (relative) are reused across windows, with a forced full re-solve
-// every fullEvery windows (<=0 uses the default cadence). eps=0 rebuilds
-// on any change, making warm runs placement-identical to cold ones. The
-// returned model is stateful — use one instance per simulation.
-func AMWarm(alpha, eps float64, fullEvery int) Model {
-	return &model.Analytical{Alpha: alpha, WarmStart: true, WarmEpsilon: eps, WarmFullEvery: fullEvery}
-}
+// AMWarm returns AM(alpha): every analytical model keeps its solver state
+// across windows, so eps and fullEvery are ignored.
+//
+// Deprecated: use AM. AMWarm stays only for the benchmark's workload
+// table; the benchmark change of ROADMAP.md item 3 deletes it.
+func AMWarm(alpha, eps float64, fullEvery int) Model { return AM(alpha) }
 
 // WaterfallModel returns the §6.1 waterfall model at the given hotness
 // percentile threshold (25 = conservative, 75 = aggressive).
