@@ -10,11 +10,11 @@ import (
 // standing in for the kernel's deflate crypto-API compressor. It is the
 // highest-ratio / highest-latency codec class in the paper's Table 1.
 //
-// The codec itself holds no state: a flate.Writer is ~0.8 MB of hash tables
-// and a flate reader ~40 KB, both reusable through Reset, and they live in
-// the caller's Scratch. The stateless Compress/Decompress build a
-// throwaway one per call — correct, lock-free and slow; anything that
-// handles pages in volume owns a Scratch.
+// The codec itself holds no state: a flate.Writer is ~0.8 MB of hash tables,
+// reusable through Reset, and it lives in the caller's Scratch. The
+// stateless Compress builds a throwaway one per call — correct, lock-free
+// and slow; anything that compresses pages in volume owns a Scratch.
+// Decompress builds a throwaway reader (~40 KB) per call.
 type Deflate struct {
 	name  string
 	level int
@@ -26,13 +26,11 @@ func NewDeflate() *Deflate { return &Deflate{name: "deflate", level: 6} }
 // Name implements Codec.
 func (d *Deflate) Name() string { return d.name }
 
-// flateState is a flate writer and reader with their I/O adapters, each
-// created on first use and Reset per block.
+// flateState is a flate writer and its output adapter, created on first
+// use and Reset per block.
 type flateState struct {
 	w   *flate.Writer
 	out sliceWriter
-	r   io.ReadCloser // also a flate.Resetter
-	in  bytes.Reader
 }
 
 // sliceWriter appends to a byte slice, so the writer emits straight into
@@ -85,27 +83,13 @@ func (st *flateState) compress(level int, dst, src []byte) []byte {
 
 // Decompress implements Codec.
 func (d *Deflate) Decompress(dst, src []byte) ([]byte, error) {
-	var st flateState
-	return st.decompress(dst, src)
-}
-
-func (d *Deflate) decompressScratch(s *Scratch, dst, src []byte) ([]byte, error) {
-	return s.flateState().decompress(dst, src)
-}
-
-func (st *flateState) decompress(dst, src []byte) ([]byte, error) {
-	st.in.Reset(src)
-	if st.r == nil {
-		st.r = flate.NewReader(&st.in)
-	} else if err := st.r.(flate.Resetter).Reset(&st.in, nil); err != nil {
-		return dst, ErrCorrupt
-	}
+	r := flate.NewReader(bytes.NewReader(src))
 	out := dst
 	for {
 		if len(out) == cap(out) {
 			out = append(out, 0)[:len(out)]
 		}
-		n, err := st.r.Read(out[len(out):cap(out)])
+		n, err := r.Read(out[len(out):cap(out)])
 		out = out[:len(out)+n]
 		if err == io.EOF {
 			return out, nil

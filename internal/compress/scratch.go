@@ -1,13 +1,13 @@
 package compress
 
-// Scratch is one owner's reusable codec working state: the lz4 and
-// zstd-class encoders' tables and buffers, the zstd-class decoder's
-// streams and Huffman tables, lz4hc's chain, the 842 dictionaries, and a
-// flate writer and reader. It models
-// the per-CPU compression contexts the kernel's zswap keeps
-// (crypto_acomp): state that makes a page cheaper to compress without
-// carrying anything from one page to the next, so output bytes are those
-// of the stateless Codec methods.
+// Scratch is one owner's reusable encoder state: the lz4 and zstd-class
+// encoders' tables and buffers, lz4hc's chain, the 842 dictionaries, and a
+// flate writer. It models the per-CPU compression contexts the kernel's
+// zswap keeps (crypto_acomp): state that makes a page cheaper to compress
+// without carrying anything from one page to the next, so output bytes
+// are those of the stateless Codec methods. Nothing decodes pages in
+// volume, so a Scratch holds no decoder: decompression is the stateless
+// Codec.Decompress.
 //
 // The zero value is ready; each codec's state is created on first use.
 // A nil *Scratch is valid and falls back to the stateless methods. A
@@ -15,22 +15,17 @@ package compress
 // a time (a push thread, a tier's fused store path under the tier lock) —
 // and is garbage once its owner is.
 type Scratch struct {
-	lz4     *lz4Encoder
-	lz4hc   lz4hcEncoder
-	b842    *b842Dict
-	zstd    *zstdEncoder
-	zstdDec *zstdDecoder
-	flate   *flateState
+	lz4   *lz4Encoder
+	lz4hc lz4hcEncoder
+	b842  *b842Dict
+	zstd  *zstdEncoder
+	flate *flateState
 }
 
-// scratchCompressor and scratchDecompressor are implemented by the codecs
-// that have state worth keeping; the rest are stateless already.
+// scratchCompressor is implemented by the codecs that have state worth
+// keeping; the rest are stateless already.
 type scratchCompressor interface {
 	compressScratch(s *Scratch, dst, src []byte) []byte
-}
-
-type scratchDecompressor interface {
-	decompressScratch(s *Scratch, dst, src []byte) ([]byte, error)
 }
 
 // Compress is c.Compress(dst, src) reusing s's state for c.
@@ -39,12 +34,4 @@ func (s *Scratch) Compress(c Codec, dst, src []byte) []byte {
 		return sc.compressScratch(s, dst, src)
 	}
 	return c.Compress(dst, src)
-}
-
-// Decompress is c.Decompress(dst, src) reusing s's state for c.
-func (s *Scratch) Decompress(c Codec, dst, src []byte) ([]byte, error) {
-	if sd, ok := c.(scratchDecompressor); ok && s != nil {
-		return sd.decompressScratch(s, dst, src)
-	}
-	return c.Decompress(dst, src)
 }

@@ -181,17 +181,10 @@ type zstdDecoder struct {
 const zstdMaxMatch = 1 << 24
 
 // Decompress implements Codec with a throwaway decoder on the caller's
-// stack; owners that decompress many pages reuse one through Scratch.
+// stack.
 func (*Zstd2) Decompress(dst, src []byte) ([]byte, error) {
 	var d zstdDecoder
 	return d.decompress(dst, src)
-}
-
-func (*Zstd2) decompressScratch(s *Scratch, dst, src []byte) ([]byte, error) {
-	if s.zstdDec == nil {
-		s.zstdDec = new(zstdDecoder)
-	}
-	return s.zstdDec.decompress(dst, src)
 }
 
 func (d *zstdDecoder) decompress(dst, src []byte) ([]byte, error) {

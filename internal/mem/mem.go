@@ -6,10 +6,13 @@
 // The manager is the kernel-side analogue of the paper's Linux changes
 // (§7.1): it tracks each page's tier (the struct-page tier_id field),
 // performs demotion/promotion migrations at region granularity, handles
-// faults on compressed pages (decompress + place in DRAM, or the next
+// faults on compressed pages (load + place in DRAM, or the next
 // byte-addressable tier when DRAM is full), supports compressed-to-
 // compressed migration via the naive decompress-recompress path, and keeps
-// per-tier statistics.
+// per-tier statistics. A compressed object is read and its checksum
+// verified wherever the modeled kernel would decompress it; its bytes are
+// never decoded, since the modeled latencies come from ztier's tables and
+// a page's bytes can always be regenerated.
 //
 // Page contents are deterministic functions of (page index, page version):
 // pages resident in byte-addressable tiers need no storage at all and are
@@ -31,22 +34,22 @@
 // The caller orders the phases (starting and joining its goroutines does);
 // an Access beside a migration is a data race, not a supported mode.
 //
-// A region moves one way: PrepareRegionMigration (pure compute: decompress
-// + compress, safe to run concurrently) then CommitRegionMigration (all
-// state changes and placement decisions); MigrateRegion is the two back to
-// back. Committing prepared regions one at a time in a fixed order gives
-// the same outcome bit-for-bit regardless of how many goroutines ran the
-// prepare half — the contract sim.Run's push-thread pool, which commits in
-// plan order, is built on. The manager itself knows nothing about that
-// order.
+// A region moves one way: PrepareRegionMigration (pure compute: object
+// reads + compression, safe to run concurrently) then
+// CommitRegionMigration (all state changes and placement decisions);
+// MigrateRegion is the two back to back. Committing prepared regions one
+// at a time in a fixed order gives the same outcome bit-for-bit regardless
+// of how many goroutines ran the prepare half — the contract sim.Run's
+// push-thread pool, which commits in plan order, is built on. The manager
+// itself knows nothing about that order.
 //
 // A page's trip allocates only what it keeps. Each push thread brings its
-// own MigrationScratch to every move and fault: a page is decompressed or
-// regenerated into the scratch's one page buffer, a pool object is read
-// into its one object buffer, and a prepared region keeps nothing but the
-// compressed objects its commit will land, back to back in one slab. Once
-// a scratch is warm, a fault, a prepare from any source and a commit
-// allocate nothing outside the pools' own growth.
+// own MigrationScratch to every move and fault: a page is regenerated
+// into the scratch's one page buffer, a pool object is read into its one
+// object buffer, and a prepared region keeps nothing but the compressed
+// objects its commit will land, back to back in one slab. Once a scratch
+// is warm, a fault, a prepare from any source and a commit allocate
+// nothing outside the pools' own growth.
 package mem
 
 import (
@@ -219,7 +222,7 @@ type Manager struct {
 	regionMu []sync.RWMutex
 
 	// counters
-	faults     atomic.Int64 // compressed-tier faults (on-demand decompressions)
+	faults     atomic.Int64 // compressed-tier faults
 	migrations atomic.Int64
 	rejects    atomic.Int64
 	migratedIn []atomic.Int64 // by TierID
@@ -235,26 +238,27 @@ type Manager struct {
 
 // MigrationScratch is the reusable working state of one migration worker:
 // one page buffer, one pool-object buffer, one codec-output buffer, the
-// codec state its compressions and decompressions reuse, and one recycled
-// PreparedRegion with its slab. The owner — a sim.Stepper keeps one per
-// push thread for its whole life — hands the same scratch to every call it
-// makes, so once the scratch is warm a fault, a prepare from any source
-// and a commit allocate nothing; the scratch is garbage when its owner is.
+// encoder state its compressions reuse, and one recycled PreparedRegion
+// with its slab. The owner — a sim.Stepper keeps one per push thread for
+// its whole life — hands the same scratch to every call it makes, so once
+// the scratch is warm a fault, a prepare from any source and a commit
+// allocate nothing; the scratch is garbage when its owner is.
 //
 // Every buffer is dead as soon as the step that filled it is done: a pool
-// object once decompressed, a page once the destination's store is built
-// from it, codec output once the store is kept in its region's slab. So
-// the scratch holds three page-sized buffers, the codec state, and a slab
-// of about one region's compressed bytes — what its owner, one prepared
-// region at a time, keeps between prepare and commit.
+// object once its checksum is verified, a page once the destination's
+// store is built from it, codec output once the store is kept in its
+// region's slab. So the scratch holds three page-sized buffers, the
+// encoder state, and a slab of about one region's compressed bytes — what
+// its owner, one prepared region at a time, keeps between prepare and
+// commit.
 //
-// A nil *MigrationScratch is valid: a fault then decompresses statelessly
-// into fresh buffers and a prepare makes a scratch for its region, which
+// A nil *MigrationScratch is valid: a fault then reads the pool object
+// into a fresh buffer and a prepare makes a scratch for its region, which
 // suits a caller moving a page now and then. Not safe for concurrent use:
 // each worker owns its own.
 type MigrationScratch struct {
-	page   []byte // a page decompressed or regenerated, until its store is built
-	obj    []byte // a pool object, until it is decompressed
+	page   []byte // a page regenerated, until its store is built
+	obj    []byte // a pool object, until its checksum is verified
 	out    []byte // codec output, until it is kept in a region's slab
 	codec  compress.Scratch
 	region *PreparedRegion
@@ -271,15 +275,25 @@ func (s *MigrationScratch) warm() {
 	}
 }
 
-// load decompresses the page h names in tier t into the scratch's page
-// buffer, through its object buffer, and returns the page and the modeled
-// load latency. A nil scratch loads into fresh buffers, as Tier.Load does.
-func (s *MigrationScratch) load(t *ztier.Tier, h ztier.Handle) ([]byte, float64, error) {
-	if s == nil {
-		return t.PrepareLoad(nil, nil, h, make([]byte, 0, PageSize))
+// check reads the object h names in tier t into the scratch's object
+// buffer, where the tier verifies its checksum, and returns the modeled
+// latency of loading the page out of t: the pool read plus the
+// decompression, or the fill of a same-filled page. Nothing decodes the
+// object — no caller reads a loaded page's bytes. A nil scratch reads
+// into a fresh buffer.
+func (s *MigrationScratch) check(t *ztier.Tier, h ztier.Handle) (float64, error) {
+	if h.SameFilled() {
+		return ztier.SameFilledFillNs, nil
 	}
-	s.warm()
-	return t.PrepareLoad(&s.codec, s.obj, h, s.page[:0])
+	var obj []byte
+	if s != nil {
+		s.warm()
+		obj = s.obj[:0]
+	}
+	if _, _, _, err := t.LoadCompressed(h, obj); err != nil {
+		return 0, err
+	}
+	return t.AccessNs(h.CompressedSize()), nil
 }
 
 // keep lands ps's object, if it has one, at the end of slab, where it
@@ -416,6 +430,17 @@ func (m *Manager) NumRegions() int64 {
 	return (m.numPages + RegionPages - 1) / RegionPages
 }
 
+// RegionSpan returns the pages [start, end) of region r: RegionPages of
+// them, fewer in a partial final region, and none (start == end) for a
+// region outside the address space.
+func (m *Manager) RegionSpan(r RegionID) (start, end PageID) {
+	if r < 0 || int64(r) >= m.NumRegions() {
+		return 0, 0
+	}
+	start = PageID(r) * RegionPages
+	return start, min(start+RegionPages, PageID(m.numPages))
+}
+
 // Tiers returns descriptors for every tier, indexed by TierID.
 func (m *Manager) Tiers() []TierInfo {
 	out := make([]TierInfo, len(m.tiers))
@@ -444,7 +469,7 @@ func (m *Manager) SetCompressedTierLimit(id TierID, poolPages int) error {
 	return nil
 }
 
-// isCT reports whether id refers to a compressed tier and returns it.
+// ct returns the compressed tier id refers to, and whether it is one.
 func (m *Manager) ct(id TierID) (*ctTier, bool) {
 	i := int(id) - len(m.ba)
 	if i < 0 || i >= len(m.cts) {
@@ -485,7 +510,7 @@ type AccessResult struct {
 
 // Access simulates one load or store to page p and returns its latency and
 // effects. Accessing a page in a compressed tier faults: the page is
-// decompressed, removed from the compressed tier, and placed in DRAM (or
+// loaded, removed from the compressed tier, and placed in DRAM (or
 // the next byte-addressable tier with room). Writes bump the page version.
 //
 // Access takes no lock. The manager is single-owner while accesses are
@@ -498,10 +523,10 @@ func (m *Manager) Access(p PageID, write bool) (AccessResult, error) {
 	return m.AccessScratch(p, write, nil)
 }
 
-// AccessScratch is Access with the fault path's buffers and decoder state
-// drawn from the caller's scratch (nil = fresh buffers, stateless) — for a
-// driver that issues accesses in volume. A hit on a byte-addressable tier
-// is a bounds check, a page-table read and the tier's latency constant.
+// AccessScratch is Access with the fault path's object buffer drawn from
+// the caller's scratch (nil = a fresh buffer) — for a driver that issues
+// accesses in volume. A hit on a byte-addressable tier is a bounds check,
+// a page-table read and the tier's latency constant.
 func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (AccessResult, error) {
 	if p < 0 || p >= PageID(m.numPages) {
 		return AccessResult{}, ErrBadPage
@@ -517,12 +542,12 @@ func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (Acc
 	return m.fault(p, e, sc)
 }
 
-// fault serves an access to a page held by a compressed tier: decompress,
-// free the compressed copy, and promote the page to a byte-addressable
+// fault serves an access to a page held by a compressed tier: verify the
+// compressed copy, free it, and promote the page to a byte-addressable
 // tier.
 func (m *Manager) fault(p PageID, e *pte, sc *MigrationScratch) (AccessResult, error) {
 	ct := m.cts[int(e.tier)-len(m.ba)]
-	_, loadNs, err := sc.load(ct.tier, e.handle)
+	loadNs, err := sc.check(ct.tier, e.handle)
 	if err != nil {
 		return AccessResult{}, fmt.Errorf("mem: fault on page %d: %w", p, err)
 	}
@@ -578,7 +603,7 @@ type MigrationResult struct {
 }
 
 // preparedPage is the side-effect-free half of one page migration: every
-// decompression and compression the move will need, plus the modeled
+// object read and compression the move will need, plus the modeled
 // latencies, with no shared state touched and no counter moved. It is
 // produced under the region's read lock and landed by commitPage under the
 // write lock. It holds only what the commit reads — the fast path's object
@@ -640,26 +665,23 @@ func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch, slab 
 
 // prepareGeneric fills pp's generic-path materials: the source extraction
 // latency plus, when the destination is compressed, its prepared store,
-// kept at the end of slab. The page passes through sc's page buffer and is
-// dead once the store is built. Caller holds the region lock.
+// kept at the end of slab. The page, when the store has to be built from
+// it, is regenerated into sc's page buffer, whatever its source — a
+// compressed source holds the bytes of the same version — and is dead
+// once the store is built. Caller holds the region lock.
 func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[]byte) error {
 	e := &m.ptes[pp.page]
 	dstCT, dstIsCT := m.ct(pp.dest)
 	pp.generic = true
-	// The page's bytes: decompressed from a compressed source, regenerated
-	// from a byte-addressable one — and then only if the destination's
-	// store has to be built from them.
-	var page []byte
 	if srcCT, ok := m.ct(e.tier); ok {
-		// Decompressed even when the destination needs no bytes or the memo
-		// will supply its store: this load is the move's check that the
-		// object is intact.
-		out, loadNs, err := sc.load(srcCT.tier, e.handle)
+		// Read even when the destination needs no bytes or the memo will
+		// supply its store: this read is the move's check that the object
+		// is intact.
+		loadNs, err := sc.check(srcCT.tier, e.handle)
 		if err != nil {
 			return fmt.Errorf("mem: migrating page %d: %w", pp.page, err)
 		}
 		pp.srcLoadNs = loadNs
-		page = out
 	} else if dstIsCT && e.rejected&dstCT.rejectBit != 0 {
 		// A remembered rejection: the store PrepareStore would build from
 		// the regenerated page, without either.
@@ -675,9 +697,7 @@ func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[
 	// have: what keep hands on is the job's bytes, never the memo's.
 	ps, hit := m.memo.Lookup(key, sc.out) // a nil memo always misses
 	if !hit || m.memo.Verify != nil {
-		if page == nil {
-			page = m.content(pp.page, sc.page)
-		}
+		page := m.content(pp.page, sc.page)
 		if !hit {
 			ps = dstCT.tier.PrepareStore(&sc.codec, page, sc.out)
 			m.memo.Insert(key, ps)
@@ -811,7 +831,8 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 
 // MigratePage moves page p to tier dest. Compressed-to-compressed moves
 // take the naive decompress-recompress path (§7.1) unless the codecs
-// match. Incompressible pages stay where they are and count as rejected.
+// match; the page to recompress is regenerated, not decoded.
+// Incompressible pages stay where they are and count as rejected.
 func (m *Manager) MigratePage(p PageID, dest TierID) (MigrationResult, error) {
 	if p < 0 || p >= PageID(m.numPages) {
 		return MigrationResult{}, ErrBadPage
@@ -893,7 +914,7 @@ func (s *MigrationScratch) takeRegion() *PreparedRegion {
 }
 
 // PrepareRegionMigration runs the compute half of moving region r to dest
-// — every decompression and compression the sweep will need — under the
+// — every object read and compression the sweep will need — under the
 // region's read lock, touching no shared state. Any number of goroutines
 // may prepare distinct regions concurrently; committing the prepared
 // regions in a fixed order (CommitRegionMigration) then reproduces the
@@ -906,19 +927,15 @@ func (m *Manager) PrepareRegionMigration(r RegionID, dest TierID) (*PreparedRegi
 // PrepareRegionMigrationScratch is PrepareRegionMigration with the
 // caller's scratch in place of one made for this region (nil makes one).
 // A push thread that prepares and commits moves back to back hands the
-// same scratch to every prepare: the buffers, the codec state and the
+// same scratch to every prepare: the buffers, the encoder state and the
 // PreparedRegion with its slab are reused by the next prepare, which then
 // allocates nothing. A prepared region drawn from a scratch must
 // therefore not be touched after the call that consumed it (the commit
 // that finished or failed it, or Release): the scratch's next prepare
 // hands the same value out again.
 func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *MigrationScratch) (*PreparedRegion, error) {
-	start := PageID(r) * RegionPages
-	end := start + RegionPages
-	if end > PageID(m.numPages) {
-		end = PageID(m.numPages)
-	}
-	if start < 0 || start >= PageID(m.numPages) {
+	start, end := m.RegionSpan(r)
+	if start == end {
 		return nil, ErrBadPage
 	}
 	if int(dest) < 0 || int(dest) >= len(m.tiers) {
@@ -1103,12 +1120,8 @@ func (m *Manager) SampleRegionRatio(r RegionID, codecName string, samples int) (
 	if samples < 1 {
 		samples = 1
 	}
-	start := PageID(r) * RegionPages
-	end := start + RegionPages
-	if end > PageID(m.numPages) {
-		end = PageID(m.numPages)
-	}
-	if start >= PageID(m.numPages) {
+	start, end := m.RegionSpan(r)
+	if start == end {
 		return 0, ErrBadPage
 	}
 	n := int64(end - start)
@@ -1230,11 +1243,7 @@ func (m *Manager) Counters() Counters {
 // tier (indexed by TierID).
 func (m *Manager) RegionResidency(r RegionID) []int64 {
 	out := make([]int64, len(m.tiers))
-	start := PageID(r) * RegionPages
-	end := start + RegionPages
-	if end > PageID(m.numPages) {
-		end = PageID(m.numPages)
-	}
+	start, end := m.RegionSpan(r)
 	mu := m.regionLock(r)
 	mu.RLock()
 	defer mu.RUnlock()

@@ -276,11 +276,8 @@ func (a *Analytical) Recommend(m *mem.Manager, prof telemetry.Profile) Recommend
 	// priceRow fills opts with region r's per-tier (cost, weight) options.
 	priceRow := func(r int64, opts []ilp.Option) {
 		// The final region may be partial; weight it by its actual pages.
-		pages := int64(mem.RegionPages)
-		if rem := m.NumPages() - r*mem.RegionPages; rem < pages {
-			pages = rem
-		}
-		regionGB := float64(pages) * mem.PageSize / (1 << 30)
+		start, end := m.RegionSpan(mem.RegionID(r))
+		regionGB := float64(end-start) * mem.PageSize / (1 << 30)
 		acc := prof.EstimatedAccesses(mem.RegionID(r))
 		for j, t := range tiers {
 			var penalty float64

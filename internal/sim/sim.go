@@ -282,11 +282,8 @@ func migrationFlows(moves []policy.Move, applied []moveOutcome) []obs.TierFlow {
 func recommendedPages(m *mem.Manager, r model.Recommendation) []int64 {
 	out := make([]int64, len(m.Tiers()))
 	for i, d := range r.Dest {
-		n := int64(mem.RegionPages)
-		if rem := m.NumPages() - int64(i)*mem.RegionPages; rem < n {
-			n = rem
-		}
-		out[d] += n
+		start, end := m.RegionSpan(mem.RegionID(i))
+		out[d] += int64(end - start)
 	}
 	return out
 }

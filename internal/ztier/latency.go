@@ -47,9 +47,10 @@ var poolStoreNs = map[string]float64{
 }
 
 // Same-filled page handling (zswap's memchr_inv scan and memset fill).
+// SameFilledFillNs is the load latency of a same-filled page.
 const (
 	sameFilledScanNs = 500
-	sameFilledFillNs = 700
+	SameFilledFillNs = 700
 )
 
 // DecompressNs returns the modeled decompression time for size bytes of

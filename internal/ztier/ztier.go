@@ -22,6 +22,7 @@ package ztier
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +42,13 @@ var ErrIncompressible = errors.New("ztier: page rejected as incompressible")
 // ErrTierFull is returned by Store when the tier has a pool-page limit
 // (zswap's max_pool_percent analogue) and storing would exceed it.
 var ErrTierFull = errors.New("ztier: tier pool is full")
+
+// ErrCorruptObject is returned by a load whose pool object is not the
+// one stored under its handle: its checksum no longer matches.
+var ErrCorruptObject = errors.New("ztier: corrupt object")
+
+// castagnoli is the CRC-32C table objects are checksummed with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Config selects the three components of a compressed tier.
 type Config struct {
@@ -101,6 +109,10 @@ type Handle struct {
 	// is the repeated value.
 	sameFilled bool
 	fillByte   byte
+	// sum is the object's CRC-32C, taken at store and verified by every
+	// load. It sits in the padding fillByte leaves: a Handle stays 24
+	// bytes.
+	sum uint32
 }
 
 // CompressedSize returns the stored object's compressed size in bytes
@@ -128,7 +140,8 @@ type Stats struct {
 	// lifetime — the witness that admission control never overshot a
 	// SetMaxPoolPages byte budget, even transiently.
 	HighPoolPages int
-	// Faults counts loads (decompressions) served by the tier.
+	// Faults counts pages loaded out of the tier: by a fault, or by a
+	// move out of it that did not take the same-codec fast path.
 	Faults int64
 	// Stores counts pages compressed into the tier.
 	Stores int64
@@ -425,73 +438,64 @@ func (t *Tier) storeCompressedLocked(comp []byte) (Handle, float64, error) {
 	t.livePoolPages.Store(int64(pp))
 	t.stores.Add(1)
 	lat := PoolStoreNs(t.cfg.Pool) + media.WriteCostNs(t.cfg.Media, len(comp))
-	return Handle{pool: h, size: len(comp)}, lat, nil
+	return Handle{pool: h, size: len(comp), sum: crc32.Checksum(comp, castagnoli)}, lat, nil
 }
 
 // Load decompresses the page identified by h, appending it to dst. It
 // returns the page bytes and the modeled access (fault) latency in
 // nanoseconds: pool lookup + media read of the compressed object +
 // decompression. The latency of writing the page into its destination
-// byte-addressable tier is charged by the memory manager.
+// byte-addressable tier is charged by the memory manager, which never
+// calls Load: it reads objects with LoadCompressed, for their checksum,
+// and needs no page bytes. Load decodes with the stateless
+// Codec.Decompress.
 func (t *Tier) Load(h Handle, dst []byte) ([]byte, float64, error) {
-	out, lat, err := t.PrepareLoad(nil, nil, h, dst)
-	if err != nil {
-		return out, lat, err
-	}
-	t.faults.Add(1)
-	return out, lat, nil
-}
-
-// PrepareLoad is Load without the fault counter: the read half of a
-// deterministic prepare/commit migration, where the decompression runs
-// concurrently but counters must only move at commit time (via CountLoad)
-// to match serial totals exactly. cs is the caller's own codec state (nil
-// decompresses statelessly) and obj its buffer for the pool object, which
-// is dead once decompressed: every stored object is shorter than a page,
-// so a caller that keeps one buffer with room for a page loads without
-// allocating, and nil reads the object into a fresh slice. Safe to call
-// concurrently; the pool read takes the tier's read lock.
-func (t *Tier) PrepareLoad(cs *compress.Scratch, obj []byte, h Handle, dst []byte) ([]byte, float64, error) {
 	if h.sameFilled {
 		start := len(dst)
 		dst = append(dst, make([]byte, PageSize)...)
 		for i := start; i < len(dst); i++ {
 			dst[i] = h.fillByte
 		}
-		return dst, sameFilledFillNs, nil
+		t.faults.Add(1)
+		return dst, SameFilledFillNs, nil
 	}
-	t.mu.RLock()
-	comp, err := t.pool.Load(h.pool, obj[:0])
-	t.mu.RUnlock()
+	comp, _, _, err := t.LoadCompressed(h, nil)
 	if err != nil {
 		return dst, 0, err
 	}
-	out, err := cs.Decompress(t.codec, dst, comp)
+	out, err := t.codec.Decompress(dst, comp)
 	if err != nil {
-		return dst, 0, fmt.Errorf("ztier %s: corrupt object: %w", t.Name(), err)
+		return dst, 0, fmt.Errorf("ztier %s: %w: %v", t.Name(), ErrCorruptObject, err)
 	}
-	lat := PoolLookupNs(t.cfg.Pool) +
-		media.ReadCostNs(t.cfg.Media, len(comp)) +
-		DecompressNs(t.cfg.Codec, PageSize)
-	return out, lat, nil
+	t.faults.Add(1)
+	return out, t.AccessNs(h.size), nil
 }
 
-// CountLoad records the fault counter bump a PrepareLoad deferred.
+// CountLoad records a page loaded out of the tier by a caller that read
+// its object with LoadCompressed and charged the load itself.
 func (t *Tier) CountLoad() { t.faults.Add(1) }
 
-// LoadCompressed returns the raw compressed object (no decompression) and
-// the modeled read latency — the extraction half of the §7.1 same-codec
-// migration fast path. Same-filled handles return (nil, ok=false) since
-// they carry no pool object; callers fall back to the generic path.
+// LoadCompressed appends the raw compressed object to dst (no
+// decompression) and returns it with the modeled read latency — the
+// extraction half of the §7.1 same-codec migration fast path, and the
+// intact check of every other load. An object whose CRC-32C differs from
+// the one taken at store fails with ErrCorruptObject. Same-filled handles
+// return (dst, ok=false) since they carry no pool object; callers fall
+// back to the generic path. Safe to call concurrently; the pool read
+// takes the tier's read lock.
 func (t *Tier) LoadCompressed(h Handle, dst []byte) ([]byte, float64, bool, error) {
 	if h.sameFilled {
 		return dst, 0, false, nil
 	}
+	n := len(dst)
 	t.mu.RLock()
 	comp, err := t.pool.Load(h.pool, dst)
 	t.mu.RUnlock()
 	if err != nil {
 		return dst, 0, false, err
+	}
+	if crc32.Checksum(comp[n:], castagnoli) != h.sum {
+		return dst, 0, false, fmt.Errorf("ztier %s: %w", t.Name(), ErrCorruptObject)
 	}
 	lat := PoolLookupNs(t.cfg.Pool) + media.ReadCostNs(t.cfg.Media, h.size)
 	return comp, lat, true, nil
