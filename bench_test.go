@@ -8,11 +8,12 @@
 // absolute wall time is the harness cost, while the reported custom
 // metrics (savings_pct, slowdown_pct, ...) carry the reproduction result.
 // Harnesses submit runs through the experiments run engine, so figure
-// benches fan out across GOMAXPROCS workers by default; the _Serial
-// variants pin the pool to one worker as the speedup reference.
+// benches fan out across GOMAXPROCS workers; the _Serial variants run at
+// GOMAXPROCS 1 — one worker — as the speedup reference.
 package tierscape
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -62,12 +63,12 @@ func BenchmarkFig7_StandardMix(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7_StandardMix_Serial pins the run engine to one worker: the
-// wall-time gap to BenchmarkFig7_StandardMix is the pool's speedup, and
+// BenchmarkFig7_StandardMix_Serial runs at GOMAXPROCS 1, so the run
+// engine has one worker: the wall-time gap to BenchmarkFig7_StandardMix is
+// the pool's speedup, and
 // both variants must report identical metrics (determinism guarantee).
 func BenchmarkFig7_StandardMix_Serial(b *testing.B) {
-	experiments.SetParallelism(1)
-	defer experiments.SetParallelism(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < b.N; i++ {
 		t, err := experiments.Fig7(benchScale())
 		if err != nil {

@@ -7,10 +7,8 @@
 //	experiments -fig 7                   # Figure 7 (standard mix)
 //	experiments -fig 13 -scale small     # Figure 13 at test scale
 //	experiments -fig 2 -csv              # Figure 2 as CSV
-//	experiments -fig 7 -parallel 4       # bound the worker pool (tables are
-//	                                     # identical at every -parallel value)
-//	experiments -fig 7 -push 8           # intra-run push threads (tables are
-//	                                     # identical at every -push value too)
+//	GOMAXPROCS=4 experiments -fig 7      # 4 runs at once
+//	                                     # (tables are identical at every GOMAXPROCS)
 //	experiments -fig 7 -metrics-addr :9090   # live /metrics, /debug/vars, pprof
 //	experiments -fig 7 -events runs.jsonl    # deterministic per-run event stream
 //
@@ -41,8 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.String("scale", "default", "experiment scale: default or small")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	plot := fs.Bool("plot", false, "also render scatter plots for slowdown-vs-savings exhibits (7, 10, 13)")
-	par := fs.Int("parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS); output is identical at any setting")
-	push := fs.Int("push", 0, "push threads applying migrations inside each run (0 = sim default); output is identical at any setting")
 	compactBudget := fs.Int("compact-budget", 0, "pool pages each run's per-window compaction may reclaim (0 = unbounded full sweep); NOTE: a bounded budget defers reclamation, so tables differ from the default")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) while exhibits run")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the exhibits finish (for scraping a completed batch)")
@@ -53,8 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	experiments.SetParallelism(*par)
-	experiments.SetPushThreads(*push)
 	experiments.SetCompactBudget(*compactBudget)
 
 	if *metricsAddr != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -16,10 +17,12 @@ func TestRunExitStatus(t *testing.T) {
 		stderr string
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{"malformed value", []string{"-parallel", "many"}, 2, "invalid value"},
+		{"malformed value", []string{"-compact-budget", "many"}, 2, "invalid value"},
 		{"unknown exhibit", []string{"-fig", "99", "-scale", "small"}, 2, `unknown exhibit "99"`},
 		{"unknown scale", []string{"-fig", "table1", "-scale", "galactic"}, 2, `unknown scale "galactic"`},
 		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
+		{"removed -parallel flag", []string{"-parallel", "1"}, 2, "flag provided but not defined: -parallel"},
+		{"removed -push flag", []string{"-push", "1"}, 2, "flag provided but not defined: -push"},
 		{"unwritable events file", []string{"-fig", "table1", "-events", t.TempDir() + "/no/such/dir/e.jsonl"}, 1, "events file"},
 		{"help", []string{"-h"}, 0, "Usage of experiments"},
 	} {
@@ -38,20 +41,20 @@ func TestRunExitStatus(t *testing.T) {
 
 // TestRunFig7Identical drives the sweep a researcher runs through the
 // flags: Figure 7 at small scale is one table of 48 runs, and the bytes
-// printed do not depend on the runner's width or the push threads.
+// printed do not depend on GOMAXPROCS, the runner's width.
 func TestRunFig7Identical(t *testing.T) {
-	fig7 := func(args ...string) string {
+	fig7 := func(procs int) string {
 		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var stdout, stderr bytes.Buffer
-		args = append([]string{"-fig", "7", "-scale", "small"}, args...)
-		if status := run(args, &stdout, &stderr); status != 0 || stderr.Len() != 0 {
-			t.Fatalf("%v: exit status %d, stderr %q", args, status, stderr.String())
+		if status := run([]string{"-fig", "7", "-scale", "small"}, &stdout, &stderr); status != 0 || stderr.Len() != 0 {
+			t.Fatalf("GOMAXPROCS=%d: exit status %d, stderr %q", procs, status, stderr.String())
 		}
 		return stdout.String()
 	}
-	serial := fig7("-parallel", "1")
-	if wide := fig7("-parallel", "2", "-push", "8"); wide != serial {
-		t.Errorf("-parallel 2 -push 8 printed a different table than -parallel 1:\n%s\nvs\n%s", wide, serial)
+	serial := fig7(1)
+	if wide := fig7(8); wide != serial {
+		t.Errorf("GOMAXPROCS 8 printed a different table than GOMAXPROCS 1:\n%s\nvs\n%s", wide, serial)
 	}
 	lines := strings.Split(serial, "\n")
 	if len(lines) < 3 || !strings.HasPrefix(lines[0], "== Figure 7") || strings.Trim(lines[2], "-") != "" {

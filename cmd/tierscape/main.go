@@ -47,7 +47,6 @@ type spec struct {
 	Pages         int64   `json:"pages"`
 	Seed          uint64  `json:"seed"`
 	Ops           int     `json:"ops"`
-	Push          int     `json:"push"`
 	Prefetch      int     `json:"prefetch"`
 	CompactBudget int     `json:"compact_budget"`
 	Windows       int     `json:"-"` // the daemon runs a workload until it is detached
@@ -65,7 +64,6 @@ func (s *spec) bind(fs *flag.FlagSet) {
 	fs.Int64Var(&s.Pages, "pages", 16*tierscape.RegionPages, "workload footprint in 4 KB pages")
 	fs.Uint64Var(&s.Seed, "seed", 42, "random seed")
 	fs.IntVar(&s.Ops, "ops", 20000, "operations per window")
-	fs.IntVar(&s.Push, "push", 2, "push threads applying migrations (results identical at any value)")
 	fs.IntVar(&s.Prefetch, "prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
 	fs.IntVar(&s.CompactBudget, "compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
 	fs.IntVar(&s.Windows, "windows", 8, "profile windows to run")
@@ -103,7 +101,6 @@ func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
 		OpsPerWindow:           s.Ops,
 		SampleRate:             50,
 		Seed:                   s.Seed,
-		PushThreads:            s.Push,
 		CompactBudget:          s.CompactBudget,
 		PrefetchFaultThreshold: s.Prefetch,
 	}, nil
@@ -186,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Observability: each enabled sink becomes one leg of a tee. The
 	// deterministic legs (JSONL stream, in-memory capture for -trace) see
-	// the same events at any -push value; the live aggregator additionally
+	// the same events at any GOMAXPROCS; the live aggregator additionally
 	// sees wall-clock runtime spans.
 	var recs []tierscape.Recorder
 	if *metricsAddr != "" {

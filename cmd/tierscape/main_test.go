@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -51,6 +52,8 @@ func TestSpecOverlay(t *testing.T) {
 			want: edit(func(s *spec) { s.Tiers = "" })},
 		{name: "unknown key", doc: `{"ops":2000,"commit_batch":32}`,
 			want: edit(func(s *spec) { s.Ops = 2000 })},
+		{name: "removed push key", doc: `{"ops":2000,"push":8}`,
+			want: edit(func(s *spec) { s.Ops = 2000 })},
 		{name: "flag-only field", doc: `{"windows":99,"Windows":99}`, want: flags},
 		{name: "wrong type", doc: `{"ops":"many"}`, err: "spec.ops"},
 		{name: "not an object", doc: `[1,2]`, err: "attach spec"},
@@ -89,6 +92,7 @@ func TestSpecOverlayAttaches(t *testing.T) {
 		ops, prefetch int
 	}{
 		{`{"commit_batch":32}`, 3000, 5},
+		{`{"push":8}`, 3000, 5},
 		{`{"ops":2000,"prefetch":0}`, 2000, 0},
 		{`{"alpha":0.5}`, 3000, 5},
 	} {
@@ -142,6 +146,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"out-of-range page in a replayed trace", append([]string{"-replay", badTrace}, small...), 1, "page -600 outside [0, 1024)"},
 		{"daemon without a listener", []string{"-daemon"}, 2, "-metrics-addr"},
 		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
+		{"removed -push flag", []string{"-push", "8"}, 2, "flag provided but not defined: -push"},
 		{"unwritable events file", append([]string{"-events", filepath.Join(dir, "no/such/dir/e.jsonl")}, small...), 1, "events file"},
 		{"unwritable windows CSV", append([]string{"-windows-csv", filepath.Join(dir, "no/such/dir/w.csv")}, small...), 1, "windows-csv file"},
 		{"run that cannot start", []string{"-windows", "0"}, 1, "must be positive"},
@@ -162,15 +167,16 @@ func TestRunExitStatus(t *testing.T) {
 
 // TestRunSinks drives one small run with every file sink on: the summary and
 // the sinks' completion lines reach stdout, the files hold one window row or
-// event per window, and the output does not depend on -push.
+// event per window, and the output does not depend on GOMAXPROCS.
 func TestRunSinks(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(push string) (stdout, events, csv string) {
+	ev, wcsv := filepath.Join(dir, "e.jsonl"), filepath.Join(dir, "w.csv")
+	runOnce := func(procs int) (stdout, events, csv string) {
 		t.Helper()
-		ev, wcsv := filepath.Join(dir, "e"+push+".jsonl"), filepath.Join(dir, "w"+push+".csv")
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var out, errs bytes.Buffer
 		args := []string{"-workload", "masim", "-model", "waterfall", "-windows", "3", "-ops", "4000",
-			"-pages", "3072", "-push", push, "-events", ev, "-windows-csv", wcsv}
+			"-pages", "3072", "-events", ev, "-windows-csv", wcsv}
 		if status := run(args, &out, &errs); status != 0 || errs.Len() != 0 {
 			t.Fatalf("%v: exit status %d, stderr %q", args, status, errs.String())
 		}
@@ -184,7 +190,7 @@ func TestRunSinks(t *testing.T) {
 		}
 		return out.String(), string(e), string(c)
 	}
-	stdout, events, csv := runOnce("1")
+	stdout, events, csv := runOnce(1)
 	for _, want := range []string{"workload: masim", "\n     3  ", "time-averaged savings", "events written to", "window snapshots written to"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
@@ -199,8 +205,8 @@ func TestRunSinks(t *testing.T) {
 	if !strings.Contains(events, `"e":"move"`) {
 		t.Error("no move event in the stream: the run migrated nothing")
 	}
-	_, events8, csv8 := runOnce("8")
-	if events8 != events || csv8 != csv {
-		t.Error("-push 8 wrote different events or window rows than -push 1")
+	stdout8, events8, csv8 := runOnce(8)
+	if stdout8 != stdout || events8 != events || csv8 != csv {
+		t.Error("GOMAXPROCS 8 printed a different report, events or window rows than GOMAXPROCS 1")
 	}
 }

@@ -17,6 +17,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("abc"), 100))
 	f.Add(corpus.NewGenerator(corpus.Dickens, 1).Page(0, 4096))
 	f.Add(corpus.NewGenerator(corpus.Random, 1).Page(0, 512))
+	f.Add(bytes.Repeat([]byte{0xAA}, 40000)) // longer than zstd's longest match
 	f.Fuzz(func(t *testing.T, src []byte) {
 		for _, name := range Names() {
 			c := MustLookup(name)
@@ -53,14 +54,17 @@ func FuzzDecompressRobust(f *testing.F) {
 			// Hostile input can amplify. The LZ family's block copies size
 			// one append from a length-extension chain, so they are held
 			// to the formats' own maximum, 255 bytes of output per input
-			// byte; an 842 repeat op emits up to 255 phrases from two
-			// bytes and the entropy coders have no such constant, so the
-			// rest get a generous linear bound that still proves
-			// termination without unbounded memory growth.
+			// byte; zstd to its own, a page-long match per five token
+			// bytes. An 842 repeat op emits up to 255 phrases from two
+			// bytes and deflate has no such constant, so the rest get a
+			// generous linear bound that still proves termination without
+			// unbounded memory growth.
 			bound := 4096 * (len(comp) + 16)
 			switch name {
 			case "lz4", "lz4hc", "lzo", "lzo-rle":
 				bound = lzMaxExpansion(len(comp))
+			case "zstd":
+				bound = zstdMaxExpansion(len(comp))
 			}
 			if len(out) > bound {
 				t.Fatalf("%s: %d bytes decompressed from %d — amplification bound %d exceeded",

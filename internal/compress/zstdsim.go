@@ -16,8 +16,8 @@ import "math"
 //	seq      := litLen varint, matchLen varint,
 //	            offset(2B little-endian, present iff matchLen > 0)
 //
-// matchLen stores length-zstdMinMatch; the final sequence has
-// matchLen == 0 (carrying trailing literals only).
+// matchLen stores length-zstdMinMatch+1, the length at most zstdMaxMatch;
+// the final sequence has matchLen == 0 (carrying trailing literals only).
 
 const (
 	zstdMinMatch = 4
@@ -144,6 +144,7 @@ func (e *zstdEncoder) compress(dst, src []byte) []byte {
 				continue
 			}
 			bestLen, bestOff := zstdBestMatch(src, chain, int(prev)-1, pos, cur)
+			bestLen = min(bestLen, zstdMaxMatch)
 			if bestLen < zstdMinMatch {
 				pos++
 				continue
@@ -176,9 +177,19 @@ type zstdDecoder struct {
 	huff     huffDecoder
 }
 
-// zstdMaxMatch bounds one sequence's match length, as huffDecode bounds a
-// block: a longer one is a corrupt length, not 16 MB of page.
-const zstdMaxMatch = 1 << 24
+// zstdMaxMatch bounds one sequence's match length: the longest whose
+// matchLen fits two varint bytes, about four pages (a page's own longest
+// match runs from its second byte to its end). The encoder splits a longer
+// run of a bigger input; the decoder rejects one as a corrupt length.
+const zstdMaxMatch = 1<<14 - 1 + zstdMinMatch - 1
+
+// zstdMaxExpansion bounds what a block of srcLen bytes can decode to.
+// Every literal and token byte costs at least one bit of input, raw or
+// Huffman-coded, so there are at most 8·srcLen of them. A match of up to
+// 130 bytes spends four token bytes (litLen, matchLen, the offset's two),
+// a longer one five, so no literal or token byte decodes to more than
+// zstdMaxMatch/5 bytes of output.
+func zstdMaxExpansion(srcLen int) int { return 8 * srcLen * zstdMaxMatch / 5 }
 
 // Decompress implements Codec with a throwaway decoder on the caller's
 // stack.
@@ -225,7 +236,7 @@ func (d *zstdDecoder) decompress(dst, src []byte) ([]byte, error) {
 		if mlCode == 0 {
 			continue // literal-only (final) sequence
 		}
-		if mlCode > zstdMaxMatch {
+		if mlCode > zstdMaxMatch-zstdMinMatch+1 {
 			return dst, ErrCorrupt
 		}
 		matchLen := int(mlCode) + zstdMinMatch - 1

@@ -12,8 +12,8 @@
 // K ticks over a recorded access stream performs, per workload, exactly
 // the call sequence NewStepper + K×(StepAccess, StepControl) — the
 // definition of batch sim.Run — so its results, window snapshots and
-// move-event streams are byte-identical to the batch run's, at any
-// PushThreads and any GOMAXPROCS (the equivalence suite pins this). Wall
+// move-event streams are byte-identical to the batch run's at any
+// GOMAXPROCS (the equivalence suite pins this). Wall
 // time never enters: the Clock only decides when a window happens, and
 // the windows themselves run on modeled virtual time.
 //

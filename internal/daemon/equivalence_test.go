@@ -1,7 +1,7 @@
 // Daemon-vs-batch equivalence suite: a daemon stepped K ticks over a
 // recorded access stream must be indistinguishable — results, window
 // snapshots, move events, the raw JSONL bytes — from batch sim.Run over
-// the same stream, at every push-thread count. This is the load-bearing
+// the same stream, at every GOMAXPROCS. This is the load-bearing
 // test of the resident mode: it proves the ticker/command machinery adds
 // nothing to (and removes nothing from) the control loop it hosts.
 package daemon
@@ -9,6 +9,7 @@ package daemon
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tierscape/internal/corpus"
@@ -58,7 +59,7 @@ func eqManager(t *testing.T, pages int64, content corpus.Profile) *mem.Manager {
 
 // eqConfig assembles the sim.Config both drivers run: a trace.Stream
 // over the recorded bytes, analytical model, JSONL + in-memory capture.
-func eqConfig(t *testing.T, raw []byte, threads int, cap *obs.Mem, jsonl *bytes.Buffer) (sim.Config, *trace.Stream) {
+func eqConfig(t *testing.T, raw []byte, cap *obs.Mem, jsonl *bytes.Buffer) (sim.Config, *trace.Stream) {
 	t.Helper()
 	st, err := trace.NewStream(bytes.NewReader(raw))
 	if err != nil {
@@ -71,17 +72,16 @@ func eqConfig(t *testing.T, raw []byte, threads int, cap *obs.Mem, jsonl *bytes.
 		OpsPerWindow: eqOpsPerWindow,
 		Windows:      eqWindows,
 		SampleRate:   sim.Int(20),
-		PushThreads:  sim.Int(threads),
 		Recorder:     obs.Tee(cap, obs.NewStream(jsonl)),
 	}, st
 }
 
 // batchRun replays the trace through plain sim.Run.
-func batchRun(t *testing.T, raw []byte, threads int) (*sim.Result, *obs.Mem, []byte) {
+func batchRun(t *testing.T, raw []byte) (*sim.Result, *obs.Mem, []byte) {
 	t.Helper()
 	var cap obs.Mem
 	var jsonl bytes.Buffer
-	cfg, _ := eqConfig(t, raw, threads, &cap, &jsonl)
+	cfg, _ := eqConfig(t, raw, &cap, &jsonl)
 	res, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +91,11 @@ func batchRun(t *testing.T, raw []byte, threads int) (*sim.Result, *obs.Mem, []b
 
 // daemonRun replays the trace through a resident daemon: attach, step
 // the fake clock eqWindows ticks, barrier, detach.
-func daemonRun(t *testing.T, raw []byte, threads int) (*sim.Result, *obs.Mem, []byte) {
+func daemonRun(t *testing.T, raw []byte) (*sim.Result, *obs.Mem, []byte) {
 	t.Helper()
 	var cap obs.Mem
 	var jsonl bytes.Buffer
-	cfg, _ := eqConfig(t, raw, threads, &cap, &jsonl)
+	cfg, _ := eqConfig(t, raw, &cap, &jsonl)
 
 	clk := NewFakeClock()
 	d, err := New(DefaultConfig(), clk, nil)
@@ -119,31 +119,32 @@ func daemonRun(t *testing.T, raw []byte, threads int) (*sim.Result, *obs.Mem, []
 	return res, &cap, jsonl.Bytes()
 }
 
-// TestDaemonBatchEquivalence: the headline contract, at push threads
-// 1, 2 and 8 — daemon output is byte-identical to batch output, and the
-// batch side is itself push-thread-invariant, so all six runs agree.
+// TestDaemonBatchEquivalence: the headline contract, at GOMAXPROCS 1, 2
+// and 8 — daemon output is byte-identical to the serial batch run's.
 func TestDaemonBatchEquivalence(t *testing.T) {
 	raw := recordTrace(t)
-	baseRes, baseCap, baseJSONL := batchRun(t, raw, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	baseRes, baseCap, baseJSONL := batchRun(t, raw)
 	if len(baseRes.Windows) != eqWindows {
 		t.Fatalf("batch ran %d windows, want %d", len(baseRes.Windows), eqWindows)
 	}
 	if len(baseCap.Moves) == 0 {
 		t.Fatal("batch recorded no move events; equivalence test is vacuous")
 	}
-	for _, threads := range []int{1, 2, 8} {
-		res, cap, jsonl := daemonRun(t, raw, threads)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		res, cap, jsonl := daemonRun(t, raw)
 		if !reflect.DeepEqual(res, baseRes) {
-			t.Fatalf("PushThreads=%d: daemon Result differs from batch", threads)
+			t.Fatalf("GOMAXPROCS=%d: daemon Result differs from batch", procs)
 		}
 		if !reflect.DeepEqual(cap.Windows, baseCap.Windows) {
-			t.Fatalf("PushThreads=%d: daemon window snapshots differ from batch", threads)
+			t.Fatalf("GOMAXPROCS=%d: daemon window snapshots differ from batch", procs)
 		}
 		if !reflect.DeepEqual(cap.Moves, baseCap.Moves) {
-			t.Fatalf("PushThreads=%d: daemon move events differ from batch", threads)
+			t.Fatalf("GOMAXPROCS=%d: daemon move events differ from batch", procs)
 		}
 		if !bytes.Equal(jsonl, baseJSONL) {
-			t.Fatalf("PushThreads=%d: daemon JSONL stream is not byte-identical to batch", threads)
+			t.Fatalf("GOMAXPROCS=%d: daemon JSONL stream is not byte-identical to batch", procs)
 		}
 	}
 }
@@ -153,11 +154,11 @@ func TestDaemonBatchEquivalence(t *testing.T) {
 // result still matches the batch run exactly.
 func TestDaemonTickBeyondExhaustion(t *testing.T) {
 	raw := recordTrace(t)
-	baseRes, _, _ := batchRun(t, raw, 2)
+	baseRes, _, _ := batchRun(t, raw)
 
 	var cap obs.Mem
 	var jsonl bytes.Buffer
-	cfg, st := eqConfig(t, raw, 2, &cap, &jsonl)
+	cfg, st := eqConfig(t, raw, &cap, &jsonl)
 	clk := NewFakeClock()
 	d, err := New(DefaultConfig(), clk, nil)
 	if err != nil {
@@ -216,13 +217,13 @@ func TestDaemonMultiWorkloadIsolation(t *testing.T) {
 	}
 	rawB := bufB.Bytes()
 
-	soloA, _, _ := batchRun(t, rawA, 2)
-	soloB, _, _ := batchRun(t, rawB, 2)
+	soloA, _, _ := batchRun(t, rawA)
+	soloB, _, _ := batchRun(t, rawB)
 
 	var capA, capB obs.Mem
 	var jA, jB bytes.Buffer
-	cfgA, _ := eqConfig(t, rawA, 2, &capA, &jA)
-	cfgB, _ := eqConfig(t, rawB, 2, &capB, &jB)
+	cfgA, _ := eqConfig(t, rawA, &capA, &jA)
+	cfgB, _ := eqConfig(t, rawB, &capB, &jB)
 
 	clk := NewFakeClock()
 	d, err := New(DefaultConfig(), clk, nil)

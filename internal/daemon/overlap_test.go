@@ -41,7 +41,7 @@ func (deterministicOnly) RecordRuntime(obs.WindowRuntime) {}
 // Waterfall, a scientific kernel on AM-perf and a 4 KB-value cache on the
 // TMO baseline — four different access loops, four different control
 // loops — all recording into rec.
-func overlapTenants(t *testing.T, threads int, rec obs.Recorder) (names []string, cfgs []sim.Config) {
+func overlapTenants(t *testing.T, rec obs.Recorder) (names []string, cfgs []sim.Config) {
 	t.Helper()
 	const pages = ovRegions * mem.RegionPages
 	const ct2 = mem.TierID(3) // DRAM, NVMM, CT-1, CT-2
@@ -66,7 +66,6 @@ func overlapTenants(t *testing.T, threads int, rec obs.Recorder) (names []string
 			Model:        tn.mdl,
 			OpsPerWindow: ovOpsPerWindow,
 			SampleRate:   sim.Int(20),
-			PushThreads:  sim.Int(threads),
 			Recorder:     rec,
 		})
 	}
@@ -84,12 +83,12 @@ type overlapOutput struct {
 // daemon, or with a plain serial loop over the same steppers — with one
 // shared Live and one shared JSONL stream behind them, so recorder order
 // across tenants is part of what is compared.
-func overlapRun(t *testing.T, threads int, viaDaemon bool) overlapOutput {
+func overlapRun(t *testing.T, viaDaemon bool) overlapOutput {
 	t.Helper()
 	live := obs.NewLive()
 	var jsonl bytes.Buffer
 	stream := obs.NewStream(&jsonl)
-	names, cfgs := overlapTenants(t, threads, deterministicOnly{obs.Tee(live, stream)})
+	names, cfgs := overlapTenants(t, deterministicOnly{obs.Tee(live, stream)})
 
 	var out overlapOutput
 	if viaDaemon {
@@ -147,10 +146,11 @@ func overlapRun(t *testing.T, threads int, viaDaemon bool) overlapOutput {
 // halves genuinely running at once, the daemon's per-tenant results, the
 // shared JSONL stream and the shared Live's Prometheus text are
 // byte-identical to a serial loop over the same steppers — on one P
-// (goroutines interleave only at yields), two, and more Ps than tenants,
-// at every push-thread count.
+// (goroutines interleave only at yields), two, and more
+// Ps than tenants.
 func TestDaemonOverlapEquivalence(t *testing.T) {
-	want := overlapRun(t, 1, false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := overlapRun(t, false)
 	moves := 0
 	for i, res := range want.results {
 		if len(res.Windows) != ovWindows || res.Ops != ovWindows*ovOpsPerWindow {
@@ -161,22 +161,19 @@ func TestDaemonOverlapEquivalence(t *testing.T) {
 	if moves == 0 || !strings.Contains(want.prom, "tierscape_windows_total 16") {
 		t.Fatalf("serial reference is vacuous: %d moves", moves)
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, threads := range []int{1, 2, 8} {
-			got := overlapRun(t, threads, true)
-			for i := range want.results {
-				if !reflect.DeepEqual(got.results[i], want.results[i]) {
-					t.Errorf("GOMAXPROCS=%d PushThreads=%d: tenant %d's result differs from the serial loop's", procs, threads, i)
-				}
+		got := overlapRun(t, true)
+		for i := range want.results {
+			if !reflect.DeepEqual(got.results[i], want.results[i]) {
+				t.Errorf("GOMAXPROCS=%d: tenant %d's result differs from the serial loop's", procs, i)
 			}
-			if !bytes.Equal(got.jsonl, want.jsonl) {
-				t.Errorf("GOMAXPROCS=%d PushThreads=%d: JSONL stream is not byte-identical to the serial loop's", procs, threads)
-			}
-			if got.prom != want.prom {
-				t.Errorf("GOMAXPROCS=%d PushThreads=%d: Prometheus text is not byte-identical to the serial loop's", procs, threads)
-			}
+		}
+		if !bytes.Equal(got.jsonl, want.jsonl) {
+			t.Errorf("GOMAXPROCS=%d: JSONL stream is not byte-identical to the serial loop's", procs)
+		}
+		if got.prom != want.prom {
+			t.Errorf("GOMAXPROCS=%d: Prometheus text is not byte-identical to the serial loop's", procs)
 		}
 	}
 }

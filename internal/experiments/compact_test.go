@@ -14,27 +14,27 @@ func withCompactBudget(t *testing.T, n int, f func()) {
 // TestConcurrentCompactBudgetIdenticalTables pins the budgeted compactor
 // into the table-level determinism contract: with a tight process-wide
 // -compact-budget the Fig-10 sweep must emit byte-identical CSVs at
-// PushThreads 1, 2 and 8. (The budget changes the modeled results versus
+// GOMAXPROCS 1, 2 and 8. (The budget changes the modeled results versus
 // the default — that is its point — but never introduces schedule
 // dependence.) Runs under -race in CI (the Concurrent suite).
 func TestConcurrentCompactBudgetIdenticalTables(t *testing.T) {
 	s := SmallScale()
 	tables := make(map[int]string)
-	for _, threads := range []int{1, 2, 8} {
-		withPushThreads(t, threads, func() {
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
 			withCompactBudget(t, 16, func() {
 				tab, err := Fig10(s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				tables[threads] = tab.CSV()
+				tables[procs] = tab.CSV()
 			})
 		})
 	}
-	for _, threads := range []int{2, 8} {
-		if tables[threads] != tables[1] {
-			t.Fatalf("budgeted Fig10 table differs between PushThreads 1 and %d:\nPT1:\n%s\nPT%d:\n%s",
-				threads, tables[1], threads, tables[threads])
+	for _, procs := range []int{2, 8} {
+		if tables[procs] != tables[1] {
+			t.Fatalf("budgeted Fig10 table differs between GOMAXPROCS 1 and %d:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS %d:\n%s",
+				procs, tables[1], procs, tables[procs])
 		}
 	}
 	if CompactBudget() != 0 {

@@ -42,23 +42,21 @@ const oneSlab = 128 << 10
 // reference is the same figure sharing nothing — every job building its
 // own graph (the lineup's constructors with the table hidden from them)
 // and compressing its own pages (no memo) — serial; the shared sweep must
-// match its table and its JSONL event stream byte for byte at every runner
-// and push-thread width, and so must one whose memo admits nothing or
-// fills up a moment into the sweep.
+// match its table and its JSONL event stream byte for byte at every
+// GOMAXPROCS (the runner's width), and so must
+// one whose memo admits nothing or fills up a moment into the sweep.
 func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	s := tinyScale()
-	capture := func(parallel, push int, fig func() (*Table, error)) (table, stream string) {
+	capture := func(procs int, fig func() (*Table, error)) (table, stream string) {
 		var buf bytes.Buffer
 		SetEventSink(&buf)
 		defer SetEventSink(nil)
-		withParallelism(t, parallel, func() {
-			withPushThreads(t, push, func() {
-				tab, err := fig()
-				if err != nil {
-					t.Fatal(err)
-				}
-				table = tab.String()
-			})
+		withProcs(procs, func() {
+			tab, err := fig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			table = tab.String()
 		})
 		return table, buf.String()
 	}
@@ -74,7 +72,7 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	before := rmatBuilds.Load()
 	var wantTable, wantStream string
 	withStoreMemo(t, nil, func() {
-		wantTable, wantStream = capture(1, 1, func() (*Table, error) { return fig7(s, private) })
+		wantTable, wantStream = capture(1, func() (*Table, error) { return fig7(s, private) })
 	})
 	if n := rmatBuilds.Load() - before; n != 21 {
 		t.Fatalf("the per-job reference built %d graphs, want 21 (three graph workloads × seven jobs)", n)
@@ -82,21 +80,19 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	if !strings.Contains(wantStream, `"e":"window"`) {
 		t.Fatal("reference stream carries no window snapshots")
 	}
-	for _, parallel := range []int{1, 2, 8} {
-		for _, push := range []int{1, 2, 8} {
-			table, stream := capture(parallel, push, func() (*Table, error) { return Fig7(s) })
-			if table != wantTable {
-				t.Errorf("parallel=%d push=%d: table differs from per-job builds", parallel, push)
-			}
-			if stream != wantStream {
-				t.Errorf("parallel=%d push=%d: event stream differs from per-job builds", parallel, push)
-			}
+	for _, procs := range []int{1, 2, 8} {
+		table, stream := capture(procs, func() (*Table, error) { return Fig7(s) })
+		if table != wantTable {
+			t.Errorf("GOMAXPROCS=%d: table differs from per-job builds", procs)
+		}
+		if stream != wantStream {
+			t.Errorf("GOMAXPROCS=%d: event stream differs from per-job builds", procs)
 		}
 	}
 	for _, budget := range []int64{0, oneSlab} {
 		var memo *ztier.StoreMemo
 		withStoreMemo(t, func() *ztier.StoreMemo { memo = ztier.NewStoreMemo(budget); return memo }, func() {
-			table, stream := capture(2, 2, func() (*Table, error) { return Fig7(s) })
+			table, stream := capture(2, func() (*Table, error) { return Fig7(s) })
 			if table != wantTable || stream != wantStream {
 				t.Errorf("memo budget %d: table or event stream differs from the unshared figure", budget)
 			}
@@ -112,14 +108,14 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 // graphs (BFS and PageRank share one, GraphSAGE has its own) and build
 // exactly those, at any runner width.
 func TestSweepBuildsEachInputOnce(t *testing.T) {
-	for _, parallel := range []int{1, 8} {
-		withParallelism(t, parallel, func() {
+	for _, procs := range []int{1, 8} {
+		withProcs(procs, func() {
 			before := rmatBuilds.Load()
 			if _, err := Fig7(tinyScale()); err != nil {
 				t.Fatal(err)
 			}
 			if n := rmatBuilds.Load() - before; n != 2 {
-				t.Errorf("parallel=%d: Fig7 built %d rMat graphs, want 2", parallel, n)
+				t.Errorf("GOMAXPROCS=%d: Fig7 built %d rMat graphs, want 2", procs, n)
 			}
 		})
 	}
@@ -178,23 +174,23 @@ func TestSharedInputBuildFailure(t *testing.T) {
 		{spec: workloadByName("BFS")},
 	}
 	var first string
-	for _, parallel := range []int{1, 2, 8} {
-		withParallelism(t, parallel, func() {
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
 			before := rmatBuilds.Load()
 			results, err := runJobs(s, jobs)
 			if err == nil || results != nil {
-				t.Fatalf("parallel=%d: err = %v, results = %v; want the build failure", parallel, err, results)
+				t.Fatalf("GOMAXPROCS=%d: err = %v, results = %v; want the build failure", procs, err, results)
 			}
 			if n := rmatBuilds.Load() - before; n != 1 {
-				t.Errorf("parallel=%d: %d build attempts, want 1", parallel, n)
+				t.Errorf("GOMAXPROCS=%d: %d build attempts, want 1", procs, n)
 			}
 			if !strings.Contains(err.Error(), "building workload PageRank") || !strings.Contains(err.Error(), "rMat graph") {
-				t.Errorf("parallel=%d: err = %v, want job 1's (PageRank) graph build failure", parallel, err)
+				t.Errorf("GOMAXPROCS=%d: err = %v, want job 1's (PageRank) graph build failure", procs, err)
 			}
 			if first == "" {
 				first = err.Error()
 			} else if err.Error() != first {
-				t.Errorf("parallel=%d: err = %q, want %q as at parallel=1", parallel, err, first)
+				t.Errorf("GOMAXPROCS=%d: err = %q, want %q as at GOMAXPROCS=1", procs, err, first)
 			}
 		})
 	}

@@ -82,7 +82,7 @@ func TestSweepMemoHitShare(t *testing.T) {
 		SetLive(l)
 		defer SetLive(nil)
 		withStoreMemo(t, func() *ztier.StoreMemo { memo = ztier.NewStoreMemo(storeMemoBudget); return memo }, func() {
-			withParallelism(t, 1, func() {
+			withProcs(1, func() {
 				if _, err := Fig7(s); err != nil {
 					t.Fatal(err)
 				}

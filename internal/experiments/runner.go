@@ -20,47 +20,11 @@ import (
 // worker pool. Runs are embarrassingly parallel — each owns a fresh
 // manager, workload and profiler, and is seeded purely from its Scale — so
 // scheduling order cannot influence any result: the tables a harness emits
-// are byte-identical at every parallelism level.
+// are byte-identical at every GOMAXPROCS, which sizes the pool.
 
-// parallelism is the configured worker count; 0 means GOMAXPROCS.
-var parallelism atomic.Int64
-
-// SetParallelism sets the worker count used by RunSet. n < 1 restores the
-// default (GOMAXPROCS). Safe to call concurrently with running sets; the
-// new value applies to sets started afterwards.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 0
-	}
-	parallelism.Store(int64(n))
-}
-
-// Parallelism reports the effective worker count.
-func Parallelism() int {
-	if n := parallelism.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// pushThreads is the intra-run migration apply concurrency applied to
-// every job; 0 means the sim default.
-var pushThreads atomic.Int64
-
-// SetPushThreads sets how many push threads each run's migration engine
-// uses (sim.Config.PushThreads). n < 1 restores the sim default. Tables
-// are byte-identical at every setting — the engine's determinism contract
-// — so this, like SetParallelism, is purely a wall-clock knob.
-func SetPushThreads(n int) {
-	if n < 1 {
-		n = 0
-	}
-	pushThreads.Store(int64(n))
-}
-
-// PushThreads reports the configured intra-run apply concurrency
-// (0 = sim default).
-func PushThreads() int { return int(pushThreads.Load()) }
+// Parallelism reports RunSet's worker count: GOMAXPROCS, read when a set
+// starts.
+func Parallelism() int { return runtime.GOMAXPROCS(0) }
 
 // compactBudget caps each run's per-window compaction pass; 0 means the
 // sim default (unbounded full sweep).
@@ -68,10 +32,10 @@ var compactBudget atomic.Int64
 
 // SetCompactBudget bounds every subsequently started run's per-window
 // compaction to n reclaimed pool pages (sim.Config.CompactBudget). n < 1
-// restores the unbounded default. Unlike SetPushThreads this is a
-// SEMANTIC knob: a bounded budget defers pool-page reclamation across
-// windows, so tables legitimately differ from the unbounded sweep (while
-// remaining deterministic for any fixed value).
+// restores the unbounded default. This is a SEMANTIC knob: a bounded
+// budget defers pool-page reclamation across windows, so tables
+// legitimately differ from the unbounded sweep (while remaining
+// deterministic for any fixed value).
 func SetCompactBudget(n int) {
 	if n < 1 {
 		n = 0
@@ -95,7 +59,7 @@ func SetLive(l *obs.Live) { live.Store(l) }
 // eventSink, when set, receives every run's deterministic JSONL event
 // stream. Each job records into a private buffer and completed sets flush
 // in job-index order under eventMu, so the sink's bytes are identical at
-// every parallelism and push-thread setting.
+// every GOMAXPROCS.
 var (
 	eventMu   sync.Mutex
 	eventSink io.Writer
@@ -230,9 +194,6 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 		Windows:      s.Windows,
 		SampleRate:   sim.Int(s.SampleRate),
 		Recorder:     rec,
-	}
-	if n := PushThreads(); n > 0 {
-		cfg.PushThreads = sim.Int(n)
 	}
 	if n := CompactBudget(); n > 0 {
 		cfg.CompactBudget = sim.Int(n)

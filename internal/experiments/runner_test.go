@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -11,18 +12,16 @@ import (
 	"tierscape/internal/workload"
 )
 
-// withParallelism runs f with the pool pinned to n workers, restoring the
-// default afterwards.
-func withParallelism(t *testing.T, n int, f func()) {
-	t.Helper()
-	SetParallelism(n)
-	defer SetParallelism(0)
+// withProcs runs f at GOMAXPROCS n — the pool's width — restoring the old
+// value afterwards.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 	f()
 }
 
 func TestRunSetRunsEveryJobOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		withParallelism(t, workers, func() {
+		withProcs(workers, func() {
 			const n = 100
 			counts := make([]int32, n)
 			if err := RunSet(n, func(i int) error {
@@ -50,7 +49,7 @@ func TestRunSetDeterministicFirstError(t *testing.T) {
 	// Multiple jobs fail; the reported error must be the lowest-index one
 	// regardless of worker scheduling — exactly what a serial loop reports.
 	for _, workers := range []int{1, 8} {
-		withParallelism(t, workers, func() {
+		withProcs(workers, func() {
 			for trial := 0; trial < 20; trial++ {
 				err := RunSet(50, func(i int) error {
 					if i == 7 || i == 23 || i == 49 {
@@ -67,7 +66,7 @@ func TestRunSetDeterministicFirstError(t *testing.T) {
 }
 
 func TestRunSetCompletesAllJobsDespiteErrors(t *testing.T) {
-	withParallelism(t, 4, func() {
+	withProcs(4, func() {
 		var ran int32
 		err := RunSet(20, func(i int) error {
 			atomic.AddInt32(&ran, 1)
@@ -80,22 +79,6 @@ func TestRunSetCompletesAllJobsDespiteErrors(t *testing.T) {
 			t.Fatalf("only %d/20 jobs ran; failures must not cancel the set", ran)
 		}
 	})
-}
-
-func TestParallelismClamping(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", got)
-	}
-	SetParallelism(0)
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("default parallelism = %d, want >= 1", got)
-	}
-	SetParallelism(-5)
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("negative parallelism not clamped: %d", got)
-	}
 }
 
 func TestRunJobsPropagatesBuildError(t *testing.T) {
@@ -118,8 +101,9 @@ func TestRunJobsPropagatesBuildError(t *testing.T) {
 
 // TestParallelSerialIdenticalTables is the engine's core guarantee: a
 // harness table is byte-identical whether runs execute serially or fan out
-// across workers. Fig1 (4 runs) and TierCountAblation (6 runs, three
-// distinct builders) cover single-builder and multi-builder job sets.
+// across workers, at GOMAXPROCS 1 and 8. Fig1 (4 runs) and
+// TierCountAblation (6 runs, three distinct builders) cover single-builder
+// and multi-builder job sets.
 func TestParallelSerialIdenticalTables(t *testing.T) {
 	s := SmallScale()
 	for _, harness := range []struct {
@@ -131,14 +115,14 @@ func TestParallelSerialIdenticalTables(t *testing.T) {
 	} {
 		t.Run(harness.name, func(t *testing.T) {
 			var serialCSV, parallelCSV string
-			withParallelism(t, 1, func() {
+			withProcs(1, func() {
 				tab, err := harness.run(s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				serialCSV = tab.CSV()
 			})
-			withParallelism(t, 8, func() {
+			withProcs(8, func() {
 				tab, err := harness.run(s)
 				if err != nil {
 					t.Fatal(err)
@@ -146,7 +130,7 @@ func TestParallelSerialIdenticalTables(t *testing.T) {
 				parallelCSV = tab.CSV()
 			})
 			if serialCSV != parallelCSV {
-				t.Fatalf("tables differ between -parallel 1 and -parallel 8:\nserial:\n%s\nparallel:\n%s",
+				t.Fatalf("tables differ between GOMAXPROCS 1 and 8:\nserial:\n%s\nparallel:\n%s",
 					serialCSV, parallelCSV)
 			}
 		})
@@ -157,43 +141,35 @@ func TestParallelSerialIdenticalTables(t *testing.T) {
 // characterization matrix must also be order-independent.
 func TestFig2ParallelSerialIdentical(t *testing.T) {
 	var serialCSV, parallelCSV string
-	withParallelism(t, 1, func() { serialCSV = Fig2(64).CSV() })
-	withParallelism(t, 8, func() { parallelCSV = Fig2(64).CSV() })
+	withProcs(1, func() { serialCSV = Fig2(64).CSV() })
+	withProcs(8, func() { parallelCSV = Fig2(64).CSV() })
 	if serialCSV != parallelCSV {
 		t.Fatal("Fig2 tables differ between serial and parallel execution")
 	}
 }
 
-// withPushThreads runs f with every run's migration engine pinned to n
-// push threads, restoring the sim default afterwards.
-func withPushThreads(t *testing.T, n int, f func()) {
-	t.Helper()
-	SetPushThreads(n)
-	defer SetPushThreads(0)
-	f()
-}
-
 // TestConcurrentPushThreadsIdenticalTables extends the engine's
 // determinism guarantee to intra-run parallelism: the standard harness
 // (the Fig-5/10 knob sweep — Waterfall plus AM at five α values) must
-// emit byte-identical tables whether each run applies its migrations with
-// 1, 2 or 8 real push threads. Runs under -race in CI.
+// emit byte-identical tables at GOMAXPROCS 1, 2 and 8, whether each run's
+// two real push threads share one core with every other run or spread
+// across several. Runs under -race in CI.
 func TestConcurrentPushThreadsIdenticalTables(t *testing.T) {
 	s := SmallScale()
 	tables := make(map[int]string)
-	for _, threads := range []int{1, 2, 8} {
-		withPushThreads(t, threads, func() {
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
 			tab, err := Fig10(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tables[threads] = tab.CSV()
+			tables[procs] = tab.CSV()
 		})
 	}
-	for _, threads := range []int{2, 8} {
-		if tables[threads] != tables[1] {
-			t.Fatalf("Fig10 table differs between PushThreads 1 and %d:\nPT1:\n%s\nPT%d:\n%s",
-				threads, tables[1], threads, tables[threads])
+	for _, procs := range []int{2, 8} {
+		if tables[procs] != tables[1] {
+			t.Fatalf("Fig10 table differs between GOMAXPROCS 1 and %d:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS %d:\n%s",
+				procs, tables[1], procs, tables[procs])
 		}
 	}
 }
@@ -202,7 +178,7 @@ func TestConcurrentPushThreadsIdenticalTables(t *testing.T) {
 // whose CT-1 pool is clamped to a sliver, so every run's demotions hit
 // ErrTierFull and commit outcomes depend on fallback placement — the
 // shape in which commit order matters most. The CSV must stay
-// byte-identical across PushThreads 1, 2 and 8. Runs under -race -count=3
+// byte-identical across GOMAXPROCS 1, 2 and 8. Runs under -race -count=3
 // in CI (the Concurrent suite).
 func TestConcurrentFallbackHeavyFig10CSV(t *testing.T) {
 	s := SmallScale()
@@ -231,19 +207,19 @@ func TestConcurrentFallbackHeavyFig10CSV(t *testing.T) {
 		t.Fatal("clamped CT-1 produced no rejected moves; fallback-heavy test is vacuous")
 	}
 	tables := make(map[int]string)
-	for _, threads := range []int{1, 2, 8} {
-		withPushThreads(t, threads, func() {
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() {
 			tab, err := fig10With(s, clamped)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tables[threads] = tab.CSV()
+			tables[procs] = tab.CSV()
 		})
 	}
-	for _, threads := range []int{2, 8} {
-		if tables[threads] != tables[1] {
-			t.Fatalf("fallback-heavy Fig10 CSV differs between PushThreads 1 and %d:\nPT1:\n%s\nPT%d:\n%s",
-				threads, tables[1], threads, tables[threads])
+	for _, procs := range []int{2, 8} {
+		if tables[procs] != tables[1] {
+			t.Fatalf("fallback-heavy Fig10 CSV differs between GOMAXPROCS 1 and %d:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS %d:\n%s",
+				procs, tables[1], procs, tables[procs])
 		}
 	}
 }

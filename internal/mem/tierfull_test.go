@@ -2,6 +2,7 @@ package mem_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tierscape/internal/corpus"
@@ -14,13 +15,14 @@ import (
 	"tierscape/internal/ztier"
 )
 
-// tierFullRun runs mdl at pushThreads over a manager with room nowhere but
+// tierFullRun runs mdl at GOMAXPROCS procs over a manager with room nowhere but
 // DRAM: both compressed tiers clamped to a sliver of pool pages and NVMM
 // bounded to two regions. The filter's capacity check is off, so the plan
 // keeps sending regions at full tiers and every commit-time fallback runs:
 // compressed stores refused and placed back, NVMM moves refused mid-region.
-func tierFullRun(t *testing.T, mdl model.Model, pushThreads int) (*sim.Result, *mem.Manager) {
+func tierFullRun(t *testing.T, mdl model.Model, procs int) (*sim.Result, *mem.Manager) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*mem.RegionPages, 1)
 	m, err := mem.NewManager(mem.Config{
 		NumPages:        wl.NumPages(),
@@ -47,7 +49,6 @@ func tierFullRun(t *testing.T, mdl model.Model, pushThreads int) (*sim.Result, *
 		OpsPerWindow: 4000,
 		Windows:      5,
 		SampleRate:   sim.Int(20),
-		PushThreads:  sim.Int(pushThreads),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +59,7 @@ func tierFullRun(t *testing.T, mdl model.Model, pushThreads int) (*sim.Result, *
 // TestTierFullEverywhere: with every tier but DRAM full, the commits that
 // place a page whose bytes its prepare already gave back — a store a full
 // pool refuses, a region NVMM stops taking halfway — still leave every
-// page somewhere, and the Result is the same at PT 1, 2 and 8 under
+// page somewhere, and the Result is the same at GOMAXPROCS 1, 2 and 8 under
 // Waterfall and AM-TCO.
 func TestTierFullEverywhere(t *testing.T) {
 	for _, mdl := range []func() model.Model{
@@ -67,8 +68,8 @@ func TestTierFullEverywhere(t *testing.T) {
 	} {
 		t.Run(mdl().Name(), func(t *testing.T) {
 			var base *sim.Result
-			for _, pt := range []int{1, 2, 8} {
-				res, m := tierFullRun(t, mdl(), pt)
+			for _, procs := range []int{1, 2, 8} {
+				res, m := tierFullRun(t, mdl(), procs)
 				full, rejected := 0, 0
 				for _, w := range res.Windows {
 					var resident int64
@@ -76,18 +77,18 @@ func TestTierFullEverywhere(t *testing.T) {
 						resident += n
 					}
 					if resident != m.NumPages() {
-						t.Fatalf("PT %d, window %d: %d pages resident across tiers, want %d", pt, w.Window, resident, m.NumPages())
+						t.Fatalf("GOMAXPROCS %d, window %d: %d pages resident across tiers, want %d", procs, w.Window, resident, m.NumPages())
 					}
 					full += w.TierFullMoves
 					rejected += w.Rejected
 				}
 				if full == 0 || rejected == 0 {
-					t.Fatalf("PT %d: %d tier-full moves, %d rejected pages; want both > 0", pt, full, rejected)
+					t.Fatalf("GOMAXPROCS %d: %d tier-full moves, %d rejected pages; want both > 0", procs, full, rejected)
 				}
 				if base == nil {
 					base = res
 				} else if !reflect.DeepEqual(res, base) {
-					t.Fatalf("PT %d: result differs from PT 1 with every tier full", pt)
+					t.Fatalf("GOMAXPROCS %d: result differs from GOMAXPROCS 1 with every tier full", procs)
 				}
 			}
 		})

@@ -11,7 +11,7 @@ import (
 // row, %g floats, per-tier column groups suffixed by TierID). Like
 // Stream, it encodes only the deterministic channel: move events and
 // runtime telemetry are dropped, so the emitted bytes are identical at
-// every PushThreads.
+// every push-thread count.
 //
 // The header is derived from the first snapshot's tier count, so one
 // writer serves any tier lineup but must not be shared by runs with

@@ -10,7 +10,7 @@ import (
 // Runtime telemetry (RecordRuntime) is deliberately dropped: it carries
 // wall-clock measurements, and a stream that included them could never be
 // byte-reproducible. With that exclusion the emitted bytes are identical
-// at every PushThreads and across repeated runs, which is what the
+// at every push-thread count and across repeated runs, which is what the
 // determinism suite asserts and what makes recorded streams diffable.
 //
 // The first encoding or write error latches (Err) and silences the

@@ -9,7 +9,7 @@
 //   - Deterministic events — WindowSnapshot and MoveEvent — carry only
 //     virtual-clock and placement data. They are byte-reproducible: the
 //     same configuration produces the identical event stream at every
-//     PushThreads and parallelism setting (the simulator's determinism
+//     GOMAXPROCS and push-thread count (the simulator's determinism
 //     contract extends to them). These are what Result.Windows retains
 //     and what the JSONL/CSV sinks encode.
 //   - Runtime telemetry — WindowRuntime — carries wall-clock phase
@@ -38,7 +38,7 @@ type Recorder interface {
 	// RecordMove receives one applied migration move. Moves of a window
 	// arrive after its apply phase completes, in ascending job order —
 	// each is read off the plan and the job-indexed apply results, so the
-	// order (and content) is identical at every PushThreads.
+	// order (and content) is identical at every push-thread count.
 	RecordMove(MoveEvent)
 	// RecordRuntime receives the wall-clock telemetry of one window:
 	// phase durations and the push threads' commit stalls. Values are
@@ -51,7 +51,7 @@ type Recorder interface {
 // retained on sim.Result.Windows and encoded verbatim by the JSONL and
 // CSV sinks; every field is a pure function of the run's configuration
 // (virtual clock, placement state), never of wall time or scheduling, so
-// snapshots are byte-identical across PushThreads and repeated runs.
+// snapshots are byte-identical across push-thread counts and repeated runs.
 //
 // Slice fields are indexed by TierID unless noted. Byte-addressable tiers
 // hold zeros in the compression-specific columns.
@@ -143,7 +143,7 @@ type WindowSnapshot struct {
 	// Latency summarizes every modeled access latency of this window
 	// (all tiers merged). Quantiles are quantized to the fixed log₂
 	// bucket boundaries (stats.LogHist), so they are deterministic at
-	// every PushThreads; the aggregate carries no bucket list — the
+	// every push-thread count; the aggregate carries no bucket list — the
 	// per-tier summaries in TierLatency do.
 	Latency LatencySummary
 	// TierLatency holds one latency summary per serving tier (indexed by
@@ -171,7 +171,7 @@ type WindowSnapshot struct {
 	// currently exceed the thrash threshold (score halves each window, a
 	// direction flip adds one; threshold 1.5 ≈ flips in two recent
 	// windows). ThrashScore is the sum of all live scores — exact at
-	// every PushThreads because scores are dyadic rationals.
+	// every push-thread count because scores are dyadic rationals.
 	ThrashRegions int     `json:",omitempty"`
 	ThrashScore   float64 `json:",omitempty"`
 	// MigratedBytes is the migration traffic this window pushed over the
@@ -186,7 +186,7 @@ type WindowSnapshot struct {
 // latencies: count, sum and log₂-bucket-quantized percentiles, plus the
 // sparse bucket list when attached per tier. All values derive from
 // fixed-boundary histograms (stats.LogHist), so they are identical at
-// every PushThreads setting.
+// every push-thread count.
 type LatencySummary struct {
 	// Count is the number of accesses observed; SumNs their total
 	// modeled latency.
@@ -234,7 +234,7 @@ func (w *WindowSnapshot) SavingsPctVs(tcoMax float64) float64 {
 
 // MoveEvent is one applied region migration, emitted after the window's
 // apply phase in ascending job order. Deterministic: identical at every
-// PushThreads setting.
+// push-thread count.
 type MoveEvent struct {
 	// Window is the 1-based window the move was applied in.
 	Window int
@@ -302,11 +302,11 @@ type WindowRuntime struct {
 	PhaseWallNs [NumPhases]float64
 	// PrepareWallNs and CommitWallNs split the apply phase into its
 	// concurrent prepare half and ordered commit half, summed across
-	// workers (so they can exceed PhaseWallNs[PhaseApply] when
-	// PushThreads > 1).
+	// workers (so they can exceed PhaseWallNs[PhaseApply] when more than
+	// one push thread runs).
 	PrepareWallNs, CommitWallNs float64
 	// Sched reports how the window's commits queued; zero when the window
-	// applied serially (PushThreads 1 or a short plan).
+	// applied serially (one push thread or a short plan).
 	Sched SchedulerStats
 }
 

@@ -5,8 +5,8 @@
 // modeled that (apply serially, divide the modeled time by PT); here the
 // plan really is applied by PT goroutines against the shared mem.Manager.
 //
-// Determinism contract: results are byte-identical for any PushThreads
-// value and across repeated runs. Each move splits into a pure prepare
+// Determinism contract: results are byte-identical for any push-thread
+// count and across repeated runs. Each move splits into a pure prepare
 // (mem.PrepareRegionMigration — all decompression/compression compute,
 // under the region read lock, no shared state) and a commit (every
 // placement decision, admission check and counter). Workers claim jobs in
@@ -25,7 +25,7 @@
 // worker and becomes that job's hard error; the turn still advances, so no
 // successor waits forever.
 //
-// With one worker — PushThreads 1, a one-move plan, a prefetch — the pool
+// With one worker — a one-move plan, a prefetch, a test at PT 1 — the pool
 // is the caller's goroutine: it claims the jobs in order and runs each one
 // inline, the turn always already its own. There is no second code path,
 // so a traced one-worker apply times exactly what an untraced one runs.

@@ -33,16 +33,15 @@ func benchCompactRun(b *testing.B, pt int, budget *int) *Result {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := runPT(Config{
 		Manager:       m,
 		Workload:      wl,
 		Model:         &model.Waterfall{Pct: 75}, // churn-heavy: big demote waves every window
 		OpsPerWindow:  4000,
 		Windows:       8,
 		SampleRate:    Int(20),
-		PushThreads:   Int(pt),
 		CompactBudget: budget,
-	})
+	}, pt)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,20 +11,21 @@ import (
 )
 
 // budgetRun is ptRun with a compaction budget: the standard-mix harness at
-// the given push-thread count and CompactBudget setting.
-func budgetRun(t *testing.T, threads, budget *int) *Result {
+// GOMAXPROCS procs with procs push threads and the given CompactBudget
+// setting.
+func budgetRun(t *testing.T, procs int, budget *int) *Result {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-	res, err := Run(Config{
+	res, err := runPT(Config{
 		Manager:       standardMix(t, wl),
 		Workload:      wl,
 		Model:         &model.Waterfall{Pct: 50},
 		OpsPerWindow:  4000,
 		Windows:       5,
 		SampleRate:    Int(20),
-		PushThreads:   threads,
 		CompactBudget: budget,
-	})
+	}, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +34,10 @@ func budgetRun(t *testing.T, threads, budget *int) *Result {
 
 // TestConcurrentCompactBudgetDeterminism extends the push-thread contract
 // to budgeted compaction: with a fixed CompactBudget the full Result must
-// be deep-equal across PushThreads 1, 2 and 8. Runs under -race in CI
+// be deep-equal across push threads 1, 2 and 8. Runs under -race in CI
 // (the Concurrent suite).
 func TestConcurrentCompactBudgetDeterminism(t *testing.T) {
-	base := budgetRun(t, Int(1), Int(64))
+	base := budgetRun(t, 1, Int(64))
 	moved := 0
 	for _, w := range base.Windows {
 		moved += w.CompactObjectsMoved
@@ -43,10 +45,10 @@ func TestConcurrentCompactBudgetDeterminism(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("run compacted nothing; budget determinism test is vacuous")
 	}
-	for _, threads := range []int{2, 8} {
-		got := budgetRun(t, Int(threads), Int(64))
+	for _, procs := range []int{2, 8} {
+		got := budgetRun(t, procs, Int(64))
 		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("PushThreads=%d result differs from PushThreads=1 under CompactBudget=64", threads)
+			t.Fatalf("GOMAXPROCS=%d result differs from GOMAXPROCS=1 under CompactBudget=64", procs)
 		}
 	}
 }
@@ -56,8 +58,8 @@ func TestConcurrentCompactBudgetDeterminism(t *testing.T) {
 // indistinguishable from it — the budget only defers work, never changes
 // what an unconstrained pass does.
 func TestCompactBudgetUnboundedEquivalence(t *testing.T) {
-	unset := budgetRun(t, Int(2), nil)
-	huge := budgetRun(t, Int(2), Int(1<<30))
+	unset := budgetRun(t, 2, nil)
+	huge := budgetRun(t, 2, Int(1<<30))
 	if !reflect.DeepEqual(unset, huge) {
 		t.Fatal("CompactBudget=1<<30 result differs from nil (unbounded) budget")
 	}
@@ -78,8 +80,8 @@ func TestCompactBudgetUnboundedEquivalence(t *testing.T) {
 // strand nothing by the end — the final footprint matches the unbounded
 // run's once the backlog drains.
 func TestCompactBudgetDefersWork(t *testing.T) {
-	unbounded := budgetRun(t, Int(2), nil)
-	bounded := budgetRun(t, Int(2), Int(8))
+	unbounded := budgetRun(t, 2, nil)
+	bounded := budgetRun(t, 2, Int(8))
 	var maxUnbounded, maxBounded int
 	for _, w := range unbounded.Windows {
 		if w.CompactedPages > maxUnbounded {

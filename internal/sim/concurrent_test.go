@@ -18,22 +18,39 @@ import (
 	"tierscape/internal/ztier"
 )
 
+// runPT is Run with pt push threads in place of the stepper's fixed
+// pushThreads, so the tests can drive the engine's thread-count contract
+// end to end.
+func runPT(cfg Config, pt int) (*Result, error) {
+	s, err := NewStepper(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.scratch = make([]mem.MigrationScratch, pt)
+	for w := 0; w < cfg.Windows; w++ {
+		if err := s.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return s.Result(), nil
+}
+
 // ptRun executes one standard-mix run (the Fig-7/Fig-10 harness shape:
-// Memcached/YCSB on DRAM + NVMM + CT-1 + CT-2) at the given push-thread
-// count. Workload and manager are rebuilt per run so every invocation is
-// independent and identically seeded.
-func ptRun(t *testing.T, mdl model.Model, threads *int) *Result {
+// Memcached/YCSB on DRAM + NVMM + CT-1 + CT-2) at GOMAXPROCS procs with
+// procs push threads. Workload and manager are rebuilt per run so
+// every invocation is independent and identically seeded.
+func ptRun(t *testing.T, mdl model.Model, procs int) *Result {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-	res, err := Run(Config{
+	res, err := runPT(Config{
 		Manager:      standardMix(t, wl),
 		Workload:     wl,
 		Model:        mdl,
 		OpsPerWindow: 4000,
 		Windows:      5,
 		SampleRate:   Int(20),
-		PushThreads:  threads,
-	})
+	}, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +59,10 @@ func ptRun(t *testing.T, mdl model.Model, threads *int) *Result {
 
 // TestConcurrentPushThreadsDeterminism is the tentpole contract: the full
 // Result — every window record, tier-pages slice, latency summary and
-// float sum — must be byte-identical across PushThreads 1, 2 and 8 and
-// across repeated runs, even though PT>1 really applies migrations from
-// PT goroutines. Runs under -race in CI (the Concurrent suite).
+// float sum — must be byte-identical across push threads 1, 2 and 8 and
+// across repeated runs, even though more than one push thread really
+// applies migrations from that many goroutines. Runs under -race in CI
+// (the Concurrent suite).
 func TestConcurrentPushThreadsDeterminism(t *testing.T) {
 	for _, mdl := range []func() model.Model{
 		func() model.Model { return &model.Waterfall{Pct: 50} },
@@ -52,51 +70,42 @@ func TestConcurrentPushThreadsDeterminism(t *testing.T) {
 	} {
 		name := mdl().Name()
 		t.Run(name, func(t *testing.T) {
-			base := ptRun(t, mdl(), Int(1))
+			base := ptRun(t, mdl(), 1)
 			if base.Windows[len(base.Windows)-1].Moves == 0 && base.Faults == 0 {
 				t.Fatal("run exercised no migrations; determinism test is vacuous")
 			}
-			for _, threads := range []int{1, 2, 8} {
-				got := ptRun(t, mdl(), Int(threads))
+			for _, procs := range []int{1, 2, 8} {
+				got := ptRun(t, mdl(), procs)
 				if !reflect.DeepEqual(got, base) {
-					t.Fatalf("PushThreads=%d result differs from PushThreads=1:\nPT1: %+v\nPT%d: %+v",
-						threads, base, threads, got)
+					t.Fatalf("GOMAXPROCS=%d result differs from GOMAXPROCS=1:\nPT1: %+v\nPT%d: %+v",
+						procs, base, procs, got)
 				}
 			}
 		})
 	}
 }
 
-// TestConcurrentPushThreadsZeroValue is the pointer-optional regression
-// test: nil means "default 2", an explicit 1 is honored as serial (the old
-// int field silently rewrote both 0 and 1's intent), and out-of-range
-// values are rejected instead of silently patched.
-func TestConcurrentPushThreadsZeroValue(t *testing.T) {
-	mdl := func() model.Model { return &model.Waterfall{Pct: 50} }
-	nilRes := ptRun(t, mdl(), nil)
-	two := ptRun(t, mdl(), Int(2))
-	if !reflect.DeepEqual(nilRes, two) {
-		t.Fatal("nil PushThreads must mean the default of 2")
-	}
-	one := ptRun(t, mdl(), Int(1))
-	if !reflect.DeepEqual(one, two) {
-		// Determinism makes PT1 ≡ PT2 anyway; what matters is that an
-		// explicit 1 runs (and runs serially) instead of being rewritten.
-		t.Fatal("explicit PushThreads=1 must be honored and identical to the default")
-	}
-	for _, bad := range []int{0, -3} {
+// TestPushThreadsFixed: a stepper has pushThreads push threads — one
+// migration scratch each — whatever GOMAXPROCS it is built or stepped at.
+func TestPushThreadsFixed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		_, err := Run(Config{
-			Manager:      standardMix(t, wl),
-			Workload:     wl,
-			Model:        mdl(),
-			OpsPerWindow: 100,
-			Windows:      1,
-			SampleRate:   Int(20),
-			PushThreads:  Int(bad),
-		})
-		if err == nil || !strings.Contains(err.Error(), "PushThreads") {
-			t.Fatalf("PushThreads=%d: want validation error, got %v", bad, err)
+		s, err := NewStepper(Config{Manager: standardMix(t, wl), Workload: wl, OpsPerWindow: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.scratch) != pushThreads {
+			t.Fatalf("GOMAXPROCS=%d: %d push threads, want %d", procs, len(s.scratch), pushThreads)
+		}
+		runtime.GOMAXPROCS(procs + 4)
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.scratch) != pushThreads {
+			t.Fatalf("built at GOMAXPROCS=%d, stepped at %d: %d push threads, want %d",
+				procs, procs+4, len(s.scratch), pushThreads)
 		}
 	}
 }
@@ -105,25 +114,25 @@ func TestConcurrentPushThreadsZeroValue(t *testing.T) {
 // counterpart of the push-thread contract: CT-1 is clamped to a sliver of
 // pool pages so a full run's demotions pile into a nearly-full compressed
 // tier, forcing ErrTierFull fallbacks whose placement decisions couple
-// tiers. The full Result must still be deep-equal across PushThreads 1, 2
+// tiers. The full Result must still be deep-equal across push threads 1, 2
 // and 8. Runs under -race -count=3 in CI (the Concurrent suite).
 func TestConcurrentFallbackConflictDeterminism(t *testing.T) {
 	const poolLimit = 48 // pool pages; a sliver of the ~3072-page footprint
-	conflictRun := func(threads int) (*Result, int64) {
+	conflictRun := func(procs int) (*Result, int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 		m := standardMix(t, wl)
 		if err := m.SetCompressedTierLimit(mem.TierID(2), poolLimit); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{
+		res, err := runPT(Config{
 			Manager:      m,
 			Workload:     wl,
 			Model:        &model.Waterfall{Pct: 75}, // aggressive demotion
 			OpsPerWindow: 4000,
 			Windows:      5,
 			SampleRate:   Int(20),
-			PushThreads:  Int(threads),
-		})
+		}, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,14 +146,14 @@ func TestConcurrentFallbackConflictDeterminism(t *testing.T) {
 	if fullRejects == 0 {
 		t.Fatal("no ErrTierFull fallbacks occurred; conflict test is vacuous")
 	}
-	for _, threads := range []int{2, 8} {
-		got, gotRejects := conflictRun(threads)
+	for _, procs := range []int{2, 8} {
+		got, gotRejects := conflictRun(procs)
 		if gotRejects != fullRejects {
-			t.Fatalf("PushThreads=%d: %d full-rejects vs %d at PT1", threads, gotRejects, fullRejects)
+			t.Fatalf("GOMAXPROCS=%d: %d full-rejects vs %d at PT1", procs, gotRejects, fullRejects)
 		}
 		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("PushThreads=%d result differs from PushThreads=1 under ErrTierFull conflicts:\nPT1: %+v\nPT%d: %+v",
-				threads, base, threads, got)
+			t.Fatalf("GOMAXPROCS=%d result differs from GOMAXPROCS=1 under ErrTierFull conflicts:\nPT1: %+v\nPT%d: %+v",
+				procs, base, procs, got)
 		}
 	}
 }

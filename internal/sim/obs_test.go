@@ -1,12 +1,13 @@
 // Observability determinism suite: recording must never perturb results,
-// the event stream must be byte-identical at every PushThreads, and the
-// disabled (nil-Recorder) paths must stay allocation-free.
+// the event stream must be byte-identical at every push-thread count, and
+// the disabled (nil-Recorder) paths must stay allocation-free.
 package sim
 
 import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tierscape/internal/corpus"
@@ -22,22 +23,22 @@ import (
 
 // obsRun is ptRun with a recording Recorder attached: an in-memory capture
 // plus a JSONL stream, teed.
-func obsRun(t *testing.T, mdl model.Model, threads int) (*Result, *obs.Mem, []byte) {
+func obsRun(t *testing.T, mdl model.Model, procs int) (*Result, *obs.Mem, []byte) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 	var capture obs.Mem
 	var buf bytes.Buffer
 	stream := obs.NewStream(&buf)
-	res, err := Run(Config{
+	res, err := runPT(Config{
 		Manager:      standardMix(t, wl),
 		Workload:     wl,
 		Model:        mdl,
 		OpsPerWindow: 4000,
 		Windows:      5,
 		SampleRate:   Int(20),
-		PushThreads:  Int(threads),
 		Recorder:     obs.Tee(&capture, stream),
-	})
+	}, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func obsRun(t *testing.T, mdl model.Model, threads int) (*Result, *obs.Mem, []by
 // TestConcurrentObsStreamDeterminism extends the push-thread determinism
 // contract to the observability layer: for both model families, the full
 // JSONL event stream and every captured snapshot/move must be
-// byte-identical at PushThreads 1, 2 and 8, and attaching a Recorder must
+// byte-identical at push threads 1, 2 and 8, and attaching a Recorder must
 // not change the Result at all. Runs under -race in CI (the Concurrent
 // suite).
 func TestConcurrentObsStreamDeterminism(t *testing.T) {
@@ -60,7 +61,7 @@ func TestConcurrentObsStreamDeterminism(t *testing.T) {
 	} {
 		name := mdl().Name()
 		t.Run(name, func(t *testing.T) {
-			bare := ptRun(t, mdl(), Int(1)) // no recorder at all
+			bare := ptRun(t, mdl(), 1) // no recorder at all
 			baseRes, baseCap, baseStream := obsRun(t, mdl(), 1)
 			if !reflect.DeepEqual(baseRes, bare) {
 				t.Fatal("attaching a Recorder changed the Result")
@@ -76,19 +77,19 @@ func TestConcurrentObsStreamDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(baseCap.Windows, baseRes.Windows) {
 				t.Fatal("RecordWindow snapshots differ from Result.Windows")
 			}
-			for _, threads := range []int{2, 8} {
-				res, cap, stream := obsRun(t, mdl(), threads)
+			for _, procs := range []int{2, 8} {
+				res, cap, stream := obsRun(t, mdl(), procs)
 				if !reflect.DeepEqual(res, baseRes) {
-					t.Fatalf("PushThreads=%d Result differs from PushThreads=1", threads)
+					t.Fatalf("GOMAXPROCS=%d Result differs from GOMAXPROCS=1", procs)
 				}
 				if !reflect.DeepEqual(cap.Windows, baseCap.Windows) {
-					t.Fatalf("PushThreads=%d window snapshots differ", threads)
+					t.Fatalf("GOMAXPROCS=%d window snapshots differ", procs)
 				}
 				if !reflect.DeepEqual(cap.Moves, baseCap.Moves) {
-					t.Fatalf("PushThreads=%d move events differ", threads)
+					t.Fatalf("GOMAXPROCS=%d move events differ", procs)
 				}
 				if !bytes.Equal(stream, baseStream) {
-					t.Fatalf("PushThreads=%d JSONL stream is not byte-identical", threads)
+					t.Fatalf("GOMAXPROCS=%d JSONL stream is not byte-identical", procs)
 				}
 			}
 		})
@@ -125,7 +126,7 @@ func (c coldAM) Recommend(m *mem.Manager, prof telemetry.Profile) model.Recommen
 
 // TestConcurrentWarmObsStreamDeterminism extends the determinism contract
 // to the incremental solve: a persistent analytical model's runs must be
-// byte-identical across PushThreads, and must produce the same placements,
+// byte-identical across push threads, and must produce the same placements,
 // virtual clocks and move streams as a model that solves every window
 // cold, differing only in the warm diagnostic fields. Runs under -race in
 // CI (the Concurrent suite).
@@ -148,16 +149,16 @@ func TestConcurrentWarmObsStreamDeterminism(t *testing.T) {
 		t.Fatal("no window reported a warm hit; warm determinism test is vacuous")
 	}
 
-	for _, threads := range []int{2, 8} {
-		res, cp, stream := obsRun(t, persistent(), threads)
+	for _, procs := range []int{2, 8} {
+		res, cp, stream := obsRun(t, persistent(), procs)
 		if !reflect.DeepEqual(res, baseRes) {
-			t.Fatalf("PushThreads=%d Result differs from PushThreads=1", threads)
+			t.Fatalf("GOMAXPROCS=%d Result differs from GOMAXPROCS=1", procs)
 		}
 		if !reflect.DeepEqual(cp.Moves, baseCap.Moves) {
-			t.Fatalf("PushThreads=%d move events differ", threads)
+			t.Fatalf("GOMAXPROCS=%d move events differ", procs)
 		}
 		if !bytes.Equal(stream, baseStream) {
-			t.Fatalf("PushThreads=%d JSONL stream is not byte-identical", threads)
+			t.Fatalf("GOMAXPROCS=%d JSONL stream is not byte-identical", procs)
 		}
 	}
 
@@ -322,8 +323,9 @@ func BenchmarkRecorderOffCommit(b *testing.B) {
 // sliver): demotions reject at commit time, so the event stream carries
 // rejected moves — the outcomes whose serial/pooled recording paths
 // historically diverged easiest.
-func fallbackObsRun(t *testing.T, threads int) (*Result, *obs.Mem, []byte) {
+func fallbackObsRun(t *testing.T, procs int) (*Result, *obs.Mem, []byte) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 	m := standardMix(t, wl)
 	if err := m.SetCompressedTierLimit(mem.TierID(2), 32); err != nil {
@@ -332,16 +334,15 @@ func fallbackObsRun(t *testing.T, threads int) (*Result, *obs.Mem, []byte) {
 	var capture obs.Mem
 	var buf bytes.Buffer
 	stream := obs.NewStream(&buf)
-	res, err := Run(Config{
+	res, err := runPT(Config{
 		Manager:      m,
 		Workload:     wl,
 		Model:        &model.Waterfall{Pct: 75},
 		OpsPerWindow: 4000,
 		Windows:      5,
 		SampleRate:   Int(20),
-		PushThreads:  Int(threads),
 		Recorder:     obs.Tee(&capture, stream),
-	})
+	}, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +364,9 @@ func moveEvents(window int, moves []policy.Move, applied []moveOutcome) []obs.Mo
 
 // TestConcurrentObsStreamFallback: a window's events are read off the
 // job-indexed results, which every worker count fills through the same
-// runJob — exercised here with rejected (fallback) moves in the stream. The full JSONL byte stream and every captured move are
-// identical at PushThreads 1, 2 and 8. Runs under -race in CI (the
-// Concurrent suite).
+// runJob — exercised here with rejected (fallback) moves in the stream.
+// The full JSONL byte stream and every captured move are identical at
+// push threads 1, 2 and 8. Runs under -race in CI (the Concurrent suite).
 func TestConcurrentObsStreamFallback(t *testing.T) {
 	baseRes, baseCap, baseStream := fallbackObsRun(t, 1)
 	rejected := 0
@@ -375,16 +376,16 @@ func TestConcurrentObsStreamFallback(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no rejected pages in the move stream; fallback pin is vacuous")
 	}
-	for _, threads := range []int{2, 8} {
-		res, cap, stream := fallbackObsRun(t, threads)
+	for _, procs := range []int{2, 8} {
+		res, cap, stream := fallbackObsRun(t, procs)
 		if !reflect.DeepEqual(res, baseRes) {
-			t.Fatalf("PT=%d Result differs from serial", threads)
+			t.Fatalf("GOMAXPROCS=%d Result differs from serial", procs)
 		}
 		if !reflect.DeepEqual(cap.Moves, baseCap.Moves) {
-			t.Fatalf("PT=%d move events differ", threads)
+			t.Fatalf("GOMAXPROCS=%d move events differ", procs)
 		}
 		if !bytes.Equal(stream, baseStream) {
-			t.Fatalf("PT=%d JSONL stream is not byte-identical", threads)
+			t.Fatalf("GOMAXPROCS=%d JSONL stream is not byte-identical", procs)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tierscape/internal/model"
@@ -49,24 +50,24 @@ func TestPrefetcherReducesFaultLatency(t *testing.T) {
 }
 
 // TestPushThreadsInvariant pins the determinism contract from the other
-// direction: push threads are a real-concurrency knob, and the
+// direction: push threads are real concurrency, and the
 // interference charge derives from the measured apply work (bytes moved),
 // so neither application time nor daemon work may depend on the thread
 // count. The old modeled engine divided the charge by PT; this guards
 // against that reappearing.
 func TestPushThreadsInvariant(t *testing.T) {
-	runWith := func(threads int) *Result {
+	runWith := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		res, err := Run(Config{
+		res, err := runPT(Config{
 			Manager:      standardMix(t, wl),
 			Workload:     wl,
 			Model:        &model.Waterfall{Pct: 50},
 			OpsPerWindow: 5000,
 			Windows:      5,
 			SampleRate:   Int(20),
-			PushThreads:  Int(threads),
 			Interference: Float(0.2), // exaggerate so any divergence is visible
-		})
+		}, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,18 +90,18 @@ func TestPushThreadsInvariant(t *testing.T) {
 // the apply engine like a planned move, so a run that prefetches is
 // identical at every push-thread count, PT 1 included.
 func TestPrefetchPushThreadsIdentical(t *testing.T) {
-	runWith := func(threads int) *Result {
+	runWith := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		res, err := Run(Config{
+		res, err := runPT(Config{
 			Manager:                standardMix(t, wl),
 			Workload:               wl,
 			Model:                  &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"},
 			OpsPerWindow:           5000,
 			Windows:                6,
 			SampleRate:             Int(20),
-			PushThreads:            Int(threads),
 			PrefetchFaultThreshold: 8,
-		})
+		}, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,9 +111,9 @@ func TestPrefetchPushThreadsIdentical(t *testing.T) {
 	if base.Prefetches == 0 {
 		t.Fatal("prefetcher never fired; the push-thread pin is vacuous")
 	}
-	for _, threads := range []int{2, 8} {
-		if got := runWith(threads); !reflect.DeepEqual(got, base) {
-			t.Fatalf("PT=%d Result differs from PT=1 under prefetch", threads)
+	for _, procs := range []int{2, 8} {
+		if got := runWith(procs); !reflect.DeepEqual(got, base) {
+			t.Fatalf("GOMAXPROCS=%d Result differs from GOMAXPROCS=1 under prefetch", procs)
 		}
 	}
 }

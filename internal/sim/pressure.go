@@ -6,7 +6,7 @@
 //   - Latencies are observed serially on the access loop (one observer
 //     per stepper) into fixed-boundary log₂ histograms; the aggregate is
 //     a tier-ascending merge, so counts, sums and quantiles are
-//     byte-identical at every PushThreads.
+//     byte-identical at every push-thread count.
 //   - Thrash scores are integer fixed-point (1/256 units) in a map whose
 //     entries evolve independently; sums are exact int64 arithmetic, so
 //     map iteration order cannot leak into the snapshot.

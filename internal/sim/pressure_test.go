@@ -1,8 +1,8 @@
 // Tests for the observability v2 accounting (pressure.go): latency
 // histograms, PSI-style pressure, and the thrash/storm detectors. The
 // snapshot fields are part of the deterministic channel, so they must be
-// identical at every PushThreads, and the per-access observe path must
-// stay allocation-free.
+// identical at every push-thread count, and the per-access observe path
+// must stay allocation-free.
 package sim
 
 import (
@@ -29,7 +29,7 @@ func TestLatencyBucketMirror(t *testing.T) {
 
 // TestConcurrentPressureObsDeterminism asserts the v2 snapshot fields —
 // latency summaries, pressure accounting, thrash/storm gauges — are
-// identical at PushThreads 1, 2 and 8, and that the base run actually
+// identical at push threads 1, 2 and 8, and that the base run actually
 // exercises them (non-vacuity). The stream byte-identity test covers
 // these fields too; this one isolates them for a readable failure.
 func TestConcurrentPressureObsDeterminism(t *testing.T) {
@@ -99,8 +99,8 @@ func TestConcurrentPressureObsDeterminism(t *testing.T) {
 			stallWins, pressureWins, migWins)
 	}
 
-	for _, threads := range []int{2, 8} {
-		res, _, _ := obsRun(t, mdl(), threads)
+	for _, procs := range []int{2, 8} {
+		res, _, _ := obsRun(t, mdl(), procs)
 		for i, w := range res.Windows {
 			b := base.Windows[i]
 			for _, f := range []struct {
@@ -120,8 +120,8 @@ func TestConcurrentPressureObsDeterminism(t *testing.T) {
 				{"StormBytesPerSec", w.StormBytesPerSec, b.StormBytesPerSec},
 			} {
 				if !reflect.DeepEqual(f.got, f.ref) {
-					t.Errorf("PushThreads=%d window %d: %s = %v, want %v (PushThreads=1)",
-						threads, w.Window, f.name, f.got, f.ref)
+					t.Errorf("GOMAXPROCS=%d window %d: %s = %v, want %v (GOMAXPROCS=1)",
+						procs, w.Window, f.name, f.got, f.ref)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"tierscape/internal/corpus"
@@ -19,10 +20,13 @@ import (
 // to the window records of the manager that re-filled and re-compressed a
 // page on every attempt: the hash was recorded before a pte remembered a
 // rejection. Remembering one may save host work only; every count, latency
-// and placement a window reports must stay what it was, at any PushThreads.
+// and placement a window reports must stay what it was, at any push-thread
+// count.
 func TestRejectMemoEquivalence(t *testing.T) {
 	const want = "38c84f0138342242e019352de0ab92f4fc3d028381a1ab89b6be9dbddc94d733"
-	for _, threads := range []int{1, 2, 8} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
 		wl := workload.DefaultMasim(2*mem.RegionPages, 3000, 42)
 		m, err := mem.NewManager(mem.Config{
 			NumPages:        wl.NumPages(),
@@ -32,10 +36,10 @@ func TestRejectMemoEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{
+		res, err := runPT(Config{
 			Manager: m, Workload: wl, Model: &model.Waterfall{Pct: 75},
-			OpsPerWindow: 2000, Windows: 12, SampleRate: Int(50), PushThreads: Int(threads),
-		})
+			OpsPerWindow: 2000, Windows: 12, SampleRate: Int(50),
+		}, procs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +48,7 @@ func TestRejectMemoEquivalence(t *testing.T) {
 			rejected += w.Rejected
 		}
 		if rejected < 1000 {
-			t.Fatalf("PT%d: only %d rejected pages over the run; the test is vacuous", threads, rejected)
+			t.Fatalf("GOMAXPROCS=%d: only %d rejected pages over the run; the test is vacuous", procs, rejected)
 		}
 		b, err := json.Marshal(res.Windows)
 		if err != nil {
@@ -52,7 +56,7 @@ func TestRejectMemoEquivalence(t *testing.T) {
 		}
 		sum := sha256.Sum256(b)
 		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("PT%d: windows digest %q (%d rejected), want %q", threads, got, rejected, want)
+			t.Errorf("GOMAXPROCS=%d: windows digest %q (%d rejected), want %q", procs, got, rejected, want)
 		}
 	}
 }

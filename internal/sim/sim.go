@@ -14,13 +14,14 @@
 // time only through a configurable interference factor.
 //
 // Migration application uses real push threads (the artifact's PT
-// parameter): each window's plan is applied by PushThreads goroutines
+// parameter): each window's plan is applied by pushThreads (2) goroutines
 // against the shared manager (see apply.go). The interference charge
 // derives from the measured apply work — the summed modeled latency of
 // the moves the pool actually performed — and is independent of the
 // thread count, because cache and bandwidth contention scale with bytes
 // moved, not with how many threads move them. Results are byte-identical
-// for every PushThreads value; the knob only changes wall-clock speed.
+// at every thread count and every GOMAXPROCS; both only change wall-clock
+// speed.
 //
 // Observability: every window boundary emits a deterministic
 // obs.WindowSnapshot (retained on Result.Windows regardless of
@@ -75,23 +76,15 @@ type Config struct {
 	// default 0.02. An explicit 0 is honored: daemon work then never
 	// bleeds into application time. Use Float to build the pointer inline.
 	Interference *float64
-	// PushThreads is how many goroutines apply each window's migration
-	// plan in parallel (the artifact's PT parameter); nil uses the
-	// default 2, and an explicit 1 is honored as fully serial. Must be
-	// >= 1 when set; use Int to build the pointer inline. Results are
-	// byte-identical for every value — the deterministic prepare/commit
-	// engine in apply.go guarantees it — so the knob trades Go wall-clock
-	// time only, never simulated outcomes.
-	PushThreads *int
 	// CompactBudget bounds the per-window zs_compact pass to roughly this
 	// many reclaimed pool pages across all compressed tiers (the budgeted
 	// round-robin in mem.CompactBudgeted; pools keep resume cursors so the
 	// remainder carries over to later windows). nil = unbounded, i.e. the
 	// historical compact-to-completion sweep. Must be >= 1 when set; use
-	// Int to build the pointer inline. Unlike PushThreads this is a
-	// semantic knob — a bounded budget defers reclamation, so results
-	// legitimately differ from the unbounded sweep — but any fixed value
-	// remains byte-identical at every PushThreads setting.
+	// Int to build the pointer inline. This is a semantic knob — a
+	// bounded budget defers reclamation, so results legitimately differ
+	// from the unbounded sweep — but any fixed value remains
+	// byte-identical at every GOMAXPROCS.
 	CompactBudget *int
 	// PrefetchFaultThreshold enables the §3.2 prefetcher: when a region
 	// accumulates this many compressed-tier faults within one window, the

@@ -8,7 +8,7 @@
 // NewStepper(cfg) followed by exactly K Step() calls and a Result(), so
 // any driver that performs that same call sequence — batch loop, ticker,
 // test harness — produces byte-identical snapshots, move events and
-// aggregates, at every PushThreads setting.
+// aggregates, at every GOMAXPROCS.
 //
 // A step has two halves, split where the loop body already had a seam.
 // StepAccess is the window's OpsPerWindow operations: it touches only
@@ -36,6 +36,15 @@ import (
 	"tierscape/internal/workload"
 )
 
+// pushThreads is how many goroutines apply each window's migration plan
+// (the artifact's PT parameter, at its PT2 setting). It is fixed rather
+// than GOMAXPROCS: runs already run side by side — one per core in the
+// experiment runner, one per tenant in the daemon — and each push thread
+// keeps a scratch (codec state and page buffers) for its stepper's whole
+// life. Results are byte-identical at every thread count (apply.go), so
+// the count changes only wall-clock time.
+const pushThreads = 2
+
 // Stepper executes the TS-Daemon control loop one profile window per
 // Step call. It holds everything Run's window loop used to keep in
 // locals — profiler, migration filter, accumulators, scratch buffers —
@@ -50,7 +59,6 @@ import (
 type Stepper struct {
 	cfg           Config
 	interference  float64
-	pushThreads   int
 	compactBudget int
 
 	m      *mem.Manager
@@ -131,7 +139,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		return nil, fmt.Errorf("sim: workload needs %d pages but manager has %d",
 			cfg.Workload.NumPages(), cfg.Manager.NumPages())
 	}
-	s := &Stepper{cfg: cfg, interference: 0.02, pushThreads: 2}
+	s := &Stepper{cfg: cfg, interference: 0.02}
 	if cfg.Interference != nil {
 		if *cfg.Interference < 0 {
 			return nil, fmt.Errorf("sim: Interference must be >= 0, got %v", *cfg.Interference)
@@ -144,12 +152,6 @@ func NewStepper(cfg Config) (*Stepper, error) {
 			return nil, fmt.Errorf("sim: SampleRate must be >= 1, got %d", *cfg.SampleRate)
 		}
 		sampleRate = *cfg.SampleRate
-	}
-	if cfg.PushThreads != nil {
-		if *cfg.PushThreads < 1 {
-			return nil, fmt.Errorf("sim: PushThreads must be >= 1, got %d", *cfg.PushThreads)
-		}
-		s.pushThreads = *cfg.PushThreads
 	}
 	if cfg.CompactBudget != nil {
 		if *cfg.CompactBudget < 1 {
@@ -181,7 +183,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	s.wl = cfg.Workload
 	s.recd = cfg.Recorder
 	s.regionFaults = make(map[mem.RegionID]int)
-	s.scratch = make([]mem.MigrationScratch, s.pushThreads)
+	s.scratch = make([]mem.MigrationScratch, pushThreads)
 	numTiers := len(cfg.Manager.Tiers())
 	s.latTier = make([]stats.LogHist, numTiers)
 	s.tierStall = make([]float64, numTiers)
@@ -344,12 +346,12 @@ func (s *Stepper) StepControl() error {
 			rt.PhaseWallNs[obs.PhasePlan] = wallSince(&wall)
 			tr = &applyTrace{}
 		}
-		// Real push threads: pushThreads goroutines apply the plan
+		// Real push threads: one goroutine per scratch applies the plan
 		// concurrently; the deterministic in-order commit (apply.go)
 		// merges per-move accounting by job index, so the sums below
 		// are identical at every thread count.
 		var err error
-		if applied, err = applyMoves(m, plan.Moves, s.scratch, s.pushThreads, tr); err != nil {
+		if applied, err = applyMoves(m, plan.Moves, s.scratch, len(s.scratch), tr); err != nil {
 			return fmt.Errorf("sim: window %d migration: %w", w, err)
 		}
 		if recd != nil {
@@ -431,7 +433,7 @@ func (s *Stepper) StepControl() error {
 
 	if recd != nil {
 		// Event i is read off (plan.Moves[i], applied[i]): the results are
-		// indexed by job and identical at every PushThreads, so the
+		// indexed by job and identical at every thread count, so the
 		// stream is too.
 		for i, mv := range plan.Moves {
 			recd.RecordMove(moveEvent(w+1, i, mv, applied[i]))

@@ -12,29 +12,32 @@ import (
 	"tierscape/internal/workload"
 )
 
-// splitConfigs are the run shapes the split must not change: no model at
-// all, both model families, and the one feature that migrates from inside
-// the access half.
-func splitConfigs(t *testing.T) map[string]func(rec obs.Recorder) Config {
-	base := func(mdl func() model.Model, prefetch, threads int) func(obs.Recorder) Config {
-		return func(rec obs.Recorder) Config {
+// splitSteppers build the run shapes the split must not change: no model
+// at all, both model families, and the one feature that migrates from
+// inside the access half — each at its own push-thread count.
+func splitSteppers(t *testing.T) map[string]func(rec obs.Recorder) (*Stepper, error) {
+	base := func(mdl func() model.Model, prefetch, threads int) func(obs.Recorder) (*Stepper, error) {
+		return func(rec obs.Recorder) (*Stepper, error) {
 			wl := workload.Memcached(workload.DriverYCSB, 1024, 8*mem.RegionPages, 1)
 			cfg := Config{
 				Manager:                standardMix(t, wl),
 				Workload:               wl,
 				OpsPerWindow:           4000,
 				SampleRate:             Int(20),
-				PushThreads:            Int(threads),
 				PrefetchFaultThreshold: prefetch,
 				Recorder:               rec,
 			}
 			if mdl != nil {
 				cfg.Model = mdl()
 			}
-			return cfg
+			s, err := NewStepper(cfg)
+			if err == nil {
+				s.scratch = make([]mem.MigrationScratch, threads)
+			}
+			return s, err
 		}
 	}
-	return map[string]func(obs.Recorder) Config{
+	return map[string]func(obs.Recorder) (*Stepper, error){
 		"baseline":    base(nil, 0, 2),
 		"waterfall":   base(func() model.Model { return &model.Waterfall{Pct: 50} }, 0, 8),
 		"am-tco":      base(func() model.Model { return &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"} }, 0, 2),
@@ -48,14 +51,14 @@ func splitConfigs(t *testing.T) map[string]func(rec obs.Recorder) Config {
 // tick performs.
 func TestStepSplitIdentical(t *testing.T) {
 	const windows = 5
-	for name, mk := range splitConfigs(t) {
+	for name, mk := range splitSteppers(t) {
 		t.Run(name, func(t *testing.T) {
 			var whole, halves obs.Mem
-			a, err := NewStepper(mk(&whole))
+			a, err := mk(&whole)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := NewStepper(mk(&halves))
+			b, err := mk(&halves)
 			if err != nil {
 				t.Fatal(err)
 			}

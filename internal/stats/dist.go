@@ -230,13 +230,11 @@ func fnvHash64(x uint64) uint64 {
 // Gaussian samples indices from a (truncated, wrapped) normal distribution
 // centered at mean with standard deviation sigma, matching memtier_benchmark's
 // Gaussian access pattern option used by the paper for Memcached/memtier.
-// The center can drift to model moving working sets.
 type Gaussian struct {
 	rng   *RNG
 	n     int64
 	mean  float64
 	sigma float64
-	drift float64 // added to mean per sample
 }
 
 // NewGaussian returns a Gaussian sampler over [0, n) centered at mean with
@@ -248,13 +246,8 @@ func NewGaussian(rng *RNG, n int64, mean, sigma float64) *Gaussian {
 	return &Gaussian{rng: rng, n: n, mean: mean, sigma: sigma}
 }
 
-// SetDrift makes the distribution center advance by d positions per sample,
-// wrapping around the key space.
-func (g *Gaussian) SetDrift(d float64) { g.drift = d }
-
 // Next returns the next Gaussian-sampled index, wrapped into [0, n).
 func (g *Gaussian) Next() int64 {
-	g.mean += g.drift
 	v := g.mean + g.rng.NormFloat64()*g.sigma
 	idx := int64(math.Round(v)) % g.n
 	if idx < 0 {

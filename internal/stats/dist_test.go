@@ -150,25 +150,6 @@ func TestGaussianWraps(t *testing.T) {
 	}
 }
 
-func TestGaussianDrift(t *testing.T) {
-	g := NewGaussian(NewRNG(8), 100000, 1000, 50)
-	g.SetDrift(1.0)
-	var first, last float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := float64(g.Next())
-		if i < 1000 {
-			first += v / 1000
-		}
-		if i >= n-1000 {
-			last += v / 1000
-		}
-	}
-	if last-first < float64(n)/2 {
-		t.Fatalf("drift too small: first ~%v last ~%v", first, last)
-	}
-}
-
 func TestSamplersImplementInterface(t *testing.T) {
 	r := NewRNG(1)
 	for _, s := range []Sampler{

@@ -12,7 +12,7 @@ import "math/bits"
 // is element-wise addition — associative and commutative — so per-shard
 // histograms merged in any order produce identical counts. That is the
 // property the simulator's determinism contract needs: per-tier histograms
-// built across PushThreads workers merge to the same bytes at every
+// built across push-thread workers merge to the same bytes at every
 // thread count.
 //
 // Observe allocates nothing and reads no clocks; the zero value is an

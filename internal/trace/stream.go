@@ -46,10 +46,6 @@ func (s *Stream) Content() corpus.Profile { return s.r.Content() }
 // BaseOpNs implements workload.Workload.
 func (s *Stream) BaseOpNs() float64 { return s.r.BaseOpNs() }
 
-// SetBaseOpNs overrides the replayed ops' compute cost (traces do not
-// carry it).
-func (s *Stream) SetBaseOpNs(ns float64) { s.r.SetBaseOpNs(ns) }
-
 // NextOp implements workload.Workload: the next recorded op, never
 // rewinding. After the stream drains it returns empty ops.
 func (s *Stream) NextOp(buf []workload.Access) []workload.Access {

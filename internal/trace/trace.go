@@ -115,12 +115,11 @@ type Reader struct {
 	exhausted bool  // the stream hit a dead end it could not rewind out of
 	err       error // the malformed access that stopped the reader for good
 	replays   int64
-	baseOp    float64
 }
 
 // NewReader opens a trace for replay.
 func NewReader(src io.Reader) (*Reader, error) {
-	t := &Reader{src: src, baseOp: 500}
+	t := &Reader{src: src}
 	if err := t.readHeader(); err != nil {
 		return nil, err
 	}
@@ -172,12 +171,9 @@ func (t *Reader) NumPages() int64 { return t.numPages }
 // Content implements workload.Workload.
 func (t *Reader) Content() corpus.Profile { return t.content }
 
-// BaseOpNs implements workload.Workload.
-func (t *Reader) BaseOpNs() float64 { return t.baseOp }
-
-// SetBaseOpNs overrides the replayed ops' compute cost (traces do not
-// carry it).
-func (t *Reader) SetBaseOpNs(ns float64) { t.baseOp = ns }
+// BaseOpNs implements workload.Workload. Traces do not carry the ops'
+// compute cost; every replayed op costs 500 ns.
+func (t *Reader) BaseOpNs() float64 { return 500 }
 
 // Replays counts how many times the trace has wrapped around.
 func (t *Reader) Replays() int64 { return t.replays }

@@ -275,10 +275,6 @@ func TestReaderWorkloadAccessors(t *testing.T) {
 		t.Fatalf("Name = %q", tr.Name())
 	}
 	if tr.BaseOpNs() != 500 {
-		t.Fatalf("default BaseOpNs = %v", tr.BaseOpNs())
-	}
-	tr.SetBaseOpNs(1234)
-	if tr.BaseOpNs() != 1234 {
-		t.Fatalf("SetBaseOpNs did not stick")
+		t.Fatalf("BaseOpNs = %v", tr.BaseOpNs())
 	}
 }

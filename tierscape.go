@@ -77,7 +77,7 @@ type (
 // to RunConfig receives one WindowSnapshot per profile window, the
 // window's applied moves in job order, and a wall-clock WindowRuntime
 // trace; nil disables recording at zero cost. Snapshots and move events
-// are deterministic (byte-identical at every PushThreads); runtime
+// are deterministic (byte-identical at every GOMAXPROCS); runtime
 // telemetry is wall-clock and flows only to live endpoints.
 type (
 	// Recorder receives observability events from a run.
@@ -272,18 +272,11 @@ type RunConfig struct {
 	Seed uint64
 	// DRAMCapacityPages bounds DRAM (0 = unbounded).
 	DRAMCapacityPages int64
-	// PushThreads is how many goroutines apply each window's migration
-	// plan in parallel (0 = default 2, the artifact's PT2 setting; 1 =
-	// fully serial). Results are byte-identical at every setting — the
-	// engine commits migrations in deterministic order — so the knob only
-	// changes wall-clock speed.
-	PushThreads int
 	// CompactBudget bounds each window's zs_compact pass to roughly this
 	// many reclaimed pool pages across the compressed tiers; the
 	// remainder carries over to later windows via resume cursors.
 	// 0 = unbounded (compact every tier to completion each window).
-	// Unlike PushThreads this changes modeled results: a bounded budget
-	// defers reclamation.
+	// This changes modeled results: a bounded budget defers reclamation.
 	CompactBudget int
 	// PrefetchFaultThreshold enables the §3.2 prefetcher: a region hit by
 	// this many compressed-tier faults in one window is promoted in bulk
@@ -328,9 +321,6 @@ func SimConfig(cfg RunConfig) (sim.Config, error) {
 		OpsPerWindow:           cfg.OpsPerWindow,
 		PrefetchFaultThreshold: cfg.PrefetchFaultThreshold,
 		Recorder:               cfg.Recorder,
-	}
-	if cfg.PushThreads > 0 {
-		scfg.PushThreads = sim.Int(cfg.PushThreads)
 	}
 	if cfg.CompactBudget > 0 {
 		scfg.CompactBudget = sim.Int(cfg.CompactBudget)
