@@ -173,13 +173,13 @@ func BenchmarkAblation_TierCount(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_SolverExactVsGreedy(b *testing.B) {
+func BenchmarkAblation_SolverLPGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t, err := experiments.SolverAblation(benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(cellF(b, t, 1, 3), "exact_solver_ms")
+		b.ReportMetric(cellF(b, t, 0, 4), "lp_gap_pct_max")
 	}
 }
 

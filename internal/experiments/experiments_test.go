@@ -228,22 +228,21 @@ func TestTierCountAblationShape(t *testing.T) {
 	}
 }
 
-func TestSolverAblationAgrees(t *testing.T) {
+// TestSolverAblationShape: the one solver saves meaningfully and
+// certifies a finite gap to its LP bound in [0, 100] %.
+func TestSolverAblationShape(t *testing.T) {
 	tab, err := SolverAblation(SmallScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := cell(t, tab, 0, 2)
-	es := cell(t, tab, 1, 2)
-	// Both solvers respect the same TCO budget but may land on different
-	// frontier points: greedy overshoots the budget downward (more savings,
-	// more overhead), exact sits right at it. Require both to save
-	// meaningfully and to stay in the same regime.
-	if gs <= 5 || es <= 5 {
-		t.Fatalf("solver savings too low: greedy %v exact %v", gs, es)
+	if len(tab.Rows) != 1 {
+		t.Fatalf("want one solver row, got %d", len(tab.Rows))
 	}
-	if gs-es > 20 || es-gs > 20 {
-		t.Fatalf("greedy %v vs exact %v savings diverge wildly", gs, es)
+	if sv := cell(t, tab, 0, 2); sv <= 5 {
+		t.Fatalf("solver savings too low: %v", sv)
+	}
+	if gap := cell(t, tab, 0, 4); !(gap >= 0 && gap <= 100) {
+		t.Fatalf("lp_gap_pct_max %v not a gap in [0, 100]", gap)
 	}
 }
 

@@ -5,14 +5,14 @@
 //
 // where each region i independently picks exactly one tier. This is the
 // minimization form of the Multiple-Choice Knapsack Problem (MCKP). The
-// paper solves it with Google OR-Tools; this package provides equivalent
-// from-scratch solvers (see DESIGN.md for the substitution note):
-//
-//   - SolveGreedy — LP-relaxation greedy over per-class convex hulls;
-//     near-optimal, O(total options · log), the production path.
-//   - SolveExact — depth-first branch-and-bound with the LP bound;
-//     proves optimality, used for evaluation-sized problems and as the
-//     reference in tests.
+// paper solves it with Google OR-Tools every window; this package has one
+// from-scratch solver in its place (see DESIGN.md for the substitution
+// note): SolveState.Solve, the LP-relaxation greedy over per-class convex
+// hulls, O(total options · log), warm-started across windows. Every solve
+// certifies itself: the greedy walks the same sorted hull increments the
+// LP relaxation does, so it returns the LP optimum as Solution.Bound, a
+// proven lower bound on the ILP optimum, and (Cost − Bound)/Cost is how far
+// from optimal the window's placement can be at most.
 //
 // Cost units are nanoseconds of performance overhead; weight units are
 // TCO dollars (both arbitrary but consistent).
@@ -49,14 +49,15 @@ type Solution struct {
 	Cost float64
 	// Weight is the total TCO.
 	Weight float64
+	// Bound is the optimum of the LP relaxation: no assignment within the
+	// budget costs less, so Cost − Bound bounds how far Cost is from the
+	// ILP optimum. On an infeasible problem no assignment fits the budget
+	// and Bound is Cost.
+	Bound float64
 	// Feasible reports whether Weight ≤ Budget. When even the minimum-
-	// weight assignment exceeds the budget, solvers return that assignment
-	// with Feasible=false rather than failing.
+	// weight assignment exceeds the budget, the solver returns that
+	// assignment with Feasible=false rather than failing.
 	Feasible bool
-	// Optimal reports whether the solution is proven optimal.
-	Optimal bool
-	// Nodes counts branch-and-bound nodes explored (exact solver only).
-	Nodes int64
 }
 
 // ErrEmptyProblem is returned for problems with no classes or an empty class.
@@ -86,17 +87,10 @@ type hullPoint struct {
 	w    float64
 }
 
-// frontier returns a class's efficient (undominated) options sorted by
-// decreasing weight and increasing cost: the first point is the
-// minimum-cost option. Dominance pruning (another option with ≤ weight and
-// ≤ cost) is safe for the integer problem; convex-hull pruning is NOT —
-// hull-interior frontier points can still be integer-optimal — so exact
-// search must branch over the frontier, not the hull.
-func frontier(opts []Option) []hullPoint {
-	return frontierInto(opts, nil)
-}
-
-// frontierInto is frontier writing into buf's capacity (buf may be nil).
+// frontierInto returns a class's efficient (undominated) options sorted by
+// decreasing weight and increasing cost, written into buf's capacity (buf
+// may be nil): the first point is the minimum-cost option, the last the
+// lightest.
 func frontierInto(opts []Option, buf []hullPoint) []hullPoint {
 	pts := buf[:0]
 	if cap(pts) < len(opts) {
@@ -136,18 +130,11 @@ func frontierInto(opts []Option, buf []hullPoint) []hullPoint {
 	return und
 }
 
-// hull computes the lower convex hull of a class in (weight, cost) space:
-// the frontier with interior points removed so incremental trade ratios
-// are nondecreasing. Valid for LP relaxations (greedy, bounds) only.
-func hull(opts []Option) []hullPoint {
-	h, _ := hullInto(opts, nil, nil)
-	return h
-}
-
-// hullInto is hull writing the result into dst's capacity, with scratch
-// (grown as needed and returned via the second result) holding the
-// intermediate frontier. dst must not alias scratch. Values are identical
-// to hull; only allocation behaviour differs.
+// hullInto computes the lower convex hull of a class in (weight, cost)
+// space — the frontier with interior points removed so incremental trade
+// ratios are nondecreasing — into dst's capacity, with scratch (grown as
+// needed and returned via the second result) holding the intermediate
+// frontier. dst must not alias scratch.
 func hullInto(opts []Option, dst, scratch []hullPoint) ([]hullPoint, []hullPoint) {
 	und := frontierInto(opts, scratch)
 	hullPts := dst[:0]
@@ -201,154 +188,19 @@ func lessInc(a, b inc) bool {
 
 // SolveGreedy solves p with the convex-hull greedy (LP-relaxation rounding).
 // The result is feasible whenever the problem is, and optimal up to one
-// class's rounding — in practice within a fraction of a percent for
-// region-count-sized instances. Internally this is a cold (stateless)
-// SolveState solve; warm-start callers hold a SolveState across windows.
+// class's rounding, which Solution.Bound certifies. It is a cold
+// (stateless) SolveState solve; warm-start callers hold a SolveState
+// across windows.
 func SolveGreedy(p Problem) (Solution, error) {
 	var s SolveState
 	sol, _, err := s.Solve(p, nil)
 	return sol, err
 }
 
-// lpBound returns a lower bound on the cost of completing classes
-// [from..n) with remaining budget, using the fractional relaxation.
-// hulls/level describe the remaining classes' cheapest states.
-func lpBound(hulls [][]hullPoint, from int, budget float64) float64 {
-	// Start every remaining class at min cost; fractionally buy the
-	// cheapest weight reductions until the budget is met.
-	cost := 0.0
-	weight := 0.0
-	type inc struct{ dc, dw, ratio float64 }
-	var incs []inc
-	for i := from; i < len(hulls); i++ {
-		h := hulls[i]
-		cost += h[0].cost
-		weight += h[0].w
-		for k := 1; k < len(h); k++ {
-			dc := h[k].cost - h[k-1].cost
-			dw := h[k-1].w - h[k].w
-			if dw > 0 {
-				incs = append(incs, inc{dc, dw, dc / dw})
-			}
-		}
-	}
-	if weight <= budget {
-		return cost
-	}
-	sort.Slice(incs, func(a, b int) bool { return incs[a].ratio < incs[b].ratio })
-	for _, ic := range incs {
-		over := weight - budget
-		if over <= 0 {
-			break
-		}
-		if ic.dw >= over {
-			cost += ic.ratio * over
-			weight = budget
-			break
-		}
-		cost += ic.dc
-		weight -= ic.dw
-	}
-	if weight > budget {
-		return math.Inf(1) // cannot fit even fully downgraded
-	}
-	return cost
-}
-
-// SolveExact solves p to proven optimality with branch and bound, seeded by
-// the greedy solution. maxNodes bounds the search (0 = 10M); if exceeded,
-// the best solution found so far is returned with Optimal=false.
-func SolveExact(p Problem, maxNodes int64) (Solution, error) {
-	if err := validate(p); err != nil {
-		return Solution{}, err
-	}
-	if maxNodes <= 0 {
-		maxNodes = 10_000_000
-	}
-	greedy, err := SolveGreedy(p)
-	if err != nil {
-		return Solution{}, err
-	}
-	if !greedy.Feasible {
-		// Even the minimum-weight assignment violates the budget; the
-		// greedy result already is the min-weight assignment.
-		minw := minWeightSolution(p)
-		return minw, nil
-	}
-
-	n := len(p.Classes)
-	hulls := make([][]hullPoint, n)  // convex hulls: bounds only
-	fronts := make([][]hullPoint, n) // efficient frontiers: branch space
-	for i, c := range p.Classes {
-		hulls[i] = hull(c)
-		fronts[i] = frontier(c)
-	}
-	// Order classes by descending weight spread (most impactful first).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	spread := func(i int) float64 {
-		h := fronts[i]
-		return h[0].w - h[len(h)-1].w
-	}
-	sort.Slice(order, func(a, b int) bool { return spread(order[a]) > spread(order[b]) })
-
-	ordHulls := make([][]hullPoint, n)
-	ordFronts := make([][]hullPoint, n)
-	for k, i := range order {
-		ordHulls[k] = hulls[i]
-		ordFronts[k] = fronts[i]
-	}
-
-	best := greedy
-	best.Optimal = false
-	choice := make([]int, n) // hull level per ordered class
-	var nodes int64
-	aborted := false
-
-	var dfs func(k int, cost, weight float64)
-	dfs = func(k int, cost, weight float64) {
-		if aborted {
-			return
-		}
-		nodes++
-		if nodes > maxNodes {
-			aborted = true
-			return
-		}
-		if cost >= best.Cost {
-			return
-		}
-		if k == n {
-			if weight <= p.Budget && cost < best.Cost {
-				best.Cost = cost
-				best.Weight = weight
-				for kk, ci := range order {
-					best.Choice[ci] = ordFronts[kk][choice[kk]].idx
-				}
-			}
-			return
-		}
-		if cost+lpBound(ordHulls, k, p.Budget-weight) >= best.Cost {
-			return
-		}
-		h := ordFronts[k]
-		for lv := 0; lv < len(h); lv++ {
-			choice[k] = lv
-			dfs(k+1, cost+h[lv].cost, weight+h[lv].w)
-		}
-	}
-	dfs(0, 0, 0)
-
-	best.Feasible = best.Weight <= p.Budget
-	best.Optimal = !aborted
-	best.Nodes = nodes
-	return best, nil
-}
-
-// minWeightSolution returns the assignment minimizing total weight
-// (ties broken by cost).
+// minWeightSolution returns the assignment minimizing total weight (ties
+// broken by cost, then by option index). It is the solver's answer when
+// the budget is infeasible: the walk then ends every class on its hull's
+// last point, which is that same option.
 func minWeightSolution(p Problem) Solution {
 	sol := Solution{Choice: make([]int, len(p.Classes))}
 	for i, c := range p.Classes {
@@ -364,7 +216,6 @@ func minWeightSolution(p Problem) Solution {
 		sol.Weight += c[best].Weight
 	}
 	sol.Feasible = sol.Weight <= p.Budget
-	sol.Optimal = !sol.Feasible // if infeasible, this is the best we can say
 	return sol
 }
 
@@ -403,100 +254,4 @@ func SolveTimeNs(p Problem) float64 {
 		n = 2
 	}
 	return 150*n*math.Log2(n) + 50_000
-}
-
-// SolveDP solves p exactly by dynamic programming over integer-scaled
-// weights: weights are quantized to `buckets` levels of the budget, giving
-// a pseudo-polynomial O(classes × options × buckets) exact solution on the
-// quantized instance. It exists as an independent cross-check for the
-// branch-and-bound solver in tests; quantization means its result can
-// differ from the true optimum by the rounding granularity.
-func SolveDP(p Problem, buckets int) (Solution, error) {
-	if err := validate(p); err != nil {
-		return Solution{}, err
-	}
-	if buckets <= 0 {
-		buckets = 1000
-	}
-	if p.Budget <= 0 {
-		// Degenerate: only zero-weight options are feasible.
-		return SolveExact(p, 0)
-	}
-	scale := func(w float64) int {
-		// Round weights UP so the quantized solution never violates the
-		// real budget.
-		b := int(math.Ceil(w / p.Budget * float64(buckets)))
-		return b
-	}
-
-	n := len(p.Classes)
-	const inf = math.MaxFloat64
-	// dp[b] = min cost to assign classes processed so far with total
-	// quantized weight exactly <= b tracked as min over b.
-	dp := make([]float64, buckets+1)
-	choicePrev := make([][]int16, n) // per class, chosen option per bucket
-	for b := range dp {
-		dp[b] = inf
-	}
-	dp[0] = 0
-	for i, opts := range p.Classes {
-		next := make([]float64, buckets+1)
-		ch := make([]int16, buckets+1)
-		for b := range next {
-			next[b] = inf
-			ch[b] = -1
-		}
-		for b := 0; b <= buckets; b++ {
-			if dp[b] == inf {
-				continue
-			}
-			for j, o := range opts {
-				nb := b + scale(o.Weight)
-				if nb > buckets {
-					continue
-				}
-				if c := dp[b] + o.Cost; c < next[nb] {
-					next[nb] = c
-					ch[nb] = int16(j)
-				}
-			}
-		}
-		dp = next
-		choicePrev[i] = ch
-	}
-	// Best bucket.
-	bestB, bestC := -1, inf
-	for b := 0; b <= buckets; b++ {
-		if dp[b] < bestC {
-			bestC = dp[b]
-			bestB = b
-		}
-	}
-	if bestB < 0 {
-		// Quantization made everything infeasible; fall back.
-		s := minWeightSolution(p)
-		s.Optimal = false
-		return s, nil
-	}
-	// Backtrack. choicePrev[i][b] records the option chosen for class i
-	// when arriving at bucket b, but arrival buckets collide; rebuild by
-	// re-running the DP per class is costly — instead, store per-class
-	// tables (already kept) and walk backwards.
-	sol := Solution{Choice: make([]int, n)}
-	b := bestB
-	for i := n - 1; i >= 0; i-- {
-		j := int(choicePrev[i][b])
-		if j < 0 {
-			// Should not happen: bucket reachable implies a recorded choice.
-			return Solution{}, fmt.Errorf("ilp: DP backtrack failed at class %d", i)
-		}
-		sol.Choice[i] = j
-		o := p.Classes[i][j]
-		sol.Cost += o.Cost
-		sol.Weight += o.Weight
-		b -= scale(o.Weight)
-	}
-	sol.Feasible = sol.Weight <= p.Budget
-	sol.Optimal = false // optimal on the quantized instance only
-	return sol, nil
 }

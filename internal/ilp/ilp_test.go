@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -31,8 +32,95 @@ func bruteForce(p Problem) Solution {
 		}
 	}
 	rec(0, 0, 0)
-	best.Optimal = best.Feasible
 	return best
+}
+
+// SolveDP solves p by dynamic programming over integer-scaled weights:
+// weights are quantized to `buckets` levels of the budget, giving a
+// pseudo-polynomial O(classes × options × buckets) exact solution on the
+// quantized instance. It is the tests' independent oracle for instances
+// too large to enumerate; quantization means its result can exceed the
+// true optimum by the rounding granularity, never undercut it.
+func SolveDP(p Problem, buckets int) (Solution, error) {
+	if err := validate(p); err != nil {
+		return Solution{}, err
+	}
+	if buckets <= 0 {
+		buckets = 1000
+	}
+	if p.Budget <= 0 {
+		// Degenerate: only zero-weight options can fit, and the min-weight
+		// assignment picks the cheapest of those when they exist.
+		return minWeightSolution(p), nil
+	}
+	scale := func(w float64) int {
+		// Round weights UP so the quantized solution never violates the
+		// real budget.
+		return int(math.Ceil(w / p.Budget * float64(buckets)))
+	}
+
+	n := len(p.Classes)
+	const inf = math.MaxFloat64
+	// dp[b] = min cost to assign the classes processed so far with total
+	// quantized weight exactly b.
+	dp := make([]float64, buckets+1)
+	choicePrev := make([][]int16, n) // per class, chosen option per bucket
+	for b := range dp {
+		dp[b] = inf
+	}
+	dp[0] = 0
+	for i, opts := range p.Classes {
+		next := make([]float64, buckets+1)
+		ch := make([]int16, buckets+1)
+		for b := range next {
+			next[b] = inf
+			ch[b] = -1
+		}
+		for b := 0; b <= buckets; b++ {
+			if dp[b] == inf {
+				continue
+			}
+			for j, o := range opts {
+				nb := b + scale(o.Weight)
+				if nb > buckets {
+					continue
+				}
+				if c := dp[b] + o.Cost; c < next[nb] {
+					next[nb] = c
+					ch[nb] = int16(j)
+				}
+			}
+		}
+		dp = next
+		choicePrev[i] = ch
+	}
+	bestB, bestC := -1, inf
+	for b := 0; b <= buckets; b++ {
+		if dp[b] < bestC {
+			bestC = dp[b]
+			bestB = b
+		}
+	}
+	if bestB < 0 {
+		// Nothing fits even quantized: the min-weight assignment.
+		return minWeightSolution(p), nil
+	}
+	// Backtrack through the per-class tables.
+	sol := Solution{Choice: make([]int, n)}
+	b := bestB
+	for i := n - 1; i >= 0; i-- {
+		j := int(choicePrev[i][b])
+		if j < 0 {
+			return Solution{}, fmt.Errorf("ilp: DP backtrack failed at class %d", i)
+		}
+		sol.Choice[i] = j
+		o := p.Classes[i][j]
+		sol.Cost += o.Cost
+		sol.Weight += o.Weight
+		b -= scale(o.Weight)
+	}
+	sol.Feasible = sol.Weight <= p.Budget
+	return sol, nil
 }
 
 func randomProblem(rng *stats.RNG, nClasses, nOpts int) Problem {
@@ -59,42 +147,12 @@ func randomProblem(rng *stats.RNG, nClasses, nOpts int) Problem {
 	return p
 }
 
-func TestExactMatchesBruteForce(t *testing.T) {
-	rng := stats.NewRNG(42)
-	for trial := 0; trial < 100; trial++ {
-		p := randomProblem(rng, 2+rng.Intn(6), 2+rng.Intn(4))
-		want := bruteForce(p)
-		got, err := SolveExact(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Feasible != got.Feasible {
-			t.Fatalf("trial %d: feasible %v vs brute %v", trial, got.Feasible, want.Feasible)
-		}
-		if !want.Feasible {
-			continue
-		}
-		if math.Abs(got.Cost-want.Cost) > 1e-9 {
-			t.Fatalf("trial %d: exact cost %v, brute %v", trial, got.Cost, want.Cost)
-		}
-		if got.Weight > p.Budget+1e-9 {
-			t.Fatalf("trial %d: exact violates budget", trial)
-		}
-		if !got.Optimal {
-			t.Fatalf("trial %d: exact did not prove optimality", trial)
-		}
-	}
-}
-
 func TestGreedyNearOptimal(t *testing.T) {
 	rng := stats.NewRNG(7)
 	worst := 0.0
 	for trial := 0; trial < 100; trial++ {
 		p := randomProblem(rng, 10, 4)
-		exact, err := SolveExact(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact := bruteForce(p)
 		greedy, err := SolveGreedy(p)
 		if err != nil {
 			t.Fatal(err)
@@ -130,33 +188,25 @@ func TestChoiceValidityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		p := randomProblem(rng, 1+rng.Intn(20), 1+rng.Intn(6))
-		for _, solve := range []func(Problem) (Solution, error){
-			SolveGreedy,
-			func(p Problem) (Solution, error) { return SolveExact(p, 0) },
-		} {
-			s, err := solve(p)
-			if err != nil {
-				return false
-			}
-			if len(s.Choice) != len(p.Classes) {
-				return false
-			}
-			cost, weight := 0.0, 0.0
-			for i, j := range s.Choice {
-				if j < 0 || j >= len(p.Classes[i]) {
-					return false
-				}
-				cost += p.Classes[i][j].Cost
-				weight += p.Classes[i][j].Weight
-			}
-			if math.Abs(cost-s.Cost) > 1e-6 || math.Abs(weight-s.Weight) > 1e-6 {
-				return false
-			}
-			if s.Feasible != (s.Weight <= p.Budget) {
-				return false
-			}
+		s, err := SolveGreedy(p)
+		if err != nil {
+			return false
 		}
-		return true
+		if len(s.Choice) != len(p.Classes) {
+			return false
+		}
+		cost, weight := 0.0, 0.0
+		for i, j := range s.Choice {
+			if j < 0 || j >= len(p.Classes[i]) {
+				return false
+			}
+			cost += p.Classes[i][j].Cost
+			weight += p.Classes[i][j].Weight
+		}
+		if math.Abs(cost-s.Cost) > 1e-6 || math.Abs(weight-s.Weight) > 1e-6 {
+			return false
+		}
+		return s.Feasible == (s.Weight <= p.Budget)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -178,14 +228,15 @@ func TestUnlimitedBudgetPicksMinCost(t *testing.T) {
 	if s.Cost != 1 || s.Choice[0] != 1 || s.Choice[1] != 1 {
 		t.Fatalf("unlimited budget: %+v", s)
 	}
-	if !s.Optimal {
-		t.Fatal("zero-pressure solution should be optimal")
+	if s.Bound != s.Cost {
+		t.Fatalf("zero-pressure solution is optimal: bound %v, cost %v", s.Bound, s.Cost)
 	}
 }
 
 func TestTightBudgetForcesDowngrades(t *testing.T) {
 	// Two classes, each: DRAM-ish (cost 0, weight 100) vs CT-ish
-	// (cost 10, weight 20). Budget 130 forces exactly one downgrade.
+	// (cost 10, weight 20). Budget 130 forces exactly one downgrade; the
+	// LP relaxation needs only 70 of its 80 weight, so the bound is 8.75.
 	p := Problem{
 		Classes: [][]Option{
 			{{Cost: 0, Weight: 100}, {Cost: 10, Weight: 20}},
@@ -193,12 +244,12 @@ func TestTightBudgetForcesDowngrades(t *testing.T) {
 		},
 		Budget: 130,
 	}
-	s, err := SolveExact(p, 0)
+	s, err := SolveGreedy(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cost != 10 || s.Weight != 120 {
-		t.Fatalf("got cost=%v weight=%v, want 10,120", s.Cost, s.Weight)
+	if s.Cost != 10 || s.Weight != 120 || s.Bound != 8.75 {
+		t.Fatalf("got cost=%v weight=%v bound=%v, want 10,120,8.75", s.Cost, s.Weight, s.Bound)
 	}
 }
 
@@ -207,20 +258,15 @@ func TestInfeasibleReturnsMinWeight(t *testing.T) {
 		Classes: [][]Option{{{Cost: 0, Weight: 100}, {Cost: 10, Weight: 50}}},
 		Budget:  10,
 	}
-	for _, solve := range []func(Problem) (Solution, error){
-		SolveGreedy,
-		func(p Problem) (Solution, error) { return SolveExact(p, 0) },
-	} {
-		s, err := solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Feasible {
-			t.Fatal("should be infeasible")
-		}
-		if s.Weight != 50 {
-			t.Fatalf("infeasible fallback weight = %v, want min-weight 50", s.Weight)
-		}
+	s, err := SolveGreedy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Feasible {
+		t.Fatal("should be infeasible")
+	}
+	if s.Weight != 50 {
+		t.Fatalf("infeasible answer weight = %v, want min-weight 50", s.Weight)
 	}
 }
 
@@ -255,25 +301,25 @@ func TestMinMaxWeight(t *testing.T) {
 }
 
 func TestBudgetSweepMonotone(t *testing.T) {
-	// As the budget loosens (α grows), optimal cost must not increase —
-	// the knob behaviour of Figure 5/10.
+	// As the budget loosens (α grows), neither the solver's cost nor its
+	// LP bound may increase — the knob behaviour of Figure 5/10.
 	rng := stats.NewRNG(99)
 	p := randomProblem(rng, 12, 5)
 	lo, hi := MinWeight(p), MaxWeight(p)
-	prev := math.Inf(1)
+	prev, prevBound := math.Inf(1), math.Inf(1)
 	for alpha := 0.0; alpha <= 1.0001; alpha += 0.1 {
 		p.Budget = lo + alpha*(hi-lo)
-		s, err := SolveExact(p, 0)
+		s, err := SolveGreedy(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !s.Feasible {
 			t.Fatalf("alpha=%.1f should be feasible", alpha)
 		}
-		if s.Cost > prev+1e-9 {
-			t.Fatalf("cost increased as budget loosened: %v -> %v", prev, s.Cost)
+		if s.Cost > prev+1e-9 || s.Bound > prevBound+1e-9 {
+			t.Fatalf("cost or bound increased as budget loosened: %v -> %v, %v -> %v", prev, s.Cost, prevBound, s.Bound)
 		}
-		prev = s.Cost
+		prev, prevBound = s.Cost, s.Bound
 	}
 }
 
@@ -296,30 +342,11 @@ func TestSolveTimeNsPositive(t *testing.T) {
 	}
 }
 
-func TestExactNodeBudgetAbort(t *testing.T) {
-	rng := stats.NewRNG(3)
-	p := randomProblem(rng, 30, 6)
-	s, err := SolveExact(p, 10) // absurdly small node budget
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Must still return the greedy-seeded feasible solution.
-	if s.Feasible && s.Weight > p.Budget+1e-9 {
-		t.Fatal("aborted solve returned budget-violating solution")
-	}
-	if s.Optimal && s.Nodes > 10 {
-		t.Fatal("claimed optimality after abort")
-	}
-}
-
 func TestDPCrossChecksExact(t *testing.T) {
 	rng := stats.NewRNG(31)
 	for trial := 0; trial < 50; trial++ {
 		p := randomProblem(rng, 2+rng.Intn(8), 2+rng.Intn(4))
-		exact, err := SolveExact(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact := bruteForce(p)
 		dp, err := SolveDP(p, 5000)
 		if err != nil {
 			t.Fatal(err)
@@ -348,7 +375,7 @@ func TestDPValidationAndDegenerate(t *testing.T) {
 	if _, err := SolveDP(Problem{}, 100); err == nil {
 		t.Fatal("empty problem accepted")
 	}
-	// Zero budget: falls back to exact semantics.
+	// Zero budget: only zero-weight options fit, the min-weight answer.
 	p := Problem{Classes: [][]Option{{{Cost: 1, Weight: 0}, {Cost: 0, Weight: 5}}}, Budget: 0}
 	s, err := SolveDP(p, 100)
 	if err != nil {

@@ -115,7 +115,7 @@ func (s *SolveState) Solve(p Problem, dirty []bool) (Solution, Delta, error) {
 	}
 	if sol.Weight <= p.Budget {
 		sol.Feasible = true
-		sol.Optimal = true // zero extra cost is trivially optimal
+		sol.Bound = sol.Cost // every class at its cheapest: nothing costs less
 		return sol, delta, nil
 	}
 
@@ -137,12 +137,23 @@ func (s *SolveState) Solve(p Problem, dirty []bool) (Solution, Delta, error) {
 			continue
 		}
 		level[ic.class] = ic.level
+		if sol.Weight-ic.dw <= p.Budget {
+			// The break increment: the LP relaxation takes only the
+			// fraction of it that reaches the budget, and that optimum
+			// bounds every integer assignment within budget from below.
+			sol.Bound = sol.Cost + ic.dc*min(1, (sol.Weight-p.Budget)/ic.dw)
+		}
 		h := s.hulls[ic.class][ic.level]
 		sol.Cost += ic.dc
 		sol.Weight -= ic.dw
 		sol.Choice[ic.class] = h.idx
 	}
 	sol.Feasible = sol.Weight <= p.Budget
+	if !sol.Feasible {
+		// Every increment was taken, so each class sits on its hull's
+		// lightest point: the min-weight assignment, with nothing to bound.
+		sol.Bound = sol.Cost
+	}
 	return sol, delta, nil
 }
 

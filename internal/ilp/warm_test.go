@@ -22,7 +22,7 @@ func legacyGreedy(p Problem) (Solution, error) {
 
 	sol := Solution{Choice: make([]int, n)}
 	for i, c := range p.Classes {
-		hulls[i] = hull(c)
+		hulls[i], _ = hullInto(c, nil, nil)
 		h0 := hulls[i][0]
 		sol.Choice[i] = h0.idx
 		sol.Cost += h0.cost
@@ -30,7 +30,6 @@ func legacyGreedy(p Problem) (Solution, error) {
 	}
 	if sol.Weight <= p.Budget {
 		sol.Feasible = true
-		sol.Optimal = true
 		return sol, nil
 	}
 	var incs []inc
@@ -186,6 +185,9 @@ func TestWarmMatchesColdRandom(t *testing.T) {
 			if !reflect.DeepEqual(warmSol, coldSol) {
 				t.Fatalf("seed %d win %d: warm %+v != cold %+v (delta %+v)", seed, win, warmSol, coldSol, delta)
 			}
+			if math.Float64bits(warmSol.Bound) != math.Float64bits(coldSol.Bound) {
+				t.Fatalf("seed %d win %d: warm bound %v != cold bound %v", seed, win, warmSol.Bound, coldSol.Bound)
+			}
 			if win > 0 && !delta.Warm {
 				t.Fatalf("seed %d win %d: expected warm solve, got %+v", seed, win, delta)
 			}
@@ -245,10 +247,10 @@ func tieHeavyProblem(rng *stats.RNG, nClasses, nOpts int) Problem {
 }
 
 // TestGreedyVsExactTieHeavy is the randomized property test over
-// tie-heavy instances: feasibility verdicts must agree with the exact
-// solver (post-fix, greedy infeasibility means MinWeight > Budget — no
-// slack condition needed), and feasible greedy solutions respect the
-// budget and cost at least the optimum.
+// tie-heavy instances: feasibility verdicts must agree with the
+// enumerated optimum (post-fix, greedy infeasibility means MinWeight >
+// Budget — no slack condition needed), and feasible greedy solutions
+// respect the budget and cost at least the optimum.
 func TestGreedyVsExactTieHeavy(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := stats.NewRNG(seed)
@@ -257,10 +259,7 @@ func TestGreedyVsExactTieHeavy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := SolveExact(p, 1_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := bruteForce(p)
 		wantFeasible := MinWeight(p) <= p.Budget
 		if g.Feasible != wantFeasible {
 			t.Fatalf("seed %d: greedy Feasible=%v but MinWeight=%v Budget=%v\nproblem: %+v",
@@ -324,5 +323,111 @@ func FuzzGreedyInvariants(f *testing.F) {
 		if sol.Feasible && sol.Weight > p.Budget {
 			t.Fatalf("feasible over budget: %v > %v", sol.Weight, p.Budget)
 		}
+		if sol.Feasible && !(0 <= sol.Bound && sol.Bound <= sol.Cost) {
+			t.Fatalf("bound %v outside [0, cost %v]", sol.Bound, sol.Cost)
+		}
 	})
+}
+
+// lpGap is model.SolveStats.LPGap's formula: the share of the cost the
+// LP bound leaves uncertified.
+func lpGap(s Solution) float64 {
+	if !s.Feasible || s.Cost == 0 {
+		return 0
+	}
+	return (s.Cost - s.Bound) / s.Cost
+}
+
+// TestLPBoundValid checks the certificate every solve reports: the LP
+// bound never exceeds the enumerated optimum, the quantized DP's cost or
+// the solver's own cost, and the gap it certifies lies in [0, 1]. Both
+// random and tie-heavy instances, at most 10 classes so enumeration is
+// the ground truth.
+func TestLPBoundValid(t *testing.T) {
+	const tol = 1e-9
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := stats.NewRNG(seed)
+		for _, p := range []Problem{
+			randomProblem(rng, 2+rng.Intn(9), 2+rng.Intn(4)),
+			tieHeavyProblem(rng, 2+rng.Intn(9), 2+rng.Intn(4)),
+		} {
+			s, err := SolveGreedy(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Bound > s.Cost {
+				t.Fatalf("seed %d: bound %v above cost %v", seed, s.Bound, s.Cost)
+			}
+			if opt := bruteForce(p); opt.Feasible && s.Bound > opt.Cost+tol {
+				t.Fatalf("seed %d: bound %v above the optimum %v (greedy cost %v)", seed, s.Bound, opt.Cost, s.Cost)
+			}
+			dp, err := SolveDP(p, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dp.Feasible && s.Bound > dp.Cost+tol {
+				t.Fatalf("seed %d: bound %v above the DP cost %v", seed, s.Bound, dp.Cost)
+			}
+			if g := lpGap(s); !(0 <= g && g <= 1) {
+				t.Fatalf("seed %d: gap %v outside [0, 1] (cost %v, bound %v)", seed, g, s.Cost, s.Bound)
+			}
+		}
+	}
+}
+
+// TestGreedyInfeasibleIsMinWeight pins why the product needs no fallback
+// solver: when not even the lightest assignment fits the budget, the walk
+// takes every hull increment and ends each class on its lightest option,
+// so the solver's answer is the min-weight assignment — cold, warm, and as
+// the DP oracle finds it.
+func TestGreedyInfeasibleIsMinWeight(t *testing.T) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := stats.NewRNG(seed)
+		for _, p := range []Problem{
+			randomProblem(rng, 2+rng.Intn(20), 1+rng.Intn(6)),
+			tieHeavyProblem(rng, 2+rng.Intn(20), 1+rng.Intn(6)),
+		} {
+			// Warm the state on the original problem, then redraw a few
+			// classes and force the budget below the lightest assignment.
+			var ws SolveState
+			if _, _, err := ws.Solve(p, nil); err != nil {
+				t.Fatal(err)
+			}
+			dirty := make([]bool, len(p.Classes))
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				i := rng.Intn(len(p.Classes))
+				dirty[i] = true
+				for j := range p.Classes[i] {
+					p.Classes[i][j] = Option{Cost: float64(rng.Intn(6)), Weight: float64(1 + rng.Intn(5))}
+				}
+			}
+			p.Budget = MinWeight(p) * (0.5 + 0.4*rng.Float64())
+			want := minWeightSolution(p)
+
+			warm, delta, err := ws.Solve(p, dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := SolveGreedy(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp, err := SolveDP(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !delta.Warm {
+				t.Fatalf("seed %d: expected a warm solve, got %+v", seed, delta)
+			}
+			for _, got := range []struct {
+				name string
+				sol  Solution
+			}{{"cold", cold}, {"warm", warm}, {"dp", dp}} {
+				if got.sol.Feasible || !reflect.DeepEqual(got.sol.Choice, want.Choice) {
+					t.Fatalf("seed %d: %s answer %v (feasible %v) is not the min-weight assignment %v",
+						seed, got.name, got.sol.Choice, got.sol.Feasible, want.Choice)
+				}
+			}
+		}
+	}
 }

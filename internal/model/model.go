@@ -31,10 +31,9 @@ import (
 // SolveStats describes how the analytical model's solve went — warm-start
 // reuse and infeasibility fallbacks. Threshold models leave it zero.
 type SolveStats struct {
-	// WarmHit is true when the greedy solver repaired the previous
-	// window's state incrementally rather than rebuilding every class (a
-	// fresh or reshaped model's first window, and exact solves, report
-	// false).
+	// WarmHit is true when the solver repaired the previous window's
+	// state incrementally rather than rebuilding every class (a fresh or
+	// reshaped model's first window reports false).
 	WarmHit bool
 	// ClassesReused and ClassesRebuilt count per-region MCKP classes whose
 	// cached hulls were kept vs recomputed this window.
@@ -46,9 +45,14 @@ type SolveStats struct {
 	// like SolverNs: derived from the modeled cost, not wall clock.
 	RebuildNs float64
 	RepairNs  float64
-	// Fallbacks counts solves whose primary solution was infeasible
-	// (over budget) and was replaced by the DP / min-weight fallback.
+	// Fallbacks counts solves whose budget not even the lightest
+	// assignment fits; the solver's answer is then the min-weight
+	// assignment.
 	Fallbacks int
+	// LPGap is (Cost − Bound)/Cost of the solve: the placement's modeled
+	// overhead is proven within this fraction of the ILP optimum. It is 0
+	// when the cost is 0 and on infeasible windows.
+	LPGap float64
 }
 
 // Recommendation is a model's output for one profile window.
@@ -151,17 +155,6 @@ func (w *Waterfall) Recommend(m *mem.Manager, prof telemetry.Profile) Recommenda
 	return Recommendation{Dest: dest}
 }
 
-// SolverKind selects the analytical model's ILP solver.
-type SolverKind int
-
-// Solver kinds.
-const (
-	// SolverGreedy is the convex-hull greedy (production default).
-	SolverGreedy SolverKind = iota
-	// SolverExact is branch-and-bound to proven optimality.
-	SolverExact
-)
-
 // Analytical is §6.2's model: an MCKP per window.
 //
 // An instance is per-run state. Every Recommend prices each region into a
@@ -173,8 +166,6 @@ type Analytical struct {
 	// Alpha is the TCO/performance knob in [0,1] (§6.3): 1 = maximum
 	// performance (no TCO pressure), 0 = maximum TCO savings.
 	Alpha float64
-	// Solver selects greedy (default) or exact solving.
-	Solver SolverKind
 	// Remote adds a network round trip to the solver tax, modeling the
 	// remote-solver deployment of Figure 14.
 	Remote bool
@@ -316,30 +307,20 @@ func (a *Analytical) Recommend(m *mem.Manager, prof telemetry.Profile) Recommend
 	dirty := a.price(nRegions, len(tiers), priceRow)
 	problem := ilp.Problem{Classes: a.warm.classes, Budget: tco.Budget(m, ratios, a.Alpha)}
 
-	var stats SolveStats
-	var sol ilp.Solution
-	var delta ilp.Delta
-	var err error
-	if a.Solver == SolverExact {
-		sol, err = ilp.SolveExact(problem, 2_000_000)
-	} else {
-		sol, delta, err = a.warm.state.Solve(problem, dirty)
-	}
+	sol, delta, err := a.warm.state.Solve(problem, dirty)
 	if err != nil {
 		// The problem is structurally valid by construction; an error here
 		// means no regions — keep everything in place.
 		return Keep(m)
 	}
+	var stats SolveStats
 	if !sol.Feasible {
-		// The budget cannot fit even the lightest assignment (greedy
-		// infeasibility now implies genuine infeasibility), or an exact
-		// node-budget abort came back short. Fall back to the quantized DP
-		// — which itself degrades to the min-weight assignment when nothing
-		// fits — instead of silently acting on an over-budget placement.
+		// Not even the lightest assignment fits the budget. The walk took
+		// every hull increment, so sol already is the min-weight placement
+		// rather than an over-budget one; count the window.
 		stats.Fallbacks++
-		if dp, dperr := ilp.SolveDP(problem, 0); dperr == nil {
-			sol = dp
-		}
+	} else if sol.Cost > 0 {
+		stats.LPGap = (sol.Cost - sol.Bound) / sol.Cost
 	}
 
 	dest := make([]mem.TierID, nRegions)

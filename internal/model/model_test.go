@@ -182,20 +182,6 @@ func TestAnalyticalMonotoneInAlpha(t *testing.T) {
 	}
 }
 
-func TestAnalyticalExactAgreesWithGreedyOnEasyCase(t *testing.T) {
-	m := standardManager(t, 6)
-	prof := profileWith([]float64{100, 80, 60, 2, 1, 0})
-	g := (&Analytical{Alpha: 0.5, Solver: SolverGreedy}).Recommend(m, prof)
-	e := (&Analytical{Alpha: 0.5, Solver: SolverExact}).Recommend(m, prof)
-	// Both must keep the hottest region in DRAM and demote the coldest.
-	if g.Dest[0] != mem.DRAMTier || e.Dest[0] != mem.DRAMTier {
-		t.Fatal("hottest region must stay in DRAM under both solvers")
-	}
-	if g.Dest[5] == mem.DRAMTier || e.Dest[5] == mem.DRAMTier {
-		t.Fatal("coldest region must leave DRAM under both solvers")
-	}
-}
-
 func TestAnalyticalSolverTax(t *testing.T) {
 	m := standardManager(t, 4)
 	prof := profileWith([]float64{1, 2, 3, 4})

@@ -62,48 +62,46 @@ func reshapedDrift(t *testing.T) ([]*mem.Manager, []telemetry.Profile) {
 
 // TestWarmRecommendMatchesCold is the incremental solve's oracle: a model
 // that keeps its state across drifting windows, through two changes of
-// region count, must place every region and charge every solve exactly as
-// a fresh model solving each window cold — at α 0, 0.3 and 1, blind and
-// compressibility-aware, greedy and exact. The last schedule steps α 0.3 →
-// 0.7 → 0.1 between windows, the daemon's runtime α command: α enters only
-// the budget, so hulls cached under one α must stay valid under the next.
+// region count, must place every region, charge every solve and certify
+// every gap exactly as a fresh model solving each window cold — at α 0,
+// 0.3 and 1, blind and compressibility-aware. The last schedule steps α
+// 0.3 → 0.7 → 0.1 between windows, the daemon's runtime α command: α
+// enters only the budget, so hulls cached under one α must stay valid
+// under the next.
 func TestWarmRecommendMatchesCold(t *testing.T) {
 	ms, profs := reshapedDrift(t)
 	for _, schedule := range [][]float64{{0}, {0.3}, {1}, {0.3, 0.7, 0.1}} {
 		for _, aware := range []bool{false, true} {
-			for _, solver := range []SolverKind{SolverGreedy, SolverExact} {
-				a := &Analytical{CompressibilityAware: aware, Solver: solver}
-				hits := 0
-				for w, prof := range profs {
-					if err := a.SetAlpha(schedule[w%len(schedule)]); err != nil {
-						t.Fatal(err)
-					}
-					want := fresh(a).Recommend(ms[w], prof)
-					got := a.Recommend(ms[w], prof)
-					if !reflect.DeepEqual(got.Dest, want.Dest) {
-						t.Fatalf("α %v aware=%v solver %d window %d: persistent dest %v != fresh dest %v",
-							schedule, aware, solver, w, got.Dest, want.Dest)
-					}
-					if math.Float64bits(got.SolverNs) != math.Float64bits(want.SolverNs) {
-						t.Fatalf("α %v aware=%v solver %d window %d: persistent SolverNs %v != fresh %v",
-							schedule, aware, solver, w, got.SolverNs, want.SolverNs)
-					}
-					if got.Solve.WarmHit {
-						hits++
-						if got.Solve.ClassesReused == 0 || got.Solve.RebuildNs+got.Solve.RepairNs == 0 {
-							t.Fatalf("window %d: warm hit without reuse or a solve split: %+v", w, got.Solve)
-						}
+			a := &Analytical{CompressibilityAware: aware}
+			hits := 0
+			for w, prof := range profs {
+				if err := a.SetAlpha(schedule[w%len(schedule)]); err != nil {
+					t.Fatal(err)
+				}
+				want := fresh(a).Recommend(ms[w], prof)
+				got := a.Recommend(ms[w], prof)
+				if !reflect.DeepEqual(got.Dest, want.Dest) {
+					t.Fatalf("α %v aware=%v window %d: persistent dest %v != fresh dest %v",
+						schedule, aware, w, got.Dest, want.Dest)
+				}
+				if math.Float64bits(got.SolverNs) != math.Float64bits(want.SolverNs) {
+					t.Fatalf("α %v aware=%v window %d: persistent SolverNs %v != fresh %v",
+						schedule, aware, w, got.SolverNs, want.SolverNs)
+				}
+				if g := got.Solve.LPGap; math.Float64bits(g) != math.Float64bits(want.Solve.LPGap) || !(0 <= g && g <= 1) {
+					t.Fatalf("α %v aware=%v window %d: persistent LP gap %v, fresh %v (want equal, in [0, 1])",
+						schedule, aware, w, g, want.Solve.LPGap)
+				}
+				if got.Solve.WarmHit {
+					hits++
+					if got.Solve.ClassesReused == 0 || got.Solve.RebuildNs+got.Solve.RepairNs == 0 {
+						t.Fatalf("window %d: warm hit without reuse or a solve split: %+v", w, got.Solve)
 					}
 				}
-				// Greedy: every window but the first of each region count is
-				// warm. Exact: none is.
-				want := len(profs) - 3
-				if solver == SolverExact {
-					want = 0
-				}
-				if hits != want {
-					t.Fatalf("α %v aware=%v solver %d: %d warm hits, want %d", schedule, aware, solver, hits, want)
-				}
+			}
+			// Every window but the first of each region count is warm.
+			if want := len(profs) - 3; hits != want {
+				t.Fatalf("α %v aware=%v: %d warm hits, want %d", schedule, aware, hits, want)
 			}
 		}
 	}
@@ -151,8 +149,8 @@ func TestAwareNonUnitDRAMCostDominatesIncompressible(t *testing.T) {
 // TestInfeasibleRecommendFallsBack guards the Feasible check: an aware
 // model at α=0 over incompressible content has a budget priced off the
 // default 0.5 global ratio that nothing can meet (every real option weighs
-// the DRAM unit), so Recommend must take the DP/min-weight fallback,
-// count it, and still emit an in-range, min-weight placement.
+// the DRAM unit), so Recommend must count the window and act on the
+// greedy's min-weight answer: an in-range, min-weight placement.
 func TestInfeasibleRecommendFallsBack(t *testing.T) {
 	const regions = 4
 	m := incompressibleManager(t, regions, 0)
@@ -163,7 +161,7 @@ func TestInfeasibleRecommendFallsBack(t *testing.T) {
 	}
 	for r, d := range rec.Dest {
 		if d != mem.DRAMTier {
-			t.Fatalf("region %d: min-weight fallback should keep DRAM (weight tie, zero cost), got tier %d", r, d)
+			t.Fatalf("region %d: the min-weight answer should keep DRAM (weight tie, zero cost), got tier %d", r, d)
 		}
 	}
 }

@@ -137,6 +137,7 @@ func TestPrometheusGolden(t *testing.T) {
 		"tierscape_health_transitions_total{to=\"degraded\"} 1",
 		"\ntierscape_pingpong_moves_total ",
 		"\ntierscape_storm_bytes_per_sec ",
+		"\ntierscape_solver_lp_gap ",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(series)) {
 			t.Errorf("exposition lost series %q", series)

@@ -137,9 +137,13 @@ type WindowSnapshot struct {
 	// runs and are zero (omitted) for every other model.
 	SolverRebuildNs float64 `json:",omitempty"`
 	SolverRepairNs  float64 `json:",omitempty"`
-	// SolverFallbacks counts solves whose primary solution was over
-	// budget and was replaced by the DP/min-weight fallback.
+	// SolverFallbacks counts solves whose budget not even the lightest
+	// assignment fits; the placement is then the min-weight one.
 	SolverFallbacks int `json:",omitempty"`
+	// SolverLPGap is the solve's proven distance from the ILP optimum,
+	// (cost − LP bound)/cost; zero (omitted) for threshold models, a
+	// zero-cost solve and an infeasible window.
+	SolverLPGap float64 `json:",omitempty"`
 	// Latency summarizes every modeled access latency of this window
 	// (all tiers merged). Quantiles are quantized to the fixed log₂
 	// bucket boundaries (stats.LogHist), so they are deterministic at

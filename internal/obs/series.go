@@ -45,7 +45,7 @@ func (r *series) isFloat() bool { return r.winFloat != nil || r.rtFloat != nil }
 var (
 	windowsSeries = &series{key: "windows", family: "windows_total", help: "Profile windows completed.",
 		winInt: func(*WindowSnapshot) int64 { return 1 }}
-	solverFallbacksSeries = &series{key: "solver_fallbacks", family: "solver_fallbacks_total", help: "Infeasible primary solutions replaced by the DP/min-weight fallback.",
+	solverFallbacksSeries = &series{key: "solver_fallbacks", family: "solver_fallbacks_total", help: "Solves whose budget not even the min-weight placement fits; that placement is used.",
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.SolverFallbacks) }}
 	daemonTicksSeries    = &series{key: "daemon_ticks", family: "daemon_ticks_total", help: "Resident daemon ticks completed (one control-loop pass over every attached workload)."}
 	daemonAttachedSeries = &series{key: "daemon_attached_workloads", family: "daemon_attached_workloads", typ: "gauge", help: "Workloads currently attached to the resident daemon."}
@@ -159,6 +159,8 @@ var seriesTable = [...]*series{
 		vector: lastValue(func(w *WindowSnapshot) float64 { return w.ThrashScore })},
 	{family: "storm_bytes_per_sec", typ: "gauge", help: "Migration traffic rate of the last window (storm gauge).",
 		vector: lastValue(func(w *WindowSnapshot) float64 { return w.StormBytesPerSec })},
+	{family: "solver_lp_gap", typ: "gauge", help: "Proven gap of the last window's solve to the LP bound, (cost - bound) / cost.",
+		vector: lastValue(func(w *WindowSnapshot) float64 { return w.SolverLPGap })},
 }
 
 func init() {

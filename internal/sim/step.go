@@ -394,6 +394,7 @@ func (s *Stepper) StepControl() error {
 		rec.SolverRebuildNs = r.Solve.RebuildNs
 		rec.SolverRepairNs = r.Solve.RepairNs
 		rec.SolverFallbacks = r.Solve.Fallbacks
+		rec.SolverLPGap = r.Solve.LPGap
 		rec.ProfileNs = profDelta
 		rec.PrefetchNs = prefetchNs
 		rec.DaemonNs = r.SolverNs + migNs + profDelta + prefetchNs
