@@ -71,6 +71,11 @@ func SmallScale() Scale {
 // graph the graph kernels traverse — New draws from the running figure's
 // input table (Scale.rmat), so a sweep builds each distinct graph once.
 type WorkloadSpec struct {
+	// Name identifies the stream New produces. A figure records one
+	// stream per name and effective Scale and every job of that name
+	// replays it, so within one figure two specs of one name must build
+	// the same workload (the runner refuses two that name different
+	// graphs; it cannot compare constructors).
 	Name string
 	New  func(s Scale) workload.Workload
 	// graph, for a spec made by graphSpec, names the rMat graph New will
