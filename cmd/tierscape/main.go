@@ -398,6 +398,9 @@ func loadTierFile(path string) ([]tierscape.TierConfig, []tierscape.MediaKind, e
 }
 
 func buildWorkload(name string, pages int64, seed uint64) (tierscape.Workload, error) {
+	if pages < 1 || pages > mem.MaxPages {
+		return nil, fmt.Errorf("pages %d outside [1, %d]", pages, mem.MaxPages)
+	}
 	switch name {
 	case "masim":
 		return tierscape.MasimWorkload(pages/3, 20000, seed), nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"tierscape/internal/daemon"
+	"tierscape/internal/mem"
 	"tierscape/internal/model"
 )
 
@@ -112,6 +114,29 @@ func TestSpecOverlayAttaches(t *testing.T) {
 		if _, _, _, err := build(doc); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one mentioning %q", doc, err, want)
 		}
+	}
+}
+
+// TestPagesBounded: a page count from outside the program — an attach
+// body, the -pages flag — outside [1, mem.MaxPages] is refused before any
+// workload or manager is built. Each count is tried with no workload name
+// first, so a missing check shows as the wrong error, not as an
+// allocation.
+func TestPagesBounded(t *testing.T) {
+	b := &specBuilder{defaults: flagSpec(t)}
+	for _, wl := range []string{"no-such-workload", "memcached-ycsb", "bfs", "masim"} {
+		for _, pages := range []int64{-1, 0, mem.MaxPages + 1, 1 << 40} {
+			doc := fmt.Sprintf(`{"workload":%q,"pages":%d}`, wl, pages)
+			_, err := b.build(daemon.AttachSpec{Name: "kv", Spec: json.RawMessage(doc)})
+			if err == nil || !strings.Contains(err.Error(), "outside [1, ") {
+				t.Fatalf("%s: error %v, want one about the page count", doc, err)
+			}
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-pages", "1099511627776"}, &stdout, &stderr); got != 2 ||
+		stdout.Len() != 0 || !strings.Contains(stderr.String(), "pages 1099511627776 outside") {
+		t.Fatalf("-pages 2^40: exit %d, stdout %q, stderr %q; want 2 and the bound on stderr", got, stdout.String(), stderr.String())
 	}
 }
 

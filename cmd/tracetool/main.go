@@ -55,6 +55,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-top must be >= 0, got %d\n", *top)
 		return 2
 	}
+	if *pages < 1 || *pages > mem.MaxPages {
+		fmt.Fprintf(stderr, "-pages %d outside [1, %d]\n", *pages, mem.MaxPages)
+		return 2
+	}
 
 	var err error
 	switch {

@@ -31,6 +31,11 @@ func TestRunExitStatus(t *testing.T) {
 		{"no mode", nil, 2, "need -stat FILE"},
 		{"chrome without events", []string{"-chrome", filepath.Join(dir, "out.json")}, 2, "-chrome needs -events"},
 		{"negative top", []string{"-stat", crafted, "-top", "-1"}, 2, "-top must be >= 0"},
+		// Checked in every mode, before a workload is built: with -stat a
+		// missing check fails this row on the crafted trace, not by
+		// allocating 2^40 pages.
+		{"oversized pages", []string{"-stat", crafted, "-pages", "1099511627776"}, 2, "-pages 1099511627776 outside [1, "},
+		{"zero pages", []string{"-stat", crafted, "-pages", "0"}, 2, "-pages 0 outside [1, "},
 		{"unreadable stat file", []string{"-stat", filepath.Join(dir, "missing.trace")}, 1, "no such file"},
 		{"out-of-range page", []string{"-stat", crafted}, 1, "page -600 outside [0, 1024)"},
 		{"help", []string{"-h"}, 0, "Usage of tracetool"},

@@ -29,7 +29,6 @@ package compress
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Codec is a one-shot block compressor.
@@ -66,36 +65,6 @@ func Lookup(name string) (Codec, error) {
 		return nil, fmt.Errorf("compress: unknown codec %q", name)
 	}
 	return c, nil
-}
-
-// MustLookup is Lookup but panics on unknown names; for use with the
-// built-in codec names.
-func MustLookup(name string) Codec {
-	c, err := Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Names returns the sorted list of registered codec names.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Ratio compresses src with c and returns compressedSize/originalSize.
-// A ratio >= 1 means the data is effectively incompressible under c.
-func Ratio(c Codec, src []byte) float64 {
-	if len(src) == 0 {
-		return 1
-	}
-	out := c.Compress(nil, src)
-	return float64(len(out)) / float64(len(src))
 }
 
 func init() {

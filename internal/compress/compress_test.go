@@ -278,12 +278,6 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	Register(NewLZ4())
 }
 
-func TestRatioEmpty(t *testing.T) {
-	if Ratio(MustLookup("lz4"), nil) != 1 {
-		t.Fatal("Ratio of empty input should be 1")
-	}
-}
-
 func TestConcurrentStatelessCodecs(t *testing.T) {
 	// The registered codecs are process-wide singletons and hold no
 	// state: hammer the two that used to (deflate kept one flate.Writer

@@ -80,9 +80,6 @@ func NewGenerator(profile Profile, seed uint64) *Generator {
 	return &Generator{profile: profile, seed: seed}
 }
 
-// Profile returns the generator's content profile.
-func (g *Generator) Profile() Profile { return g.profile }
-
 // Fill writes the contents of page pageIdx into buf (typically 4096 bytes).
 func (g *Generator) Fill(pageIdx uint64, buf []byte) {
 	r := stats.MakeRNG(g.seed ^ (pageIdx+1)*0x9e3779b97f4a7c15)

@@ -46,7 +46,7 @@ func (c *WallClock) Reset(every time.Duration) { c.t.Reset(every) }
 // until the tick's window work has fully completed. Step-then-Barrier is
 // therefore a deterministic "run exactly one window" primitive.
 //
-// Step/StepN are meant to be called from one driving goroutine.
+// Step is meant to be called from one driving goroutine.
 type FakeClock struct {
 	ch   chan time.Time
 	done chan struct{}
@@ -81,14 +81,4 @@ func (c *FakeClock) Step() bool {
 	case <-c.done:
 		return false
 	}
-}
-
-// StepN delivers n ticks and returns how many were received.
-func (c *FakeClock) StepN(n int) int {
-	for i := 0; i < n; i++ {
-		if !c.Step() {
-			return i
-		}
-	}
-	return n
 }

@@ -41,7 +41,7 @@ func testSimConfig(t *testing.T) sim.Config {
 		Workload:     wl,
 		Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"},
 		OpsPerWindow: 400,
-		SampleRate:   sim.Int(20),
+		SampleRate:   20,
 	}
 }
 

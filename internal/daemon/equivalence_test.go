@@ -71,7 +71,7 @@ func eqConfig(t *testing.T, raw []byte, cap *obs.Mem, jsonl *bytes.Buffer) (sim.
 		Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"},
 		OpsPerWindow: eqOpsPerWindow,
 		Windows:      eqWindows,
-		SampleRate:   sim.Int(20),
+		SampleRate:   20,
 		Recorder:     obs.Tee(cap, obs.NewStream(jsonl)),
 	}, st
 }

@@ -65,7 +65,7 @@ func overlapTenants(t *testing.T, rec obs.Recorder) (names []string, cfgs []sim.
 			Workload:     tn.wl,
 			Model:        tn.mdl,
 			OpsPerWindow: ovOpsPerWindow,
-			SampleRate:   sim.Int(20),
+			SampleRate:   20,
 			Recorder:     rec,
 		})
 	}
@@ -263,7 +263,7 @@ func TestDaemonQuarantine(t *testing.T) {
 			Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"},
 			OpsPerWindow: ovOpsPerWindow,
 			Windows:      ticks,
-			SampleRate:   sim.Int(20),
+			SampleRate:   20,
 			Recorder:     rec,
 		}
 	}

@@ -1,7 +1,10 @@
 package daemon
 
 import (
+	"bytes"
 	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,27 +17,51 @@ import (
 	"tierscape/internal/ztier"
 )
 
-// soakTenant is the smallest tenant that still moves pages: a partial
-// region of Redis over DRAM and one lz4 tier, under a Waterfall that
-// demotes the region on its first window.
+// soakTenant is the smallest tenant whose window starts push-thread
+// goroutines: Redis over one region and a few pages of a second, over
+// DRAM and one lz4 tier, under a Waterfall that demotes both regions on
+// the first window. Two moves are what make the apply engine start its
+// goroutines (one move runs on the stepping goroutine), and zero-filled
+// pages keep those moves cheap.
 func soakTenant(t *testing.T) sim.Config {
 	t.Helper()
-	wl := workload.Redis(32, 3)
+	wl := workload.Redis(640, 3) // 565 pages
 	m, err := mem.NewManager(mem.Config{
 		NumPages:        wl.NumPages(),
-		Content:         corpus.NewGenerator(wl.Content(), 7),
+		Content:         corpus.NewGenerator(corpus.Zero, 7),
 		CompressedTiers: []ztier.Config{ztier.Characterization(1)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m.NumRegions() != 2 {
+		t.Fatalf("soak tenant spans %d regions, want 2", m.NumRegions())
+	}
 	return sim.Config{
 		Manager:      m,
 		Workload:     wl,
-		Model:        &model.Waterfall{Pct: 75},
+		Model:        &model.Waterfall{Pct: 100},
 		OpsPerWindow: 200,
-		SampleRate:   sim.Int(20),
+		SampleRate:   20,
 	}
+}
+
+// ownGoroutines counts the goroutines whose stacks are in the daemon or
+// the simulator, including those started from there (the "created by"
+// frame): the ones a tenant could leave behind. Goroutines of the runtime,
+// of the testing package and of other tests' HTTP servers do not count.
+func ownGoroutines() int {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+		panic(err)
+	}
+	n := 0
+	for _, g := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(g, "tierscape/internal/daemon.") || strings.Contains(g, "tierscape/internal/sim.") {
+			n++
+		}
+	}
+	return n
 }
 
 // heapAfterGC is HeapAlloc once two collections have run.
@@ -56,10 +83,12 @@ func heapAfterGC() int64 {
 func TestAttachDetachSoak(t *testing.T) {
 	const cycles = 1000
 	d, clk := newTestDaemon(t, DefaultConfig(), nil)
-	goroutines := runtime.NumGoroutine()
+	goroutines := ownGoroutines()
+	if goroutines < 2 { // this test's and the daemon loop's
+		t.Fatalf("%d daemon goroutines before the soak; the stack filter sees nothing", goroutines)
+	}
 	var collected atomic.Int64
 	var heap10 int64
-	moved := 0
 	for i := 1; i <= cycles; i++ {
 		cfg := soakTenant(t)
 		runtime.SetFinalizer(cfg.Manager, func(*mem.Manager) { collected.Add(1) })
@@ -75,16 +104,24 @@ func TestAttachDetachSoak(t *testing.T) {
 		if len(res.Windows) != 1 {
 			t.Fatalf("cycle %d: %d windows, want 1", i, len(res.Windows))
 		}
-		moved += res.Windows[0].Moves
+		if w := res.Windows[0]; w.TierPages[0] != 0 || w.Moves <= 0 {
+			t.Fatalf("cycle %d left %d pages in DRAM (%d moved); both regions must move for push threads to start", i, w.TierPages[0], w.Moves)
+		}
 		if i == 10 {
 			heap10 = heapAfterGC()
 		}
 	}
-	if moved == 0 {
-		t.Fatal("no tenant moved a page; the soak never used a push thread's scratch")
-	}
-	if n := runtime.NumGoroutine(); n != goroutines {
-		t.Errorf("%d goroutines after %d cycles, %d before", n, cycles, goroutines)
+	// A goroutine that is exiting may still be on its way out: settle for
+	// a bounded time before calling one left behind.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n := ownGoroutines()
+		if n <= goroutines {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("%d daemon and simulator goroutines after %d cycles, %d before", n, cycles, goroutines)
+			break
+		}
 	}
 	if grown := heapAfterGC() - heap10; grown > 1<<20 || grown < -1<<20 {
 		t.Errorf("heap moved by %d bytes between cycle 10 and cycle %d, want within 1 MB", grown, cycles)

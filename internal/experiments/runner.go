@@ -207,16 +207,14 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 	}
 	m.ShareStores(s.inputs.memo)
 	cfg := sim.Config{
-		Manager:      m,
-		Workload:     wl,
-		Model:        j.mdl,
-		OpsPerWindow: s.OpsPerWindow,
-		Windows:      s.Windows,
-		SampleRate:   sim.Int(s.SampleRate),
-		Recorder:     rec,
-	}
-	if n := CompactBudget(); n > 0 {
-		cfg.CompactBudget = sim.Int(n)
+		Manager:       m,
+		Workload:      wl,
+		Model:         j.mdl,
+		OpsPerWindow:  s.OpsPerWindow,
+		Windows:       s.Windows,
+		SampleRate:    s.SampleRate,
+		CompactBudget: CompactBudget(),
+		Recorder:      rec,
 	}
 	if j.cfg != nil {
 		j.cfg(&cfg)

@@ -188,7 +188,7 @@ func CoolingAblation(s Scale) (*Table, error) {
 		cool := cool
 		jobs = append(jobs, runJob{spec: spec,
 			mdl: &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"},
-			cfg: func(c *sim.Config) { c.Cooling = sim.Float(cool) },
+			cfg: func(c *sim.Config) { c.Cooling = cool },
 		})
 	}
 	results, err := runJobs(s, jobs)

@@ -7,3 +7,38 @@ func (m *Manager) SetByteTierCapacity(id TierID, pages int64) {
 	m.ba[id].info.CapacityPages = pages
 	m.tiers[id].CapacityPages = pages
 }
+
+// TierOf returns the tier currently holding page p.
+func (m *Manager) TierOf(p PageID) TierID {
+	mu := m.regionLock(p.Region())
+	mu.RLock()
+	defer mu.RUnlock()
+	return m.ptes[p].tier
+}
+
+// MigratePage moves page p to tier dest. Compressed-to-compressed moves
+// take the naive decompress-recompress path (§7.1) unless the codecs
+// match; the page to recompress is regenerated, not decoded.
+// Incompressible pages stay where they are and count as rejected.
+func (m *Manager) MigratePage(p PageID, dest TierID) (MigrationResult, error) {
+	if p < 0 || p >= PageID(m.numPages) {
+		return MigrationResult{}, ErrBadPage
+	}
+	if int(dest) < 0 || int(dest) >= len(m.tiers) {
+		return MigrationResult{}, ErrNoSuchTier
+	}
+	mu := m.regionLock(p.Region())
+	mu.Lock()
+	defer mu.Unlock()
+	sc := new(MigrationScratch)
+	var slab []byte
+	pp, err := m.preparePage(p, dest, sc, &slab)
+	if err != nil {
+		return MigrationResult{}, err
+	}
+	return m.commitPage(pp, sc, &slab)
+}
+
+// Remaining returns how many prepared pages have not committed yet: all of
+// them until the region is consumed, none after.
+func (pr *PreparedRegion) Remaining() int { return len(pr.pages) }

@@ -24,7 +24,7 @@
 // In the access phase one goroutine, the driver's, issues Access calls and
 // nothing else runs: the hit path takes no lock. In the migration phase any
 // number of goroutines may call the prepare and commit halves (and their
-// MigrateRegion/MigratePage wrappers), the compaction passes and the
+// MigrateRegion wrapper), the compaction passes and the
 // readers concurrently: page-table state is guarded by a striped
 // per-region lock, tier pools are guarded inside ztier, and every counter
 // (including per-tier residency) is an atomic, so concurrent migrations
@@ -72,6 +72,14 @@ const RegionPages = 512
 
 // RegionSize is the region size in bytes.
 const RegionSize = PageSize * RegionPages
+
+// MaxPages bounds a page count that arrives from outside the program (an
+// attach body, a flag, a trace header): 2^25 pages are 128 GiB, above the
+// paper's largest working set (119 GB), and a manager that size holds
+// 1.3 GB of page-table entries. A count above it is refused before any
+// workload or manager is built; the Go runtime cannot recover from the
+// allocation failure a count like 2^40 would cause.
+const MaxPages = 1 << 25
 
 // PageID is a virtual page number.
 type PageID int64
@@ -214,11 +222,11 @@ type Manager struct {
 	// regionMu stripes the page table by region for the migration phase,
 	// the only time several goroutines touch it: push threads preparing
 	// and committing moves, compaction, and the readers that may run
-	// beside them (TierOf, RegionResidency) each hold the owning region's
-	// lock around their pte reads and writes. Lock order is always region
-	// lock → tier lock (inside ztier); no path holds two region locks, so
-	// the striping cannot deadlock. The access phase takes none of this:
-	// see Access.
+	// beside them (RegionResidency, DominantTier) each hold the owning
+	// region's lock around their pte reads and writes. Lock order is
+	// always region lock → tier lock (inside ztier); no path holds two
+	// region locks, so the striping cannot deadlock. The access phase
+	// takes none of this: see Access.
 	regionMu []sync.RWMutex
 
 	// counters
@@ -446,14 +454,6 @@ func (m *Manager) Tiers() []TierInfo {
 	out := make([]TierInfo, len(m.tiers))
 	copy(out, m.tiers)
 	return out
-}
-
-// TierOf returns the tier currently holding page p.
-func (m *Manager) TierOf(p PageID) TierID {
-	mu := m.regionLock(p.Region())
-	mu.RLock()
-	defer mu.RUnlock()
-	return m.ptes[p].tier
 }
 
 // SetCompressedTierLimit bounds compressed tier id's physical footprint to
@@ -829,29 +829,6 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 	return res, nil
 }
 
-// MigratePage moves page p to tier dest. Compressed-to-compressed moves
-// take the naive decompress-recompress path (§7.1) unless the codecs
-// match; the page to recompress is regenerated, not decoded.
-// Incompressible pages stay where they are and count as rejected.
-func (m *Manager) MigratePage(p PageID, dest TierID) (MigrationResult, error) {
-	if p < 0 || p >= PageID(m.numPages) {
-		return MigrationResult{}, ErrBadPage
-	}
-	if int(dest) < 0 || int(dest) >= len(m.tiers) {
-		return MigrationResult{}, ErrNoSuchTier
-	}
-	mu := m.regionLock(p.Region())
-	mu.Lock()
-	defer mu.Unlock()
-	sc := new(MigrationScratch)
-	var slab []byte
-	pp, err := m.preparePage(p, dest, sc, &slab)
-	if err != nil {
-		return MigrationResult{}, err
-	}
-	return m.commitPage(pp, sc, &slab)
-}
-
 // MigrateRegion moves every page of region r to tier dest, accumulating
 // the per-page results. TS-Daemon migrates at this 2 MB granularity (§7.2).
 // It is PrepareRegionMigration followed by CommitRegionMigration, whose
@@ -883,10 +860,6 @@ type PreparedRegion struct {
 	// spare is a consumed region's page slice, emptied, kept for reuse.
 	spare []preparedPage
 }
-
-// Remaining returns how many prepared pages have not committed yet: all of
-// them until the region is consumed, none after.
-func (pr *PreparedRegion) Remaining() int { return len(pr.pages) }
 
 // Release consumes the prepared region without committing it; call it
 // when a prepared region is abandoned. Committing consumes it

@@ -48,7 +48,7 @@ func tierFullRun(t *testing.T, mdl model.Model, procs int) (*sim.Result, *mem.Ma
 		FilterConfig: &filter,
 		OpsPerWindow: 4000,
 		Windows:      5,
-		SampleRate:   sim.Int(20),
+		SampleRate:   20,
 	})
 	if err != nil {
 		t.Fatal(err)

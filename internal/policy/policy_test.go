@@ -127,16 +127,19 @@ func TestPressureAvoidance(t *testing.T) {
 	f := NewFilter(Config{PressureFaultRate: 0.5})
 	// Prime the filter's fault baseline.
 	_ = f.Apply(m, recommend(2, 0), prof(0, 0))
-	// Fault every page of region 0 back out (fault rate >> 0.5/page).
+	// Fault every page of region 0 back out (fault rate >> 0.5/page); a
+	// page that stayed in DRAM is a hit and faults nothing.
 	for p := mem.PageID(0); p < mem.RegionPages; p++ {
-		if m.TierOf(p) == 2 {
-			if _, err := m.Access(p, false); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := m.Access(p, false); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Keep one page resident so the tier is non-empty for rate math.
-	if _, err := m.MigratePage(0, 2); err != nil {
+	if got := m.RegionResidency(0)[2]; got != 0 {
+		t.Fatalf("%d pages still in CT1 after faulting the region", got)
+	}
+	// Move the region back so the tier is non-empty for rate math: one
+	// fault per resident page is still over 0.5.
+	if _, err := m.MigrateRegion(0, 2); err != nil {
 		t.Fatal(err)
 	}
 	plan := f.Apply(m, recommend(2, 2), prof(0, 0))

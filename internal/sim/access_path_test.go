@@ -15,7 +15,7 @@ func baselineStepper(t *testing.T, opsPerWindow int) *Stepper {
 		Manager:      standardMix(t, wl),
 		Workload:     wl,
 		OpsPerWindow: opsPerWindow,
-		SampleRate:   Int(20),
+		SampleRate:   20,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 	"tierscape/internal/ztier"
 )
 
-func benchCompactRun(b *testing.B, pt int, budget *int) *Result {
+func benchCompactRun(b *testing.B, pt int, budget int) *Result {
 	b.Helper()
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 	m, err := mem.NewManager(mem.Config{
@@ -39,7 +39,7 @@ func benchCompactRun(b *testing.B, pt int, budget *int) *Result {
 		Model:         &model.Waterfall{Pct: 75}, // churn-heavy: big demote waves every window
 		OpsPerWindow:  4000,
 		Windows:       8,
-		SampleRate:    Int(20),
+		SampleRate:    20,
 		CompactBudget: budget,
 	}, pt)
 	if err != nil {
@@ -55,11 +55,11 @@ func benchCompactRun(b *testing.B, pt int, budget *int) *Result {
 func BenchmarkCompactWindow(b *testing.B) {
 	variants := []struct {
 		name   string
-		budget *int
+		budget int
 	}{
-		{"full", nil},
-		{"budget64", Int(64)},
-		{"budget16", Int(16)},
+		{"full", 0},
+		{"budget64", 64},
+		{"budget16", 16},
 	}
 	for _, v := range variants {
 		for _, pt := range []int{1, 2, 8} {

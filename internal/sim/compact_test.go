@@ -13,7 +13,7 @@ import (
 // budgetRun is ptRun with a compaction budget: the standard-mix harness at
 // GOMAXPROCS procs with procs push threads and the given CompactBudget
 // setting.
-func budgetRun(t *testing.T, procs int, budget *int) *Result {
+func budgetRun(t *testing.T, procs int, budget int) *Result {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
@@ -23,7 +23,7 @@ func budgetRun(t *testing.T, procs int, budget *int) *Result {
 		Model:         &model.Waterfall{Pct: 50},
 		OpsPerWindow:  4000,
 		Windows:       5,
-		SampleRate:    Int(20),
+		SampleRate:    20,
 		CompactBudget: budget,
 	}, procs)
 	if err != nil {
@@ -37,7 +37,7 @@ func budgetRun(t *testing.T, procs int, budget *int) *Result {
 // be deep-equal across push threads 1, 2 and 8. Runs under -race in CI
 // (the Concurrent suite).
 func TestConcurrentCompactBudgetDeterminism(t *testing.T) {
-	base := budgetRun(t, 1, Int(64))
+	base := budgetRun(t, 1, 64)
 	moved := 0
 	for _, w := range base.Windows {
 		moved += w.CompactObjectsMoved
@@ -46,22 +46,22 @@ func TestConcurrentCompactBudgetDeterminism(t *testing.T) {
 		t.Fatal("run compacted nothing; budget determinism test is vacuous")
 	}
 	for _, procs := range []int{2, 8} {
-		got := budgetRun(t, procs, Int(64))
+		got := budgetRun(t, procs, 64)
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("GOMAXPROCS=%d result differs from GOMAXPROCS=1 under CompactBudget=64", procs)
 		}
 	}
 }
 
-// TestCompactBudgetUnboundedEquivalence: a nil CompactBudget is the
+// TestCompactBudgetUnboundedEquivalence: a zero CompactBudget is the
 // historical full sweep, and an absurdly large explicit budget must be
 // indistinguishable from it — the budget only defers work, never changes
 // what an unconstrained pass does.
 func TestCompactBudgetUnboundedEquivalence(t *testing.T) {
-	unset := budgetRun(t, 2, nil)
-	huge := budgetRun(t, 2, Int(1<<30))
+	unset := budgetRun(t, 2, 0)
+	huge := budgetRun(t, 2, 1<<30)
 	if !reflect.DeepEqual(unset, huge) {
-		t.Fatal("CompactBudget=1<<30 result differs from nil (unbounded) budget")
+		t.Fatal("CompactBudget=1<<30 result differs from the zero (unbounded) budget")
 	}
 	// The sweep must actually run under the default config, and a window
 	// that reclaims pages must charge compaction time.
@@ -80,8 +80,8 @@ func TestCompactBudgetUnboundedEquivalence(t *testing.T) {
 // strand nothing by the end — the final footprint matches the unbounded
 // run's once the backlog drains.
 func TestCompactBudgetDefersWork(t *testing.T) {
-	unbounded := budgetRun(t, 2, nil)
-	bounded := budgetRun(t, 2, Int(8))
+	unbounded := budgetRun(t, 2, 0)
+	bounded := budgetRun(t, 2, 8)
 	var maxUnbounded, maxBounded int
 	for _, w := range unbounded.Windows {
 		if w.CompactedPages > maxUnbounded {
@@ -102,10 +102,10 @@ func TestCompactBudgetDefersWork(t *testing.T) {
 	}
 }
 
-// TestCompactBudgetValidation: explicit budgets below 1 are config errors,
-// not silently-patched values.
+// TestCompactBudgetValidation: negative budgets are config errors, not
+// silently-patched values.
 func TestCompactBudgetValidation(t *testing.T) {
-	for _, bad := range []int{0, -5} {
+	for _, bad := range []int{-1, -5} {
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 		_, err := Run(Config{
 			Manager:       standardMix(t, wl),
@@ -113,8 +113,8 @@ func TestCompactBudgetValidation(t *testing.T) {
 			Model:         &model.Waterfall{Pct: 50},
 			OpsPerWindow:  100,
 			Windows:       1,
-			SampleRate:    Int(20),
-			CompactBudget: Int(bad),
+			SampleRate:    20,
+			CompactBudget: bad,
 		})
 		if err == nil || !strings.Contains(err.Error(), "CompactBudget") {
 			t.Fatalf("CompactBudget=%d: want validation error, got %v", bad, err)

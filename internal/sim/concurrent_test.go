@@ -49,7 +49,7 @@ func ptRun(t *testing.T, mdl model.Model, procs int) *Result {
 		Model:        mdl,
 		OpsPerWindow: 4000,
 		Windows:      5,
-		SampleRate:   Int(20),
+		SampleRate:   20,
 	}, procs)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestConcurrentFallbackConflictDeterminism(t *testing.T) {
 			Model:        &model.Waterfall{Pct: 75}, // aggressive demotion
 			OpsPerWindow: 4000,
 			Windows:      5,
-			SampleRate:   Int(20),
+			SampleRate:   20,
 		}, procs)
 		if err != nil {
 			t.Fatal(err)

@@ -36,7 +36,7 @@ func obsRun(t *testing.T, mdl model.Model, procs int) (*Result, *obs.Mem, []byte
 		Model:        mdl,
 		OpsPerWindow: 4000,
 		Windows:      5,
-		SampleRate:   Int(20),
+		SampleRate:   20,
 		Recorder:     obs.Tee(&capture, stream),
 	}, procs)
 	if err != nil {
@@ -340,7 +340,7 @@ func fallbackObsRun(t *testing.T, procs int) (*Result, *obs.Mem, []byte) {
 		Model:        &model.Waterfall{Pct: 75},
 		OpsPerWindow: 4000,
 		Windows:      5,
-		SampleRate:   Int(20),
+		SampleRate:   20,
 		Recorder:     obs.Tee(&capture, stream),
 	}, procs)
 	if err != nil {

@@ -22,7 +22,7 @@ func TestPrefetcherReducesFaultLatency(t *testing.T) {
 			Model:                  &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"},
 			OpsPerWindow:           5000,
 			Windows:                6,
-			SampleRate:             Int(20),
+			SampleRate:             20,
 			PrefetchFaultThreshold: threshold,
 		})
 		if err != nil {
@@ -65,8 +65,7 @@ func TestPushThreadsInvariant(t *testing.T) {
 			Model:        &model.Waterfall{Pct: 50},
 			OpsPerWindow: 5000,
 			Windows:      5,
-			SampleRate:   Int(20),
-			Interference: Float(0.2), // exaggerate so any divergence is visible
+			SampleRate:   20,
 		}, procs)
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +98,7 @@ func TestPrefetchPushThreadsIdentical(t *testing.T) {
 			Model:                  &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"},
 			OpsPerWindow:           5000,
 			Windows:                6,
-			SampleRate:             Int(20),
+			SampleRate:             20,
 			PrefetchFaultThreshold: 8,
 		}, procs)
 		if err != nil {

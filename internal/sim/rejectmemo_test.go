@@ -38,7 +38,7 @@ func TestRejectMemoEquivalence(t *testing.T) {
 		}
 		res, err := runPT(Config{
 			Manager: m, Workload: wl, Model: &model.Waterfall{Pct: 75},
-			OpsPerWindow: 2000, Windows: 12, SampleRate: Int(50),
+			OpsPerWindow: 2000, Windows: 12, SampleRate: 50,
 		}, procs)
 		if err != nil {
 			t.Fatal(err)

@@ -11,7 +11,7 @@
 // accumulates op compute cost plus every memory access's modeled latency
 // (Eq. 4); daemon work (profiling tax, ILP solve, migration copies and
 // (de)compressions) is tracked separately and bleeds into application
-// time only through a configurable interference factor.
+// time only through a fixed 2 % interference factor (step.go).
 //
 // Migration application uses real push threads (the artifact's PT
 // parameter): each window's plan is applied by pushThreads (2) goroutines
@@ -63,29 +63,24 @@ type Config struct {
 	OpsPerWindow int
 	// Windows is how many profile windows to run.
 	Windows int
-	// SampleRate overrides the profiler's sampling period; nil uses the
-	// default 1-in-5000 (tests use smaller workloads and denser sampling).
-	// Must be >= 1 when set. Use Int to build the pointer inline.
-	SampleRate *int
-	// Cooling overrides the profiler's cooling factor; nil uses the
-	// default 0.5. An explicit 0 is honored: hotness fully resets each
-	// window. Use Float to build the pointer inline.
-	Cooling *float64
-	// Interference is the fraction of daemon work that steals application
-	// time (cache/bandwidth contention from push threads); nil uses the
-	// default 0.02. An explicit 0 is honored: daemon work then never
-	// bleeds into application time. Use Float to build the pointer inline.
-	Interference *float64
+	// SampleRate is the profiler's sampling period: one sample per
+	// SampleRate accesses. 0 uses telemetry.DefaultSampleRate, the paper's
+	// 1-in-5000 (tests use smaller workloads and denser sampling);
+	// negative is an error.
+	SampleRate int
+	// Cooling is the profiler's cooling factor: prior hotness is
+	// multiplied by it at each window boundary. 0 uses
+	// telemetry.DefaultCooling (0.5); a value outside [0,1) is an error.
+	Cooling float64
 	// CompactBudget bounds the per-window zs_compact pass to roughly this
 	// many reclaimed pool pages across all compressed tiers (the budgeted
 	// round-robin in mem.CompactBudgeted; pools keep resume cursors so the
-	// remainder carries over to later windows). nil = unbounded, i.e. the
-	// historical compact-to-completion sweep. Must be >= 1 when set; use
-	// Int to build the pointer inline. This is a semantic knob — a
-	// bounded budget defers reclamation, so results legitimately differ
-	// from the unbounded sweep — but any fixed value remains
-	// byte-identical at every GOMAXPROCS.
-	CompactBudget *int
+	// remainder carries over to later windows). 0 = unbounded, i.e. the
+	// historical compact-to-completion sweep; negative is an error. This
+	// is a semantic knob — a bounded budget defers reclamation, so results
+	// legitimately differ from the unbounded sweep — but any fixed value
+	// remains byte-identical at every GOMAXPROCS.
+	CompactBudget int
 	// PrefetchFaultThreshold enables the §3.2 prefetcher: when a region
 	// accumulates this many compressed-tier faults within one window, the
 	// daemon proactively decompresses the whole region back to DRAM
@@ -105,15 +100,6 @@ type Config struct {
 	// back into the simulation.
 	Recorder obs.Recorder
 }
-
-// Int returns a pointer to v, for Config's optional int fields. The
-// pointer form distinguishes "explicitly zero" from "use the default",
-// which a plain zero value could not (the old fields silently treated an
-// explicit 0 as "default").
-func Int(v int) *int { return &v }
-
-// Float returns a pointer to v, for Config's optional float fields.
-func Float(v float64) *float64 { return &v }
 
 // WindowRecord is one profile window's deterministic outcome. It is an
 // alias for obs.WindowSnapshot — the simulator emits the observability

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"tierscape/internal/corpus"
 	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
+	"tierscape/internal/telemetry"
 	"tierscape/internal/workload"
 	"tierscape/internal/ztier"
 )
@@ -39,7 +42,7 @@ func run(t *testing.T, wl workload.Workload, mdl model.Model) *Result {
 		Model:        mdl,
 		OpsPerWindow: 5000,
 		Windows:      6,
-		SampleRate:   Int(20),
+		SampleRate:   20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,48 +229,77 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestInterferenceZeroChargesNothing(t *testing.T) {
-	// Regression for the zero-value ambiguity: Interference is optional,
-	// and an explicit 0 must charge no daemon interference rather than
-	// silently falling back to the 2% default.
-	mk := func(interference *float64) *Result {
-		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*mem.RegionPages, 1)
-		res, err := Run(Config{
+// TestZeroMeansDefault: SampleRate, CompactBudget and Cooling at 0 run
+// exactly as their explicit defaults (1-in-5000 sampling, an unbounded
+// compaction sweep, cooling 0.5, under either telemetry source), and a
+// value out of range is an error. Each row also names a value that must
+// change the run, so the run is one the knob can move.
+func TestZeroMeansDefault(t *testing.T) {
+	mk := func(set func(*Config)) (*Result, error) {
+		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
+		cfg := Config{
 			Manager:      standardMix(t, wl),
 			Workload:     wl,
-			Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM"},
-			OpsPerWindow: 5000,
-			Windows:      4,
-			SampleRate:   Int(20),
-			Interference: interference,
-		})
-		if err != nil {
-			t.Fatal(err)
+			Model:        &model.Waterfall{Pct: 50},
+			OpsPerWindow: 4000,
+			Windows:      5,
+			SampleRate:   20,
 		}
-		return res
+		set(&cfg)
+		return Run(cfg)
 	}
-	zero, def, high := mk(Float(0)), mk(nil), mk(Float(0.5))
-
-	// Interference only taxes application time; it must not change the
-	// daemon's behaviour or the resulting placement.
-	if zero.Faults != def.Faults || zero.DaemonNs != def.DaemonNs {
-		t.Fatalf("interference changed behaviour: faults %d/%d daemon %v/%v",
-			zero.Faults, def.Faults, zero.DaemonNs, def.DaemonNs)
+	abit := func(c *Config) { c.AccessBitTelemetry = true }
+	cases := []struct {
+		name                  string
+		zero, explicit, other func(*Config)
+		bad                   []func(*Config)
+	}{
+		{"SampleRate",
+			func(c *Config) { c.SampleRate = 0 },
+			func(c *Config) { c.SampleRate = telemetry.DefaultSampleRate },
+			func(c *Config) { c.SampleRate = 20 },
+			[]func(*Config){func(c *Config) { c.SampleRate = -1 }}},
+		{"CompactBudget",
+			func(c *Config) { c.CompactBudget = 0 },
+			func(c *Config) { c.CompactBudget = 1 << 30 },
+			func(c *Config) { c.CompactBudget = 1 },
+			[]func(*Config){func(c *Config) { c.CompactBudget = -1 }}},
+		{"Cooling",
+			func(c *Config) { c.Cooling = 0 },
+			func(c *Config) { c.Cooling = telemetry.DefaultCooling },
+			func(c *Config) { c.Cooling = 0.9 },
+			[]func(*Config){
+				func(c *Config) { c.Cooling = -0.5 },
+				func(c *Config) { c.Cooling = 1 },
+				func(c *Config) { c.Cooling = -0.5; abit(c) },
+			}},
+		{"Cooling/abit",
+			func(c *Config) { c.Cooling = 0; abit(c) },
+			func(c *Config) { c.Cooling = telemetry.DefaultCooling; abit(c) },
+			func(c *Config) { c.Cooling = 0.9; abit(c) },
+			nil},
 	}
-	if zero.DaemonNs <= 0 {
-		t.Fatal("daemon did no work; test exercises nothing")
-	}
-	// Explicit zero is cheaper than the nil default (2%), which is cheaper
-	// than an explicit 50%.
-	if !(zero.AppNs < def.AppNs && def.AppNs < high.AppNs) {
-		t.Fatalf("AppNs ordering wrong: zero=%v default=%v high=%v",
-			zero.AppNs, def.AppNs, high.AppNs)
-	}
-	// With zero interference, application time is exactly the op latencies:
-	// no daemon time leaks in (tolerance covers summation-order rounding).
-	opSum := zero.OpLat.Sum()
-	if diff := zero.AppNs - opSum; diff > 1e-6*opSum || diff < -1e-6*opSum {
-		t.Fatalf("zero interference still charged daemon time: AppNs=%v opSum=%v", zero.AppNs, opSum)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var res [3]*Result
+			for i, set := range []func(*Config){tc.zero, tc.explicit, tc.other} {
+				var err error
+				if res[i], err = mk(set); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Fatalf("%s = 0 differs from its explicit default", tc.name)
+			}
+			if reflect.DeepEqual(res[0], res[2]) {
+				t.Fatalf("%s: a non-default value ran as the default; the run cannot tell them apart", tc.name)
+			}
+			for i, bad := range tc.bad {
+				if _, err := mk(bad); err == nil || !strings.Contains(err.Error(), strings.Split(tc.name, "/")[0]) {
+					t.Fatalf("bad value %d: want a %s error, got %v", i, tc.name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -365,7 +397,7 @@ func TestAccessBitTelemetryDrivesModels(t *testing.T) {
 		Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM"},
 		OpsPerWindow: 5000,
 		Windows:      5,
-		SampleRate:   Int(20),
+		SampleRate:   20,
 	})
 	if err != nil {
 		t.Fatal(err)

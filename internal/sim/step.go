@@ -45,6 +45,10 @@ import (
 // the count changes only wall-clock time.
 const pushThreads = 2
 
+// interference is the fraction of daemon work that steals application
+// time: cache and bandwidth contention from the push threads.
+const interference = 0.02
+
 // Stepper executes the TS-Daemon control loop one profile window per
 // Step call. It holds everything Run's window loop used to keep in
 // locals — profiler, migration filter, accumulators, scratch buffers —
@@ -57,9 +61,7 @@ const pushThreads = 2
 // returns before StepControl starts — a channel send, a WaitGroup).
 // Config.Windows is ignored — the driver decides how many windows happen.
 type Stepper struct {
-	cfg           Config
-	interference  float64
-	compactBudget int
+	cfg Config
 
 	m      *mem.Manager
 	wl     workload.Workload
@@ -139,26 +141,13 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		return nil, fmt.Errorf("sim: workload needs %d pages but manager has %d",
 			cfg.Workload.NumPages(), cfg.Manager.NumPages())
 	}
-	s := &Stepper{cfg: cfg, interference: 0.02}
-	if cfg.Interference != nil {
-		if *cfg.Interference < 0 {
-			return nil, fmt.Errorf("sim: Interference must be >= 0, got %v", *cfg.Interference)
-		}
-		s.interference = *cfg.Interference
+	if cfg.SampleRate < 0 {
+		return nil, fmt.Errorf("sim: SampleRate must be >= 0, got %d", cfg.SampleRate)
 	}
-	sampleRate := 0 // 0 lets the profiler pick its default
-	if cfg.SampleRate != nil {
-		if *cfg.SampleRate < 1 {
-			return nil, fmt.Errorf("sim: SampleRate must be >= 1, got %d", *cfg.SampleRate)
-		}
-		sampleRate = *cfg.SampleRate
+	if cfg.CompactBudget < 0 {
+		return nil, fmt.Errorf("sim: CompactBudget must be >= 0, got %d", cfg.CompactBudget)
 	}
-	if cfg.CompactBudget != nil {
-		if *cfg.CompactBudget < 1 {
-			return nil, fmt.Errorf("sim: CompactBudget must be >= 1, got %d", *cfg.CompactBudget)
-		}
-		s.compactBudget = *cfg.CompactBudget
-	}
+	s := &Stepper{cfg: cfg}
 
 	var err error
 	if cfg.AccessBitTelemetry {
@@ -166,7 +155,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	} else {
 		s.prof, err = telemetry.NewProfiler(telemetry.Config{
 			NumRegions: cfg.Manager.NumRegions(),
-			SampleRate: sampleRate,
+			SampleRate: cfg.SampleRate,
 			Cooling:    cfg.Cooling,
 		})
 	}
@@ -375,7 +364,7 @@ func (s *Stepper) StepControl() error {
 		rec.DroppedBudget = plan.DroppedBudget
 		// Post-migration pool compaction (zs_compact): churned tiers
 		// return empty zspages, up to the configured per-window budget.
-		compacted := m.CompactBudgeted(s.compactBudget)
+		compacted := m.CompactBudgeted(s.cfg.CompactBudget)
 		if recd != nil {
 			rt.PhaseWallNs[obs.PhaseCompact] = wallSince(&wall)
 		}
@@ -398,12 +387,12 @@ func (s *Stepper) StepControl() error {
 		rec.ProfileNs = profDelta
 		rec.PrefetchNs = prefetchNs
 		rec.DaemonNs = r.SolverNs + migNs + profDelta + prefetchNs
-		// Interference charges the measured apply work: cache and
-		// bandwidth contention scale with the bytes the push threads
+		// The interference charge follows the measured apply work: cache
+		// and bandwidth contention scale with the bytes the push threads
 		// move, not with how many threads move them, so the charge is
 		// push-thread-invariant (part of the determinism contract).
 		elapsed := r.SolverNs + profDelta + migNs + prefetchNs
-		interferenceNs = elapsed * s.interference
+		interferenceNs = elapsed * interference
 		appNs += interferenceNs
 		rec.RecommendedPages = recommendedPages(m, r)
 	} else {
@@ -412,7 +401,7 @@ func (s *Stepper) StepControl() error {
 		s.lastProfOverhead = s.prof.OverheadNs()
 		rec.PrefetchNs = prefetchNs
 		rec.DaemonNs = prefetchNs
-		interferenceNs = prefetchNs * s.interference
+		interferenceNs = prefetchNs * interference
 		appNs += interferenceNs
 	}
 

@@ -23,7 +23,7 @@ func splitSteppers(t *testing.T) map[string]func(rec obs.Recorder) (*Stepper, er
 				Manager:                standardMix(t, wl),
 				Workload:               wl,
 				OpsPerWindow:           4000,
-				SampleRate:             Int(20),
+				SampleRate:             20,
 				PrefetchFaultThreshold: prefetch,
 				Recorder:               rec,
 			}
@@ -142,7 +142,7 @@ func TestStepSplitMisuse(t *testing.T) {
 	}
 
 	wl := &failingWorkload{Workload: smallKV(t), failAt: 1500}
-	st, err := NewStepper(Config{Manager: standardMix(t, wl), Workload: wl, OpsPerWindow: 1000, SampleRate: Int(20)})
+	st, err := NewStepper(Config{Manager: standardMix(t, wl), Workload: wl, OpsPerWindow: 1000, SampleRate: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -163,22 +162,6 @@ func (s *Summary) Reset() {
 	s.distinct = 0
 	s.count = 0
 	s.sum = 0
-}
-
-// GeoMean returns the geometric mean of xs; it panics on non-positive input.
-// The paper reports the geometric mean of round times for graph workloads.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %v", x))
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // PercentileOf returns the p-th percentile (nearest-rank, p in [0,100]) of

@@ -85,25 +85,6 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 10, 100})
-	if math.Abs(got-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 10", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-}
-
-func TestGeoMeanPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GeoMean of 0 did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
 func TestPercentileOfDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	_ = PercentileOf(xs, 50)

@@ -71,16 +71,6 @@ func Budget(m *mem.Manager, ratioOf func(mem.TierID) float64, alpha float64) flo
 	return Min(m, ratioOf) + alpha*MTS(m, ratioOf)
 }
 
-// SavingsPct returns the TCO savings of the current placement versus the
-// all-DRAM baseline, as a percentage of TCO_max.
-func SavingsPct(m *mem.Manager) float64 {
-	max := Max(m)
-	if max == 0 {
-		return 0
-	}
-	return (max - Current(m)) / max * 100
-}
-
 // DefaultRatio is the assumed compression ratio for tiers that have not
 // stored anything yet (zswap's heuristic expectation of ~2:1).
 const DefaultRatio = 0.5

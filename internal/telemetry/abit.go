@@ -48,18 +48,15 @@ type ABitScanner struct {
 const ABitScanNsPerPage = 10
 
 // NewABitScanner returns an accessed-bit telemetry source for numPages
-// pages grouped into the given number of regions. A nil cooling uses
-// DefaultCooling; an explicit 0 disables history carry-over.
-func NewABitScanner(numPages, numRegions int64, cooling *float64) (*ABitScanner, error) {
+// pages grouped into the given number of regions. A cooling of 0 uses
+// DefaultCooling.
+func NewABitScanner(numPages, numRegions int64, cooling float64) (*ABitScanner, error) {
 	if numPages <= 0 || numRegions <= 0 {
 		return nil, fmt.Errorf("telemetry: invalid abit geometry (%d pages, %d regions)", numPages, numRegions)
 	}
-	c := DefaultCooling
-	if cooling != nil {
-		c = *cooling
-	}
-	if c < 0 || c >= 1 {
-		return nil, fmt.Errorf("telemetry: Cooling must be in [0,1), got %v", c)
+	c, err := resolveCooling(cooling)
+	if err != nil {
+		return nil, err
 	}
 	return &ABitScanner{
 		numPages: numPages,
@@ -112,6 +109,3 @@ func (a *ABitScanner) EndWindow() Profile {
 func (a *ABitScanner) OverheadNs() float64 {
 	return float64(a.windows) * float64(a.numPages) * ABitScanNsPerPage
 }
-
-// Windows returns completed windows.
-func (a *ABitScanner) Windows() int64 { return a.windows }

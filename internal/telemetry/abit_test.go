@@ -7,7 +7,7 @@ import (
 )
 
 func TestABitCountsTouchedPagesNotAccesses(t *testing.T) {
-	a, err := NewABitScanner(2*mem.RegionPages, 2, Float(0.5))
+	a, err := NewABitScanner(2*mem.RegionPages, 2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestABitCountsTouchedPagesNotAccesses(t *testing.T) {
 }
 
 func TestABitBitsClearEachWindow(t *testing.T) {
-	a, _ := NewABitScanner(mem.RegionPages, 1, Float(0.5))
+	a, _ := NewABitScanner(mem.RegionPages, 1, 0.5)
 	a.Record(5)
 	p1 := a.EndWindow()
 	if p1.WindowSamples[0] != 1 {
@@ -46,15 +46,15 @@ func TestABitBitsClearEachWindow(t *testing.T) {
 }
 
 func TestABitOverheadScalesWithMemorySize(t *testing.T) {
-	small, _ := NewABitScanner(1000, 1, Float(0.5))
-	big, _ := NewABitScanner(100000, 1, Float(0.5))
+	small, _ := NewABitScanner(1000, 1, 0.5)
+	big, _ := NewABitScanner(100000, 1, 0.5)
 	small.EndWindow()
 	big.EndWindow()
 	if big.OverheadNs() <= small.OverheadNs() {
 		t.Fatal("scan tax must grow with memory size")
 	}
 	// And it must be access-rate independent.
-	small2, _ := NewABitScanner(1000, 1, Float(0.5))
+	small2, _ := NewABitScanner(1000, 1, 0.5)
 	for i := 0; i < 100000; i++ {
 		small2.Record(mem.PageID(i % 1000))
 	}
@@ -65,13 +65,18 @@ func TestABitOverheadScalesWithMemorySize(t *testing.T) {
 }
 
 func TestABitValidation(t *testing.T) {
-	if _, err := NewABitScanner(0, 1, Float(0.5)); err == nil {
+	if _, err := NewABitScanner(0, 1, 0.5); err == nil {
 		t.Error("zero pages accepted")
 	}
-	if _, err := NewABitScanner(10, 0, Float(0.5)); err == nil {
+	if _, err := NewABitScanner(10, 0, 0.5); err == nil {
 		t.Error("zero regions accepted")
 	}
-	if _, err := NewABitScanner(10, 1, Float(1.5)); err == nil {
-		t.Error("cooling >= 1 accepted")
+	for _, bad := range []float64{1.5, -0.1} {
+		if _, err := NewABitScanner(10, 1, bad); err == nil {
+			t.Errorf("cooling %v accepted", bad)
+		}
+	}
+	if a, err := NewABitScanner(10, 1, 0); err != nil || a.cooling != DefaultCooling {
+		t.Errorf("zero cooling: %v, %v; want DefaultCooling", a, err)
 	}
 }

@@ -31,22 +31,18 @@ const DefaultCooling = 0.5
 type Config struct {
 	// NumRegions is the number of 2 MB regions profiled.
 	NumRegions int64
-	// SampleRate samples one in SampleRate accesses (default 5000).
+	// SampleRate samples one in SampleRate accesses; 0 (or less) uses
+	// DefaultSampleRate.
 	SampleRate int
-	// Cooling multiplies prior hotness at each window boundary; nil uses
-	// DefaultCooling. An explicit 0 is honored (no history: every window
-	// starts cold), which a plain float64 field could not express. Must be
-	// in [0,1). Use Float to build the pointer inline.
-	Cooling *float64
+	// Cooling multiplies prior hotness at each window boundary; 0 uses
+	// DefaultCooling. A value outside [0,1) is an error.
+	Cooling float64
 }
-
-// Float returns a pointer to v, for Config's optional float fields.
-func Float(v float64) *float64 { return &v }
 
 // Profiler accumulates sampled access counts per region.
 type Profiler struct {
 	cfg         Config
-	cooling     float64   // resolved from cfg.Cooling (nil = DefaultCooling)
+	cooling     float64   // resolved from cfg.Cooling (0 = DefaultCooling)
 	window      []int64   // samples in the current window, per region
 	hotness     []float64 // cooled cumulative hotness, per region
 	accesses    int64     // accesses seen in current window
@@ -65,12 +61,9 @@ func NewProfiler(cfg Config) (*Profiler, error) {
 	if cfg.SampleRate <= 0 {
 		cfg.SampleRate = DefaultSampleRate
 	}
-	cooling := DefaultCooling
-	if cfg.Cooling != nil {
-		cooling = *cfg.Cooling
-	}
-	if cooling < 0 || cooling >= 1 {
-		return nil, fmt.Errorf("telemetry: Cooling must be in [0,1), got %v", cooling)
+	cooling, err := resolveCooling(cfg.Cooling)
+	if err != nil {
+		return nil, err
 	}
 	return &Profiler{
 		cfg:         cfg,
@@ -79,6 +72,19 @@ func NewProfiler(cfg Config) (*Profiler, error) {
 		hotness:     make([]float64, cfg.NumRegions),
 		untilSample: int64(cfg.SampleRate),
 	}, nil
+}
+
+// resolveCooling maps a configured cooling factor to the one in use: 0
+// means DefaultCooling, and anything outside [0,1) — NaN included — is an
+// error.
+func resolveCooling(c float64) (float64, error) {
+	if !(c >= 0 && c < 1) {
+		return 0, fmt.Errorf("telemetry: Cooling must be in [0,1), got %v", c)
+	}
+	if c == 0 {
+		return DefaultCooling, nil
+	}
+	return c, nil
 }
 
 // Record observes one access to page p, sampling every SampleRate-th
@@ -136,9 +142,6 @@ func (pr *Profiler) EndWindow() Profile {
 	pr.samples = 0
 	return p
 }
-
-// Windows returns the number of completed windows.
-func (pr *Profiler) Windows() int64 { return pr.windows }
 
 // TotalSamples returns samples taken over the profiler's lifetime.
 func (pr *Profiler) TotalSamples() int64 { return pr.totalSamples }

@@ -44,7 +44,7 @@ func TestHotnessProportionalToAccesses(t *testing.T) {
 }
 
 func TestCooling(t *testing.T) {
-	pr, _ := NewProfiler(Config{NumRegions: 1, SampleRate: 1, Cooling: Float(0.5)})
+	pr, _ := NewProfiler(Config{NumRegions: 1, SampleRate: 1, Cooling: 0.5})
 	for i := 0; i < 100; i++ {
 		pr.Record(0)
 	}
@@ -66,7 +66,7 @@ func TestCooling(t *testing.T) {
 func TestGradualAgingHotWarmCold(t *testing.T) {
 	// A region that stops being accessed must pass through intermediate
 	// hotness (warm) before becoming cold — §3.1's aging behaviour.
-	pr, _ := NewProfiler(Config{NumRegions: 2, SampleRate: 1, Cooling: Float(0.5)})
+	pr, _ := NewProfiler(Config{NumRegions: 2, SampleRate: 1, Cooling: 0.5})
 	for i := 0; i < 1000; i++ {
 		pr.Record(0)
 		pr.Record(mem.PageID(mem.RegionPages))
@@ -103,8 +103,8 @@ func TestWindowResets(t *testing.T) {
 	if p2.WindowSamples[0] != 0 || p2.WindowAccesses != 0 {
 		t.Fatalf("window 2 not reset: %+v", p2)
 	}
-	if pr.Windows() != 2 {
-		t.Fatalf("Windows = %d", pr.Windows())
+	if p1.Window != 1 || p2.Window != 2 {
+		t.Fatalf("window indices %d, %d; want 1, 2", p1.Window, p2.Window)
 	}
 }
 
@@ -139,9 +139,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewProfiler(Config{NumRegions: 0}); err == nil {
 		t.Error("zero regions should fail")
 	}
-	if _, err := NewProfiler(Config{NumRegions: 1, Cooling: Float(1.5)}); err == nil {
-		t.Error("cooling >= 1 should fail")
+	for _, bad := range []float64{1.5, 1, -0.1, math.NaN()} {
+		if _, err := NewProfiler(Config{NumRegions: 1, Cooling: bad}); err == nil {
+			t.Errorf("cooling %v should fail", bad)
+		}
 	}
+	// Zero means the default, for both fields.
 	pr, err := NewProfiler(Config{NumRegions: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -149,20 +152,15 @@ func TestConfigValidation(t *testing.T) {
 	if pr.cfg.SampleRate != DefaultSampleRate || pr.cooling != DefaultCooling {
 		t.Error("defaults not applied")
 	}
-	// Explicit zero cooling is honored, not silently replaced by the
-	// default: hotness must fully reset between windows.
-	zero, err := NewProfiler(Config{NumRegions: 1, SampleRate: 1, Cooling: Float(0)})
-	if err != nil {
-		t.Fatal(err)
+	// A zero cooling carries history over exactly as the explicit default.
+	zero, _ := NewProfiler(Config{NumRegions: 1, SampleRate: 1})
+	half, _ := NewProfiler(Config{NumRegions: 1, SampleRate: 1, Cooling: DefaultCooling})
+	for _, p := range []*Profiler{zero, half} {
+		p.Record(0)
+		p.EndWindow()
 	}
-	if zero.cooling != 0 {
-		t.Fatalf("cooling = %v, want explicit 0", zero.cooling)
-	}
-	zero.Record(0)
-	first := zero.EndWindow()
-	second := zero.EndWindow()
-	if first.Hotness[0] == 0 || second.Hotness[0] != 0 {
-		t.Fatalf("zero cooling did not reset history: %v -> %v", first.Hotness[0], second.Hotness[0])
+	if z, h := zero.EndWindow().Hotness[0], half.EndWindow().Hotness[0]; z != h || z == 0 {
+		t.Fatalf("zero cooling carried %v, explicit default %v", z, h)
 	}
 }
 

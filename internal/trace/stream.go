@@ -20,8 +20,7 @@ import (
 // Streams over identical byte sequences produce identical op streams —
 // the property the daemon-vs-batch equivalence suite leans on.
 type Stream struct {
-	r   *Reader
-	ops int64
+	r *Reader
 }
 
 // NewStream opens a trace stream. It reads the trace header immediately,
@@ -49,16 +48,9 @@ func (s *Stream) BaseOpNs() float64 { return s.r.BaseOpNs() }
 // NextOp implements workload.Workload: the next recorded op, never
 // rewinding. After the stream drains it returns empty ops.
 func (s *Stream) NextOp(buf []workload.Access) []workload.Access {
-	out := s.r.nextOp(buf, false)
-	if !s.r.Exhausted() {
-		s.ops++
-	}
-	return out
+	return s.r.nextOp(buf, false)
 }
 
 // Exhausted reports that the stream has drained: no further op will ever
 // arrive, and every subsequent NextOp is empty.
 func (s *Stream) Exhausted() bool { return s.r.Exhausted() }
-
-// Ops returns how many recorded ops the stream has delivered.
-func (s *Stream) Ops() int64 { return s.ops }

@@ -52,9 +52,6 @@ func TestStreamMatchesReader(t *testing.T) {
 			}
 		}
 	}
-	if got := st.Ops(); got != 300 {
-		t.Fatalf("Ops() = %d, want 300", got)
-	}
 	// Drained: empty ops forever, Exhausted latches.
 	for i := 0; i < 3; i++ {
 		if b = st.NextOp(b[:0]); len(b) != 0 {
@@ -63,9 +60,6 @@ func TestStreamMatchesReader(t *testing.T) {
 		if !st.Exhausted() {
 			t.Fatal("Exhausted() = false after drain")
 		}
-	}
-	if got := st.Ops(); got != 300 {
-		t.Fatalf("Ops() after drain = %d, want 300", got)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"tierscape/internal/corpus"
 	"tierscape/internal/mem"
@@ -139,10 +140,13 @@ func (t *Reader) readHeader() error {
 		return fmt.Errorf("%w: unsupported version %d", ErrBadTrace, v)
 	}
 	t.numPages = int64(binary.LittleEndian.Uint64(hdr[6:]))
-	if t.numPages <= 0 {
-		return fmt.Errorf("%w: %d pages", ErrBadTrace, t.numPages)
+	if t.numPages <= 0 || t.numPages > mem.MaxPages {
+		return fmt.Errorf("%w: %d pages outside [1, %d]", ErrBadTrace, t.numPages, mem.MaxPages)
 	}
 	t.content = corpus.Profile(hdr[14])
+	if !slices.Contains(corpus.Profiles(), t.content) {
+		return fmt.Errorf("%w: unknown content profile %d", ErrBadTrace, hdr[14])
+	}
 	t.lastPage = 0
 	t.pending = false
 	t.exhausted = false
@@ -255,28 +259,21 @@ func (t *Reader) rewind() bool {
 	return true
 }
 
-// Record drives wl for ops operations, writing the trace to w.
+// Record drives wl for ops operations through a Recorder, writing the
+// trace to w, and returns the closed writer for its counts.
 func Record(w io.Writer, wl workload.Workload, ops int64) (*Writer, error) {
-	tw, err := NewWriter(w, wl.NumPages(), wl.Content())
+	r, err := NewRecorder(w, wl)
 	if err != nil {
 		return nil, err
 	}
 	var buf []workload.Access
 	for i := int64(0); i < ops; i++ {
-		if err := tw.BeginOp(); err != nil {
-			return nil, err
-		}
-		buf = wl.NextOp(buf[:0])
-		for _, a := range buf {
-			if err := tw.Access(a.Page, a.Write); err != nil {
-				return nil, err
-			}
-		}
+		buf = r.NextOp(buf[:0])
 	}
-	if err := tw.Close(); err != nil {
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	return tw, nil
+	return r.tw, nil
 }
 
 // Recorder wraps a workload, recording every op it produces to a trace

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -101,11 +103,50 @@ func TestBadHeaderRejected(t *testing.T) {
 	}
 	for _, n := range []int64{0, -1} {
 		var buf bytes.Buffer
-		if _, err := NewWriter(&buf, n, corpus.Mixed); err != nil {
+		tw, err := NewWriter(&buf, n, corpus.Mixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil { // flush the header
 			t.Fatal(err)
 		}
 		if _, err := NewReader(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("numPages %d: err = %v, want ErrBadTrace", n, err)
+		}
+	}
+}
+
+// TestHeaderBounds: a header's page count and content byte are outside
+// input. A count above mem.MaxPages and a byte that names no corpus
+// profile are malformed, refused before anything is sized by them.
+func TestHeaderBounds(t *testing.T) {
+	header := func(pages int64, content corpus.Profile) []byte {
+		var buf bytes.Buffer
+		tw, err := NewWriter(&buf, pages, content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		pages   int64
+		content corpus.Profile
+	}{
+		{mem.MaxPages + 1, corpus.Mixed},
+		{1 << 40, corpus.Mixed},
+		{8, corpus.Regional + 1},
+		{8, 255},
+	} {
+		if _, err := NewReader(bytes.NewReader(header(tc.pages, tc.content))); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%d pages, profile %d: err = %v, want ErrBadTrace", tc.pages, tc.content, err)
+		}
+	}
+	for _, p := range corpus.Profiles() {
+		if _, err := NewReader(bytes.NewReader(header(mem.MaxPages, p))); err != nil {
+			t.Errorf("%d pages, profile %v: %v", mem.MaxPages, p, err)
 		}
 	}
 }
@@ -195,6 +236,49 @@ func TestTraceDrivesSimulation(t *testing.T) {
 	var w workload.Workload = tr
 	if w.NumPages() != 3*mem.RegionPages {
 		t.Fatalf("NumPages = %d", w.NumPages())
+	}
+}
+
+// TestRecordGolden pins the trace bytes of two recordings, and shows that
+// Record and a Recorder driven op by op — what `tierscape -record` does —
+// write the same ones.
+func TestRecordGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		wl           func() workload.Workload
+		ops          int64
+		bytes, evts  int64
+		sha256Digest string
+	}{
+		{"masim", func() workload.Workload { return workload.DefaultMasim(64, 500, 3) }, 3000, 11258, 6000,
+			"b9c13d7d54542d6e517163932d0814f454a3745caabcb627617dead9e90fa2b7"},
+		{"memcached", func() workload.Workload { return workload.Memcached(workload.DriverYCSB, 1024, 4*512, 5) }, 3000, 11779, 6000,
+			"00df8ac87a36550aa44068c2968799261847115af35ce64dc9efab05030ff166"},
+	} {
+		var rec bytes.Buffer
+		tw, err := Record(&rec, tc.wl(), tc.ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(rec.Bytes())); int64(rec.Len()) != tc.bytes || tw.Ops() != tc.ops || tw.Events() != tc.evts || got != tc.sha256Digest {
+			t.Errorf("%s: Record wrote %d bytes, %d ops, %d events, sha256 %s; want %d, %d, %d, %s",
+				tc.name, rec.Len(), tw.Ops(), tw.Events(), got, tc.bytes, tc.ops, tc.evts, tc.sha256Digest)
+		}
+		var tee bytes.Buffer
+		r, err := NewRecorder(&tee, tc.wl())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []workload.Access
+		for i := int64(0); i < tc.ops; i++ {
+			buf = r.NextOp(buf[:0])
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tee.Bytes(), rec.Bytes()) {
+			t.Errorf("%s: a Recorder driven %d ops wrote other bytes than Record", tc.name, tc.ops)
+		}
 	}
 }
 

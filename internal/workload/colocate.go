@@ -18,7 +18,6 @@ type Colocated struct {
 	bases   []mem.PageID
 	total   int64
 	next    int
-	last    int
 }
 
 // Colocate builds a colocated workload from tenants (at least one).
@@ -79,17 +78,10 @@ func (c *Colocated) BaseOpNs() float64 {
 	return c.tenants[c.next].BaseOpNs()
 }
 
-// LastTenant reports which tenant issued the most recent op.
-func (c *Colocated) LastTenant() int { return c.last }
-
-// TenantBase returns tenant i's first page in the shared address space.
-func (c *Colocated) TenantBase(i int) mem.PageID { return c.bases[i] }
-
 // NextOp implements Workload: round-robin across tenants with page
 // offsetting.
 func (c *Colocated) NextOp(buf []Access) []Access {
 	i := c.next
-	c.last = i
 	c.next = (c.next + 1) % len(c.tenants)
 	start := len(buf)
 	buf = c.tenants[i].NextOp(buf)

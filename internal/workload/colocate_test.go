@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,11 +13,11 @@ func TestColocateAddressIsolation(t *testing.T) {
 	b := Memcached(DriverYCSB, 1024, 2*512, 2) // ~2 regions
 	c := Colocate(a, b)
 
-	if c.TenantBase(0) != 0 {
-		t.Fatalf("tenant 0 base = %d", c.TenantBase(0))
+	if c.bases[0] != 0 {
+		t.Fatalf("tenant 0 base = %d", c.bases[0])
 	}
-	if c.TenantBase(1)%mem.RegionPages != 0 {
-		t.Fatalf("tenant 1 base %d not region aligned", c.TenantBase(1))
+	if c.bases[1]%mem.RegionPages != 0 {
+		t.Fatalf("tenant 1 base %d not region aligned", c.bases[1])
 	}
 	if c.NumPages() < a.NumPages()+b.NumPages() {
 		t.Fatalf("total %d < sum of tenants", c.NumPages())
@@ -25,11 +26,11 @@ func TestColocateAddressIsolation(t *testing.T) {
 	var buf []Access
 	for i := 0; i < 2000; i++ {
 		buf = c.NextOp(buf[:0])
-		tenant := c.LastTenant()
-		lo := c.TenantBase(tenant)
+		tenant := i % 2 // round-robin: TestColocateRoundRobin
+		lo := c.bases[tenant]
 		var hi mem.PageID
 		if tenant == 0 {
-			hi = c.TenantBase(1)
+			hi = c.bases[1]
 		} else {
 			hi = mem.PageID(c.NumPages())
 		}
@@ -42,14 +43,19 @@ func TestColocateAddressIsolation(t *testing.T) {
 }
 
 func TestColocateRoundRobin(t *testing.T) {
-	a := DefaultMasim(32, 100, 1)
-	b := DefaultMasim(32, 100, 2)
-	c := Colocate(a, b)
-	var buf []Access
+	// Op i is tenant i%2's next op, offset to the tenant's base: replay
+	// each tenant alone beside the colocated stream.
+	c := Colocate(DefaultMasim(32, 100, 1), DefaultMasim(32, 100, 2))
+	alone := []Workload{DefaultMasim(32, 100, 1), DefaultMasim(32, 100, 2)}
+	var buf, want []Access
 	for i := 0; i < 10; i++ {
 		buf = c.NextOp(buf[:0])
-		if c.LastTenant() != i%2 {
-			t.Fatalf("op %d from tenant %d, want %d", i, c.LastTenant(), i%2)
+		want = alone[i%2].NextOp(want[:0])
+		for j := range want {
+			want[j].Page += c.bases[i%2]
+		}
+		if !reflect.DeepEqual(buf, want) {
+			t.Fatalf("op %d = %v, want tenant %d's %v", i, buf, i%2, want)
 		}
 	}
 }
@@ -69,7 +75,7 @@ func TestColocateContentSource(t *testing.T) {
 	buf1 := make([]byte, 4096)
 	buf2 := make([]byte, 4096)
 	src.Fill(0, buf1)
-	src.Fill(uint64(c.TenantBase(1)), buf2)
+	src.Fill(uint64(c.bases[1]), buf2)
 	// Both must produce deterministic, non-identical content.
 	same := true
 	for i := range buf1 {

@@ -1,0 +1,12 @@
+package workload
+
+// NewBFS builds a BFS workload over a fresh rMat graph.
+func NewBFS(n int64, avgDegree int, seed uint64) *BFS {
+	return NewBFSOn(NewRMat(n, avgDegree, seed), seed)
+}
+
+// NewGraphSAGE sizes the workload to roughly scalePages, over a fresh
+// rMat graph of GraphSAGEVertices(scalePages) vertices.
+func NewGraphSAGE(scalePages int64, seed uint64) *GraphSAGE {
+	return NewGraphSAGEOn(NewRMat(GraphSAGEVertices(scalePages), GraphSAGEDegree, seed), seed)
+}

@@ -324,12 +324,6 @@ type BFS struct {
 	visited []bool
 	queue   []int32
 	head    int
-	rounds  int64
-}
-
-// NewBFS builds a BFS workload over a fresh rMat graph.
-func NewBFS(n int64, avgDegree int, seed uint64) *BFS {
-	return NewBFSOn(NewRMat(n, avgDegree, seed), seed)
 }
 
 // NewBFSOn builds a BFS workload over g, which it only reads: the visited
@@ -351,7 +345,6 @@ func (b *BFS) reset() {
 	b.queue = b.queue[:0]
 	b.queue = append(b.queue, int32(src))
 	b.head = 0
-	b.rounds++
 }
 
 // Name implements Workload.
@@ -365,9 +358,6 @@ func (*BFS) Content() corpus.Profile { return corpus.Binary }
 
 // BaseOpNs implements Workload: queue pop + loop bookkeeping.
 func (*BFS) BaseOpNs() float64 { return 300 }
-
-// Rounds returns how many searches have started.
-func (b *BFS) Rounds() int64 { return b.rounds }
 
 // NextOp implements Workload: process one frontier vertex.
 func (b *BFS) NextOp(buf []Access) []Access {
@@ -408,7 +398,6 @@ func (b *BFS) NextOp(buf []Access) []Access {
 type PageRank struct {
 	g    *Graph
 	next int64
-	iter int64
 }
 
 // NewPageRank builds a PageRank workload over a fresh rMat graph.
@@ -417,7 +406,7 @@ func NewPageRank(n int64, avgDegree int, seed uint64) *PageRank {
 }
 
 // NewPageRankOn builds a PageRank workload over g, which it only reads:
-// the vertex cursor and iteration count are its own.
+// the vertex cursor is its own.
 func NewPageRankOn(g *Graph) *PageRank { return &PageRank{g: g} }
 
 // Name implements Workload.
@@ -432,16 +421,12 @@ func (*PageRank) Content() corpus.Profile { return corpus.Binary }
 // BaseOpNs implements Workload: rank arithmetic.
 func (*PageRank) BaseOpNs() float64 { return 400 }
 
-// Iterations returns completed full passes.
-func (p *PageRank) Iterations() int64 { return p.iter }
-
 // NextOp implements Workload.
 func (p *PageRank) NextOp(buf []Access) []Access {
 	v := p.next
 	p.next++
 	if p.next >= p.g.n {
 		p.next = 0
-		p.iter++
 	}
 	buf = append(buf, Access{Page: p.g.offsetPage(v)})
 	lastEdgePage := mem.PageID(-1)

@@ -331,8 +331,9 @@ func TestSharedGraphConcurrent(t *testing.T) {
 	}
 }
 
-// TestGraphSAGESizing: NewGraphSAGE is GraphSAGEOn over the graph its
-// page budget implies — what lets a sweep key the graph and share it.
+// TestGraphSAGESizing: the tests' NewGraphSAGE (export_test.go) is
+// GraphSAGEOn over the graph its page budget implies, which is how the
+// product builds one — what lets a sweep key the graph and share it.
 func TestGraphSAGESizing(t *testing.T) {
 	const pages, seed = 3 * 512, 5
 	a := NewGraphSAGE(pages, seed)

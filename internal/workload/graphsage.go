@@ -23,7 +23,6 @@ type GraphSAGE struct {
 	featPages int64
 	embPage0  mem.PageID
 	embPages  int64
-	batches   int64
 	fanout1   int
 	fanout2   int
 	// hop1 and hop2 are NextOp's sampled neighborhoods, kept across ops.
@@ -31,27 +30,21 @@ type GraphSAGE struct {
 }
 
 const (
-	// GraphSAGEDegree is the average degree of the graph NewGraphSAGE
+	// GraphSAGEDegree is the average degree of the graph GraphSAGE
 	// samples over.
 	GraphSAGEDegree = 8
 	// sageFeatBytes is one node's feature row (ogbn-products: 100 floats).
 	sageFeatBytes = 400
 )
 
-// GraphSAGEVertices is the vertex count NewGraphSAGE requests for a page
-// budget: features get ~90% of it.
+// GraphSAGEVertices is the vertex count of the graph a GraphSAGE sized to
+// a page budget runs over: features get ~90% of the budget.
 func GraphSAGEVertices(scalePages int64) int64 {
 	n := scalePages * mem.PageSize * 9 / 10 / sageFeatBytes
 	if n < 1024 {
 		n = 1024
 	}
 	return n
-}
-
-// NewGraphSAGE sizes the workload to roughly scalePages, over a fresh
-// rMat graph of GraphSAGEVertices(scalePages) vertices.
-func NewGraphSAGE(scalePages int64, seed uint64) *GraphSAGE {
-	return NewGraphSAGEOn(NewRMat(GraphSAGEVertices(scalePages), GraphSAGEDegree, seed), seed)
 }
 
 // NewGraphSAGEOn builds the workload over g, which it only reads; the
@@ -81,9 +74,6 @@ func (*GraphSAGE) Content() corpus.Profile { return corpus.Binary }
 // BaseOpNs implements Workload: aggregation GEMV arithmetic dominates.
 func (*GraphSAGE) BaseOpNs() float64 { return 15000 }
 
-// Batches returns completed minibatch steps.
-func (s *GraphSAGE) Batches() int64 { return s.batches }
-
 func (s *GraphSAGE) featurePage(v int64) mem.PageID {
 	return s.featPage0 + mem.PageID(v*s.featBytes/mem.PageSize)
 }
@@ -103,7 +93,6 @@ func (s *GraphSAGE) sampleNeighbors(v int64, k int, out []int64) []int64 {
 
 // NextOp implements Workload: one seed's two-hop sampled aggregation.
 func (s *GraphSAGE) NextOp(buf []Access) []Access {
-	s.batches++
 	seed := s.rng.Int63n(s.g.N())
 	// Hop 1 sampling reads the seed's adjacency.
 	buf = append(buf, Access{Page: s.g.offsetPage(seed)})

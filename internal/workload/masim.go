@@ -111,9 +111,6 @@ func (*Masim) Content() corpus.Profile { return corpus.Mixed }
 // BaseOpNs implements Workload.
 func (*Masim) BaseOpNs() float64 { return 200 }
 
-// Phase returns the current phase index.
-func (m *Masim) Phase() int { return m.phase }
-
 // NextOp implements Workload.
 func (m *Masim) NextOp(buf []Access) []Access {
 	ph := m.cfg.Phases[m.phase]

@@ -56,8 +56,8 @@ func TestMasimPhaseRotation(t *testing.T) {
 		buf = m.NextOp(buf[:0])
 		counts[int(buf[0].Page)/64]++
 	}
-	if m.Phase() != 0 {
-		t.Fatalf("phase = %d before rotation", m.Phase())
+	if m.phase != 0 {
+		t.Fatalf("phase = %d before rotation", m.phase)
 	}
 	if counts[0] < counts[1] || counts[0] < counts[2] {
 		t.Fatalf("phase 0 counts %v; region A should dominate", counts)
@@ -68,8 +68,8 @@ func TestMasimPhaseRotation(t *testing.T) {
 		buf = m.NextOp(buf[:0])
 		counts[int(buf[0].Page)/64]++
 	}
-	if m.Phase() != 1 {
-		t.Fatalf("phase = %d after %d ops", m.Phase(), 2000)
+	if m.phase != 1 {
+		t.Fatalf("phase = %d after %d ops", m.phase, 2000)
 	}
 	if counts[1] < counts[0] || counts[1] < counts[2] {
 		t.Fatalf("phase 1 counts %v; region B should dominate", counts)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"tierscape/internal/mem"
@@ -193,25 +194,31 @@ func TestRMatProperties(t *testing.T) {
 }
 
 func TestBFSVisitsAndRestarts(t *testing.T) {
+	// One op pops one vertex and a search pops each vertex at most once,
+	// so 30k ops on a 2k-vertex graph are many searches: every one of them
+	// must yield the popped vertex's accesses.
 	b := NewBFS(2048, 8, 2)
 	var buf []Access
-	startRounds := b.Rounds()
 	for i := 0; i < 30000; i++ {
-		buf = b.NextOp(buf[:0])
-	}
-	if b.Rounds() <= startRounds {
-		t.Fatal("BFS never completed a search on a 2k-vertex graph in 30k ops")
+		if buf = b.NextOp(buf[:0]); len(buf) == 0 {
+			t.Fatalf("op %d is empty; BFS did not restart its search", i)
+		}
 	}
 }
 
 func TestPageRankIterates(t *testing.T) {
-	p := NewPageRank(1024, 8, 2)
-	var buf []Access
-	for i := 0; i < 3000; i++ {
-		buf = p.NextOp(buf[:0])
+	// One op relaxes one vertex in index order, so after the last vertex
+	// the next pass repeats the first one op for op.
+	const n = 1024
+	p := NewPageRank(n, 8, 2)
+	passes := [3][][]Access{}
+	for i := range passes {
+		for v := 0; v < n; v++ {
+			passes[i] = append(passes[i], p.NextOp(nil))
+		}
 	}
-	if p.Iterations() < 2 {
-		t.Fatalf("iterations = %d, want >= 2 after 3000 vertex ops", p.Iterations())
+	if !reflect.DeepEqual(passes[0], passes[1]) || !reflect.DeepEqual(passes[0], passes[2]) {
+		t.Fatal("PageRank passes differ; the vertex cursor did not wrap")
 	}
 }
 
@@ -228,9 +235,6 @@ func TestXSBenchTableScatter(t *testing.T) {
 	}
 	if int64(tablePages) < x.tablePages/4 {
 		t.Fatalf("only %d/%d table pages touched; want wide scatter", tablePages, x.tablePages)
-	}
-	if x.Lookups() != 20000 {
-		t.Fatalf("Lookups = %d", x.Lookups())
 	}
 }
 
@@ -263,9 +267,6 @@ func TestGraphSAGEFeatureGather(t *testing.T) {
 	}
 	if featAccesses == 0 {
 		t.Fatal("no feature-matrix accesses")
-	}
-	if s.Batches() != 5000 {
-		t.Fatalf("Batches = %d", s.Batches())
 	}
 }
 

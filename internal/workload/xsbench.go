@@ -27,7 +27,6 @@ type XSBench struct {
 	gridPages  int64
 	tablePage0 mem.PageID
 	tablePages int64
-	lookups    int64
 }
 
 // xsEntryBytes is the unionized-grid entry size (energy + index).
@@ -67,12 +66,8 @@ func (*XSBench) Content() corpus.Profile { return corpus.Binary }
 // BaseOpNs implements Workload: RNG + interpolation arithmetic.
 func (*XSBench) BaseOpNs() float64 { return 800 }
 
-// Lookups returns completed lookups.
-func (x *XSBench) Lookups() int64 { return x.lookups }
-
 // NextOp implements Workload.
 func (x *XSBench) NextOp(buf []Access) []Access {
-	x.lookups++
 	// Binary search over the unionized grid.
 	lo, hi := int64(0), x.gridPoints-1
 	target := x.rng.Int63n(x.gridPoints)

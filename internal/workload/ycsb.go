@@ -34,7 +34,6 @@ type YCSB struct {
 	valSize    int64
 	indexPages int64
 	valPerPage int64
-	ops        int64
 }
 
 // NewYCSB builds the lettered YCSB workload over capacity keys of
@@ -82,12 +81,6 @@ func (y *YCSB) BaseOpNs() float64 {
 	}
 	return 2000
 }
-
-// Ops returns how many operations have been issued.
-func (y *YCSB) Ops() int64 { return y.ops }
-
-// Live returns the number of live keys.
-func (y *YCSB) Live() int64 { return y.inserted }
 
 func (y *YCSB) indexPage(key int64) mem.PageID {
 	return mem.PageID(int64(indexHash(key) % uint64(y.indexPages)))
@@ -149,7 +142,6 @@ func (y *YCSB) scan(buf []Access, key int64) []Access {
 
 // NextOp implements Workload.
 func (y *YCSB) NextOp(buf []Access) []Access {
-	y.ops++
 	u := y.rng.Float64()
 	switch y.letter {
 	case 'A':

@@ -131,19 +131,3 @@ func New(name string) (Pool, error) {
 		return nil, fmt.Errorf("zpool: unknown pool manager %q", name)
 	}
 }
-
-// Managers lists the available pool manager names.
-func Managers() []string { return []string{"zsmalloc", "zbud", "z3fold"} }
-
-// MaxObjects returns how many objects a single pool page can hold under
-// the named manager (zsmalloc is reported as 0 = unbounded by page).
-func MaxObjects(name string) int {
-	switch name {
-	case "zbud":
-		return 2
-	case "z3fold":
-		return 3
-	default:
-		return 0
-	}
-}

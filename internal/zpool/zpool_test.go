@@ -277,9 +277,27 @@ func TestNewUnknownManager(t *testing.T) {
 	}
 }
 
+// TestMaxObjects: a zbud page holds at most two objects and a z3fold page
+// three, however small they are; zsmalloc packs small objects densely.
 func TestMaxObjects(t *testing.T) {
-	if MaxObjects("zbud") != 2 || MaxObjects("z3fold") != 3 || MaxObjects("zsmalloc") != 0 {
-		t.Fatal("MaxObjects mismatch")
+	const n = 12
+	for _, tc := range []struct {
+		name     string
+		maxPages int
+		minPages int
+	}{{"zbud", n / 2, n / 2}, {"z3fold", n / 3, n / 3}, {"zsmalloc", n/3 - 1, 1}} {
+		p, err := New(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := p.Store(make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := p.Stats().PoolPages; got < tc.minPages || got > tc.maxPages {
+			t.Fatalf("%s: %d small objects took %d pool pages, want [%d,%d]", tc.name, n, got, tc.minPages, tc.maxPages)
+		}
 	}
 }
 

@@ -39,13 +39,6 @@ func Characterization(k int) Config {
 	return characterization[k-1]
 }
 
-// CharacterizationSet returns all 12 characterization configs in order.
-func CharacterizationSet() []Config {
-	out := make([]Config, len(characterization))
-	copy(out, characterization)
-	return out
-}
-
 // CT1 is GSwap's production tier: lzo + zsmalloc backed by DRAM — a
 // low-latency, low-compression tier suited to warm pages (§8: "CT-1").
 func CT1() Config { return Config{Codec: "lzo", Pool: "zsmalloc", Media: media.DRAM} }

@@ -145,11 +145,11 @@ func TestStoreCompressedRejectsOversize(t *testing.T) {
 
 func TestTierAccessors(t *testing.T) {
 	tier := MustNew(7, CT1())
-	if tier.ID() != 7 {
-		t.Fatalf("ID = %d", tier.ID())
+	if tier.id != 7 {
+		t.Fatalf("id = %d", tier.id)
 	}
-	if tier.Config() != CT1() {
-		t.Fatalf("Config = %+v", tier.Config())
+	if tier.cfg != CT1() {
+		t.Fatalf("cfg = %+v", tier.cfg)
 	}
 	if tier.Name() != "ZS-LO-DR" {
 		t.Fatalf("Name = %q", tier.Name())

@@ -16,7 +16,7 @@ func memoFixture(t *Tier, n int) (keys []StoreKey, stores []PreparedStore) {
 	for _, g := range []*corpus.Generator{corpus.NewGenerator(corpus.Mixed, 7), corpus.NewGenerator(corpus.Zero, 7)} {
 		for i := 0; i < n; i++ {
 			g.Fill(uint64(i), page)
-			keys = append(keys, StoreKey{Gen: *g, Index: uint64(i), Codec: t.Config().Codec})
+			keys = append(keys, StoreKey{Gen: *g, Index: uint64(i), Codec: t.cfg.Codec})
 			stores = append(stores, t.PrepareStore(nil, page, nil))
 		}
 	}

@@ -52,9 +52,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Config selects the three components of a compressed tier.
 type Config struct {
-	// Codec is the compression algorithm name (see compress.Names).
+	// Codec is the compression algorithm name (see compress.Lookup).
 	Codec string
-	// Pool is the pool manager name (see zpool.Managers).
+	// Pool is the pool manager name (see zpool.New).
 	Pool string
 	// Media is the backing medium for pool pages.
 	Media media.Kind
@@ -272,12 +272,6 @@ func MustNew(id int, cfg Config) *Tier {
 	}
 	return t
 }
-
-// ID returns the tier identifier assigned at creation.
-func (t *Tier) ID() int { return t.id }
-
-// Config returns the tier's configuration.
-func (t *Tier) Config() Config { return t.cfg }
 
 // Name returns the tier's encoded name (e.g. "ZS-LO-DR").
 func (t *Tier) Name() string { return t.cfg.String() }

@@ -10,7 +10,7 @@ import (
 
 func TestStoreLoadRoundTrip(t *testing.T) {
 	g := corpus.NewGenerator(corpus.Dickens, 1)
-	for _, cfg := range CharacterizationSet() {
+	for _, cfg := range characterization {
 		tier := MustNew(1, cfg)
 		page := g.Page(0, PageSize)
 		h, storeNs, err := tier.Store(page)

@@ -319,14 +319,10 @@ func SimConfig(cfg RunConfig) (sim.Config, error) {
 		Model:                  cfg.Model,
 		Windows:                cfg.Windows,
 		OpsPerWindow:           cfg.OpsPerWindow,
+		SampleRate:             cfg.SampleRate,
+		CompactBudget:          cfg.CompactBudget,
 		PrefetchFaultThreshold: cfg.PrefetchFaultThreshold,
 		Recorder:               cfg.Recorder,
-	}
-	if cfg.CompactBudget > 0 {
-		scfg.CompactBudget = sim.Int(cfg.CompactBudget)
-	}
-	if cfg.SampleRate > 0 {
-		scfg.SampleRate = sim.Int(cfg.SampleRate)
 	}
 	return scfg, nil
 }
