@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tierscape/internal/corpus"
 	"tierscape/internal/media"
@@ -21,6 +22,7 @@ import (
 	"tierscape/internal/sim"
 	"tierscape/internal/telemetry"
 	"tierscape/internal/workload"
+	"tierscape/internal/zpool"
 	"tierscape/internal/ztier"
 )
 
@@ -245,6 +247,113 @@ func (a *armingModel) Recommend(m *mem.Manager, prof telemetry.Profile) model.Re
 	return rec
 }
 
+// The quarantine tests' broken tenant fails at op qFailOp of window
+// qFailWindow; the daemon ticks qTicks times.
+const qFailWindow, qFailOp, qTicks = 2, 1234, 5
+
+// quarantineTenant is a healthy tenant of the quarantine tests.
+func quarantineTenant(t *testing.T, seed uint64, rec obs.Recorder) sim.Config {
+	wl := workload.Memcached(workload.DriverYCSB, 1024, ovRegions*mem.RegionPages, seed)
+	return sim.Config{
+		Manager:      eqManager(t, wl.NumPages(), wl.Content()),
+		Workload:     wl,
+		Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"},
+		OpsPerWindow: ovOpsPerWindow,
+		Windows:      qTicks,
+		SampleRate:   20,
+		Recorder:     rec,
+	}
+}
+
+// quarantineNeighbours are the two healthy tenants a broken one is
+// attached between, with what each produces running alone.
+type quarantineNeighbours struct {
+	want [2]*sim.Result
+	solo [2]obs.Mem
+}
+
+func newQuarantineNeighbours(t *testing.T) *quarantineNeighbours {
+	n := new(quarantineNeighbours)
+	for i := range n.want {
+		var err error
+		if n.want[i], err = sim.Run(quarantineTenant(t, uint64(21+i), &n.solo[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// check attaches a neighbour, broken and the other neighbour, ticks the
+// daemon qTicks times and checks that broken alone is quarantined: its
+// error mentions each of wantErr, shows in Status and comes back from
+// Detach with the windows that did complete (wantOps ops); later ticks
+// skip it; the daemon keeps serving; and the neighbours finish
+// byte-identical to their solo runs. It returns broken's error.
+func (n *quarantineNeighbours) check(t *testing.T, broken sim.Config, wantOps int64, wantErr ...string) string {
+	t.Helper()
+	var got [2]obs.Mem
+	d, clk := newTestDaemon(t, DefaultConfig(), nil)
+	for _, at := range []struct {
+		name string
+		cfg  sim.Config
+	}{{"a", quarantineTenant(t, 21, &got[0])}, {"broken", broken}, {"b", quarantineTenant(t, 22, &got[1])}} {
+		if err := d.Attach(at.name, at.cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if steps := clk.StepN(qTicks); steps != qTicks {
+		t.Fatalf("clock delivered %d/%d ticks", steps, qTicks)
+	}
+	if err := d.Barrier(); err != nil {
+		t.Fatalf("the daemon did not survive its tenant: %v", err)
+	}
+	st, err := d.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ticks != qTicks || len(st.Workloads) != 3 {
+		t.Fatalf("status: %+v", st)
+	}
+	for _, ws := range st.Workloads {
+		switch ws.Name {
+		case "broken":
+			if ws.Windows != qFailWindow {
+				t.Errorf("broken tenant ran %d windows, want %d: it was stepped after it failed", ws.Windows, qFailWindow)
+			}
+			for _, sub := range wantErr {
+				if !strings.Contains(ws.Err, sub) {
+					t.Errorf("Status error %q does not mention %q", ws.Err, sub)
+				}
+			}
+		default:
+			if ws.Windows != qTicks || ws.Err != "" {
+				t.Errorf("healthy tenant %s: %d windows, err %q", ws.Name, ws.Windows, ws.Err)
+			}
+		}
+	}
+
+	res, err := d.Detach("broken")
+	if err == nil || res == nil || err.Error() != st.Workloads[1].Err {
+		t.Fatalf("Detach(broken) = %v, %v; want the partial result and the error Status showed", res, err)
+	}
+	if len(res.Windows) != qFailWindow || res.Ops != wantOps {
+		t.Errorf("partial result: %d windows, %d ops; want %d, %d", len(res.Windows), res.Ops, qFailWindow, wantOps)
+	}
+	for i, name := range []string{"a", "b"} {
+		res, err := d.Detach(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, n.want[i]) {
+			t.Errorf("tenant %s's result differs from its solo run", name)
+		}
+		if !reflect.DeepEqual(got[i].Windows, n.solo[i].Windows) || !reflect.DeepEqual(got[i].Moves, n.solo[i].Moves) {
+			t.Errorf("tenant %s's snapshots or move events differ from its solo run", name)
+		}
+	}
+	return st.Workloads[1].Err
+}
+
 // TestDaemonQuarantine: a tenant that errors or panics at op N of window
 // K — in the access half, on its own goroutine, in the control half, on
 // the loop's, or on one of the push threads its apply starts — is
@@ -254,29 +363,7 @@ func (a *armingModel) Recommend(m *mem.Manager, prof telemetry.Profile) model.Re
 // neighbours, attached before and after it, finish byte-identical to
 // their solo runs.
 func TestDaemonQuarantine(t *testing.T) {
-	const failWindow, failOp, ticks = 2, 1234, 5
-	healthy := func(seed uint64, rec obs.Recorder) sim.Config {
-		wl := workload.Memcached(workload.DriverYCSB, 1024, ovRegions*mem.RegionPages, seed)
-		return sim.Config{
-			Manager:      eqManager(t, wl.NumPages(), wl.Content()),
-			Workload:     wl,
-			Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"},
-			OpsPerWindow: ovOpsPerWindow,
-			Windows:      ticks,
-			SampleRate:   20,
-			Recorder:     rec,
-		}
-	}
-	var soloA, soloB obs.Mem
-	wantA, err := sim.Run(healthy(21, &soloA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := sim.Run(healthy(22, &soloB))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	neighbours := newQuarantineNeighbours(t)
 	for _, tc := range []struct {
 		name     string
 		sabotage func(cfg *sim.Config)
@@ -284,14 +371,14 @@ func TestDaemonQuarantine(t *testing.T) {
 		wantErr  []string
 	}{
 		{"access-error", func(cfg *sim.Config) {
-			cfg.Workload = &faultyWorkload{Workload: cfg.Workload, failWindow: failWindow, failOp: failOp}
-		}, failWindow * ovOpsPerWindow, []string{fmt.Sprintf("window %d op %d", failWindow, failOp), mem.ErrBadPage.Error()}},
+			cfg.Workload = &faultyWorkload{Workload: cfg.Workload, failWindow: qFailWindow, failOp: qFailOp}
+		}, qFailWindow * ovOpsPerWindow, []string{fmt.Sprintf("window %d op %d", qFailWindow, qFailOp), mem.ErrBadPage.Error()}},
 		{"access-panic", func(cfg *sim.Config) {
-			cfg.Workload = &faultyWorkload{Workload: cfg.Workload, failWindow: failWindow, failOp: failOp, panics: true}
-		}, failWindow * ovOpsPerWindow, []string{`workload "broken" panicked in its access phase`, "faultyWorkload: boom", "faultyWorkload).NextOp"}},
+			cfg.Workload = &faultyWorkload{Workload: cfg.Workload, failWindow: qFailWindow, failOp: qFailOp, panics: true}
+		}, qFailWindow * ovOpsPerWindow, []string{`workload "broken" panicked in its access phase`, "faultyWorkload: boom", "faultyWorkload).NextOp"}},
 		{"control-panic", func(cfg *sim.Config) {
-			cfg.Model = &panickyModel{Model: cfg.Model, failWindow: failWindow}
-		}, (failWindow + 1) * ovOpsPerWindow, []string{`workload "broken" panicked in its control phase`, "panickyModel: boom", "panickyModel).Recommend"}},
+			cfg.Model = &panickyModel{Model: cfg.Model, failWindow: qFailWindow}
+		}, (qFailWindow + 1) * ovOpsPerWindow, []string{`workload "broken" panicked in its control phase`, "panickyModel: boom", "panickyModel).Recommend"}},
 		{"push-thread-panic", func(cfg *sim.Config) {
 			src := &armedSource{Source: corpus.NewGenerator(cfg.Workload.Content(), 99)}
 			m, err := mem.NewManager(mem.Config{
@@ -305,78 +392,101 @@ func TestDaemonQuarantine(t *testing.T) {
 			}
 			cfg.Manager = m
 			// Waterfall demotes into the compressed tiers every window.
-			cfg.Model = &armingModel{Model: &model.Waterfall{Pct: 50}, src: src, failWindow: failWindow}
-		}, (failWindow + 1) * ovOpsPerWindow, []string{fmt.Sprintf("sim: window %d migration: sim: push thread panicked on move", failWindow), "armedSource: boom", "armedSource).Fill"}},
+			cfg.Model = &armingModel{Model: &model.Waterfall{Pct: 50}, src: src, failWindow: qFailWindow}
+		}, (qFailWindow + 1) * ovOpsPerWindow, []string{fmt.Sprintf("sim: window %d migration: sim: push thread panicked on move", qFailWindow), "armedSource: boom", "armedSource).Fill"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var capA, capB obs.Mem
-			broken := healthy(23, nil)
+			broken := quarantineTenant(t, 23, nil)
 			tc.sabotage(&broken)
-			d, clk := newTestDaemon(t, DefaultConfig(), nil)
-			for _, at := range []struct {
-				name string
-				cfg  sim.Config
-			}{{"a", healthy(21, &capA)}, {"broken", broken}, {"b", healthy(22, &capB)}} {
-				if err := d.Attach(at.name, at.cfg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := clk.StepN(ticks); got != ticks {
-				t.Fatalf("clock delivered %d/%d ticks", got, ticks)
-			}
-			if err := d.Barrier(); err != nil {
-				t.Fatalf("the daemon did not survive its tenant: %v", err)
-			}
-
-			st, err := d.Status()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Ticks != ticks || len(st.Workloads) != 3 {
-				t.Fatalf("status: %+v", st)
-			}
-			for _, ws := range st.Workloads {
-				switch ws.Name {
-				case "broken":
-					if ws.Windows != failWindow {
-						t.Errorf("broken tenant ran %d windows, want %d: it was stepped after it failed", ws.Windows, failWindow)
-					}
-					for _, sub := range tc.wantErr {
-						if !strings.Contains(ws.Err, sub) {
-							t.Errorf("Status error %q does not mention %q", ws.Err, sub)
-						}
-					}
-				default:
-					if ws.Windows != ticks || ws.Err != "" {
-						t.Errorf("healthy tenant %s: %d windows, err %q", ws.Name, ws.Windows, ws.Err)
-					}
-				}
-			}
-
-			res, err := d.Detach("broken")
-			if err == nil || res == nil || err.Error() != st.Workloads[1].Err {
-				t.Fatalf("Detach(broken) = %v, %v; want the partial result and the error Status showed", res, err)
-			}
-			if len(res.Windows) != failWindow || res.Ops != tc.wantOps {
-				t.Errorf("partial result: %d windows, %d ops; want %d, %d", len(res.Windows), res.Ops, failWindow, tc.wantOps)
-			}
-			for _, n := range []struct {
-				name      string
-				want      *sim.Result
-				cap, solo *obs.Mem
-			}{{"a", wantA, &capA, &soloA}, {"b", wantB, &capB, &soloB}} {
-				got, err := d.Detach(n.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, n.want) {
-					t.Errorf("tenant %s's result differs from its solo run", n.name)
-				}
-				if !reflect.DeepEqual(n.cap.Windows, n.solo.Windows) || !reflect.DeepEqual(n.cap.Moves, n.solo.Moves) {
-					t.Errorf("tenant %s's snapshots or move events differ from its solo run", n.name)
-				}
-			}
+			neighbours.check(t, broken, tc.wantOps, tc.wantErr...)
 		})
+	}
+}
+
+// corruptingModel sends every region to CT-1 and, at window failWindow,
+// on to CT-2 — having first corrupted, in every region, the objects of two
+// pages of span 2, a span that is not the region's first: each page's
+// entry names the other's intact object, which its checksum refuses. The
+// move out of CT-1 reads them there, in the middle of a region's move.
+type corruptingModel struct {
+	t                 *testing.T
+	failWindow, calls int
+}
+
+func (c *corruptingModel) Name() string { return "corrupting" }
+
+func (c *corruptingModel) Recommend(m *mem.Manager, _ telemetry.Profile) model.Recommendation {
+	dest := mem.TierID(2) // DRAM, NVMM, CT-1, CT-2
+	if c.calls == c.failWindow {
+		dest = 3
+		corrupted := 0
+		for r := int64(0); r < m.NumRegions(); r++ {
+			if misdirectInSpan(m, mem.RegionID(r), 2, 2) {
+				corrupted++
+			}
+		}
+		if corrupted == 0 {
+			c.t.Error("no region has two pages of span 2 with objects in CT-1")
+		}
+	}
+	c.calls++
+	rec := model.Recommendation{Dest: make([]mem.TierID, m.NumRegions())}
+	for r := range rec.Dest {
+		rec.Dest[r] = dest
+	}
+	return rec
+}
+
+// misdirectInSpan swaps the pool handles of the first two pages of span
+// span of region r that hold a pool object in tier, if it has two: each
+// entry then names the other page's object, as a pool handing out a stale
+// handle would leave it. Nothing in the product writes a page-table entry
+// from outside the manager, so the test reaches in by reflection, checking
+// the layout it relies on first. It reports whether it found the two
+// pages.
+func misdirectInSpan(m *mem.Manager, r mem.RegionID, span int, tier mem.TierID) bool {
+	ptes := reflect.ValueOf(m).Elem().FieldByName("ptes")
+	first := int(r)*mem.RegionPages + span*mem.SpanPages
+	var held []*zpool.Handle
+	for p := first; p < min(first+mem.SpanPages, ptes.Len()) && len(held) < 2; p++ {
+		e := ptes.Index(p)
+		h := e.FieldByName("handle")
+		pool := h.FieldByName("pool")
+		if pool.Type() != reflect.TypeOf(zpool.Handle(0)) {
+			panic("misdirectInSpan: the page-table entry's pool handle moved")
+		}
+		if mem.TierID(e.FieldByName("tier").Int()) == tier && !h.FieldByName("sameFilled").Bool() {
+			held = append(held, (*zpool.Handle)(unsafe.Pointer(pool.UnsafeAddr())))
+		}
+	}
+	if len(held) < 2 {
+		return false
+	}
+	*held[0], *held[1] = *held[1], *held[0]
+	return true
+}
+
+// TestCorruptInFlightQuarantine: a tenant whose compressed objects are
+// corrupted in flight — ztier.ErrCorruptObject raised by the move of a
+// region, in span 2 — is quarantined alone, at GOMAXPROCS 1, 2 and 8: the
+// error names a page of span 2, and the tenants beside it keep ticking to
+// their solo runs' bytes.
+func TestCorruptInFlightQuarantine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	neighbours := newQuarantineNeighbours(t)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		broken := quarantineTenant(t, 23, nil)
+		broken.Model = &corruptingModel{t: t, failWindow: qFailWindow}
+		msg := neighbours.check(t, broken, (qFailWindow+1)*ovOpsPerWindow,
+			fmt.Sprintf("sim: window %d migration: mem: migrating page ", qFailWindow), ztier.ErrCorruptObject.Error())
+		var page int
+		if _, err := fmt.Sscanf(msg[strings.Index(msg, "migrating page "):], "migrating page %d:", &page); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: no page in %q: %v", procs, msg, err)
+		}
+		if span := page % mem.RegionPages / mem.SpanPages; span != 2 {
+			t.Errorf("GOMAXPROCS=%d: corruption surfaced at page %d, in span %d, want span 2", procs, page, span)
+		}
 	}
 }
 

@@ -371,3 +371,73 @@ func TestConcurrentPreparedRegionEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestRegionReadersBesideSpanApply: the whole-region readers —
+// RegionResidency and the compressibility probe — run beside a move of
+// the same region landing span by span (and beside prepares of its spans,
+// as a push thread running ahead makes them). Each holds every span lock of
+// the region at once, so it sees the region between two span commits:
+// its counts sum to the region's pages, and since every page of these
+// spans lands, each count is a whole number of spans. Run under -race.
+func TestRegionReadersBesideSpanApply(t *testing.T) {
+	m := preparedManager(t, 2*RegionPages, 0, 0) // DRAM, NVMM, CT-1, CT-2
+	dests := []TierID{2, 3, 1, 0}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // the committing push thread
+		defer wg.Done()
+		defer done.Store(true)
+		sc := new(MigrationScratch)
+		for round := 0; round < 2; round++ {
+			for _, dest := range dests {
+				var total MigrationResult
+				for j := 0; j < RegionPages/SpanPages; j++ {
+					pr, err := m.PrepareSpanMigration(0, j, dest, sc)
+					if err == nil {
+						err = m.CommitMigrationInto(pr, sc, &total)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if total.Moved != RegionPages {
+					t.Errorf("move to tier %d moved %+v, want the whole region", dest, total)
+				}
+			}
+		}
+	}()
+	go func() { // a push thread preparing ahead, its spans abandoned
+		defer wg.Done()
+		sc := new(MigrationScratch)
+		for j := 0; !done.Load(); j = (j + 1) % (RegionPages / SpanPages) {
+			pr, err := m.PrepareSpanMigration(0, j, 2, sc)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pr.Release()
+		}
+	}()
+	go func() { // the readers
+		defer wg.Done()
+		for reads := 0; !done.Load() || reads == 0; reads++ {
+			res := m.RegionResidency(0)
+			var sum int64
+			for tier, n := range res {
+				sum += n
+				if n%SpanPages != 0 {
+					t.Errorf("tier %d holds %d of the region's pages: a span seen half committed (%v)", tier, n, res)
+				}
+			}
+			if sum != RegionPages {
+				t.Errorf("residency %v sums to %d pages, want %d", res, sum, RegionPages)
+			}
+			if ratio, err := m.SampleRegionRatio(0, "lz4", 16); err != nil || ratio <= 0 || ratio > 1 {
+				t.Errorf("probe beside the apply: ratio %v, err %v", ratio, err)
+			}
+		}
+	}()
+	wg.Wait()
+}

@@ -26,7 +26,7 @@
 // number of goroutines may call the prepare and commit halves (and their
 // MigrateRegion wrapper), the compaction passes and the
 // readers concurrently: page-table state is guarded by a striped
-// per-region lock, tier pools are guarded inside ztier, and every counter
+// per-span lock, tier pools are guarded inside ztier, and every counter
 // (including per-tier residency) is an atomic, so concurrent migrations
 // from the simulator's push threads stay exact. Admission against capacity bounds is a reservation
 // (compare-and-swap for byte-addressable tiers, under the tier lock for
@@ -34,14 +34,14 @@
 // The caller orders the phases (starting and joining its goroutines does);
 // an Access beside a migration is a data race, not a supported mode.
 //
-// A region moves one way: PrepareRegionMigration (pure compute: object
-// reads + compression, safe to run concurrently) then
-// CommitRegionMigration (all state changes and placement decisions);
-// MigrateRegion is the two back to back. Committing prepared regions one
-// at a time in a fixed order gives the same outcome bit-for-bit regardless
-// of how many goroutines ran the prepare half — the contract sim.Run's
-// push-thread pool, which commits in plan order, is built on. The manager
-// itself knows nothing about that order.
+// A region, or one span of it, moves one way: a prepare (pure compute:
+// object reads + compression, safe to run concurrently) then a commit (all
+// state changes and placement decisions); MigrateRegion is the two back to
+// back. Committing prepared spans one at a time in a fixed order gives the
+// same outcome bit-for-bit regardless of how many goroutines ran the
+// prepare half — the contract sim.Run's push-thread pool, which commits in
+// plan order, is built on. The manager itself knows nothing about that
+// order.
 //
 // A page's trip allocates only what it keeps. Each push thread brings its
 // own MigrationScratch to every move and fault: a page is regenerated
@@ -72,6 +72,10 @@ const RegionPages = 512
 
 // RegionSize is the region size in bytes.
 const RegionSize = PageSize * RegionPages
+
+// SpanPages is the number of pages per span, the unit the page table is
+// locked in and sim's push threads move a region in.
+const SpanPages = 64
 
 // MaxPages bounds a page count that arrives from outside the program (an
 // attach body, a flag, a trace header): 2^25 pages are 128 GiB, above the
@@ -167,7 +171,7 @@ type pte struct {
 	// version of the page was rejected as incompressible: whether a codec
 	// shrinks given bytes never changes, so the next demotion towards that
 	// codec need not regenerate and compress the page to be rejected
-	// again. Set by commitPage under the region write lock, read by
+	// again. Set by commitPage under the span write lock, read by
 	// prepareGeneric under the read lock, cleared with every version bump
 	// by the access phase's single owner. It sits in the padding version
 	// leaves before handle: a pte stays 40 bytes.
@@ -196,8 +200,8 @@ type Config struct {
 	CostOverrides map[media.Kind]float64
 }
 
-// regionLockStripes bounds the striped region-lock array; small managers
-// get one lock per region, large ones share stripes.
+// regionLockStripes bounds the regions the striped span locks cover;
+// small managers get one lock per span, large ones share stripes.
 const regionLockStripes = 256
 
 // Manager is the tiered memory manager.
@@ -219,15 +223,15 @@ type Manager struct {
 
 	tiers []TierInfo // all tiers by TierID
 
-	// regionMu stripes the page table by region for the migration phase,
-	// the only time several goroutines touch it: push threads preparing
-	// and committing moves, compaction, and the readers that may run
-	// beside them (RegionResidency, DominantTier) each hold the owning
-	// region's lock around their pte reads and writes. Lock order is
-	// always region lock → tier lock (inside ztier); no path holds two
-	// region locks, so the striping cannot deadlock. The access phase
-	// takes none of this: see Access.
-	regionMu []sync.RWMutex
+	// spanMu stripes the page table by span for the migration phase, the
+	// only time several goroutines touch it: push threads preparing and
+	// committing moves, and the readers that may run beside them, each
+	// hold the owning span's lock around their pte reads and writes. Only
+	// the whole-region readers hold more than one: all of their region's,
+	// in span order, which is stripe order (spanLock), so the striping
+	// cannot deadlock. Lock order is span lock → tier lock (inside ztier).
+	// The access phase takes none of this: see Access.
+	spanMu []sync.RWMutex
 
 	// counters
 	faults     atomic.Int64 // compressed-tier faults
@@ -246,30 +250,30 @@ type Manager struct {
 
 // MigrationScratch is the reusable working state of one migration worker:
 // one page buffer, one pool-object buffer, one codec-output buffer, the
-// encoder state its compressions reuse, and one recycled PreparedRegion
-// with its slab. The owner — a sim.Stepper keeps one per push thread for
-// its whole life — hands the same scratch to every call it makes, so once
-// the scratch is warm a fault, a prepare from any source and a commit
+// encoder state its compressions reuse, and its recycled PreparedRegions
+// with their slabs. The owner — a sim.Stepper keeps one per push thread
+// for its whole life — hands the same scratch to every call it makes, so
+// once the scratch is warm a fault, a prepare from any source and a commit
 // allocate nothing; the scratch is garbage when its owner is.
 //
 // Every buffer is dead as soon as the step that filled it is done: a pool
 // object once its checksum is verified, a page once the destination's
 // store is built from it, codec output once the store is kept in its
 // region's slab. So the scratch holds three page-sized buffers, the
-// encoder state, and a slab of about one region's compressed bytes — what
-// its owner, one prepared region at a time, keeps between prepare and
-// commit.
+// encoder state, and a slab per region its owner has prepared and not yet
+// seen consumed.
 //
 // A nil *MigrationScratch is valid: a fault then reads the pool object
 // into a fresh buffer and a prepare makes a scratch for its region, which
-// suits a caller moving a page now and then. Not safe for concurrent use:
-// each worker owns its own.
+// suits a caller moving a page now and then. Not safe for concurrent use —
+// each worker owns its own — except for Release's hand-back.
 type MigrationScratch struct {
-	page   []byte // a page regenerated, until its store is built
-	obj    []byte // a pool object, until its checksum is verified
-	out    []byte // codec output, until it is kept in a region's slab
-	codec  compress.Scratch
-	region *PreparedRegion
+	page  []byte // a page regenerated, until its store is built
+	obj   []byte // a pool object, until its checksum is verified
+	out   []byte // codec output, until it is kept in a region's slab
+	codec compress.Scratch
+	mu    sync.Mutex        // guards free: any goroutine may release a region
+	free  []*PreparedRegion // consumed regions, for the next prepares
 }
 
 // warm makes the scratch's buffers on first use, each with room for a
@@ -388,11 +392,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	for i := range m.compactDirty {
 		m.compactDirty[i] = true // every tier needs its first pass
 	}
-	stripes := m.NumRegions()
-	if stripes > regionLockStripes {
-		stripes = regionLockStripes
-	}
-	m.regionMu = make([]sync.RWMutex, stripes)
+	m.spanMu = make([]sync.RWMutex, min(m.NumRegions(), regionLockStripes)*RegionPages/SpanPages)
 	// All pages start in DRAM.
 	m.ba[0].pages.Store(cfg.NumPages)
 	return m, nil
@@ -425,9 +425,27 @@ func (m *Manager) ShareStores(sm *ztier.StoreMemo) {
 	}
 }
 
-// regionLock returns the lock stripe owning region r.
-func (m *Manager) regionLock(r RegionID) *sync.RWMutex {
-	return &m.regionMu[int64(r)%int64(len(m.regionMu))]
+// spanLock returns the lock stripe owning page p's span. Spans share
+// stripes modulo their count, a multiple of a region's spans, so a
+// region's spans own consecutive stripes in span order.
+func (m *Manager) spanLock(p PageID) *sync.RWMutex {
+	return &m.spanMu[int64(p)%(int64(len(m.spanMu))*SpanPages)/SpanPages]
+}
+
+// eachSpanLock applies op to the lock of every span of the region whose
+// pages are [start, end), in span order.
+func (m *Manager) eachSpanLock(start, end PageID, op func(*sync.RWMutex)) {
+	for p := start; p < end; p += SpanPages {
+		op(m.spanLock(p))
+	}
+}
+
+// inSpan runs f between lock and unlock of page p's span lock.
+func (m *Manager) inSpan(p PageID, lock, unlock func(*sync.RWMutex), f func() error) error {
+	mu := m.spanLock(p)
+	lock(mu)
+	defer unlock(mu)
+	return f()
 }
 
 // NumPages returns the address-space size in pages.
@@ -481,7 +499,7 @@ func (m *Manager) ct(id TierID) (*ctTier, bool) {
 // content regenerates page p's current bytes into buf, which must have
 // capacity for at least PageSize bytes, and returns the filled slice. The
 // caller owns the buffer, so two results never alias each other. Callers
-// hold the page's region lock, as for any pte read in the migration phase.
+// hold the page's span lock, as for any pte read in the migration phase.
 func (m *Manager) content(p PageID, buf []byte) []byte {
 	buf = buf[:PageSize]
 	m.gen.Fill(m.contentIndex(p), buf)
@@ -605,7 +623,7 @@ type MigrationResult struct {
 // preparedPage is the side-effect-free half of one page migration: every
 // object read and compression the move will need, plus the modeled
 // latencies, with no shared state touched and no counter moved. It is
-// produced under the region's read lock and landed by commitPage under the
+// produced under the span's read lock and landed by commitPage under the
 // write lock. It holds only what the commit reads — the fast path's object
 // or the destination's store, their bytes in the region's slab — never
 // the page itself: the commit places a page without its bytes, whether it
@@ -632,7 +650,7 @@ type preparedPage struct {
 
 // preparePage builds the prepared half of moving page p to dest on sc,
 // keeping the bytes its commit will read at the end of slab. The caller
-// must hold p's region lock (read side suffices).
+// must hold p's span lock (read side suffices).
 func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch, slab *[]byte) (preparedPage, error) {
 	e := &m.ptes[p]
 	pp := preparedPage{page: p, dest: dest, src: e.tier}
@@ -668,7 +686,7 @@ func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch, slab 
 // kept at the end of slab. The page, when the store has to be built from
 // it, is regenerated into sc's page buffer, whatever its source — a
 // compressed source holds the bytes of the same version — and is dead
-// once the store is built. Caller holds the region lock.
+// once the store is built. Caller holds the span lock.
 func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[]byte) error {
 	e := &m.ptes[pp.page]
 	dstCT, dstIsCT := m.ct(pp.dest)
@@ -713,7 +731,7 @@ func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[
 
 // commitPage lands a prepared page move: every placement decision,
 // residency change and counter bump. The caller must hold the page's
-// region write lock. If the page moved between prepare and commit
+// span write lock. If the page moved between prepare and commit
 // (another migrator landed a move of the same page first), the move is
 // re-prepared in place on sc, its bytes kept at the end of slab like the
 // lazily built store of a fast-path move the destination refused.
@@ -843,13 +861,13 @@ func (m *Manager) MigrateRegion(r RegionID, dest TierID) (MigrationResult, error
 	return m.CommitRegionMigration(pr)
 }
 
-// PreparedRegion is the precomputed half of one region migration, built by
-// PrepareRegionMigration and landed by CommitRegionMigration. Its pages
+// PreparedRegion is the precomputed half of one region migration, or of
+// one span of it, built by a prepare and landed by a commit. Its pages
 // hold no buffers of their own: every object a commit will read — a
 // fast-path object, a built store, a memo hit's copy — sits in the
 // region's one slab, back to back, and a rejected or same-filled store
 // keeps no bytes at all. A consumed region goes back to its scratch with
-// the slab and page slice emptied, not freed, for the next prepare.
+// the slab and page slice emptied, not freed, for a later prepare.
 type PreparedRegion struct {
 	m      *Manager
 	sc     *MigrationScratch // where a consumed region is recycled to
@@ -862,52 +880,64 @@ type PreparedRegion struct {
 }
 
 // Release consumes the prepared region without committing it; call it
-// when a prepared region is abandoned. Committing consumes it
-// automatically. The region, its page slice and its slab go back to the
-// scratch for its next prepare. The pages are zeroed first: their objects
-// may sit in arrays the slab outgrew while the region was prepared, and
-// those die now, not when the next prepare overwrites the entries.
+// when a prepared region is abandoned (nil: a no-op). Committing consumes
+// it automatically. The region, its page slice and its slab go back to the
+// scratch that prepared it. The pages are zeroed first: their objects may
+// sit in arrays the slab outgrew while the region was prepared, and those
+// die now, not when a later prepare overwrites the entries.
 func (pr *PreparedRegion) Release() {
-	if pr.pages == nil {
-		return // already consumed
+	if pr == nil || pr.pages == nil {
+		return // none, or already consumed
 	}
 	clear(pr.pages)
 	pr.spare, pr.pages, pr.slab = pr.pages[:0], nil, pr.slab[:0]
-	pr.sc.region = pr
+	pr.sc.mu.Lock()
+	pr.sc.free = append(pr.sc.free, pr)
+	pr.sc.mu.Unlock()
 }
 
-// takeRegion returns the scratch's recycled PreparedRegion, or a new one.
+// takeRegion returns a recycled PreparedRegion of the scratch's, or a new one.
 func (s *MigrationScratch) takeRegion() *PreparedRegion {
-	pr := s.region
-	if pr == nil {
-		return new(PreparedRegion)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		pr := s.free[n-1]
+		s.free = s.free[:n-1]
+		return pr
 	}
-	s.region = nil
-	return pr
+	return new(PreparedRegion)
 }
 
 // PrepareRegionMigration runs the compute half of moving region r to dest
 // — every object read and compression the sweep will need — under the
-// region's read lock, touching no shared state. Any number of goroutines
-// may prepare distinct regions concurrently; committing the prepared
-// regions in a fixed order (CommitRegionMigration) then reproduces the
-// same outcome bit-for-bit however many goroutines prepared, which is how
-// sim.Run keeps results identical across push-thread counts.
+// span read locks, touching no shared state. Any number of goroutines may
+// prepare concurrently; committing the prepared regions in a fixed order
+// (CommitRegionMigration) then reproduces the same outcome bit-for-bit
+// however many goroutines prepared.
 func (m *Manager) PrepareRegionMigration(r RegionID, dest TierID) (*PreparedRegion, error) {
-	return m.PrepareRegionMigrationScratch(r, dest, nil)
+	start, end := m.RegionSpan(r)
+	return m.preparePages(r, start, end, dest, nil)
 }
 
-// PrepareRegionMigrationScratch is PrepareRegionMigration with the
-// caller's scratch in place of one made for this region (nil makes one).
-// A push thread that prepares and commits moves back to back hands the
-// same scratch to every prepare: the buffers, the encoder state and the
-// PreparedRegion with its slab are reused by the next prepare, which then
-// allocates nothing. A prepared region drawn from a scratch must
-// therefore not be touched after the call that consumed it (the commit
-// that finished or failed it, or Release): the scratch's next prepare
-// hands the same value out again.
-func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *MigrationScratch) (*PreparedRegion, error) {
+// PrepareSpanMigration is PrepareRegionMigration for span span of region r
+// alone (fewer pages in a partial final region's last span), on the
+// caller's scratch (nil makes one). A push thread hands the same scratch
+// to every prepare: the buffers, the encoder state and the recycled
+// regions with their slabs are reused, so a warm scratch's prepare
+// allocates nothing. A prepared region drawn from a scratch must therefore
+// not be touched after the call that consumed it (the commit that finished
+// or failed it, or Release): a later prepare hands the same value out.
+func (m *Manager) PrepareSpanMigration(r RegionID, span int, dest TierID, sc *MigrationScratch) (*PreparedRegion, error) {
 	start, end := m.RegionSpan(r)
+	first := start + PageID(span)*SpanPages
+	if span < 0 || first >= end {
+		return nil, ErrBadPage
+	}
+	return m.preparePages(r, first, min(first+SpanPages, end), dest, sc)
+}
+
+// preparePages prepares moving region r's pages [start, end) to dest.
+func (m *Manager) preparePages(r RegionID, start, end PageID, dest TierID, sc *MigrationScratch) (*PreparedRegion, error) {
 	if start == end {
 		return nil, ErrBadPage
 	}
@@ -923,64 +953,79 @@ func (m *Manager) PrepareRegionMigrationScratch(r RegionID, dest TierID, sc *Mig
 		pages = make([]preparedPage, 0, end-start)
 	}
 	*pr = PreparedRegion{m: m, sc: sc, region: r, dest: dest, pages: pages, slab: pr.slab[:0]}
-	mu := m.regionLock(r)
-	mu.RLock()
-	defer mu.RUnlock()
-	for p := start; p < end; p++ {
-		pp, err := m.preparePage(p, dest, sc, &pr.slab)
-		if err != nil {
+	for p := start; p < end; {
+		if err := m.inSpan(p, (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock, func() error {
+			for next := min((p/SpanPages+1)*SpanPages, end); p < next; p++ {
+				pp, err := m.preparePage(p, dest, sc, &pr.slab)
+				if err != nil {
+					return err
+				}
+				pr.pages = append(pr.pages, pp)
+			}
+			return nil
+		}); err != nil {
 			pr.Release()
 			return nil, err
 		}
-		pr.pages = append(pr.pages, pp)
 	}
 	return pr, nil
 }
 
-// CommitRegionMigration lands a prepared region migration under the
-// region write lock, page by page, accumulating the per-page results. A
-// destination that fills mid-region does not abort the sweep: later pages
-// may still be skipped (already resident in dest) or placed at a fallback
-// tier, and their outcomes accumulate like any other page's. The full-tier
-// condition is reported once, as ErrTierFull, after the whole region has
-// been processed; the result is valid alongside it. The prepared region is
-// consumed even on error, and committing it again is a no-op that reports
-// nothing moved.
+// CommitRegionMigration is CommitMigrationInto from a zero result, on pr's
+// own scratch.
 func (m *Manager) CommitRegionMigration(pr *PreparedRegion) (MigrationResult, error) {
 	var total MigrationResult
+	err := m.CommitMigrationInto(pr, nil, &total)
+	return total, err
+}
+
+// CommitMigrationInto lands a prepared region or span page by page, under
+// the span write locks, adding each page's outcome to *total in page
+// order: a move landed span by span into one running result sums its
+// latency exactly as one whole-region commit. A page that moved since its
+// prepare is re-prepared on sc (nil: pr's own scratch, which a worker
+// committing another's prepare must not use). A destination that fills
+// mid-way does not abort the sweep: later pages may still be skipped or
+// placed at a fallback tier, and the full-tier condition is reported once,
+// as ErrTierFull, after the last page, beside a valid result. The prepared
+// region is consumed even on error; committing it again adds nothing.
+func (m *Manager) CommitMigrationInto(pr *PreparedRegion, sc *MigrationScratch, total *MigrationResult) error {
 	if pr == nil {
-		return total, errors.New("mem: nil prepared region")
+		return errors.New("mem: nil prepared region")
 	}
 	if pr.m != m {
 		pr.Release()
-		return total, errors.New("mem: prepared region belongs to a different manager")
+		return errors.New("mem: prepared region belongs to a different manager")
 	}
 	if pr.pages == nil {
-		return total, nil // already consumed (committed, released, or failed hard)
+		return nil // already consumed (committed, released, or failed hard)
 	}
-	mu := m.regionLock(pr.region)
-	mu.Lock()
-	defer mu.Unlock()
-	full := false
-	for i := range pr.pages {
-		res, err := m.commitPage(pr.pages[i], pr.sc, &pr.slab)
-		total.Moved += res.Moved
-		total.Rejected += res.Rejected
-		total.Skipped += res.Skipped
-		total.LatencyNs += res.LatencyNs
-		switch {
-		case errors.Is(err, ErrTierFull):
-			full = true
-		case err != nil:
-			pr.Release()
-			return total, err
+	defer pr.Release()
+	if sc == nil {
+		sc = pr.sc
+	}
+	var full error
+	for i := 0; i < len(pr.pages); {
+		if err := m.inSpan(pr.pages[i].page, (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock, func() error {
+			for end := (pr.pages[i].page/SpanPages + 1) * SpanPages; i < len(pr.pages) && pr.pages[i].page < end; i++ {
+				res, err := m.commitPage(pr.pages[i], sc, &pr.slab)
+				total.Moved += res.Moved
+				total.Rejected += res.Rejected
+				total.Skipped += res.Skipped
+				total.LatencyNs += res.LatencyNs
+				switch {
+				case errors.Is(err, ErrTierFull):
+					full = err
+				case err != nil:
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
-	pr.Release()
-	if full {
-		return total, ErrTierFull
-	}
-	return total, nil
+	return full
 }
 
 // TierPages returns the number of resident pages per tier, indexed by
@@ -1106,9 +1151,8 @@ func (m *Manager) SampleRegionRatio(r RegionID, codecName string, samples int) (
 	var buf []byte
 	var cs compress.Scratch // this probe's own: one codec state for all its samples
 	page := make([]byte, PageSize)
-	mu := m.regionLock(r)
-	mu.RLock()
-	defer mu.RUnlock()
+	m.eachSpanLock(start, end, (*sync.RWMutex).RLock)
+	defer m.eachSpanLock(start, end, (*sync.RWMutex).RUnlock)
 	for p := start; p < end; p += PageID(stride) {
 		data := m.content(p, page)
 		buf = cs.Compress(codec, buf[:0], data)
@@ -1213,13 +1257,12 @@ func (m *Manager) Counters() Counters {
 }
 
 // RegionResidency returns, for region r, the number of its pages in each
-// tier (indexed by TierID).
+// tier (indexed by TierID), between two span commits.
 func (m *Manager) RegionResidency(r RegionID) []int64 {
 	out := make([]int64, len(m.tiers))
 	start, end := m.RegionSpan(r)
-	mu := m.regionLock(r)
-	mu.RLock()
-	defer mu.RUnlock()
+	m.eachSpanLock(start, end, (*sync.RWMutex).RLock)
+	defer m.eachSpanLock(start, end, (*sync.RWMutex).RUnlock)
 	for p := start; p < end; p++ {
 		out[m.ptes[p].tier]++
 	}

@@ -103,11 +103,11 @@ func TestMigrationScratchReuse(t *testing.T) {
 	if !reflect.DeepEqual(mA.TierPages(), mB.TierPages()) {
 		t.Fatal("caller-scratch and per-region-scratch paths diverged in residency")
 	}
-	if sc.region == nil || cap(sc.region.slab) == 0 {
+	if sc.recycled() == nil || cap(sc.recycled().slab) == 0 {
 		t.Fatal("no recycled region with a slab on the scratch after commits")
 	}
 	// Identical work finds room in what the scratch already holds.
-	high := cap(sc.region.slab)
+	high := cap(sc.recycled().slab)
 	for r := RegionID(0); r < 4; r++ {
 		if _, err := migrateScratch(mA, r, DRAMTier, sc); err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestMigrationScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cap(sc.region.slab); got != high {
+	if got := cap(sc.recycled().slab); got != high {
 		t.Fatalf("slab grew from %d to %d bytes on identical work", high, got)
 	}
 	// A nil scratch stays valid: the prepare makes one for the region.
@@ -296,7 +296,7 @@ func TestPreparedRegionRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.region != nil {
+	if sc.recycled() != nil {
 		t.Fatal("the scratch holds a region while its only one is prepared")
 	}
 	outgrown := firstOutgrownObject(t, pr)
@@ -306,9 +306,9 @@ func TestPreparedRegionRecycling(t *testing.T) {
 	if outgrown.Value() != nil {
 		t.Error("a released region still reaches an array its slab outgrew")
 	}
-	if sc.region != pr || len(pr.slab) != 0 || cap(pr.slab) == 0 {
+	if sc.recycled() != pr || len(pr.slab) != 0 || cap(pr.slab) == 0 {
 		t.Fatalf("after Release: scratch region %p (want %p), slab len %d cap %d; want it back, empty, kept",
-			sc.region, pr, len(pr.slab), cap(pr.slab))
+			sc.recycled(), pr, len(pr.slab), cap(pr.slab))
 	}
 	if pr.Remaining() != 0 {
 		t.Fatal("released region still reports remaining pages")
@@ -317,7 +317,7 @@ func TestPreparedRegionRecycling(t *testing.T) {
 		t.Fatalf("commit of a consumed region: %+v, %v; want zero, nil", mr, err)
 	}
 	pr.Release() // a second release is a no-op
-	if sc.region != pr {
+	if sc.recycled() != pr {
 		t.Fatal("a second Release lost the recycled region")
 	}
 	slab := pr.slab[:1]

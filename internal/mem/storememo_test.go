@@ -123,7 +123,7 @@ func TestStoreMemoEquivalence(t *testing.T) {
 			case budget == 128<<10 && round > 0 && (hits == 0 || hits == lookups):
 				t.Errorf("one-slab budget, round %d: %d of %d lookups hit, want some", round, hits, lookups)
 			}
-			for _, b := range [][]byte{sc.page, sc.obj, sc.out, sc.region.slab} {
+			for _, b := range [][]byte{sc.page, sc.obj, sc.out, sc.recycled().slab} {
 				b = b[:cap(b)]
 				for i := range b {
 					b[i] = 0xaa

@@ -36,9 +36,9 @@ type Recorder interface {
 	// producers build fresh slices per window.
 	RecordWindow(WindowSnapshot)
 	// RecordMove receives one applied migration move. Moves of a window
-	// arrive after its apply phase completes, in ascending job order —
-	// each is read off the plan and the job-indexed apply results, so the
-	// order (and content) is identical at every push-thread count.
+	// arrive after its apply phase completes, in plan order — each is read
+	// off the plan and the move-indexed apply results, so the order (and
+	// content) is identical at every push-thread count.
 	RecordMove(MoveEvent)
 	// RecordRuntime receives the wall-clock telemetry of one window:
 	// phase durations and the push threads' commit stalls. Values are
@@ -294,8 +294,8 @@ func (p Phase) String() string {
 }
 
 // WindowRuntime is the wall-clock telemetry of one window: the span-style
-// trace of the control loop plus the push threads' waits for their turn to
-// commit. Everything here is measured from the real clock (or depends on
+// trace of the control loop plus the push threads' waits for the commit
+// turn. Everything here is measured from the real clock (or depends on
 // goroutine interleaving) and is therefore excluded from the deterministic
 // event stream; it flows to the live metrics endpoints only.
 type WindowRuntime struct {
@@ -309,18 +309,18 @@ type WindowRuntime struct {
 	// workers (so they can exceed PhaseWallNs[PhaseApply] when more than
 	// one push thread runs).
 	PrepareWallNs, CommitWallNs float64
-	// Sched reports how the window's commits queued; zero when the window
-	// applied serially (one push thread or a short plan).
+	// Sched counts the window's spans and its push threads' waits; no
+	// wait when one push thread applied the plan.
 	Sched SchedulerStats
 }
 
-// SchedulerStats count, for one window's pooled apply, how its commits —
-// which land one at a time in plan order — queued behind each other.
+// SchedulerStats count, for one window's pooled apply, its spans and how
+// its push threads waited on the commit turn.
 type SchedulerStats struct {
-	// Jobs is the number of moves the pool applied.
+	// Jobs is the number of spans (mem.SpanPages pages of a move) applied.
 	Jobs int
-	// BlockedAwaits counts moves whose push thread, its prepare done,
-	// waited for its turn to commit.
+	// BlockedAwaits counts waits of a push thread whose next span lay past
+	// the look-ahead, until the commit turn moved.
 	BlockedAwaits int
 	// StallNs is the total wall time push threads spent in those waits.
 	StallNs int64

@@ -113,9 +113,9 @@ var seriesTable = [...]*series{
 		rtFloat: func(rt WindowRuntime) float64 { return rt.PrepareWallNs }},
 	{key: "commit_wall_ns", family: "commit_wall_seconds_total", div: 1e9, help: "Wall time in migration commit, summed across push threads.",
 		rtFloat: func(rt WindowRuntime) float64 { return rt.CommitWallNs }},
-	{key: "sched_blocked", family: "sched_blocked_awaits_total", help: "Moves whose push thread waited for its turn to commit.",
+	{key: "sched_blocked", family: "sched_blocked_awaits_total", help: "Waits of a push thread for the commit turn to come within its look-ahead.",
 		rtInt: func(rt WindowRuntime) int64 { return int64(rt.Sched.BlockedAwaits) }},
-	{key: "sched_stall_ns", family: "sched_stall_seconds_total", div: 1e9, help: "Wall time push threads waited for their turn to commit.",
+	{key: "sched_stall_ns", family: "sched_stall_seconds_total", div: 1e9, help: "Wall time push threads waited for the commit turn to come within their look-ahead.",
 		rtInt: func(rt WindowRuntime) int64 { return rt.Sched.StallNs }},
 
 	// Health surface: always emitted (the evaluator defaults to ok) so

@@ -5,40 +5,42 @@
 // modeled that (apply serially, divide the modeled time by PT); here the
 // plan really is applied by PT goroutines against the shared mem.Manager.
 //
+// The unit of work is a span (mem.SpanPages pages of a move's region);
+// jobs, (move, span) ascending, are the plan's page order. Each splits into
+// a pure prepare (mem.PrepareSpanMigration — all decompression and
+// compression, under the span read lock, no shared state) and a commit
+// (every placement decision, admission check and counter).
+//
 // Determinism contract: results are byte-identical for any push-thread
-// count and across repeated runs. Each move splits into a pure prepare
-// (mem.PrepareRegionMigration — all decompression/compression compute,
-// under the region read lock, no shared state) and a commit (every
-// placement decision, admission check and counter). Workers claim jobs in
-// plan order off one counter and prepare concurrently on their own
-// scratch; each then waits for its turn and commits its own job, so
-// commits land one at a time in ascending job index — the commit sequence
-// is the serial apply's, and so are pool layouts, admission decisions and
-// counters. A prepare that ran before an earlier job moved the same
-// region's pages is caught by commitPage, which re-prepares a relocated
-// page in place. Float latency sums are reduced from the job-indexed
-// results array after the pool drains. The pool cannot deadlock: jobs are
-// claimed in ascending order, so the lowest uncommitted job is always
-// claimed by a worker that is preparing or committing, never waiting.
+// count and across repeated runs. Workers claim jobs in plan order and
+// prepare each on their own scratch; a worker whose job is not at the turn
+// (the lowest job not yet committed) parks it and claims the next, at most
+// lookAhead past the turn. Whichever worker finds the turn's job ready
+// commits it on its own scratch, then every following ready one, so
+// commits land one at a time in ascending job index — the serial apply's
+// sequence, and so its pool layouts, admission decisions and counters. A
+// prepare that ran before an earlier job moved the same pages is caught by
+// commitPage, which re-prepares a relocated page in place. Each span
+// commits into its move's one running MigrationResult, so a move's latency
+// sums page by page as a serial sweep's. The pool cannot deadlock: the
+// turn's job is always being prepared or committed by a worker that does
+// not wait; only a worker with no job in hand waits, for the turn to move.
 //
-// A panic on a push thread (a content source, a codec) is recovered in the
-// worker and becomes that job's hard error; the turn still advances, so no
-// successor waits forever.
+// A hard error or a recovered panic (a content source, a codec) in a span
+// of move i ends move i: its later spans are released uncommitted and its
+// outcome reads zero; later moves still commit.
 //
-// With one worker — a one-move plan, a prefetch, a test at PT 1 — the pool
-// is the caller's goroutine: it claims the jobs in order and runs each one
-// inline, the turn always already its own. There is no second code path,
-// so a traced one-worker apply times exactly what an untraced one runs.
+// With one worker — a prefetch, a test at PT 1 — the pool is the caller's
+// goroutine, committing each job as soon as it is prepared: no second
+// code path.
 //
-// Observability rides along behind a nil check: with no applyTrace the
-// engine does exactly the work above and nothing else. With one, workers
-// additionally accumulate the wall-clock prepare/commit split and count
-// the waits for the turn (a blocked await; its wall time is the stall).
-// None of the traced values feed back into placement, so tracing can never
-// perturb results. A window's move events are not collected here at all:
-// event i is a pure function of (moves[i], results[i]) — see moveEvent —
-// so the caller reads them off the job-indexed results, which are the same
-// at every worker count.
+// Observability rides along behind a nil check: with an applyTrace,
+// workers also accumulate the wall-clock prepare/commit split; the waits
+// for the turn to come within look-ahead (blocked awaits; their wall time
+// is the stall) are always counted. None of it feeds back into placement.
+// A window's move events are not collected here at all: event i is a pure
+// function of (moves[i], results[i]) — see moveEvent — and the results are
+// the same at every worker count.
 package sim
 
 import (
@@ -53,6 +55,10 @@ import (
 	"tierscape/internal/obs"
 	"tierscape/internal/policy"
 )
+
+// lookAhead is how many jobs past the turn a push thread may claim. It
+// bounds the prepared spans waiting to commit, and their slabs.
+const lookAhead = 4 * pushThreads
 
 // moveOutcome is one applied move's accounting plus the signal the bare
 // MigrationResult doesn't carry: whether the commit observed a full
@@ -89,20 +95,6 @@ func moveEvent(window, i int, mv policy.Move, out moveOutcome) obs.MoveEvent {
 	}
 }
 
-// finishMove settles job i's outcome: a full destination
-// (mem.ErrTierFull) is benign — the manager completed the sweep and its
-// partial accounting stays valid — and lands on the outcome's Full flag;
-// any other error is returned as the job's hard failure and records
-// nothing. Every move, planned or prefetched, finishes here.
-func finishMove(i int, mr mem.MigrationResult, err error, results []moveOutcome) error {
-	full := errors.Is(err, mem.ErrTierFull)
-	if err != nil && !full {
-		return err
-	}
-	results[i] = moveOutcome{MigrationResult: mr, Full: full}
-	return nil
-}
-
 // movePanic turns a panic on a push thread — a content source, a codec —
 // into move i's hard error, so it ends the step instead of the process.
 func movePanic(r any, i int, mv policy.Move) error {
@@ -113,13 +105,14 @@ func movePanic(r any, i int, mv policy.Move) error {
 // applyMoves applies one window's migration plan with `workers` push
 // threads and returns the per-move outcomes indexed like moves. It is the
 // only way the simulator moves a region: the plan's moves and the access
-// loop's prefetches both come through here. scratch holds one
-// mem.MigrationScratch per push thread (at least `workers` of them), owned
-// by the caller across windows: worker w uses scratch[w] and nothing else,
-// so buffers and codec state warm up once per run. Hard errors are
-// reported for the lowest job index so the failure is independent of
-// goroutine interleaving. tr, when non-nil, collects the window's apply
-// observability.
+// loop's prefetches both come through here. A full destination
+// (mem.ErrTierFull) is benign: it flags the outcome Full. scratch holds
+// one mem.MigrationScratch per push thread (at least `workers`), owned by
+// the caller across windows: worker w uses scratch[w] and nothing else, so
+// buffers and codec state warm up once per run. Hard errors are reported
+// for the lowest move index, independent of goroutine interleaving, beside
+// outcomes in which the failed moves read zero. tr, when non-nil, collects
+// the window's apply observability.
 func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScratch, workers int, tr *applyTrace) ([]moveOutcome, error) {
 	n := len(moves)
 	results := make([]moveOutcome, n)
@@ -128,7 +121,10 @@ func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScra
 	}
 	p := applyPool{m: m, moves: moves, results: results, errs: make([]error, n), tr: tr}
 	p.cond.L = &p.mu
-	workers = min(workers, n)
+	for _, mv := range moves {
+		p.jobs += spans(m, mv)
+	}
+	workers = min(workers, p.jobs)
 	if workers <= 1 {
 		p.work(&scratch[0])
 	} else {
@@ -143,92 +139,133 @@ func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScra
 		wg.Wait()
 	}
 	if tr != nil {
-		tr.sched = obs.SchedulerStats{Jobs: n, BlockedAwaits: p.blocked, StallNs: p.stallNs}
+		tr.sched = obs.SchedulerStats{Jobs: p.jobs, BlockedAwaits: p.blocked, StallNs: p.stallNs}
 	}
 	for _, err := range p.errs {
 		if err != nil {
-			return nil, err
+			return results, err
 		}
 	}
 	return results, nil
 }
 
+// spans is move mv's job count: its region's spans, or one to report a bad region.
+func spans(m *mem.Manager, mv policy.Move) int {
+	start, end := m.RegionSpan(mv.Region)
+	return max(1, int(end-start+mem.SpanPages-1)/mem.SpanPages)
+}
+
 // applyPool is one window's pooled apply: the plan, where its outcomes
-// land, and the turn that orders the commits.
+// land, and the turn that orders the commits. mu guards the fields below
+// it; results and errs belong to the worker holding the turn.
 type applyPool struct {
 	m       *mem.Manager
 	moves   []policy.Move
 	results []moveOutcome
 	errs    []error
 	tr      *applyTrace
-	cursor  atomic.Int64 // next unclaimed job
 
 	mu      sync.Mutex
-	cond    sync.Cond
-	turn    int   // the one job that may commit: the lowest not yet finished
-	blocked int   // awaits that found another job holding the turn
-	stallNs int64 // wall time those awaits waited
+	cond    sync.Cond             // signalled when the turn advances
+	jobs    int                   // spans in the plan
+	next    int                   // the next job to claim
+	move    int                   // next's move
+	span    int                   // next's span within its move
+	turn    int                   // the one job that may commit: the lowest not yet committed
+	parked  [lookAhead]parkedSpan // job k's prepared span at k % lookAhead
+	blocked int                   // waits for the turn to come within look-ahead
+	stallNs int64                 // wall time those waits took
 }
 
-// work is one push thread: it claims jobs in plan order off the shared
-// cursor and runs each until none is left.
+// parkedSpan is a prepared job waiting for its turn to commit.
+type parkedSpan struct {
+	move  int
+	pr    *mem.PreparedRegion
+	err   error // the prepare's
+	ready bool
+}
+
+// work is one push thread: it commits the turn's job whenever that is
+// ready, else claims and prepares the next job within look-ahead, else
+// waits for the turn to move, until no job is left to claim.
 func (p *applyPool) work(sc *mem.MigrationScratch) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		i := int(p.cursor.Add(1)) - 1
-		if i >= len(p.moves) {
+		if slot := &p.parked[p.turn%lookAhead]; slot.ready {
+			ps := *slot
+			*slot = parkedSpan{}
+			p.mu.Unlock()
+			p.commit(ps, sc)
+			p.mu.Lock()
+			p.turn++
+			p.cond.Broadcast()
+			continue
+		}
+		if p.next == p.jobs {
 			return
 		}
-		p.errs[i] = p.runJob(i, sc)
-	}
-}
-
-// await blocks until it is job i's turn to commit.
-func (p *applyPool) await(i int) {
-	p.mu.Lock()
-	if p.turn != i {
-		p.blocked++
-		t0 := time.Now()
-		for p.turn != i {
-			p.cond.Wait()
+		if p.next >= p.turn+lookAhead {
+			p.blocked++
+			t0 := time.Now()
+			for p.next < p.jobs && p.next >= p.turn+lookAhead {
+				p.cond.Wait()
+			}
+			p.stallNs += int64(time.Since(t0))
+			continue
 		}
-		p.stallNs += int64(time.Since(t0))
+		k, i, j := p.next, p.move, p.span
+		p.next++
+		if p.span++; p.span == spans(p.m, p.moves[i]) {
+			p.move, p.span = p.move+1, 0
+		}
+		p.mu.Unlock()
+		mv := p.moves[i]
+		var pr *mem.PreparedRegion
+		err := p.run(i, false, func() (err error) {
+			pr, err = p.m.PrepareSpanMigration(mv.Region, j, mv.Dest, sc)
+			return err
+		})
+		p.mu.Lock()
+		p.parked[k%lookAhead] = parkedSpan{move: i, pr: pr, err: err, ready: true}
 	}
-	p.mu.Unlock()
 }
 
-// runJob prepares job i, waits for its turn and commits it. Every job
-// takes and passes on the turn — after a prepare error, after a panic —
-// or its successors would wait forever.
-func (p *applyPool) runJob(i int, sc *mem.MigrationScratch) (err error) {
-	mv, tr := p.moves[i], p.tr
+// commit lands the turn's span in its move's outcome on the committing
+// worker's scratch, or releases it once the move has failed. Either
+// consumes the span, which may then be in its preparer's hands again.
+func (p *applyPool) commit(ps parkedSpan, sc *mem.MigrationScratch) {
+	i, err := ps.move, ps.err
+	if p.errs[i] != nil {
+		ps.pr.Release()
+		return
+	}
+	out := &p.results[i]
+	if err == nil {
+		err = p.run(i, true, func() error { return p.m.CommitMigrationInto(ps.pr, sc, &out.MigrationResult) })
+	}
+	if errors.Is(err, mem.ErrTierFull) {
+		out.Full = true
+	} else if err != nil {
+		p.errs[i], *out = err, moveOutcome{}
+	}
+}
+
+// run runs f, move i's prepare or commit, turning a panic into an error
+// and, when traced, adding its wall time to the prepare or commit total.
+func (p *applyPool) run(i int, commit bool, f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = movePanic(r, i, mv)
+			err = movePanic(r, i, p.moves[i])
 		}
-		p.await(i) // returns at once when the job already holds the turn
-		p.mu.Lock()
-		p.turn++
-		p.mu.Unlock()
-		p.cond.Broadcast()
 	}()
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
+	if p.tr == nil {
+		return f()
 	}
-	pr, err := p.m.PrepareRegionMigrationScratch(mv.Region, mv.Dest, sc)
-	if tr != nil {
-		tr.prepareNs.Add(int64(time.Since(t0)))
+	total := &p.tr.prepareNs
+	if commit {
+		total = &p.tr.commitNs
 	}
-	p.await(i)
-	var mr mem.MigrationResult
-	if err == nil {
-		if tr != nil {
-			t0 = time.Now()
-		}
-		mr, err = p.m.CommitRegionMigration(pr)
-		if tr != nil {
-			tr.commitNs.Add(int64(time.Since(t0)))
-		}
-	}
-	return finishMove(i, mr, err, p.results)
+	defer func(t0 time.Time) { total.Add(int64(time.Since(t0))) }(time.Now())
+	return f()
 }

@@ -397,14 +397,15 @@ func TestConcurrentApplyMovesPanic(t *testing.T) {
 	}
 }
 
-// TestConcurrentApplyMovesSlowRegion: region 0's pages take far longer to
-// prepare than anyone else's, so at PT 8 every other job finishes its
-// prepare first and waits for its turn behind job 0. Outcomes and the
-// traced event stream equal the serial apply's, and the waits are
-// counted: the stall accounting the ledger reads is live.
+// TestConcurrentApplyMovesSlowRegion: the first span of region 0 takes
+// far longer to prepare than any other, so it holds the turn while the
+// other workers prepare the spans behind it, run into the look-ahead
+// bound and wait for the turn to move. Outcomes and the traced event
+// stream equal the serial apply's, every span is counted as a job, and
+// the waits are counted: the stall accounting the ledger reads is live.
 func TestConcurrentApplyMovesSlowRegion(t *testing.T) {
 	collect := func(workers int) ([]moveOutcome, []obs.MoveEvent, obs.SchedulerStats) {
-		m := pagedManager(t, &pagedSource{panicPage: -1, slowBelow: mem.RegionPages, sleep: 20 * time.Microsecond})
+		m := pagedManager(t, &pagedSource{panicPage: -1, slowBelow: mem.SpanPages, sleep: 200 * time.Microsecond})
 		tr := &applyTrace{}
 		moves := demoteAll(m)
 		results, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, tr)
@@ -421,15 +422,17 @@ func TestConcurrentApplyMovesSlowRegion(t *testing.T) {
 	if !reflect.DeepEqual(events, baseEvents) {
 		t.Fatal("PT 8 traced event stream differs from the serial apply's")
 	}
-	if sched.Jobs != len(baseRes) || sched.BlockedAwaits < 1 || sched.StallNs <= 0 {
-		t.Fatalf("scheduler stats %+v over %d jobs: want every job counted and at least one measured wait", sched, len(baseRes))
+	spans := len(baseRes) * mem.RegionPages / mem.SpanPages
+	if sched.Jobs != spans || sched.BlockedAwaits < 1 || sched.StallNs <= 0 {
+		t.Fatalf("scheduler stats %+v over %d spans: want every span counted and at least one measured wait", sched, spans)
 	}
 }
 
-// TestApplyOneWorkerTraced: with one worker — a one-move plan at PT 2, or
-// PT 1 — the apply runs the pool's own job on the caller's goroutine,
-// traced or not. The outcomes are the same either way, and the traced
-// apply measures its prepare and commit instead of leaving them zero.
+// TestApplyOneWorkerTraced: a one-move plan at PT 1 runs on the caller's
+// goroutine, and at PT 2 its spans are shared by two workers; traced or
+// not, the outcomes are the same, the traced apply measures its prepare
+// and commit instead of leaving them zero, and the move's spans are its
+// jobs, none of them waiting.
 func TestApplyOneWorkerTraced(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		apply := func(tr *applyTrace) []moveOutcome {
@@ -454,8 +457,8 @@ func TestApplyOneWorkerTraced(t *testing.T) {
 			t.Errorf("workers=%d: traced split prepare %d ns, commit %d ns; want both measured",
 				workers, tr.prepareNs.Load(), tr.commitNs.Load())
 		}
-		if tr.sched != (obs.SchedulerStats{Jobs: 1}) {
-			t.Errorf("workers=%d: scheduler stats %+v, want one job and no waits", workers, tr.sched)
+		if want := (obs.SchedulerStats{Jobs: mem.RegionPages / mem.SpanPages}); tr.sched != want {
+			t.Errorf("workers=%d: scheduler stats %+v, want %+v: the region's spans and no waits", workers, tr.sched, want)
 		}
 	}
 }

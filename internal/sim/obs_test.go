@@ -288,34 +288,49 @@ func TestObsRuntimeTrace(t *testing.T) {
 		if rt.PrepareWallNs < 0 || rt.CommitWallNs < 0 || rt.Sched.StallNs < 0 {
 			t.Fatalf("window %d: negative apply split/stall", rt.Window)
 		}
+		// A worker waits only with no span in hand, and each wait ends in
+		// a claim or in the worker's exit; the first lookAhead spans need
+		// no wait, so with no more workers than that the waits never
+		// outnumber the spans.
 		if rt.Sched.BlockedAwaits < 0 || rt.Sched.BlockedAwaits > rt.Sched.Jobs {
-			t.Fatalf("window %d: %d blocked awaits over %d jobs; a job waits for its turn at most once",
+			t.Fatalf("window %d: %d blocked awaits over %d spans; a span is waited for at most once",
 				rt.Window, rt.Sched.BlockedAwaits, rt.Sched.Jobs)
 		}
 	}
 }
 
 // BenchmarkRecorderOffCommit guards the commit path with observability
-// disabled: one CommitRegionMigration per iteration (prepare excluded via
-// StopTimer, which also pauses allocation accounting), ping-ponging a
-// region between the byte-addressable tiers. Must report 0 allocs/op —
-// the nil-trace apply path may not add a single allocation to commits.
+// disabled: one region's span commits per iteration, as the apply lands
+// them (the prepares excluded via StopTimer, which also pauses allocation
+// accounting), ping-ponging a region between the byte-addressable tiers.
+// Must report 0 allocs/op — the nil-trace apply path may not add a single
+// allocation to commits.
 func BenchmarkRecorderOffCommit(b *testing.B) {
 	m := benchManager(b, 1, 0)
 	dests := [2]mem.TierID{mem.TierID(1), mem.DRAMTier} // NVMM, then back
 	sc := &mem.MigrationScratch{}
+	prs := make([]*mem.PreparedRegion, mem.RegionPages/mem.SpanPages)
+	round := func(dest mem.TierID) {
+		b.StopTimer()
+		for j := range prs {
+			var err error
+			if prs[j], err = m.PrepareSpanMigration(0, j, dest, sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		var total mem.MigrationResult
+		for _, pr := range prs {
+			if err := m.CommitMigrationInto(pr, sc, &total); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	round(mem.DRAMTier) // a no-op move that leaves every span on the scratch's free list
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pr, err := m.PrepareRegionMigrationScratch(0, dests[i%2], sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := m.CommitRegionMigration(pr); err != nil {
-			b.Fatal(err)
-		}
+		round(dests[i%2])
 	}
 }
 
@@ -363,8 +378,9 @@ func moveEvents(window int, moves []policy.Move, applied []moveOutcome) []obs.Mo
 }
 
 // TestConcurrentObsStreamFallback: a window's events are read off the
-// job-indexed results, which every worker count fills through the same
-// runJob — exercised here with rejected (fallback) moves in the stream.
+// move-indexed results, which every worker count fills through the same
+// span commits — exercised here with rejected (fallback) moves in the
+// stream.
 // The full JSONL byte stream and every captured move are identical at
 // push threads 1, 2 and 8. Runs under -race in CI (the Concurrent suite).
 func TestConcurrentObsStreamFallback(t *testing.T) {
@@ -393,7 +409,7 @@ func TestConcurrentObsStreamFallback(t *testing.T) {
 // TestConcurrentApplyTraceFullEvents drives applyMoves directly with a
 // plan engineered so some commits return ErrTierFull outright
 // (promotions into a bounded DRAM that is already over capacity). Every
-// job finishes through finishMove, and the event stream read off the
+// span commits through the same path, and the event stream read off the
 // results must be identical at every worker count — Full flags included.
 // Runs under -race in CI (the Concurrent suite).
 func TestConcurrentApplyTraceFullEvents(t *testing.T) {

@@ -28,7 +28,7 @@
 // configuration) and, when Config.Recorder is set, streams the window's
 // per-move events in job order plus an obs.WindowRuntime carrying the
 // wall-clock span trace of the control loop (profile → solve → plan →
-// apply → compact) and the push threads' waits for their turn to commit.
+// apply → compact) and the push threads' waits for the commit turn.
 // With a nil Recorder the loop takes none of the clock readings — the
 // instrumented paths cost a nil check and nothing else.
 package sim

@@ -336,9 +336,9 @@ func (s *Stepper) StepControl() error {
 			tr = &applyTrace{}
 		}
 		// Real push threads: one goroutine per scratch applies the plan
-		// concurrently; the deterministic in-order commit (apply.go)
-		// merges per-move accounting by job index, so the sums below
-		// are identical at every thread count.
+		// span by span; the spans commit in plan order into their move's
+		// outcome (apply.go), so the sums below are identical at every
+		// thread count.
 		var err error
 		if applied, err = applyMoves(m, plan.Moves, s.scratch, len(s.scratch), tr); err != nil {
 			return fmt.Errorf("sim: window %d migration: %w", w, err)
