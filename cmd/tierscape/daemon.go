@@ -65,7 +65,7 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 		if err != nil {
 			return sim.Config{}, err
 		}
-		st, err := trace.NewStream(f)
+		st, err := trace.NewReader(f)
 		if err != nil {
 			f.Close()
 			return sim.Config{}, err

@@ -235,6 +235,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if replay != nil && replay.Err() != nil {
 		return fail(1, "replaying %s: %v", s.Replay, replay.Err())
 	}
+	if replay != nil && replay.Exhausted() {
+		return fail(1, "replaying %s: the trace holds %d ops, the run needs %d (%d windows × %d ops)",
+			s.Replay, replay.Ops(), s.Windows*s.Ops, s.Windows, s.Ops)
+	}
 	if recorder != nil {
 		if err := recorder.Close(); err != nil {
 			return fail(1, "closing trace: %v", err)

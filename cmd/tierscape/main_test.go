@@ -8,13 +8,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"tierscape"
 	"tierscape/internal/daemon"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
+	"tierscape/internal/sim"
+	"tierscape/internal/trace"
 )
 
 // flagSpec is the spec the given command line leaves behind: what a daemon
@@ -150,9 +154,15 @@ func TestRunExitStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := []string{"-windows", "1", "-ops", "100", "-pages", "1024"}
-	// One op whose single access is page -600 of 1024.
+	// A v1 trace: one op whose single access is page -600 of 1024.
+	v1Trace := filepath.Join(dir, "v1.trace")
+	if err := os.WriteFile(v1Trace, []byte("TSTR\x01\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\xe0\x12"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A v2 trace of 1024 pages, no name: one op at 100 ns whose single
+	// access is page 1024.
 	badTrace := filepath.Join(dir, "bad.trace")
-	if err := os.WriteFile(badTrace, []byte("TSTR\x01\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\xe0\x12"), 0o644); err != nil {
+	if err := os.WriteFile(badTrace, []byte("TSTR\x02\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x59\x40\x00\x08"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -168,7 +178,8 @@ func TestRunExitStatus(t *testing.T) {
 		{"unreadable tier file", []string{"-tiers", filepath.Join(dir, "absent.json")}, 2, "tier setup"},
 		{"tier file without tiers", []string{"-tiers", badTiers}, 2, "no compressed tiers"},
 		{"unreadable trace", []string{"-replay", filepath.Join(dir, "absent.trace")}, 2, "absent.trace"},
-		{"out-of-range page in a replayed trace", append([]string{"-replay", badTrace}, small...), 1, "page -600 outside [0, 1024)"},
+		{"v1 trace", []string{"-replay", v1Trace}, 2, "version 1"},
+		{"out-of-range page in a replayed trace", append([]string{"-replay", badTrace}, small...), 1, "page 1024 outside [0, 1024)"},
 		{"daemon without a listener", []string{"-daemon"}, 2, "-metrics-addr"},
 		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
 		{"removed -push flag", []string{"-push", "8"}, 2, "flag provided but not defined: -push"},
@@ -233,5 +244,115 @@ func TestRunSinks(t *testing.T) {
 	stdout8, events8, csv8 := runOnce(8)
 	if stdout8 != stdout || events8 != events || csv8 != csv {
 		t.Error("GOMAXPROCS 8 printed a different report, events or window rows than GOMAXPROCS 1")
+	}
+}
+
+// TestReplayRunsOut: `-record` then `-replay` of the same windows print
+// the same report — workload name, table and summary — and a replay that
+// asks for more ops than the trace holds exits 1 naming both counts,
+// instead of running on empty ops.
+func TestReplayRunsOut(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "run.trace")
+	shape := []string{"-workload", "memcached-ycsb", "-pages", "1024", "-ops", "500"}
+	var live, errs bytes.Buffer
+	if status := run(append([]string{"-record", tr, "-windows", "2"}, shape...), &live, &errs); status != 0 {
+		t.Fatalf("record: exit status %d, stderr %q", status, errs.String())
+	}
+	recorded, report, ok := strings.Cut(live.String(), "\n")
+	if !ok || !strings.HasPrefix(recorded, "trace recorded to") || !strings.HasPrefix(report, "workload: Memcached/YCSB ") {
+		t.Fatalf("record printed:\n%s", live.String())
+	}
+	var replay bytes.Buffer
+	if status := run(append([]string{"-replay", tr, "-windows", "2"}, shape...), &replay, &errs); status != 0 {
+		t.Fatalf("replay: exit status %d, stderr %q", status, errs.String())
+	}
+	if replay.String() != report {
+		t.Errorf("the replay printed:\n%s\nthe recording run:\n%s", replay.String(), report)
+	}
+	var out bytes.Buffer
+	errs.Reset()
+	if status := run(append([]string{"-replay", tr, "-windows", "3"}, shape...), &out, &errs); status != 1 ||
+		!strings.Contains(errs.String(), "holds 1000 ops, the run needs 1500") || out.Len() != 0 {
+		t.Errorf("a replay past the trace's end: exit status %d, stdout %q, stderr %q; want 1, nothing, both counts",
+			status, out.String(), errs.String())
+	}
+}
+
+// catalog is every workload -workload names.
+var catalog = []string{"masim", "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f",
+	"memcached-ycsb", "memcached-memtier", "redis", "bfs", "pagerank", "xsbench", "graphsage"}
+
+// TestReplayEqualsLive: a replay is the run it recorded. For every catalog
+// workload and a Colocated, a live run that records its trace as it goes
+// (what -record does) returns the Result — deep-equal — that the replay
+// of the trace returns at GOMAXPROCS 1, 2 and 8. A catalog replay builds
+// its manager from the trace, as -replay does; the Colocated's, like the
+// live run's, from the Colocated itself, whose per-tenant content a trace
+// does not carry (as a figure's shared streams do).
+func TestReplayEqualsLive(t *testing.T) {
+	s := flagSpec(t, "-pages", "1024", "-windows", "2", "-ops", "1500")
+	runOn := func(wl, source tierscape.Workload) *tierscape.Result {
+		t.Helper()
+		cfg, err := s.runConfig(source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg, err := tierscape.SimConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scfg.Workload = wl
+		res, err := sim.Run(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	type source struct {
+		name string
+		mk   func() tierscape.Workload
+	}
+	var sources []source
+	for _, name := range catalog {
+		sources = append(sources, source{name, func() tierscape.Workload {
+			wl, err := buildWorkload(name, s.Pages, s.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return wl
+		}})
+	}
+	colocated := func() tierscape.Workload {
+		return tierscape.Colocate(tierscape.MemcachedMemtier(1024, 1024, 7), tierscape.PageRankWorkload(1<<12, 7))
+	}
+	sources = append(sources, source{"colocated", colocated})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, src := range sources {
+		wl := src.mk()
+		var raw bytes.Buffer
+		rec, err := trace.NewRecorder(&raw, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := runOn(rec, wl)
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			tr, err := trace.NewReader(bytes.NewReader(raw.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			manager := tierscape.Workload(tr)
+			if src.name == "colocated" {
+				manager = colocated()
+			}
+			if replay := runOn(tr, manager); !reflect.DeepEqual(replay, live) {
+				t.Errorf("%s, GOMAXPROCS=%d: the replay's Result differs from the live run's: %s %.0f ops/s, %d ops vs live %s %.0f ops/s, %d ops",
+					src.name, procs, replay.WorkloadName, replay.ThroughputOpsPerSec(), replay.Ops,
+					live.WorkloadName, live.ThroughputOpsPerSec(), live.Ops)
+			}
+		}
 	}
 }

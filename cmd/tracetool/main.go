@@ -5,8 +5,9 @@
 //	tracetool -stat t.trace
 //	tracetool -chrome run.json -events run.jsonl
 //
-// -stat prints the trace header, op/access counts, read/write mix, and a
-// per-region hotness histogram — the offline view of what the PEBS
+// -stat prints the trace header (workload name, footprint, content
+// profile), the distinct base op costs, op/access counts, read/write mix,
+// and a per-region hotness histogram — the offline view of what the PEBS
 // profiler would see. -chrome converts a deterministic JSONL event
 // stream (tierscape -events, experiments -events) to Chrome trace-event
 // JSON for Perfetto / chrome://tracing.
@@ -17,7 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -139,11 +142,13 @@ func stat(stdout io.Writer, path string, top int) error {
 	var opsN, accesses, writes int64
 
 	var buf []workload.Access
+	costs := make(map[float64]bool)
 	for {
 		buf = tr.NextOp(buf[:0])
-		if len(buf) == 0 || tr.Replays() > 0 {
+		if tr.Exhausted() {
 			break
 		}
+		costs[tr.BaseOpNs()] = true
 		opsN++
 		for _, a := range buf {
 			accesses++
@@ -159,8 +164,10 @@ func stat(stdout io.Writer, path string, top int) error {
 	}
 
 	fmt.Fprintf(stdout, "trace: %s\n", path)
+	fmt.Fprintf(stdout, "workload: %s\n", tr.Name())
 	fmt.Fprintf(stdout, "pages: %d (%d regions), content profile: %s\n",
 		tr.NumPages(), numRegions, tr.Content())
+	fmt.Fprintf(stdout, "base op costs (ns): %v\n", slices.Sorted(maps.Keys(costs)))
 	fmt.Fprintf(stdout, "ops: %d   accesses: %d (%.2f/op)   writes: %.1f%%\n",
 		opsN, accesses, float64(accesses)/float64(max(opsN, 1)),
 		100*float64(writes)/float64(max(accesses, 1)))

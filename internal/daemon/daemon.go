@@ -154,8 +154,8 @@ type instance struct {
 	stepping bool // this tick started an access half (loop-owned)
 }
 
-// exhausted reports a drained streaming source (trace.Stream): it will
-// never produce another access.
+// exhausted reports a drained streaming source (a trace.Reader past its
+// last op): it will never produce another access.
 func (in *instance) exhausted() bool {
 	ex, ok := in.st.Workload().(interface{ Exhausted() bool })
 	return ok && ex.Exhausted()
@@ -270,7 +270,7 @@ func (d *Daemon) run() {
 // half is in (package comment, "What a tick overlaps"). Every goroutine
 // started here has been received from before tick returns. Errored
 // instances are skipped (their error is parked for Detach); exhausted
-// streaming sources are skipped too — a drained trace.Stream will never
+// streaming sources are skipped too — a drained trace.Reader will never
 // produce another access, so stepping it would only record empty windows.
 func (d *Daemon) tick() {
 	for _, in := range d.insts {

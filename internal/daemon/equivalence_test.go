@@ -28,12 +28,16 @@ const (
 	eqOpsPerWindow = 2000
 )
 
-// recordTrace captures exactly eqWindows of ops from a fresh workload.
+// eqWorkload is the source every recorded trace of the suite comes from.
+func eqWorkload() workload.Workload {
+	return workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
+}
+
+// recordTrace captures exactly eqWindows of ops from a fresh eqWorkload.
 func recordTrace(t *testing.T) []byte {
 	t.Helper()
-	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
 	var buf bytes.Buffer
-	if _, err := trace.Record(&buf, wl, eqWindows*eqOpsPerWindow); err != nil {
+	if _, err := trace.Record(&buf, eqWorkload(), eqWindows*eqOpsPerWindow); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -57,23 +61,29 @@ func eqManager(t *testing.T, pages int64, content corpus.Profile) *mem.Manager {
 	return m
 }
 
-// eqConfig assembles the sim.Config both drivers run: a trace.Stream
+// eqConfig assembles the sim.Config both drivers run: a trace.Reader
 // over the recorded bytes, analytical model, JSONL + in-memory capture.
-func eqConfig(t *testing.T, raw []byte, cap *obs.Mem, jsonl *bytes.Buffer) (sim.Config, *trace.Stream) {
+func eqConfig(t *testing.T, raw []byte, cap *obs.Mem, jsonl *bytes.Buffer) (sim.Config, *trace.Reader) {
 	t.Helper()
-	st, err := trace.NewStream(bytes.NewReader(raw))
+	tr, err := trace.NewReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return wlConfig(t, tr, cap, jsonl), tr
+}
+
+// wlConfig is eqConfig over any workload.
+func wlConfig(t *testing.T, wl workload.Workload, cap *obs.Mem, jsonl *bytes.Buffer) sim.Config {
+	t.Helper()
 	return sim.Config{
-		Manager:      eqManager(t, st.NumPages(), st.Content()),
-		Workload:     st,
+		Manager:      eqManager(t, wl.NumPages(), wl.Content()),
+		Workload:     wl,
 		Model:        &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"},
 		OpsPerWindow: eqOpsPerWindow,
 		Windows:      eqWindows,
 		SampleRate:   20,
 		Recorder:     obs.Tee(cap, obs.NewStream(jsonl)),
-	}, st
+	}
 }
 
 // batchRun replays the trace through plain sim.Run.
@@ -89,14 +99,19 @@ func batchRun(t *testing.T, raw []byte) (*sim.Result, *obs.Mem, []byte) {
 	return res, &cap, jsonl.Bytes()
 }
 
-// daemonRun replays the trace through a resident daemon: attach, step
-// the fake clock eqWindows ticks, barrier, detach.
+// daemonRun replays the trace through a resident daemon (daemonAttach).
 func daemonRun(t *testing.T, raw []byte) (*sim.Result, *obs.Mem, []byte) {
 	t.Helper()
 	var cap obs.Mem
 	var jsonl bytes.Buffer
 	cfg, _ := eqConfig(t, raw, &cap, &jsonl)
+	return daemonAttach(t, cfg), &cap, jsonl.Bytes()
+}
 
+// daemonAttach runs cfg in a resident daemon: attach, step the fake clock
+// eqWindows ticks, barrier, detach.
+func daemonAttach(t *testing.T, cfg sim.Config) *sim.Result {
+	t.Helper()
 	clk := NewFakeClock()
 	d, err := New(DefaultConfig(), clk, nil)
 	if err != nil {
@@ -116,7 +131,7 @@ func daemonRun(t *testing.T, raw []byte) (*sim.Result, *obs.Mem, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, &cap, jsonl.Bytes()
+	return res
 }
 
 // TestDaemonBatchEquivalence: the headline contract, at GOMAXPROCS 1, 2
@@ -145,6 +160,36 @@ func TestDaemonBatchEquivalence(t *testing.T) {
 		}
 		if !bytes.Equal(jsonl, baseJSONL) {
 			t.Fatalf("GOMAXPROCS=%d: daemon JSONL stream is not byte-identical to batch", procs)
+		}
+	}
+}
+
+// TestDaemonLiveEqualsReplay: a daemon stepping a live workload and one
+// stepping the replay of its recording are indistinguishable — results,
+// window snapshots, move events and JSONL bytes — at GOMAXPROCS 1, 2 and
+// 8: the trace carries the name, the footprint, the content profile and
+// every op's base cost along with the accesses.
+func TestDaemonLiveEqualsReplay(t *testing.T) {
+	raw := recordTrace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		var liveCap, replayCap obs.Mem
+		var liveJSONL, replayJSONL bytes.Buffer
+		live := daemonAttach(t, wlConfig(t, eqWorkload(), &liveCap, &liveJSONL))
+		cfg, _ := eqConfig(t, raw, &replayCap, &replayJSONL)
+		replay := daemonAttach(t, cfg)
+		if len(liveCap.Moves) == 0 {
+			t.Fatal("the live run recorded no move events; equivalence test is vacuous")
+		}
+		if !reflect.DeepEqual(replay, live) {
+			t.Fatalf("GOMAXPROCS=%d: replay-attach Result differs from live-attach", procs)
+		}
+		if !reflect.DeepEqual(replayCap.Windows, liveCap.Windows) || !reflect.DeepEqual(replayCap.Moves, liveCap.Moves) {
+			t.Fatalf("GOMAXPROCS=%d: replay-attach window snapshots or move events differ from live-attach", procs)
+		}
+		if !bytes.Equal(replayJSONL.Bytes(), liveJSONL.Bytes()) {
+			t.Fatalf("GOMAXPROCS=%d: replay-attach JSONL stream is not byte-identical to live-attach", procs)
 		}
 	}
 }

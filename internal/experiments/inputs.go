@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
+	"tierscape/internal/trace"
 	"tierscape/internal/workload"
 	"tierscape/internal/ztier"
 )
@@ -42,11 +45,11 @@ type inputs struct {
 // a sweep that runs past the budget loses hits, never a result.
 const storeMemoBudget = 128 << 20
 
-// recordingBudget bounds the bytes of a figure's recorded streams (2 an
-// access, 4 an op, 8 more an op where BaseOpNs varies). At the default
-// scale Figure 7's eight streams take 38 MB; a stream that would run past
-// the budget is dropped where it stands and its jobs generate live,
-// losing time, never a result.
+// recordingBudget bounds the bytes of a figure's recorded streams, traces
+// (internal/trace) of about 2 B an access and 1 an op, reserved a
+// recordChunk at a time. At the default scale Figure 7's eight streams take
+// 34 MB; a stream that would run past the budget is dropped where it
+// stands and its jobs generate live, losing time, never a result.
 const recordingBudget = 64 << 20
 
 // newInputs makes the table of one figure. A variable so that tests can
@@ -160,8 +163,72 @@ func streamKeyOf(spec WorkloadSpec, s Scale) streamKey {
 // rec with a nil err is a stream the budget refused: its jobs go live.
 type streamEntry struct {
 	once sync.Once
-	rec  *workload.Recording
+	rec  *recording
 	err  error
+}
+
+// recordChunk is how many bytes of a recording are reserved and allocated
+// at a time; growth never copies.
+const recordChunk = 64 << 10
+
+// errBudget is a recording's write refused by the figure's budget.
+var errBudget = errors.New("experiments: recording budget spent")
+
+// recording is one shared stream: a trace of its first ops, written into
+// chunks each reserved from the figure's budget before it is made, next
+// to the workload it was recorded from. The workload is the one the jobs'
+// managers are built from — a Colocated's composite content source is not
+// in the trace. A recording is immutable once recorded and each job reads
+// it through its own trace.Reader.
+type recording struct {
+	src    workload.Workload
+	chunks [][]byte
+	left   *atomic.Int64 // the budget, while recording
+}
+
+// Write implements io.Writer for trace.Record. A chunk the budget refuses
+// is a write error.
+func (r *recording) Write(p []byte) (int, error) {
+	n := 0
+	for len(p) > 0 {
+		last := len(r.chunks) - 1
+		if last < 0 || len(r.chunks[last]) == recordChunk {
+			if r.left.Add(-recordChunk) < 0 {
+				r.left.Add(recordChunk)
+				return n, errBudget
+			}
+			r.chunks = append(r.chunks, make([]byte, 0, recordChunk))
+			last++
+		}
+		k := min(len(p), recordChunk-len(r.chunks[last]))
+		r.chunks[last] = append(r.chunks[last], p[:k]...)
+		p, n = p[k:], n+k
+	}
+	return n, nil
+}
+
+// replay returns a reader positioned at the recording's first op.
+func (r *recording) replay() (workload.Workload, error) {
+	return trace.NewReader(&chunkReader{chunks: r.chunks})
+}
+
+// chunkReader reads a recording's chunks in order: one allocation a
+// replay, where an io.MultiReader of bytes.Readers makes one a chunk
+// (fig_sweep allocs_per_op +1.2 %).
+type chunkReader struct {
+	chunks [][]byte
+	i, off int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if c.i == len(c.chunks) {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[c.i][c.off:])
+	if c.off += n; c.off == len(c.chunks[c.i]) {
+		c.i, c.off = c.i+1, 0
+	}
+	return n, nil
 }
 
 // recordings counts streams recorded on behalf of figures, so tests can
@@ -211,7 +278,7 @@ func (in *inputs) planStreams(s Scale, jobs []runJob) ([]runJob, error) {
 // is the first request, or nil when the job should generate live: the
 // stream is not shared, there is no table, or the budget refused it. A
 // failure to build or step the workload is every requester's error.
-func (in *inputs) stream(spec WorkloadSpec, s Scale) (*workload.Recording, error) {
+func (in *inputs) stream(spec WorkloadSpec, s Scale) (*recording, error) {
 	if in == nil {
 		return nil, nil
 	}
@@ -224,27 +291,26 @@ func (in *inputs) stream(spec WorkloadSpec, s Scale) (*workload.Recording, error
 }
 
 // record builds spec's workload at s and records the ops its jobs step,
-// under the table's budget. A panic (a failed graph build, a NextOp that
-// panics) is turned into the error every job of the stream reports.
-func (in *inputs) record(spec WorkloadSpec, s Scale) (rec *workload.Recording, err error) {
+// under the table's budget. A write the budget refuses, or an op the trace
+// format cannot carry, hands every reserved chunk back and leaves the
+// stream's jobs to generate live. A panic (a failed graph build, a NextOp
+// that panics) is turned into the error every job of the stream reports.
+func (in *inputs) record(spec WorkloadSpec, s Scale) (rec *recording, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rec, err = nil, fmt.Errorf("experiments: building workload %s: %v", spec.Name, r)
 		}
 	}()
-	ops := s.Windows * s.OpsPerWindow
-	if in.streamLeft.Load() < 4*int64(ops) {
-		return nil, nil // spent: not even the op table fits, so build nothing
+	if in.streamLeft.Load() <= 0 {
+		return nil, nil // spent: build nothing
 	}
-	rec = workload.Record(spec.New(s), ops, func(n int64) bool {
-		if in.streamLeft.Add(-n) < 0 {
-			in.streamLeft.Add(n)
-			return false
-		}
-		return true
-	})
-	if rec != nil {
-		recordings.Add(1)
+	rec = &recording{src: spec.New(s), left: &in.streamLeft}
+	_, err = trace.Record(rec, rec.src, int64(s.Windows*s.OpsPerWindow))
+	rec.left = nil
+	if err != nil {
+		in.streamLeft.Add(int64(len(rec.chunks)) * recordChunk)
+		return nil, nil
 	}
+	recordings.Add(1)
 	return rec, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,14 +137,14 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 			t.Errorf("memo budget %d: stats %+v", budget, st)
 		}
 	}
-	// A budget of one chunk (2 B an access at this scale) is spent by the
-	// first stream's op table, so that stream is refused at its first
-	// access; one more op table's worth admits the first stream (the
-	// runner's first recording task, at one worker) and refuses the rest.
-	// Either way their jobs generate live.
-	const chunk = 2 * workload.RecordChunk
-	ops := int64(s.Windows * s.OpsPerWindow)
-	for _, budget := range []int64{chunk, chunk + 4*ops} {
+	// A budget of one chunk less a byte refuses the first stream's first
+	// chunk, and so every stream's; a budget of one chunk admits the
+	// first stream (the runner's first recording task, at one worker; at
+	// this scale it fits a chunk) and leaves the rest a spent budget, for
+	// which nothing is built. Either way the refused streams' jobs
+	// generate live.
+	const chunk = recordChunk
+	for _, budget := range []int64{chunk - 1, chunk} {
 		withRecordingBudget(budget, func() {
 			recorded := recordings.Load()
 			table, stream := captureFigure(t, 1, func() (*Table, error) { return Fig7(s) })
@@ -151,7 +152,7 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 				t.Errorf("recording budget %d: table or event stream differs from the unshared figure", budget)
 			}
 			want := int64(0)
-			if budget > chunk {
+			if budget == chunk {
 				want = 1
 			}
 			if n := recordings.Load() - recorded; n != want {
@@ -181,6 +182,58 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 		}
 		if n := recordings.Load() - recorded; n != 3 {
 			t.Errorf("colocation, GOMAXPROCS=%d: %d streams recorded, want 3 (two solo tenants and the pair)", procs, n)
+		}
+	}
+}
+
+// TestRecordBudget: a budget that refuses a stream part-way gets back
+// every chunk it granted and the caller gets no recording; one that grants
+// exactly what a stream needs gets the whole stream, and each replay of
+// it is the live stream op for op — accesses and BaseOpNs — and then
+// empty ops.
+func TestRecordBudget(t *testing.T) {
+	s := tinyScale()
+	s.OpsPerWindow = 10000
+	spec := workloadByName("Redis/YCSB")
+	record := func(budget int64) (*recording, int64) {
+		in := new(inputs)
+		in.streamLeft.Store(budget)
+		rec, err := in.record(spec, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, in.streamLeft.Load()
+	}
+	rec, left := record(1 << 30)
+	need := 1<<30 - left
+	if rec == nil || need < 2*recordChunk || need != int64(len(rec.chunks))*recordChunk {
+		t.Fatalf("recording %v took %d bytes; want one of two or more whole chunks", rec != nil, need)
+	}
+	for _, budget := range []int64{recordChunk - 1, need - recordChunk, need - 1} {
+		if refused, left := record(budget); refused != nil || left != budget {
+			t.Errorf("budget %d of %d: recording %v, %d bytes left, want none and all %d back",
+				budget, need, refused != nil, left, budget)
+		}
+	}
+	if exact, left := record(need); exact == nil || left != 0 {
+		t.Errorf("an exact budget of %d bytes: recording %v, %d left", need, exact != nil, left)
+	}
+	for range 2 {
+		live := spec.New(s)
+		replay, err := rec.replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got []workload.Access
+		for i := 0; i < s.Windows*s.OpsPerWindow; i++ {
+			want = live.NextOp(want[:0])
+			got = replay.NextOp(got[:0])
+			if !slices.Equal(got, want) || replay.BaseOpNs() != live.BaseOpNs() {
+				t.Fatalf("op %d: replay %v (base %v), live %v (base %v)", i, got, replay.BaseOpNs(), want, live.BaseOpNs())
+			}
+		}
+		if got = replay.NextOp(got[:0]); len(got) != 0 {
+			t.Errorf("op past the recording: %v, want none", got)
 		}
 	}
 }

@@ -176,7 +176,8 @@ func (j runJob) newWorkload(s Scale) (steps, source workload.Workload, err error
 		return nil, nil, err
 	}
 	if rec != nil {
-		return rec.Replay(), rec.Source(), nil
+		steps, err := rec.replay()
+		return steps, rec.src, err
 	}
 	defer func() {
 		if r := recover(); r != nil {

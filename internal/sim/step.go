@@ -203,7 +203,7 @@ func (s *Stepper) Manager() *mem.Manager { return s.m }
 func (s *Stepper) Model() model.Model { return s.cfg.Model }
 
 // Workload returns the access source the stepper consumes — exposed so
-// a driver can inspect streaming sources (e.g. trace.Stream exhaustion).
+// a driver can inspect streaming sources (e.g. a trace.Reader's exhaustion).
 func (s *Stepper) Workload() workload.Workload { return s.wl }
 
 // Result finalizes and returns the run summary over the windows stepped

@@ -1,12 +1,16 @@
-package workload
+package workload_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
+
+	"tierscape/internal/trace"
+	"tierscape/internal/workload"
 )
 
 // TestKVAccessStreamGolden pins the KV-family access streams bit for bit:
@@ -16,8 +20,8 @@ import (
 // Memcached/Redis row of every figure replay these streams.
 func TestKVAccessStreamGolden(t *testing.T) {
 	const scale = 4096
-	ycsb := func(letter byte, seed uint64) Workload {
-		y, err := NewYCSB(letter, 50000, 1024, seed)
+	ycsb := func(letter byte, seed uint64) workload.Workload {
+		y, err := workload.NewYCSB(letter, 50000, 1024, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,9 +49,9 @@ func TestKVAccessStreamGolden(t *testing.T) {
 		"YCSB-E/seed=42":               "86eb79e192a62e00bbdda57629c285b294bdd088305039d14a38df20063e8ffc",
 		"YCSB-F/seed=42":               "e5f2f5a26c147b2f6595f08e9e530d8033e51eed5b54c0fa02954c0ae5a900a4",
 	}
-	hash := func(wl Workload) (string, int) {
+	hash := func(wl workload.Workload) (string, int) {
 		h := sha256.New()
-		var buf []Access
+		var buf []workload.Access
 		var rec [9]byte
 		ops := 0
 		for n := 0; n < 1<<18; ops++ {
@@ -68,12 +72,12 @@ func TestKVAccessStreamGolden(t *testing.T) {
 		return hex.EncodeToString(h.Sum(nil)), ops
 	}
 	for _, seed := range []uint64{1, 0x2a} {
-		wls := func() []Workload {
-			wls := []Workload{
-				Redis(scale, seed),
-				Memcached(DriverYCSB, 1024, scale, seed),
-				Memcached(DriverMemtier, 1024, scale, seed),
-				Memcached(DriverMemtier, 4096, scale, seed),
+		wls := func() []workload.Workload {
+			wls := []workload.Workload{
+				workload.Redis(scale, seed),
+				workload.Memcached(workload.DriverYCSB, 1024, scale, seed),
+				workload.Memcached(workload.DriverMemtier, 1024, scale, seed),
+				workload.Memcached(workload.DriverMemtier, 4096, scale, seed),
 			}
 			for _, l := range []byte("ABCDEF") {
 				wls = append(wls, ycsb(l, seed))
@@ -87,23 +91,24 @@ func TestKVAccessStreamGolden(t *testing.T) {
 			if got != want[name] {
 				t.Errorf("%q: %q,", name, got)
 			}
-			if r := recordAll(t, srcs[i], ops); r == nil {
-				continue
-			} else if replayed, _ := hash(r.Replay()); replayed != got {
+			if replayed, _ := hash(recordAll(t, srcs[i], ops)); replayed != got {
 				t.Errorf("%s: record→replay hash %s, live %s", name, replayed, got)
 			}
 		}
 	}
 }
 
-// recordAll records ops operations of src with no byte budget. A source
-// of more pages than an access encodes must be refused; recordAll returns
-// nil for it, and its jobs would generate live.
-func recordAll(t *testing.T, src Workload, ops int) *Recording {
+// recordAll records ops operations of src as a trace and returns the
+// replay of it, positioned at the first op.
+func recordAll(t *testing.T, src workload.Workload, ops int) *trace.Reader {
 	t.Helper()
-	r := Record(src, ops, func(int64) bool { return true })
-	if wide := src.NumPages() > recordPages; (r == nil) != wide {
-		t.Fatalf("%s (%d pages): recorded %v, want %v", src.Name(), src.NumPages(), r != nil, !wide)
+	var buf bytes.Buffer
+	if _, err := trace.Record(&buf, src, int64(ops)); err != nil {
+		t.Fatalf("%s (%d pages): %v", src.Name(), src.NumPages(), err)
+	}
+	r, err := trace.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return r
 }
@@ -113,20 +118,20 @@ func recordAll(t *testing.T, src Workload, ops int) *Recording {
 // stack. One allocation per op here is one per simulated op of every
 // KV-driven run.
 func TestNextOpAllocsPerRun(t *testing.T) {
-	wls := []Workload{
-		Redis(4096, 1),
-		Memcached(DriverYCSB, 1024, 4096, 1),
-		Memcached(DriverMemtier, 4096, 4096, 1),
+	wls := []workload.Workload{
+		workload.Redis(4096, 1),
+		workload.Memcached(workload.DriverYCSB, 1024, 4096, 1),
+		workload.Memcached(workload.DriverMemtier, 4096, 4096, 1),
 	}
 	for _, l := range []byte("ABCDEF") {
-		y, err := NewYCSB(l, 50000, 1024, 1)
+		y, err := workload.NewYCSB(l, 50000, 1024, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wls = append(wls, y)
 	}
 	for _, wl := range wls {
-		buf := make([]Access, 0, 128) // a YCSB-E scan is at most 101 accesses
+		buf := make([]workload.Access, 0, 128) // a YCSB-E scan is at most 101 accesses
 		if n := testing.AllocsPerRun(2000, func() { buf = wl.NextOp(buf[:0]) }); n != 0 {
 			t.Errorf("%s: %v allocations per NextOp, want 0", wl.Name(), n)
 		}
@@ -140,8 +145,8 @@ func TestNextOpAllocsPerRun(t *testing.T) {
 // to the next changes the hash too. Recorded before XSBench's binary
 // search lost its branches and NewRMat its second PCG output per draw.
 func TestAccessStreamGolden(t *testing.T) {
-	ycsb := func(capacity, valueSize int64) Workload {
-		y, err := NewYCSB('A', capacity, valueSize, 7)
+	ycsb := func(capacity, valueSize int64) workload.Workload {
+		y, err := workload.NewYCSB('A', capacity, valueSize, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,21 +154,21 @@ func TestAccessStreamGolden(t *testing.T) {
 	}
 	type goldenCase struct {
 		name string
-		wl   Workload
+		wl   workload.Workload
 		want string
 	}
 	cases := func() []goldenCase {
 		return []goldenCase{
-			{"XSBench/2048", NewXSBench(2048, 7), "086769a1fdbf8fc38eea032cd1c7d979f788830d6cead59099fdb25544bc1049"},
-			{"XSBench/16384", NewXSBench(16384, 42), "4ad133cb5e0e6a23e867134705a85b3ad9e7cd3d45a65e47a0dacd75857a1991"},
-			{"BFS/4096", NewBFS(1<<12, 8, 7), "545610639958ba40778066b9b7366c2a73031fe499770788f2f8aa0dadb3548b"},
-			{"BFS/65536", NewBFS(1<<16, 8, 42), "a912c189016b782f803194b61ede3c490a21e220e13a2b486b2a0131af9e52ef"},
-			{"PageRank/4096", NewPageRank(1<<12, 8, 7), "822caf6cb58b55cdaae14ede79a229989e66e51f4fad62bae46d4a4a6ceead50"},
-			{"PageRank/65536", NewPageRank(1<<16, 8, 42), "150faf65db0b409cfe9b27810fd43183905f06479991de3e1b5c79d4deb090e4"},
-			{"GraphSAGE/1024", NewGraphSAGE(1024, 7), "9ac759c1cd6c66be4c88520cb8944a374764fb4226a19e0f9323bd0a1f4c345e"},
-			{"GraphSAGE/3072", NewGraphSAGE(3072, 42), "07d26f70ce4e11988a852ca29a58a0f2c4d300c588553735ca8f6800cebda766"},
-			{"masim/512", DefaultMasim(512, 5000, 7), "15d81d692a6d66b59e222997731834ad1f63f3ab0ae3346887556506795b1763"},
-			{"masim/1024", DefaultMasim(1024, 20000, 42), "f47d8a7375135fa99d09120695ef88630e4dd12664f422ec78ad953f9d3b24f1"},
+			{"XSBench/2048", workload.NewXSBench(2048, 7), "086769a1fdbf8fc38eea032cd1c7d979f788830d6cead59099fdb25544bc1049"},
+			{"XSBench/16384", workload.NewXSBench(16384, 42), "4ad133cb5e0e6a23e867134705a85b3ad9e7cd3d45a65e47a0dacd75857a1991"},
+			{"BFS/4096", workload.NewBFS(1<<12, 8, 7), "545610639958ba40778066b9b7366c2a73031fe499770788f2f8aa0dadb3548b"},
+			{"BFS/65536", workload.NewBFS(1<<16, 8, 42), "a912c189016b782f803194b61ede3c490a21e220e13a2b486b2a0131af9e52ef"},
+			{"PageRank/4096", workload.NewPageRank(1<<12, 8, 7), "822caf6cb58b55cdaae14ede79a229989e66e51f4fad62bae46d4a4a6ceead50"},
+			{"PageRank/65536", workload.NewPageRank(1<<16, 8, 42), "150faf65db0b409cfe9b27810fd43183905f06479991de3e1b5c79d4deb090e4"},
+			{"GraphSAGE/1024", workload.NewGraphSAGE(1024, 7), "9ac759c1cd6c66be4c88520cb8944a374764fb4226a19e0f9323bd0a1f4c345e"},
+			{"GraphSAGE/3072", workload.NewGraphSAGE(3072, 42), "07d26f70ce4e11988a852ca29a58a0f2c4d300c588553735ca8f6800cebda766"},
+			{"masim/512", workload.DefaultMasim(512, 5000, 7), "15d81d692a6d66b59e222997731834ad1f63f3ab0ae3346887556506795b1763"},
+			{"masim/1024", workload.DefaultMasim(1024, 20000, 42), "f47d8a7375135fa99d09120695ef88630e4dd12664f422ec78ad953f9d3b24f1"},
 			{"YCSB-A/20000x256", ycsb(20000, 256), "27448631a38acbb2709467ab0d5668079a700037c1e4eb4b8e2ecd7e77bbb76d"},
 			{"YCSB-A/200000x1024", ycsb(200000, 1024), "34e9238bfd2b6b25be8d5e8d8530cf4531549e2cc41f0d0557812949c13728a6"},
 		}
@@ -174,9 +179,7 @@ func TestAccessStreamGolden(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%q: %q,", c.name, got)
 		}
-		if r := recordAll(t, srcs[i].wl, ops); r == nil {
-			continue
-		} else if replayed, _ := opStreamHash(r.Replay(), false); replayed != got {
+		if replayed, _ := opStreamHash(recordAll(t, srcs[i].wl, ops), false); replayed != got {
 			t.Errorf("%s: record→replay hash %s, live %s", c.name, replayed, got)
 		}
 	}
@@ -186,9 +189,9 @@ func TestAccessStreamGolden(t *testing.T) {
 // each access's page as little-endian int64 and a write byte, a 0xFF byte
 // closing every op — followed, when withBase, by BaseOpNs's float64 bits
 // read after the op. It returns the hash and how many ops it took.
-func opStreamHash(wl Workload, withBase bool) (string, int) {
+func opStreamHash(wl workload.Workload, withBase bool) (string, int) {
 	h := sha256.New()
-	var buf []Access
+	var buf []workload.Access
 	var rec [9]byte
 	ops := 0
 	for n := 0; n < 1<<18; ops++ {
@@ -213,22 +216,18 @@ func opStreamHash(wl Workload, withBase bool) (string, int) {
 
 // TestColocatedStreamGolden pins a Colocated stream — accesses and the
 // per-op BaseOpNs, which alternates between the tenants' — live and
-// through record→replay, the one stream whose recording keeps BaseOpNs
-// per op.
+// through record→replay, the one stream whose trace stores a BaseOpNs on
+// every op.
 func TestColocatedStreamGolden(t *testing.T) {
-	mk := func() Workload {
-		return Colocate(Memcached(DriverMemtier, 1024, 4096, 7), NewPageRank(1<<12, 8, 7))
+	mk := func() workload.Workload {
+		return workload.Colocate(workload.Memcached(workload.DriverMemtier, 1024, 4096, 7), workload.NewPageRank(1<<12, 8, 7))
 	}
 	const want = "8c8d151b71fe762c9345c8a779debe562e37fb0180fc522520867493b5ab3ac8"
 	got, ops := opStreamHash(mk(), true)
 	if got != want {
 		t.Errorf("live: %q", got)
 	}
-	rec := recordAll(t, mk(), ops)
-	if rec.bases == nil {
-		t.Error("the recording kept one BaseOpNs for a stream whose ops alternate tenants")
-	}
-	if replayed, _ := opStreamHash(rec.Replay(), true); replayed != got {
+	if replayed, _ := opStreamHash(recordAll(t, mk(), ops), true); replayed != got {
 		t.Errorf("record→replay hash %s, live %s", replayed, got)
 	}
 }
