@@ -9,7 +9,7 @@
 //	experiments -fig 2 -csv              # Figure 2 as CSV
 //	GOMAXPROCS=4 experiments -fig 7      # 4 runs at once
 //	                                     # (tables are identical at every GOMAXPROCS)
-//	experiments -fig 7 -metrics-addr :9090   # live /metrics, /debug/vars, pprof
+//	experiments -fig 7 -metrics-addr :9090   # live /metrics, /healthz, pprof
 //	experiments -fig 7 -events runs.jsonl    # deterministic per-run event stream
 //
 // Exhibits: 1, 2, 7, 8, 9, 10, 11, 12, 13, 14, table1, ablations.
@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	plot := fs.Bool("plot", false, "also render scatter plots for slowdown-vs-savings exhibits (7, 10, 13)")
 	compactBudget := fs.Int("compact-budget", 0, "pool pages each run's per-window compaction may reclaim (0 = unbounded full sweep); NOTE: a bounded budget defers reclamation, so tables differ from the default")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) while exhibits run")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9090) while exhibits run")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the exhibits finish (for scraping a completed batch)")
 	events := fs.String("events", "", "append every run's deterministic JSONL event stream to this file")
 	if err := fs.Parse(args); err != nil {
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		experiments.SetLive(live)
-		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /healthz, /debug/pprof)\n", addr)
 	}
 	var eventsFile *os.File
 	if *events != "" {

@@ -2,7 +2,7 @@
 // controller. Instead of running one workload for -windows windows and
 // exiting, it serves until shut down; workloads attach and detach at
 // runtime through POST /command on the -metrics-addr listener (mounted
-// next to /metrics, /debug/vars and /debug/pprof), and every attached
+// next to /metrics, /healthz and /debug/pprof), and every attached
 // workload advances one profile window per tick.
 //
 //	tierscape -daemon -tick 500ms -metrics-addr :9090

@@ -116,10 +116,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var s spec
 	s.bind(fs)
 	record := fs.String("record", "", "record the access trace to this file while running")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9090)")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the run finishes")
 	events := fs.String("events", "", "write the run's deterministic JSONL event stream to this file")
-	windowsCSV := fs.String("windows-csv", "", "write per-window snapshots as CSV rows to this file (deterministic channel)")
 	health := obs.DefaultHealthConfig()
 	fs.Float64Var(&health.MaxPressure, "health-max-pressure", health.MaxPressure, "healthz: degrade when the last window's PSI-style stall fraction exceeds this (0 disables)")
 	fs.IntVar(&health.MaxThrashRegions, "health-max-thrash", health.MaxThrashRegions, "healthz: degrade when regions over the ping-pong thrash threshold exceed this (0 disables)")
@@ -192,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(1, "metrics listener: %v", err)
 		}
-		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /debug/vars, /debug/pprof)\n", addr)
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /healthz, /debug/pprof)\n", addr)
 		recs = append(recs, live)
 	}
 	var stream *tierscape.EventStream
@@ -205,17 +204,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eventsFile = f
 		stream = tierscape.NewEventStream(f)
 		recs = append(recs, stream)
-	}
-	var windowCSV *obs.CSVWriter
-	var windowCSVFile *os.File
-	if *windowsCSV != "" {
-		f, err := os.Create(*windowsCSV)
-		if err != nil {
-			return fail(1, "windows-csv file: %v", err)
-		}
-		windowCSVFile = f
-		windowCSV = tierscape.NewWindowCSV(f)
-		recs = append(recs, windowCSV)
 	}
 	var capture *tierscape.MetricsRecorder
 	if *showTrace {
@@ -261,7 +249,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "TCO: max %.4f  avg %.4f  final %.4f   time-averaged savings %.2f%%\n",
 		res.TCOMax, res.AvgTCO, res.FinalTCO, res.SavingsPct())
 
-	// Sinks latch their first write error; surface it (and any close
+	// The stream latches its first write error; surface it (and any close
 	// error) as a nonzero exit instead of leaving a silently truncated
 	// file behind.
 	if stream != nil {
@@ -272,15 +260,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, "closing events file: %v", err)
 		}
 		fmt.Fprintf(stdout, "events written to %s\n", *events)
-	}
-	if windowCSV != nil {
-		if err := windowCSV.Err(); err != nil {
-			return fail(1, "windows CSV: %v", err)
-		}
-		if err := windowCSVFile.Close(); err != nil {
-			return fail(1, "closing windows CSV: %v", err)
-		}
-		fmt.Fprintf(stdout, "window snapshots written to %s\n", *windowsCSV)
 	}
 	if capture != nil {
 		printTrace(stdout, capture)

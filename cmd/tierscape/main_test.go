@@ -184,7 +184,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
 		{"removed -push flag", []string{"-push", "8"}, 2, "flag provided but not defined: -push"},
 		{"unwritable events file", append([]string{"-events", filepath.Join(dir, "no/such/dir/e.jsonl")}, small...), 1, "events file"},
-		{"unwritable windows CSV", append([]string{"-windows-csv", filepath.Join(dir, "no/such/dir/w.csv")}, small...), 1, "windows-csv file"},
+		{"removed -windows-csv flag", []string{"-windows-csv", filepath.Join(dir, "w.csv")}, 2, "flag provided but not defined: -windows-csv"},
 		{"run that cannot start", []string{"-windows", "0"}, 1, "must be positive"},
 		{"help", []string{"-h"}, 0, "Usage of tierscape"},
 	} {
@@ -201,18 +201,18 @@ func TestRunExitStatus(t *testing.T) {
 	}
 }
 
-// TestRunSinks drives one small run with every file sink on: the summary and
-// the sinks' completion lines reach stdout, the files hold one window row or
-// event per window, and the output does not depend on GOMAXPROCS.
+// TestRunSinks drives one small run with the event stream on: the summary
+// and the stream's completion line reach stdout, the stream holds one window
+// event per window and the run's moves, and the output does not depend on
+// GOMAXPROCS.
 func TestRunSinks(t *testing.T) {
-	dir := t.TempDir()
-	ev, wcsv := filepath.Join(dir, "e.jsonl"), filepath.Join(dir, "w.csv")
-	runOnce := func(procs int) (stdout, events, csv string) {
+	ev := filepath.Join(t.TempDir(), "e.jsonl")
+	runOnce := func(procs int) (stdout, events string) {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var out, errs bytes.Buffer
 		args := []string{"-workload", "masim", "-model", "waterfall", "-windows", "3", "-ops", "4000",
-			"-pages", "3072", "-events", ev, "-windows-csv", wcsv}
+			"-pages", "3072", "-events", ev}
 		if status := run(args, &out, &errs); status != 0 || errs.Len() != 0 {
 			t.Fatalf("%v: exit status %d, stderr %q", args, status, errs.String())
 		}
@@ -220,20 +220,13 @@ func TestRunSinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := os.ReadFile(wcsv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), string(e), string(c)
+		return out.String(), string(e)
 	}
-	stdout, events, csv := runOnce(1)
-	for _, want := range []string{"workload: masim", "\n     3  ", "time-averaged savings", "events written to", "window snapshots written to"} {
+	stdout, events := runOnce(1)
+	for _, want := range []string{"workload: masim", "\n     3  ", "time-averaged savings", "events written to"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
-	}
-	if got := strings.Count(csv, "\n"); got != 4 || !strings.HasPrefix(csv, "window,app_ns,") {
-		t.Errorf("windows CSV has %d lines, want a header and 3 rows:\n%s", got, csv)
 	}
 	if got := strings.Count(events, `"e":"window"`); got != 3 {
 		t.Errorf("%d window events, want 3", got)
@@ -241,9 +234,9 @@ func TestRunSinks(t *testing.T) {
 	if !strings.Contains(events, `"e":"move"`) {
 		t.Error("no move event in the stream: the run migrated nothing")
 	}
-	stdout8, events8, csv8 := runOnce(8)
-	if stdout8 != stdout || events8 != events || csv8 != csv {
-		t.Error("GOMAXPROCS 8 printed a different report, events or window rows than GOMAXPROCS 1")
+	stdout8, events8 := runOnce(8)
+	if stdout8 != stdout || events8 != events {
+		t.Error("GOMAXPROCS 8 printed a different report or events than GOMAXPROCS 1")
 	}
 }
 

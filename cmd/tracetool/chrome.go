@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,14 +38,6 @@ type chromeEvent struct {
 type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	TraceEvents     []chromeEvent `json:"traceEvents"`
-}
-
-// streamLine mirrors the obs.Stream JSONL envelope.
-type streamLine struct {
-	E      string              `json:"e"`
-	Label  string              `json:"label,omitempty"`
-	Window *obs.WindowSnapshot `json:"window,omitempty"`
-	Move   *obs.MoveEvent      `json:"move,omitempty"`
 }
 
 const (
@@ -139,47 +130,22 @@ func (b *chromeBuilder) window(w *obs.WindowSnapshot) {
 // exportChrome reads the JSONL event stream at eventsPath and writes the
 // Chrome trace JSON to outPath, reporting what it wrote on stdout.
 func exportChrome(stdout io.Writer, eventsPath, outPath string) error {
-	in, err := os.Open(eventsPath)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-
 	var b chromeBuilder
 	runs := 0
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var ev streamLine
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("%s:%d: %w", eventsPath, lineNo, err)
-		}
-		switch ev.E {
-		case "run":
-			b.startRun(ev.Label)
-			runs++
-		case "window":
-			if ev.Window == nil {
-				return fmt.Errorf("%s:%d: window event without payload", eventsPath, lineNo)
-			}
-			b.window(ev.Window)
-		case "move":
-			if ev.Move == nil {
-				return fmt.Errorf("%s:%d: move event without payload", eventsPath, lineNo)
-			}
+	err := readEvents(eventsPath, func(label string, w *obs.WindowSnapshot, m *obs.MoveEvent) error {
+		switch {
+		case w != nil:
+			b.window(w)
+		case m != nil:
 			b.moves++
-			b.pages += ev.Move.Moved
+			b.pages += m.Moved
 		default:
-			return fmt.Errorf("%s:%d: unknown event kind %q", eventsPath, lineNo, ev.E)
+			b.startRun(label)
+			runs++
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if b.pid == 0 {
@@ -188,23 +154,13 @@ func exportChrome(stdout io.Writer, eventsPath, outPath string) error {
 	if runs == 0 {
 		runs = b.pid
 	}
-
-	out, err := os.Create(outPath)
+	out, err := json.Marshal(chromeTrace{DisplayTimeUnit: "ms", TraceEvents: b.events})
 	if err != nil {
 		return err
 	}
-	if err := writeChrome(out, chromeTrace{DisplayTimeUnit: "ms", TraceEvents: b.events}); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
+	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %d trace events for %d run(s) to %s\n", len(b.events), runs, outPath)
 	return nil
-}
-
-func writeChrome(w io.Writer, tr chromeTrace) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
 }

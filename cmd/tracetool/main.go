@@ -1,19 +1,21 @@
-// Command tracetool records and inspects access traces and converts
+// Command tracetool inspects access traces and derives views of
 // observability event streams.
 //
-//	tracetool -record t.trace -workload memcached-ycsb -ops 100000
 //	tracetool -stat t.trace
+//	tracetool -csv run.csv -events run.jsonl
 //	tracetool -chrome run.json -events run.jsonl
 //
 // -stat prints the trace header (workload name, footprint, content
 // profile), the distinct base op costs, op/access counts, read/write mix,
 // and a per-region hotness histogram — the offline view of what the PEBS
-// profiler would see. -chrome converts a deterministic JSONL event
-// stream (tierscape -events, experiments -events) to Chrome trace-event
-// JSON for Perfetto / chrome://tracing.
+// profiler would see; tierscape -record writes the trace. -csv and -chrome
+// read a deterministic JSONL event stream (tierscape -events, experiments
+// -events): -csv writes its windows as CSV rows, one run per file, and
+// -chrome writes Chrome trace-event JSON for Perfetto / chrome://tracing.
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -24,8 +26,8 @@ import (
 	"sort"
 	"strings"
 
-	"tierscape"
 	"tierscape/internal/mem"
+	"tierscape/internal/obs"
 	"tierscape/internal/trace"
 	"tierscape/internal/workload"
 )
@@ -34,20 +36,17 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: reports go to stdout, diagnostics to stderr, and the
 // result is the exit status — 2 for a command line it cannot act on (bad
-// flag, no mode, -chrome without -events, negative -top), 1 for a mode
-// that failed (an unreadable or malformed trace, a failed write).
+// flag, no mode, -chrome or -csv without -events, negative -top), 1 for a
+// mode that failed (an unreadable or malformed trace or event stream, a
+// failed write).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracetool", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	statPath := fs.String("stat", "", "trace file to analyze")
-	recordPath := fs.String("record", "", "trace file to write")
-	workloadName := fs.String("workload", "memcached-ycsb", "workload to record")
-	ops := fs.Int64("ops", 100000, "operations to record")
-	pages := fs.Int64("pages", 16*tierscape.RegionPages, "workload footprint in pages")
-	seed := fs.Uint64("seed", 42, "workload seed")
 	top := fs.Int("top", 10, "hottest regions to list in -stat")
 	chromePath := fs.String("chrome", "", "Chrome trace-event JSON file to write (needs -events)")
-	eventsPath := fs.String("events", "", "JSONL event stream to convert with -chrome")
+	csvPath := fs.String("csv", "", "windows CSV file to write, one row per window of a one-run stream (needs -events)")
+	eventsPath := fs.String("events", "", "JSONL event stream to convert with -chrome or -csv")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -58,25 +57,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "-top must be >= 0, got %d\n", *top)
 		return 2
 	}
-	if *pages < 1 || *pages > mem.MaxPages {
-		fmt.Fprintf(stderr, "-pages %d outside [1, %d]\n", *pages, mem.MaxPages)
-		return 2
-	}
 
 	var err error
 	switch {
-	case *chromePath != "":
+	case *chromePath != "" || *csvPath != "":
 		if *eventsPath == "" {
-			fmt.Fprintln(stderr, "-chrome needs -events FILE (a JSONL stream from tierscape -events or experiments -events)")
+			mode := "-chrome"
+			if *chromePath == "" {
+				mode = "-csv"
+			}
+			fmt.Fprintln(stderr, mode+" needs -events FILE (a JSONL stream from tierscape -events or experiments -events)")
 			return 2
 		}
-		err = exportChrome(stdout, *eventsPath, *chromePath)
+		if *chromePath != "" {
+			err = exportChrome(stdout, *eventsPath, *chromePath)
+		}
+		if err == nil && *csvPath != "" {
+			err = exportCSV(stdout, *eventsPath, *csvPath)
+		}
 	case *statPath != "":
 		err = stat(stdout, *statPath, *top)
-	case *recordPath != "":
-		err = record(stdout, *recordPath, *workloadName, *pages, *ops, *seed)
 	default:
-		fmt.Fprintln(stderr, "need -stat FILE, -record FILE, or -chrome FILE -events FILE")
+		fmt.Fprintln(stderr, "need -stat FILE, or -csv FILE or -chrome FILE with -events FILE")
 		return 2
 	}
 	if err != nil {
@@ -86,43 +88,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func record(stdout io.Writer, path, workloadName string, pages, ops int64, seed uint64) error {
-	var wl tierscape.Workload
-	switch workloadName {
-	case "memcached-ycsb":
-		wl = tierscape.MemcachedYCSB(pages, seed)
-	case "memcached-memtier":
-		wl = tierscape.MemcachedMemtier(1024, pages, seed)
-	case "redis":
-		wl = tierscape.RedisYCSB(pages, seed)
-	case "xsbench":
-		wl = tierscape.XSBenchWorkload(pages, seed)
-	case "graphsage":
-		wl = tierscape.GraphSAGEWorkload(pages, seed)
-	case "masim":
-		wl = tierscape.MasimWorkload(pages/3, 20000, seed)
-	default:
-		return fmt.Errorf("unknown workload %q", workloadName)
-	}
-	f, err := os.Create(path)
+// readEvents decodes the JSONL event stream at path with obs.ReadStream,
+// naming the file in any error.
+func readEvents(path string, fn func(label string, w *obs.WindowSnapshot, m *obs.MoveEvent) error) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close() // error paths; the success path checks Close below
-	tw, err := trace.Record(f, wl, ops)
+	defer f.Close()
+	if err := obs.ReadStream(f, fn); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// exportCSV writes the windows of the JSONL event stream at eventsPath to
+// outPath as CSV rows, reporting what it wrote on stdout. A CSV has one
+// header, so the stream must hold one run of one tier lineup: a second run
+// marker, or a marker after the first run's events, is refused, and so is
+// a window whose tier count differs from the first window's.
+func exportCSV(stdout io.Writer, eventsPath, outPath string) error {
+	var buf bytes.Buffer
+	c := obs.NewCSV(&buf)
+	runs, rows := 0, 0 // a run begins at a marker, or at an event before any
+	err := readEvents(eventsPath, func(label string, w *obs.WindowSnapshot, m *obs.MoveEvent) error {
+		if (w == nil && m == nil) || runs == 0 {
+			if runs++; runs > 1 {
+				return fmt.Errorf("a second run %q: a CSV holds one run", label)
+			}
+		}
+		if w == nil {
+			return nil
+		}
+		rows++
+		return c.Write(w)
+	})
 	if err != nil {
 		return err
 	}
-	st, err := f.Stat()
-	if err != nil {
+	if rows == 0 {
+		return fmt.Errorf("%s: no window events", eventsPath)
+	}
+	if err := os.WriteFile(outPath, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	// A close that fails can mean bytes that never landed.
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "recorded %s: %d ops, %d accesses, %d bytes (%.2f B/access)\n",
-		path, tw.Ops(), tw.Events(), st.Size(), float64(st.Size())/float64(tw.Events()))
+	fmt.Fprintf(stdout, "wrote %d window rows to %s\n", rows, outPath)
 	return nil
 }
 

@@ -1,29 +1,29 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"slices"
 	"strconv"
 )
 
-// CSVWriter is a Recorder that renders window snapshots as CSV, one row
-// per window, following the figure harnesses' column conventions (header
-// row, %g floats, per-tier column groups suffixed by TierID). Like
-// Stream, it encodes only the deterministic channel: move events and
-// runtime telemetry are dropped, so the emitted bytes are identical at
-// every push-thread count.
+// CSV renders window snapshots as CSV, one row per window, following the
+// figure harnesses' column conventions (header row, %g floats, per-tier
+// column groups suffixed by TierID). It is a derivation of the JSONL event
+// stream (tracetool -csv), not a Recorder: a run records its windows once,
+// in the stream.
 //
-// The header is derived from the first snapshot's tier count, so one
-// writer serves any tier lineup but must not be shared by runs with
-// different lineups.
-type CSVWriter struct {
-	w    io.Writer
-	cols []csvColumn // set, and the header written, by the first snapshot
-	err  error
+// The header is derived from the first snapshot's tier count, and a CSV has
+// one header, so it holds one tier lineup: Write refuses a snapshot of
+// another.
+type CSV struct {
+	w     io.Writer
+	tiers int
+	cols  []csvColumn // set, and the header written, by the first snapshot
 }
 
-// NewCSV returns a CSVWriter emitting to w.
-func NewCSV(w io.Writer) *CSVWriter { return &CSVWriter{w: w} }
+// NewCSV returns a CSV writing to w.
+func NewCSV(w io.Writer) *CSV { return &CSV{w: w} }
 
 // csvColumn is one column: its header name and its value, an integer or —
 // printed %g — a float.
@@ -80,15 +80,13 @@ func tierColumns(t int) []csvColumn {
 	}
 }
 
-// RecordWindow implements Recorder.
-func (c *CSVWriter) RecordWindow(ws WindowSnapshot) {
-	if c.err != nil {
-		return
-	}
+// Write writes ws's row, after the header if ws is the first snapshot.
+func (c *CSV) Write(ws *WindowSnapshot) error {
 	var b []byte
 	if c.cols == nil {
+		c.tiers = len(ws.TierPages)
 		c.cols = slices.Clone(csvColumns)
-		for t := range ws.TierPages {
+		for t := range c.tiers {
 			c.cols = append(c.cols, tierColumns(t)...)
 		}
 		for _, col := range c.cols {
@@ -96,23 +94,20 @@ func (c *CSVWriter) RecordWindow(ws WindowSnapshot) {
 		}
 		b[len(b)-1] = '\n'
 	}
+	for _, n := range []int{len(ws.TierPages), len(ws.TierBytes), len(ws.TierRatio), len(ws.TierFrag)} {
+		if n != c.tiers {
+			return fmt.Errorf("window %d has %d tiers, the CSV header has %d", ws.Window, n, c.tiers)
+		}
+	}
 	for _, col := range c.cols {
 		if col.i != nil {
-			b = appendValue(b, col.i(&ws))
+			b = appendValue(b, col.i(ws))
 		} else {
-			b = appendValue(b, col.f(&ws))
+			b = appendValue(b, col.f(ws))
 		}
 		b = append(b, ',')
 	}
 	b[len(b)-1] = '\n'
-	_, c.err = c.w.Write(b)
+	_, err := c.w.Write(b)
+	return err
 }
-
-// RecordMove implements Recorder; the CSV carries windows only.
-func (c *CSVWriter) RecordMove(MoveEvent) {}
-
-// RecordRuntime implements Recorder; wall-clock telemetry is excluded.
-func (c *CSVWriter) RecordRuntime(WindowRuntime) {}
-
-// Err returns the first write error, if any.
-func (c *CSVWriter) Err() error { return c.err }

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"expvar"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -52,34 +50,10 @@ func (l *Live) WritePrometheus(w io.Writer) error {
 // seconds for the same ~20 KB.
 var scrapeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// expvar.Publish is global and permanent, so the "tierscape" variable is
-// registered once and reads through a swappable pointer — each Live that
-// calls PublishExpvar becomes the one the variable reports.
-var (
-	expvarOnce sync.Once
-	expvarLive atomic.Pointer[Live]
-)
-
-// PublishExpvar exposes this aggregator as the expvar variable
-// "tierscape" (shown by /debug/vars). Later calls from another Live
-// repoint the variable to it.
-func (l *Live) PublishExpvar() {
-	expvarLive.Store(l)
-	expvarOnce.Do(func() {
-		expvar.Publish("tierscape", expvar.Func(func() any {
-			if v := expvarLive.Load(); v != nil {
-				return v.Vars()
-			}
-			return nil
-		}))
-	})
-}
-
 // Handler returns the live-introspection mux over l:
 //
 //	/metrics        Prometheus text exposition
 //	/healthz        threshold health report (200 ok / 503 degraded)
-//	/debug/vars     expvar JSON (includes the "tierscape" variable)
 //	/debug/pprof/*  the net/http/pprof suite
 //
 // The health evaluator uses DefaultHealthConfig; servers that want
@@ -87,14 +61,12 @@ func (l *Live) PublishExpvar() {
 // NewHealth handler at /healthz on a wrapping mux — the more specific
 // pattern wins.
 func Handler(l *Live) http.Handler {
-	l.PublishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = l.WritePrometheus(w)
 	})
 	mux.Handle("/healthz", NewHealth(l, DefaultHealthConfig()))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

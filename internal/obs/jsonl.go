@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 )
 
@@ -24,8 +26,9 @@ type Stream struct {
 // NewStream returns a Stream writing JSONL events to w.
 func NewStream(w io.Writer) *Stream { return &Stream{w: w} }
 
-// streamEvent is the JSONL envelope: "e" discriminates the event kind
-// (run | window | move) and exactly one payload field is set.
+// streamEvent is the JSONL envelope, written by Stream and read by
+// ReadStream: "e" discriminates the event kind (run | window | move) and
+// exactly one payload field is set.
 type streamEvent struct {
 	E      string          `json:"e"`
 	Label  string          `json:"label,omitempty"`
@@ -62,3 +65,43 @@ func (s *Stream) RecordRuntime(WindowRuntime) {}
 
 // Err returns the first encoding or write error, if any.
 func (s *Stream) Err() error { return s.err }
+
+// ReadStream decodes a stream Stream wrote, calling fn once per event in
+// stream order: for a window or a move event with its payload (the other
+// one nil), for a {"e":"run"} marker with its label and both payloads nil.
+// Blank lines are skipped. A malformed line, an event without its payload,
+// an unknown kind or an error from fn stops the read with an error naming
+// the line.
+func ReadStream(r io.Reader, fn func(label string, w *WindowSnapshot, m *MoveEvent) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	line := 0
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var ev streamEvent
+		err := json.Unmarshal(sc.Bytes(), &ev)
+		switch {
+		case err != nil:
+		case ev.E == "run":
+			err = fn(ev.Label, nil, nil)
+		case ev.E == "window" && ev.Window != nil:
+			err = fn("", ev.Window, nil)
+		case ev.E == "move" && ev.Move != nil:
+			err = fn("", nil, ev.Move)
+		case ev.E == "window" || ev.E == "move":
+			err = fmt.Errorf("%s event without payload", ev.E)
+		default:
+			err = fmt.Errorf("unknown event kind %q", ev.E)
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return nil
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // Live aggregates events into the current values behind the introspection
-// endpoints (/metrics, /debug/vars). Unlike the per-run sinks it is safe
+// endpoints (/metrics, /healthz). Unlike the per-run sinks it is safe
 // for concurrent use and is meant to be shared: the experiment engine
 // attaches one Live to every run in a set, so counters accumulate across
 // runs while gauges reflect the most recently completed window.
@@ -222,9 +222,9 @@ func (l *Live) snapshot() liveState {
 	return s
 }
 
-// Vars returns the aggregator's state as a plain map for expvar
-// exposition under the "tierscape" variable: every scalar of seriesTable
-// under its key, as the int64 or float64 it accumulates in, plus the
+// Vars returns the aggregator's state as a plain map, for readers in the
+// same process (the benchmark harness and tests): every scalar of
+// seriesTable under its key, as the int64 or float64 it accumulates in, plus the
 // labelled families in the shapes below.
 func (l *Live) Vars() any {
 	s := l.snapshot()

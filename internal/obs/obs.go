@@ -1,8 +1,10 @@
 // Package obs is the runtime observability layer of the TierScape
 // reproduction: typed per-window snapshots, a per-move event stream, a
-// span-style trace of each TS-Daemon control-loop phase, and pluggable
-// sinks (JSONL, CSV, expvar/Prometheus) behind one small Recorder
-// interface.
+// span-style trace of each TS-Daemon control-loop phase, and the sinks
+// behind one small Recorder interface. A run has two output channels: the
+// JSONL stream (Stream) is the deterministic record, and the Live
+// aggregator behind /metrics is the live one. Other views — the windows CSV
+// and the Chrome trace — are derived offline from the stream (ReadStream).
 //
 // Two channels with different guarantees flow through a Recorder:
 //
@@ -11,11 +13,11 @@
 //     same configuration produces the identical event stream at every
 //     GOMAXPROCS and push-thread count (the simulator's determinism
 //     contract extends to them). These are what Result.Windows retains
-//     and what the JSONL/CSV sinks encode.
+//     and what the JSONL stream encodes.
 //   - Runtime telemetry — WindowRuntime — carries wall-clock phase
 //     durations and the push threads' commit stalls. It is measured from the
 //     real clock, varies run to run, and is deliberately excluded from
-//     the deterministic stream; it feeds the live /metrics and /debug/vars
+//     the deterministic stream; it feeds the live /metrics and /healthz
 //     introspection endpoints instead.
 //
 // The package deliberately imports nothing from the rest of the module:
@@ -48,8 +50,8 @@ type Recorder interface {
 }
 
 // WindowSnapshot is the deterministic record of one profile window. It is
-// retained on sim.Result.Windows and encoded verbatim by the JSONL and
-// CSV sinks; every field is a pure function of the run's configuration
+// retained on sim.Result.Windows and encoded verbatim by the JSONL
+// stream; every field is a pure function of the run's configuration
 // (virtual clock, placement state), never of wall time or scheduling, so
 // snapshots are byte-identical across push-thread counts and repeated runs.
 //

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -119,17 +122,75 @@ func TestStreamErrorLatch(t *testing.T) {
 	}
 }
 
+// TestReadStream: ReadStream hands back, in order, the events Stream
+// wrote — the payloads equal, the run marker's label kept — and an error
+// from a bad line or from the callback names its line.
+func TestReadStream(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewStream(&buf)
+	move := MoveEvent{Window: 1, Job: 0, Region: 3, From: 0, To: 2, Moved: 128}
+	win := snap(1, 128)
+	win.Pressure = 1.0 / 3
+	s.Annotate("job=0")
+	s.RecordMove(move)
+	s.RecordWindow(win)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	err := ReadStream(strings.NewReader(buf.String()+"\n"), func(label string, w *WindowSnapshot, m *MoveEvent) error {
+		switch {
+		case w != nil:
+			if !reflect.DeepEqual(*w, win) {
+				t.Errorf("window read back as %+v, written %+v", *w, win)
+			}
+			got = append(got, "window")
+		case m != nil:
+			if *m != move {
+				t.Errorf("move read back as %+v, written %+v", *m, move)
+			}
+			got = append(got, "move")
+		default:
+			got = append(got, "run "+label)
+		}
+		return nil
+	})
+	if err != nil || !slices.Equal(got, []string{"run job=0", "move", "window"}) {
+		t.Fatalf("read %q, err %v; want the run, the move and the window", got, err)
+	}
+
+	errStop := errors.New("stop")
+	for _, tc := range []struct {
+		name, in, want string
+	}{
+		{"malformed line", `{"e":"run"}` + "\n{\"e\":", "line 2: unexpected end of JSON input"},
+		{"window without payload", `{"e":"run"}` + "\n\n" + `{"e":"window"}`, "line 3: window event without payload"},
+		{"move without payload", `{"e":"move"}`, "line 1: move event without payload"},
+		{"unknown kind", `{"e":"run"}` + "\n" + `{"e":"tick"}`, `line 2: unknown event kind "tick"`},
+		{"callback error", `{"e":"run"}` + "\n" + `{"e":"run","label":"b"}`, "line 2: stop"},
+	} {
+		err := ReadStream(strings.NewReader(tc.in), func(label string, _ *WindowSnapshot, _ *MoveEvent) error {
+			if label == "b" {
+				return errStop
+			}
+			return nil
+		})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestCSVWindowRows: header derived from the first snapshot's tier count,
-// then one row per window with the per-tier column groups.
+// then one row per window with the per-tier column groups; a snapshot of
+// another tier count is refused, not written.
 func TestCSVWindowRows(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCSV(&buf)
-	c.RecordWindow(snap(1, 10))
-	c.RecordWindow(snap(2, 20))
-	c.RecordMove(MoveEvent{})        // ignored
-	c.RecordRuntime(WindowRuntime{}) // ignored
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
+	for _, w := range []WindowSnapshot{snap(1, 10), snap(2, 20)} {
+		if err := c.Write(&w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	if len(lines) != 3 {
@@ -146,6 +207,21 @@ func TestCSVWindowRows(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[2], "2,") {
 		t.Fatalf("second row = %q, want window 2", lines[2])
+	}
+
+	fewer := snap(3, 30)
+	fewer.TierPages = fewer.TierPages[:2]
+	short := snap(4, 40)
+	short.TierFrag = short.TierFrag[:2]
+	n := buf.Len()
+	for _, w := range []WindowSnapshot{fewer, short} {
+		want := fmt.Sprintf("window %d has 2 tiers, the CSV header has 3", w.Window)
+		if err := c.Write(&w); err == nil || err.Error() != want {
+			t.Errorf("window %d: error %v, want %q", w.Window, err, want)
+		}
+	}
+	if buf.Len() != n {
+		t.Errorf("a refused window wrote %q", buf.String()[n:])
 	}
 }
 
@@ -188,22 +264,22 @@ func TestLivePrometheus(t *testing.T) {
 }
 
 // TestHandlerEndpoints drives the introspection mux in-process: /metrics
-// serves the exposition, /debug/vars is valid JSON containing the
-// tierscape variable, and the pprof suite responds.
+// serves the exposition, the pprof suite responds, and there is no
+// /debug/vars.
 func TestHandlerEndpoints(t *testing.T) {
 	l := NewLive()
 	l.RecordWindow(snap(1, 10))
 	srv := httptest.NewServer(Handler(l))
 	defer srv.Close()
 
-	get := func(path string) string {
+	get := func(path string, status int) string {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != status {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, status)
 		}
 		b, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -212,33 +288,11 @@ func TestHandlerEndpoints(t *testing.T) {
 		return string(b)
 	}
 
-	if body := get("/metrics"); !strings.Contains(body, "tierscape_windows_total 1") {
+	if body := get("/metrics", 200); !strings.Contains(body, "tierscape_windows_total 1") {
 		t.Fatalf("/metrics missing counters:\n%s", body)
 	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["tierscape"]; !ok {
-		t.Fatal("/debug/vars lacks the tierscape variable")
-	}
-	if body := get("/debug/pprof/cmdline"); body == "" {
+	if body := get("/debug/pprof/cmdline", 200); body == "" {
 		t.Fatal("/debug/pprof/cmdline returned nothing")
 	}
-
-	// A second Live repoints the shared expvar variable instead of
-	// panicking on double-publish.
-	l2 := NewLive()
-	l2.PublishExpvar()
-	var after struct {
-		Tierscape struct {
-			Windows int64 `json:"windows"`
-		} `json:"tierscape"`
-	}
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Tierscape.Windows != 0 {
-		t.Fatalf("expvar still reports the old Live (windows=%d)", after.Tierscape.Windows)
-	}
+	get("/debug/vars", 404)
 }

@@ -92,7 +92,7 @@ type (
 	WindowRuntime = obs.WindowRuntime
 	// TierFlow is one src→dst cell of a window's migration matrix.
 	TierFlow = obs.TierFlow
-	// LiveMetrics aggregates events behind the /metrics and /debug/vars
+	// LiveMetrics aggregates events behind the /metrics and /healthz
 	// introspection endpoints; safe for concurrent use across runs.
 	LiveMetrics = obs.Live
 	// EventStream encodes the deterministic event channel as JSON Lines.
@@ -109,16 +109,12 @@ func NewLiveMetrics() *LiveMetrics { return obs.NewLive() }
 // channel (windows, moves) to w as JSON Lines.
 func NewEventStream(w io.Writer) *EventStream { return obs.NewStream(w) }
 
-// NewWindowCSV returns a Recorder rendering window snapshots as CSV rows
-// following the figure harnesses' column conventions.
-func NewWindowCSV(w io.Writer) *obs.CSVWriter { return obs.NewCSV(w) }
-
 // TeeRecorders fans events out to every non-nil recorder; with none it
 // returns nil, the disabled state.
 func TeeRecorders(recs ...Recorder) Recorder { return obs.Tee(recs...) }
 
-// ServeMetrics serves /metrics (Prometheus text), /debug/vars (expvar)
-// and /debug/pprof on addr (e.g. ":9090", ":0" for a free port) for the
+// ServeMetrics serves /metrics (Prometheus text), /healthz and
+// /debug/pprof on addr (e.g. ":9090", ":0" for a free port) for the
 // life of the process and returns the bound address.
 func ServeMetrics(addr string, l *LiveMetrics) (net.Addr, error) { return obs.Serve(addr, l) }
 
