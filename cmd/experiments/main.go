@@ -49,27 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	experiments.SetCompactBudget(*compactBudget)
-
-	if *metricsAddr != "" {
-		live := obs.NewLive()
-		addr, err := obs.Serve(*metricsAddr, live)
-		if err != nil {
-			fmt.Fprintf(stderr, "metrics listener: %v\n", err)
-			return 1
-		}
-		experiments.SetLive(live)
-		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /healthz, /debug/pprof)\n", addr)
-	}
-	var eventsFile *os.File
-	if *events != "" {
-		f, err := os.Create(*events)
-		if err != nil {
-			fmt.Fprintf(stderr, "events file: %v\n", err)
-			return 1
-		}
-		eventsFile = f
-		experiments.SetEventSink(f)
+	if *compactBudget < 0 {
+		fmt.Fprintf(stderr, "invalid value %d for flag -compact-budget: a budget cannot be negative\n", *compactBudget)
+		return 2
 	}
 
 	var s experiments.Scale
@@ -81,6 +63,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "unknown scale %q\n", *scale)
 		return 2
+	}
+	s.CompactBudget = *compactBudget
+
+	if *metricsAddr != "" {
+		s.Live = obs.NewLive()
+		addr, err := obs.Serve(*metricsAddr, s.Live)
+		if err != nil {
+			fmt.Fprintf(stderr, "metrics listener: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "metrics: http://%s/metrics (also /healthz, /debug/pprof)\n", addr)
+	}
+	var eventsFile *os.File
+	if *events != "" {
+		f, err := os.Create(*events)
+		if err != nil {
+			fmt.Fprintf(stderr, "events file: %v\n", err)
+			return 1
+		}
+		eventsFile = f
+		s.Events = f
 	}
 
 	print := func(t *experiments.Table) {
@@ -142,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// exhibit failures above; a close failure here is the last way a
 	// truncated event file could slip through, so it is fatal too.
 	if eventsFile != nil {
-		experiments.SetEventSink(nil)
 		if err := eventsFile.Close(); err != nil {
 			fmt.Fprintf(stderr, "closing events file: %v\n", err)
 			return 1

@@ -23,6 +23,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
 		{"removed -parallel flag", []string{"-parallel", "1"}, 2, "flag provided but not defined: -parallel"},
 		{"removed -push flag", []string{"-push", "1"}, 2, "flag provided but not defined: -push"},
+		{"negative compaction budget", []string{"-fig", "table1", "-compact-budget", "-1"}, 2, "-compact-budget: a budget cannot be negative"},
 		{"unwritable events file", []string{"-fig", "table1", "-events", t.TempDir() + "/no/such/dir/e.jsonl"}, 1, "events file"},
 		{"help", []string{"-h"}, 0, "Usage of experiments"},
 	} {

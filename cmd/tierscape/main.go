@@ -134,6 +134,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if s.CompactBudget < 0 {
+		fmt.Fprintf(stderr, "invalid value %d for flag -compact-budget: a budget cannot be negative\n", s.CompactBudget)
+		return 2
+	}
 
 	if *daemonMode {
 		return runDaemonMode(daemonOpts{
@@ -170,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *record != "" {
 			f, err := os.Create(*record)
 			if err != nil {
-				return fail(2, "%v", err)
+				return fail(1, "record file: %v", err)
 			}
 			defer f.Close()
 			if recorder, err = trace.NewRecorder(f, wl); err != nil {

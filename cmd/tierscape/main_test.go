@@ -184,6 +184,9 @@ func TestRunExitStatus(t *testing.T) {
 		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
 		{"removed -push flag", []string{"-push", "8"}, 2, "flag provided but not defined: -push"},
 		{"unwritable events file", append([]string{"-events", filepath.Join(dir, "no/such/dir/e.jsonl")}, small...), 1, "events file"},
+		{"unwritable record file", append([]string{"-record", filepath.Join(dir, "no/such/dir/t.trace")}, small...), 1, "record file"},
+		{"negative compaction budget", []string{"-compact-budget", "-1"}, 2, "-compact-budget: a budget cannot be negative"},
+		{"negative compaction budget, daemon", []string{"-daemon", "-compact-budget", "-1"}, 2, "-compact-budget: a budget cannot be negative"},
 		{"removed -windows-csv flag", []string{"-windows-csv", filepath.Join(dir, "w.csv")}, 2, "flag provided but not defined: -windows-csv"},
 		{"run that cannot start", []string{"-windows", "0"}, 1, "must be positive"},
 		{"help", []string{"-h"}, 0, "Usage of tierscape"},

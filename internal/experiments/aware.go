@@ -26,14 +26,12 @@ func CompressibilityAware(s Scale) (*Table, error) {
 	spec := WorkloadSpec{Name: "masim/regional", New: func(s Scale) workload.Workload {
 		return workload.DefaultMasim(2*mem.RegionPages, int64(s.OpsPerWindow), s.Seed)
 	}}
-	build := func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-		return mem.NewManager(mem.Config{
-			NumPages: wl.NumPages(),
-			Content:  corpus.NewGenerator(corpus.Regional, seed),
-			// No NVMM escape hatch: compressed tiers are the only savings
-			// avenue, so compressibility mistakes are visible as rejects.
-			CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
-		})
+	regional := corpus.Regional
+	tiers := lineup{
+		// No NVMM escape hatch: compressed tiers are the only savings
+		// avenue, so compressibility mistakes are visible as rejects.
+		compressed: []ztier.Config{ztier.CT1(), ztier.CT2()},
+		content:    &regional,
 	}
 	variants := []struct {
 		name  string
@@ -42,9 +40,9 @@ func CompressibilityAware(s Scale) (*Table, error) {
 		{"AM-blind", false},
 		{"AM-aware", true},
 	}
-	jobs := []runJob{{spec: spec, build: build}}
+	jobs := []runJob{{spec: spec, tiers: tiers}}
 	for _, cfg := range variants {
-		jobs = append(jobs, runJob{spec: spec, build: build,
+		jobs = append(jobs, runJob{spec: spec, tiers: tiers,
 			mdl: &model.Analytical{
 				Alpha:                0.2,
 				ModelName:            cfg.name,

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"tierscape/internal/corpus"
-	"tierscape/internal/media"
-	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/workload"
-	"tierscape/internal/ztier"
 )
 
 // Colocation evaluates §9's future-work direction (v) — co-located
@@ -26,15 +22,6 @@ func Colocation(s Scale) (*Table, error) {
 	mkPR := func(s Scale) workload.Workload {
 		return workload.NewPageRank(s.GraphVertices, 8, s.Seed)
 	}
-	build := func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-		content := wlContent(wl, seed)
-		return mem.NewManager(mem.Config{
-			NumPages:        wl.NumPages(),
-			Content:         content,
-			ByteTiers:       []media.Kind{media.NVMM},
-			CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
-		})
-	}
 	// Two solo tenants and the colocated pair: a (baseline, AM-TCO) job
 	// couple for each deployment.
 	specs := []WorkloadSpec{
@@ -47,8 +34,8 @@ func Colocation(s Scale) (*Table, error) {
 	var jobs []runJob
 	for _, spec := range specs {
 		jobs = append(jobs,
-			runJob{spec: spec, build: build},
-			runJob{spec: spec, build: build, mdl: &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}},
+			runJob{spec: spec},
+			runJob{spec: spec, mdl: &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}},
 		)
 	}
 	results, err := runJobs(s, jobs)
@@ -65,13 +52,4 @@ func Colocation(s Scale) (*Table, error) {
 	}
 	t.Note("one daemon and one tier set serve both tenants; savings hold at colocation")
 	return t, nil
-}
-
-// wlContent builds the right content source: composite for colocated
-// workloads, single-profile otherwise.
-func wlContent(wl workload.Workload, seed uint64) corpus.Source {
-	if c, ok := wl.(*workload.Colocated); ok {
-		return c.ContentSource(seed)
-	}
-	return corpus.NewGenerator(wl.Content(), seed)
 }

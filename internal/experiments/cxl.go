@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"tierscape/internal/corpus"
 	"tierscape/internal/media"
-	"tierscape/internal/mem"
 	"tierscape/internal/model"
-	"tierscape/internal/workload"
 	"tierscape/internal/ztier"
 )
 
@@ -21,36 +18,29 @@ func CXLVariant(s Scale) (*Table, error) {
 	}
 	spec := workloadByName("Memcached/YCSB")
 
-	builders := []struct {
+	substrates := []struct {
 		name  string
-		build func(workload.Workload, uint64) (*mem.Manager, error)
+		tiers lineup
 	}{
-		{"optane", standardManager},
-		{"cxl", func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-			return mem.NewManager(mem.Config{
-				NumPages:  wl.NumPages(),
-				Content:   corpus.NewGenerator(wl.Content(), seed),
-				ByteTiers: []media.Kind{media.CXL},
-				CompressedTiers: []ztier.Config{
-					ztier.CT1(),
-					{Codec: "zstd", Pool: "zsmalloc", Media: media.CXL},
-				},
-			})
+		{"optane", standardMix()},
+		{"cxl", lineup{
+			byteTiers:  []media.Kind{media.CXL},
+			compressed: []ztier.Config{ztier.CT1(), {Codec: "zstd", Pool: "zsmalloc", Media: media.CXL}},
 		}},
 	}
 	var jobs []runJob
-	for _, b := range builders {
+	for _, b := range substrates {
 		jobs = append(jobs,
-			runJob{spec: spec, build: b.build},
-			runJob{spec: spec, build: b.build, mdl: &model.Waterfall{Pct: 25}},
-			runJob{spec: spec, build: b.build, mdl: &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}},
+			runJob{spec: spec, tiers: b.tiers},
+			runJob{spec: spec, tiers: b.tiers, mdl: &model.Waterfall{Pct: 25}},
+			runJob{spec: spec, tiers: b.tiers, mdl: &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}},
 		)
 	}
 	results, err := runJobs(s, jobs)
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range builders {
+	for bi, b := range substrates {
 		base := results[3*bi]
 		for _, res := range results[3*bi+1 : 3*bi+3] {
 			t.Addf(b.name, res.ModelName, res.SlowdownPctVs(base), res.SavingsPct())

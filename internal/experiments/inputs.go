@@ -147,15 +147,16 @@ func (s Scale) rmat(vertices int64, degree int) *workload.Graph {
 }
 
 // streamKey names a recorded stream: the workload spec's name and the
-// effective Scale of the jobs that step it (its inputs field nil), which
-// fixes the op count, Windows × OpsPerWindow.
+// sizing of the jobs that step it — their effective Scale with the
+// run-wide settings and the inputs table cleared, since none of them
+// changes a stream — which fixes the op count, Windows × OpsPerWindow.
 type streamKey struct {
 	name  string
 	scale Scale
 }
 
 func streamKeyOf(spec WorkloadSpec, s Scale) streamKey {
-	s.inputs = nil
+	s.CompactBudget, s.Live, s.Events, s.inputs = 0, nil, nil, nil
 	return streamKey{spec.Name, s}
 }
 

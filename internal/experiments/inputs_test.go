@@ -59,15 +59,14 @@ func withRecordingBudget(budget int64, f func()) {
 	f()
 }
 
-// captureFigure runs fig at GOMAXPROCS procs and returns its table and its
-// JSONL event stream.
-func captureFigure(t *testing.T, procs int, fig func() (*Table, error)) (table, stream string) {
+// captureFigure runs fig at s and GOMAXPROCS procs and returns its table
+// and its JSONL event stream.
+func captureFigure(t *testing.T, procs int, s Scale, fig func(Scale) (*Table, error)) (table, stream string) {
 	t.Helper()
 	var buf bytes.Buffer
-	SetEventSink(&buf)
-	defer SetEventSink(nil)
+	s.Events = &buf
 	withProcs(procs, func() {
-		tab, err := fig()
+		tab, err := fig(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +101,7 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	var wantTable, wantStream string
 	withStoreMemo(t, nil, func() {
 		withRecordingBudget(0, func() {
-			wantTable, wantStream = captureFigure(t, 1, func() (*Table, error) { return fig7(s, private) })
+			wantTable, wantStream = captureFigure(t, 1, s, func(s Scale) (*Table, error) { return fig7(s, private) })
 		})
 	})
 	if n := rmatBuilds.Load() - before; n != 21 {
@@ -113,7 +112,7 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	}
 	for _, procs := range []int{1, 2, 8} {
 		recorded := recordings.Load()
-		table, stream := captureFigure(t, procs, func() (*Table, error) { return Fig7(s) })
+		table, stream := captureFigure(t, procs, s, Fig7)
 		if table != wantTable {
 			t.Errorf("GOMAXPROCS=%d: table differs from per-job builds", procs)
 		}
@@ -127,7 +126,7 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	for _, budget := range []int64{0, oneSlab} {
 		var memo *ztier.StoreMemo
 		withStoreMemo(t, func() *ztier.StoreMemo { memo = ztier.NewStoreMemo(budget); return memo }, func() {
-			table, stream := captureFigure(t, 2, func() (*Table, error) { return Fig7(s) })
+			table, stream := captureFigure(t, 2, s, Fig7)
 			if table != wantTable || stream != wantStream {
 				t.Errorf("memo budget %d: table or event stream differs from the unshared figure", budget)
 			}
@@ -147,7 +146,7 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	for _, budget := range []int64{chunk - 1, chunk} {
 		withRecordingBudget(budget, func() {
 			recorded := recordings.Load()
-			table, stream := captureFigure(t, 1, func() (*Table, error) { return Fig7(s) })
+			table, stream := captureFigure(t, 1, s, Fig7)
 			if table != wantTable || stream != wantStream {
 				t.Errorf("recording budget %d: table or event stream differs from the unshared figure", budget)
 			}
@@ -169,11 +168,11 @@ func TestFig7SharedInputsIdenticalTable(t *testing.T) {
 	// alike) a manager built from the replay moves the colocated row.
 	s = SmallScale()
 	withRecordingBudget(0, func() {
-		wantTable, wantStream = captureFigure(t, 1, func() (*Table, error) { return Colocation(s) })
+		wantTable, wantStream = captureFigure(t, 1, s, Colocation)
 	})
 	for _, procs := range []int{1, 2, 8} {
 		recorded := recordings.Load()
-		table, stream := captureFigure(t, procs, func() (*Table, error) { return Colocation(s) })
+		table, stream := captureFigure(t, procs, s, Colocation)
 		if table != wantTable {
 			t.Errorf("colocation, GOMAXPROCS=%d: table differs from live generation:\n%s\nwant:\n%s", procs, table, wantTable)
 		}

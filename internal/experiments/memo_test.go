@@ -79,8 +79,8 @@ func TestSweepMemoHitShare(t *testing.T) {
 	sweep := func() ztier.MemoStats {
 		var memo *ztier.StoreMemo
 		l := obs.NewLive()
-		SetLive(l)
-		defer SetLive(nil)
+		s := s
+		s.Live = l
 		withStoreMemo(t, func() *ztier.StoreMemo { memo = ztier.NewStoreMemo(storeMemoBudget); return memo }, func() {
 			withProcs(1, func() {
 				if _, err := Fig7(s); err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"tierscape/internal/obs"
@@ -18,11 +19,9 @@ func TestConcurrentEventStreamIdenticalBytes(t *testing.T) {
 	s := SmallScale()
 	capture := func(procs int) (stream, csv string) {
 		var buf bytes.Buffer
-		SetEventSink(&buf)
-		defer SetEventSink(nil)
 		l := obs.NewLive()
-		SetLive(l)
-		defer SetLive(nil)
+		s := s
+		s.Events, s.Live = &buf, l
 		withProcs(procs, func() {
 			tab, err := Fig10(s)
 			if err != nil {
@@ -62,8 +61,8 @@ func TestWarmSolverIdenticalTables(t *testing.T) {
 	s := SmallScale()
 	capture := func(procs int) (csv string, warmHits int64) {
 		l := obs.NewLive()
-		SetLive(l)
-		defer SetLive(nil)
+		s := s
+		s.Live = l
 		withProcs(procs, func() {
 			tab, err := Fig10(s)
 			if err != nil {
@@ -97,12 +96,93 @@ func TestWarmSolverIdenticalTables(t *testing.T) {
 // slipped past obs.Tee's nil check and dereferenced nil).
 func TestEventSinkWithoutLive(t *testing.T) {
 	var buf bytes.Buffer
-	SetEventSink(&buf)
-	defer SetEventSink(nil)
-	if _, err := Fig8(SmallScale()); err != nil {
+	s := SmallScale()
+	s.Events = &buf
+	if _, err := Fig8(s); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"e":"window"`) {
 		t.Fatal("stream carries no window snapshots")
+	}
+}
+
+// TestTwoFiguresOwnSinks: the run-wide settings travel in each figure's
+// Scale, so two figures can run at once in one process, each with its own
+// event stream and aggregator. Figures 8 and 1 (one job and four, on
+// different tier lineups) run side by side; each buffer must be the bytes
+// that figure streams when it runs alone, and each Live must count the
+// windows of its own figure only.
+func TestTwoFiguresOwnSinks(t *testing.T) {
+	figs := []func(Scale) (*Table, error){Fig8, Fig1}
+	type sinks struct {
+		events bytes.Buffer
+		live   *obs.Live
+		table  string
+	}
+	run := func(fig func(Scale) (*Table, error), out *sinks) error {
+		s := SmallScale()
+		out.live = obs.NewLive()
+		s.Events, s.Live = &out.events, out.live
+		tab, err := fig(s)
+		if err == nil {
+			out.table = tab.String()
+		}
+		return err
+	}
+	alone := make([]sinks, len(figs))
+	for i, fig := range figs {
+		if err := run(fig, &alone[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	together := make([]sinks, len(figs))
+	errs := make([]error, len(figs))
+	var wg sync.WaitGroup
+	for i, fig := range figs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = run(fig, &together[i])
+		}()
+	}
+	wg.Wait()
+	for i := range figs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, got := &alone[i], &together[i]
+		if got.table != want.table {
+			t.Errorf("figure %d: table differs from the one it prints alone", i)
+		}
+		if !bytes.Equal(got.events.Bytes(), want.events.Bytes()) {
+			t.Errorf("figure %d: event stream differs from the one it writes alone", i)
+		}
+		windows := int64(strings.Count(got.events.String(), `"e":"window"`))
+		if n := got.live.Vars().(map[string]any)["windows"].(int64); n != windows || n == 0 {
+			t.Errorf("figure %d: its Live counts %d windows, its stream holds %d", i, n, windows)
+		}
+	}
+	if a, b := strings.Count(alone[0].events.String(), `"e":"run"`), strings.Count(alone[1].events.String(), `"e":"run"`); a == b {
+		t.Fatalf("both figures stream %d runs; the test needs figures of different sizes", a)
+	}
+}
+
+// writerFunc is an io.Writer no map can hash.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestEventsAnyWriter: Scale.Events may be any io.Writer, one that is not
+// comparable included, because the keys the runner derives from a Scale
+// hold its sizing only.
+func TestEventsAnyWriter(t *testing.T) {
+	var buf bytes.Buffer
+	s := SmallScale()
+	s.Events = writerFunc(buf.Write)
+	if _, err := Fig1(s); err != nil {
+		t.Fatal(err)
+	}
+	if runs := strings.Count(buf.String(), `"e":"run"`); runs != 4 {
+		t.Fatalf("stream annotates %d runs, want Fig1's 4", runs)
 	}
 }

@@ -3,12 +3,10 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/sim"
@@ -26,60 +24,15 @@ import (
 // starts.
 func Parallelism() int { return runtime.GOMAXPROCS(0) }
 
-// compactBudget caps each run's per-window compaction pass; 0 means the
-// sim default (unbounded full sweep).
-var compactBudget atomic.Int64
+// deprecatedLive is SetLive's aggregator, which runJobs reads only for a
+// Scale that carries no Live.
+var deprecatedLive atomic.Pointer[obs.Live]
 
-// SetCompactBudget bounds every subsequently started run's per-window
-// compaction to n reclaimed pool pages (sim.Config.CompactBudget). n < 1
-// restores the unbounded default. This is a SEMANTIC knob: a bounded
-// budget defers pool-page reclamation across windows, so tables
-// legitimately differ from the unbounded sweep (while remaining
-// deterministic for any fixed value).
-func SetCompactBudget(n int) {
-	if n < 1 {
-		n = 0
-	}
-	compactBudget.Store(int64(n))
-}
-
-// CompactBudget reports the configured per-window compaction budget
-// (0 = unbounded).
-func CompactBudget() int { return int(compactBudget.Load()) }
-
-// live, when set, is attached as a Recorder to every run the engine
-// starts, so the introspection endpoints aggregate across the whole
-// experiment batch.
-var live atomic.Pointer[obs.Live]
-
-// SetLive attaches l to every subsequently started run (nil detaches).
-// Live is concurrency-safe, so one aggregator serves all workers.
-func SetLive(l *obs.Live) { live.Store(l) }
-
-// eventSink, when set, receives every run's deterministic JSONL event
-// stream. Each job records into a private buffer and completed sets flush
-// in job-index order under eventMu, so the sink's bytes are identical at
-// every GOMAXPROCS.
-var (
-	eventMu   sync.Mutex
-	eventSink io.Writer
-)
-
-// SetEventSink streams every subsequent run's events (JSONL, one
-// {"e":"run"} annotation per job followed by its windows and moves) to w;
-// nil disables. The writer needs no locking of its own — flushes are
-// serialized here.
-func SetEventSink(w io.Writer) {
-	eventMu.Lock()
-	defer eventMu.Unlock()
-	eventSink = w
-}
-
-func currentEventSink() io.Writer {
-	eventMu.Lock()
-	defer eventMu.Unlock()
-	return eventSink
-}
+// SetLive attaches l to every subsequently started run whose Scale has no
+// Live (nil detaches).
+//
+// Deprecated: set Scale.Live.
+func SetLive(l *obs.Live) { deprecatedLive.Store(l) }
 
 // modelName labels a job's model for event-stream annotations.
 func modelName(mdl model.Model) string {
@@ -128,12 +81,9 @@ func RunSet(n int, job func(i int) error) error {
 	return nil
 }
 
-// managerBuilder builds a manager sized for a workload.
-type managerBuilder func(workload.Workload, uint64) (*mem.Manager, error)
-
 // runJob is one simulation run submitted to the engine. The zero values
-// pick the common defaults: standardManager as the builder, a nil model
-// (all-DRAM baseline) and the set-wide Scale.
+// pick the common defaults: the standard mix, a nil model (all-DRAM
+// baseline) and the set-wide Scale.
 //
 // Each job must hold its OWN model instance — an Analytical keeps its
 // option arena and solver state (and, when compressibility-aware, its
@@ -142,9 +92,10 @@ type managerBuilder func(workload.Workload, uint64) (*mem.Manager, error)
 type runJob struct {
 	spec  WorkloadSpec
 	mdl   model.Model
-	build managerBuilder
-	// cfg optionally mutates the sim.Config before the run (filter
-	// settings, prefetch thresholds, cooling, telemetry source, ...).
+	tiers lineup
+	// cfg optionally mutates the sim.Config, manager included, before the
+	// run (filter settings, prefetch thresholds, cooling, telemetry
+	// source, ...).
 	cfg func(*sim.Config)
 	// scale overrides the set-wide Scale for this job (window ablations).
 	scale *Scale
@@ -194,15 +145,11 @@ func (j runJob) newWorkload(s Scale) (steps, source workload.Workload, err error
 // is off); j.cfg may still override it.
 func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 	s = j.effectiveScale(s)
-	build := j.build
-	if build == nil {
-		build = standardManager
-	}
 	wl, src, err := j.newWorkload(s)
 	if err != nil {
 		return nil, err
 	}
-	m, err := build(src, s.Seed)
+	m, err := j.tiers.manager(src, s.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building manager for %s: %w", j.spec.Name, err)
 	}
@@ -214,7 +161,7 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 		OpsPerWindow:  s.OpsPerWindow,
 		Windows:       s.Windows,
 		SampleRate:    s.SampleRate,
-		CompactBudget: CompactBudget(),
+		CompactBudget: s.CompactBudget,
 		Recorder:      rec,
 	}
 	if j.cfg != nil {
@@ -225,23 +172,25 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 
 // runJobs fans jobs across the worker pool and returns their results in
 // job order. On error the whole set is discarded (remaining jobs still ran
-// to completion) and the lowest-index error is returned. When an event
-// sink is configured, each job streams into a private buffer and the
-// buffers flush to the sink in job-index order after the set completes —
-// deterministic bytes regardless of worker scheduling.
+// to completion) and the lowest-index error is returned. When s.Events is
+// set, each job streams into a private buffer and the buffers are written
+// to it in job-index order after the set completes — deterministic bytes
+// regardless of worker scheduling.
 func runJobs(s Scale, jobs []runJob) ([]*sim.Result, error) {
+	lp := s.Live
+	if lp == nil {
+		lp = deprecatedLive.Load()
+	}
 	// Rebind the typed pointer as an interface only when non-nil: a nil
 	// *obs.Live stored in a non-nil Recorder interface would defeat the
 	// nil checks in obs.Tee and below.
 	var l obs.Recorder
-	lp := live.Load()
 	if lp != nil {
 		l = lp
 	}
-	sink := currentEventSink()
 	var bufs []bytes.Buffer
 	var streams []*obs.Stream
-	if sink != nil {
+	if s.Events != nil {
 		bufs = make([]bytes.Buffer, len(jobs))
 		streams = make([]*obs.Stream, len(jobs))
 		for i := range jobs {
@@ -295,24 +244,20 @@ func runJobs(s Scale, jobs []runJob) ([]*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sink != nil {
-		eventMu.Lock()
-		defer eventMu.Unlock()
-		for i := range streams {
-			if err := streams[i].Err(); err != nil {
-				return nil, fmt.Errorf("experiments: event stream for job %d: %w", i, err)
-			}
-			if _, err := sink.Write(bufs[i].Bytes()); err != nil {
-				return nil, fmt.Errorf("experiments: flushing events for job %d: %w", i, err)
-			}
+	for i := range streams {
+		if err := streams[i].Err(); err != nil {
+			return nil, fmt.Errorf("experiments: event stream for job %d: %w", i, err)
+		}
+		if _, err := s.Events.Write(bufs[i].Bytes()); err != nil {
+			return nil, fmt.Errorf("experiments: flushing events for job %d: %w", i, err)
 		}
 	}
 	return results, nil
 }
 
-// runOne executes wl under mdl on a freshly built manager — a one-job set.
-func runOne(s Scale, spec WorkloadSpec, mdl model.Model, build managerBuilder) (*sim.Result, error) {
-	results, err := runJobs(s, []runJob{{spec: spec, mdl: mdl, build: build}})
+// runOne executes one job as a set of its own.
+func runOne(s Scale, j runJob) (*sim.Result, error) {
+	results, err := runJobs(s, []runJob{j})
 	if err != nil {
 		return nil, err
 	}

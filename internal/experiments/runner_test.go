@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
-	"tierscape/internal/mem"
 	"tierscape/internal/model"
-	"tierscape/internal/workload"
+	"tierscape/internal/sim"
+	"tierscape/internal/ztier"
 )
 
 // withProcs runs f at GOMAXPROCS n — the pool's width — restoring the old
@@ -84,15 +85,12 @@ func TestRunSetCompletesAllJobsDespiteErrors(t *testing.T) {
 func TestRunJobsPropagatesBuildError(t *testing.T) {
 	s := SmallScale()
 	spec := workloadByName("Memcached/YCSB")
-	boom := errors.New("no such medium")
 	results, err := runJobs(s, []runJob{
 		{spec: spec},
-		{spec: spec, build: func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-			return nil, boom
-		}},
+		{spec: spec, tiers: lineup{compressed: []ztier.Config{{Codec: "no-such-codec", Pool: "zsmalloc"}}}},
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped build error", err)
+	if err == nil || !strings.Contains(err.Error(), "building manager for Memcached/YCSB") || !strings.Contains(err.Error(), "no-such-codec") {
+		t.Fatalf("err = %v, want the wrapped build error naming the codec", err)
 	}
 	if results != nil {
 		t.Fatal("failed set must not return partial results")
@@ -102,8 +100,8 @@ func TestRunJobsPropagatesBuildError(t *testing.T) {
 // TestParallelSerialIdenticalTables is the engine's core guarantee: a
 // harness table is byte-identical whether runs execute serially or fan out
 // across workers, at GOMAXPROCS 1 and 8. Fig1 (4 runs) and
-// TierCountAblation (6 runs, three distinct builders) cover single-builder
-// and multi-builder job sets.
+// TierCountAblation (6 runs, three distinct lineups) cover single-lineup
+// and multi-lineup job sets.
 func TestParallelSerialIdenticalTables(t *testing.T) {
 	s := SmallScale()
 	for _, harness := range []struct {
@@ -183,19 +181,14 @@ func TestConcurrentPushThreadsIdenticalTables(t *testing.T) {
 func TestConcurrentFallbackHeavyFig10CSV(t *testing.T) {
 	s := SmallScale()
 	const ct1PoolPages = 24
-	clamped := func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-		m, err := standardManager(wl, seed)
-		if err != nil {
-			return nil, err
+	clamped := func(c *sim.Config) {
+		if err := c.Manager.SetCompressedTierLimit(stdCT1, ct1PoolPages); err != nil {
+			t.Error(err)
 		}
-		if err := m.SetCompressedTierLimit(stdCT1, ct1PoolPages); err != nil {
-			return nil, err
-		}
-		return m, nil
 	}
 	// Non-vacuousness: under the clamp an aggressive demoter must actually
 	// have moves rejected at commit time.
-	res, err := runOne(s, workloadByName("Memcached/YCSB"), &model.Waterfall{Pct: 75}, clamped)
+	res, err := runOne(s, runJob{spec: workloadByName("Memcached/YCSB"), mdl: &model.Waterfall{Pct: 75}, cfg: clamped})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,22 @@
 package experiments
 
 import (
+	"io"
+
 	"tierscape/internal/corpus"
 	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
+	"tierscape/internal/obs"
 	"tierscape/internal/workload"
 	"tierscape/internal/ztier"
 )
 
-// Scale sets experiment sizing. The paper runs 30–119 GB working sets; the
-// simulator scales footprints down uniformly (DESIGN.md §6) while keeping
-// the regions-per-window and hot/warm/cold proportions that drive the
-// models.
+// Scale is every setting a figure's runs take: their sizing, seed and
+// compaction budget, and the sinks their events go to. The paper runs
+// 30–119 GB working sets; the simulator scales footprints down uniformly
+// (DESIGN.md §6) while keeping the regions-per-window and hot/warm/cold
+// proportions that drive the models.
 type Scale struct {
 	// KVPages is the Memcached/Redis footprint in pages.
 	KVPages int64
@@ -28,8 +32,27 @@ type Scale struct {
 	// SampleRate is the profiler period (denser than the paper's 5000
 	// because scaled workloads issue fewer accesses).
 	SampleRate int
+	// CompactBudget caps each run's per-window compaction pass at this
+	// many reclaimed pool pages (sim.Config.CompactBudget); 0 is the
+	// unbounded sweep. A bounded budget defers reclamation across
+	// windows, so tables differ from the unbounded ones, deterministically
+	// for any fixed value.
+	CompactBudget int
 	// Seed fixes all randomness.
 	Seed uint64
+
+	// Live, when set, receives every run's events, so the introspection
+	// endpoints aggregate across the batch. It is safe for concurrent
+	// use, so one aggregator serves every worker.
+	Live *obs.Live
+	// Events, when set, receives every run's deterministic JSONL event
+	// stream: one {"e":"run"} annotation per job, then its windows and
+	// moves. Each job records into a private buffer; once the set
+	// completes the runner writes each job's buffer with one Write, in
+	// job order, from the goroutine that called the harness — so the bytes
+	// are the same at every GOMAXPROCS. A writer shared by figures that
+	// run at once must make each Write whole by itself.
+	Events io.Writer
 
 	// inputs is the running figure's table of shared immutable inputs,
 	// set by runJobs for the jobs it starts; nil everywhere else.
@@ -149,28 +172,44 @@ const (
 	stdCT2  = mem.TierID(3)
 )
 
-// standardManager builds the §8.2 standard mix sized for wl.
-func standardManager(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-	return mem.NewManager(mem.Config{
-		NumPages:        wl.NumPages(),
-		Content:         corpus.NewGenerator(wl.Content(), seed),
-		ByteTiers:       []media.Kind{media.NVMM},
-		CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
-	})
+// lineup is a tiered system's tiers below DRAM: its byte-addressable
+// tiers, then its compressed tiers, numbered from 1 in that order. A
+// lineup with no tiers is the standard mix.
+type lineup struct {
+	byteTiers  []media.Kind
+	compressed []ztier.Config
+	// content, when set, fills every page from this profile in place of
+	// the workload's own content.
+	content *corpus.Profile
 }
 
-// spectrumManager builds the §8.3 six-tier setup: DRAM + C1, C2, C4, C7,
-// C12. Tier ids 1..5 are the compressed tiers in that order.
-func spectrumManager(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-	return mem.NewManager(mem.Config{
-		NumPages:        wl.NumPages(),
-		Content:         corpus.NewGenerator(wl.Content(), seed),
-		CompressedTiers: ztier.SpectrumSet(),
-	})
+// standardMix is the §8.2 lineup: NVMM, CT-1, CT-2.
+func standardMix() lineup {
+	return lineup{byteTiers: []media.Kind{media.NVMM}, compressed: []ztier.Config{ztier.CT1(), ztier.CT2()}}
 }
 
-// spectrumGSwapTier is C7's tier id in the spectrum manager (GSwap's tier).
+// spectrum is the §8.3 lineup: C1, C2, C4, C7 and C12, tier ids 1..5.
+func spectrum() lineup { return lineup{compressed: ztier.SpectrumSet()} }
+
+// spectrumGSwapTier is C7's tier id in the spectrum (GSwap's tier).
 const spectrumGSwapTier = mem.TierID(4)
+
+// manager builds the tiered system l describes, sized and filled for wl.
+func (l lineup) manager(wl workload.Workload, seed uint64) (*mem.Manager, error) {
+	if len(l.byteTiers)+len(l.compressed) == 0 {
+		l = standardMix()
+	}
+	content := workload.ContentSource(wl, seed)
+	if l.content != nil {
+		content = corpus.NewGenerator(*l.content, seed)
+	}
+	return mem.NewManager(mem.Config{
+		NumPages:        wl.NumPages(),
+		Content:         content,
+		ByteTiers:       l.byteTiers,
+		CompressedTiers: l.compressed,
+	})
+}
 
 // standardModels returns the §8.2 model lineup at the paper's thresholds.
 // The paper does not publish AM-TCO/AM-perf's exact α; 0.3 and 0.7 land

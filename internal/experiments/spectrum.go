@@ -33,8 +33,8 @@ func Fig12(s Scale) (*Table, error) {
 	for _, agg := range aggressiveness {
 		names = append(names, "WF"+agg.Suffix, "AM"+agg.Suffix)
 		jobs = append(jobs,
-			runJob{spec: spec, build: spectrumManager, mdl: &model.Waterfall{Pct: agg.Pct}},
-			runJob{spec: spec, build: spectrumManager,
+			runJob{spec: spec, tiers: spectrum(), mdl: &model.Waterfall{Pct: agg.Pct}},
+			runJob{spec: spec, tiers: spectrum(),
 				mdl: &model.Analytical{Alpha: agg.Alpha, ModelName: "AM" + agg.Suffix}},
 		)
 	}
@@ -78,9 +78,9 @@ func Fig13(s Scale) (*Table, error) {
 	}
 	var jobs []runJob
 	for _, spec := range specs {
-		jobs = append(jobs, runJob{spec: spec, build: spectrumManager})
+		jobs = append(jobs, runJob{spec: spec, tiers: spectrum()})
 		for _, c := range configs {
-			jobs = append(jobs, runJob{spec: spec, build: spectrumManager, mdl: c.mdl()})
+			jobs = append(jobs, runJob{spec: spec, tiers: spectrum(), mdl: c.mdl()})
 		}
 	}
 	results, err := runJobs(s, jobs)
@@ -107,22 +107,28 @@ func TierCountAblation(s Scale) (*Table, error) {
 		Headers: []string{"tiers", "slowdown_pct", "tco_savings_pct"},
 	}
 	spec := workloadByName("Memcached/memtier-1K")
-	counts := []int{1, 2, 5}
+	// The single tier is GSwap's (C7), the pair adds C12, and five is the
+	// whole spectrum.
+	full := spectrum()
+	lineups := []lineup{
+		{compressed: full.compressed[3:4]},
+		{compressed: full.compressed[3:5]},
+		full,
+	}
 	var jobs []runJob
-	for _, n := range counts {
-		build := spectrumSubsetBuilder(n)
+	for _, tiers := range lineups {
 		jobs = append(jobs,
-			runJob{spec: spec, build: build},
-			runJob{spec: spec, build: build, mdl: &model.Analytical{Alpha: 0.1, ModelName: "AM-A"}},
+			runJob{spec: spec, tiers: tiers},
+			runJob{spec: spec, tiers: tiers, mdl: &model.Analytical{Alpha: 0.1, ModelName: "AM-A"}},
 		)
 	}
 	results, err := runJobs(s, jobs)
 	if err != nil {
 		return nil, err
 	}
-	for i, n := range counts {
+	for i, tiers := range lineups {
 		base, res := results[2*i], results[2*i+1]
-		t.Addf(fmt.Sprintf("%d", n), res.SlowdownPctVs(base), res.SavingsPct())
+		t.Addf(fmt.Sprintf("%d", len(tiers.compressed)), res.SlowdownPctVs(base), res.SavingsPct())
 	}
 	t.Note("more tiers widen the trade-off space (paper: Memcached's achievable savings grew 40%%->55%%)")
 	return t, nil

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"tierscape/internal/corpus"
+	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/sim"
@@ -50,17 +50,11 @@ func Fig1(s Scale) (*Table, error) {
 	spec := WorkloadSpec{Name: "Memcached/memtier-1K", New: func(s Scale) workload.Workload {
 		return workload.Memcached(workload.DriverMemtier, 1024, s.KVPages, s.Seed)
 	}}
-	build := func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-		return mem.NewManager(mem.Config{
-			NumPages:        wl.NumPages(),
-			Content:         corpus.NewGenerator(wl.Content(), seed),
-			CompressedTiers: []ztier.Config{{Codec: "zstd", Pool: "zsmalloc", Media: 0}},
-		})
-	}
+	tiers := lineup{compressed: []ztier.Config{{Codec: "zstd", Pool: "zsmalloc", Media: media.DRAM}}}
 	fracs := []float64{0.2, 0.5, 0.8}
-	jobs := []runJob{{spec: spec, build: build}}
+	jobs := []runJob{{spec: spec, tiers: tiers}}
 	for _, frac := range fracs {
-		jobs = append(jobs, runJob{spec: spec, build: build,
+		jobs = append(jobs, runJob{spec: spec, tiers: tiers,
 			mdl: &fractionPlacement{frac: frac, ct: 1}})
 	}
 	results, err := runJobs(s, jobs)
@@ -118,7 +112,7 @@ func fig7(s Scale, specs []WorkloadSpec) (*Table, error) {
 // Memcached/YCSB and the resulting TCO trend.
 func Fig8(s Scale) (*Table, error) {
 	spec := workloadByName("Memcached/YCSB")
-	res, err := runOne(s, spec, &model.Waterfall{Pct: 25}, standardManager)
+	res, err := runOne(s, runJob{spec: spec, mdl: &model.Waterfall{Pct: 25}})
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +134,7 @@ func Fig8(s Scale) (*Table, error) {
 // (whose hot set drifts — §8.2.2's deep dive).
 func Fig9(s Scale) (*Table, error) {
 	spec := workloadByName("Memcached/YCSB")
-	res, err := runOne(s, spec, &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"}, standardManager)
+	res, err := runOne(s, runJob{spec: spec, mdl: &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"}})
 	if err != nil {
 		return nil, err
 	}
@@ -165,12 +159,12 @@ func Fig10(s Scale) (*Table, error) {
 	return fig10With(s, nil)
 }
 
-// fig10With is Fig10 parameterized by manager builder (nil means the
-// standard mix), so tests can rerun the whole sweep on a constrained
-// manager — e.g. a clamped CT-1 pool that forces ErrTierFull fallbacks in
-// every run — and assert the table stays byte-identical across push-thread
+// fig10With is Fig10 with cfg (when not nil) applied to every job's
+// sim.Config, so tests can rerun the whole sweep on a constrained manager
+// — e.g. a clamped CT-1 pool that forces ErrTierFull fallbacks in every
+// run — and assert the table stays byte-identical across push-thread
 // counts.
-func fig10With(s Scale, build managerBuilder) (*Table, error) {
+func fig10With(s Scale, cfg func(*sim.Config)) (*Table, error) {
 	t := &Table{
 		Title:   "Figure 10: multi-objective tuning (Memcached/YCSB)",
 		Headers: []string{"config", "slowdown_pct", "tco_savings_pct"},
@@ -204,9 +198,9 @@ func fig10With(s Scale, build managerBuilder) (*Table, error) {
 			})
 		}
 	}
-	jobs := []runJob{{spec: spec, build: build}}
+	jobs := []runJob{{spec: spec, cfg: cfg}}
 	for _, p := range points {
-		jobs = append(jobs, runJob{spec: spec, mdl: p.mdl, build: build})
+		jobs = append(jobs, runJob{spec: spec, mdl: p.mdl, cfg: cfg})
 	}
 	results, err := runJobs(s, jobs)
 	if err != nil {

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"tierscape/internal/corpus"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/policy"
 	"tierscape/internal/sim"
 	"tierscape/internal/telemetry"
-	"tierscape/internal/workload"
-	"tierscape/internal/ztier"
 )
 
 // noopModel recommends keeping everything in place: it exercises the
@@ -20,30 +17,6 @@ func (noopModel) Name() string { return "only-profiling" }
 
 func (noopModel) Recommend(m *mem.Manager, _ telemetry.Profile) model.Recommendation {
 	return model.Keep(m)
-}
-
-// spectrumSubsetBuilder builds a manager with the first n tiers of the
-// spectrum set (1 => C12-like best-TCO single tier semantics are not what
-// we want; the paper's single tier is GSwap's, so n=1 uses C7, n=2 uses
-// CT-1+CT-2 equivalents C7+C12, n=5 the full spectrum).
-func spectrumSubsetBuilder(n int) func(workload.Workload, uint64) (*mem.Manager, error) {
-	return func(wl workload.Workload, seed uint64) (*mem.Manager, error) {
-		full := ztier.SpectrumSet()
-		var subset []ztier.Config
-		switch n {
-		case 1:
-			subset = []ztier.Config{full[3]} // C7 (GSwap's tier)
-		case 2:
-			subset = []ztier.Config{full[3], full[4]} // C7 + C12
-		default:
-			subset = full
-		}
-		return mem.NewManager(mem.Config{
-			NumPages:        wl.NumPages(),
-			Content:         corpus.NewGenerator(wl.Content(), seed),
-			CompressedTiers: subset,
-		})
-	}
 }
 
 // Fig14 reproduces Figure 14: the TierScape tax. Memcached/memtier runs

@@ -48,9 +48,9 @@ func (c *Colocated) Name() string {
 func (c *Colocated) NumPages() int64 { return c.total }
 
 // Content implements Workload. The per-tenant content profiles differ;
-// callers building a manager for a Colocated workload should prefer
-// ContentSource, which stitches each tenant's real profile. Content
-// returns Mixed as the single-profile approximation.
+// a manager for a Colocated workload is filled from ContentSource, which
+// stitches each tenant's real profile. Content returns Mixed as the
+// single-profile approximation.
 func (c *Colocated) Content() corpus.Profile { return corpus.Mixed }
 
 // ContentSource returns a composite content source honoring each tenant's
@@ -70,6 +70,16 @@ func (c *Colocated) ContentSource(seed uint64) corpus.Source {
 		}
 	}
 	return corpus.NewComposite(segs...)
+}
+
+// ContentSource is what a manager for wl is filled from: a Colocated's
+// stitched per-tenant source, otherwise a generator of wl's own profile.
+// seed fixes generation.
+func ContentSource(wl Workload, seed uint64) corpus.Source {
+	if c, ok := wl.(*Colocated); ok {
+		return c.ContentSource(seed)
+	}
+	return corpus.NewGenerator(wl.Content(), seed)
 }
 
 // BaseOpNs implements Workload: the current tenant's op cost (tenants

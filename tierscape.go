@@ -36,7 +36,6 @@ import (
 	"io"
 	"net"
 
-	"tierscape/internal/corpus"
 	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
@@ -295,13 +294,9 @@ func SimConfig(cfg RunConfig) (sim.Config, error) {
 	if seed == 0 {
 		seed = 42
 	}
-	var content corpus.Source = corpus.NewGenerator(cfg.Workload.Content(), seed)
-	if c, ok := cfg.Workload.(*workload.Colocated); ok {
-		content = c.ContentSource(seed)
-	}
 	m, err := mem.NewManager(mem.Config{
 		NumPages:          cfg.Workload.NumPages(),
-		Content:           content,
+		Content:           workload.ContentSource(cfg.Workload, seed),
 		DRAMCapacityPages: cfg.DRAMCapacityPages,
 		ByteTiers:         cfg.ByteTiers,
 		CompressedTiers:   cfg.Tiers,
