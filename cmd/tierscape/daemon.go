@@ -30,7 +30,6 @@ import (
 	"tierscape/internal/daemon"
 	"tierscape/internal/obs"
 	"tierscape/internal/sim"
-	"tierscape/internal/trace"
 )
 
 type daemonOpts struct {
@@ -59,27 +58,19 @@ func (b *specBuilder) build(as daemon.AttachSpec) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	var wl tierscape.Workload
-	if s.Replay != "" {
-		f, err := os.Open(s.Replay)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		st, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return sim.Config{}, err
-		}
-		b.mu.Lock()
-		b.closers = append(b.closers, f)
-		b.mu.Unlock()
-		wl = st
-	} else if wl, err = buildWorkload(s.Workload, s.Pages, s.Seed); err != nil {
+	wl, f, err := s.workload()
+	if err != nil {
 		return sim.Config{}, err
 	}
 	cfg, err := s.runConfig(wl)
 	if err != nil {
+		f.Close()
 		return sim.Config{}, err
+	}
+	if f != nil {
+		b.mu.Lock()
+		b.closers = append(b.closers, f)
+		b.mu.Unlock()
 	}
 	cfg.Recorder = b.live
 	return tierscape.SimConfig(cfg)

@@ -23,11 +23,10 @@ import (
 	"time"
 
 	"tierscape"
-	"tierscape/internal/media"
 	"tierscape/internal/mem"
+	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/trace"
-	"tierscape/internal/ztier"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -84,11 +83,14 @@ func (s spec) overlay(doc json.RawMessage) (spec, error) {
 // runConfig lowers the spec to the facade's run configuration over wl. The
 // caller adds its Recorder.
 func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
-	tiers, byteTiers, slowTiers, err := resolveTiers(s.Tiers)
+	if err := model.CheckKnobs(s.Alpha, s.Pct); err != nil {
+		return tierscape.RunConfig{}, err
+	}
+	tiers, byteTiers, err := resolveTiers(s.Tiers)
 	if err != nil {
 		return tierscape.RunConfig{}, fmt.Errorf("tier setup %q: %v", s.Tiers, err)
 	}
-	mdl, err := s.model(slowTiers)
+	mdl, err := s.model(byteTiers, tiers)
 	if err != nil {
 		return tierscape.RunConfig{}, err
 	}
@@ -104,6 +106,26 @@ func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
 		CompactBudget:          s.CompactBudget,
 		PrefetchFaultThreshold: s.Prefetch,
 	}, nil
+}
+
+// workload builds the spec's workload: a reader over the trace it replays,
+// or the named workload. A replay's file is returned for the caller to
+// close; otherwise the file is nil, whose Close does nothing.
+func (s spec) workload() (tierscape.Workload, *os.File, error) {
+	if s.Replay == "" {
+		wl, err := buildWorkload(s.Workload, s.Pages, s.Seed)
+		return wl, nil, err
+	}
+	f, err := os.Open(s.Replay)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := trace.NewReader(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return r, f, nil
 }
 
 // run is the command: the run's tables go to stdout, diagnostics to stderr,
@@ -138,6 +160,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "invalid value %d for flag -compact-budget: a budget cannot be negative\n", s.CompactBudget)
 		return 2
 	}
+	if *record != "" && s.Replay != "" {
+		fmt.Fprintln(stderr, "-record and -replay cannot be combined: a replay is the run it recorded")
+		return 2
+	}
 
 	if *daemonMode {
 		return runDaemonMode(daemonOpts{
@@ -153,35 +179,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return status
 	}
 
-	var wl tierscape.Workload
+	wl, replayFile, err := s.workload()
+	if err != nil {
+		return fail(2, "%v", err)
+	}
+	defer replayFile.Close()
+	replay, _ := wl.(*trace.Reader)
 	var recorder *trace.Recorder
-	var replay *trace.Reader
-	if s.Replay != "" {
-		f, err := os.Open(s.Replay)
+	if *record != "" {
+		f, err := os.Create(*record)
 		if err != nil {
-			return fail(2, "%v", err)
+			return fail(1, "record file: %v", err)
 		}
 		defer f.Close()
-		if replay, err = trace.NewReader(f); err != nil {
+		if recorder, err = trace.NewRecorder(f, wl); err != nil {
 			return fail(2, "%v", err)
 		}
-		wl = replay
-	} else {
-		var err error
-		if wl, err = buildWorkload(s.Workload, s.Pages, s.Seed); err != nil {
-			return fail(2, "%v", err)
-		}
-		if *record != "" {
-			f, err := os.Create(*record)
-			if err != nil {
-				return fail(1, "record file: %v", err)
-			}
-			defer f.Close()
-			if recorder, err = trace.NewRecorder(f, wl); err != nil {
-				return fail(2, "%v", err)
-			}
-			wl = recorder
-		}
+		wl = recorder
 	}
 
 	// Observability: each enabled sink becomes one leg of a tee. The
@@ -294,37 +308,37 @@ func printTrace(w io.Writer, m *tierscape.MetricsRecorder) {
 	}
 }
 
-// resolveTiers maps a -tiers value (standard, spectrum, or a JSON tier
-// file) to the tier lineup plus each baseline model's slow-tier target.
-func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, map[string]tierscape.TierID, error) {
+// resolveTiers maps a -tiers value to the tier lineup: standard, spectrum,
+// or a JSON tier file, the artifact's config-file analogue:
+// {"byteTiers":["NVMM"], "compressedTiers":[{"codec":"lzo","pool":"zsmalloc","media":"DRAM"}, ...]}.
+func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, error) {
 	switch name {
 	case "standard":
-		return tierscape.StandardMix(), []tierscape.MediaKind{tierscape.NVMM},
-			map[string]tierscape.TierID{
-				"hemem": tierscape.StdNVMM, "gswap": tierscape.StdCT1, "tmo": tierscape.StdCT2,
-			}, nil
+		return tierscape.StandardMix(), []tierscape.MediaKind{tierscape.NVMM}, nil
 	case "spectrum":
-		return tierscape.Spectrum(), nil,
-			map[string]tierscape.TierID{
-				"hemem": 1, "gswap": 4, "tmo": 5, // C7 is GSwap's tier, C12 TMO-like
-			}, nil
-	default:
-		// Treat as a JSON tier-config file: the artifact's config-file
-		// analogue. Format: {"byteTiers":["NVMM"], "compressedTiers":
-		// [{"codec":"lzo","pool":"zsmalloc","media":"DRAM"}, ...]}.
-		tcs, bts, err := loadTierFile(name)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// Baselines target the last tiers by convention.
-		n := tierscape.TierID(len(bts) + len(tcs))
-		return tcs, bts, map[string]tierscape.TierID{"hemem": 1, "gswap": n, "tmo": n}, nil
+		return tierscape.Spectrum(), nil, nil
 	}
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	var tf struct {
+		ByteTiers       []tierscape.MediaKind
+		CompressedTiers []tierscape.TierConfig
+	}
+	if err := json.Unmarshal(data, &tf); err != nil {
+		return nil, nil, err
+	}
+	if len(tf.CompressedTiers) == 0 {
+		return nil, nil, fmt.Errorf("no compressed tiers in %s", name)
+	}
+	return tf.CompressedTiers, tf.ByteTiers, nil
 }
 
-// model builds the spec's placement model; nil means the all-DRAM
-// baseline.
-func (s spec) model(slowTiers map[string]tierscape.TierID) (tierscape.Model, error) {
+// model builds the spec's placement model over the tier lineup; nil means
+// the all-DRAM baseline. A two-tier baseline's slow tier is derived from the
+// lineup by internal/model.
+func (s spec) model(byteTiers []tierscape.MediaKind, tiers []tierscape.TierConfig) (tierscape.Model, error) {
 	switch s.Model {
 	case "baseline":
 		return nil, nil
@@ -332,56 +346,16 @@ func (s spec) model(slowTiers map[string]tierscape.TierID) (tierscape.Model, err
 		return tierscape.AM(s.Alpha), nil
 	case "waterfall":
 		return tierscape.WaterfallModel(s.Pct), nil
-	case "hemem":
-		return tierscape.HeMemBaseline(slowTiers["hemem"], s.Pct), nil
-	case "gswap":
-		return tierscape.GSwapBaseline(slowTiers["gswap"], s.Pct), nil
-	case "tmo":
-		return tierscape.TMOBaseline(slowTiers["tmo"], s.Pct), nil
+	case "hemem", "gswap", "tmo":
+		b := map[string]model.Baseline{"hemem": model.HeMemStar, "gswap": model.GSwapStar, "tmo": model.TMOStar}[s.Model]
+		mdl, err := b.New(byteTiers, tiers, s.Pct)
+		if err != nil {
+			return nil, fmt.Errorf("model %s on tier setup %q: %v", s.Model, s.Tiers, err)
+		}
+		return mdl, nil
 	default:
 		return nil, fmt.Errorf("unknown model %q", s.Model)
 	}
-}
-
-// tierFile is the JSON schema for custom tier setups.
-type tierFile struct {
-	ByteTiers       []string `json:"byteTiers"`
-	CompressedTiers []struct {
-		Codec string `json:"codec"`
-		Pool  string `json:"pool"`
-		Media string `json:"media"`
-	} `json:"compressedTiers"`
-}
-
-func loadTierFile(path string) ([]tierscape.TierConfig, []tierscape.MediaKind, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tf tierFile
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return nil, nil, err
-	}
-	var bts []tierscape.MediaKind
-	for _, b := range tf.ByteTiers {
-		k, err := media.ParseKind(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		bts = append(bts, k)
-	}
-	var tcs []tierscape.TierConfig
-	for _, c := range tf.CompressedTiers {
-		k, err := media.ParseKind(c.Media)
-		if err != nil {
-			return nil, nil, err
-		}
-		tcs = append(tcs, ztier.Config{Codec: c.Codec, Pool: c.Pool, Media: k})
-	}
-	if len(tcs) == 0 {
-		return nil, nil, fmt.Errorf("no compressed tiers in %s", path)
-	}
-	return tcs, bts, nil
 }
 
 func buildWorkload(name string, pages int64, seed uint64) (tierscape.Workload, error) {

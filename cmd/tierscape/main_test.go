@@ -84,6 +84,7 @@ func TestSpecOverlay(t *testing.T) {
 // daemon receives: the knobs arrive as overlaid, -model am builds an
 // analytical model, and the error cases are attach errors, not configs.
 func TestSpecOverlayAttaches(t *testing.T) {
+	noByteTier, noCT1 := writeTierFiles(t)
 	b := &specBuilder{defaults: flagSpec(t, "-prefetch", "5", "-ops", "3000", "-pages", "2048", "-model", "am")}
 	build := func(doc string) (ops, prefetch int, am bool, err error) {
 		cfg, err := b.build(daemon.AttachSpec{Name: "kv", Spec: json.RawMessage(doc)})
@@ -109,16 +110,40 @@ func TestSpecOverlayAttaches(t *testing.T) {
 		}
 	}
 	for doc, want := range map[string]string{
-		`{"ops":"many"}`:        "spec.ops",
-		`{"model":"oracle"}`:    `unknown model "oracle"`,
-		`{"workload":"tetris"}`: `unknown workload "tetris"`,
-		`{"tiers":"/no/such"}`:  `tier setup "/no/such"`,
-		`{"replay":"/no/such"}`: "/no/such",
+		`{"ops":"many"}`:                                        "spec.ops",
+		`{"model":"oracle"}`:                                    `unknown model "oracle"`,
+		`{"workload":"tetris"}`:                                 `unknown workload "tetris"`,
+		`{"tiers":"/no/such"}`:                                  `tier setup "/no/such"`,
+		`{"replay":"/no/such"}`:                                 "/no/such",
+		`{"model":"hemem","tiers":"spectrum"}`:                  "HeMem* needs a byte-addressable tier",
+		fmt.Sprintf(`{"model":"hemem","tiers":%q}`, noByteTier): "HeMem* needs a byte-addressable tier",
+		fmt.Sprintf(`{"model":"gswap","tiers":%q}`, noCT1):      "GSwap* needs CT-1",
+		`{"alpha":1.5}`:                                         "alpha must be in [0,1], got 1.5",
+		`{"alpha":-2}`:                                          "alpha must be in [0,1], got -2",
+		`{"pct":101}`:                                           "pct must be in [0,100], got 101",
+		`{"pct":-1}`:                                            "pct must be in [0,100], got -1",
 	} {
 		if _, _, _, err := build(doc); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one mentioning %q", doc, err, want)
 		}
 	}
+}
+
+// writeTierFiles writes two tier files for the baseline refusals: one with
+// no byte-addressable tier, one with no CT-1.
+func writeTierFiles(t *testing.T) (noByteTier, noCT1 string) {
+	t.Helper()
+	dir := t.TempDir()
+	noByteTier, noCT1 = filepath.Join(dir, "no-byte-tier.json"), filepath.Join(dir, "no-ct1.json")
+	for path, doc := range map[string]string{
+		noByteTier: `{"compressedTiers":[{"codec":"lzo","pool":"zsmalloc","media":"DRAM"},{"codec":"zstd","pool":"zsmalloc","media":"NVMM"}]}`,
+		noCT1:      `{"byteTiers":["NVMM"],"compressedTiers":[{"codec":"zstd","pool":"zsmalloc","media":"NVMM"}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return noByteTier, noCT1
 }
 
 // TestPagesBounded: a page count from outside the program — an attach
@@ -154,6 +179,7 @@ func TestRunExitStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := []string{"-windows", "1", "-ops", "100", "-pages", "1024"}
+	noByteTier, noCT1 := writeTierFiles(t)
 	// A v1 trace: one op whose single access is page -600 of 1024.
 	v1Trace := filepath.Join(dir, "v1.trace")
 	if err := os.WriteFile(v1Trace, []byte("TSTR\x01\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\xe0\x12"), 0o644); err != nil {
@@ -189,6 +215,15 @@ func TestRunExitStatus(t *testing.T) {
 		{"negative compaction budget, daemon", []string{"-daemon", "-compact-budget", "-1"}, 2, "-compact-budget: a budget cannot be negative"},
 		{"removed -windows-csv flag", []string{"-windows-csv", filepath.Join(dir, "w.csv")}, 2, "flag provided but not defined: -windows-csv"},
 		{"run that cannot start", []string{"-windows", "0"}, 1, "must be positive"},
+		{"HeMem* on the spectrum", []string{"-model", "hemem", "-tiers", "spectrum"}, 2, "HeMem* needs a byte-addressable tier"},
+		{"HeMem* on a tier file without a byte tier", []string{"-model", "hemem", "-tiers", noByteTier}, 2, "HeMem* needs a byte-addressable tier"},
+		{"GSwap* on a tier file without CT-1", []string{"-model", "gswap", "-tiers", noCT1}, 2, "GSwap* needs CT-1"},
+		{"alpha above 1", []string{"-model", "am", "-alpha", "1.5"}, 2, "alpha must be in [0,1], got 1.5"},
+		{"negative alpha", []string{"-model", "am", "-alpha", "-2"}, 2, "alpha must be in [0,1], got -2"},
+		{"NaN alpha", []string{"-model", "am", "-alpha", "NaN"}, 2, "alpha must be in [0,1], got NaN"},
+		{"pct above 100", []string{"-model", "waterfall", "-pct", "101"}, 2, "pct must be in [0,100], got 101"},
+		{"negative pct", []string{"-model", "hemem", "-pct", "-1"}, 2, "pct must be in [0,100], got -1"},
+		{"record during a replay", []string{"-replay", filepath.Join(dir, "a.trace"), "-record", filepath.Join(dir, "b.trace")}, 2, "-record and -replay cannot be combined"},
 		{"help", []string{"-h"}, 0, "Usage of tierscape"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -201,6 +236,9 @@ func TestRunExitStatus(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%s: %d bytes on stdout", tc.name, stdout.Len())
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "b.trace")); !os.IsNotExist(err) {
+		t.Errorf("a refused -record during a replay left b.trace behind: %v", err)
 	}
 }
 

@@ -46,8 +46,11 @@ func (deterministicOnly) RecordRuntime(obs.WindowRuntime) {}
 func overlapTenants(t *testing.T, rec obs.Recorder) (names []string, cfgs []sim.Config) {
 	t.Helper()
 	const pages = ovRegions * mem.RegionPages
-	const ct2 = mem.TierID(3) // DRAM, NVMM, CT-1, CT-2
 	ycsbA, err := workload.NewYCSB('A', pages*mem.PageSize*7/8/1024, 1024, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmo, err := model.TMOStar.New([]media.Kind{media.NVMM}, []ztier.Config{ztier.CT1(), ztier.CT2()}, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func overlapTenants(t *testing.T, rec obs.Recorder) (names []string, cfgs []sim.
 		{"memcached-ycsb", workload.Memcached(workload.DriverYCSB, 1024, pages, 11), &model.Analytical{Alpha: 0.3}},
 		{"ycsb-a", ycsbA, &model.Waterfall{Pct: 25}},
 		{"xsbench", workload.NewXSBench(pages, 13), &model.Analytical{Alpha: 0.7, ModelName: "AM-perf"}},
-		{"memcached-memtier-4k", workload.Memcached(workload.DriverMemtier, 4096, pages, 14), model.TMO(ct2, 25)},
+		{"memcached-memtier-4k", workload.Memcached(workload.DriverMemtier, 4096, pages, 14), tmo},
 	} {
 		names = append(names, tn.name)
 		cfgs = append(cfgs, sim.Config{

@@ -16,26 +16,24 @@ func Colocation(s Scale) (*Table, error) {
 		Title:   "Extension: co-located tenants on one tiered system (Memcached + PageRank)",
 		Headers: []string{"deployment", "model", "slowdown_pct", "tco_savings_pct"},
 	}
-	mkMemc := func(s Scale) workload.Workload {
-		return workload.Memcached(workload.DriverMemtier, 1024, s.KVPages, s.Seed)
-	}
-	mkPR := func(s Scale) workload.Workload {
-		return workload.NewPageRank(s.GraphVertices, 8, s.Seed)
-	}
+	// The tenants are Table 2's, under this figure's own spec names; the
+	// PageRank graph comes from the figure's shared table, so the solo
+	// tenant and the colocated one traverse one graph.
+	memc, pr := workloadByName("Memcached/memtier-1K"), workloadByName("PageRank")
 	// Two solo tenants and the colocated pair: a (baseline, AM-TCO) job
 	// couple for each deployment.
 	specs := []WorkloadSpec{
-		{Name: "memcached", New: mkMemc},
-		{Name: "pagerank", New: mkPR},
-		{Name: "colocated", New: func(s Scale) workload.Workload {
-			return workload.Colocate(mkMemc(s), mkPR(s))
+		{Name: "memcached", New: memc.New},
+		{Name: "pagerank", New: pr.New, graph: pr.graph},
+		{Name: "colocated", graph: pr.graph, New: func(s Scale) workload.Workload {
+			return workload.Colocate(memc.New(s), pr.New(s))
 		}},
 	}
 	var jobs []runJob
 	for _, spec := range specs {
 		jobs = append(jobs,
 			runJob{spec: spec},
-			runJob{spec: spec, mdl: &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}},
+			runJob{spec: spec, mdl: model.AMTCO()},
 		)
 	}
 	results, err := runJobs(s, jobs)

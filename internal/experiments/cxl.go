@@ -33,7 +33,7 @@ func CXLVariant(s Scale) (*Table, error) {
 		jobs = append(jobs,
 			runJob{spec: spec, tiers: b.tiers},
 			runJob{spec: spec, tiers: b.tiers, mdl: &model.Waterfall{Pct: 25}},
-			runJob{spec: spec, tiers: b.tiers, mdl: &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"}},
+			runJob{spec: spec, tiers: b.tiers, mdl: model.AMTCO()},
 		)
 	}
 	results, err := runJobs(s, jobs)

@@ -181,8 +181,13 @@ func TestConcurrentPushThreadsIdenticalTables(t *testing.T) {
 func TestConcurrentFallbackHeavyFig10CSV(t *testing.T) {
 	s := SmallScale()
 	const ct1PoolPages = 24
+	mix := standardMix()
+	gswap, err := model.GSwapStar.New(mix.byteTiers, mix.compressed, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clamped := func(c *sim.Config) {
-		if err := c.Manager.SetCompressedTierLimit(stdCT1, ct1PoolPages); err != nil {
+		if err := c.Manager.SetCompressedTierLimit(gswap.SlowTier, ct1PoolPages); err != nil {
 			t.Error(err)
 		}
 	}

@@ -165,13 +165,6 @@ func workloadByName(name string) WorkloadSpec {
 	panic("experiments: unknown workload " + name)
 }
 
-// Tier ids in the standard mix (§8.2): DRAM, NVMM, CT-1, CT-2.
-const (
-	stdNVMM = mem.TierID(1)
-	stdCT1  = mem.TierID(2)
-	stdCT2  = mem.TierID(3)
-)
-
 // lineup is a tiered system's tiers below DRAM: its byte-addressable
 // tiers, then its compressed tiers, numbered from 1 in that order. A
 // lineup with no tiers is the standard mix.
@@ -191,8 +184,15 @@ func standardMix() lineup {
 // spectrum is the §8.3 lineup: C1, C2, C4, C7 and C12, tier ids 1..5.
 func spectrum() lineup { return lineup{compressed: ztier.SpectrumSet()} }
 
-// spectrumGSwapTier is C7's tier id in the spectrum (GSwap's tier).
-const spectrumGSwapTier = mem.TierID(4)
+// baseline returns two-tier baseline b over l at percentile pct. A harness
+// asks only for baselines its lineup has, so a missing target panics.
+func (l lineup) baseline(b model.Baseline, pct float64) *model.TwoTier {
+	mdl, err := b.New(l.byteTiers, l.compressed, pct)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return mdl
+}
 
 // manager builds the tiered system l describes, sized and filled for wl.
 func (l lineup) manager(wl workload.Workload, seed uint64) (*mem.Manager, error) {
@@ -212,17 +212,14 @@ func (l lineup) manager(wl workload.Workload, seed uint64) (*mem.Manager, error)
 }
 
 // standardModels returns the §8.2 model lineup at the paper's thresholds.
-// The paper does not publish AM-TCO/AM-perf's exact α; 0.3 and 0.7 land
-// them in the regimes Figure 7 reports (AM-TCO: deep savings at modest
-// slowdown; AM-perf: near-DRAM performance with clear savings). The full
-// α sweep is Figure 10's job.
 func standardModels() []model.Model {
+	mix := standardMix()
 	return []model.Model{
-		model.HeMem(stdNVMM, 25),
-		model.GSwap(stdCT1, 25),
-		model.TMO(stdCT2, 25),
+		mix.baseline(model.HeMemStar, 25),
+		mix.baseline(model.GSwapStar, 25),
+		mix.baseline(model.TMOStar, 25),
 		&model.Waterfall{Pct: 25},
-		&model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"},
-		&model.Analytical{Alpha: 0.7, ModelName: "AM-perf"},
+		model.AMTCO(),
+		model.AMPerf(),
 	}
 }

@@ -67,9 +67,8 @@ func Fig13(s Scale) (*Table, error) {
 	}
 	var configs []cfg
 	for _, agg := range aggressiveness {
-		agg := agg
 		configs = append(configs,
-			cfg{"GS" + agg.Suffix, func() model.Model { return model.GSwap(spectrumGSwapTier, agg.Pct) }},
+			cfg{"GS" + agg.Suffix, func() model.Model { return spectrum().baseline(model.GSwapStar, agg.Pct) }},
 			cfg{"WF" + agg.Suffix, func() model.Model { return &model.Waterfall{Pct: agg.Pct} }},
 			cfg{"AM" + agg.Suffix, func() model.Model {
 				return &model.Analytical{Alpha: agg.Alpha, ModelName: "AM" + agg.Suffix}

@@ -4,58 +4,30 @@ import (
 	"fmt"
 
 	"tierscape/internal/media"
-	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/sim"
-	"tierscape/internal/telemetry"
-	"tierscape/internal/workload"
 	"tierscape/internal/ztier"
 )
 
-// fractionPlacement statically places the coldest frac of regions into a
-// single compressed tier — the naive aggressive-placement policy whose
-// drawbacks Figure 1 illustrates.
-type fractionPlacement struct {
-	frac float64
-	ct   mem.TierID
-}
-
-func (f *fractionPlacement) Name() string {
-	return fmt.Sprintf("place-%.0f%%", f.frac*100)
-}
-
-func (f *fractionPlacement) Recommend(m *mem.Manager, prof telemetry.Profile) model.Recommendation {
-	thr := prof.Threshold(f.frac * 100)
-	n := m.NumRegions()
-	dest := make([]mem.TierID, n)
-	for r := int64(0); r < n; r++ {
-		if prof.Hotness[r] <= thr {
-			dest[r] = f.ct
-		} else {
-			dest[r] = mem.DRAMTier
-		}
-	}
-	return model.Recommendation{Dest: dest}
-}
-
 // Fig1 reproduces Figure 1: Memcached on DRAM + one compressed tier
-// (zstd/zsmalloc on DRAM, the TMO-style single tier), placing 20%, 50%
-// and 80% of the data in the compressed tier. Savings rise with placement
-// aggressiveness — and so does the slowdown.
+// (zstd/zsmalloc on DRAM, the TMO-style single tier), placing the coldest
+// 20%, 50% and 80% of the data in the compressed tier — the naive
+// aggressive-placement policy whose drawbacks the figure illustrates.
+// Savings rise with placement aggressiveness — and so does the slowdown.
 func Fig1(s Scale) (*Table, error) {
 	t := &Table{
 		Title:   "Figure 1: aggressiveness of single-compressed-tier placement (Memcached)",
 		Headers: []string{"placement", "tco_savings_pct", "slowdown_pct"},
 	}
-	spec := WorkloadSpec{Name: "Memcached/memtier-1K", New: func(s Scale) workload.Workload {
-		return workload.Memcached(workload.DriverMemtier, 1024, s.KVPages, s.Seed)
-	}}
+	spec := workloadByName("Memcached/memtier-1K")
 	tiers := lineup{compressed: []ztier.Config{{Codec: "zstd", Pool: "zsmalloc", Media: media.DRAM}}}
 	fracs := []float64{0.2, 0.5, 0.8}
 	jobs := []runJob{{spec: spec, tiers: tiers}}
 	for _, frac := range fracs {
-		jobs = append(jobs, runJob{spec: spec, tiers: tiers,
-			mdl: &fractionPlacement{frac: frac, ct: 1}})
+		// TMO*'s policy on the lineup's one tier, under the figure's name.
+		mdl := tiers.baseline(model.TMOStar, frac*100)
+		mdl.ModelName = fmt.Sprintf("place-%.0f%%", frac*100)
+		jobs = append(jobs, runJob{spec: spec, tiers: tiers, mdl: mdl})
 	}
 	results, err := runJobs(s, jobs)
 	if err != nil {
@@ -170,46 +142,33 @@ func fig10With(s Scale, cfg func(*sim.Config)) (*Table, error) {
 		Headers: []string{"config", "slowdown_pct", "tco_savings_pct"},
 	}
 	spec := workloadByName("Memcached/YCSB")
-	type point struct {
-		label func(*sim.Result) string
-		mdl   model.Model
-	}
-	var points []point
+	jobs := []runJob{{spec: spec, cfg: cfg}}
+	var labels []string
 	for _, alpha := range []float64{0.9, 0.7, 0.5, 0.3, 0.1} {
 		name := fmt.Sprintf("AM-a%.1f", alpha)
-		points = append(points, point{
-			label: func(*sim.Result) string { return name },
-			mdl:   &model.Analytical{Alpha: alpha, ModelName: name},
-		})
+		labels = append(labels, name)
+		jobs = append(jobs, runJob{spec: spec, mdl: &model.Analytical{Alpha: alpha, ModelName: name}, cfg: cfg})
 	}
+	mix := standardMix()
 	for _, pct := range []float64{25, 75} {
 		for _, mdl := range []model.Model{
-			model.HeMem(stdNVMM, pct),
-			model.GSwap(stdCT1, pct),
-			model.TMO(stdCT2, pct),
+			mix.baseline(model.HeMemStar, pct),
+			mix.baseline(model.GSwapStar, pct),
+			mix.baseline(model.TMOStar, pct),
 			&model.Waterfall{Pct: pct},
 		} {
-			pct := pct
-			points = append(points, point{
-				label: func(r *sim.Result) string {
-					return fmt.Sprintf("%s-P%.0f", r.ModelName, pct)
-				},
-				mdl: mdl,
-			})
+			labels = append(labels, fmt.Sprintf("%s-P%.0f", mdl.Name(), pct))
+			jobs = append(jobs, runJob{spec: spec, mdl: mdl, cfg: cfg})
 		}
-	}
-	jobs := []runJob{{spec: spec, cfg: cfg}}
-	for _, p := range points {
-		jobs = append(jobs, runJob{spec: spec, mdl: p.mdl, cfg: cfg})
 	}
 	results, err := runJobs(s, jobs)
 	if err != nil {
 		return nil, err
 	}
 	base := results[0]
-	for i, p := range points {
+	for i, label := range labels {
 		res := results[i+1]
-		t.Addf(p.label(res), res.SlowdownPctVs(base), res.SavingsPct())
+		t.Addf(label, res.SlowdownPctVs(base), res.SavingsPct())
 	}
 	t.Note("AM's alpha traces a savings/slowdown frontier; baselines are fixed points")
 	return t, nil

@@ -128,7 +128,6 @@ func PrefetchAblation(s Scale) (*Table, error) {
 	thresholds := []int{0, 16, 4}
 	jobs := []runJob{{spec: spec}}
 	for _, thr := range thresholds {
-		thr := thr
 		jobs = append(jobs, runJob{spec: spec,
 			mdl: &model.Analytical{Alpha: 0.1, ModelName: "AM"},
 			cfg: func(c *sim.Config) { c.PrefetchFaultThreshold = thr },
@@ -158,7 +157,6 @@ func CoolingAblation(s Scale) (*Table, error) {
 	coolings := []float64{0.1, 0.5, 0.9}
 	jobs := []runJob{{spec: spec}}
 	for _, cool := range coolings {
-		cool := cool
 		jobs = append(jobs, runJob{spec: spec,
 			mdl: &model.Analytical{Alpha: 0.1, ModelName: "AM-TCO"},
 			cfg: func(c *sim.Config) { c.Cooling = cool },

@@ -104,6 +104,13 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
+// UnmarshalText parses a medium's name as ParseKind does, so a tier file
+// names its media in JSON.
+func (k *Kind) UnmarshalText(b []byte) (err error) {
+	*k, err = ParseKind(string(b))
+	return err
+}
+
 // ReadCostNs returns the time to fetch size bytes from medium k, including
 // the fixed access latency.
 func ReadCostNs(k Kind, size int) float64 {

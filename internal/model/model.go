@@ -8,7 +8,8 @@
 //     window over the observed hotness profile (internal/ilp).
 //   - TwoTier — the baseline family: HeMem* (slow tier = NVMM), GSwap*
 //     (slow tier = CT-1) and TMO* (slow tier = CT-2), all percentile-
-//     threshold based (§8.1).
+//     threshold based (§8.1). Baseline derives each one's slow tier from
+//     a tier lineup (paper.go).
 //
 // A model consumes the window's hotness profile and the manager's tier
 // inventory and emits a destination tier per region. The policy filter
@@ -18,7 +19,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"tierscape/internal/ilp"
@@ -236,10 +236,24 @@ const RemoteRTTNs = 200_000
 // safe concurrently with Recommend — call it from the thread driving the
 // control loop.
 func (a *Analytical) SetAlpha(alpha float64) error {
-	if alpha < 0 || alpha > 1 || math.IsNaN(alpha) {
-		return fmt.Errorf("model: alpha must be in [0,1], got %v", alpha)
+	if err := CheckKnobs(alpha, 0); err != nil {
+		return err
 	}
 	a.Alpha = alpha
+	return nil
+}
+
+// CheckKnobs refuses an α outside [0,1] or a hotness percentile outside
+// [0,100], NaN included.
+func CheckKnobs(alpha, pct float64) error {
+	for _, k := range []struct {
+		name   string
+		v, max float64
+	}{{"alpha", alpha, 1}, {"pct", pct, 100}} {
+		if !(k.v >= 0 && k.v <= k.max) {
+			return fmt.Errorf("model: %s must be in [0,%v], got %v", k.name, k.max, k.v)
+		}
+	}
 	return nil
 }
 
@@ -372,20 +386,4 @@ func (a *Analytical) price(nRegions int64, nTiers int, priceRow func(int64, []il
 		return nil
 	}
 	return w.dirty
-}
-
-// HeMem returns the HeMem* baseline: DRAM + NVMM threshold tiering.
-// slow must be the manager's NVMM tier id.
-func HeMem(slow mem.TierID, pct float64) *TwoTier {
-	return &TwoTier{ModelName: "HeMem*", SlowTier: slow, Pct: pct}
-}
-
-// GSwap returns the GSwap* baseline: DRAM + CT-1 (lzo/zsmalloc/DRAM).
-func GSwap(slow mem.TierID, pct float64) *TwoTier {
-	return &TwoTier{ModelName: "GSwap*", SlowTier: slow, Pct: pct}
-}
-
-// TMO returns the TMO* baseline: DRAM + CT-2 (zstd/zsmalloc/Optane).
-func TMO(slow mem.TierID, pct float64) *TwoTier {
-	return &TwoTier{ModelName: "TMO*", SlowTier: slow, Pct: pct}
 }

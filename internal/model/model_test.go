@@ -37,7 +37,7 @@ func profileWith(hot []float64) telemetry.Profile {
 func TestTwoTierSplitsAtPercentile(t *testing.T) {
 	m := standardManager(t, 8)
 	prof := profileWith([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	tt := HeMem(1, 25)
+	tt := &TwoTier{ModelName: "HeMem*", SlowTier: 1, Pct: 25}
 	rec := tt.Recommend(m, prof)
 	// P25 of 0..7 is 1 (nearest rank): regions with hotness > 1 go DRAM.
 	wantDRAM := map[int]bool{2: true, 3: true, 4: true, 5: true, 6: true, 7: true}
@@ -52,7 +52,7 @@ func TestTwoTierSplitsAtPercentile(t *testing.T) {
 }
 
 func TestTwoTierNames(t *testing.T) {
-	if HeMem(1, 25).Name() != "HeMem*" || GSwap(2, 25).Name() != "GSwap*" || TMO(3, 25).Name() != "TMO*" {
+	if HeMemStar.String() != "HeMem*" || GSwapStar.String() != "GSwap*" || TMOStar.String() != "TMO*" {
 		t.Fatal("baseline names wrong")
 	}
 	if (&TwoTier{SlowTier: 1, Pct: 25}).Name() == "" {

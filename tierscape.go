@@ -137,8 +137,9 @@ func Spectrum() []TierConfig { return ztier.SpectrumSet() }
 // CharacterizationTier returns tier Ck (k in 1..12) from Figure 2.
 func CharacterizationTier(k int) TierConfig { return ztier.Characterization(k) }
 
-// Standard-mix tier ids when Run is used with StandardMix():
-// DRAM=0, NVMM=1, CT-1=2, CT-2=3.
+// Standard-mix tier ids when Run is used with StandardMix() and
+// ByteTiers []MediaKind{NVMM}: DRAM=0, NVMM=1, CT-1=2, CT-2=3 — the
+// HeMem*, GSwap* and TMO* targets internal/model derives for that lineup.
 const (
 	StdNVMM = TierID(1)
 	StdCT1  = TierID(2)
@@ -148,14 +149,13 @@ const (
 // Placement models. An analytical model keeps its solver state across
 // windows: use each returned model for one simulation at a time.
 
-// AMTCO returns the analytical model tuned for TCO savings (α=0.3 — the
-// paper does not publish its AM-TCO α; 0.3 reproduces its reported regime
-// of deep savings at modest slowdown).
-func AMTCO() Model { return &model.Analytical{Alpha: 0.3, ModelName: "AM-TCO"} }
+// AMTCO returns the analytical model tuned for TCO savings (the paper's
+// AM-TCO; internal/model states its α and why).
+func AMTCO() Model { return model.AMTCO() }
 
-// AMPerf returns the analytical model tuned for performance (α=0.7:
-// near-DRAM performance with clear savings, Figure 7's AM-perf regime).
-func AMPerf() Model { return &model.Analytical{Alpha: 0.7, ModelName: "AM-perf"} }
+// AMPerf returns the analytical model tuned for performance (the paper's
+// AM-perf).
+func AMPerf() Model { return model.AMPerf() }
 
 // AM returns the analytical model at an arbitrary knob α ∈ [0,1].
 func AM(alpha float64) Model { return &model.Analytical{Alpha: alpha} }
@@ -172,14 +172,18 @@ func AMWarm(alpha, eps float64, fullEvery int) Model { return AM(alpha) }
 func WaterfallModel(pct float64) Model { return &model.Waterfall{Pct: pct} }
 
 // HeMemBaseline returns the HeMem* two-tier baseline pushing cold regions
-// to slow (typically StdNVMM).
-func HeMemBaseline(slow TierID, pct float64) Model { return model.HeMem(slow, pct) }
+// to slow (StdNVMM on the standard mix).
+func HeMemBaseline(slow TierID, pct float64) Model { return twoTier(model.HeMemStar, slow, pct) }
 
-// GSwapBaseline returns the GSwap* baseline (slow typically StdCT1).
-func GSwapBaseline(slow TierID, pct float64) Model { return model.GSwap(slow, pct) }
+// GSwapBaseline returns the GSwap* baseline (slow StdCT1 on the standard mix).
+func GSwapBaseline(slow TierID, pct float64) Model { return twoTier(model.GSwapStar, slow, pct) }
 
-// TMOBaseline returns the TMO* baseline (slow typically StdCT2).
-func TMOBaseline(slow TierID, pct float64) Model { return model.TMO(slow, pct) }
+// TMOBaseline returns the TMO* baseline (slow StdCT2 on the standard mix).
+func TMOBaseline(slow TierID, pct float64) Model { return twoTier(model.TMOStar, slow, pct) }
+
+func twoTier(b model.Baseline, slow TierID, pct float64) Model {
+	return &model.TwoTier{ModelName: b.String(), SlowTier: slow, Pct: pct}
+}
 
 // Workloads (Table 2), scaled by footprint in pages.
 
@@ -265,8 +269,6 @@ type RunConfig struct {
 	SampleRate int
 	// Seed fixes content generation (default 42).
 	Seed uint64
-	// DRAMCapacityPages bounds DRAM (0 = unbounded).
-	DRAMCapacityPages int64
 	// CompactBudget bounds each window's zs_compact pass to roughly this
 	// many reclaimed pool pages across the compressed tiers; the
 	// remainder carries over to later windows via resume cursors.
@@ -295,11 +297,10 @@ func SimConfig(cfg RunConfig) (sim.Config, error) {
 		seed = 42
 	}
 	m, err := mem.NewManager(mem.Config{
-		NumPages:          cfg.Workload.NumPages(),
-		Content:           workload.ContentSource(cfg.Workload, seed),
-		DRAMCapacityPages: cfg.DRAMCapacityPages,
-		ByteTiers:         cfg.ByteTiers,
-		CompressedTiers:   cfg.Tiers,
+		NumPages:        cfg.Workload.NumPages(),
+		Content:         workload.ContentSource(cfg.Workload, seed),
+		ByteTiers:       cfg.ByteTiers,
+		CompressedTiers: cfg.Tiers,
 	})
 	if err != nil {
 		return sim.Config{}, err

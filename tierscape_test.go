@@ -1,6 +1,10 @@
 package tierscape
 
-import "testing"
+import (
+	"testing"
+
+	"tierscape/internal/model"
+)
 
 func TestStandardRunBaselineVsAM(t *testing.T) {
 	base, err := StandardRun(MemcachedYCSB(4*RegionPages, 7), nil, 3, 3000)
@@ -25,6 +29,18 @@ func TestStandardRunBaselineVsAM(t *testing.T) {
 func TestRunValidatesConfig(t *testing.T) {
 	if _, err := Run(RunConfig{Workload: MemcachedYCSB(RegionPages, 1)}); err == nil {
 		t.Fatal("zero windows should fail")
+	}
+}
+
+// TestStdTiersMatchRule pins the facade's standard-mix tier ids to the
+// targets internal/model derives for StandardMix() over NVMM, so the public
+// constants cannot drift from the rule the CLI and the figures use.
+func TestStdTiersMatchRule(t *testing.T) {
+	for b, want := range map[model.Baseline]TierID{model.HeMemStar: StdNVMM, model.GSwapStar: StdCT1, model.TMOStar: StdCT2} {
+		mdl, err := b.New([]MediaKind{NVMM}, StandardMix(), 25)
+		if err != nil || mdl.SlowTier != want {
+			t.Errorf("%v on the standard mix: %+v, %v; the facade's constant says tier %d", b, mdl, err, want)
+		}
 	}
 }
 
