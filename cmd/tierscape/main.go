@@ -59,7 +59,7 @@ func (s *spec) bind(fs *flag.FlagSet) {
 		"placement model: baseline, am, waterfall, hemem, gswap, tmo")
 	fs.Float64Var(&s.Alpha, "alpha", 0.1, "analytical model knob in [0,1]")
 	fs.Float64Var(&s.Pct, "pct", 25, "hotness percentile threshold for threshold models")
-	fs.StringVar(&s.Tiers, "tiers", "standard", "tier setup: standard (DRAM+NVMM+CT1+CT2), spectrum (DRAM+C1,C2,C4,C7,C12), or a JSON file (see -tiers help)")
+	fs.StringVar(&s.Tiers, "tiers", "standard", "tier setup: standard (DRAM+NVMM+CT1+CT2), spectrum (DRAM+C1,C2,C4,C7,C12), or a JSON tier file such as "+tierFileExample)
 	fs.Int64Var(&s.Pages, "pages", 16*tierscape.RegionPages, "workload footprint in 4 KB pages")
 	fs.Uint64Var(&s.Seed, "seed", 42, "random seed")
 	fs.IntVar(&s.Ops, "ops", 20000, "operations per window")
@@ -311,6 +311,10 @@ func printTrace(w io.Writer, m *tierscape.MetricsRecorder) {
 // resolveTiers maps a -tiers value to the tier lineup: standard, spectrum,
 // or a JSON tier file, the artifact's config-file analogue:
 // {"byteTiers":["NVMM"], "compressedTiers":[{"codec":"lzo","pool":"zsmalloc","media":"DRAM"}, ...]}.
+// tierFileExample is the shape of a -tiers JSON file: NVMM as a byte tier
+// and CT-1 (lzo on zsmalloc in DRAM) as the one compressed tier.
+const tierFileExample = `{"byteTiers":["NVMM"],"compressedTiers":[{"codec":"lzo","pool":"zsmalloc","media":"DRAM"}]}`
+
 func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, error) {
 	switch name {
 	case "standard":

@@ -146,6 +146,21 @@ func writeTierFiles(t *testing.T) (noByteTier, noCT1 string) {
 	return noByteTier, noCT1
 }
 
+// TestTierFileExample: the tier file -h shows is one -tiers reads as NVMM
+// plus CT-1.
+func TestTierFileExample(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiers.json")
+	if err := os.WriteFile(path, []byte(tierFileExample), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tiers, byteTiers, err := resolveTiers(path)
+	if err != nil || !reflect.DeepEqual(byteTiers, []tierscape.MediaKind{tierscape.NVMM}) ||
+		!reflect.DeepEqual(tiers, tierscape.StandardMix()[:1]) {
+		t.Fatalf("%s reads as byte tiers %v, compressed tiers %v, err %v; want NVMM and CT-1",
+			tierFileExample, byteTiers, tiers, err)
+	}
+}
+
 // TestPagesBounded: a page count from outside the program — an attach
 // body, the -pages flag — outside [1, mem.MaxPages] is refused before any
 // workload or manager is built. Each count is tried with no workload name
@@ -225,6 +240,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"negative pct", []string{"-model", "hemem", "-pct", "-1"}, 2, "pct must be in [0,100], got -1"},
 		{"record during a replay", []string{"-replay", filepath.Join(dir, "a.trace"), "-record", filepath.Join(dir, "b.trace")}, 2, "-record and -replay cannot be combined"},
 		{"help", []string{"-h"}, 0, "Usage of tierscape"},
+		{"help gives a tier file's shape", []string{"-h"}, 0, "or a JSON tier file such as " + tierFileExample},
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(tc.args, &stdout, &stderr); got != tc.status {

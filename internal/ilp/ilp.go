@@ -8,7 +8,7 @@
 // paper solves it with Google OR-Tools every window; this package has one
 // from-scratch solver in its place (see DESIGN.md for the substitution
 // note): SolveState.Solve, the LP-relaxation greedy over per-class convex
-// hulls, O(total options · log), warm-started across windows. Every solve
+// hulls, O(total options · log), solved afresh every window. Every solve
 // certifies itself: the greedy walks the same sorted hull increments the
 // LP relaxation does, so it returns the LP optimum as Solution.Bound, a
 // proven lower bound on the ILP optimum, and (Cost − Bound)/Cost is how far
@@ -19,10 +19,11 @@
 package ilp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Option is one (tier) choice for a class (region): picking it incurs
@@ -102,14 +103,14 @@ func frontierInto(opts []Option, buf []hullPoint) []hullPoint {
 	// Sort by weight ascending; ties broken by cost ascending, then by
 	// original option index so equal (weight, cost) duplicates keep a
 	// deterministic, input-independent order.
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].w != pts[b].w {
-			return pts[a].w < pts[b].w
+	slices.SortFunc(pts, func(a, b hullPoint) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
 		}
-		if pts[a].cost != pts[b].cost {
-			return pts[a].cost < pts[b].cost
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
 		}
-		return pts[a].idx < pts[b].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	// Keep the efficient frontier: sweeping from light to heavy, a point
 	// survives only if it is strictly cheaper (in cost) than every lighter
@@ -164,7 +165,7 @@ type inc struct {
 	ratio  float64
 }
 
-// lessInc is the strict total order of the global increment walk: ratio
+// cmpInc is the strict total order of the global increment walk: ratio
 // ascending, ties broken by (class, level). The tie-break matters twice.
 // First, correctness: with an unstable ratio-only sort, two increments of
 // the same class whose distinct real ratios collapse to the same float64
@@ -173,28 +174,107 @@ type inc struct {
 // the walk's prerequisite guard would then strand that class at level 0
 // forever — returning Feasible=false on feasible problems. Second,
 // determinism: a strict total order over the unique (class, level) keys
-// gives every increment list exactly one sorted permutation, which is what
-// lets the warm-start solver (warm.go) merge cached and rebuilt runs and
-// land on byte-identical solutions to a from-scratch sort.
-func lessInc(a, b inc) bool {
-	if a.ratio != b.ratio {
-		return a.ratio < b.ratio
+// gives every increment list exactly one sorted permutation, whatever the
+// sort algorithm.
+func cmpInc(a, b inc) int {
+	if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
+		return c
 	}
 	if a.class != b.class {
-		return a.class < b.class
+		return cmp.Compare(a.class, b.class)
 	}
-	return a.level < b.level
+	return cmp.Compare(a.level, b.level)
 }
 
-// SolveGreedy solves p with the convex-hull greedy (LP-relaxation rounding).
+// SolveState is the greedy MCKP solver with its buffers: per-class convex
+// hulls, the increment list, the walk's per-class levels and the frontier
+// scratch. A caller that solves once a window (the analytical model) keeps
+// one so those buffers' capacity carries from window to window. Nothing
+// else does: every Solve rebuilds every class from the problem it is
+// given, so a solve returns the same value whatever the state solved
+// before.
+//
+// The zero value is ready to use. A SolveState is not safe for
+// concurrent use.
+type SolveState struct {
+	hulls   [][]hullPoint // per-class convex hulls (hulls[i][0] = min cost)
+	incs    []inc         // hull increments, sorted by cmpInc
+	level   []int         // per-class hull position in the walk
+	scratch []hullPoint   // frontier construction
+}
+
+// Solve solves p with the convex-hull greedy (LP-relaxation rounding).
 // The result is feasible whenever the problem is, and optimal up to one
-// class's rounding, which Solution.Bound certifies. It is a cold
-// (stateless) SolveState solve; warm-start callers hold a SolveState
-// across windows.
+// class's rounding, which Solution.Bound certifies.
+func (s *SolveState) Solve(p Problem) (Solution, error) {
+	if err := validate(p); err != nil {
+		return Solution{}, err
+	}
+	n := len(p.Classes)
+	s.hulls = slices.Grow(s.hulls[:0], n)[:n]
+	s.incs = s.incs[:0]
+	sol := Solution{Choice: make([]int, n)}
+	for i, c := range p.Classes {
+		s.hulls[i], s.scratch = hullInto(c, s.hulls[i], s.scratch)
+		h := s.hulls[i]
+		// Base assignment: every class at its min-cost (heaviest) point,
+		// summed in class order.
+		sol.Choice[i] = h[0].idx
+		sol.Cost += h[0].cost
+		sol.Weight += h[0].w
+		for k := 1; k < len(h); k++ {
+			dc := h[k].cost - h[k-1].cost
+			dw := h[k-1].w - h[k].w
+			if dw <= 0 {
+				continue
+			}
+			s.incs = append(s.incs, inc{class: i, level: k, dc: dc, dw: dw, ratio: dc / dw})
+		}
+	}
+	if sol.Weight <= p.Budget {
+		sol.Feasible = true
+		sol.Bound = sol.Cost // every class at its cheapest: nothing costs less
+		return sol, nil
+	}
+
+	slices.SortFunc(s.incs, cmpInc)
+	s.level = slices.Grow(s.level[:0], n)[:n]
+	clear(s.level)
+	for _, ic := range s.incs {
+		if sol.Weight <= p.Budget {
+			break
+		}
+		if s.level[ic.class] != ic.level-1 {
+			// Unreachable under cmpInc (per-class increments stay level
+			// ascending through any tie), kept as a safety net: a class
+			// whose prerequisite was skipped must not jump levels.
+			continue
+		}
+		s.level[ic.class] = ic.level
+		if sol.Weight-ic.dw <= p.Budget {
+			// The break increment: the LP relaxation takes only the
+			// fraction of it that reaches the budget, and that optimum
+			// bounds every integer assignment within budget from below.
+			sol.Bound = sol.Cost + ic.dc*min(1, (sol.Weight-p.Budget)/ic.dw)
+		}
+		sol.Cost += ic.dc
+		sol.Weight -= ic.dw
+		sol.Choice[ic.class] = s.hulls[ic.class][ic.level].idx
+	}
+	sol.Feasible = sol.Weight <= p.Budget
+	if !sol.Feasible {
+		// Every increment was taken, so each class sits on its hull's
+		// lightest point: the min-weight assignment, with nothing to bound.
+		sol.Bound = sol.Cost
+	}
+	return sol, nil
+}
+
+// SolveGreedy is Solve on a fresh SolveState: for a caller that solves
+// once.
 func SolveGreedy(p Problem) (Solution, error) {
 	var s SolveState
-	sol, _, err := s.Solve(p, nil)
-	return sol, err
+	return s.Solve(p)
 }
 
 // minWeightSolution returns the assignment minimizing total weight (ties

@@ -28,23 +28,10 @@ import (
 	"tierscape/internal/ztier"
 )
 
-// SolveStats describes how the analytical model's solve went — warm-start
-// reuse and infeasibility fallbacks. Threshold models leave it zero.
+// SolveStats describes how the analytical model's solve went: its
+// infeasibility fallbacks and its proven gap. Threshold models leave it
+// zero.
 type SolveStats struct {
-	// WarmHit is true when the solver repaired the previous window's
-	// state incrementally rather than rebuilding every class (a fresh or
-	// reshaped model's first window reports false).
-	WarmHit bool
-	// ClassesReused and ClassesRebuilt count per-region MCKP classes whose
-	// cached hulls were kept vs recomputed this window.
-	ClassesReused  int
-	ClassesRebuilt int
-	// RebuildNs and RepairNs split the modeled solve time (SolverNs minus
-	// probe and RTT components) between rebuilding dirty classes and
-	// repairing the global solution, pro-rata by class counts. Deterministic
-	// like SolverNs: derived from the modeled cost, not wall clock.
-	RebuildNs float64
-	RepairNs  float64
 	// Fallbacks counts solves whose budget not even the lightest
 	// assignment fits; the solver's answer is then the min-weight
 	// assignment.
@@ -157,11 +144,10 @@ func (w *Waterfall) Recommend(m *mem.Manager, prof telemetry.Profile) Recommenda
 
 // Analytical is §6.2's model: an MCKP per window.
 //
-// An instance is per-run state. Every Recommend prices each region into a
-// persistent option arena and hands the solver only the regions whose
-// priced row changed since the previous window, so do not share one
-// instance across concurrent simulations. A fresh instance, or one whose
-// region or tier count changed since its last window, solves cold.
+// Every Recommend prices every region and solves the window's MCKP
+// afresh; an instance keeps only the capacity of its option arena and
+// solver buffers from window to window, and its probe cache. It is
+// per-run state: do not share one instance across concurrent simulations.
 type Analytical struct {
 	// Alpha is the TCO/performance knob in [0,1] (§6.3): 1 = maximum
 	// performance (no TCO pressure), 0 = maximum TCO savings.
@@ -180,22 +166,20 @@ type Analytical struct {
 	CompressibilityAware bool
 
 	ratioCache map[ratioKey]float64
-	warm       *warmState
+	bufs       *buffers
 }
 
 // probePages is how many pages per region a compressibility probe
 // compresses.
 const probePages = 2
 
-// warmState is the state an Analytical keeps across windows: a flat option
-// arena holding the previous window's priced classes, the per-window dirty
-// mask, and the greedy solver's persistent state.
-type warmState struct {
+// buffers is the capacity an Analytical reuses from window to window: the
+// option arena its regions are priced into and the solver's buffers. No
+// value carries over.
+type buffers struct {
 	arena   []ilp.Option   // flat backing, nRegions × nTiers
 	classes [][]ilp.Option // views into arena, one per region
-	dirty   []bool
-	row     []ilp.Option // scratch row for the change check
-	state   ilp.SolveState
+	solver  ilp.SolveState
 }
 
 type ratioKey struct {
@@ -231,10 +215,9 @@ const RemoteRTTNs = 200_000
 // SetAlpha retunes the TCO/performance knob between windows — the
 // resident daemon's runtime α command. α enters the solve only through
 // the TCO budget (Eq. 10 via tco.Budget), never the per-class option
-// pricing, and the solver re-walks the greedy frontier against the fresh
-// budget every solve, so cached hulls stay valid across α changes. Not
-// safe concurrently with Recommend — call it from the thread driving the
-// control loop.
+// pricing, and every window is solved afresh, so the next Recommend
+// simply solves against the new budget. Not safe concurrently with
+// Recommend — call it from the thread driving the control loop.
 func (a *Analytical) SetAlpha(alpha float64) error {
 	if err := CheckKnobs(alpha, 0); err != nil {
 		return err
@@ -318,10 +301,10 @@ func (a *Analytical) Recommend(m *mem.Manager, prof telemetry.Profile) Recommend
 		}
 	}
 
-	dirty := a.price(nRegions, len(tiers), priceRow)
-	problem := ilp.Problem{Classes: a.warm.classes, Budget: tco.Budget(m, ratios, a.Alpha)}
+	b := a.price(int(nRegions), len(tiers), priceRow)
+	problem := ilp.Problem{Classes: b.classes, Budget: tco.Budget(m, ratios, a.Alpha)}
 
-	sol, delta, err := a.warm.state.Solve(problem, dirty)
+	sol, err := b.solver.Solve(problem)
 	if err != nil {
 		// The problem is structurally valid by construction; an error here
 		// means no regions — keep everything in place.
@@ -341,49 +324,25 @@ func (a *Analytical) Recommend(m *mem.Manager, prof telemetry.Profile) Recommend
 	for r := range dest {
 		dest[r] = tiers[sol.Choice[r]].ID
 	}
-	solveNs := ilp.SolveTimeNs(problem)
-	tax := solveNs + probeNs
+	tax := ilp.SolveTimeNs(problem) + probeNs
 	if a.Remote {
 		tax += RemoteRTTNs
-	}
-	stats.WarmHit = delta.Warm
-	stats.ClassesReused = delta.Reused
-	stats.ClassesRebuilt = delta.Rebuilt
-	if n := delta.Reused + delta.Rebuilt; n > 0 {
-		stats.RebuildNs = solveNs * float64(delta.Rebuilt) / float64(n)
-		stats.RepairNs = solveNs - stats.RebuildNs
 	}
 	return Recommendation{Dest: dest, SolverNs: tax, Solve: stats}
 }
 
-// price prices every region into the option arena and returns the dirty
-// mask: a region is dirty when its freshly priced row differs from the
-// cached one. A fresh model, or one whose region or tier count changed,
-// gets a new arena and a nil mask, which the solver takes as a cold solve.
-func (a *Analytical) price(nRegions int64, nTiers int, priceRow func(int64, []ilp.Option)) []bool {
-	w := a.warm
-	cold := w == nil || int64(len(w.classes)) != nRegions || len(w.row) != nTiers
-	if cold {
-		w = &warmState{
-			arena:   make([]ilp.Option, nRegions*int64(nTiers)),
-			classes: make([][]ilp.Option, nRegions),
-			dirty:   make([]bool, nRegions),
-			row:     make([]ilp.Option, nTiers),
-		}
-		for r := int64(0); r < nRegions; r++ {
-			w.classes[r] = w.arena[r*int64(nTiers) : (r+1)*int64(nTiers) : (r+1)*int64(nTiers)]
-		}
-		a.warm = w
+// price prices every region into the option arena, one class per region,
+// and returns the buffers holding them.
+func (a *Analytical) price(nRegions, nTiers int, priceRow func(int64, []ilp.Option)) *buffers {
+	if a.bufs == nil {
+		a.bufs = new(buffers)
 	}
-	for r := int64(0); r < nRegions; r++ {
-		priceRow(r, w.row)
-		w.dirty[r] = cold || !slices.Equal(w.classes[r], w.row)
-		if w.dirty[r] {
-			copy(w.classes[r], w.row)
-		}
+	b := a.bufs
+	b.arena = slices.Grow(b.arena[:0], nRegions*nTiers)[:nRegions*nTiers]
+	b.classes = slices.Grow(b.classes[:0], nRegions)[:nRegions]
+	for r := range b.classes {
+		b.classes[r] = b.arena[r*nTiers : (r+1)*nTiers : (r+1)*nTiers]
+		priceRow(int64(r), b.classes[r])
 	}
-	if cold {
-		return nil
-	}
-	return w.dirty
+	return b
 }

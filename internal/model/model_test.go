@@ -11,7 +11,7 @@ import (
 )
 
 // standardManager builds the paper's standard mix: DRAM, NVMM, CT-1, CT-2.
-func standardManager(t *testing.T, regions int64) *mem.Manager {
+func standardManager(t testing.TB, regions int64) *mem.Manager {
 	t.Helper()
 	m, err := mem.NewManager(mem.Config{
 		NumPages:        regions * mem.RegionPages,

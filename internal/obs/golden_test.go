@@ -11,7 +11,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files with the current output")
 
 // goldenLive builds a Live fed with fixed, fully-populated events — two
-// window snapshots (warm fields, migration flows, compaction counters),
+// window snapshots (solver fields, migration flows, compaction counters),
 // one runtime trace, and the daemon and sweep surfaces — so the rendered
 // exposition exercises every series the hand-rolled format emits.
 func goldenLive() *Live {
@@ -52,9 +52,8 @@ func goldenLive() *Live {
 		TierRatio: []float64{0, 0, 0.4, 0.3}, TierFrag: []float64{0, 0, 0.25, 0.125},
 		Migrations: []TierFlow{{From: 0, To: 3, Pages: 64, Rejected: 2}},
 		Faults:     30, Moves: 64, Rejected: 2, Skipped: 1,
-		WarmHit: true, ClassesReused: 14, ClassesRebuilt: 2,
-		SolverRebuildNs: 1e7, SolverRepairNs: 4e7, SolverFallbacks: 1,
-		Latency: LatencySummary{Count: 900, SumNs: 2.2e6, P50Ns: 128, P95Ns: 2048, P99Ns: 8192, P999Ns: 8192},
+		SolverFallbacks: 1,
+		Latency:         LatencySummary{Count: 900, SumNs: 2.2e6, P50Ns: 128, P95Ns: 2048, P99Ns: 8192, P999Ns: 8192},
 		TierLatency: []LatencySummary{
 			{Count: 800, SumNs: 9e4, P50Ns: 128, P95Ns: 128, P99Ns: 128, P999Ns: 256,
 				Buckets: []HistBucket{{B: 7, N: 795}, {B: 8, N: 5}}},

@@ -124,21 +124,12 @@ type WindowSnapshot struct {
 	// DroppedPressure/DroppedCapacity/DroppedBudget echo the migration
 	// filter's per-window drop counters (§6.7).
 	DroppedPressure, DroppedCapacity, DroppedBudget int
-	// WarmHit reports that the analytical model's greedy solver
-	// repaired cached state incrementally this window instead of
-	// rebuilding every class. Deterministic: a function of profile drift,
-	// never of wall time.
+	// WarmHit is always false: the analytical model solves every window
+	// afresh. A stream written before that carries it, and decodes.
+	//
+	// Deprecated: nothing sets it; the benchmark change of ROADMAP.md
+	// item 3 deletes it.
 	WarmHit bool `json:",omitempty"`
-	// ClassesReused and ClassesRebuilt count the per-region MCKP classes
-	// the warm-start solver kept vs recomputed this window.
-	ClassesReused  int `json:",omitempty"`
-	ClassesRebuilt int `json:",omitempty"`
-	// SolverRebuildNs and SolverRepairNs split the modeled solve time
-	// between rebuilding dirty classes and repairing the global solution.
-	// They sum to SolverNs minus the probe/RTT taxes on greedy analytical
-	// runs and are zero (omitted) for every other model.
-	SolverRebuildNs float64 `json:",omitempty"`
-	SolverRepairNs  float64 `json:",omitempty"`
 	// SolverFallbacks counts solves whose budget not even the lightest
 	// assignment fits; the placement is then the min-weight one.
 	SolverFallbacks int `json:",omitempty"`

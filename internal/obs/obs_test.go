@@ -159,6 +159,22 @@ func TestReadStream(t *testing.T) {
 		t.Fatalf("read %q, err %v; want the run, the move and the window", got, err)
 	}
 
+	// A window line as streams carried it while the solver reported its
+	// incremental reuse (ClassesReused, ClassesRebuilt, SolverRebuildNs,
+	// SolverRepairNs): an old -events file still decodes, those fields
+	// dropped, so tracetool still derives from it.
+	old := `{"e":"window","window":{"Window":2,"SolverNs":66505.86500259617,"Faults":143,"WarmHit":true,` +
+		`"ClassesReused":1,"ClassesRebuilt":5,"SolverRebuildNs":55421.55,"SolverRepairNs":11084.31,"SolverLPGap":0.08807013708327141}}`
+	var read []WindowSnapshot
+	err = ReadStream(strings.NewReader(old), func(_ string, w *WindowSnapshot, _ *MoveEvent) error {
+		read = append(read, *w)
+		return nil
+	})
+	want := WindowSnapshot{Window: 2, SolverNs: 66505.86500259617, Faults: 143, WarmHit: true, SolverLPGap: 0.08807013708327141}
+	if err != nil || len(read) != 1 || !reflect.DeepEqual(read[0], want) {
+		t.Fatalf("old window line read as %+v, err %v; want %+v", read, err, want)
+	}
+
 	errStop := errors.New("stop")
 	for _, tc := range []struct {
 		name, in, want string

@@ -84,17 +84,6 @@ var seriesTable = [...]*series{
 		winFloat: func(w *WindowSnapshot) float64 { return w.DaemonNs }},
 	{key: "solver_ns", family: "solver_seconds_total", div: 1e9, help: "Modeled MCKP solve time.",
 		winFloat: func(w *WindowSnapshot) float64 { return w.SolverNs }},
-	{key: "warm_hits", family: "solver_warm_hits_total", help: "Windows the warm-start solver repaired incrementally.",
-		winInt: func(w *WindowSnapshot) int64 {
-			if w.WarmHit {
-				return 1
-			}
-			return 0
-		}},
-	{key: "classes_reused", family: "solver_classes_reused_total", help: "MCKP classes reused from the warm-start cache.",
-		winInt: func(w *WindowSnapshot) int64 { return int64(w.ClassesReused) }},
-	{key: "classes_rebuilt", family: "solver_classes_rebuilt_total", help: "MCKP classes rebuilt because their priced options changed.",
-		winInt: func(w *WindowSnapshot) int64 { return int64(w.ClassesRebuilt) }},
 	solverFallbacksSeries,
 	{key: "pingpong_moves", family: "pingpong_moves_total", help: "Applied region moves that reversed the region's previous direction (thrash signal).",
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.PingPongMoves) }},

@@ -115,8 +115,8 @@ func TestSeriesTable(t *testing.T) {
 			t.Errorf("Vars()[%q] = %T, want int64 or float64", r.key, v)
 		}
 	}
-	if keys < 29 {
-		t.Errorf("%d scalar rows, want the 26 of PR 22 and the three store_memo ones", keys)
+	if keys < 26 {
+		t.Errorf("%d scalar rows, want at least 26", keys)
 	}
 	if _, ok := vars["phase_wall_ns"].(map[string]float64); !ok {
 		t.Errorf("Vars()[phase_wall_ns] = %T, want map[string]float64", vars["phase_wall_ns"])

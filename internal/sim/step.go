@@ -377,11 +377,6 @@ func (s *Stepper) StepControl() error {
 		profDelta := s.prof.OverheadNs() - s.lastProfOverhead
 		s.lastProfOverhead = s.prof.OverheadNs()
 		rec.SolverNs = r.SolverNs
-		rec.WarmHit = r.Solve.WarmHit
-		rec.ClassesReused = r.Solve.ClassesReused
-		rec.ClassesRebuilt = r.Solve.ClassesRebuilt
-		rec.SolverRebuildNs = r.Solve.RebuildNs
-		rec.SolverRepairNs = r.Solve.RepairNs
 		rec.SolverFallbacks = r.Solve.Fallbacks
 		rec.SolverLPGap = r.Solve.LPGap
 		rec.ProfileNs = profDelta

@@ -412,7 +412,7 @@ func (c *countOps) NextOp(buf []workload.Access) []workload.Access {
 
 func TestCompactness(t *testing.T) {
 	// Fixed width keeps a narrow trace near 2 bytes an access.
-	wl := workload.NewPageRank(16384, 8, 1)
+	wl := workload.NewPageRankOn(workload.NewRMat(16384, 8, 1))
 	var buf bytes.Buffer
 	tw, err := Record(&buf, wl, 2000)
 	if err != nil {

@@ -400,11 +400,6 @@ type PageRank struct {
 	next int64
 }
 
-// NewPageRank builds a PageRank workload over a fresh rMat graph.
-func NewPageRank(n int64, avgDegree int, seed uint64) *PageRank {
-	return NewPageRankOn(NewRMat(n, avgDegree, seed))
-}
-
 // NewPageRankOn builds a PageRank workload over g, which it only reads:
 // the vertex cursor is its own.
 func NewPageRankOn(g *Graph) *PageRank { return &PageRank{g: g} }

@@ -160,8 +160,9 @@ func AMPerf() Model { return model.AMPerf() }
 // AM returns the analytical model at an arbitrary knob α ∈ [0,1].
 func AM(alpha float64) Model { return &model.Analytical{Alpha: alpha} }
 
-// AMWarm returns AM(alpha): every analytical model keeps its solver state
-// across windows, so eps and fullEvery are ignored.
+// AMWarm returns AM(alpha), ignoring eps and fullEvery: every analytical
+// model solves each window afresh, and there is no incremental solve to
+// tune.
 //
 // Deprecated: use AM. AMWarm stays only for the benchmark's workload
 // table; the benchmark change of ROADMAP.md item 3 deletes it.
