@@ -155,8 +155,8 @@ func BenchmarkFig14_Tax(b *testing.B) {
 func BenchmarkTable1_OptionSpace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiments.Table1()
-		if len(t.Rows) != 63 {
-			b.Fatal("option space must have 63 tiers")
+		if len(t.Rows) != 54 {
+			b.Fatal("option space must have 54 tiers")
 		}
 	}
 }

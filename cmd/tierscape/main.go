@@ -27,6 +27,7 @@ import (
 	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/trace"
+	"tierscape/internal/ztier"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -335,6 +336,12 @@ func resolveTiers(name string) ([]tierscape.TierConfig, []tierscape.MediaKind, e
 	}
 	if len(tf.CompressedTiers) == 0 {
 		return nil, nil, fmt.Errorf("no compressed tiers in %s", name)
+	}
+	// An unknown codec or pool is a bad setup, not a failed run.
+	for i, c := range tf.CompressedTiers {
+		if _, err := ztier.New(i, c); err != nil {
+			return nil, nil, err
+		}
 	}
 	return tf.CompressedTiers, tf.ByteTiers, nil
 }

@@ -84,7 +84,7 @@ func TestSpecOverlay(t *testing.T) {
 // daemon receives: the knobs arrive as overlaid, -model am builds an
 // analytical model, and the error cases are attach errors, not configs.
 func TestSpecOverlayAttaches(t *testing.T) {
-	noByteTier, noCT1 := writeTierFiles(t)
+	noByteTier, noCT1, has842 := writeTierFiles(t)
 	b := &specBuilder{defaults: flagSpec(t, "-prefetch", "5", "-ops", "3000", "-pages", "2048", "-model", "am")}
 	build := func(doc string) (ops, prefetch int, am bool, err error) {
 		cfg, err := b.build(daemon.AttachSpec{Name: "kv", Spec: json.RawMessage(doc)})
@@ -118,6 +118,7 @@ func TestSpecOverlayAttaches(t *testing.T) {
 		`{"model":"hemem","tiers":"spectrum"}`:                  "HeMem* needs a byte-addressable tier",
 		fmt.Sprintf(`{"model":"hemem","tiers":%q}`, noByteTier): "HeMem* needs a byte-addressable tier",
 		fmt.Sprintf(`{"model":"gswap","tiers":%q}`, noCT1):      "GSwap* needs CT-1",
+		fmt.Sprintf(`{"tiers":%q}`, has842):                     `unknown codec "842"`,
 		`{"alpha":1.5}`:                                         "alpha must be in [0,1], got 1.5",
 		`{"alpha":-2}`:                                          "alpha must be in [0,1], got -2",
 		`{"pct":101}`:                                           "pct must be in [0,100], got 101",
@@ -129,21 +130,24 @@ func TestSpecOverlayAttaches(t *testing.T) {
 	}
 }
 
-// writeTierFiles writes two tier files for the baseline refusals: one with
-// no byte-addressable tier, one with no CT-1.
-func writeTierFiles(t *testing.T) (noByteTier, noCT1 string) {
+// writeTierFiles writes three tier files for the refusals: one with no
+// byte-addressable tier, one with no CT-1 (both for the baselines), and one
+// naming 842, a codec the option-space census removed.
+func writeTierFiles(t *testing.T) (noByteTier, noCT1, has842 string) {
 	t.Helper()
 	dir := t.TempDir()
 	noByteTier, noCT1 = filepath.Join(dir, "no-byte-tier.json"), filepath.Join(dir, "no-ct1.json")
+	has842 = filepath.Join(dir, "842.json")
 	for path, doc := range map[string]string{
 		noByteTier: `{"compressedTiers":[{"codec":"lzo","pool":"zsmalloc","media":"DRAM"},{"codec":"zstd","pool":"zsmalloc","media":"NVMM"}]}`,
 		noCT1:      `{"byteTiers":["NVMM"],"compressedTiers":[{"codec":"zstd","pool":"zsmalloc","media":"NVMM"}]}`,
+		has842:     `{"compressedTiers":[{"codec":"842","pool":"zsmalloc","media":"DRAM"}]}`,
 	} {
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return noByteTier, noCT1
+	return noByteTier, noCT1, has842
 }
 
 // TestTierFileExample: the tier file -h shows is one -tiers reads as NVMM
@@ -194,7 +198,7 @@ func TestRunExitStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := []string{"-windows", "1", "-ops", "100", "-pages", "1024"}
-	noByteTier, noCT1 := writeTierFiles(t)
+	noByteTier, noCT1, has842 := writeTierFiles(t)
 	// A v1 trace: one op whose single access is page -600 of 1024.
 	v1Trace := filepath.Join(dir, "v1.trace")
 	if err := os.WriteFile(v1Trace, []byte("TSTR\x01\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\xe0\x12"), 0o644); err != nil {
@@ -233,6 +237,7 @@ func TestRunExitStatus(t *testing.T) {
 		{"HeMem* on the spectrum", []string{"-model", "hemem", "-tiers", "spectrum"}, 2, "HeMem* needs a byte-addressable tier"},
 		{"HeMem* on a tier file without a byte tier", []string{"-model", "hemem", "-tiers", noByteTier}, 2, "HeMem* needs a byte-addressable tier"},
 		{"GSwap* on a tier file without CT-1", []string{"-model", "gswap", "-tiers", noCT1}, 2, "GSwap* needs CT-1"},
+		{"tier file naming a codec the module lacks", append([]string{"-tiers", has842}, small...), 2, `unknown codec "842"`},
 		{"alpha above 1", []string{"-model", "am", "-alpha", "1.5"}, 2, "alpha must be in [0,1], got 1.5"},
 		{"negative alpha", []string{"-model", "am", "-alpha", "-2"}, 2, "alpha must be in [0,1], got -2"},
 		{"NaN alpha", []string{"-model", "am", "-alpha", "NaN"}, 2, "alpha must be in [0,1], got NaN"},

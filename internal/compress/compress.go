@@ -11,8 +11,6 @@
 //     window, depth-32 search) with canonical-Huffman coding of the literal
 //     and sequence streams (zstdsim.go, huffman.go; not the RFC 8878
 //     bitstream — see DESIGN.md)
-//   - 842      — an 842-style word-oriented codec (8-byte phrases with
-//     back-reference dictionaries)
 //
 // Every codec is deterministic and round-trips arbitrary input. Compression
 // may expand incompressible input; the tier layer rejects pages whose
@@ -20,10 +18,9 @@
 //
 // The registered codecs are stateless values, safe to share between any
 // number of goroutines. The working state that makes a page cheap to
-// compress — lz4's and zstd's match tables, lz4hc's chain, the 842
-// dictionaries, the Huffman workspace, flate's writer and reader — belongs
-// to the caller, in a Scratch (scratch.go), and never changes a byte of
-// output.
+// compress — lz4's and zstd's match tables, lz4hc's chain, the Huffman
+// workspace, flate's writer and reader — belongs to the caller, in a
+// Scratch (scratch.go), and never changes a byte of output.
 package compress
 
 import (
@@ -74,5 +71,4 @@ func init() {
 	Register(NewLZORLE())
 	Register(NewDeflate())
 	Register(NewZstd())
-	Register(New842())
 }

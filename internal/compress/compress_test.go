@@ -20,8 +20,8 @@ func allCodecs(t *testing.T) []Codec {
 		}
 		cs = append(cs, c)
 	}
-	if len(cs) != 7 {
-		t.Fatalf("expected 7 registered codecs, have %d: %v", len(cs), Names())
+	if len(cs) != 6 {
+		t.Fatalf("expected 6 registered codecs, have %d: %v", len(cs), Names())
 	}
 	return cs
 }
@@ -322,18 +322,5 @@ func TestLZ4LongLiterals(t *testing.T) {
 	src := g.Page(0, 70000)
 	for _, c := range allCodecs(t) {
 		roundTrip(t, c, src)
-	}
-}
-
-func Test842StructuredData(t *testing.T) {
-	// 842 should do well on word-structured binary data.
-	g := corpus.NewGenerator(corpus.Binary, 17)
-	src := make([]byte, 0, 4*4096)
-	for i := uint64(0); i < 4; i++ {
-		src = append(src, g.Page(i, 4096)...)
-	}
-	ratio := Ratio(MustLookup("842"), src)
-	if ratio > 0.8 {
-		t.Errorf("842 ratio %.3f on structured binary; want < 0.8", ratio)
 	}
 }

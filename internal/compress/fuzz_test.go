@@ -47,6 +47,10 @@ func FuzzDecompressRobust(f *testing.F) {
 	// of extension bytes: the longest output these formats can ask for.
 	f.Add(append(append([]byte{0x1F, 'x', 1, 0}, bytes.Repeat([]byte{255}, 64)...), 0, 0)) // lz4
 	f.Add(append(append([]byte{0x02, 'x', 0x07, 0}, bytes.Repeat([]byte{255}, 64)...), 0)) // lzo
+	// Truncated input: a final stored block that promises 65535 bytes and
+	// carries four, and an extension chain that never ends.
+	f.Add([]byte{0x01, 0xFF, 0xFF, 0x00, 0x00, 'a', 'b', 'c', 'd'}) // deflate
+	f.Add(bytes.Repeat([]byte{255}, 64))
 	f.Fuzz(func(t *testing.T, comp []byte) {
 		for _, name := range Names() {
 			c := MustLookup(name)
@@ -55,9 +59,8 @@ func FuzzDecompressRobust(f *testing.F) {
 			// one append from a length-extension chain, so they are held
 			// to the formats' own maximum, 255 bytes of output per input
 			// byte; zstd to its own, a page-long match per five token
-			// bytes. An 842 repeat op emits up to 255 phrases from two
-			// bytes and deflate has no such constant, so the rest get a
-			// generous linear bound that still proves termination without
+			// bytes. Deflate has no such constant, so it gets a generous
+			// linear bound that still proves termination without
 			// unbounded memory growth.
 			bound := 4096 * (len(comp) + 16)
 			switch name {

@@ -21,8 +21,8 @@ func TestRatioReport(t *testing.T) {
 		for _, name := range Names() {
 			r[name] = Ratio(MustLookup(name), src)
 		}
-		t.Logf("%-8s lz4=%.3f lz4hc=%.3f lzo=%.3f zstd=%.3f deflate=%.3f 842=%.3f",
-			prof, r["lz4"], r["lz4hc"], r["lzo"], r["zstd"], r["deflate"], r["842"])
+		t.Logf("%-8s lz4=%.3f lz4hc=%.3f lzo=%.3f zstd=%.3f deflate=%.3f",
+			prof, r["lz4"], r["lz4hc"], r["lzo"], r["zstd"], r["deflate"])
 		if r["zstd"] >= r["lzo"] {
 			t.Errorf("%s: zstd %.3f should beat lzo %.3f", prof, r["zstd"], r["lzo"])
 		}

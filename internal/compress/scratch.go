@@ -1,8 +1,7 @@
 package compress
 
 // Scratch is one owner's reusable encoder state: the lz4 and zstd-class
-// encoders' tables and buffers, lz4hc's chain, the 842 dictionaries, and a
-// flate writer. It models the per-CPU compression contexts the kernel's
+// encoders' tables and buffers, lz4hc's chain, and a flate writer. It models the per-CPU compression contexts the kernel's
 // zswap keeps (crypto_acomp): state that makes a page cheaper to compress
 // without carrying anything from one page to the next, so output bytes
 // are those of the stateless Codec methods. Nothing decodes pages in
@@ -17,7 +16,6 @@ package compress
 type Scratch struct {
 	lz4   *lz4Encoder
 	lz4hc lz4hcEncoder
-	b842  *b842Dict
 	zstd  *zstdEncoder
 	flate *flateState
 }

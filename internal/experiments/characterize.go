@@ -27,62 +27,63 @@ func Fig2(pagesPerTier int) *Table {
 	}
 	// Each (dataset, tier) cell owns its tier and generator, so the 24-cell
 	// matrix fans out through the run engine; rows land in loop order.
-	datasets := []corpus.Profile{corpus.NCI, corpus.Dickens}
-	type cell struct {
-		tier, config, dataset string
-		latNs, normTCO, ratio float64
-	}
-	cells := make([]cell, len(datasets)*12)
+	cells := make([]tierCell, len(fig2Datasets)*12)
 	_ = RunSet(len(cells), func(i int) error {
-		dataset := datasets[i/12]
-		k := i%12 + 1
-		cfg := ztier.Characterization(k)
-		tier := ztier.MustNew(k, cfg)
-		gen := corpus.NewGenerator(dataset, 7)
-		var handles []ztier.Handle
-		var stored int
-		for p := 0; p < pagesPerTier; p++ {
-			h, _, err := tier.Store(gen.Page(uint64(p), ztier.PageSize))
-			if err != nil {
-				continue // incompressible page rejected, like zswap
-			}
-			handles = append(handles, h)
-			stored++
-		}
-		// Average modeled access latency over real compressed sizes.
-		var latNs float64
-		for _, h := range handles {
-			latNs += tier.AccessNs(h.CompressedSize())
-		}
-		if len(handles) > 0 {
-			latNs /= float64(len(handles))
-		}
-		st := tier.Stats()
-		logicalBytes := float64(stored) * ztier.PageSize
-		normTCO := 0.0
-		ratio := 0.0
-		if logicalBytes > 0 {
-			dramCost := logicalBytes / (1 << 30) * media.Props(media.DRAM).CostPerGB
-			tierCost := float64(st.PoolBytes()) / (1 << 30) * tier.CostPerGB()
-			normTCO = tierCost / dramCost
-			ratio = float64(st.CompressedBytes) / logicalBytes
-		}
-		cells[i] = cell{
-			tier: fmt.Sprintf("C%d", k), config: cfg.String(), dataset: dataset.String(),
-			latNs: latNs, normTCO: normTCO, ratio: ratio,
-		}
+		cells[i] = characterize(ztier.Characterization(i%12+1), fig2Datasets[i/12], 7, pagesPerTier)
 		return nil
 	})
-	for _, c := range cells {
-		t.Addf(c.tier, c.config, c.dataset, c.latNs/1000, c.normTCO, c.ratio)
+	for i, c := range cells {
+		k := i%12 + 1
+		t.Addf(fmt.Sprintf("C%d", k), ztier.Characterization(k).String(), fig2Datasets[i/12].String(),
+			c.accessNs/1000, c.normTCO, c.ratio)
 	}
 	t.Note("access_us is the modeled fault latency (pool lookup + media read + decompress)")
 	t.Note("norm_tco < 1 means cheaper than uncompressed DRAM; DRAM load is 0.033us for comparison")
 	return t
 }
 
+// fig2Datasets are Figure 2's data sets.
+var fig2Datasets = []corpus.Profile{corpus.NCI, corpus.Dickens}
+
+// tierCell is one (tier, data set) cell of the characterization: the
+// modeled fault latency averaged over the stored objects' real compressed
+// sizes, the footprint's cost relative to the stored pages uncompressed in
+// DRAM, and the compressed payload over the stored pages' bytes.
+type tierCell struct{ accessNs, normTCO, ratio float64 }
+
+// characterize compresses pages pages of dataset, generated at seed, into
+// a fresh tier of configuration cfg and measures the cell: Figure 2's
+// per-cell work, which the option-space census repeats over Table 1.
+func characterize(cfg ztier.Config, dataset corpus.Profile, seed uint64, pages int) tierCell {
+	tier := ztier.MustNew(1, cfg)
+	gen := corpus.NewGenerator(dataset, seed)
+	var latNs float64
+	var stored int
+	for p := 0; p < pages; p++ {
+		h, _, err := tier.Store(gen.Page(uint64(p), ztier.PageSize))
+		if err != nil {
+			continue // incompressible page rejected, like zswap
+		}
+		latNs += tier.AccessNs(h.CompressedSize())
+		stored++
+	}
+	if stored == 0 {
+		return tierCell{}
+	}
+	st := tier.Stats()
+	logicalBytes := float64(stored) * ztier.PageSize
+	dramCost := logicalBytes / (1 << 30) * media.Props(media.DRAM).CostPerGB
+	tierCost := float64(st.PoolBytes()) / (1 << 30) * tier.CostPerGB()
+	return tierCell{
+		accessNs: latNs / float64(stored),
+		normTCO:  tierCost / dramCost,
+		ratio:    float64(st.CompressedBytes) / logicalBytes,
+	}
+}
+
 // Table1 reproduces Table 1: the Linux compressed-tier option space
-// (7 codecs × 3 pool managers × 3 media = 63 tiers).
+// (6 codecs × 3 pool managers × 3 media = 54 tiers; 842 is omitted, see
+// ztier.OptionSpace).
 func Table1() *Table {
 	t := &Table{
 		Title:   "Table 1: compressed-tier option space in Linux",
@@ -92,5 +93,6 @@ func Table1() *Table {
 		t.Add(cfg.Codec, cfg.Pool, cfg.Media.Name(), cfg.String())
 	}
 	t.Note("%d total configurations", len(t.Rows))
+	t.Note("842 omitted: lz4, lzo and lzo-rle each dominate it in every cell of the option-space census (EXPERIMENTS.md)")
 	return t
 }

@@ -116,10 +116,10 @@ func TestFig2Shape(t *testing.T) {
 	}
 }
 
-func TestTable1Is63(t *testing.T) {
+func TestTable1Is54(t *testing.T) {
 	tab := Table1()
-	if len(tab.Rows) != 63 {
-		t.Fatalf("rows = %d, want 63", len(tab.Rows))
+	if len(tab.Rows) != 54 {
+		t.Fatalf("rows = %d, want 54", len(tab.Rows))
 	}
 }
 

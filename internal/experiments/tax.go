@@ -49,6 +49,7 @@ func Fig14(s Scale) (*Table, error) {
 		t.Addf(res.ModelName, base.AppNs/res.AppNs, res.DaemonNs/1e6, res.TotalSolverNs()/1e6)
 	}
 	t.Note("paper: profiling is minimal; local vs remote solver is a negligible difference")
+	t.Note("remote rows are the local rows plus model.RemoteRTTNs (%.1f ms) per window in daemon_ms and solver_ms, by construction", model.RemoteRTTNs/1e6)
 	return t, nil
 }
 

@@ -315,15 +315,18 @@ func (s *Stepper) StepControl() error {
 		wall = time.Now()
 	}
 	profile := s.prof.EndWindow()
-	if recd != nil {
-		rt.PhaseWallNs[obs.PhaseProfile] = wallSince(&wall)
-	}
 	rec := WindowRecord{Window: w + 1}
 	var tr *applyTrace
 	var plan policy.Plan
 	var applied []moveOutcome
 	var interferenceNs float64
 	s.decayThrash()
+	// The profile phase closes right where Recommend is entered, so the
+	// phases tile the control loop: a span trace that ends the access loop
+	// one profile phase before that entry counts no interval twice.
+	if recd != nil {
+		rt.PhaseWallNs[obs.PhaseProfile] = wallSince(&wall)
+	}
 
 	if cfg.Model != nil {
 		r := cfg.Model.Recommend(m, profile)

@@ -60,9 +60,10 @@ func SpectrumSet() []Config {
 }
 
 // OptionSpace enumerates every compressed-tier configuration Linux offers
-// (Table 1): 7 codecs × 3 pool managers × 3 backing media = 63 tiers.
+// (Table 1) but 842, which the option-space census (EXPERIMENTS.md) found
+// dominated in every cell: 6 codecs × 3 pool managers × 3 media = 54 tiers.
 func OptionSpace() []Config {
-	codecs := []string{"deflate", "lzo", "lzo-rle", "lz4", "zstd", "842", "lz4hc"}
+	codecs := []string{"deflate", "lzo", "lzo-rle", "lz4", "zstd", "lz4hc"}
 	pools := []string{"zsmalloc", "zbud", "z3fold"}
 	out := make([]Config, 0, len(codecs)*len(pools)*3)
 	for _, c := range codecs {

@@ -198,7 +198,7 @@ func TestEncodingCoversAllComponents(t *testing.T) {
 	cases := map[Config]string{
 		{Codec: "lz4hc", Pool: "z3fold", Media: 2}:   "Z3-HC-CX",
 		{Codec: "lzo-rle", Pool: "zbud", Media: 1}:   "ZB-LR-OP",
-		{Codec: "842", Pool: "zsmalloc", Media: 0}:   "ZS-84-DR",
+		{Codec: "lzo", Pool: "zsmalloc", Media: 0}:   "ZS-LO-DR",
 		{Codec: "zstd", Pool: "zbud", Media: 2}:      "ZB-ZS-CX",
 		{Codec: "deflate", Pool: "z3fold", Media: 1}: "Z3-DE-OP",
 		{Codec: "custom", Pool: "mypool", Media: 0}:  "mypool-custom-DR",

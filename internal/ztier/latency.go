@@ -19,7 +19,6 @@ var codecDecompressNsPer4K = map[string]float64{
 	"lz4hc":   2000, // same decoder as lz4
 	"lzo":     3500,
 	"lzo-rle": 3000,
-	"842":     6000,
 	"zstd":    9000,
 	"deflate": 25000,
 }
@@ -29,7 +28,6 @@ var codecCompressNsPer4K = map[string]float64{
 	"lz4hc":   40000, // deep match search
 	"lzo":     6000,
 	"lzo-rle": 5500,
-	"842":     10000,
 	"zstd":    35000,
 	"deflate": 70000,
 }

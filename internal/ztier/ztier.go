@@ -93,8 +93,6 @@ func codecCode(c string) string {
 		return "DE"
 	case "zstd":
 		return "ZS"
-	case "842":
-		return "84"
 	default:
 		return c
 	}

@@ -161,9 +161,9 @@ func TestAnchorsMatchPaper(t *testing.T) {
 	}
 }
 
-func TestOptionSpaceIs63(t *testing.T) {
-	if got := len(OptionSpace()); got != 63 {
-		t.Fatalf("option space = %d tiers, want 63 (7x3x3, Table 1)", got)
+func TestOptionSpaceIs54(t *testing.T) {
+	if got := len(OptionSpace()); got != 54 {
+		t.Fatalf("option space = %d tiers, want 54 (6x3x3: Table 1 without 842)", got)
 	}
 	seen := map[string]bool{}
 	for _, c := range OptionSpace() {

@@ -4,8 +4,9 @@
 // TierScape manages application memory across byte-addressable tiers
 // (DRAM, Optane-style NVMM, CXL) and multiple software-defined compressed
 // tiers, each a combination of a compression algorithm (lz4, lzo, lzo-rle,
-// deflate, zstd-class, 842, lz4hc — all implemented from scratch in this
-// module), a compressed-object pool manager (zsmalloc, zbud, z3fold) and a
+// deflate, zstd-class, lz4hc — all implemented from scratch in this
+// module; Linux's 842 is omitted, dominated everywhere by lz4, lzo and
+// lzo-rle), a compressed-object pool manager (zsmalloc, zbud, z3fold) and a
 // backing medium. A PEBS-style profiler builds per-region hotness each
 // profile window; a placement model — the threshold-based Waterfall or the
 // ILP-based analytical model with its TCO/performance knob α — then
