@@ -169,7 +169,8 @@ func BenchmarkAblation_TierCount(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(cellF(b, t, 2, 2)-cellF(b, t, 0, 2), "savings_gain_5v1_pp")
+		b.ReportMetric(cellF(b, t, 2, 1)-cellF(b, t, 0, 1), "savings_gain_5v1_le5_pp")
+		b.ReportMetric(cellF(b, t, 2, 3)-cellF(b, t, 0, 3), "savings_gain_5v1_le10_pp")
 	}
 }
 
@@ -191,14 +192,6 @@ func BenchmarkAblation_MigrationFilter(b *testing.B) {
 		}
 		b.ReportMetric(cellF(b, t, 0, 3), "faults_filter_on")
 		b.ReportMetric(cellF(b, t, 1, 3), "faults_filter_off")
-	}
-}
-
-func BenchmarkAblation_Cooling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CoolingAblation(benchScale()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

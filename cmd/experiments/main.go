@@ -166,7 +166,6 @@ func runAblations(s experiments.Scale, print func(*experiments.Table)) error {
 		experiments.CompressibilityAware,
 		experiments.TelemetryAblation,
 		experiments.Colocation,
-		experiments.CoolingAblation,
 		experiments.WindowAblation,
 	} {
 		tab, err := run(s)

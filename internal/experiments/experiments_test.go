@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -204,27 +205,53 @@ func TestFig14TaxSmall(t *testing.T) {
 	if rel := f(t, r[1]); rel < 0.97 {
 		t.Fatalf("profiling-only rel perf %v; want > 0.97", rel)
 	}
-	// Local and remote solver must be close (paper: negligible difference).
-	lo := f(t, findRow(t, tab, 0, "AM-TCO-Local")[1])
-	re := f(t, findRow(t, tab, 0, "AM-TCO-Remote")[1])
-	if diff := lo - re; diff < -0.05 || diff > 0.05 {
-		t.Fatalf("local %v vs remote %v differ too much", lo, re)
+	// A remote row is its local row plus one round trip per window in
+	// daemon_ms and solver_ms; the round trip is a wait, so rel_perf is
+	// the local one (paper: a negligible difference).
+	rtt := float64(SmallScale().Windows) * remoteRTTNs / 1e6
+	for _, name := range []string{"AM-TCO", "AM-perf"} {
+		local, remote := findRow(t, tab, 0, name+"-Local"), findRow(t, tab, 0, name+"-Remote")
+		if remote[1] != local[1] {
+			t.Errorf("%s: remote rel_perf %s, local %s; want equal", name, remote[1], local[1])
+		}
+		for col := 2; col <= 3; col++ {
+			if d := f(t, remote[col]) - f(t, local[col]); math.Round(d*100) != math.Round(rtt*100) {
+				t.Errorf("%s %s: remote %s − local %s = %.2f, want %.2f", name, tab.Headers[col], remote[col], local[col], d, rtt)
+			}
+		}
 	}
 }
 
-func TestTierCountAblationShape(t *testing.T) {
-	tab, err := TierCountAblation(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// 5 tiers must unlock at least as much savings as 1 tier (§8.3.2).
-	s1 := cell(t, tab, 0, 2)
-	s5 := cell(t, tab, 2, 2)
-	if s5 < s1-1 {
-		t.Fatalf("5-tier savings %v below 1-tier %v", s5, s1)
+// TestPaperShape_TierCount: §8.3.2's claim that more compressed tiers give
+// more achievable savings, checked on each lineup's α frontier at both
+// slowdown budgets over three seeds: five tiers save more than one and
+// more than two at 5 % and at 10 %.
+func TestPaperShape_TierCount(t *testing.T) {
+	for _, seed := range shapeSeeds {
+		s := SmallScale()
+		s.Seed = seed
+		tab, err := TierCountAblation(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.Rows) != 3 {
+			t.Fatalf("seed %d: rows = %d, want 3", seed, len(tab.Rows))
+		}
+		for _, col := range []int{1, 3} {
+			one, two, five := cell(t, tab, 0, col), cell(t, tab, 1, col), cell(t, tab, 2, col)
+			if !(five > one && five > two) {
+				t.Errorf("seed %d, %s: 5-tier savings %v not above 1-tier %v and 2-tier %v",
+					seed, tab.Headers[col], five, one, two)
+			}
+		}
+		// Deviation from the paper, kept as this scale's behaviour: within
+		// 10 % slowdown the 2-tier pair (C7 + C12) saves less than C7 alone
+		// on every seed, while the default scale orders the pair above C7
+		// at both budgets (EXPERIMENTS.md). Within 5 % the two are not
+		// ordered across seeds here: seed 7's pair has no α inside it.
+		if one, two := cell(t, tab, 0, 3), cell(t, tab, 1, 3); !(one > two) {
+			t.Errorf("seed %d: within 10 %% the 2-tier pair saves %v, the 1-tier %v; this scale orders 1 above 2", seed, two, one)
+		}
 	}
 }
 

@@ -94,8 +94,7 @@ type runJob struct {
 	mdl   model.Model
 	tiers lineup
 	// cfg optionally mutates the sim.Config, manager included, before the
-	// run (filter settings, prefetch thresholds, cooling, telemetry
-	// source, ...).
+	// run (filter settings, prefetch thresholds, telemetry source, ...).
 	cfg func(*sim.Config)
 	// scale overrides the set-wide Scale for this job (window ablations).
 	scale *Scale

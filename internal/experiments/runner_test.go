@@ -100,7 +100,7 @@ func TestRunJobsPropagatesBuildError(t *testing.T) {
 // TestParallelSerialIdenticalTables is the engine's core guarantee: a
 // harness table is byte-identical whether runs execute serially or fan out
 // across workers, at GOMAXPROCS 1 and 8. Fig1 (4 runs) and
-// TierCountAblation (6 runs, three distinct lineups) cover single-lineup
+// TierCountAblation (30 runs, three distinct lineups) cover single-lineup
 // and multi-lineup job sets.
 func TestParallelSerialIdenticalTables(t *testing.T) {
 	s := SmallScale()

@@ -152,9 +152,6 @@ type Analytical struct {
 	// Alpha is the TCO/performance knob in [0,1] (§6.3): 1 = maximum
 	// performance (no TCO pressure), 0 = maximum TCO savings.
 	Alpha float64
-	// Remote adds a network round trip to the solver tax, modeling the
-	// remote-solver deployment of Figure 14.
-	Remote bool
 	// ModelName overrides the reported name (e.g. "AM-TCO", "AM-perf").
 	ModelName string
 	// CompressibilityAware enables per-region compressibility probing
@@ -207,10 +204,6 @@ func (a *Analytical) regionRatio(m *mem.Manager, r mem.RegionID, codec string) (
 	a.ratioCache[k] = ratio
 	return ratio, probePages * ztier.CompressNs(codec, mem.PageSize)
 }
-
-// RemoteRTTNs is the modeled round trip to a remote solver (Figure 14's
-// local-vs-remote comparison; the paper finds the difference negligible).
-const RemoteRTTNs = 200_000
 
 // SetAlpha retunes the TCO/performance knob between windows — the
 // resident daemon's runtime α command. α enters the solve only through
@@ -324,11 +317,7 @@ func (a *Analytical) Recommend(m *mem.Manager, prof telemetry.Profile) Recommend
 	for r := range dest {
 		dest[r] = tiers[sol.Choice[r]].ID
 	}
-	tax := ilp.SolveTimeNs(problem) + probeNs
-	if a.Remote {
-		tax += RemoteRTTNs
-	}
-	return Recommendation{Dest: dest, SolverNs: tax, Solve: stats}
+	return Recommendation{Dest: dest, SolverNs: ilp.SolveTimeNs(problem) + probeNs, Solve: stats}
 }
 
 // price prices every region into the option arena, one class per region,

@@ -185,13 +185,8 @@ func TestAnalyticalMonotoneInAlpha(t *testing.T) {
 func TestAnalyticalSolverTax(t *testing.T) {
 	m := standardManager(t, 4)
 	prof := profileWith([]float64{1, 2, 3, 4})
-	local := (&Analytical{Alpha: 0.5}).Recommend(m, prof)
-	remote := (&Analytical{Alpha: 0.5, Remote: true}).Recommend(m, prof)
-	if local.SolverNs <= 0 {
+	if rec := (&Analytical{Alpha: 0.5}).Recommend(m, prof); rec.SolverNs <= 0 {
 		t.Fatal("solver tax must be positive")
-	}
-	if remote.SolverNs <= local.SolverNs {
-		t.Fatal("remote solver must add RTT")
 	}
 }
 

@@ -66,12 +66,10 @@ type Config struct {
 	// SampleRate is the profiler's sampling period: one sample per
 	// SampleRate accesses. 0 uses telemetry.DefaultSampleRate, the paper's
 	// 1-in-5000 (tests use smaller workloads and denser sampling);
-	// negative is an error.
+	// negative is an error. Either hotness source cools prior hotness
+	// by the fixed telemetry.DefaultCooling (0.5) at each window
+	// boundary.
 	SampleRate int
-	// Cooling is the profiler's cooling factor: prior hotness is
-	// multiplied by it at each window boundary. 0 uses
-	// telemetry.DefaultCooling (0.5); a value outside [0,1) is an error.
-	Cooling float64
 	// CompactBudget bounds the per-window zs_compact pass to roughly this
 	// many reclaimed pool pages across all compressed tiers (the budgeted
 	// round-robin in mem.CompactBudgeted; pools keep resume cursors so the

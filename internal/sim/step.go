@@ -151,12 +151,11 @@ func NewStepper(cfg Config) (*Stepper, error) {
 
 	var err error
 	if cfg.AccessBitTelemetry {
-		s.prof, err = telemetry.NewABitScanner(cfg.Manager.NumPages(), cfg.Manager.NumRegions(), cfg.Cooling)
+		s.prof, err = telemetry.NewABitScanner(cfg.Manager.NumPages(), cfg.Manager.NumRegions())
 	} else {
 		s.prof, err = telemetry.NewProfiler(telemetry.Config{
 			NumRegions: cfg.Manager.NumRegions(),
 			SampleRate: cfg.SampleRate,
-			Cooling:    cfg.Cooling,
 		})
 	}
 	if err != nil {

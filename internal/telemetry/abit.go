@@ -36,7 +36,6 @@ var (
 // memory size rather than access rate, the opposite trade from PEBS.
 type ABitScanner struct {
 	numPages int64
-	cooling  float64
 	bits     []bool
 	hotness  []float64
 	accesses int64
@@ -48,19 +47,13 @@ type ABitScanner struct {
 const ABitScanNsPerPage = 10
 
 // NewABitScanner returns an accessed-bit telemetry source for numPages
-// pages grouped into the given number of regions. A cooling of 0 uses
-// DefaultCooling.
-func NewABitScanner(numPages, numRegions int64, cooling float64) (*ABitScanner, error) {
+// pages grouped into the given number of regions.
+func NewABitScanner(numPages, numRegions int64) (*ABitScanner, error) {
 	if numPages <= 0 || numRegions <= 0 {
 		return nil, fmt.Errorf("telemetry: invalid abit geometry (%d pages, %d regions)", numPages, numRegions)
 	}
-	c, err := resolveCooling(cooling)
-	if err != nil {
-		return nil, err
-	}
 	return &ABitScanner{
 		numPages: numPages,
-		cooling:  c,
 		bits:     make([]bool, numPages),
 		hotness:  make([]float64, numRegions),
 	}, nil
@@ -97,7 +90,7 @@ func (a *ABitScanner) EndWindow() Profile {
 		}
 	}
 	for i := range a.hotness {
-		a.hotness[i] = a.hotness[i]*a.cooling + float64(counts[i])
+		a.hotness[i] = a.hotness[i]*DefaultCooling + float64(counts[i])
 		p.Hotness[i] = a.hotness[i]
 		p.WindowSamples[i] = counts[i]
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestABitCountsTouchedPagesNotAccesses(t *testing.T) {
-	a, err := NewABitScanner(2*mem.RegionPages, 2, 0.5)
+	a, err := NewABitScanner(2*mem.RegionPages, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestABitCountsTouchedPagesNotAccesses(t *testing.T) {
 }
 
 func TestABitBitsClearEachWindow(t *testing.T) {
-	a, _ := NewABitScanner(mem.RegionPages, 1, 0.5)
+	a, _ := NewABitScanner(mem.RegionPages, 1)
 	a.Record(5)
 	p1 := a.EndWindow()
 	if p1.WindowSamples[0] != 1 {
@@ -40,21 +40,21 @@ func TestABitBitsClearEachWindow(t *testing.T) {
 		t.Fatalf("bits not cleared: window 2 touched = %d", p2.WindowSamples[0])
 	}
 	// Cooling carries hotness across windows.
-	if p2.Hotness[0] != 0.5 {
-		t.Fatalf("cooled hotness = %v, want 0.5", p2.Hotness[0])
+	if p2.Hotness[0] != DefaultCooling {
+		t.Fatalf("cooled hotness = %v, want %v", p2.Hotness[0], DefaultCooling)
 	}
 }
 
 func TestABitOverheadScalesWithMemorySize(t *testing.T) {
-	small, _ := NewABitScanner(1000, 1, 0.5)
-	big, _ := NewABitScanner(100000, 1, 0.5)
+	small, _ := NewABitScanner(1000, 1)
+	big, _ := NewABitScanner(100000, 1)
 	small.EndWindow()
 	big.EndWindow()
 	if big.OverheadNs() <= small.OverheadNs() {
 		t.Fatal("scan tax must grow with memory size")
 	}
 	// And it must be access-rate independent.
-	small2, _ := NewABitScanner(1000, 1, 0.5)
+	small2, _ := NewABitScanner(1000, 1)
 	for i := 0; i < 100000; i++ {
 		small2.Record(mem.PageID(i % 1000))
 	}
@@ -65,18 +65,10 @@ func TestABitOverheadScalesWithMemorySize(t *testing.T) {
 }
 
 func TestABitValidation(t *testing.T) {
-	if _, err := NewABitScanner(0, 1, 0.5); err == nil {
+	if _, err := NewABitScanner(0, 1); err == nil {
 		t.Error("zero pages accepted")
 	}
-	if _, err := NewABitScanner(10, 0, 0.5); err == nil {
+	if _, err := NewABitScanner(10, 0); err == nil {
 		t.Error("zero regions accepted")
-	}
-	for _, bad := range []float64{1.5, -0.1} {
-		if _, err := NewABitScanner(10, 1, bad); err == nil {
-			t.Errorf("cooling %v accepted", bad)
-		}
-	}
-	if a, err := NewABitScanner(10, 1, 0); err != nil || a.cooling != DefaultCooling {
-		t.Errorf("zero cooling: %v, %v; want DefaultCooling", a, err)
 	}
 }

@@ -43,30 +43,50 @@ func TestHotnessProportionalToAccesses(t *testing.T) {
 	}
 }
 
+// TestCooling: both hotness sources cool at the one constant. After a
+// sampled window, each empty window leaves every region's hotness at
+// exactly DefaultCooling times its prior value.
 func TestCooling(t *testing.T) {
-	pr, _ := NewProfiler(Config{NumRegions: 1, SampleRate: 1, Cooling: 0.5})
-	for i := 0; i < 100; i++ {
-		pr.Record(0)
+	pebs, err := NewProfiler(Config{NumRegions: 2, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	p1 := pr.EndWindow()
-	if p1.Hotness[0] != 100 {
-		t.Fatalf("window 1 hotness = %v", p1.Hotness[0])
+	abit, err := NewABitScanner(2*mem.RegionPages, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// No accesses in window 2: hotness must halve, not vanish.
-	p2 := pr.EndWindow()
-	if p2.Hotness[0] != 50 {
-		t.Fatalf("window 2 hotness = %v, want 50 (cooled)", p2.Hotness[0])
-	}
-	p3 := pr.EndWindow()
-	if p3.Hotness[0] != 25 {
-		t.Fatalf("window 3 hotness = %v, want 25", p3.Hotness[0])
+	for _, tc := range []struct {
+		name string
+		src  Recorder
+		want []float64 // first-window hotness: samples or touched pages
+	}{
+		{"pebs", pebs, []float64{100, 100}},
+		{"abit", abit, []float64{100, 10}},
+	} {
+		for p := 0; p < 100; p++ {
+			tc.src.Record(mem.PageID(p))
+			tc.src.Record(mem.PageID(mem.RegionPages + p%10))
+		}
+		prior := tc.src.EndWindow().Hotness
+		if !reflect.DeepEqual(prior, tc.want) {
+			t.Fatalf("%s: window 1 hotness %v, want %v", tc.name, prior, tc.want)
+		}
+		for w := 2; w <= 3; w++ {
+			got := tc.src.EndWindow().Hotness
+			for r := range got {
+				if got[r] != DefaultCooling*prior[r] {
+					t.Errorf("%s: window %d region %d hotness %v, want %v × %v", tc.name, w, r, got[r], DefaultCooling, prior[r])
+				}
+			}
+			prior = got
+		}
 	}
 }
 
 func TestGradualAgingHotWarmCold(t *testing.T) {
 	// A region that stops being accessed must pass through intermediate
 	// hotness (warm) before becoming cold — §3.1's aging behaviour.
-	pr, _ := NewProfiler(Config{NumRegions: 2, SampleRate: 1, Cooling: 0.5})
+	pr, _ := NewProfiler(Config{NumRegions: 2, SampleRate: 1})
 	for i := 0; i < 1000; i++ {
 		pr.Record(0)
 		pr.Record(mem.PageID(mem.RegionPages))
@@ -139,28 +159,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewProfiler(Config{NumRegions: 0}); err == nil {
 		t.Error("zero regions should fail")
 	}
-	for _, bad := range []float64{1.5, 1, -0.1, math.NaN()} {
-		if _, err := NewProfiler(Config{NumRegions: 1, Cooling: bad}); err == nil {
-			t.Errorf("cooling %v should fail", bad)
-		}
-	}
-	// Zero means the default, for both fields.
+	// Zero means the default.
 	pr, err := NewProfiler(Config{NumRegions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.cfg.SampleRate != DefaultSampleRate || pr.cooling != DefaultCooling {
-		t.Error("defaults not applied")
-	}
-	// A zero cooling carries history over exactly as the explicit default.
-	zero, _ := NewProfiler(Config{NumRegions: 1, SampleRate: 1})
-	half, _ := NewProfiler(Config{NumRegions: 1, SampleRate: 1, Cooling: DefaultCooling})
-	for _, p := range []*Profiler{zero, half} {
-		p.Record(0)
-		p.EndWindow()
-	}
-	if z, h := zero.EndWindow().Hotness[0], half.EndWindow().Hotness[0]; z != h || z == 0 {
-		t.Fatalf("zero cooling carried %v, explicit default %v", z, h)
+	if pr.cfg.SampleRate != DefaultSampleRate {
+		t.Error("default sample rate not applied")
 	}
 }
 
