@@ -39,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.String("scale", "default", "experiment scale: default or small")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	plot := fs.Bool("plot", false, "also render scatter plots for slowdown-vs-savings exhibits (7, 10, 13)")
-	compactBudget := fs.Int("compact-budget", 0, "pool pages each run's per-window compaction may reclaim (0 = unbounded full sweep); NOTE: a bounded budget defers reclamation, so tables differ from the default")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :9090) while exhibits run")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the exhibits finish (for scraping a completed batch)")
 	events := fs.String("events", "", "append every run's deterministic JSONL event stream to this file")
@@ -47,10 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
-		return 2
-	}
-	if *compactBudget < 0 {
-		fmt.Fprintf(stderr, "invalid value %d for flag -compact-budget: a budget cannot be negative\n", *compactBudget)
 		return 2
 	}
 
@@ -64,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown scale %q\n", *scale)
 		return 2
 	}
-	s.CompactBudget = *compactBudget
 
 	if *metricsAddr != "" {
 		s.Live = obs.NewLive()

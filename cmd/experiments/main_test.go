@@ -17,13 +17,13 @@ func TestRunExitStatus(t *testing.T) {
 		stderr string
 	}{
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{"malformed value", []string{"-compact-budget", "many"}, 2, "invalid value"},
+		{"malformed value", []string{"-metrics-hold", "many"}, 2, "invalid value"},
 		{"unknown exhibit", []string{"-fig", "99", "-scale", "small"}, 2, `unknown exhibit "99"`},
 		{"unknown scale", []string{"-fig", "table1", "-scale", "galactic"}, 2, `unknown scale "galactic"`},
 		{"removed -warm-solver flag", []string{"-warm-solver"}, 2, "flag provided but not defined: -warm-solver"},
 		{"removed -parallel flag", []string{"-parallel", "1"}, 2, "flag provided but not defined: -parallel"},
 		{"removed -push flag", []string{"-push", "1"}, 2, "flag provided but not defined: -push"},
-		{"negative compaction budget", []string{"-fig", "table1", "-compact-budget", "-1"}, 2, "-compact-budget: a budget cannot be negative"},
+		{"removed -compact-budget flag", []string{"-compact-budget", "8"}, 2, "flag provided but not defined: -compact-budget"},
 		{"unwritable events file", []string{"-fig", "table1", "-events", t.TempDir() + "/no/such/dir/e.jsonl"}, 1, "events file"},
 		{"help", []string{"-h"}, 0, "Usage of experiments"},
 	} {

@@ -38,18 +38,17 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // absent key inherits the flag, a key that is present wins even when it is
 // zero — so a knob is declared here once. Fields tagged "-" are flag-only.
 type spec struct {
-	Workload      string  `json:"workload"`
-	Replay        string  `json:"replay"`
-	Model         string  `json:"model"`
-	Alpha         float64 `json:"alpha"`
-	Pct           float64 `json:"pct"`
-	Tiers         string  `json:"tiers"`
-	Pages         int64   `json:"pages"`
-	Seed          uint64  `json:"seed"`
-	Ops           int     `json:"ops"`
-	Prefetch      int     `json:"prefetch"`
-	CompactBudget int     `json:"compact_budget"`
-	Windows       int     `json:"-"` // the daemon runs a workload until it is detached
+	Workload string  `json:"workload"`
+	Replay   string  `json:"replay"`
+	Model    string  `json:"model"`
+	Alpha    float64 `json:"alpha"`
+	Pct      float64 `json:"pct"`
+	Tiers    string  `json:"tiers"`
+	Pages    int64   `json:"pages"`
+	Seed     uint64  `json:"seed"`
+	Ops      int     `json:"ops"`
+	Prefetch int     `json:"prefetch"`
+	Windows  int     `json:"-"` // the daemon runs a workload until it is detached
 }
 
 func (s *spec) bind(fs *flag.FlagSet) {
@@ -65,7 +64,6 @@ func (s *spec) bind(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.Seed, "seed", 42, "random seed")
 	fs.IntVar(&s.Ops, "ops", 20000, "operations per window")
 	fs.IntVar(&s.Prefetch, "prefetch", 0, "prefetcher fault threshold per region per window (0 = off)")
-	fs.IntVar(&s.CompactBudget, "compact-budget", 0, "pool pages the per-window compaction pass may reclaim across tiers (0 = unbounded full sweep; the remainder carries over)")
 	fs.IntVar(&s.Windows, "windows", 8, "profile windows to run")
 }
 
@@ -87,6 +85,12 @@ func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
 	if err := model.CheckKnobs(s.Alpha, s.Pct); err != nil {
 		return tierscape.RunConfig{}, err
 	}
+	if s.Ops <= 0 {
+		return tierscape.RunConfig{}, fmt.Errorf("ops must be positive, got %d", s.Ops)
+	}
+	if s.Prefetch < 0 {
+		return tierscape.RunConfig{}, fmt.Errorf("prefetch must be >= 0, got %d", s.Prefetch)
+	}
 	tiers, byteTiers, err := resolveTiers(s.Tiers)
 	if err != nil {
 		return tierscape.RunConfig{}, fmt.Errorf("tier setup %q: %v", s.Tiers, err)
@@ -104,7 +108,6 @@ func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
 		OpsPerWindow:           s.Ops,
 		SampleRate:             50,
 		Seed:                   s.Seed,
-		CompactBudget:          s.CompactBudget,
 		PrefetchFaultThreshold: s.Prefetch,
 	}, nil
 }
@@ -157,10 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if s.CompactBudget < 0 {
-		fmt.Fprintf(stderr, "invalid value %d for flag -compact-budget: a budget cannot be negative\n", s.CompactBudget)
-		return 2
-	}
 	if *record != "" && s.Replay != "" {
 		fmt.Fprintln(stderr, "-record and -replay cannot be combined: a replay is the run it recorded")
 		return 2
@@ -178,6 +177,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(status int, format string, a ...any) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 		return status
+	}
+	if s.Windows <= 0 {
+		return fail(2, "windows must be positive, got %d", s.Windows)
 	}
 
 	wl, replayFile, err := s.workload()

@@ -60,6 +60,8 @@ func TestSpecOverlay(t *testing.T) {
 			want: edit(func(s *spec) { s.Ops = 2000 })},
 		{name: "removed push key", doc: `{"ops":2000,"push":8}`,
 			want: edit(func(s *spec) { s.Ops = 2000 })},
+		{name: "removed compact_budget key", doc: `{"ops":2000,"compact_budget":8}`,
+			want: edit(func(s *spec) { s.Ops = 2000 })},
 		{name: "flag-only field", doc: `{"windows":99,"Windows":99}`, want: flags},
 		{name: "wrong type", doc: `{"ops":"many"}`, err: "spec.ops"},
 		{name: "not an object", doc: `[1,2]`, err: "attach spec"},
@@ -100,6 +102,7 @@ func TestSpecOverlayAttaches(t *testing.T) {
 	}{
 		{`{"commit_batch":32}`, 3000, 5},
 		{`{"push":8}`, 3000, 5},
+		{`{"compact_budget":8}`, 3000, 5},
 		{`{"ops":2000,"prefetch":0}`, 2000, 0},
 		{`{"alpha":0.5}`, 3000, 5},
 	} {
@@ -123,6 +126,8 @@ func TestSpecOverlayAttaches(t *testing.T) {
 		`{"alpha":-2}`:                                          "alpha must be in [0,1], got -2",
 		`{"pct":101}`:                                           "pct must be in [0,100], got 101",
 		`{"pct":-1}`:                                            "pct must be in [0,100], got -1",
+		`{"ops":0}`:                                             "ops must be positive, got 0",
+		`{"prefetch":-1}`:                                       "prefetch must be >= 0, got -1",
 	} {
 		if _, _, _, err := build(doc); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %v, want one mentioning %q", doc, err, want)
@@ -230,10 +235,11 @@ func TestRunExitStatus(t *testing.T) {
 		{"removed -push flag", []string{"-push", "8"}, 2, "flag provided but not defined: -push"},
 		{"unwritable events file", append([]string{"-events", filepath.Join(dir, "no/such/dir/e.jsonl")}, small...), 1, "events file"},
 		{"unwritable record file", append([]string{"-record", filepath.Join(dir, "no/such/dir/t.trace")}, small...), 1, "record file"},
-		{"negative compaction budget", []string{"-compact-budget", "-1"}, 2, "-compact-budget: a budget cannot be negative"},
-		{"negative compaction budget, daemon", []string{"-daemon", "-compact-budget", "-1"}, 2, "-compact-budget: a budget cannot be negative"},
+		{"removed -compact-budget flag", []string{"-compact-budget", "8"}, 2, "flag provided but not defined: -compact-budget"},
+		{"negative prefetch threshold", []string{"-prefetch", "-1"}, 2, "prefetch must be >= 0, got -1"},
+		{"no ops per window", []string{"-ops", "0"}, 2, "ops must be positive, got 0"},
 		{"removed -windows-csv flag", []string{"-windows-csv", filepath.Join(dir, "w.csv")}, 2, "flag provided but not defined: -windows-csv"},
-		{"run that cannot start", []string{"-windows", "0"}, 1, "must be positive"},
+		{"no windows", []string{"-windows", "0"}, 2, "windows must be positive, got 0"},
 		{"HeMem* on the spectrum", []string{"-model", "hemem", "-tiers", "spectrum"}, 2, "HeMem* needs a byte-addressable tier"},
 		{"HeMem* on a tier file without a byte tier", []string{"-model", "hemem", "-tiers", noByteTier}, 2, "HeMem* needs a byte-addressable tier"},
 		{"GSwap* on a tier file without CT-1", []string{"-model", "gswap", "-tiers", noCT1}, 2, "GSwap* needs CT-1"},

@@ -119,9 +119,12 @@ func TestRunRecordStat(t *testing.T) {
 // TestDeriveGolden: -csv and -chrome on a recorded event stream reproduce
 // the checked-in files byte for byte. testdata/masim-tmo.jsonl is the
 // stream of `tierscape -workload masim -model tmo -compact-budget 8
-// -events`, which holds move events; masim-tmo.csv is the windows CSV the
-// run wrote as it went, before the CSV became a derivation of the stream,
-// and masim-tmo.json the Chrome trace of the stream.
+// -events`, which holds move events. The -compact-budget flag is gone
+// (each window now runs one unbounded compaction pass); the fixture stays
+// as recorded, since the derivations only read it. masim-tmo.csv is the
+// windows CSV the run wrote as it went, before the CSV became a
+// derivation of the stream, and masim-tmo.json the Chrome trace of the
+// stream.
 func TestDeriveGolden(t *testing.T) {
 	const events = "testdata/masim-tmo.jsonl"
 	if raw, err := os.ReadFile(events); err != nil || !bytes.Contains(raw, []byte(`"e":"move"`)) {

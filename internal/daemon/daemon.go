@@ -408,10 +408,9 @@ func (d *Daemon) SetAlpha(name string, alpha float64) error {
 	})
 }
 
-// ForceCompact runs an unbounded compaction sweep over a workload's
-// manager right now, between windows, and returns what it reclaimed.
-// The sweep is the same zs_compact pass the control loop runs with a
-// budget after each migration window.
+// ForceCompact runs a compaction pass over a workload's manager right
+// now, between windows, and returns what it reclaimed. The pass is the
+// same zs_compact pass the control loop runs after each migration window.
 func (d *Daemon) ForceCompact(name string) (mem.CompactStats, error) {
 	var cs mem.CompactStats
 	err := d.do("force-compact", func() error {
@@ -419,7 +418,7 @@ func (d *Daemon) ForceCompact(name string) (mem.CompactStats, error) {
 		if i < 0 {
 			return fmt.Errorf("daemon: workload %q not attached", name)
 		}
-		cs = d.insts[i].st.Manager().CompactBudgeted(0) // 0 = unbounded
+		cs = d.insts[i].st.Manager().Compact()
 		return nil
 	})
 	return cs, err

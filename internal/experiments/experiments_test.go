@@ -255,6 +255,39 @@ func TestPaperShape_TierCount(t *testing.T) {
 	}
 }
 
+// TestPaperShape_Fig10: §8.2's α knob, checked on Figure 10's AM rows
+// over three seeds. Lowering α from 0.9 to 0.1 lowers the TCO budget, so
+// AM's slowdown rises strictly at every step, and its savings rise from
+// α 0.9 down to α 0.3.
+func TestPaperShape_Fig10(t *testing.T) {
+	alphas := []string{"0.9", "0.7", "0.5", "0.3", "0.1"}
+	for _, seed := range shapeSeeds {
+		s := SmallScale()
+		s.Seed = seed
+		tab, err := Fig10(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(alphas); i++ {
+			if prev, cur := cell(t, tab, i-1, 1), cell(t, tab, i, 1); !(cur > prev) {
+				t.Errorf("seed %d: slowdown %v at α %s is not above %v at α %s", seed, cur, alphas[i], prev, alphas[i-1])
+			}
+		}
+		for i := 1; i <= 3; i++ {
+			if prev, cur := cell(t, tab, i-1, 2), cell(t, tab, i, 2); !(cur > prev) {
+				t.Errorf("seed %d: savings %v at α %s are not above %v at α %s", seed, cur, alphas[i], prev, alphas[i-1])
+			}
+		}
+		// Deviation from the paper, kept as this scale's behaviour: α 0.1
+		// saves less than α 0.3 on every seed (62.3–62.8 % against
+		// 66.7–66.9 %), while at the default scale the savings rise at
+		// every step.
+		if s3, s1 := cell(t, tab, 3, 2), cell(t, tab, 4, 2); !(s1 < s3) {
+			t.Errorf("seed %d: α 0.1 saves %v, α 0.3 %v; this scale orders 0.1 below 0.3", seed, s1, s3)
+		}
+	}
+}
+
 // TestSolverAblationShape: the one solver saves meaningfully and
 // certifies a finite gap to its LP bound in [0, 100] %.
 func TestSolverAblationShape(t *testing.T) {

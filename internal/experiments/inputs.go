@@ -156,7 +156,7 @@ type streamKey struct {
 }
 
 func streamKeyOf(spec WorkloadSpec, s Scale) streamKey {
-	s.CompactBudget, s.Live, s.Events, s.inputs = 0, nil, nil, nil
+	s.Live, s.Events, s.inputs = nil, nil, nil
 	return streamKey{spec.Name, s}
 }
 

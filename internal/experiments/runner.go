@@ -154,14 +154,13 @@ func (j runJob) run(s Scale, rec obs.Recorder) (*sim.Result, error) {
 	}
 	m.ShareStores(s.inputs.memo)
 	cfg := sim.Config{
-		Manager:       m,
-		Workload:      wl,
-		Model:         j.mdl,
-		OpsPerWindow:  s.OpsPerWindow,
-		Windows:       s.Windows,
-		SampleRate:    s.SampleRate,
-		CompactBudget: s.CompactBudget,
-		Recorder:      rec,
+		Manager:      m,
+		Workload:     wl,
+		Model:        j.mdl,
+		OpsPerWindow: s.OpsPerWindow,
+		Windows:      s.Windows,
+		SampleRate:   s.SampleRate,
+		Recorder:     rec,
 	}
 	if j.cfg != nil {
 		j.cfg(&cfg)

@@ -32,12 +32,6 @@ type Scale struct {
 	// SampleRate is the profiler period (denser than the paper's 5000
 	// because scaled workloads issue fewer accesses).
 	SampleRate int
-	// CompactBudget caps each run's per-window compaction pass at this
-	// many reclaimed pool pages (sim.Config.CompactBudget); 0 is the
-	// unbounded sweep. A bounded budget defers reclamation across
-	// windows, so tables differ from the unbounded ones, deterministically
-	// for any fixed value.
-	CompactBudget int
 	// Seed fixes all randomness.
 	Seed uint64
 

@@ -35,84 +35,60 @@ func fragmentedManager(t *testing.T) *Manager {
 	return m
 }
 
-// TestCompactBudgetedMatchesUnbounded drains one manager with small
-// budgeted passes and its twin with a single unbounded pass; the totals
-// (pages, objects, bytes, cost) must be identical.
+// TestCompactBudgetedMatchesUnbounded: the deprecated CompactBudgeted
+// ignores its page budget — a budget of 2 on one twin manager does, in one
+// call, exactly what Compact does on the other: the same totals (pages,
+// objects, bytes, cost), the same footprints, and every page still
+// readable.
 func TestCompactBudgetedMatchesUnbounded(t *testing.T) {
 	full := fragmentedManager(t)
-	inc := fragmentedManager(t)
+	old := fragmentedManager(t)
 
-	want := full.CompactBudgeted(0)
-	if want.PagesReclaimed == 0 || want.ObjectsMoved == 0 {
-		t.Fatalf("fragmentation produced nothing to compact: %+v", want)
+	want := full.Compact()
+	if want.PagesReclaimed <= 2 || want.ObjectsMoved == 0 {
+		t.Fatalf("fragmentation left too little to compact for a budget of 2 to bite: %+v", want)
 	}
 	if want.CostNs <= 0 {
-		t.Fatalf("unbounded pass moved %d objects at zero cost", want.ObjectsMoved)
+		t.Fatalf("pass moved %d objects at zero cost", want.ObjectsMoved)
 	}
-
-	var got CompactStats
-	calls := 0
-	for {
-		cs := inc.CompactBudgeted(2)
-		got.PagesReclaimed += cs.PagesReclaimed
-		got.ObjectsMoved += cs.ObjectsMoved
-		got.BytesMoved += cs.BytesMoved
-		got.CostNs += cs.CostNs
-		calls++
-		if cs.PagesReclaimed == 0 {
-			break
-		}
-		if calls > 10_000 {
-			t.Fatal("budgeted passes never drained the pools")
-		}
+	if got := old.CompactBudgeted(2); got != want {
+		t.Fatalf("CompactBudgeted(2) = %+v, want Compact's %+v", got, want)
 	}
-	if calls < 3 {
-		t.Fatalf("budget 2 drained both pools in %d calls; too few to exercise resume", calls)
-	}
-	if got.PagesReclaimed != want.PagesReclaimed ||
-		got.ObjectsMoved != want.ObjectsMoved ||
-		got.BytesMoved != want.BytesMoved ||
-		got.CostNs != want.CostNs {
-		t.Fatalf("budgeted total %+v != unbounded %+v", got, want)
-	}
-
-	// Both managers end at the same physical footprint, and every page is
-	// still readable after the sliced passes.
 	for _, id := range []TierID{1, 2} {
 		fs, err := full.CompressedTierStats(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		is, err := inc.CompressedTierStats(id)
+		bs, err := old.CompressedTierStats(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fs.PoolPages != is.PoolPages {
-			t.Fatalf("tier %d footprint diverged: full %d, budgeted %d", id, fs.PoolPages, is.PoolPages)
+		if fs.PoolPages != bs.PoolPages {
+			t.Fatalf("tier %d footprint diverged: Compact %d, CompactBudgeted %d", id, fs.PoolPages, bs.PoolPages)
 		}
 	}
 	for p := PageID(0); p < 4*RegionPages; p++ {
-		if _, err := inc.Access(p, false); err != nil {
-			t.Fatalf("page %d unreadable after budgeted compaction: %v", p, err)
+		if _, err := old.Access(p, false); err != nil {
+			t.Fatalf("page %d unreadable after compaction: %v", p, err)
 		}
 	}
 }
 
-// TestCompactBudgetedSkipsQuietTiers: once a tier's pool has been fully
-// compacted and sees no churn, later passes skip it without changing what
-// is reclaimed or charged.
-func TestCompactBudgetedSkipsQuietTiers(t *testing.T) {
+// TestCompactSkipsQuietTiers: once a tier's pool has been compacted and
+// sees no churn, later passes skip it without changing what is reclaimed
+// or charged.
+func TestCompactSkipsQuietTiers(t *testing.T) {
 	m := fragmentedManager(t)
 
-	first := m.CompactBudgeted(0)
+	first := m.Compact()
 	if first.PagesReclaimed == 0 {
 		t.Fatal("first pass reclaimed nothing")
 	}
 	if first.SkippedTiers != 0 {
-		t.Fatalf("first pass skipped %d tiers; all start dirty", first.SkippedTiers)
+		t.Fatalf("first pass skipped %d tiers; every tier needs its first pass", first.SkippedTiers)
 	}
 
-	second := m.CompactBudgeted(0)
+	second := m.Compact()
 	if second.SkippedTiers != 2 {
 		t.Fatalf("quiet pass skipped %d tiers, want 2", second.SkippedTiers)
 	}
@@ -134,36 +110,8 @@ func TestCompactBudgetedSkipsQuietTiers(t *testing.T) {
 	if churned == 0 {
 		t.Fatal("no pages left in tier 1 to churn")
 	}
-	third := m.CompactBudgeted(0)
+	third := m.Compact()
 	if third.SkippedTiers != 1 {
 		t.Fatalf("post-churn pass skipped %d tiers, want 1 (only the quiet one)", third.SkippedTiers)
-	}
-}
-
-// TestCompactBudgetedResumesCutTier: a budget-cut tier stays dirty and is
-// revisited on the next pass even without new churn, so a sequence of
-// bounded passes cannot strand reclaimable pages behind the cursor.
-func TestCompactBudgetedResumesCutTier(t *testing.T) {
-	m := fragmentedManager(t)
-	twin := fragmentedManager(t)
-	want := twin.CompactBudgeted(0)
-
-	cs := m.CompactBudgeted(1)
-	if cs.PagesReclaimed == 0 {
-		t.Fatal("bounded pass reclaimed nothing")
-	}
-	if cs.SkippedTiers != 0 {
-		t.Fatalf("first bounded pass skipped %d tiers", cs.SkippedTiers)
-	}
-	total := cs.PagesReclaimed
-	for i := 0; i < 10_000 && total < want.PagesReclaimed; i++ {
-		cs = m.CompactBudgeted(1)
-		if cs.PagesReclaimed == 0 {
-			break
-		}
-		total += cs.PagesReclaimed
-	}
-	if total != want.PagesReclaimed {
-		t.Fatalf("bounded passes reclaimed %d pages total, want %d", total, want.PagesReclaimed)
 	}
 }

@@ -118,7 +118,7 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				m.CompactBudgeted(0)
+				m.Compact()
 				m.TierPages()
 				m.TierFootprintBytes()
 				m.Counters()

@@ -133,7 +133,7 @@ func TestCompactAllReclaims(t *testing.T) {
 			}
 		}
 	}
-	cs := m.CompactBudgeted(0)
+	cs := m.Compact()
 	reclaimed, ns := cs.PagesReclaimed, cs.CostNs
 	if reclaimed <= 0 {
 		t.Fatal("compaction reclaimed nothing after fragmentation")

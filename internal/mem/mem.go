@@ -24,7 +24,7 @@
 // In the access phase one goroutine, the driver's, issues Access calls and
 // nothing else runs: the hit path takes no lock. In the migration phase any
 // number of goroutines may call the prepare and commit halves (and their
-// MigrateRegion wrapper), the compaction passes and the
+// MigrateRegion wrapper), the compaction pass and the
 // readers concurrently: page-table state is guarded by a striped
 // per-span lock, tier pools are guarded inside ztier, and every counter
 // (including per-tier residency) is an atomic, so concurrent migrations
@@ -239,13 +239,12 @@ type Manager struct {
 	rejects    atomic.Int64
 	migratedIn []atomic.Int64 // by TierID
 
-	// Budgeted-compaction state, guarded by compactMu (CompactBudgeted may
-	// be called concurrently with itself in stress tests; tier access
-	// inside is already tier-locked).
-	compactMu     sync.Mutex
-	compactCursor int     // ct index the next budgeted pass starts at
-	compactSeen   []int64 // per-ct tier churn at last completed pass
-	compactDirty  []bool  // per-ct: last pass incomplete (budget-cut or never ran)
+	// compactSeen is each ct's tier churn at its last compaction pass,
+	// -1 before the first; compactMu guards it (Compact may be called
+	// concurrently with itself in stress tests; tier access inside is
+	// already tier-locked).
+	compactMu   sync.Mutex
+	compactSeen []int64
 }
 
 // MigrationScratch is the reusable working state of one migration worker:
@@ -388,9 +387,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m.migratedIn = make([]atomic.Int64, len(m.tiers))
 	m.compactSeen = make([]int64, len(m.cts))
-	m.compactDirty = make([]bool, len(m.cts))
-	for i := range m.compactDirty {
-		m.compactDirty[i] = true // every tier needs its first pass
+	for i := range m.compactSeen {
+		m.compactSeen[i] = -1 // every tier needs its first pass
 	}
 	m.spanMu = make([]sync.RWMutex, min(m.NumRegions(), regionLockStripes)*RegionPages/SpanPages)
 	// All pages start in DRAM.
@@ -1169,8 +1167,8 @@ func (m *Manager) SampleRegionRatio(r RegionID, codecName string, samples int) (
 	return float64(comp) / float64(orig), nil
 }
 
-// CompactStats reports what one budgeted compaction pass over the
-// manager's compressed tiers did.
+// CompactStats reports what one compaction pass over the manager's
+// compressed tiers did.
 type CompactStats struct {
 	// PagesReclaimed is the total pool pages returned across tiers.
 	PagesReclaimed int
@@ -1179,66 +1177,42 @@ type CompactStats struct {
 	// BytesMoved is the total compressed bytes those objects added up to.
 	BytesMoved int64
 	// SkippedTiers counts tiers skipped because nothing was stored to or
-	// freed from their pool since their last completed pass.
+	// freed from their pool since their last pass.
 	SkippedTiers int
 	// CostNs is the modeled daemon cost of the moves.
 	CostNs float64
 }
 
-// CompactBudgeted compacts the compressed tiers' pools (the kernel's
-// zs_compact pass TS-Daemon triggers between windows) round-robin until
-// at most budgetPages pool pages have been reclaimed in total
-// (budgetPages <= 0 = unbounded, i.e. every tier compacts to completion).
-// A cursor rotates the starting tier across calls so a small budget cannot
-// starve later tiers, and tiers whose pools saw no stores or frees since
-// their last completed pass are skipped: a fully compacted pool that has
-// not churned has nothing to reclaim, so skipping is purely a
-// scan-avoidance optimization and never changes the pages reclaimed or the
-// modeled cost. A tier whose pass was cut short by the budget stays dirty
-// and is revisited even if quiet.
-func (m *Manager) CompactBudgeted(budgetPages int) CompactStats {
+// Compact compacts every compressed tier's pool to completion, in tier
+// order — the kernel's zs_compact pass TS-Daemon triggers between
+// windows. Tiers whose pools saw no stores or frees since their last pass
+// are skipped: a fully compacted pool that has not churned has nothing to
+// reclaim, so skipping only avoids the scan and never changes the pages
+// reclaimed or the modeled cost.
+func (m *Manager) Compact() CompactStats {
 	m.compactMu.Lock()
 	defer m.compactMu.Unlock()
 	var cs CompactStats
-	n := len(m.cts)
-	if n == 0 {
-		return cs
-	}
-	unbounded := budgetPages <= 0
-	remaining := budgetPages
-	start := m.compactCursor % n
-	for i := 0; i < n; i++ {
-		ti := (start + i) % n
-		c := m.cts[ti]
-		if !m.compactDirty[ti] && c.tier.Churn() == m.compactSeen[ti] {
+	for ti, c := range m.cts {
+		churn := c.tier.Churn()
+		if churn == m.compactSeen[ti] {
 			cs.SkippedTiers++
 			continue
 		}
-		tierBudget := 0
-		if !unbounded {
-			tierBudget = remaining
-		}
-		r, ns := c.tier.CompactPartial(tierBudget)
+		r, ns := c.tier.Compact()
 		cs.PagesReclaimed += r.PagesReclaimed
 		cs.ObjectsMoved += r.ObjectsMoved
 		cs.BytesMoved += r.BytesMoved
 		cs.CostNs += ns
-		if !unbounded {
-			remaining -= r.PagesReclaimed
-			if remaining <= 0 {
-				// Budget exhausted: this tier may hold more reclaimable
-				// pages, so it stays dirty and the next pass resumes here.
-				m.compactDirty[ti] = true
-				m.compactCursor = ti
-				return cs
-			}
-		}
-		m.compactDirty[ti] = false
-		m.compactSeen[ti] = c.tier.Churn()
+		m.compactSeen[ti] = churn
 	}
-	m.compactCursor = start
 	return cs
 }
+
+// CompactBudgeted is Compact; the page budget it once took is ignored.
+//
+// Deprecated: use Compact.
+func (m *Manager) CompactBudgeted(int) CompactStats { return m.Compact() }
 
 // Counters reports manager-wide counters.
 type Counters struct {

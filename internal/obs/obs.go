@@ -117,9 +117,9 @@ type WindowSnapshot struct {
 	// relocated to reclaim those pages — the work CompactNs is charged
 	// from.
 	CompactObjectsMoved int
-	// CompactSkippedTiers counts compressed tiers the budgeted compactor
+	// CompactSkippedTiers counts compressed tiers the compaction pass
 	// skipped this window because their pools saw no churn since their
-	// last completed pass.
+	// last pass.
 	CompactSkippedTiers int
 	// DroppedPressure/DroppedCapacity/DroppedBudget echo the migration
 	// filter's per-window drop counters (§6.7).

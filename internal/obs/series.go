@@ -70,7 +70,7 @@ var seriesTable = [...]*series{
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.CompactedPages) }},
 	{key: "compact_objects_moved", family: "compact_objects_moved_total", help: "Compressed objects relocated by post-migration compaction.",
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.CompactObjectsMoved) }},
-	{key: "compact_skipped_tiers", family: "compact_skipped_tiers_total", help: "Quiet compressed tiers skipped by the budgeted compactor.",
+	{key: "compact_skipped_tiers", family: "compact_skipped_tiers_total", help: "Quiet compressed tiers skipped by the compaction pass.",
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.CompactSkippedTiers) }},
 	{key: "dropped_pressure", family: "filter_dropped_total", labels: `reason="pressure"`, help: "Moves dropped by the migration filter.",
 		winInt: func(w *WindowSnapshot) int64 { return int64(w.DroppedPressure) }},

@@ -70,20 +70,12 @@ type Config struct {
 	// by the fixed telemetry.DefaultCooling (0.5) at each window
 	// boundary.
 	SampleRate int
-	// CompactBudget bounds the per-window zs_compact pass to roughly this
-	// many reclaimed pool pages across all compressed tiers (the budgeted
-	// round-robin in mem.CompactBudgeted; pools keep resume cursors so the
-	// remainder carries over to later windows). 0 = unbounded, i.e. the
-	// historical compact-to-completion sweep; negative is an error. This
-	// is a semantic knob — a bounded budget defers reclamation, so results
-	// legitimately differ from the unbounded sweep — but any fixed value
-	// remains byte-identical at every GOMAXPROCS.
-	CompactBudget int
 	// PrefetchFaultThreshold enables the §3.2 prefetcher: when a region
 	// accumulates this many compressed-tier faults within one window, the
 	// daemon proactively decompresses the whole region back to DRAM
 	// instead of letting the application eat per-page fault latency.
-	// 0 disables prefetching (the paper's default system).
+	// 0 disables prefetching (the paper's default system); negative is an
+	// error.
 	PrefetchFaultThreshold int
 	// AccessBitTelemetry swaps the PEBS-style sampler for GSwap's
 	// accessed-bit scanning (§10): binary touched-page hotness whose scan

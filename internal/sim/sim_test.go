@@ -229,10 +229,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestZeroMeansDefault: SampleRate and CompactBudget at 0 run exactly as
-// their explicit defaults (1-in-5000 sampling, an unbounded compaction
-// sweep), and a value out of range is an error. Each row also names a
-// value that must change the run, so the run is one the knob can move.
+// TestZeroMeansDefault: SampleRate and PrefetchFaultThreshold at 0 run
+// exactly as their explicit defaults (1-in-5000 sampling; a prefetcher
+// whose threshold no region reaches), and a negative value is an error.
+// Each row also names a value that must change the run, so the run is one
+// the knob can move.
 func TestZeroMeansDefault(t *testing.T) {
 	mk := func(set func(*Config)) (*Result, error) {
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
@@ -257,11 +258,11 @@ func TestZeroMeansDefault(t *testing.T) {
 			func(c *Config) { c.SampleRate = telemetry.DefaultSampleRate },
 			func(c *Config) { c.SampleRate = 20 },
 			[]func(*Config){func(c *Config) { c.SampleRate = -1 }}},
-		{"CompactBudget",
-			func(c *Config) { c.CompactBudget = 0 },
-			func(c *Config) { c.CompactBudget = 1 << 30 },
-			func(c *Config) { c.CompactBudget = 1 },
-			[]func(*Config){func(c *Config) { c.CompactBudget = -1 }}},
+		{"PrefetchFaultThreshold",
+			func(c *Config) { c.PrefetchFaultThreshold = 0 },
+			func(c *Config) { c.PrefetchFaultThreshold = 1 << 30 },
+			func(c *Config) { c.PrefetchFaultThreshold = 1 },
+			[]func(*Config){func(c *Config) { c.PrefetchFaultThreshold = -1 }}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

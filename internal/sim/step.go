@@ -144,8 +144,8 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if cfg.SampleRate < 0 {
 		return nil, fmt.Errorf("sim: SampleRate must be >= 0, got %d", cfg.SampleRate)
 	}
-	if cfg.CompactBudget < 0 {
-		return nil, fmt.Errorf("sim: CompactBudget must be >= 0, got %d", cfg.CompactBudget)
+	if cfg.PrefetchFaultThreshold < 0 {
+		return nil, fmt.Errorf("sim: PrefetchFaultThreshold must be >= 0, got %d", cfg.PrefetchFaultThreshold)
 	}
 	s := &Stepper{cfg: cfg}
 
@@ -365,8 +365,8 @@ func (s *Stepper) StepControl() error {
 		rec.DroppedCapacity = plan.DroppedCapacity
 		rec.DroppedBudget = plan.DroppedBudget
 		// Post-migration pool compaction (zs_compact): churned tiers
-		// return empty zspages, up to the configured per-window budget.
-		compacted := m.CompactBudgeted(s.cfg.CompactBudget)
+		// return empty zspages.
+		compacted := m.Compact()
 		if recd != nil {
 			rt.PhaseWallNs[obs.PhaseCompact] = wallSince(&wall)
 		}

@@ -6,11 +6,11 @@ import (
 )
 
 // FuzzPoolDifferential drives all three pool managers through the same
-// fuzzer-chosen op stream (store / free / load / compact / bounded
-// compact) and checks every observable against a map-based reference
-// oracle: live handles always load their exact bytes, freed handles are
-// permanently invalid (the generation-tag contract), and Stats stays
-// balanced with the oracle's object count and byte total.
+// fuzzer-chosen op stream (store / free / load / compact) and checks every
+// observable against a map-based reference oracle: live handles always
+// load their exact bytes, freed handles are permanently invalid (the
+// generation-tag contract), and Stats stays balanced with the oracle's
+// object count and byte total.
 func FuzzPoolDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(bytes.Repeat([]byte{0x53, 0x03, 0xF7}, 40))
@@ -81,8 +81,12 @@ func FuzzPoolDifferential(f *testing.F) {
 					}
 				case 6:
 					p.Compact()
-				case 7:
-					p.CompactPartial(1 + int(next())%4)
+				case 7: // a pass reports exactly the pool pages it returned
+					before := p.Stats().PoolPages
+					res := p.CompactPass()
+					if after := p.Stats().PoolPages; before-after != res.PagesReclaimed {
+						t.Fatalf("%s: CompactPass reclaimed %d pages, pool went %d -> %d", name, res.PagesReclaimed, before, after)
+					}
 				}
 			}
 			// Final cross-check against the oracle.

@@ -222,7 +222,7 @@ func TestZsmallocCompactDonorFallback(t *testing.T) {
 	if a.used != 2 || len(a.free) != 6 {
 		t.Fatalf("layout: A used=%d free=%d, want 2/6", a.used, len(a.free))
 	}
-	res := z.CompactPartial(0)
+	res := z.CompactPass()
 	if res.PagesReclaimed != c.pagesPer {
 		t.Fatalf("donor fallback reclaimed %d pages, want %d (old code gives up and reclaims 0)",
 			res.PagesReclaimed, c.pagesPer)
@@ -239,69 +239,8 @@ func TestZsmallocCompactDonorFallback(t *testing.T) {
 	}
 }
 
-// TestZsmallocCompactPartialReconciles: a sequence of bounded
-// CompactPartial calls must converge to exactly what one unbounded sweep
-// does — same pages reclaimed, same objects and bytes moved, same final
-// stats — with each bounded call honoring its budget (overshoot of at
-// most one zspage) and the cursor carrying the remainder across calls.
-func TestZsmallocCompactPartialReconciles(t *testing.T) {
-	churn := func() *Zsmalloc {
-		z := NewZsmalloc()
-		// Fragment several classes: fill zspages, then free most of each.
-		for _, size := range []int{200, 500, 1000, 2000} {
-			var hs []Handle
-			for i := 0; i < 48; i++ {
-				h, err := z.Store(bytes.Repeat([]byte{byte(i + 1)}, size))
-				if err != nil {
-					t.Fatal(err)
-				}
-				hs = append(hs, h)
-			}
-			for i, h := range hs {
-				if i%4 != 0 {
-					if err := z.Free(h); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
-		return z
-	}
-
-	full := churn()
-	want := full.CompactPartial(0)
-	if want.PagesReclaimed == 0 || want.ObjectsMoved == 0 {
-		t.Fatal("unbounded sweep did no work; churn setup is broken")
-	}
-
-	inc := churn()
-	var got CompactResult
-	calls := 0
-	for {
-		r := inc.CompactPartial(2)
-		if r.PagesReclaimed == 0 {
-			break
-		}
-		calls++
-		got.Add(r)
-		if calls > 10000 {
-			t.Fatal("bounded compaction does not terminate")
-		}
-	}
-	if got != want {
-		t.Fatalf("incremental total %+v != unbounded sweep %+v", got, want)
-	}
-	if calls < 2 {
-		t.Fatalf("budget of 2 pages finished in %d call(s); cursor never exercised", calls)
-	}
-	fs, is := full.Stats(), inc.Stats()
-	if fs != is {
-		t.Fatalf("final stats diverge: full %+v incremental %+v", fs, is)
-	}
-}
-
-// TestCompactPartialNoopPools: zbud and z3fold have no compactor; bounded
-// and unbounded calls must report zero work and leave stats untouched.
+// TestCompactPartialNoopPools: zbud and z3fold have no compactor; a pass
+// must report zero work and leave stats untouched, however often it runs.
 func TestCompactPartialNoopPools(t *testing.T) {
 	for _, name := range []string{"zbud", "z3fold"} {
 		p, err := New(name)
@@ -312,9 +251,9 @@ func TestCompactPartialNoopPools(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := p.Stats()
-		for _, budget := range []int{0, 1, 1 << 20} {
-			if r := p.CompactPartial(budget); r != (CompactResult{}) {
-				t.Fatalf("%s: CompactPartial(%d) = %+v, want zero work", name, budget, r)
+		for i := 0; i < 3; i++ {
+			if r := p.CompactPass(); r != (CompactResult{}) {
+				t.Fatalf("%s: CompactPass #%d = %+v, want zero work", name, i+1, r)
 			}
 		}
 		if p.Stats() != before {

@@ -308,8 +308,8 @@ func (z *Z3fold) Free(h Handle) error {
 // limited compaction was removed along with the allocator's deprecation).
 func (z *Z3fold) Compact() int { return 0 }
 
-// CompactPartial implements Pool: no compactor, zero work.
-func (z *Z3fold) CompactPartial(budgetPages int) CompactResult { return CompactResult{} }
+// CompactPass implements Pool: no compactor, zero work.
+func (z *Z3fold) CompactPass() CompactResult { return CompactResult{} }
 
 // Stats implements Pool.
 func (z *Z3fold) Stats() Stats { return z.stats }

@@ -234,8 +234,8 @@ func (z *Zbud) Free(h Handle) error {
 // a no-op.
 func (z *Zbud) Compact() int { return 0 }
 
-// CompactPartial implements Pool: no compactor, zero work.
-func (z *Zbud) CompactPartial(budgetPages int) CompactResult { return CompactResult{} }
+// CompactPass implements Pool: no compactor, zero work.
+func (z *Zbud) CompactPass() CompactResult { return CompactResult{} }
 
 // Stats implements Pool.
 func (z *Zbud) Stats() Stats { return z.stats }

@@ -65,13 +65,6 @@ type CompactResult struct {
 	BytesMoved int64
 }
 
-// Add accumulates o into r.
-func (r *CompactResult) Add(o CompactResult) {
-	r.PagesReclaimed += o.PagesReclaimed
-	r.ObjectsMoved += o.ObjectsMoved
-	r.BytesMoved += o.BytesMoved
-}
-
 // PoolBytes returns the pool's physical footprint in bytes.
 func (s Stats) PoolBytes() int64 { return int64(s.PoolPages) * PageSize }
 
@@ -103,17 +96,12 @@ type Pool interface {
 	// live handle.
 	Free(h Handle) error
 	// Compact migrates objects to reduce fragmentation and returns the
-	// number of pool pages reclaimed. Only zsmalloc compacts (the
-	// kernel's zs_compact); zbud and z3fold return 0. Equivalent to
-	// CompactPartial(0).PagesReclaimed.
+	// number of pool pages reclaimed: CompactPass().PagesReclaimed.
 	Compact() int
-	// CompactPartial compacts until at least budgetPages pool pages have
-	// been reclaimed (it may overshoot by at most one zspage) or nothing
-	// more can be reclaimed; budgetPages <= 0 means unbounded. Pools keep
-	// a resume cursor so successive bounded calls continue where the last
-	// stopped instead of rescanning from the start. zbud and z3fold have
-	// no compactor and return a zero CompactResult.
-	CompactPartial(budgetPages int) CompactResult
+	// CompactPass runs one compaction pass to completion — the kernel's
+	// zs_compact — and reports what it did. Only zsmalloc compacts; zbud
+	// and z3fold have no compactor and return a zero CompactResult.
+	CompactPass() CompactResult
 	// Stats returns current accounting.
 	Stats() Stats
 }

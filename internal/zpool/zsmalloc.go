@@ -54,9 +54,6 @@ type Zsmalloc struct {
 	locs     []zsLoc
 	freeLocs []int
 	stats    Stats
-	// compactCursor is the class index where the next bounded
-	// CompactPartial resumes after a budget cut.
-	compactCursor int
 	// donorScratch is reused by pickDonor's sparseness sort.
 	donorScratch []int
 }
@@ -262,44 +259,25 @@ func removeFromPartial(c *zsClass, zi int) {
 // pages are reclaimed) or no free slots remain elsewhere — the kernel's
 // zs_compact. Handles stay valid across compaction. It returns the number
 // of pool pages reclaimed.
-func (z *Zsmalloc) Compact() int { return z.CompactPartial(0).PagesReclaimed }
+func (z *Zsmalloc) Compact() int { return z.CompactPass().PagesReclaimed }
 
-// CompactPartial implements Pool. A bounded call (budgetPages > 0) starts
-// at the class the previous bounded call stopped in and wraps around all
-// classes, stopping once at least budgetPages pool pages have been
-// reclaimed (overshooting by at most one zspage); the cursor then parks on
-// the unfinished class. Classes are independent — objects only ever move
-// within their own class — so the visiting order cannot change the final
-// layout, and a sequence of bounded calls converges to exactly the state
-// one unbounded sweep produces.
-func (z *Zsmalloc) CompactPartial(budgetPages int) CompactResult {
+// CompactPass implements Pool, compacting each class in turn: objects
+// only ever move within their own class.
+func (z *Zsmalloc) CompactPass() CompactResult {
 	var res CompactResult
-	start := 0
-	if budgetPages > 0 {
-		start = z.compactCursor
-	}
-	for i := 0; i < zsNumClasses; i++ {
-		ci := (start + i) % zsNumClasses
-		if !z.compactClass(z.classes[ci], budgetPages, &res) {
-			z.compactCursor = ci
-			return res
-		}
+	for _, c := range z.classes {
+		z.compactClass(c, &res)
 	}
 	return res
 }
 
-// compactClass drains sparse zspages of c into fuller ones, accumulating
-// into res. It reports false when it stopped because res.PagesReclaimed
-// reached budgetPages (> 0) with donors still pending, true when the class
-// has no more reclaimable zspages.
-func (z *Zsmalloc) compactClass(c *zsClass, budgetPages int, res *CompactResult) bool {
+// compactClass drains sparse zspages of c into fuller ones until no donor
+// fits elsewhere, accumulating into res.
+func (z *Zsmalloc) compactClass(c *zsClass, res *CompactResult) {
 	for len(c.partial) >= 2 {
-		if budgetPages > 0 && res.PagesReclaimed >= budgetPages {
-			return false
-		}
 		donorIdx := z.pickDonor(c)
 		if donorIdx < 0 {
-			return true // no donor's objects fit elsewhere
+			return // no donor's objects fit elsewhere
 		}
 		donor := c.zspages[donorIdx]
 		// Move every donor object into some other partial zspage.
@@ -315,7 +293,7 @@ func (z *Zsmalloc) compactClass(c *zsClass, budgetPages int, res *CompactResult)
 				}
 			}
 			if dstZi < 0 {
-				return true // should not happen; pickDonor guarantees room
+				return // should not happen; pickDonor guarantees room
 			}
 			dst := c.zspages[dstZi]
 			dslot := dst.free[len(dst.free)-1]
@@ -343,7 +321,6 @@ func (z *Zsmalloc) compactClass(c *zsClass, budgetPages int, res *CompactResult)
 		removeFromPartial(c, donorIdx)
 		c.freeSlots = append(c.freeSlots, donorIdx)
 	}
-	return true
 }
 
 // pickDonor returns the partial zspage whose objects should migrate out,

@@ -77,14 +77,12 @@ func TestLiveAccountingReconciles(t *testing.T) {
 	}
 	reconcile(t, tier, "after frees")
 
-	// Budgeted compaction relocates objects and shrinks the pool; the
-	// live footprint must track the post-compaction pool exactly.
+	// Compaction relocates objects and shrinks the pool; the live
+	// footprint must track the post-compaction pool exactly.
 	before := tier.Stats().PoolPages
-	res, _ := tier.CompactPartial(4)
-	reconcile(t, tier, "after partial compaction")
-	full, _ := tier.CompactPartial(0)
-	reconcile(t, tier, "after full compaction")
-	if res.PagesReclaimed+full.PagesReclaimed == 0 {
+	res, _ := tier.Compact()
+	reconcile(t, tier, "after compaction")
+	if res.PagesReclaimed == 0 {
 		t.Fatalf("compaction reclaimed nothing (pool was %d pages); test is vacuous", before)
 	}
 }

@@ -211,7 +211,7 @@ type Tier struct {
 
 	// Lock-free footprint accounting, maintained at commit time:
 	// livePoolPages mirrors the pool's physical page count. Every
-	// successful commit, free and compaction slice updates it under the
+	// successful commit, free and compaction pass updates it under the
 	// tier lock; readers need no lock at all, so telemetry can sample a
 	// tier mid-commit without stalling the migration pipeline behind the
 	// pool mutex.
@@ -219,7 +219,7 @@ type Tier struct {
 }
 
 // LivePoolPages returns the tier's physical footprint in pool pages as of
-// the last commit, free or compaction slice, without taking the tier
+// the last commit, free or compaction pass, without taking the tier
 // lock. Equals Stats().PoolPages at quiescence.
 func (t *Tier) LivePoolPages() int { return int(t.livePoolPages.Load()) }
 
@@ -508,45 +508,14 @@ func (t *Tier) Free(h Handle) error {
 	return nil
 }
 
-// compactSlicePages is how many pool pages a single lock hold may reclaim
-// during compaction. Slicing the sweep keeps fault-path readers from
-// stalling behind a whole-pool compaction pass.
-const compactSlicePages = 32
-
-// CompactPartial compacts the tier's pool until at least budgetPages pool
-// pages have been reclaimed or no more can be (budgetPages <= 0 =
-// unbounded), releasing the tier lock between slices of at most
-// compactSlicePages reclaimed pages so concurrent faults interleave. It
-// returns what the pool actually did plus the modeled cost of the moves.
-//
-// The pool's resume cursor makes sliced passes equivalent to one
-// uninterrupted sweep when nothing else touches the pool in between (the
-// daemon's window loop runs compaction single-threaded), so a nil-budget
-// sweep reclaims exactly what the historical whole-pool pass did.
-func (t *Tier) CompactPartial(budgetPages int) (zpool.CompactResult, float64) {
-	var total zpool.CompactResult
-	remaining := budgetPages
-	for {
-		slice := compactSlicePages
-		if budgetPages > 0 && remaining < slice {
-			slice = remaining
-		}
-		t.mu.Lock()
-		r := t.pool.CompactPartial(slice)
-		t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
-		t.mu.Unlock()
-		total.Add(r)
-		if r.PagesReclaimed == 0 {
-			break
-		}
-		if budgetPages > 0 {
-			remaining -= r.PagesReclaimed
-			if remaining <= 0 {
-				break
-			}
-		}
-	}
-	return total, t.compactCostNs(total)
+// Compact runs one compaction pass over the tier's pool under the tier
+// lock and returns what the pool did plus the modeled cost of the moves.
+func (t *Tier) Compact() (zpool.CompactResult, float64) {
+	t.mu.Lock()
+	r := t.pool.CompactPass()
+	t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
+	t.mu.Unlock()
+	return r, t.compactCostNs(r)
 }
 
 // compactCostNs models what the compaction pass cost: every relocated
@@ -567,8 +536,8 @@ func (t *Tier) compactCostNs(r zpool.CompactResult) float64 {
 }
 
 // Churn returns the pool's lifetime store+free count — the monotonic
-// counter the budgeted compactor uses to detect tiers that have not
-// changed since their last completed pass.
+// counter the manager's compaction uses to skip tiers that have not
+// changed since their last pass.
 func (t *Tier) Churn() int64 {
 	t.mu.RLock()
 	ps := t.pool.Stats()

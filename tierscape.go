@@ -271,12 +271,6 @@ type RunConfig struct {
 	SampleRate int
 	// Seed fixes content generation (default 42).
 	Seed uint64
-	// CompactBudget bounds each window's zs_compact pass to roughly this
-	// many reclaimed pool pages across the compressed tiers; the
-	// remainder carries over to later windows via resume cursors.
-	// 0 = unbounded (compact every tier to completion each window).
-	// This changes modeled results: a bounded budget defers reclamation.
-	CompactBudget int
 	// PrefetchFaultThreshold enables the §3.2 prefetcher: a region hit by
 	// this many compressed-tier faults in one window is promoted in bulk
 	// by the daemon. 0 disables it.
@@ -314,7 +308,6 @@ func SimConfig(cfg RunConfig) (sim.Config, error) {
 		Windows:                cfg.Windows,
 		OpsPerWindow:           cfg.OpsPerWindow,
 		SampleRate:             cfg.SampleRate,
-		CompactBudget:          cfg.CompactBudget,
 		PrefetchFaultThreshold: cfg.PrefetchFaultThreshold,
 		Recorder:               cfg.Recorder,
 	}
