@@ -92,6 +92,10 @@ func runDaemonMode(o daemonOpts, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "daemon mode needs -metrics-addr: runtime commands arrive over HTTP")
 		return 2
 	}
+	if err := o.defaults.checkKnobs(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	dcfg := daemon.DefaultConfig()
 	if o.configPath != "" {
 		var err error
@@ -169,9 +173,14 @@ func runDaemonMode(o daemonOpts, stdout, stderr io.Writer) int {
 			code = 1
 			continue
 		}
-		fmt.Fprintf(stdout, "%s: %s/%s  windows %d  ops %d  TCO avg %.4f final %.4f  savings %.2f%%\n",
+		// A tenant detached before its first window has no average to print.
+		avg, savings := "-", "-"
+		if len(res.Windows) > 0 {
+			avg, savings = fmt.Sprintf("%.4f", res.AvgTCO), fmt.Sprintf("%.2f%%", res.SavingsPct())
+		}
+		fmt.Fprintf(stdout, "%s: %s/%s  windows %d  ops %d  TCO avg %s final %.4f  savings %s\n",
 			w.Name, res.WorkloadName, res.ModelName, len(res.Windows), res.Ops,
-			res.AvgTCO, res.FinalTCO, res.SavingsPct())
+			avg, res.FinalTCO, savings)
 		if derr != nil {
 			fmt.Fprintf(stderr, "%s stopped early: %v\n", w.Name, derr)
 			code = 1

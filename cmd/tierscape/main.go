@@ -82,14 +82,8 @@ func (s spec) overlay(doc json.RawMessage) (spec, error) {
 // runConfig lowers the spec to the facade's run configuration over wl. The
 // caller adds its Recorder.
 func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
-	if err := model.CheckKnobs(s.Alpha, s.Pct); err != nil {
+	if err := s.checkKnobs(); err != nil {
 		return tierscape.RunConfig{}, err
-	}
-	if s.Ops <= 0 {
-		return tierscape.RunConfig{}, fmt.Errorf("ops must be positive, got %d", s.Ops)
-	}
-	if s.Prefetch < 0 {
-		return tierscape.RunConfig{}, fmt.Errorf("prefetch must be >= 0, got %d", s.Prefetch)
 	}
 	tiers, byteTiers, err := resolveTiers(s.Tiers)
 	if err != nil {
@@ -110,6 +104,21 @@ func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
 		Seed:                   s.Seed,
 		PrefetchFaultThreshold: s.Prefetch,
 	}, nil
+}
+
+// checkKnobs refuses control-loop knobs no run can use. The daemon checks
+// its flag defaults with it before it listens: every attach inherits them.
+func (s spec) checkKnobs() error {
+	if err := model.CheckKnobs(s.Alpha, s.Pct); err != nil {
+		return err
+	}
+	if s.Ops <= 0 {
+		return fmt.Errorf("ops must be positive, got %d", s.Ops)
+	}
+	if s.Prefetch < 0 {
+		return fmt.Errorf("prefetch must be >= 0, got %d", s.Prefetch)
+	}
+	return nil
 }
 
 // workload builds the spec's workload: a reader over the trace it replays,

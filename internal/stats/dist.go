@@ -1,6 +1,11 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Sampler produces indices in [0, N) according to some access distribution.
 // Workload drivers use Samplers to pick which key/page to touch next.
@@ -79,7 +84,8 @@ func MakeZipf(rng *RNG, n int64, theta float64, scramble bool) Zipf {
 
 // WithRNG returns a copy of z that draws from rng. A caller that needs a
 // fresh sampler per call (a page fill) keeps one template and rebinds it,
-// instead of paying MakeZipf's zeta(n, theta) — a sum of n Pows — each time.
+// instead of paying MakeZipf's zeta(n, theta) each time: n Pows, spread
+// over every core, and n additions on the caller.
 func (z Zipf) WithRNG(rng *RNG) Zipf {
 	z.rng = rng
 	return z
@@ -110,22 +116,60 @@ func (z *Zipf) SetShift(every, amount int64) {
 	}
 }
 
+// zetaChunk is the number of consecutive terms a zetaSum worker takes at a
+// time.
+const zetaChunk = 1 << 12
+
+// zetaStatic is zeta(n, theta) = sum_{i=1..n} 1/i^theta, summed exactly up
+// to 2^20 terms and beyond that as the sum to 2^20 plus the integral of
+// x^-theta over the rest, which keeps construction O(1)-ish at any n.
 func zetaStatic(n int64, theta float64) float64 {
-	// For large n use the integral approximation to keep construction O(1)-ish;
-	// exact sum for small n.
 	if n <= 1<<20 {
-		sum := 0.0
-		for i := int64(1); i <= n; i++ {
-			sum += 1 / math.Pow(float64(i), theta)
-		}
-		return sum
+		return zetaSum(n, theta)
 	}
-	base := zetaStatic(1<<20, theta)
+	base := zetaSum(1<<20, theta)
 	// integral of x^-theta from 2^20 to n
 	if theta == 1 {
 		return base + math.Log(float64(n)/float64(1<<20))
 	}
 	return base + (math.Pow(float64(n), 1-theta)-math.Pow(float64(1<<20), 1-theta))/(1-theta)
+}
+
+// zetaSum adds 1/i^theta for i = 1..n left to right. Up to GOMAXPROCS
+// workers, the caller among them, evaluate the Pows, each taking the next
+// contiguous range of zetaChunk indices until none is left, into a buffer
+// of the n terms (8 MB at 2^20, garbage on return) that the caller then
+// adds in index order. The additions are a serial loop's, in its order, so
+// the sum has the same bits at every GOMAXPROCS; only where each term is
+// computed moves. No goroutine starts for a single range or at
+// GOMAXPROCS 1, and a worker whose core is busy elsewhere takes fewer
+// ranges instead of holding up the sum.
+func zetaSum(n int64, theta float64) float64 {
+	terms := make([]float64, n) // terms[i-1] = 1/i^theta
+	ranges := (n + zetaChunk - 1) / zetaChunk
+	var next atomic.Int64
+	fill := func() {
+		for r := next.Add(1) - 1; r < ranges; r = next.Add(1) - 1 {
+			for i := r * zetaChunk; i < min((r+1)*zetaChunk, n); i++ {
+				terms[i] = 1 / math.Pow(float64(i+1), theta)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := int64(1); w < min(int64(runtime.GOMAXPROCS(0)), ranges); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill()
+		}()
+	}
+	fill()
+	wg.Wait()
+	sum := 0.0
+	for _, t := range terms {
+		sum += t
+	}
+	return sum
 }
 
 // Next returns the next Zipfian-sampled index.
