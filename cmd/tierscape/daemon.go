@@ -92,7 +92,7 @@ func runDaemonMode(o daemonOpts, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "daemon mode needs -metrics-addr: runtime commands arrive over HTTP")
 		return 2
 	}
-	if err := o.defaults.checkKnobs(); err != nil {
+	if err := o.defaults.check(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}

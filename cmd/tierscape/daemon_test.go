@@ -82,7 +82,8 @@ func (d *daemonRun) wait(timeout time.Duration) (status int, ok bool) {
 }
 
 // TestDaemonRefusesBadDefaults: the run flags are the defaults every
-// attach inherits, so a daemon whose defaults no attach could run exits 2
+// attach inherits, so a daemon whose defaults no attach could run (its
+// knobs, its workload and footprint, its model, its tier lineup) exits 2
 // as a batch run does, before it opens its listener.
 func TestDaemonRefusesBadDefaults(t *testing.T) {
 	for _, tc := range []struct {
@@ -93,6 +94,10 @@ func TestDaemonRefusesBadDefaults(t *testing.T) {
 		{"negative prefetch threshold", []string{"-prefetch", "-1"}, "prefetch must be >= 0, got -1"},
 		{"no ops per window", []string{"-ops", "0"}, "ops must be positive, got 0"},
 		{"alpha above 1", []string{"-alpha", "2"}, "alpha must be in [0,1], got 2"},
+		{"no pages", []string{"-pages", "0"}, "pages 0 outside [1, 33554432]"},
+		{"unknown workload", []string{"-workload", "nope"}, `unknown workload "nope"`},
+		{"unknown model", []string{"-model", "oracle"}, `unknown model "oracle"`},
+		{"missing tier file", []string{"-tiers", "bogus"}, `tier setup "bogus"`},
 	} {
 		d := startDaemon(tc.args...)
 		status, returned := d.wait(10 * time.Second)

@@ -106,8 +106,21 @@ func (s spec) runConfig(wl tierscape.Workload) (tierscape.RunConfig, error) {
 	}, nil
 }
 
-// checkKnobs refuses control-loop knobs no run can use. The daemon checks
-// its flag defaults with it before it listens: every attach inherits them.
+// check refuses a spec no run can use, without building its workload: its
+// knobs, its tier lineup, its model and, unless it replays a trace, its
+// workload name and footprint. The daemon checks its flag defaults with it
+// before it listens: every attach inherits them.
+func (s spec) check() error {
+	if s.Replay == "" {
+		if err := checkWorkload(s.Workload, s.Pages); err != nil {
+			return err
+		}
+	}
+	_, err := s.runConfig(nil)
+	return err
+}
+
+// checkKnobs refuses control-loop knobs no run can use.
 func (s spec) checkKnobs() error {
 	if err := model.CheckKnobs(s.Alpha, s.Pct); err != nil {
 		return err
@@ -380,30 +393,59 @@ func (s spec) model(byteTiers []tierscape.MediaKind, tiers []tierscape.TierConfi
 	}
 }
 
-func buildWorkload(name string, pages int64, seed uint64) (tierscape.Workload, error) {
-	if pages < 1 || pages > mem.MaxPages {
-		return nil, fmt.Errorf("pages %d outside [1, %d]", pages, mem.MaxPages)
-	}
-	switch name {
-	case "masim":
+// workloads maps each -workload name to its constructor over a footprint
+// of pages.
+var workloads = map[string]func(pages int64, seed uint64) (tierscape.Workload, error){
+	"masim": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.MasimWorkload(pages/3, 20000, seed), nil
-	case "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f":
-		return tierscape.YCSBWorkload(name[5]-'a'+'A', pages, seed)
-	case "memcached-ycsb":
+	},
+	"ycsb-a": ycsb('A'), "ycsb-b": ycsb('B'), "ycsb-c": ycsb('C'),
+	"ycsb-d": ycsb('D'), "ycsb-e": ycsb('E'), "ycsb-f": ycsb('F'),
+	"memcached-ycsb": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.MemcachedYCSB(pages, seed), nil
-	case "memcached-memtier":
+	},
+	"memcached-memtier": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.MemcachedMemtier(1024, pages, seed), nil
-	case "redis":
+	},
+	"redis": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.RedisYCSB(pages, seed), nil
-	case "bfs":
+	},
+	"bfs": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.BFSWorkload(pages*mem.PageSize/128, seed), nil
-	case "pagerank":
+	},
+	"pagerank": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.PageRankWorkload(pages*mem.PageSize/128, seed), nil
-	case "xsbench":
+	},
+	"xsbench": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.XSBenchWorkload(pages, seed), nil
-	case "graphsage":
+	},
+	"graphsage": func(pages int64, seed uint64) (tierscape.Workload, error) {
 		return tierscape.GraphSAGEWorkload(pages, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
+	},
+}
+
+// ycsb is the constructor of YCSB core workload letter, A to F.
+func ycsb(letter byte) func(pages int64, seed uint64) (tierscape.Workload, error) {
+	return func(pages int64, seed uint64) (tierscape.Workload, error) {
+		return tierscape.YCSBWorkload(letter, pages, seed)
 	}
+}
+
+// checkWorkload refuses what buildWorkload cannot build, without building
+// it: an unknown name or a footprint outside [1, mem.MaxPages].
+func checkWorkload(name string, pages int64) error {
+	if pages < 1 || pages > mem.MaxPages {
+		return fmt.Errorf("pages %d outside [1, %d]", pages, mem.MaxPages)
+	}
+	if _, ok := workloads[name]; !ok {
+		return fmt.Errorf("unknown workload %q", name)
+	}
+	return nil
+}
+
+func buildWorkload(name string, pages int64, seed uint64) (tierscape.Workload, error) {
+	if err := checkWorkload(name, pages); err != nil {
+		return nil, err
+	}
+	return workloads[name](pages, seed)
 }

@@ -4,9 +4,11 @@
 // on goroutine interleaving:
 //
 //   - Latencies are observed serially on the access loop (one observer
-//     per stepper) into fixed-boundary log₂ histograms; the aggregate is
-//     a tier-ascending merge, so counts, sums and quantiles are
-//     byte-identical at every push-thread count.
+//     per stepper) into fixed-boundary log₂ histograms: a fault is
+//     histogrammed as it happens, a byte-addressable hit is counted and
+//     histogrammed once a window. The aggregate is a tier-ascending
+//     merge, so counts, sums and quantiles are byte-identical at every
+//     push-thread count.
 //   - Thrash scores are integer fixed-point (1/256 units) in a map whose
 //     entries evolve independently; sums are exact int64 arithmetic, so
 //     map iteration order cannot leak into the snapshot.
@@ -32,15 +34,32 @@ const (
 	thrashThreshold = thrashFlip * 3 / 2
 )
 
-// observeAccess records one access's modeled latency — and, for faults,
-// its stall time — into the window's per-tier accumulators. Hot path:
-// no allocation, no clock reads (pinned by BenchmarkRecorderOffObserve).
+// tierObs is one tier's per-window accumulators: its latency histogram,
+// its fault-stall time, and the hits counted but not yet histogrammed.
+// hitNs is the tier's constant hit latency, its medium's LoadNs; it is 0
+// on a compressed tier, which never serves a hit.
+type tierObs struct {
+	hist  stats.LogHist
+	stall float64
+	hits  int64
+	hitNs float64
+}
+
+// observeAccess records one access into the window's accumulators of the
+// tier that served it. A fault's latency (a fractional decode and write
+// cost) is histogrammed and added to the tier's stall time. A hit on a
+// byte-addressable tier always costs that tier's hitNs, so it is only
+// counted here and fillWindowObs histograms the window's hits in one
+// ObserveN. Hot path: no allocation, no clock reads (pinned by
+// BenchmarkRecorderOffObserve).
 func (s *Stepper) observeAccess(ar mem.AccessResult) {
-	t := int(ar.Tier)
-	s.latTier[t].Observe(ar.LatencyNs)
-	if ar.Fault {
-		s.tierStall[t] += ar.LatencyNs
+	o := &s.tiers[ar.Tier]
+	if !ar.Fault {
+		o.hits++
+		return
 	}
+	o.hist.Observe(ar.LatencyNs)
+	o.stall += ar.LatencyNs
 }
 
 // decayThrash ages every region's ping-pong score by one window: halve,
@@ -83,21 +102,32 @@ func (s *Stepper) noteMoves(rec *WindowRecord, moves []policy.Move, applied []mo
 // accounting and detector gauges into rec, then resets the per-window
 // accumulators. Must run after rec.AppNs, rec.Moves and rec.Rejected are
 // final.
+//
+// Each tier's k counted hits enter its histogram here as ObserveN(hitNs,
+// k). That leaves the bytes k Observe calls would: hitNs is an integer
+// (media.TestLoadNsIntegers), a byte-addressable tier's histogram holds
+// nothing but hits (a fault lands on the compressed tier that served it),
+// and the histogram restarts every window, so k·hitNs is exact, far below
+// 2^53.
 func (s *Stepper) fillWindowObs(rec *WindowRecord, interferenceNs float64) {
 	var agg stats.LogHist
 	var faultStall float64
-	rec.TierLatency = make([]obs.LatencySummary, len(s.latTier))
-	for t := range s.latTier {
-		h := &s.latTier[t]
-		if h.Count() > 0 {
-			rec.TierLatency[t] = latencySummary(h, true)
-			agg.Merge(h)
+	rec.TierLatency = make([]obs.LatencySummary, len(s.tiers))
+	for t := range s.tiers {
+		o := &s.tiers[t]
+		o.hist.ObserveN(o.hitNs, o.hits)
+		if o.hist.Count() > 0 {
+			rec.TierLatency[t] = latencySummary(&o.hist, true)
+			agg.Merge(&o.hist)
 		}
-		faultStall += s.tierStall[t]
+		faultStall += o.stall
 	}
 	rec.Latency = latencySummary(&agg, false)
 	if faultStall > 0 {
-		rec.TierStallNs = append([]float64(nil), s.tierStall...)
+		rec.TierStallNs = make([]float64, len(s.tiers))
+		for t := range s.tiers {
+			rec.TierStallNs[t] = s.tiers[t].stall
+		}
 	}
 	rec.FaultStallNs = faultStall
 	rec.InterferenceNs = interferenceNs
@@ -119,9 +149,8 @@ func (s *Stepper) fillWindowObs(rec *WindowRecord, interferenceNs float64) {
 	}
 	rec.ThrashScore = float64(total) / thrashFlip
 
-	for t := range s.latTier {
-		s.latTier[t].Reset()
-		s.tierStall[t] = 0
+	for t := range s.tiers {
+		s.tiers[t] = tierObs{hitNs: s.tiers[t].hitNs}
 	}
 }
 

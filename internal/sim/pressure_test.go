@@ -6,15 +6,20 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
 
+	"tierscape/internal/corpus"
+	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/policy"
 	"tierscape/internal/stats"
+	"tierscape/internal/workload"
+	"tierscape/internal/ztier"
 )
 
 // TestLatencyBucketMirror pins the obs-side mirror of the histogram
@@ -132,14 +137,19 @@ func TestConcurrentPressureObsDeterminism(t *testing.T) {
 }
 
 // obsStepper builds a bare Stepper with just the pressure.go accumulators
-// wired, for unit-testing the detector state machine in isolation.
-func obsStepper(tiers int) *Stepper {
-	return &Stepper{
-		latTier:   make([]stats.LogHist, tiers),
-		tierStall: make([]float64, tiers),
-		lastDir:   make(map[mem.RegionID]int8),
-		thrash:    make(map[mem.RegionID]int64),
+// wired, for unit-testing the detector state machine in isolation: one
+// tier per hit latency given, 0 for a compressed tier, as NewStepper takes
+// them from the manager.
+func obsStepper(hitNs ...float64) *Stepper {
+	s := &Stepper{
+		tiers:   make([]tierObs, len(hitNs)),
+		lastDir: make(map[mem.RegionID]int8),
+		thrash:  make(map[mem.RegionID]int64),
 	}
+	for t, ns := range hitNs {
+		s.tiers[t].hitNs = ns
+	}
+	return s
 }
 
 // TestThrashDetector drives the fixed-point ping-pong scoring through a
@@ -147,7 +157,7 @@ func obsStepper(tiers int) *Stepper {
 // reversal, threshold reached after flips in two consecutive windows,
 // decay to deletion afterwards. Zero-page and same-tier moves are inert.
 func TestThrashDetector(t *testing.T) {
-	s := obsStepper(4)
+	s := obsStepper(33, 350, 0, 0)
 	const r = mem.RegionID(7)
 	mk := func(from, dest mem.TierID, moved int) ([]policy.Move, []moveOutcome) {
 		return []policy.Move{{Region: r, From: from, Dest: dest}},
@@ -212,7 +222,7 @@ func TestThrashDetector(t *testing.T) {
 // serving tier, pressure is (stall + interference) / app time, and the
 // accumulators reset between windows.
 func TestPressureAccounting(t *testing.T) {
-	s := obsStepper(3)
+	s := obsStepper(100, 350, 0)
 	s.observeAccess(mem.AccessResult{Tier: 0, LatencyNs: 100})
 	s.observeAccess(mem.AccessResult{Tier: 2, LatencyNs: 3000, Fault: true})
 	s.observeAccess(mem.AccessResult{Tier: 2, LatencyNs: 5000, Fault: true})
@@ -255,13 +265,126 @@ func TestPressureAccounting(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderOffObserve pins the per-access observe path: one
-// histogram bump plus a conditional stall add, no allocation, no clock
-// reads. The name keeps it inside CI's Recorder bench regex.
+// BenchmarkRecorderOffObserve pins the per-access observe path in its two
+// cases, with no allocation and no clock reads: a hit on a
+// byte-addressable tier bumps a counter, and a fault bumps a histogram and
+// adds to a stall sum. The name keeps both inside CI's Recorder bench
+// regex.
 func BenchmarkRecorderOffObserve(b *testing.B) {
-	s := obsStepper(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.observeAccess(mem.AccessResult{Tier: 2, LatencyNs: 1234, Fault: i&7 == 0})
+	b.Run("hit", func(b *testing.B) {
+		s := obsStepper(33, 350, 0, 0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t := mem.TierID(i & 1)
+			s.observeAccess(mem.AccessResult{Tier: t, LatencyNs: s.tiers[t].hitNs})
+		}
+	})
+	b.Run("fault", func(b *testing.B) {
+		s := obsStepper(33, 350, 0, 0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.observeAccess(mem.AccessResult{Tier: 2, LatencyNs: 1234.5, Fault: true})
+		}
+	})
+}
+
+// TestBulkHitCountingIdentical: counting byte-addressable hits and
+// histogramming them once a window leaves the event stream byte-identical
+// to histogramming every access as it happens. The memory holds regions on
+// DRAM, NVMM, CXL and two compressed tiers, so every window has hits on
+// the three byte tiers and faults on the compressed ones. The run is a
+// baseline, so nothing but the accesses moves a page, and a replica
+// manager fed the same access stream sees every access's result. The
+// reference stepper's accumulators are replaced, window by window, by the
+// replica's access-by-access histograms before it closes the window.
+func TestBulkHitCountingIdentical(t *testing.T) {
+	const windows, ops = 3, 4000
+	build := func() (workload.Workload, *mem.Manager) {
+		wl := workload.Memcached(workload.DriverYCSB, 1024, 10*mem.RegionPages, 1)
+		m, err := mem.NewManager(mem.Config{
+			NumPages:        wl.NumPages(),
+			Content:         corpus.NewGenerator(wl.Content(), 99),
+			ByteTiers:       []media.Kind{media.NVMM, media.CXL},
+			CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers := mem.TierID(len(m.Tiers()))
+		for r := mem.RegionID(0); r < mem.RegionID(m.NumRegions()); r++ {
+			if dest := mem.TierID(r) % tiers; dest != mem.DRAMTier {
+				if _, err := m.MigrateRegion(r, dest); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return wl, m
+	}
+	stepper := func(wl workload.Workload, m *mem.Manager, buf *bytes.Buffer) *Stepper {
+		s, err := NewStepper(Config{
+			Manager: m, Workload: wl, OpsPerWindow: ops, SampleRate: 20,
+			Recorder: obs.NewStream(buf),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	var got, want bytes.Buffer
+	wl, m := build()
+	bulk := stepper(wl, m, &got)
+	wl, m = build()
+	ref := stepper(wl, m, &want)
+	replicaWl, replica := build()
+	var accesses []workload.Access
+	for w := 0; w < windows; w++ {
+		if err := bulk.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.StepAccess(); err != nil {
+			t.Fatal(err)
+		}
+		perAccess := make([]tierObs, len(ref.tiers))
+		for op := 0; op < ops; op++ {
+			accesses = replicaWl.NextOp(accesses[:0])
+			for _, a := range accesses {
+				ar, err := replica.Access(a.Page, a.Write)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := &perAccess[ar.Tier]
+				o.hist.Observe(ar.LatencyNs)
+				if ar.Fault {
+					o.stall += ar.LatencyNs
+				}
+			}
+		}
+		for tier, o := range perAccess {
+			if o.hist.Count() == 0 {
+				t.Fatalf("window %d: no access on tier %d; the test needs hits on every byte tier and faults on every compressed one", w+1, tier)
+			}
+			if compressed := replica.Tiers()[tier].Compressed; compressed != (o.stall > 0) {
+				t.Fatalf("window %d tier %d: compressed %v but stall %v", w+1, tier, compressed, o.stall)
+			}
+		}
+		for tier, o := range perAccess {
+			ref.tiers[tier].hist, ref.tiers[tier].stall, ref.tiers[tier].hits = o.hist, o.stall, 0
+		}
+		if err := ref.StepControl(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Contains(want.Bytes(), []byte(`"TierLatency"`)) {
+		t.Fatal("the reference stream carries no per-tier latency")
+	}
+	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want.Bytes(), []byte("\n"))
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("bulk hit counting changed the event stream: %d lines, want %d", len(gotLines), len(wantLines))
+	}
+	for i := range wantLines {
+		if !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Fatalf("bulk hit counting changed event line %d:\n got %s\nwant %s", i+1, gotLines[i], wantLines[i])
+		}
 	}
 }

@@ -80,12 +80,12 @@ type Stepper struct {
 	scratch []mem.MigrationScratch
 
 	// Per-window observability accumulators (pressure.go): latency
-	// histograms and fault-stall time by serving tier, plus the thrash
-	// detector's per-region direction memory and fixed-point scores.
-	latTier   []stats.LogHist
-	tierStall []float64
-	lastDir   map[mem.RegionID]int8
-	thrash    map[mem.RegionID]int64
+	// histogram, fault-stall time and hit count by serving tier, plus the
+	// thrash detector's per-region direction memory and fixed-point
+	// scores.
+	tiers   []tierObs
+	lastDir map[mem.RegionID]int8
+	thrash  map[mem.RegionID]int64
 
 	weightedTCO      float64
 	totalAppNs       float64
@@ -172,9 +172,13 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	s.recd = cfg.Recorder
 	s.regionFaults = make(map[mem.RegionID]int)
 	s.scratch = make([]mem.MigrationScratch, pushThreads)
-	numTiers := len(cfg.Manager.Tiers())
-	s.latTier = make([]stats.LogHist, numTiers)
-	s.tierStall = make([]float64, numTiers)
+	tiers := cfg.Manager.Tiers()
+	s.tiers = make([]tierObs, len(tiers))
+	for t, ti := range tiers {
+		if !ti.Compressed {
+			s.tiers[t].hitNs = ti.AccessNs
+		}
+	}
 	s.lastDir = make(map[mem.RegionID]int8)
 	s.thrash = make(map[mem.RegionID]int64)
 	s.res = &Result{

@@ -63,6 +63,18 @@ func (h *LogHist) Observe(ns float64) {
 	h.sum += ns
 }
 
+// ObserveN records k observations of one latency, ns, in one call. The
+// counts are what k Observe calls leave. The sum gains ns·k, one rounding
+// instead of k; that is bit-equal to k sequential adds when ns and the
+// running sum are integers and every partial sum stays below 2^53, where
+// float64 integer arithmetic is exact. For fractional ns the two sums can
+// differ in their last bits.
+func (h *LogHist) ObserveN(ns float64, k int64) {
+	h.counts[logBucketOf(ns)] += k
+	h.n += k
+	h.sum += ns * float64(k)
+}
+
 // Merge adds other's counts into h. Bucket counts and the observation
 // count merge by integer addition — exactly order-independent. The
 // float64 sum is order-independent only when every observation is

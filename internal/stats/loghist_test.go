@@ -133,3 +133,36 @@ func BenchmarkLogHistObserve(b *testing.B) {
 		h.Observe(float64(i%100000) + 0.5)
 	}
 }
+
+// TestObserveNMatchesObserve pins the premise of the simulator's bulk hit
+// counting: for each medium's integer load latency, one ObserveN(c, k)
+// leaves the whole histogram, sum bits included, where k Observe(c) calls
+// would, up to k = 2^20. For a fractional latency the counts still agree
+// but the float sums do not, so only integer latencies may be counted.
+func TestObserveNMatchesObserve(t *testing.T) {
+	observe := func(c float64, k int64) (one, bulk LogHist) {
+		for i := int64(0); i < k; i++ {
+			one.Observe(c)
+		}
+		bulk.ObserveN(c, k)
+		return one, bulk
+	}
+	for _, c := range []float64{33, 170, 350} {
+		for _, k := range []int64{1, 2, 3, 1000, 12345, 1 << 20} {
+			one, bulk := observe(c, k)
+			if one.counts != bulk.counts || one.n != bulk.n ||
+				math.Float64bits(one.sum) != math.Float64bits(bulk.sum) {
+				t.Errorf("c=%v k=%d: ObserveN left count %d sum %v, %d Observe calls count %d sum %v",
+					c, k, bulk.n, bulk.sum, k, one.n, one.sum)
+			}
+		}
+	}
+	const c, k = 33.3, 1 << 20
+	one, bulk := observe(c, k)
+	if one.counts != bulk.counts || one.n != bulk.n {
+		t.Fatalf("c=%v k=%d: counts differ", c, k)
+	}
+	if one.sum == bulk.sum {
+		t.Errorf("c=%v k=%d: sums agree (%v); a fractional latency should show the rounding that bulk counting must avoid", c, k, one.sum)
+	}
+}
