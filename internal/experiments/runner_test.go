@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tierscape/internal/model"
-	"tierscape/internal/sim"
 	"tierscape/internal/ztier"
 )
 
@@ -167,56 +165,6 @@ func TestConcurrentPushThreadsIdenticalTables(t *testing.T) {
 	for _, procs := range []int{2, 8} {
 		if tables[procs] != tables[1] {
 			t.Fatalf("Fig10 table differs between GOMAXPROCS 1 and %d:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS %d:\n%s",
-				procs, tables[1], procs, tables[procs])
-		}
-	}
-}
-
-// TestConcurrentFallbackHeavyFig10CSV reruns the Fig-10 sweep on a manager
-// whose CT-1 pool is clamped to a sliver, so every run's demotions hit
-// ErrTierFull and commit outcomes depend on fallback placement — the
-// shape in which commit order matters most. The CSV must stay
-// byte-identical across GOMAXPROCS 1, 2 and 8. Runs under -race -count=3
-// in CI (the Concurrent suite).
-func TestConcurrentFallbackHeavyFig10CSV(t *testing.T) {
-	s := SmallScale()
-	const ct1PoolPages = 24
-	mix := standardMix()
-	gswap, err := model.GSwapStar.New(mix.byteTiers, mix.compressed, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clamped := func(c *sim.Config) {
-		if err := c.Manager.SetCompressedTierLimit(gswap.SlowTier, ct1PoolPages); err != nil {
-			t.Error(err)
-		}
-	}
-	// Non-vacuousness: under the clamp an aggressive demoter must actually
-	// have moves rejected at commit time.
-	res, err := runOne(s, runJob{spec: workloadByName("Memcached/YCSB"), mdl: &model.Waterfall{Pct: 75}, cfg: clamped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejected := 0
-	for _, w := range res.Windows {
-		rejected += w.Rejected
-	}
-	if rejected == 0 {
-		t.Fatal("clamped CT-1 produced no rejected moves; fallback-heavy test is vacuous")
-	}
-	tables := make(map[int]string)
-	for _, procs := range []int{1, 2, 8} {
-		withProcs(procs, func() {
-			tab, err := fig10With(s, clamped)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tables[procs] = tab.CSV()
-		})
-	}
-	for _, procs := range []int{2, 8} {
-		if tables[procs] != tables[1] {
-			t.Fatalf("fallback-heavy Fig10 CSV differs between GOMAXPROCS 1 and %d:\nGOMAXPROCS 1:\n%s\nGOMAXPROCS %d:\n%s",
 				procs, tables[1], procs, tables[procs])
 		}
 	}

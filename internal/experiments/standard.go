@@ -5,7 +5,6 @@ import (
 
 	"tierscape/internal/media"
 	"tierscape/internal/model"
-	"tierscape/internal/sim"
 	"tierscape/internal/ztier"
 )
 
@@ -128,26 +127,17 @@ func Fig9(s Scale) (*Table, error) {
 // Fig10 reproduces Figure 10: the knob sweep. AM runs at five α values;
 // HeMem*, GSwap*, TMO* and Waterfall run at two thresholds (P25, P75).
 func Fig10(s Scale) (*Table, error) {
-	return fig10With(s, nil)
-}
-
-// fig10With is Fig10 with cfg (when not nil) applied to every job's
-// sim.Config, so tests can rerun the whole sweep on a constrained manager
-// — e.g. a clamped CT-1 pool that forces ErrTierFull fallbacks in every
-// run — and assert the table stays byte-identical across push-thread
-// counts.
-func fig10With(s Scale, cfg func(*sim.Config)) (*Table, error) {
 	t := &Table{
 		Title:   "Figure 10: multi-objective tuning (Memcached/YCSB)",
 		Headers: []string{"config", "slowdown_pct", "tco_savings_pct"},
 	}
 	spec := workloadByName("Memcached/YCSB")
-	jobs := []runJob{{spec: spec, cfg: cfg}}
+	jobs := []runJob{{spec: spec}}
 	var labels []string
 	for _, alpha := range []float64{0.9, 0.7, 0.5, 0.3, 0.1} {
 		name := fmt.Sprintf("AM-a%.1f", alpha)
 		labels = append(labels, name)
-		jobs = append(jobs, runJob{spec: spec, mdl: &model.Analytical{Alpha: alpha, ModelName: name}, cfg: cfg})
+		jobs = append(jobs, runJob{spec: spec, mdl: &model.Analytical{Alpha: alpha, ModelName: name}})
 	}
 	mix := standardMix()
 	for _, pct := range []float64{25, 75} {
@@ -158,7 +148,7 @@ func fig10With(s Scale, cfg func(*sim.Config)) (*Table, error) {
 			&model.Waterfall{Pct: pct},
 		} {
 			labels = append(labels, fmt.Sprintf("%s-P%.0f", mdl.Name(), pct))
-			jobs = append(jobs, runJob{spec: spec, mdl: mdl, cfg: cfg})
+			jobs = append(jobs, runJob{spec: spec, mdl: mdl})
 		}
 	}
 	results, err := runJobs(s, jobs)

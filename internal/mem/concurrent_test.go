@@ -6,7 +6,6 @@ package mem
 // goroutine interleavings are not.
 
 import (
-	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -28,7 +27,7 @@ func (l *lcg) next() uint64 {
 
 // TestConcurrentStressManagerPhased drives one shared Manager the way its
 // ownership contract says it is driven: rounds of an access phase — one
-// goroutine, reads, writes and faults into a half-size DRAM, no lock —
+// goroutine, reads, writes and faults, no lock —
 // alternating with a migration phase of migrators, a compactor and stat
 // readers all at once, the raw (unordered) push-thread shape. Every third
 // region is incompressible; one migrator moves whole regions and the other
@@ -47,11 +46,10 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 	const numPages = 8 * RegionPages
 	const rounds = 5
 	m, err := NewManager(Config{
-		NumPages:          numPages,
-		Content:           corpus.NewGenerator(corpus.Regional, 7),
-		DRAMCapacityPages: numPages / 2, // force fault-spill and fallback paths
-		ByteTiers:         []media.Kind{media.NVMM},
-		CompressedTiers:   []ztier.Config{ztier.CT1(), ztier.CT2()},
+		NumPages:        numPages,
+		Content:         corpus.NewGenerator(corpus.Regional, 7),
+		ByteTiers:       []media.Kind{media.NVMM},
+		CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,7 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 					} else {
 						_, err = m.MigrateRegion(r, dest)
 					}
-					if err != nil && !errors.Is(err, ErrTierFull) {
+					if err != nil {
 						t.Errorf("migrate region %d → tier %d: %v", r, dest, err)
 						return
 					}
@@ -156,156 +154,6 @@ func TestConcurrentStressManagerPhased(t *testing.T) {
 	}
 	if m.Counters().Rejects == 0 {
 		t.Fatal("no page was ever rejected as incompressible; the rejection bits went unexercised")
-	}
-}
-
-// boundedManager builds the capacity-property fixture: DRAM + one
-// compressed tier whose pool is capped at limitPoolPages.
-func boundedManager(t *testing.T, numPages int64, limitPoolPages int) *Manager {
-	t.Helper()
-	m, err := NewManager(Config{
-		NumPages:        numPages,
-		Content:         corpus.NewGenerator(corpus.Dickens, 11),
-		CompressedTiers: []ztier.Config{ztier.CT1()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limitPoolPages > 0 {
-		if err := m.SetCompressedTierLimit(m.Tiers()[1].ID, limitPoolPages); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return m
-}
-
-// TestConcurrentCapacityReservationProperty is the admission property:
-// demoting every region into a compressed tier that only has room for
-// about half of them, (a) the pool's high-water mark never exceeds the
-// byte budget no matter how many goroutines demote at once, and (b) the
-// deterministic prepare/commit path reproduces the serial Rejected
-// accounting exactly, region by region.
-func TestConcurrentCapacityReservationProperty(t *testing.T) {
-	const numPages = 8 * RegionPages
-
-	// Size the budget from an unbounded serial run: half the pool pages
-	// the full demotion actually needs, so roughly half the stores hit
-	// the limit.
-	probe := boundedManager(t, numPages, 0)
-	ct := probe.Tiers()[1].ID
-	for r := RegionID(0); r < RegionID(probe.NumRegions()); r++ {
-		if _, err := probe.MigrateRegion(r, ct); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full, err := probe.CompressedTierStats(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := full.PoolPages / 2
-	if budget < 1 {
-		t.Fatalf("degenerate budget from %d pool pages", full.PoolPages)
-	}
-
-	// Serial ground truth, page by page.
-	serial := boundedManager(t, numPages, budget)
-	nRegions := serial.NumRegions()
-	serialRes := make([]MigrationResult, nRegions)
-	for r := int64(0); r < nRegions; r++ {
-		mr, err := migrateRegionByPages(serial, RegionID(r), ct)
-		if err != nil && !errors.Is(err, ErrTierFull) {
-			t.Fatal(err)
-		}
-		serialRes[r] = mr
-	}
-	ss, _ := serial.CompressedTierStats(ct)
-	if ss.FullRejects == 0 {
-		t.Fatal("budget never hit; property test is vacuous")
-	}
-	if ss.HighPoolPages > budget {
-		t.Fatalf("serial run overshot the budget: high-water %d > %d", ss.HighPoolPages, budget)
-	}
-
-	// (a) Raw concurrency: goroutines race whole regions in; admission
-	// under the tier lock must still never overshoot the byte budget.
-	raw := boundedManager(t, numPages, budget)
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := next.Add(1)
-				if r >= nRegions {
-					return
-				}
-				if _, err := raw.MigrateRegion(RegionID(r), ct); err != nil && !errors.Is(err, ErrTierFull) {
-					t.Errorf("region %d: %v", r, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	rs, _ := raw.CompressedTierStats(ct)
-	if rs.HighPoolPages > budget {
-		t.Fatalf("concurrent demotions overshot the budget: high-water %d pool pages > %d",
-			rs.HighPoolPages, budget)
-	}
-	if got := raw.TierFootprintBytes()[ct]; got > int64(budget)*PageSize {
-		t.Fatalf("final footprint %d bytes exceeds budget %d bytes", got, int64(budget)*PageSize)
-	}
-
-	// (b) Deterministic engine shape: concurrent prepares, commits in
-	// region order — Rejected (and everything else) must equal the serial
-	// ground truth exactly.
-	ordered := boundedManager(t, numPages, budget)
-	prepared := make([]*PreparedRegion, nRegions)
-	var pwg sync.WaitGroup
-	var pnext atomic.Int64
-	pnext.Store(-1)
-	for w := 0; w < 4; w++ {
-		pwg.Add(1)
-		go func() {
-			defer pwg.Done()
-			for {
-				r := pnext.Add(1)
-				if r >= nRegions {
-					return
-				}
-				pr, err := ordered.PrepareRegionMigration(RegionID(r), ct)
-				if err != nil {
-					t.Errorf("prepare region %d: %v", r, err)
-					return
-				}
-				prepared[r] = pr
-			}
-		}()
-	}
-	pwg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for r := int64(0); r < nRegions; r++ {
-		mr, err := ordered.CommitRegionMigration(prepared[r])
-		if err != nil && !errors.Is(err, ErrTierFull) {
-			t.Fatal(err)
-		}
-		if mr != serialRes[r] {
-			t.Fatalf("region %d: ordered commit %+v != serial %+v", r, mr, serialRes[r])
-		}
-	}
-	os, _ := ordered.CompressedTierStats(ct)
-	if os != ss {
-		t.Fatalf("ordered-commit tier stats differ from serial:\nordered: %+v\nserial:  %+v", os, ss)
-	}
-	if !reflect.DeepEqual(ordered.TierPages(), serial.TierPages()) {
-		t.Fatalf("residency differs: %v vs %v", ordered.TierPages(), serial.TierPages())
-	}
-	if ordered.Counters() != serial.Counters() {
-		t.Fatalf("counters differ: %+v vs %+v", ordered.Counters(), serial.Counters())
 	}
 }
 
@@ -380,7 +228,7 @@ func TestConcurrentPreparedRegionEquivalence(t *testing.T) {
 // its counts sum to the region's pages, and since every page of these
 // spans lands, each count is a whole number of spans. Run under -race.
 func TestRegionReadersBesideSpanApply(t *testing.T) {
-	m := preparedManager(t, 2*RegionPages, 0, 0) // DRAM, NVMM, CT-1, CT-2
+	m := preparedManager(t, 2*RegionPages, corpus.Dickens) // DRAM, NVMM, CT-1, CT-2
 	dests := []TierID{2, 3, 1, 0}
 	var done atomic.Bool
 	var wg sync.WaitGroup

@@ -6,10 +6,11 @@
 // The manager is the kernel-side analogue of the paper's Linux changes
 // (§7.1): it tracks each page's tier (the struct-page tier_id field),
 // performs demotion/promotion migrations at region granularity, handles
-// faults on compressed pages (load + place in DRAM, or the next
-// byte-addressable tier when DRAM is full), supports compressed-to-
-// compressed migration via the naive decompress-recompress path, and keeps
-// per-tier statistics. A compressed object is read and its checksum
+// faults on compressed pages (load + place in DRAM), supports compressed-
+// to-compressed migration via the naive decompress-recompress path, and
+// keeps per-tier statistics. Every tier is unbounded: the paper's placement
+// is bounded by TCO alone (Eq. 2), so no move or fault is ever turned away
+// for want of room. A compressed object is read and its checksum
 // verified wherever the modeled kernel would decompress it; its bytes are
 // never decoded, since the modeled latencies come from ztier's tables and
 // a page's bytes can always be regenerated.
@@ -28,11 +29,9 @@
 // readers concurrently: page-table state is guarded by a striped
 // per-span lock, tier pools are guarded inside ztier, and every counter
 // (including per-tier residency) is an atomic, so concurrent migrations
-// from the simulator's push threads stay exact. Admission against capacity bounds is a reservation
-// (compare-and-swap for byte-addressable tiers, under the tier lock for
-// compressed tiers), so no tier ever exceeds its budget even transiently.
-// The caller orders the phases (starting and joining its goroutines does);
-// an Access beside a migration is a data race, not a supported mode.
+// from the simulator's push threads stay exact. The caller orders the
+// phases (starting and joining its goroutines does); an Access beside a
+// migration is a data race, not a supported mode.
 //
 // A region, or one span of it, moves one way: a prepare (pure compute:
 // object reads + compression, safe to run concurrently) then a commit (all
@@ -103,9 +102,14 @@ const DRAMTier TierID = 0
 // Errors returned by the manager.
 var (
 	ErrNoSuchTier = errors.New("mem: no such tier")
-	ErrTierFull   = errors.New("mem: destination tier is full")
 	ErrBadPage    = errors.New("mem: page id out of range")
 )
+
+// ErrTierFull is never returned: every tier is unbounded.
+//
+// Deprecated: nothing returns it; it stays until the benchmark, which
+// still tests for it, stops naming it.
+var ErrTierFull = errors.New("mem: destination tier is full")
 
 // TierInfo describes one tier of a Manager for policy/model consumption.
 type TierInfo struct {
@@ -117,9 +121,6 @@ type TierInfo struct {
 	Compressed bool
 	// Media is the backing medium.
 	Media media.Kind
-	// CapacityPages bounds resident (uncompressed-equivalent) pages;
-	// 0 means unbounded.
-	CapacityPages int64
 	// Codec is the compression algorithm name for compressed tiers
 	// ("" for byte-addressable tiers).
 	Codec string
@@ -135,21 +136,6 @@ type TierInfo struct {
 type baTier struct {
 	info  TierInfo
 	pages atomic.Int64 // resident pages
-}
-
-// tryReserve atomically claims one page of capacity. It fails only when
-// the tier is bounded and full, so a successful reservation can never push
-// residency past CapacityPages, no matter how many goroutines race.
-func (b *baTier) tryReserve() bool {
-	for {
-		cur := b.pages.Load()
-		if b.info.CapacityPages != 0 && cur >= b.info.CapacityPages {
-			return false
-		}
-		if b.pages.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
 }
 
 // ctTier wraps a compressed tier.
@@ -185,8 +171,6 @@ type Config struct {
 	NumPages int64
 	// Content generates page contents; required.
 	Content corpus.Source
-	// DRAMCapacityPages bounds the DRAM tier (0 = unbounded).
-	DRAMCapacityPages int64
 	// ByteTiers lists additional byte-addressable tiers in latency order
 	// (e.g. NVMM). DRAM is implicit and always tier 0.
 	ByteTiers []media.Kind
@@ -354,21 +338,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 		return def
 	}
-	addBA := func(k media.Kind, capacity int64) {
-		id := TierID(len(m.tiers))
+	for _, k := range append([]media.Kind{media.DRAM}, cfg.ByteTiers...) {
 		p := media.Props(k)
 		info := TierInfo{
-			ID: id, Name: k.Name(), Media: k,
-			CapacityPages: capacity,
-			AccessNs:      p.LoadNs,
-			CostPerGB:     cost(k, p.CostPerGB),
+			ID: TierID(len(m.tiers)), Name: k.Name(), Media: k,
+			AccessNs:  p.LoadNs,
+			CostPerGB: cost(k, p.CostPerGB),
 		}
 		m.ba = append(m.ba, &baTier{info: info})
 		m.tiers = append(m.tiers, info)
-	}
-	addBA(media.DRAM, cfg.DRAMCapacityPages)
-	for _, k := range cfg.ByteTiers {
-		addBA(k, 0)
 	}
 	for _, tc := range cfg.CompressedTiers {
 		id := TierID(len(m.tiers))
@@ -472,19 +450,6 @@ func (m *Manager) Tiers() []TierInfo {
 	return out
 }
 
-// SetCompressedTierLimit bounds compressed tier id's physical footprint to
-// poolPages pool pages (0 removes the bound) — zswap's max_pool_percent
-// knob surfaced at the manager level, for experiments that squeeze
-// demotions into a nearly-full tier.
-func (m *Manager) SetCompressedTierLimit(id TierID, poolPages int) error {
-	ct, ok := m.ct(id)
-	if !ok {
-		return ErrNoSuchTier
-	}
-	ct.tier.SetMaxPoolPages(poolPages)
-	return nil
-}
-
 // ct returns the compressed tier id refers to, and whether it is one.
 func (m *Manager) ct(id TierID) (*ctTier, bool) {
 	i := int(id) - len(m.ba)
@@ -517,17 +482,15 @@ type AccessResult struct {
 	LatencyNs float64
 	// Tier is the tier that served the access (before any promotion).
 	Tier TierID
-	// Fault reports whether the access faulted on a compressed tier.
+	// Fault reports whether the access faulted on a compressed tier; the
+	// page is then in DRAM.
 	Fault bool
-	// PromotedTo is where a faulted page was placed (DRAM, or the next
-	// byte-addressable tier when DRAM is full). Valid when Fault.
-	PromotedTo TierID
 }
 
 // Access simulates one load or store to page p and returns its latency and
 // effects. Accessing a page in a compressed tier faults: the page is
-// loaded, removed from the compressed tier, and placed in DRAM (or
-// the next byte-addressable tier with room). Writes bump the page version.
+// loaded, removed from the compressed tier, and placed in DRAM. Writes
+// bump the page version.
 //
 // Access takes no lock. The manager is single-owner while accesses are
 // being issued: one goroutine — the driver's — calls Access, and nothing
@@ -559,8 +522,7 @@ func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (Acc
 }
 
 // fault serves an access to a page held by a compressed tier: verify the
-// compressed copy, free it, and promote the page to a byte-addressable
-// tier.
+// compressed copy, free it, and promote the page to DRAM.
 func (m *Manager) fault(p PageID, e *pte, sc *MigrationScratch) (AccessResult, error) {
 	ct := m.cts[int(e.tier)-len(m.ba)]
 	loadNs, err := sc.check(ct.tier, e.handle)
@@ -572,33 +534,17 @@ func (m *Manager) fault(p PageID, e *pte, sc *MigrationScratch) (AccessResult, e
 		return AccessResult{}, fmt.Errorf("mem: freeing faulted page %d: %w", p, err)
 	}
 	ct.pages.Add(-1)
-	dest := m.reserveFaultDestination()
-	destWrite := media.WriteCostNs(m.ba[dest].info.Media, PageSize)
+	dram := m.ba[DRAMTier]
+	dram.pages.Add(1)
 	served := e.tier
-	e.tier = dest
+	e.tier = DRAMTier
 	e.handle = ztier.Handle{}
 	m.faults.Add(1)
 	return AccessResult{
-		LatencyNs:  loadNs + destWrite,
-		Tier:       served,
-		Fault:      true,
-		PromotedTo: dest,
+		LatencyNs: loadNs + media.WriteCostNs(dram.info.Media, PageSize),
+		Tier:      served,
+		Fault:     true,
 	}, nil
-}
-
-// reserveFaultDestination picks and atomically reserves a page of the
-// fault destination: DRAM if it has room, else the first byte-addressable
-// tier with room, else DRAM regardless (unbounded model). The reservation
-// is the capacity increment, the same compare-and-swap migrations admit
-// against, so a bounded tier is never pushed past its budget.
-func (m *Manager) reserveFaultDestination() TierID {
-	for i, b := range m.ba {
-		if b.tryReserve() {
-			return TierID(i)
-		}
-	}
-	m.ba[DRAMTier].pages.Add(1)
-	return DRAMTier
 }
 
 // MigrationResult reports the outcome of a migration request.
@@ -606,10 +552,9 @@ type MigrationResult struct {
 	// Moved is the number of pages that reached the destination.
 	Moved int
 	// Rejected is the number of pages that did not reach the destination
-	// but were placed somewhere definite anyway: incompressible pages
-	// (they remain in their source tier, or move to the fallback tier),
-	// and pages displaced to the fault destination because a full
-	// byte-addressable destination could not take them.
+	// but were placed somewhere definite anyway: incompressible pages,
+	// which remain in a byte-addressable source tier, or go to DRAM from a
+	// compressed one.
 	Rejected int
 	// Skipped counts pages already in the destination tier.
 	Skipped int
@@ -625,7 +570,7 @@ type MigrationResult struct {
 // write lock. It holds only what the commit reads — the fast path's object
 // or the destination's store, their bytes in the region's slab — never
 // the page itself: the commit places a page without its bytes, whether it
-// lands, is rejected or falls back from a full tier.
+// lands or is rejected.
 type preparedPage struct {
 	page PageID
 	dest TierID
@@ -640,7 +585,7 @@ type preparedPage struct {
 
 	// Generic-path materials. They are prepared eagerly when there is no
 	// fast-path candidate, and lazily at commit time when there is one
-	// but the direct store gets rejected (rare: bounded destination).
+	// but the destination's pool refuses the direct store.
 	generic   bool
 	srcLoadNs float64
 	destPrep  ztier.PreparedStore
@@ -732,7 +677,7 @@ func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[
 // span write lock. If the page moved between prepare and commit
 // (another migrator landed a move of the same page first), the move is
 // re-prepared in place on sc, its bytes kept at the end of slab like the
-// lazily built store of a fast-path move the destination refused.
+// lazily built store of a fast-path move the destination's pool refused.
 func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte) (MigrationResult, error) {
 	var res MigrationResult
 	e := &m.ptes[pp.page]
@@ -767,8 +712,8 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 			m.migratedIn[pp.dest].Add(1)
 			return res, nil
 		}
-		// Destination full or rejected: fall through to the generic path,
-		// which handles fallback placement.
+		// Refused by the destination's pool: fall through to the generic
+		// path, which handles fallback placement.
 	}
 	if !pp.generic {
 		if err := m.prepareGeneric(&pp, sc, slab); err != nil {
@@ -796,25 +741,15 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 		h, storeNs, err := dstCT.tier.CommitStore(pp.destPrep)
 		res.LatencyNs += storeNs
 		if err != nil {
-			// Rejected (incompressible, or the tier hit its pool limit):
-			// fall back to the source tier if byte-addressable, else to
-			// the fault destination.
-			fb := e.tier
-			if _, wasCT := m.ct(fb); wasCT {
-				fb = m.reserveFaultDestination()
-			} else {
-				m.ba[fb].pages.Add(1)
+			// Rejected as incompressible: fall back to the source tier if
+			// byte-addressable, else to DRAM, as a fault would. The verdict
+			// holds for these bytes under this codec until the next write.
+			if _, wasCT := m.ct(e.tier); wasCT {
+				e.tier = DRAMTier
 			}
-			e.tier = fb
-			if !errors.Is(err, ztier.ErrTierFull) {
-				m.rejects.Add(1)
-			}
-			if errors.Is(err, ztier.ErrIncompressible) {
-				// True of these bytes under this codec until the next
-				// write. A full tier says nothing about the page and is
-				// not remembered.
-				e.rejected |= dstCT.rejectBit
-			}
+			m.ba[e.tier].pages.Add(1)
+			m.rejects.Add(1)
+			e.rejected |= dstCT.rejectBit
 			res.Rejected = 1
 			return res, nil
 		}
@@ -823,19 +758,7 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 		e.handle = h
 	} else {
 		db := m.ba[pp.dest]
-		if !db.tryReserve() {
-			// No room: restore source residency.
-			if _, wasCT := m.ct(e.tier); !wasCT {
-				m.ba[e.tier].pages.Add(1)
-			} else {
-				// Page was already extracted from a compressed tier; place
-				// it at the fault destination instead of losing it, and
-				// count it rejected like the compressed-tier fallback path.
-				e.tier = m.reserveFaultDestination()
-				res.Rejected = 1
-			}
-			return res, ErrTierFull
-		}
+		db.pages.Add(1)
 		res.LatencyNs += media.WriteCostNs(db.info.Media, PageSize)
 		e.tier = pp.dest
 	}
@@ -847,10 +770,7 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 
 // MigrateRegion moves every page of region r to tier dest, accumulating
 // the per-page results. TS-Daemon migrates at this 2 MB granularity (§7.2).
-// It is PrepareRegionMigration followed by CommitRegionMigration, whose
-// contract it shares: a destination that fills mid-region does not abort
-// the sweep, and the full-tier condition is reported once, as ErrTierFull,
-// alongside a valid result.
+// It is PrepareRegionMigration followed by CommitRegionMigration.
 func (m *Manager) MigrateRegion(r RegionID, dest TierID) (MigrationResult, error) {
 	pr, err := m.PrepareRegionMigration(r, dest)
 	if err != nil {
@@ -982,11 +902,8 @@ func (m *Manager) CommitRegionMigration(pr *PreparedRegion) (MigrationResult, er
 // order: a move landed span by span into one running result sums its
 // latency exactly as one whole-region commit. A page that moved since its
 // prepare is re-prepared on sc (nil: pr's own scratch, which a worker
-// committing another's prepare must not use). A destination that fills
-// mid-way does not abort the sweep: later pages may still be skipped or
-// placed at a fallback tier, and the full-tier condition is reported once,
-// as ErrTierFull, after the last page, beside a valid result. The prepared
-// region is consumed even on error; committing it again adds nothing.
+// committing another's prepare must not use). The prepared region is
+// consumed even on error; committing it again adds nothing.
 func (m *Manager) CommitMigrationInto(pr *PreparedRegion, sc *MigrationScratch, total *MigrationResult) error {
 	if pr == nil {
 		return errors.New("mem: nil prepared region")
@@ -1002,7 +919,6 @@ func (m *Manager) CommitMigrationInto(pr *PreparedRegion, sc *MigrationScratch, 
 	if sc == nil {
 		sc = pr.sc
 	}
-	var full error
 	for i := 0; i < len(pr.pages); {
 		if err := m.inSpan(pr.pages[i].page, (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock, func() error {
 			for end := (pr.pages[i].page/SpanPages + 1) * SpanPages; i < len(pr.pages) && pr.pages[i].page < end; i++ {
@@ -1011,10 +927,7 @@ func (m *Manager) CommitMigrationInto(pr *PreparedRegion, sc *MigrationScratch, 
 				total.Rejected += res.Rejected
 				total.Skipped += res.Skipped
 				total.LatencyNs += res.LatencyNs
-				switch {
-				case errors.Is(err, ErrTierFull):
-					full = err
-				case err != nil:
+				if err != nil {
 					return err
 				}
 			}
@@ -1023,7 +936,7 @@ func (m *Manager) CommitMigrationInto(pr *PreparedRegion, sc *MigrationScratch, 
 			return err
 		}
 	}
-	return full
+	return nil
 }
 
 // TierPages returns the number of resident pages per tier, indexed by

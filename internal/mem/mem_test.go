@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -111,7 +112,7 @@ func TestCompressedFaultPromotesToDRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Fault || res.Tier != 2 || res.PromotedTo != DRAMTier {
+	if !res.Fault || res.Tier != 2 {
 		t.Fatalf("unexpected fault result %+v", res)
 	}
 	if res.LatencyNs < 1000 {
@@ -142,7 +143,7 @@ func TestPageCountsConserved(t *testing.T) {
 			}
 		default:
 			dest := TierID(rng.Intn(4))
-			if _, err := m.MigratePage(p, dest); err != nil && !errors.Is(err, ErrTierFull) {
+			if _, err := m.MigratePage(p, dest); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -228,65 +229,6 @@ func TestIncompressiblePagesRejected(t *testing.T) {
 	}
 }
 
-func TestDRAMCapacityFaultSpill(t *testing.T) {
-	// DRAM capacity 8: after filling DRAM, faults must spill to NVMM.
-	m, err := NewManager(Config{
-		NumPages:          16,
-		Content:           corpus.NewGenerator(corpus.NCI, 2),
-		DRAMCapacityPages: 8,
-		ByteTiers:         []media.Kind{media.NVMM},
-		CompressedTiers:   []ztier.Config{ztier.CT1()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Note: initial placement put all 16 in DRAM (over capacity by
-	// construction); migrate 8 out to compressed, leaving DRAM full at 8.
-	for p := PageID(8); p < 16; p++ {
-		if _, err := m.MigratePage(p, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := m.Access(8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Fault || res.PromotedTo != 1 {
-		t.Fatalf("fault with full DRAM: %+v, want promotion to NVMM", res)
-	}
-}
-
-func TestMigrateToFullBATier(t *testing.T) {
-	m, err := NewManager(Config{
-		NumPages:          4,
-		Content:           corpus.NewGenerator(corpus.NCI, 3),
-		DRAMCapacityPages: 0,
-		ByteTiers:         []media.Kind{media.NVMM},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shrink NVMM to 1 page by wrapping: move 2 pages; second must fail.
-	m.ba[1].info.CapacityPages = 1
-	if _, err := m.MigratePage(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.MigratePage(1, 1)
-	if !errors.Is(err, ErrTierFull) {
-		t.Fatalf("err = %v, want ErrTierFull", err)
-	}
-	if m.TierOf(1) != DRAMTier {
-		t.Fatal("page must remain in DRAM after failed migration")
-	}
-	var total int64
-	for _, v := range m.TierPages() {
-		total += v
-	}
-	if total != 4 {
-		t.Fatalf("pages leaked: %d", total)
-	}
-}
-
 func TestContentResultsDoNotAlias(t *testing.T) {
 	// Regression: content() used to hand every caller the same persistent
 	// scratch array, so holding two results silently corrupted the first.
@@ -305,173 +247,88 @@ func TestContentResultsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestMigratePageFallbackOnFull covers MigratePage's fallback paths when
-// the requested destination cannot take the page, table-driven over the
-// source-tier kinds.
-func TestMigratePageFallbackOnFull(t *testing.T) {
-	// Layout: DRAM (unbounded), NVMM capacity 1, CT1. Tier ids 0,1,2.
-	newM := func() *Manager {
-		m, err := NewManager(Config{
-			NumPages:        16,
-			Content:         corpus.NewGenerator(corpus.NCI, 11),
-			ByteTiers:       []media.Kind{media.NVMM},
-			CompressedTiers: []ztier.Config{ztier.CT1()},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.ba[1].info.CapacityPages = 1
-		return m
+// flipSource serves inner's bytes until flipped, and incompressible ones
+// after: a page demoted while compressible is regenerated, at its next
+// move, as bytes no codec shrinks.
+type flipSource struct {
+	inner   corpus.Source
+	flipped bool
+}
+
+func (f *flipSource) Fill(pageIdx uint64, buf []byte) {
+	if f.flipped {
+		corpus.NewGenerator(corpus.Random, 1).Fill(pageIdx, buf)
+		return
 	}
+	f.inner.Fill(pageIdx, buf)
+}
+
+// TestMigratePageFallbackOnReject covers where a page the destination
+// rejects as incompressible lands, table-driven over the source-tier kinds:
+// a byte-addressable source keeps it, and a compressed source, which has
+// already given its copy up, hands it to DRAM.
+func TestMigratePageFallbackOnReject(t *testing.T) {
+	const ct1, ct2 = TierID(2), TierID(3)
 	cases := []struct {
 		name string
-		prep func(m *Manager) PageID // returns the page to migrate
-		// expected outcome of MigratePage(page, 1 /* full NVMM */):
-		wantTier     TierID // where the page must end up
-		wantRejected int
-		wantMoved    int
+		prep func(m *Manager, src *flipSource) // places page 2 and flips the content
+		// expected outcome of MigratePage(2, ct2):
+		wantTier TierID // where the page must end up
 	}{
 		{
 			name: "BA source stays put",
-			prep: func(m *Manager) PageID {
-				if _, err := m.MigratePage(0, 1); err != nil { // fills NVMM
+			prep: func(m *Manager, src *flipSource) {
+				if _, err := m.MigratePage(2, 1); err != nil { // page 2 into NVMM
 					t.Fatal(err)
 				}
-				return 1
+				src.flipped = true
 			},
-			wantTier: DRAMTier,
+			wantTier: 1,
 		},
 		{
-			name: "CT source falls back to fault destination",
-			prep: func(m *Manager) PageID {
-				if _, err := m.MigratePage(0, 1); err != nil { // fills NVMM
-					t.Fatal(err)
+			name: "CT source falls back to DRAM",
+			prep: func(m *Manager, src *flipSource) {
+				if _, err := m.MigratePage(2, ct1); err != nil || m.TierOf(2) != ct1 {
+					t.Fatalf("page 2 into CT-1: %v, in tier %d", err, m.TierOf(2))
 				}
-				if _, err := m.MigratePage(2, 2); err != nil { // page 2 into CT1
-					t.Fatal(err)
-				}
-				return 2
+				src.flipped = true // CT-2's codec differs: the move regenerates the page
 			},
-			// pickFaultDestination: DRAM is unbounded, so the extracted
-			// page lands there rather than being lost.
-			wantTier:     DRAMTier,
-			wantRejected: 1,
+			wantTier: DRAMTier,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newM()
-			p := tc.prep(m)
-			res, err := m.MigratePage(p, 1)
-			if !errors.Is(err, ErrTierFull) {
-				t.Fatalf("err = %v, want ErrTierFull", err)
+			src := &flipSource{inner: corpus.NewGenerator(corpus.NCI, 11)}
+			m, err := NewManager(Config{
+				NumPages:        16,
+				Content:         src,
+				ByteTiers:       []media.Kind{media.NVMM},
+				CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if m.TierOf(p) != tc.wantTier {
-				t.Fatalf("page ended in tier %d, want %d", m.TierOf(p), tc.wantTier)
+			tc.prep(m, src)
+			rejects := m.Counters().Rejects
+			res, err := m.MigratePage(2, ct2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if res.Rejected != tc.wantRejected || res.Moved != tc.wantMoved {
-				t.Fatalf("result %+v, want rejected=%d moved=%d", res, tc.wantRejected, tc.wantMoved)
+			if m.TierOf(2) != tc.wantTier {
+				t.Fatalf("page ended in tier %d, want %d", m.TierOf(2), tc.wantTier)
 			}
-			var total int64
-			for _, v := range m.TierPages() {
-				total += v
+			if res.Rejected != 1 || res.Moved != 0 || m.Counters().Rejects != rejects+1 {
+				t.Fatalf("result %+v, %d rejects; want the page rejected once", res, m.Counters().Rejects-rejects)
 			}
-			if total != 16 {
-				t.Fatalf("pages leaked: %d tracked, want 16", total)
+			want := make([]int64, 4)
+			want[DRAMTier], want[tc.wantTier] = 15, 1
+			if tc.wantTier == DRAMTier {
+				want[DRAMTier] = 16
+			}
+			if got := m.TierPages(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("tier pages %v, want %v", got, want)
 			}
 		})
-	}
-}
-
-func TestMigrateRegionContinuesPastFullTier(t *testing.T) {
-	// Destination NVMM holds half a region; the sweep must keep going
-	// after it fills, accounting for every page, and report ErrTierFull
-	// exactly once at the end.
-	const capacity = RegionPages / 2
-	m, err := NewManager(Config{
-		NumPages:  RegionPages,
-		Content:   corpus.NewGenerator(corpus.NCI, 12),
-		ByteTiers: []media.Kind{media.NVMM},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.ba[1].info.CapacityPages = capacity
-	// Pre-place a few pages in the destination so the sweep also exercises
-	// the Skipped path after the tier fills.
-	for p := PageID(0); p < 4; p++ {
-		if _, err := m.MigratePage(p, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := m.MigrateRegion(0, 1)
-	if !errors.Is(err, ErrTierFull) {
-		t.Fatalf("err = %v, want ErrTierFull", err)
-	}
-	if res.Skipped != 4 {
-		t.Fatalf("skipped = %d, want 4 (pre-placed pages)", res.Skipped)
-	}
-	if res.Moved != capacity-4 {
-		t.Fatalf("moved = %d, want %d (fills remaining capacity)", res.Moved, capacity-4)
-	}
-	// The rest of the region was attempted and stayed in DRAM.
-	tp := m.TierPages()
-	if tp[1] != capacity {
-		t.Fatalf("NVMM pages = %d, want exactly at capacity %d", tp[1], capacity)
-	}
-	if tp[0] != RegionPages-capacity {
-		t.Fatalf("DRAM pages = %d, want %d", tp[0], RegionPages-capacity)
-	}
-}
-
-func TestMigrateRegionFullTierWithCTFallback(t *testing.T) {
-	// Region resident in CT1, migrated to a too-small NVMM: pages that do
-	// not fit must fall back to DRAM (the fault destination) and count as
-	// rejected, not vanish from the accounting.
-	const capacity = 8
-	m, err := NewManager(Config{
-		NumPages:        RegionPages,
-		Content:         corpus.NewGenerator(corpus.NCI, 13),
-		ByteTiers:       []media.Kind{media.NVMM},
-		CompressedTiers: []ztier.Config{ztier.CT1()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.MigrateRegion(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	inCT := m.TierPages()[2]
-	if inCT == 0 {
-		t.Fatal("setup: no pages reached CT1")
-	}
-	m.ba[1].info.CapacityPages = capacity
-	res, err := m.MigrateRegion(0, 1)
-	if !errors.Is(err, ErrTierFull) {
-		t.Fatalf("err = %v, want ErrTierFull", err)
-	}
-	tp := m.TierPages()
-	if tp[1] != capacity {
-		t.Fatalf("NVMM pages = %d, want %d", tp[1], capacity)
-	}
-	if tp[2] != 0 {
-		t.Fatalf("CT1 still holds %d pages; sweep should have drained it", tp[2])
-	}
-	if int64(res.Moved) != capacity-(RegionPages-inCT) && res.Moved != capacity {
-		// Pages that were in DRAM (rejected at CT store time during setup)
-		// may have filled part of NVMM first; either way NVMM is full.
-		t.Logf("moved = %d (capacity %d, ct-resident %d)", res.Moved, capacity, inCT)
-	}
-	if res.Moved+res.Rejected+res.Skipped < int(inCT) {
-		t.Fatalf("accounting lost pages: moved %d + rejected %d + skipped %d < %d CT pages",
-			res.Moved, res.Rejected, res.Skipped, inCT)
-	}
-	var total int64
-	for _, v := range m.TierPages() {
-		total += v
-	}
-	if total != RegionPages {
-		t.Fatalf("pages leaked: %d tracked", total)
 	}
 }
 
@@ -578,7 +435,7 @@ func TestChurnInvariantProperty(t *testing.T) {
 					return false
 				}
 			} else {
-				if _, err := m.MigratePage(p, TierID(rng.Intn(4))); err != nil && !errors.Is(err, ErrTierFull) {
+				if _, err := m.MigratePage(p, TierID(rng.Intn(4))); err != nil {
 					return false
 				}
 			}

@@ -3,11 +3,10 @@
 // its slab come back for the next move, so that a warm scratch's faults and
 // moves allocate nothing; a prepared region commits exactly once; and
 // prepare + commit lands what moving the region page by page lands,
-// ErrTierFull fallbacks included.
+// rejected pages included.
 package mem
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -19,37 +18,28 @@ import (
 	"tierscape/internal/ztier"
 )
 
-// preparedManager builds DRAM + NVMM + CT1 + CT2 over numPages of Dickens
-// content; ctLimit > 0 clamps CT2's pool so demotions into it reject
-// mid-region and fall back; dramCap > 0 bounds DRAM so those fallbacks
-// can themselves fail with ErrTierFull.
-func preparedManager(t *testing.T, numPages int64, ctLimit int, dramCap int64) *Manager {
+// preparedManager builds DRAM + NVMM + CT1 + CT2 over numPages of the
+// profile's content (corpus.Mixed: every fourth page incompressible, so
+// demotions reject pages mid-span and fall back).
+func preparedManager(t *testing.T, numPages int64, profile corpus.Profile) *Manager {
 	t.Helper()
 	m, err := NewManager(Config{
-		NumPages:          numPages,
-		Content:           corpus.NewGenerator(corpus.Dickens, 42),
-		DRAMCapacityPages: dramCap,
-		ByteTiers:         []media.Kind{media.NVMM},
-		CompressedTiers:   []ztier.Config{ztier.CT1(), ztier.CT2()},
+		NumPages:        numPages,
+		Content:         corpus.NewGenerator(profile, 42),
+		ByteTiers:       []media.Kind{media.NVMM},
+		CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ctLimit > 0 {
-		if err := m.SetCompressedTierLimit(TierID(3), ctLimit); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return m
 }
 
 // migrateRegionByPages is the page-granular reference for a region move:
 // MigratePage over each of the region's pages, the results summed in page
-// order and ErrTierFull reported once, after the last page, as
-// CommitRegionMigration reports it.
+// order.
 func migrateRegionByPages(m *Manager, r RegionID, dest TierID) (MigrationResult, error) {
 	var total MigrationResult
-	full := false
 	start := PageID(r) * RegionPages
 	for p := start; p < min(start+RegionPages, PageID(m.NumPages())); p++ {
 		res, err := m.MigratePage(p, dest)
@@ -57,15 +47,9 @@ func migrateRegionByPages(m *Manager, r RegionID, dest TierID) (MigrationResult,
 		total.Rejected += res.Rejected
 		total.Skipped += res.Skipped
 		total.LatencyNs += res.LatencyNs
-		switch {
-		case errors.Is(err, ErrTierFull):
-			full = true
-		case err != nil:
+		if err != nil {
 			return total, err
 		}
-	}
-	if full {
-		return total, ErrTierFull
 	}
 	return total, nil
 }
@@ -85,15 +69,14 @@ func migrateScratch(m *Manager, r RegionID, dest TierID, sc *MigrationScratch) (
 // growing once it has held the largest region — while producing results
 // identical to MigrateRegion's per-region scratch.
 func TestMigrationScratchReuse(t *testing.T) {
-	mA := preparedManager(t, 4*RegionPages, 0, 0)
-	mB := preparedManager(t, 4*RegionPages, 0, 0)
+	mA := preparedManager(t, 4*RegionPages, corpus.Dickens)
+	mB := preparedManager(t, 4*RegionPages, corpus.Dickens)
 	ct1 := TierID(2)
 	sc := &MigrationScratch{}
 	for r := RegionID(0); r < 4; r++ {
 		got, errA := migrateScratch(mA, r, ct1, sc)
 		want, errB := mB.MigrateRegion(r, ct1)
-		if errors.Is(errA, ErrTierFull) != errors.Is(errB, ErrTierFull) ||
-			(errA == nil) != (errB == nil) {
+		if errA != nil || errB != nil {
 			t.Fatalf("region %d: caller scratch err %v vs per-region scratch err %v", r, errA, errB)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -112,7 +95,7 @@ func TestMigrationScratchReuse(t *testing.T) {
 		if _, err := migrateScratch(mA, r, DRAMTier, sc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := migrateScratch(mA, r, ct1, sc); err != nil && !errors.Is(err, ErrTierFull) {
+		if _, err := migrateScratch(mA, r, ct1, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +272,7 @@ func TestMoveAllocsPerRun(t *testing.T) {
 // scratch's next prepare returns the same value, writing into the same
 // slab. Until then the region reads as consumed.
 func TestPreparedRegionRecycling(t *testing.T) {
-	m := preparedManager(t, 2*RegionPages, 0, 0)
+	m := preparedManager(t, 2*RegionPages, corpus.Dickens)
 	ct1 := TierID(2)
 	sc := &MigrationScratch{}
 	pr, err := m.PrepareRegionMigrationScratch(0, ct1, sc)
@@ -369,10 +352,12 @@ func firstOutgrownObject(t *testing.T, pr *PreparedRegion) weak.Pointer[byte] {
 }
 
 // TestCommitRegionMigrationMatchesPageLoop: the same multi-hop migration
-// sequence — including ErrTierFull fallbacks out of a clamped CT2 and a
-// bounded DRAM — lands the exact same results, residency and counters, and
-// reports ErrTierFull on the same moves, whether each region goes through
-// prepare + commit or page by page through MigratePage.
+// sequence over content whose every fourth page no codec shrinks — so
+// demotions fall back page by page, inside every span — lands the exact
+// same results, residency, counters and pool statistics whether each region
+// goes through prepare + commit or page by page through MigratePage. A
+// compaction pass after the plan witnesses the pools' layouts: which
+// objects it moves depends on the order every store landed in.
 func TestCommitRegionMigrationMatchesPageLoop(t *testing.T) {
 	const numPages = 8 * RegionPages
 	ct1, ct2 := TierID(2), TierID(3)
@@ -383,15 +368,14 @@ func TestCommitRegionMigrationMatchesPageLoop(t *testing.T) {
 	plan := []hop{
 		{0, ct1}, {1, ct2}, {2, ct1}, {3, ct2},
 		{4, ct2}, {5, ct1}, {6, ct2}, {7, ct1},
-		// Second wave: cross-CT moves and promotions over the now-clamped
-		// CT2, plus skip-heavy repeats.
+		// Second wave: cross-CT moves and promotions, plus skip-heavy
+		// repeats.
 		{0, ct2}, {1, DRAMTier}, {2, ct2}, {3, ct1},
 		{4, DRAMTier}, {5, ct1}, {6, ct1}, {7, ct2},
 	}
-	run := func(byPages bool) ([]MigrationResult, []bool, []int64, Counters) {
-		m := preparedManager(t, numPages, 96, 2*RegionPages)
+	run := func(byPages bool) ([]MigrationResult, []int64, Counters, []ztier.Stats, CompactStats) {
+		m := preparedManager(t, numPages, corpus.Mixed)
 		results := make([]MigrationResult, len(plan))
-		fulls := make([]bool, len(plan))
 		for i, h := range plan {
 			var err error
 			if byPages {
@@ -403,30 +387,27 @@ func TestCommitRegionMigrationMatchesPageLoop(t *testing.T) {
 				}
 				results[i], err = m.CommitRegionMigration(pr)
 			}
-			if errors.Is(err, ErrTierFull) {
-				fulls[i] = true
-				err = nil
-			}
 			if err != nil {
 				t.Fatalf("byPages=%v hop %d: %v", byPages, i, err)
 			}
 		}
-		return results, fulls, m.TierPages(), m.Counters()
+		var pools []ztier.Stats
+		for _, ct := range []TierID{ct1, ct2} {
+			st, err := m.CompressedTierStats(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pools = append(pools, st)
+		}
+		return results, m.TierPages(), m.Counters(), pools, m.Compact()
 	}
-	baseRes, baseFull, basePages, baseCtr := run(true)
-	fullSeen := false
-	for _, f := range baseFull {
-		fullSeen = fullSeen || f
+	baseRes, basePages, baseCtr, basePools, baseCompact := run(true)
+	if baseCtr.Rejects == 0 {
+		t.Fatal("plan rejected no page; equivalence test is vacuous")
 	}
-	if !fullSeen {
-		t.Fatal("plan forced no ErrTierFull; equivalence test is vacuous")
-	}
-	res, fulls, pages, ctr := run(false)
+	res, pages, ctr, pools, compact := run(false)
 	if !reflect.DeepEqual(res, baseRes) {
 		t.Fatal("prepare + commit results differ from the MigratePage loop")
-	}
-	if !reflect.DeepEqual(fulls, baseFull) {
-		t.Fatalf("ErrTierFull reporting differs: %v vs %v", fulls, baseFull)
 	}
 	if !reflect.DeepEqual(pages, basePages) {
 		t.Fatalf("residency differs: %v vs %v", pages, basePages)
@@ -434,12 +415,18 @@ func TestCommitRegionMigrationMatchesPageLoop(t *testing.T) {
 	if ctr != baseCtr {
 		t.Fatalf("counters differ: %+v vs %+v", ctr, baseCtr)
 	}
+	if !reflect.DeepEqual(pools, basePools) {
+		t.Fatalf("pool statistics differ: %+v vs %+v", pools, basePools)
+	}
+	if compact != baseCompact {
+		t.Fatalf("pool layouts differ: compaction %+v vs %+v", compact, baseCompact)
+	}
 }
 
 // TestCommitRegionMigrationConsumed: a prepared region commits once;
 // committing it again lands nothing and reports a zero result, nil error.
 func TestCommitRegionMigrationConsumed(t *testing.T) {
-	m := preparedManager(t, 2*RegionPages, 0, 0)
+	m := preparedManager(t, 2*RegionPages, corpus.Dickens)
 	ct1 := TierID(2)
 	pr, err := m.PrepareRegionMigration(0, ct1)
 	if err != nil {
@@ -466,8 +453,8 @@ func TestCommitRegionMigrationConsumed(t *testing.T) {
 // TestCommitRegionMigrationWrongManager: committing a region prepared on
 // another manager errors and consumes the prepared region.
 func TestCommitRegionMigrationWrongManager(t *testing.T) {
-	m1 := preparedManager(t, 2*RegionPages, 0, 0)
-	m2 := preparedManager(t, 2*RegionPages, 0, 0)
+	m1 := preparedManager(t, 2*RegionPages, corpus.Dickens)
+	m2 := preparedManager(t, 2*RegionPages, corpus.Dickens)
 	pr, err := m1.PrepareRegionMigration(0, TierID(2))
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +473,7 @@ func TestCommitRegionMigrationWrongManager(t *testing.T) {
 // TestCommitRegionMigrationNil: a nil prepared region is an error, not a
 // nil dereference on a push thread.
 func TestCommitRegionMigrationNil(t *testing.T) {
-	m := preparedManager(t, RegionPages, 0, 0)
+	m := preparedManager(t, RegionPages, corpus.Dickens)
 	if _, err := m.CommitRegionMigration(nil); err == nil {
 		t.Fatal("committing a nil prepared region succeeded")
 	}

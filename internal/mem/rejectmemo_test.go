@@ -52,8 +52,7 @@ func rejectMemoManager(t *testing.T, prof corpus.Profile) (*Manager, *countingSo
 // TestRejectMemoElidesRefill: a remembered rejection saves the host the
 // refill and the compression and nothing else — the move's result, the
 // tier's counters and the manager's advance exactly as on the first
-// attempt. It holds for one version of one page under one codec, and a
-// full tier is never mistaken for one.
+// attempt. It holds for one version of one page under one codec.
 func TestRejectMemoElidesRefill(t *testing.T) {
 	m, src := rejectMemoManager(t, corpus.Random)
 	type outcome struct {
@@ -131,31 +130,5 @@ func TestRejectMemoElidesRefill(t *testing.T) {
 	}
 	if got := demote(m, src, 3, true); got.fills != 1 {
 		t.Errorf("after a write, other codec: %d pages refilled, want 1", got.fills)
-	}
-
-	// A full tier (ztier.ErrTierFull inside the commit) turns pages away
-	// that it would otherwise take: nothing is remembered, and the next
-	// attempt compresses every one of them again.
-	m, src = rejectMemoManager(t, corpus.Dickens)
-	if err := m.SetCompressedTierLimit(1, 16); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.MigrateRegion(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := m.CompressedTierStats(1); res.Moved == 0 || res.Rejected == 0 || st.FullRejects != int64(res.Rejected) {
-		t.Fatalf("demotion into a 16-page pool: %+v, %d turned away full; want some pages moved and the rest turned away full", res, st.FullRejects)
-	}
-	for p := range m.ptes {
-		if m.ptes[p].rejected != 0 {
-			t.Fatalf("page %d: a full tier left rejection bits %#x", p, m.ptes[p].rejected)
-		}
-	}
-	src.fills = src.fills[:0]
-	again, err := m.MigrateRegion(0, 1)
-	if err != nil || again.Skipped != res.Moved || again.Rejected != res.Rejected || len(src.fills) != res.Rejected {
-		t.Errorf("second demotion into the full pool: %+v, %v, %d pages refilled; want %d skipped, %d refilled and turned away",
-			again, err, len(src.fills), res.Moved, res.Rejected)
 	}
 }

@@ -106,9 +106,12 @@ type WindowSnapshot struct {
 	// definitely-placed-elsewhere pages; Skipped counts pages already
 	// resident in their destination.
 	Moves, Rejected, Skipped int
-	// TierFullMoves counts this window's region moves whose commit
-	// reported a full destination (mem.ErrTierFull) — the fallback-path
-	// pressure signal.
+	// TierFullMoves is always 0: every tier is unbounded, so no commit
+	// finds its destination full. It stays in the event, the CSV and
+	// /metrics so their bytes do not change.
+	//
+	// Deprecated: nothing sets it; the benchmark change of ROADMAP.md
+	// item 3 deletes it.
 	TierFullMoves int
 	// CompactedPages is how many pool pages compaction reclaimed this
 	// window.
@@ -121,9 +124,16 @@ type WindowSnapshot struct {
 	// skipped this window because their pools saw no churn since their
 	// last pass.
 	CompactSkippedTiers int
-	// DroppedPressure/DroppedCapacity/DroppedBudget echo the migration
-	// filter's per-window drop counters (§6.7).
-	DroppedPressure, DroppedCapacity, DroppedBudget int
+	// DroppedPressure echoes the migration filter's per-window drop
+	// counter (§6.7).
+	DroppedPressure int
+	// DroppedCapacity and DroppedBudget are always 0: the filter has no
+	// capacity check and no per-window move budget. They stay for the
+	// same reason as TierFullMoves.
+	//
+	// Deprecated: nothing sets them; the benchmark change of ROADMAP.md
+	// item 3 deletes them.
+	DroppedCapacity, DroppedBudget int
 	// WarmHit is always false: the analytical model solves every window
 	// afresh. A stream written before that carries it, and decodes.
 	//
@@ -245,8 +255,8 @@ type MoveEvent struct {
 	// Moved/Rejected/Skipped are the per-page outcomes of the region
 	// sweep (see mem.MigrationResult).
 	Moved, Rejected, Skipped int
-	// Full reports that the commit observed a full destination
-	// (mem.ErrTierFull) at some point during the sweep.
+	// Full is always false: every tier is unbounded. It stays so the
+	// event stream's bytes do not change.
 	Full bool
 	// LatencyNs is the modeled migration work of this move.
 	LatencyNs float64

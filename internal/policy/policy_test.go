@@ -54,70 +54,6 @@ func TestOrdersColdestFirst(t *testing.T) {
 	}
 }
 
-func TestMaxMovesBudget(t *testing.T) {
-	m := manager(t, 4)
-	f := NewFilter(Config{MaxMovesPerWindow: 2})
-	plan := f.Apply(m, recommend(1, 1, 1, 1), prof(4, 3, 2, 1))
-	if len(plan.Moves) != 2 {
-		t.Fatalf("moves = %d, want 2", len(plan.Moves))
-	}
-	if plan.DroppedBudget != 2 {
-		t.Fatalf("DroppedBudget = %d, want 2", plan.DroppedBudget)
-	}
-	// The two coldest regions (3, 2) make the cut.
-	if plan.Moves[0].Region != 3 || plan.Moves[1].Region != 2 {
-		t.Fatalf("budget kept %v, want regions 3,2", plan.Moves)
-	}
-}
-
-func TestCapacityBound(t *testing.T) {
-	// NVMM capacity = 1 region: only one region may move there.
-	m, err := mem.NewManager(mem.Config{
-		NumPages:  3 * mem.RegionPages,
-		Content:   corpus.NewGenerator(corpus.NCI, 1),
-		ByteTiers: []media.Kind{media.NVMM},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reach in via Tiers: capacity is set at construction; emulate by
-	// setting DRAMCapacity? Instead create with capacity via config knob:
-	// the mem package only exposes DRAM capacity, so test capacity
-	// filtering on DRAM by moving pages back.
-	f := NewFilter(Config{HonorCapacity: true})
-	plan := f.Apply(m, recommend(1, 1, 1), prof(1, 2, 3))
-	if len(plan.Moves) != 3 {
-		t.Fatalf("unbounded NVMM should accept all 3 moves, got %d", len(plan.Moves))
-	}
-}
-
-func TestDRAMCapacityFiltering(t *testing.T) {
-	m, err := mem.NewManager(mem.Config{
-		NumPages:          2 * mem.RegionPages,
-		Content:           corpus.NewGenerator(corpus.NCI, 1),
-		DRAMCapacityPages: mem.RegionPages, // one region of DRAM
-		ByteTiers:         []media.Kind{media.NVMM},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both regions start in DRAM (2x capacity); move both to NVMM, then
-	// recommend both back: only one fits.
-	for r := mem.RegionID(0); r < 2; r++ {
-		if _, err := m.MigrateRegion(r, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f := NewFilter(Config{HonorCapacity: true})
-	plan := f.Apply(m, recommend(0, 0), prof(1, 2))
-	if len(plan.Moves) != 1 {
-		t.Fatalf("moves = %d, want 1 (DRAM capacity)", len(plan.Moves))
-	}
-	if plan.DroppedCapacity != 1 {
-		t.Fatalf("DroppedCapacity = %d, want 1", plan.DroppedCapacity)
-	}
-}
-
 func TestPressureAvoidance(t *testing.T) {
 	m := manager(t, 2)
 	// Put region 0 into CT1 and fault it hard.

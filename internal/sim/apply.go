@@ -9,7 +9,7 @@
 // jobs, (move, span) ascending, are the plan's page order. Each splits into
 // a pure prepare (mem.PrepareSpanMigration — all decompression and
 // compression, under the span read lock, no shared state) and a commit
-// (every placement decision, admission check and counter).
+// (every placement decision and counter).
 //
 // Determinism contract: results are byte-identical for any push-thread
 // count and across repeated runs. Workers claim jobs in plan order and
@@ -18,7 +18,7 @@
 // lookAhead past the turn. Whichever worker finds the turn's job ready
 // commits it on its own scratch, then every following ready one, so
 // commits land one at a time in ascending job index — the serial apply's
-// sequence, and so its pool layouts, admission decisions and counters. A
+// sequence, and so its pool layouts, fallback placements and counters. A
 // prepare that ran before an earlier job moved the same pages is caught by
 // commitPage, which re-prepares a relocated page in place. Each span
 // commits into its move's one running MigrationResult, so a move's latency
@@ -44,7 +44,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -60,15 +59,6 @@ import (
 // bounds the prepared spans waiting to commit, and their slabs.
 const lookAhead = 4 * pushThreads
 
-// moveOutcome is one applied move's accounting plus the signal the bare
-// MigrationResult doesn't carry: whether the commit observed a full
-// destination (mem.ErrTierFull), which the engine treats as benign and
-// would otherwise swallow.
-type moveOutcome struct {
-	mem.MigrationResult
-	Full bool
-}
-
 // applyTrace collects one window's apply-phase observability. A nil
 // *applyTrace disables all of it; the engine's only residual cost is the
 // nil checks.
@@ -79,8 +69,8 @@ type applyTrace struct {
 }
 
 // moveEvent builds the deterministic event of window's job i from the
-// planned move and its applied outcome.
-func moveEvent(window, i int, mv policy.Move, out moveOutcome) obs.MoveEvent {
+// planned move and its applied outcome. Full stays false: no tier fills.
+func moveEvent(window, i int, mv policy.Move, out mem.MigrationResult) obs.MoveEvent {
 	return obs.MoveEvent{
 		Window:    window,
 		Job:       i,
@@ -90,7 +80,6 @@ func moveEvent(window, i int, mv policy.Move, out moveOutcome) obs.MoveEvent {
 		Moved:     out.Moved,
 		Rejected:  out.Rejected,
 		Skipped:   out.Skipped,
-		Full:      out.Full,
 		LatencyNs: out.LatencyNs,
 	}
 }
@@ -105,17 +94,16 @@ func movePanic(r any, i int, mv policy.Move) error {
 // applyMoves applies one window's migration plan with `workers` push
 // threads and returns the per-move outcomes indexed like moves. It is the
 // only way the simulator moves a region: the plan's moves and the access
-// loop's prefetches both come through here. A full destination
-// (mem.ErrTierFull) is benign: it flags the outcome Full. scratch holds
+// loop's prefetches both come through here. scratch holds
 // one mem.MigrationScratch per push thread (at least `workers`), owned by
 // the caller across windows: worker w uses scratch[w] and nothing else, so
 // buffers and codec state warm up once per run. Hard errors are reported
 // for the lowest move index, independent of goroutine interleaving, beside
 // outcomes in which the failed moves read zero. tr, when non-nil, collects
 // the window's apply observability.
-func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScratch, workers int, tr *applyTrace) ([]moveOutcome, error) {
+func applyMoves(m *mem.Manager, moves []policy.Move, scratch []mem.MigrationScratch, workers int, tr *applyTrace) ([]mem.MigrationResult, error) {
 	n := len(moves)
-	results := make([]moveOutcome, n)
+	results := make([]mem.MigrationResult, n)
 	if n == 0 {
 		return results, nil
 	}
@@ -161,7 +149,7 @@ func spans(m *mem.Manager, mv policy.Move) int {
 type applyPool struct {
 	m       *mem.Manager
 	moves   []policy.Move
-	results []moveOutcome
+	results []mem.MigrationResult
 	errs    []error
 	tr      *applyTrace
 
@@ -242,12 +230,10 @@ func (p *applyPool) commit(ps parkedSpan, sc *mem.MigrationScratch) {
 	}
 	out := &p.results[i]
 	if err == nil {
-		err = p.run(i, true, func() error { return p.m.CommitMigrationInto(ps.pr, sc, &out.MigrationResult) })
+		err = p.run(i, true, func() error { return p.m.CommitMigrationInto(ps.pr, sc, out) })
 	}
-	if errors.Is(err, mem.ErrTierFull) {
-		out.Full = true
-	} else if err != nil {
-		p.errs[i], *out = err, moveOutcome{}
+	if err != nil {
+		p.errs[i], *out = err, mem.MigrationResult{}
 	}
 }
 

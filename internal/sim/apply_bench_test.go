@@ -23,27 +23,27 @@ const benchRegions = 16
 
 // benchManager builds DRAM + NVMM + numCTs compressed tiers (C1..Ck of the
 // characterization catalog: lz4/lzo only, so compression compute doesn't
-// swamp the commit ordering under measurement). ctLimit > 0 clamps the
-// first CT's pool to force ErrTierFull fallbacks.
-func benchManager(b *testing.B, numCTs, ctLimit int) *mem.Manager {
+// swamp the commit ordering under measurement). With rejects, every fourth
+// page is incompressible (corpus.Mixed), so every demoted span has pages
+// refused at commit and placed back.
+func benchManager(b *testing.B, numCTs int, rejects bool) *mem.Manager {
 	b.Helper()
 	cts := make([]ztier.Config, numCTs)
 	for i := range cts {
 		cts[i] = ztier.Characterization(i + 1)
 	}
+	content := corpus.Dickens
+	if rejects {
+		content = corpus.Mixed
+	}
 	m, err := mem.NewManager(mem.Config{
 		NumPages:        benchRegions * mem.RegionPages,
-		Content:         corpus.NewGenerator(corpus.Dickens, 7),
+		Content:         corpus.NewGenerator(content, 7),
 		ByteTiers:       []media.Kind{media.NVMM},
 		CompressedTiers: cts,
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-	if ctLimit > 0 {
-		if err := m.SetCompressedTierLimit(mem.TierID(2), ctLimit); err != nil {
-			b.Fatal(err)
-		}
 	}
 	return m
 }
@@ -53,7 +53,7 @@ func benchManager(b *testing.B, numCTs, ctLimit int) *mem.Manager {
 type benchPlan struct {
 	name    string
 	numCTs  int
-	ctLimit int
+	rejects bool
 	demote  func(numCTs int) []policy.Move
 }
 
@@ -78,9 +78,10 @@ func benchPlans() []benchPlan {
 		{name: "disjoint", numCTs: 8, demote: spread},
 		// Every region demotes to ONE CT: every commit contends for it.
 		{name: "hot", numCTs: 8, demote: single},
-		// Clamped first CT: every commit risks ErrTierFull fallback, the
-		// conflict-heaviest realistic shape.
-		{name: "fallback", numCTs: 8, ctLimit: 64, demote: single},
+		// Every region to ONE CT with a page in four incompressible:
+		// fallback placements inside every span, the conflict-heaviest
+		// realistic shape.
+		{name: "fallback", numCTs: 8, rejects: true, demote: single},
 		// Skewed destinations: ~70% of regions demote to one hot CT, the
 		// rest spread over the others — the shape a Zipfian working set
 		// hands the planner. Drawn from a fixed LCG so the plan is
@@ -122,7 +123,7 @@ func BenchmarkApplyMoves(b *testing.B) {
 	for _, plan := range benchPlans() {
 		for _, pt := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("plan=%s/pt=%d", plan.name, pt), func(b *testing.B) {
-				m := benchManager(b, plan.numCTs, plan.ctLimit)
+				m := benchManager(b, plan.numCTs, plan.rejects)
 				demote := plan.demote(plan.numCTs)
 				promote := promotePlan()
 				b.ReportAllocs()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -110,21 +111,67 @@ func TestPushThreadsFixed(t *testing.T) {
 	}
 }
 
-// TestConcurrentFallbackConflictDeterminism is the conflict-heavy
-// counterpart of the push-thread contract: CT-1 is clamped to a sliver of
-// pool pages so a full run's demotions pile into a nearly-full compressed
-// tier, forcing ErrTierFull fallbacks whose placement decisions couple
-// tiers. The full Result must still be deep-equal across push threads 1, 2
-// and 8. Runs under -race -count=3 in CI (the Concurrent suite).
-func TestConcurrentFallbackConflictDeterminism(t *testing.T) {
-	const poolLimit = 48 // pool pages; a sliver of the ~3072-page footprint
-	conflictRun := func(procs int) (*Result, int64) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		m := standardMix(t, wl)
-		if err := m.SetCompressedTierLimit(mem.TierID(2), poolLimit); err != nil {
+// rejectingMix is standardMix over content whose every fourth page no
+// codec shrinks (corpus.Mixed): every span a plan sends to a compressed
+// tier has stores refused at commit and their pages placed back, between
+// pages that land.
+func rejectingMix(t *testing.T, wl workload.Workload) *mem.Manager {
+	t.Helper()
+	m, err := mem.NewManager(mem.Config{
+		NumPages:        wl.NumPages(),
+		Content:         corpus.NewGenerator(corpus.Mixed, 99),
+		ByteTiers:       []media.Kind{media.NVMM},
+		CompressedTiers: []ztier.Config{ztier.CT1(), ztier.CT2()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// conserved fails t unless every window of res leaves numPages pages
+// resident across the tiers.
+func conserved(t *testing.T, res *Result, numPages int64) {
+	t.Helper()
+	for _, w := range res.Windows {
+		var resident int64
+		for _, n := range w.TierPages {
+			resident += n
+		}
+		if resident != numPages {
+			t.Fatalf("window %d: %d pages resident across tiers, want %d", w.Window, resident, numPages)
+		}
+	}
+}
+
+// poolLayout probes what a run's pools hold beyond their counts: it
+// faults every third page back in, which frees objects scattered over
+// every zspage, and prints the tiers' footprints then and what a
+// compaction pass moves. Both follow from which objects share a zspage,
+// and so from the order every store of the run landed in.
+func poolLayout(t *testing.T, m *mem.Manager) string {
+	t.Helper()
+	for p := mem.PageID(0); p < mem.PageID(m.NumPages()); p += 3 {
+		if _, err := m.Access(p, false); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return fmt.Sprint(m.TierFootprintBytes(), m.Compact())
+}
+
+// TestConcurrentFallbackConflictDeterminism is the fallback-heavy
+// counterpart of the push-thread contract: on content whose every fourth
+// page is incompressible, an aggressive demoter's spans interleave pages
+// that land with pages refused at commit and placed back, so every span's
+// placements and the pools' layouts depend on the order its pages commit
+// in. The full Result and the pools' layouts (poolLayout) must still be
+// the same across push threads 1, 2 and 8, and every window must conserve
+// pages. Runs under -race -count=3 in CI (the Concurrent suite).
+func TestConcurrentFallbackConflictDeterminism(t *testing.T) {
+	conflictRun := func(procs int) (*Result, int64, string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
+		m := rejectingMix(t, wl)
 		res, err := runPT(Config{
 			Manager:      m,
 			Workload:     wl,
@@ -136,43 +183,43 @@ func TestConcurrentFallbackConflictDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.CompressedTierStats(mem.TierID(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, st.FullRejects
+		conserved(t, res, m.NumPages())
+		rejects := m.Counters().Rejects
+		return res, rejects, poolLayout(t, m)
 	}
-	base, fullRejects := conflictRun(1)
-	if fullRejects == 0 {
-		t.Fatal("no ErrTierFull fallbacks occurred; conflict test is vacuous")
+	base, rejects, baseLayout := conflictRun(1)
+	if rejects == 0 {
+		t.Fatal("no page was rejected at commit; conflict test is vacuous")
 	}
 	for _, procs := range []int{2, 8} {
-		got, gotRejects := conflictRun(procs)
-		if gotRejects != fullRejects {
-			t.Fatalf("GOMAXPROCS=%d: %d full-rejects vs %d at PT1", procs, gotRejects, fullRejects)
+		got, gotRejects, gotLayout := conflictRun(procs)
+		if gotRejects != rejects {
+			t.Fatalf("GOMAXPROCS=%d: %d rejects vs %d at PT1", procs, gotRejects, rejects)
 		}
 		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("GOMAXPROCS=%d result differs from GOMAXPROCS=1 under ErrTierFull conflicts:\nPT1: %+v\nPT%d: %+v",
+			t.Fatalf("GOMAXPROCS=%d result differs from GOMAXPROCS=1 under rejection fallbacks:\nPT1: %+v\nPT%d: %+v",
 				procs, base, procs, got)
+		}
+		if gotLayout != baseLayout {
+			t.Fatalf("GOMAXPROCS=%d pool layout %s, GOMAXPROCS=1's %s", procs, gotLayout, baseLayout)
 		}
 	}
 }
 
 // TestConcurrentApplyMovesFallbackConflicts drives applyMoves directly with
 // a plan engineered for maximum commit coupling: every region demoted into
-// one nearly-full CT (ErrTierFull fallbacks), a second wave re-targeting
-// the other CT (duplicate regions → chained commits whose sources depend on
-// the first wave's fallback outcomes), and promotions back to DRAM.
-// Per-move results, residency, counters and pool stats must match the
-// serial apply at every worker count.
+// one CT over content whose every fourth page is incompressible (rejection
+// fallbacks inside every span), a second wave re-targeting the other CT
+// (duplicate regions → chained commits whose sources depend on the first
+// wave's outcomes), and promotions back to DRAM. Per-move results,
+// residency, counters, pool stats and the pools' layouts (what a
+// compaction pass after the plan moves) must match the serial apply at
+// every worker count, and residency must account for every page.
 func TestConcurrentApplyMovesFallbackConflicts(t *testing.T) {
-	collect := func(workers int) ([]moveOutcome, []int64, mem.Counters, int64) {
+	collect := func(workers int) ([]mem.MigrationResult, []int64, mem.Counters, []ztier.Stats, mem.CompactStats) {
 		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		m := standardMix(t, wl)
+		m := rejectingMix(t, wl)
 		ct1, ct2 := mem.TierID(2), mem.TierID(3)
-		if err := m.SetCompressedTierLimit(ct1, 32); err != nil {
-			t.Fatal(err)
-		}
 		var moves []policy.Move
 		for r := int64(0); r < m.NumRegions(); r++ {
 			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: ct1})
@@ -187,27 +234,41 @@ func TestConcurrentApplyMovesFallbackConflicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.CompressedTierStats(ct1)
-		if err != nil {
-			t.Fatal(err)
+		var resident int64
+		for _, n := range m.TierPages() {
+			resident += n
 		}
-		return results, m.TierPages(), m.Counters(), st.FullRejects
+		if resident != m.NumPages() {
+			t.Fatalf("workers=%d: %d pages resident across tiers, want %d", workers, resident, m.NumPages())
+		}
+		var pools []ztier.Stats
+		for _, ct := range []mem.TierID{ct1, ct2} {
+			st, err := m.CompressedTierStats(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pools = append(pools, st)
+		}
+		return results, m.TierPages(), m.Counters(), pools, m.Compact()
 	}
-	baseRes, basePages, baseCtr, baseFull := collect(1)
-	if baseFull == 0 {
-		t.Fatal("plan forced no ErrTierFull fallbacks; conflict test is vacuous")
+	baseRes, basePages, baseCtr, basePools, baseCompact := collect(1)
+	if baseCtr.Rejects == 0 {
+		t.Fatal("plan rejected no page; conflict test is vacuous")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		res, pages, ctr, full := collect(workers)
+		res, pages, ctr, pools, compact := collect(workers)
 		if !reflect.DeepEqual(res, baseRes) {
 			t.Fatalf("workers=%d: per-move results differ from serial", workers)
 		}
 		if !reflect.DeepEqual(pages, basePages) {
 			t.Fatalf("workers=%d: residency differs: %v vs %v", workers, pages, basePages)
 		}
-		if ctr != baseCtr || full != baseFull {
-			t.Fatalf("workers=%d: counters differ: %+v/%d vs %+v/%d",
-				workers, ctr, full, baseCtr, baseFull)
+		if ctr != baseCtr || !reflect.DeepEqual(pools, basePools) {
+			t.Fatalf("workers=%d: counters differ: %+v/%+v vs %+v/%+v",
+				workers, ctr, pools, baseCtr, basePools)
+		}
+		if compact != baseCompact {
+			t.Fatalf("workers=%d: pool layouts differ: compaction %+v vs %+v", workers, compact, baseCompact)
 		}
 	}
 }
@@ -263,7 +324,7 @@ func TestConcurrentApplyMovesRepeatable(t *testing.T) {
 		}},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			collect := func(workers int) ([]moveOutcome, []int64) {
+			collect := func(workers int) ([]mem.MigrationResult, []int64) {
 				m := in.build()
 				results, err := applyMoves(m, in.plan(m), make([]mem.MigrationScratch, workers), workers, nil)
 				if err != nil {
@@ -404,7 +465,7 @@ func TestConcurrentApplyMovesPanic(t *testing.T) {
 // stream equal the serial apply's, every span is counted as a job, and
 // the waits are counted: the stall accounting the ledger reads is live.
 func TestConcurrentApplyMovesSlowRegion(t *testing.T) {
-	collect := func(workers int) ([]moveOutcome, []obs.MoveEvent, obs.SchedulerStats) {
+	collect := func(workers int) ([]mem.MigrationResult, []obs.MoveEvent, obs.SchedulerStats) {
 		m := pagedManager(t, &pagedSource{panicPage: -1, slowBelow: mem.SpanPages, sleep: 200 * time.Microsecond})
 		tr := &applyTrace{}
 		moves := demoteAll(m)
@@ -435,7 +496,7 @@ func TestConcurrentApplyMovesSlowRegion(t *testing.T) {
 // jobs, none of them waiting.
 func TestApplyOneWorkerTraced(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		apply := func(tr *applyTrace) []moveOutcome {
+		apply := func(tr *applyTrace) []mem.MigrationResult {
 			m := pagedManager(t, &pagedSource{panicPage: -1})
 			moves := []policy.Move{{Region: 2, Dest: mem.TierID(3)}}
 			out, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, tr)

@@ -10,15 +10,12 @@ import (
 	"runtime"
 	"testing"
 
-	"tierscape/internal/corpus"
-	"tierscape/internal/media"
 	"tierscape/internal/mem"
 	"tierscape/internal/model"
 	"tierscape/internal/obs"
 	"tierscape/internal/policy"
 	"tierscape/internal/telemetry"
 	"tierscape/internal/workload"
-	"tierscape/internal/ztier"
 )
 
 // obsRun is ptRun with a recording Recorder attached: an in-memory capture
@@ -271,7 +268,7 @@ func TestObsRuntimeTrace(t *testing.T) {
 // Must report 0 allocs/op — the nil-trace apply path may not add a single
 // allocation to commits.
 func BenchmarkRecorderOffCommit(b *testing.B) {
-	m := benchManager(b, 1, 0)
+	m := benchManager(b, 1, false)
 	dests := [2]mem.TierID{mem.TierID(1), mem.DRAMTier} // NVMM, then back
 	sc := &mem.MigrationScratch{}
 	prs := make([]*mem.PreparedRegion, mem.RegionPages/mem.SpanPages)
@@ -299,18 +296,15 @@ func BenchmarkRecorderOffCommit(b *testing.B) {
 	}
 }
 
-// fallbackObsRun is obsRun on a fallback-heavy manager (CT-1 clamped to a
-// sliver): demotions reject at commit time, so the event stream carries
-// rejected moves — the outcomes whose serial/pooled recording paths
-// historically diverged easiest.
+// fallbackObsRun is obsRun on a fallback-heavy manager (every fourth page
+// incompressible): demotions reject at commit time, so the event stream
+// carries rejected moves — the outcomes whose serial/pooled recording
+// paths historically diverged easiest.
 func fallbackObsRun(t *testing.T, procs int) (*Result, *obs.Mem, []byte) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-	m := standardMix(t, wl)
-	if err := m.SetCompressedTierLimit(mem.TierID(2), 32); err != nil {
-		t.Fatal(err)
-	}
+	m := rejectingMix(t, wl)
 	var capture obs.Mem
 	var buf bytes.Buffer
 	stream := obs.NewStream(&buf)
@@ -329,12 +323,13 @@ func fallbackObsRun(t *testing.T, procs int) (*Result, *obs.Mem, []byte) {
 	if err := stream.Err(); err != nil {
 		t.Fatal(err)
 	}
+	conserved(t, res, m.NumPages())
 	return res, &capture, buf.Bytes()
 }
 
 // moveEvents reads a window's events off its job-indexed results, the way
 // StepControl does.
-func moveEvents(window int, moves []policy.Move, applied []moveOutcome) []obs.MoveEvent {
+func moveEvents(window int, moves []policy.Move, applied []mem.MigrationResult) []obs.MoveEvent {
 	evs := make([]obs.MoveEvent, len(moves))
 	for i, mv := range moves {
 		evs[i] = moveEvent(window, i, mv, applied[i])
@@ -367,72 +362,6 @@ func TestConcurrentObsStreamFallback(t *testing.T) {
 		}
 		if !bytes.Equal(stream, baseStream) {
 			t.Fatalf("GOMAXPROCS=%d JSONL stream is not byte-identical", procs)
-		}
-	}
-}
-
-// TestConcurrentApplyTraceFullEvents drives applyMoves directly with a
-// plan engineered so some commits return ErrTierFull outright
-// (promotions into a bounded DRAM that is already over capacity). Every
-// span commits through the same path, and the event stream read off the
-// results must be identical at every worker count — Full flags included.
-// Runs under -race in CI (the Concurrent suite).
-func TestConcurrentApplyTraceFullEvents(t *testing.T) {
-	collect := func(workers int) []obs.MoveEvent {
-		wl := workload.Memcached(workload.DriverYCSB, 1024, 8*1024, 1)
-		m, err := mem.NewManager(mem.Config{
-			NumPages:          wl.NumPages(),
-			Content:           corpus.NewGenerator(wl.Content(), 99),
-			DRAMCapacityPages: wl.NumPages() / 4,
-			ByteTiers:         []media.Kind{media.NVMM},
-			CompressedTiers:   []ztier.Config{ztier.CT1(), ztier.CT2()},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct1, ct2 := mem.TierID(2), mem.TierID(3)
-		if err := m.SetCompressedTierLimit(ct2, 64); err != nil {
-			t.Fatal(err)
-		}
-		// Setup wave (untraced, serial): spread regions across both CTs so
-		// the traced wave's cross-CT moves displace CT pages into a DRAM
-		// that is already over its bound.
-		var setup []policy.Move
-		for r := int64(0); r < m.NumRegions(); r++ {
-			dest := ct1
-			if r%2 == 1 {
-				dest = ct2
-			}
-			setup = append(setup, policy.Move{Region: mem.RegionID(r), Dest: dest})
-		}
-		if _, err := applyMoves(m, setup, make([]mem.MigrationScratch, 1), 1, nil); err != nil {
-			t.Fatal(err)
-		}
-		// Promotions into the bounded, already-over-capacity DRAM: the
-		// commits that return ErrTierFull outright.
-		var moves []policy.Move
-		for r := int64(0); r < m.NumRegions(); r++ {
-			moves = append(moves, policy.Move{Region: mem.RegionID(r), Dest: mem.DRAMTier})
-		}
-		applied, err := applyMoves(m, moves, make([]mem.MigrationScratch, workers), workers, &applyTrace{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return moveEvents(1, moves, applied)
-	}
-	base := collect(1)
-	fulls := 0
-	for _, ev := range base {
-		if ev.Full {
-			fulls++
-		}
-	}
-	if fulls == 0 {
-		t.Fatal("plan produced no Full-flagged events; the worker-count pin is vacuous")
-	}
-	for _, workers := range []int{2, 8} {
-		if got := collect(workers); !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d event stream differs from serial", workers)
 		}
 	}
 }

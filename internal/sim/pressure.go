@@ -81,7 +81,7 @@ func (s *Stepper) decayThrash() {
 // demote or vice versa) counts one ping-pong and bumps its score. Only
 // moves that landed pages change a region's direction. Iterates in plan
 // order — deterministic by the apply engine's contract.
-func (s *Stepper) noteMoves(rec *WindowRecord, moves []policy.Move, applied []moveOutcome) {
+func (s *Stepper) noteMoves(rec *WindowRecord, moves []policy.Move, applied []mem.MigrationResult) {
 	for i, mv := range moves {
 		if applied[i].Moved == 0 || mv.Dest == mv.From {
 			continue

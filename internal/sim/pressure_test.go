@@ -159,9 +159,9 @@ func obsStepper(hitNs ...float64) *Stepper {
 func TestThrashDetector(t *testing.T) {
 	s := obsStepper(33, 350, 0, 0)
 	const r = mem.RegionID(7)
-	mk := func(from, dest mem.TierID, moved int) ([]policy.Move, []moveOutcome) {
+	mk := func(from, dest mem.TierID, moved int) ([]policy.Move, []mem.MigrationResult) {
 		return []policy.Move{{Region: r, From: from, Dest: dest}},
-			[]moveOutcome{{MigrationResult: mem.MigrationResult{Moved: moved}}}
+			[]mem.MigrationResult{{Moved: moved}}
 	}
 
 	// Window 1: first demotion — direction recorded, no flip.

@@ -220,7 +220,7 @@ func wallSince(t0 *time.Time) float64 {
 // migrationFlows aggregates one window's applied plan into the src→dst
 // migration matrix, sorted by (From, To). Deterministic: plan order and
 // per-move outcomes are both push-thread-invariant.
-func migrationFlows(moves []policy.Move, applied []moveOutcome) []obs.TierFlow {
+func migrationFlows(moves []policy.Move, applied []mem.MigrationResult) []obs.TierFlow {
 	if len(moves) == 0 {
 		return nil
 	}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -15,10 +14,13 @@ import (
 )
 
 // spanManager is DRAM, NVMM, CT-1 and CT-2 over three full regions and a
-// fourth of two spans, its pages drawn from src.
+// fourth of two spans, its pages drawn from src (over Dickens unless src
+// names another source).
 func spanManager(t *testing.T, src *pagedSource) *mem.Manager {
 	t.Helper()
-	src.Source = corpus.NewGenerator(corpus.Dickens, 99)
+	if src.Source == nil {
+		src.Source = corpus.NewGenerator(corpus.Dickens, 99)
+	}
 	m, err := mem.NewManager(mem.Config{
 		NumPages:        3*mem.RegionPages + 2*mem.SpanPages,
 		Content:         src,
@@ -31,12 +33,24 @@ func spanManager(t *testing.T, src *pagedSource) *mem.Manager {
 	return m
 }
 
+// incompressibleSpans serves Dickens except for pages [from, to), which no
+// codec shrinks.
+type incompressibleSpans struct{ from, to uint64 }
+
+func (s incompressibleSpans) Fill(pageIdx uint64, buf []byte) {
+	profile := corpus.Dickens
+	if pageIdx >= s.from && pageIdx < s.to {
+		profile = corpus.Random
+	}
+	corpus.NewGenerator(profile, 99).Fill(pageIdx, buf)
+}
+
 // serialApply is the apply at its plainest: each move's spans prepared
 // and committed back to back on one goroutine, in plan order, into the
 // move's one running result; a move that fails reads zero and the rest of
 // its spans never commit.
-func serialApply(m *mem.Manager, moves []policy.Move) ([]moveOutcome, error) {
-	out := make([]moveOutcome, len(moves))
+func serialApply(m *mem.Manager, moves []policy.Move) ([]mem.MigrationResult, error) {
+	out := make([]mem.MigrationResult, len(moves))
 	sc := new(mem.MigrationScratch)
 	var first error
 	for i, mv := range moves {
@@ -49,18 +63,16 @@ func serialApply(m *mem.Manager, moves []policy.Move) ([]moveOutcome, error) {
 			for j := 0; j < spans(m, mv); j++ {
 				pr, err := m.PrepareSpanMigration(mv.Region, j, mv.Dest, sc)
 				if err == nil {
-					err = m.CommitMigrationInto(pr, sc, &out[i].MigrationResult)
+					err = m.CommitMigrationInto(pr, sc, &out[i])
 				}
-				if errors.Is(err, mem.ErrTierFull) {
-					out[i].Full = true
-				} else if err != nil {
+				if err != nil {
 					return err
 				}
 			}
 			return nil
 		}()
 		if err != nil {
-			out[i] = moveOutcome{}
+			out[i] = mem.MigrationResult{}
 			if first == nil {
 				first = err
 			}
@@ -70,8 +82,9 @@ func serialApply(m *mem.Manager, moves []policy.Move) ([]moveOutcome, error) {
 }
 
 // pageTable is what the manager shows of its page table: every region's
-// residency, the tiers' page counts and pool statistics, and the
-// counters.
+// residency, the tiers' page counts and pool statistics, the counters, and
+// what a compaction pass then moves — a witness of the pools' layouts,
+// which follow the order every store landed in.
 func pageTable(t *testing.T, m *mem.Manager) string {
 	t.Helper()
 	var b strings.Builder
@@ -86,6 +99,7 @@ func pageTable(t *testing.T, m *mem.Manager) string {
 		}
 		fmt.Fprintf(&b, "%s %+v\n", tier.Name, st)
 	}
+	fmt.Fprintf(&b, "compact %+v\n", m.Compact())
 	return b.String()
 }
 
@@ -93,8 +107,8 @@ func pageTable(t *testing.T, m *mem.Manager) string {
 // leaves what the serial apply leaves — outcomes, events, error and page
 // table — on a plan that moves regions twice, back to back (a later
 // move's spans are prepared before the earlier move's commit, and a
-// two-span region's are stale by then), on a bounded tier that fills
-// inside a region, and on a content source that panics in span 3 of a
+// two-span region's are stale by then), on a region whose middle spans no
+// codec shrinks, and on a content source that panics in span 3 of a
 // move. Without an error each move's latency is also the page-order sum
 // of one whole-region commit, bit for bit.
 func TestSpanBoundaryIdentity(t *testing.T) {
@@ -102,42 +116,36 @@ func TestSpanBoundaryIdentity(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		panicPage int64
-		poolLimit int
+		content   corpus.Source // nil: Dickens
 		moves     []policy.Move
-		check     func(t *testing.T, out []moveOutcome, err error)
+		check     func(t *testing.T, out []mem.MigrationResult, err error)
 	}{
-		{"same-region-twice", -1, 0, []policy.Move{
+		{"same-region-twice", -1, nil, []policy.Move{
 			{Region: 3, Dest: ct1}, {Region: 3, Dest: ct2}, {Region: 0, Dest: ct1}, {Region: 0, Dest: 1},
 			{Region: 3, Dest: 1}, {Region: 0, Dest: mem.DRAMTier},
-		}, func(t *testing.T, out []moveOutcome, err error) {
+		}, func(t *testing.T, out []mem.MigrationResult, err error) {
 			if err != nil || out[1].Moved != 2*mem.SpanPages || out[3].Moved != mem.RegionPages {
 				t.Fatalf("serial apply: %v, %+v; want both second moves whole", err, out)
 			}
 		}},
-		{"tier-fills-mid-region", -1, 120, []policy.Move{
+		{"rejects-mid-region", -1, incompressibleSpans{2 * mem.SpanPages, 5 * mem.SpanPages}, []policy.Move{
 			{Region: 0, Dest: ct1}, {Region: 3, Dest: ct1}, {Region: 0, Dest: 1},
-		}, func(t *testing.T, out []moveOutcome, err error) {
-			if err != nil || out[0].Moved <= mem.SpanPages || out[0].Moved >= mem.RegionPages-mem.SpanPages || out[0].Rejected == 0 {
-				t.Fatalf("serial apply: %v, move 0 %+v; want CT-1 full in a middle span, the rest fallen back", err, out[0])
+		}, func(t *testing.T, out []mem.MigrationResult, err error) {
+			if err != nil || out[0].Moved != mem.RegionPages-3*mem.SpanPages || out[0].Rejected != 3*mem.SpanPages || out[2].Moved != mem.RegionPages {
+				t.Fatalf("serial apply: %v, %+v; want region 0's spans 2-4 turned away from CT-1, all of it moved to NVMM", err, out)
 			}
 		}},
-		{"panic-in-span-3", mem.RegionPages + 3*mem.SpanPages + 5, 0, []policy.Move{
+		{"panic-in-span-3", mem.RegionPages + 3*mem.SpanPages + 5, nil, []policy.Move{
 			{Region: 0, Dest: ct1}, {Region: 1, Dest: ct2}, {Region: 3, Dest: ct1},
-		}, func(t *testing.T, out []moveOutcome, err error) {
-			if err == nil || out[1] != (moveOutcome{}) || out[2].Moved != 2*mem.SpanPages {
+		}, func(t *testing.T, out []mem.MigrationResult, err error) {
+			if err == nil || out[1] != (mem.MigrationResult{}) || out[2].Moved != 2*mem.SpanPages {
 				t.Fatalf("serial apply: %v, %+v; want move 1 failed and zero, move 2 whole", err, out)
 			}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			build := func() *mem.Manager {
-				m := spanManager(t, &pagedSource{panicPage: c.panicPage})
-				if c.poolLimit > 0 {
-					if err := m.SetCompressedTierLimit(ct1, c.poolLimit); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return m
+				return spanManager(t, &pagedSource{Source: c.content, panicPage: c.panicPage})
 			}
 			ref := build()
 			want, wantErr := serialApply(ref, c.moves)
@@ -147,11 +155,11 @@ func TestSpanBoundaryIdentity(t *testing.T) {
 				whole := build()
 				for i, mv := range c.moves {
 					mr, err := whole.MigrateRegion(mv.Region, mv.Dest)
-					if err != nil && !errors.Is(err, mem.ErrTierFull) {
+					if err != nil {
 						t.Fatal(err)
 					}
-					if mr != want[i].MigrationResult {
-						t.Fatalf("move %d: span by span %+v, whole region %+v", i, want[i].MigrationResult, mr)
+					if mr != want[i] {
+						t.Fatalf("move %d: span by span %+v, whole region %+v", i, want[i], mr)
 					}
 				}
 			}

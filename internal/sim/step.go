@@ -321,7 +321,7 @@ func (s *Stepper) StepControl() error {
 	rec := WindowRecord{Window: w + 1}
 	var tr *applyTrace
 	var plan policy.Plan
-	var applied []moveOutcome
+	var applied []mem.MigrationResult
 	var interferenceNs float64
 	s.decayThrash()
 	// The profile phase closes right where Recommend is entered, so the
@@ -358,16 +358,11 @@ func (s *Stepper) StepControl() error {
 			rec.Moves += mr.Moved
 			rec.Rejected += mr.Rejected
 			rec.Skipped += mr.Skipped
-			if mr.Full {
-				rec.TierFullMoves++
-			}
 		}
 		rec.MigrateNs = migNs
 		rec.Migrations = migrationFlows(plan.Moves, applied)
 		s.noteMoves(&rec, plan.Moves, applied)
 		rec.DroppedPressure = plan.DroppedPressure
-		rec.DroppedCapacity = plan.DroppedCapacity
-		rec.DroppedBudget = plan.DroppedBudget
 		// Post-migration pool compaction (zs_compact): churned tiers
 		// return empty zspages.
 		compacted := m.Compact()

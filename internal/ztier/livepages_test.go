@@ -20,8 +20,7 @@ func reconcile(t *testing.T, tier *Tier, when string) {
 
 // TestLiveAccountingReconciles drives a tier through every path that
 // touches the live footprint — compressed stores, same-filled stores,
-// incompressible rejects, pool-full rejects, frees, and budgeted
-// compaction — and reconciles against Stats() after each phase.
+// incompressible rejects, frees, and compaction — and reconciles against Stats() after each phase.
 func TestLiveAccountingReconciles(t *testing.T) {
 	tier := MustNew(1, CT1())
 	reconcile(t, tier, "empty tier")
@@ -56,14 +55,6 @@ func TestLiveAccountingReconciles(t *testing.T) {
 		t.Fatalf("random store: err = %v, want ErrIncompressible", err)
 	}
 	reconcile(t, tier, "after incompressible reject")
-
-	// Pool-full rejects likewise leave the accounting untouched.
-	tier.SetMaxPoolPages(tier.Stats().PoolPages)
-	if _, _, err := tier.Store(g.Page(1000, PageSize)); err != ErrTierFull {
-		t.Fatalf("clamped store: err = %v, want ErrTierFull", err)
-	}
-	tier.SetMaxPoolPages(0)
-	reconcile(t, tier, "after pool-full reject")
 
 	// Free every other compressed object to shred the pool, then a
 	// same-filled one (which has no pool presence to reclaim).

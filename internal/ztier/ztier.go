@@ -14,7 +14,7 @@
 // access (the zpool managers are single-threaded by contract) and the
 // counters are atomics. For deterministic concurrency the store path also
 // splits into a pure PrepareStore (compression, no shared state) and a
-// serializable CommitStore (pool insertion + admission + counters), so a
+// serializable CommitStore (pool insertion + counters), so a
 // caller can run the expensive compute in parallel and commit in a fixed
 // order.
 package ztier
@@ -38,10 +38,6 @@ const PageSize = zpool.PageSize
 // well enough to be worth storing (zswap rejects such pages; footnote 1 of
 // the paper notes the compression ratio therefore cannot exceed 1).
 var ErrIncompressible = errors.New("ztier: page rejected as incompressible")
-
-// ErrTierFull is returned by Store when the tier has a pool-page limit
-// (zswap's max_pool_percent analogue) and storing would exceed it.
-var ErrTierFull = errors.New("ztier: tier pool is full")
 
 // ErrCorruptObject is returned by a load whose pool object is not the
 // one stored under its handle: its checksum no longer matches.
@@ -134,10 +130,6 @@ type Stats struct {
 	CompressedBytes int64
 	// PoolPages is the tier's physical footprint in pool pages.
 	PoolPages int
-	// HighPoolPages is the high-water mark of PoolPages over the tier's
-	// lifetime — the witness that admission control never overshot a
-	// SetMaxPoolPages byte budget, even transiently.
-	HighPoolPages int
 	// Faults counts pages loaded out of the tier: by a fault, or by a
 	// move out of it that did not take the same-codec fast path.
 	Faults int64
@@ -148,8 +140,6 @@ type Stats struct {
 	// SameFilled counts live pages stored via the same-filled-page
 	// optimization (zero pool footprint).
 	SameFilled int64
-	// FullRejects counts stores rejected because the pool hit its limit.
-	FullRejects int64
 }
 
 // PoolBytes returns the tier's physical footprint in bytes.
@@ -188,26 +178,19 @@ type Tier struct {
 	id    int
 	codec compress.Codec
 
-	// mu guards the pool, the footprint bound and the scratch buffer.
-	// Reads of pool state (Load, Stats) take the read side; anything that
-	// mutates pool layout (Store, Free, Compact) takes the write side.
+	// mu guards the pool and the scratch buffer. Reads of pool state
+	// (Load, Stats) take the read side; anything that mutates pool layout
+	// (Store, Free, Compact) takes the write side.
 	mu   sync.RWMutex
 	pool zpool.Pool
-	// maxPoolPages bounds the pool footprint (0 = unbounded), like
-	// zswap's max_pool_percent.
-	maxPoolPages int
-	// highPoolPages tracks the largest PoolPages ever observed after a
-	// store, for Stats.HighPoolPages.
-	highPoolPages int
 	// scratch and codecState serve the fused Store path, under mu.
 	scratch    []byte
 	codecState compress.Scratch
 
-	faults      atomic.Int64
-	stores      atomic.Int64
-	rejects     atomic.Int64
-	sameFilled  atomic.Int64
-	fullRejects atomic.Int64
+	faults     atomic.Int64
+	stores     atomic.Int64
+	rejects    atomic.Int64
+	sameFilled atomic.Int64
 
 	// Lock-free footprint accounting, maintained at commit time:
 	// livePoolPages mirrors the pool's physical page count. Every
@@ -222,14 +205,6 @@ type Tier struct {
 // the last commit, free or compaction pass, without taking the tier
 // lock. Equals Stats().PoolPages at quiescence.
 func (t *Tier) LivePoolPages() int { return int(t.livePoolPages.Load()) }
-
-// SetMaxPoolPages bounds the tier's physical footprint; stores that would
-// exceed it fail with ErrTierFull. Zero removes the bound.
-func (t *Tier) SetMaxPoolPages(n int) {
-	t.mu.Lock()
-	t.maxPoolPages = n
-	t.mu.Unlock()
-}
 
 // sameFilledByte reports whether data consists of one repeated byte.
 func sameFilledByte(data []byte) (byte, bool) {
@@ -327,7 +302,7 @@ func rejectedStore(codec string) PreparedStore {
 // caller bringing its own, PrepareStore is safe to call concurrently with
 // every other tier operation. The returned PreparedStore is landed later
 // (in any caller-chosen order) with CommitStore, which reproduces Store's
-// counters, admission decisions and modeled latency exactly.
+// counters and modeled latency exactly.
 func (t *Tier) PrepareStore(cs *compress.Scratch, data, dst []byte) PreparedStore {
 	if b, ok := sameFilledByte(data); ok {
 		return PreparedStore{sameFilled: true, fillByte: b}
@@ -340,9 +315,9 @@ func (t *Tier) PrepareStore(cs *compress.Scratch, data, dst []byte) PreparedStor
 	}
 }
 
-// CommitStore lands a PreparedStore: pool insertion, admission against the
-// footprint bound, counters, and the store latency. Store(data) is exactly
-// PrepareStore followed by CommitStore.
+// CommitStore lands a PreparedStore: pool insertion, counters, and the
+// store latency. Its only error is ErrIncompressible. Store(data) is
+// exactly PrepareStore followed by CommitStore.
 func (t *Tier) CommitStore(ps PreparedStore) (Handle, float64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -395,39 +370,12 @@ func (t *Tier) StoreCompressed(comp []byte) (Handle, float64, error) {
 }
 
 func (t *Tier) storeCompressedLocked(comp []byte) (Handle, float64, error) {
-	if t.maxPoolPages > 0 {
-		// Admission check against the footprint bound; conservative by one
-		// pool page, like zswap's accept-threshold hysteresis. The check
-		// runs under the tier lock, so concurrent stores can never race
-		// past the budget together.
-		if t.pool.Stats().PoolPages >= t.maxPoolPages {
-			t.fullRejects.Add(1)
-			return Handle{}, 0, ErrTierFull
-		}
-	}
 	h, err := t.pool.Store(comp)
 	if err != nil {
 		t.rejects.Add(1)
 		return Handle{}, 0, ErrIncompressible
 	}
-	if t.maxPoolPages > 0 && t.pool.Stats().PoolPages > t.maxPoolPages {
-		// The store grew the pool past the budget in one step — zsmalloc
-		// zspages span several pages, so passing the pre-check does not
-		// bound the allocation. Roll the store back under the tier lock;
-		// the overshoot is never observable (Stats also takes the lock)
-		// and the budget invariant holds exactly, not just by one page.
-		if ferr := t.pool.Free(h); ferr != nil {
-			return Handle{}, 0, fmt.Errorf("ztier %s: rolling back over-budget store: %w", t.Name(), ferr)
-		}
-		t.fullRejects.Add(1)
-		t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
-		return Handle{}, 0, ErrTierFull
-	}
-	pp := t.pool.Stats().PoolPages
-	if pp > t.highPoolPages {
-		t.highPoolPages = pp
-	}
-	t.livePoolPages.Store(int64(pp))
+	t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
 	t.stores.Add(1)
 	lat := PoolStoreNs(t.cfg.Pool) + media.WriteCostNs(t.cfg.Media, len(comp))
 	return Handle{pool: h, size: len(comp), sum: crc32.Checksum(comp, castagnoli)}, lat, nil
@@ -550,18 +498,15 @@ func (t *Tier) Churn() int64 {
 func (t *Tier) Stats() Stats {
 	t.mu.RLock()
 	ps := t.pool.Stats()
-	high := t.highPoolPages
 	t.mu.RUnlock()
 	return Stats{
 		Pages:           ps.Objects + int(t.sameFilled.Load()),
 		CompressedBytes: ps.StoredBytes,
 		PoolPages:       ps.PoolPages,
-		HighPoolPages:   high,
 		Faults:          t.faults.Load(),
 		Stores:          t.stores.Load(),
 		Rejects:         t.rejects.Load(),
 		SameFilled:      t.sameFilled.Load(),
-		FullRejects:     t.fullRejects.Load(),
 	}
 }
 
