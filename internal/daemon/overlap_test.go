@@ -448,7 +448,8 @@ func (c *corruptingModel) Recommend(m *mem.Manager, _ telemetry.Profile) model.R
 // the layout it relies on first. It reports whether it found the two
 // pages.
 func misdirectInSpan(m *mem.Manager, r mem.RegionID, span int, tier mem.TierID) bool {
-	ptes := reflect.ValueOf(m).Elem().FieldByName("ptes")
+	v := reflect.ValueOf(m).Elem()
+	ptes, loc := v.FieldByName("ptes"), v.FieldByName("loc") // entries, and each page's tier
 	first := int(r)*mem.RegionPages + span*mem.SpanPages
 	var held []*zpool.Handle
 	for p := first; p < min(first+mem.SpanPages, ptes.Len()) && len(held) < 2; p++ {
@@ -458,7 +459,7 @@ func misdirectInSpan(m *mem.Manager, r mem.RegionID, span int, tier mem.TierID) 
 		if pool.Type() != reflect.TypeOf(zpool.Handle(0)) {
 			panic("misdirectInSpan: the page-table entry's pool handle moved")
 		}
-		if mem.TierID(e.FieldByName("tier").Int()) == tier && !h.FieldByName("sameFilled").Bool() {
+		if mem.TierID(loc.Index(p).Uint()) == tier && !h.FieldByName("sameFilled").Bool() {
 			held = append(held, (*zpool.Handle)(unsafe.Pointer(pool.UnsafeAddr())))
 		}
 	}

@@ -69,7 +69,7 @@ func TestCorruptObjectDetected(t *testing.T) {
 			}
 			var held []PageID
 			for p := PageID(0); p < RegionPages && len(held) < 2; p++ {
-				if e := m.ptes[p]; e.tier == c.src && !e.handle.SameFilled() {
+				if TierID(m.loc[p]) == c.src && !m.ptes[p].handle.SameFilled() {
 					held = append(held, p)
 				}
 			}
@@ -78,12 +78,12 @@ func TestCorruptObjectDetected(t *testing.T) {
 			}
 			p, q := held[0], held[1]
 			misdirect(t, m, p, q)
-			before := m.ptes[p]
+			before, beforeTier := m.ptes[p], m.loc[p]
 			if err := c.operate(m, p); !errors.Is(err, ztier.ErrCorruptObject) {
 				t.Errorf("page %d holding page %d's object: err %v, want ErrCorruptObject", p, q, err)
 			}
-			if m.ptes[p] != before {
-				t.Errorf("page %d's entry changed on a failed operation: %+v, was %+v", p, m.ptes[p], before)
+			if m.ptes[p] != before || m.loc[p] != beforeTier {
+				t.Errorf("page %d's entry changed on a failed operation: %+v in tier %d, was %+v in tier %d", p, m.ptes[p], m.loc[p], before, beforeTier)
 			}
 		})
 	}

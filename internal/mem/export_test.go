@@ -5,7 +5,7 @@ func (m *Manager) TierOf(p PageID) TierID {
 	mu := m.spanLock(p)
 	mu.RLock()
 	defer mu.RUnlock()
-	return m.ptes[p].tier
+	return TierID(m.loc[p])
 }
 
 // MigratePage moves page p to tier dest. Compressed-to-compressed moves

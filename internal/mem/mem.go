@@ -79,7 +79,7 @@ const SpanPages = 64
 // MaxPages bounds a page count that arrives from outside the program (an
 // attach body, a flag, a trace header): 2^25 pages are 128 GiB, above the
 // paper's largest working set (119 GB), and a manager that size holds
-// 1.3 GB of page-table entries. A count above it is refused before any
+// 0.8 GB of page table. A count above it is refused before any
 // workload or manager is built; the Go runtime cannot recover from the
 // allocation failure a count like 2^40 would cause.
 const MaxPages = 1 << 25
@@ -95,6 +95,10 @@ func (p PageID) Region() RegionID { return RegionID(p / RegionPages) }
 
 // TierID identifies a tier within a Manager. Tier 0 is always DRAM.
 type TierID int
+
+// maxTiers bounds a manager's lineup: the page table's tier map holds a
+// page's TierID in one byte.
+const maxTiers = 256
 
 // DRAMTier is the TierID of the DRAM tier.
 const DRAMTier TierID = 0
@@ -149,9 +153,9 @@ type ctTier struct {
 	rejectBit uint8
 }
 
-// pte is a page-table entry.
+// pte is a page-table entry: everything about a page but its tier, which
+// the manager's tier map (Manager.loc) holds. A pte is 24 bytes.
 type pte struct {
-	tier    TierID
 	version uint32
 	// rejected remembers, one bit per codec (ctTier.rejectBit), that this
 	// version of the page was rejected as incompressible: whether a codec
@@ -160,9 +164,9 @@ type pte struct {
 	// again. Set by commitPage under the span write lock, read by
 	// prepareGeneric under the read lock, cleared with every version bump
 	// by the access phase's single owner. It sits in the padding version
-	// leaves before handle: a pte stays 40 bytes.
+	// leaves before handle.
 	rejected uint8
-	handle   ztier.Handle // valid when the tier is compressed
+	handle   ztier.Handle // valid when the page's tier is compressed
 }
 
 // Config configures a Manager.
@@ -193,6 +197,16 @@ type Manager struct {
 	numPages int64
 	gen      corpus.Source
 	ptes     []pte
+	// loc is the page table's tier map: page p's TierID in one byte, kept
+	// apart from its pte so that an access, which needs only the tier,
+	// reads a byte of a dense array instead of a 24-byte entry. The zero
+	// byte is DRAMTier, so every page starts in DRAM. Its bytes follow the
+	// ptes' rules: written under the span write lock in the migration
+	// phase, read and written with no lock by the access phase's single
+	// owner. A span's 64 bytes are one cache line (the allocator aligns a
+	// map of a region or more to 64 bytes), so two push threads committing
+	// different spans never write the same line.
+	loc []uint8
 
 	// memo, when the manager's owner shares one (ShareStores), answers
 	// prepares whose compressed form some manager over the same generator
@@ -327,10 +341,14 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Content == nil {
 		return nil, errors.New("mem: Config.Content is required")
 	}
+	if n := 1 + len(cfg.ByteTiers) + len(cfg.CompressedTiers); n > maxTiers {
+		return nil, fmt.Errorf("mem: %d tiers, at most %d fit the page table's tier map", n, maxTiers)
+	}
 	m := &Manager{
 		numPages: cfg.NumPages,
 		gen:      cfg.Content,
 		ptes:     make([]pte, cfg.NumPages),
+		loc:      make([]uint8, cfg.NumPages),
 	}
 	cost := func(k media.Kind, def float64) float64 {
 		if v, ok := cfg.CostOverrides[k]; ok {
@@ -504,27 +522,30 @@ func (m *Manager) Access(p PageID, write bool) (AccessResult, error) {
 
 // AccessScratch is Access with the fault path's object buffer drawn from
 // the caller's scratch (nil = a fresh buffer) — for a driver that issues
-// accesses in volume. A hit on a byte-addressable tier is a bounds check,
-// a page-table read and the tier's latency constant.
+// accesses in volume. A read hit on a byte-addressable tier is a bounds
+// check, a tier-map byte and the tier's latency constant; a write also
+// bumps the page's pte.
 func (m *Manager) AccessScratch(p PageID, write bool, sc *MigrationScratch) (AccessResult, error) {
-	if p < 0 || p >= PageID(m.numPages) {
+	if p < 0 || p >= PageID(len(m.loc)) {
 		return AccessResult{}, ErrBadPage
 	}
-	e := &m.ptes[p]
 	if write {
+		e := &m.ptes[p]
 		e.version++
 		e.rejected = 0 // new bytes: no codec has seen them
 	}
-	if int(e.tier) < len(m.ba) {
-		return AccessResult{LatencyNs: m.ba[e.tier].info.AccessNs, Tier: e.tier}, nil
+	t := TierID(m.loc[p])
+	if int(t) < len(m.ba) {
+		return AccessResult{LatencyNs: m.ba[t].info.AccessNs, Tier: t}, nil
 	}
-	return m.fault(p, e, sc)
+	return m.fault(p, t, sc)
 }
 
-// fault serves an access to a page held by a compressed tier: verify the
+// fault serves an access to page p, held by compressed tier t: verify the
 // compressed copy, free it, and promote the page to DRAM.
-func (m *Manager) fault(p PageID, e *pte, sc *MigrationScratch) (AccessResult, error) {
-	ct := m.cts[int(e.tier)-len(m.ba)]
+func (m *Manager) fault(p PageID, t TierID, sc *MigrationScratch) (AccessResult, error) {
+	e := &m.ptes[p]
+	ct := m.cts[int(t)-len(m.ba)]
 	loadNs, err := sc.check(ct.tier, e.handle)
 	if err != nil {
 		return AccessResult{}, fmt.Errorf("mem: fault on page %d: %w", p, err)
@@ -536,13 +557,12 @@ func (m *Manager) fault(p PageID, e *pte, sc *MigrationScratch) (AccessResult, e
 	ct.pages.Add(-1)
 	dram := m.ba[DRAMTier]
 	dram.pages.Add(1)
-	served := e.tier
-	e.tier = DRAMTier
+	m.loc[p] = uint8(DRAMTier)
 	e.handle = ztier.Handle{}
 	m.faults.Add(1)
 	return AccessResult{
 		LatencyNs: loadNs + media.WriteCostNs(dram.info.Media, PageSize),
-		Tier:      served,
+		Tier:      t,
 		Fault:     true,
 	}, nil
 }
@@ -574,19 +594,16 @@ type MigrationResult struct {
 type preparedPage struct {
 	page PageID
 	dest TierID
-	src  TierID // e.tier observed at prepare time
+	src  TierID // the page's tier at prepare time
 
 	skip bool
 
-	// Same-codec fast-path candidate (§7.1): the raw compressed object
-	// read from the source plus its modeled read latency.
+	// Same-codec fast-path move (§7.1): the raw compressed object read
+	// from the source plus its modeled read latency.
 	fastComp []byte
 	fastNs   float64
 
-	// Generic-path materials. They are prepared eagerly when there is no
-	// fast-path candidate, and lazily at commit time when there is one
-	// but the destination's pool refuses the direct store.
-	generic   bool
+	// Generic-path materials, prepared when there is no fast-path move.
 	srcLoadNs float64
 	destPrep  ztier.PreparedStore
 }
@@ -595,9 +612,9 @@ type preparedPage struct {
 // keeping the bytes its commit will read at the end of slab. The caller
 // must hold p's span lock (read side suffices).
 func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch, slab *[]byte) (preparedPage, error) {
-	e := &m.ptes[p]
-	pp := preparedPage{page: p, dest: dest, src: e.tier}
-	if e.tier == dest {
+	src := TierID(m.loc[p])
+	pp := preparedPage{page: p, dest: dest, src: src}
+	if src == dest {
 		pp.skip = true
 		return pp, nil
 	}
@@ -605,11 +622,11 @@ func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch, slab 
 	// same compression algorithm, the compressed object moves directly —
 	// no decompression, no recompression. The pool reads it straight into
 	// the slab.
-	if srcCT, ok := m.ct(e.tier); ok {
+	if srcCT, ok := m.ct(src); ok {
 		if dstCT, ok2 := m.ct(dest); ok2 && srcCT.info.Codec == dstCT.info.Codec {
 			*slab = slabRoom(*slab)
 			n := len(*slab)
-			s, readNs, direct, err := srcCT.tier.LoadCompressed(e.handle, *slab)
+			s, readNs, direct, err := srcCT.tier.LoadCompressed(m.ptes[p].handle, *slab)
 			if err != nil {
 				return pp, fmt.Errorf("mem: migrating page %d: %w", p, err)
 			}
@@ -633,8 +650,7 @@ func (m *Manager) preparePage(p PageID, dest TierID, sc *MigrationScratch, slab 
 func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[]byte) error {
 	e := &m.ptes[pp.page]
 	dstCT, dstIsCT := m.ct(pp.dest)
-	pp.generic = true
-	if srcCT, ok := m.ct(e.tier); ok {
+	if srcCT, ok := m.ct(pp.src); ok {
 		// Read even when the destination needs no bytes or the memo will
 		// supply its store: this read is the move's check that the object
 		// is intact.
@@ -676,12 +692,11 @@ func (m *Manager) prepareGeneric(pp *preparedPage, sc *MigrationScratch, slab *[
 // residency change and counter bump. The caller must hold the page's
 // span write lock. If the page moved between prepare and commit
 // (another migrator landed a move of the same page first), the move is
-// re-prepared in place on sc, its bytes kept at the end of slab like the
-// lazily built store of a fast-path move the destination's pool refused.
+// re-prepared in place on sc, its bytes kept at the end of slab.
 func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte) (MigrationResult, error) {
 	var res MigrationResult
 	e := &m.ptes[pp.page]
-	if e.tier != pp.src {
+	if TierID(m.loc[pp.page]) != pp.src {
 		np, err := m.preparePage(pp.page, pp.dest, sc, slab)
 		if err != nil {
 			return res, err
@@ -694,35 +709,31 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 	}
 	dstCT, dstIsCT := m.ct(pp.dest)
 
-	// Same-codec direct move.
-	if pp.fastComp != nil && dstIsCT {
-		srcCT, _ := m.ct(e.tier)
+	// Same-codec direct move. The object came out of a pool of the same
+	// codec, so it is shorter than a page and not empty, and no pool
+	// refuses it: a refusal is an error, not a rejection.
+	if pp.fastComp != nil {
+		srcCT, _ := m.ct(pp.src)
 		h, storeNs, err := dstCT.tier.StoreCompressed(pp.fastComp)
-		if err == nil {
-			if err := srcCT.tier.Free(e.handle); err != nil {
-				return res, fmt.Errorf("mem: migrating page %d: %w", pp.page, err)
-			}
-			srcCT.pages.Add(-1)
-			dstCT.pages.Add(1)
-			e.tier = pp.dest
-			e.handle = h
-			res.Moved = 1
-			res.LatencyNs = pp.fastNs + storeNs
-			m.migrations.Add(1)
-			m.migratedIn[pp.dest].Add(1)
-			return res, nil
+		if err != nil {
+			return res, fmt.Errorf("mem: migrating page %d: same-codec store refused: %w", pp.page, err)
 		}
-		// Refused by the destination's pool: fall through to the generic
-		// path, which handles fallback placement.
-	}
-	if !pp.generic {
-		if err := m.prepareGeneric(&pp, sc, slab); err != nil {
-			return res, err
+		if err := srcCT.tier.Free(e.handle); err != nil {
+			return res, fmt.Errorf("mem: migrating page %d: %w", pp.page, err)
 		}
+		srcCT.pages.Add(-1)
+		dstCT.pages.Add(1)
+		m.loc[pp.page] = uint8(pp.dest)
+		e.handle = h
+		res.Moved = 1
+		res.LatencyNs = pp.fastNs + storeNs
+		m.migrations.Add(1)
+		m.migratedIn[pp.dest].Add(1)
+		return res, nil
 	}
 
 	// 1. Extract the page from its source tier (content + read latency).
-	if srcCT, ok := m.ct(e.tier); ok {
+	if srcCT, ok := m.ct(pp.src); ok {
 		srcCT.tier.CountLoad()
 		if err := srcCT.tier.Free(e.handle); err != nil {
 			return res, fmt.Errorf("mem: migrating page %d: %w", pp.page, err)
@@ -731,7 +742,7 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 		res.LatencyNs += pp.srcLoadNs
 		e.handle = ztier.Handle{}
 	} else {
-		src := m.ba[e.tier]
+		src := m.ba[pp.src]
 		res.LatencyNs += media.ReadCostNs(src.info.Media, PageSize)
 		src.pages.Add(-1)
 	}
@@ -744,24 +755,23 @@ func (m *Manager) commitPage(pp preparedPage, sc *MigrationScratch, slab *[]byte
 			// Rejected as incompressible: fall back to the source tier if
 			// byte-addressable, else to DRAM, as a fault would. The verdict
 			// holds for these bytes under this codec until the next write.
-			if _, wasCT := m.ct(e.tier); wasCT {
-				e.tier = DRAMTier
+			if _, wasCT := m.ct(pp.src); wasCT {
+				m.loc[pp.page] = uint8(DRAMTier)
 			}
-			m.ba[e.tier].pages.Add(1)
+			m.ba[m.loc[pp.page]].pages.Add(1)
 			m.rejects.Add(1)
 			e.rejected |= dstCT.rejectBit
 			res.Rejected = 1
 			return res, nil
 		}
 		dstCT.pages.Add(1)
-		e.tier = pp.dest
 		e.handle = h
 	} else {
 		db := m.ba[pp.dest]
 		db.pages.Add(1)
 		res.LatencyNs += media.WriteCostNs(db.info.Media, PageSize)
-		e.tier = pp.dest
 	}
+	m.loc[pp.page] = uint8(pp.dest)
 	res.Moved = 1
 	m.migrations.Add(1)
 	m.migratedIn[pp.dest].Add(1)
@@ -1150,8 +1160,8 @@ func (m *Manager) RegionResidency(r RegionID) []int64 {
 	start, end := m.RegionSpan(r)
 	m.eachSpanLock(start, end, (*sync.RWMutex).RLock)
 	defer m.eachSpanLock(start, end, (*sync.RWMutex).RUnlock)
-	for p := start; p < end; p++ {
-		out[m.ptes[p].tier]++
+	for _, t := range m.loc[start:end] {
+		out[t]++
 	}
 	return out
 }

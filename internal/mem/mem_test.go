@@ -62,6 +62,33 @@ func TestTierLayout(t *testing.T) {
 	}
 }
 
+// TestTierMapBound: the tier map holds a TierID in a byte, so a lineup of
+// maxTiers tiers is built and its last tier holds pages, and one more is
+// refused before anything is built.
+func TestTierMapBound(t *testing.T) {
+	lineup := func(n int) Config {
+		cfg := Config{NumPages: RegionPages, Content: corpus.NewGenerator(corpus.Dickens, 3)}
+		for range n - 1 { // DRAM is the first
+			cfg.CompressedTiers = append(cfg.CompressedTiers, ztier.CT1())
+		}
+		return cfg
+	}
+	if _, err := NewManager(lineup(maxTiers + 1)); err == nil {
+		t.Fatalf("a lineup of %d tiers was built, want a refusal", maxTiers+1)
+	}
+	m, err := NewManager(lineup(maxTiers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := TierID(maxTiers - 1)
+	if res, err := m.MigrateRegion(0, last); err != nil || res.Moved != RegionPages {
+		t.Fatalf("moving region 0 to tier %d: %+v, %v", last, res, err)
+	}
+	if got := m.TierOf(RegionPages - 1); got != last {
+		t.Fatalf("page %d in tier %d, want %d", RegionPages-1, got, last)
+	}
+}
+
 func TestDRAMAccessLatency(t *testing.T) {
 	m := testManager(t, 64)
 	res, err := m.Access(0, false)

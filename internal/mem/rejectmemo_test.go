@@ -9,12 +9,16 @@ import (
 	"tierscape/internal/ztier"
 )
 
-// TestPTESize: the rejection bits live in padding the entry already had.
-// A page table is the manager's whole retained heap; a 41st byte would be
-// a 48th.
+// TestPTESize: a page costs 25 bytes of page table — a 24-byte pte, of
+// which the rejection bits take padding the entry already had and the
+// 16-byte ztier.Handle the rest, and a byte of tier map. The page table
+// is the manager's whole retained heap; a 25th pte byte would be a 32nd.
 func TestPTESize(t *testing.T) {
-	if got := unsafe.Sizeof(pte{}); got != 40 {
-		t.Fatalf("unsafe.Sizeof(pte{}) = %d, want 40", got)
+	if got := unsafe.Sizeof(ztier.Handle{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(ztier.Handle{}) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(pte{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(pte{}) = %d, want 24", got)
 	}
 }
 

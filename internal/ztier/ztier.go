@@ -94,18 +94,20 @@ func codecCode(c string) string {
 	}
 }
 
-// Handle identifies a page stored in a tier.
+// Handle identifies a page stored in a tier. A Handle is 16 bytes: one
+// sits in every compressed page's page-table entry.
 type Handle struct {
 	pool zpool.Handle
-	size int // compressed size
+	// size is the compressed size, which fits: a stored object is always
+	// shorter than a page (one that is not is rejected as incompressible).
+	size uint16
 	// sameFilled marks a page of one repeated byte stored without any
 	// pool allocation (zswap's same-filled-page optimization); fillByte
 	// is the repeated value.
 	sameFilled bool
 	fillByte   byte
 	// sum is the object's CRC-32C, taken at store and verified by every
-	// load. It sits in the padding fillByte leaves: a Handle stays 24
-	// bytes.
+	// load.
 	sum uint32
 }
 
@@ -115,7 +117,7 @@ func (h Handle) CompressedSize() int {
 	if h.sameFilled {
 		return 0
 	}
-	return h.size
+	return int(h.size)
 }
 
 // SameFilled reports whether the page was stored via the same-filled-page
@@ -328,7 +330,7 @@ func (t *Tier) commitLocked(ps PreparedStore) (Handle, float64, error) {
 	if ps.sameFilled {
 		t.stores.Add(1)
 		t.sameFilled.Add(1)
-		return Handle{sameFilled: true, fillByte: ps.fillByte, size: 0}, sameFilledScanNs, nil
+		return Handle{sameFilled: true, fillByte: ps.fillByte}, sameFilledScanNs, nil
 	}
 	if ps.rejected {
 		t.rejects.Add(1)
@@ -378,7 +380,7 @@ func (t *Tier) storeCompressedLocked(comp []byte) (Handle, float64, error) {
 	t.livePoolPages.Store(int64(t.pool.Stats().PoolPages))
 	t.stores.Add(1)
 	lat := PoolStoreNs(t.cfg.Pool) + media.WriteCostNs(t.cfg.Media, len(comp))
-	return Handle{pool: h, size: len(comp), sum: crc32.Checksum(comp, castagnoli)}, lat, nil
+	return Handle{pool: h, size: uint16(len(comp)), sum: crc32.Checksum(comp, castagnoli)}, lat, nil
 }
 
 // Load decompresses the page identified by h, appending it to dst. It
@@ -408,7 +410,7 @@ func (t *Tier) Load(h Handle, dst []byte) ([]byte, float64, error) {
 		return dst, 0, fmt.Errorf("ztier %s: %w: %v", t.Name(), ErrCorruptObject, err)
 	}
 	t.faults.Add(1)
-	return out, t.AccessNs(h.size), nil
+	return out, t.AccessNs(int(h.size)), nil
 }
 
 // CountLoad records a page loaded out of the tier by a caller that read
@@ -437,7 +439,7 @@ func (t *Tier) LoadCompressed(h Handle, dst []byte) ([]byte, float64, bool, erro
 	if crc32.Checksum(comp[n:], castagnoli) != h.sum {
 		return dst, 0, false, fmt.Errorf("ztier %s: %w", t.Name(), ErrCorruptObject)
 	}
-	lat := PoolLookupNs(t.cfg.Pool) + media.ReadCostNs(t.cfg.Media, h.size)
+	lat := PoolLookupNs(t.cfg.Pool) + media.ReadCostNs(t.cfg.Media, int(h.size))
 	return comp, lat, true, nil
 }
 
